@@ -26,6 +26,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -58,13 +59,20 @@ from .freefermion import (
     singular_value_check,
 )
 from .linalg import jacobi_eigh
-from .qracah import FAMILIES, QRacahParams, contiguity_coefficients, verify_contiguity
+from .qracah import (
+    CONSTRAINT_TOL,
+    FAMILIES,
+    RELATION_TOL,
+    QRacahParams,
+    contiguity_coefficients,
+    verify_contiguity,
+)
 from .report import CheckReport
 from .spinoracle import SPIN_DIMENSION_CAP, jw_certify
 
 DEFAULT_TOLERANCES = {
-    "relation": 1e-9,
-    "constraint": 1e-10,
+    "relation": RELATION_TOL,
+    "constraint": CONSTRAINT_TOL,
     "spectrum": 1e-8,
     "svd": 1e-8,
     "recurrence": 1e-8,
@@ -98,8 +106,21 @@ def _require(config, key, kinds, kind_name):
     return value
 
 
+def _is_number(value):
+    """True for a finite JSON number; ``bool`` does not count."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _require_number(config, key):
-    return float(_require(config, key, (int, float), "a number"))
+    value = _require(config, key, (int, float), "a number")
+    if not _is_number(value):
+        raise ConfigError(f"config field '{key}' must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _require_int(config, key):
@@ -108,11 +129,9 @@ def _require_int(config, key):
 
 def _require_number_list(config, key, length):
     value = _require(config, key, list, "an array of numbers")
-    if len(value) != length or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
+    if len(value) != length or not all(map(_is_number, value)):
         raise ConfigError(
-            f"config field '{key}' must be an array of {length} numbers"
+            f"config field '{key}' must be an array of {length} finite numbers"
         )
     return [float(v) for v in value]
 
@@ -165,14 +184,12 @@ def load_config(path, mode="compute", family_override=None):
         if extra:
             raise ConfigError(f"config field 'ranges' has unknown keys: {extra}")
         for key, value in ranges.items():
-            if (
-                not isinstance(value, list)
-                or not value
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-            ):
+            if not isinstance(value, list) or not value or not all(map(_is_number, value)):
                 raise ConfigError(
-                    f"ranges['{key}'] must be a non-empty array of numbers"
+                    f"ranges['{key}'] must be a non-empty array of finite numbers"
                 )
+            if len(value) == 2 and value[1] < value[0]:
+                raise ConfigError(f"ranges['{key}'] = {value!r} has hi < lo")
         samples = _require_int(config, "samples")
         if samples < 1:
             raise ConfigError(f"config field 'samples' must be >= 1, got {samples}")
@@ -201,8 +218,8 @@ def load_config(path, mode="compute", family_override=None):
         if unknown:
             raise ConfigError(f"unknown tolerance names: {unknown}")
         for key, value in overrides.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-                raise ConfigError(f"tolerance '{key}' must be a positive number")
+            if not _is_number(value) or value <= 0:
+                raise ConfigError(f"tolerance '{key}' must be a finite positive number")
     return config
 
 
@@ -222,12 +239,21 @@ def _params_from_config(config):
     )
 
 
-def _chain_from_config(config):
+def _coeffs_from_config(config):
+    """Contiguity record of a q-Racah config; ``None`` for an explicit chain."""
+    if config["family"] == "explicit":
+        return None
+    return contiguity_coefficients(config["family"], _params_from_config(config))
+
+
+def _chain_from_config(config, coeffs=None):
     if config["family"] == "explicit":
         return ChainSpec(
             alpha=config["alpha"], beta=config["beta"], gamma=config["gamma"]
         )
-    return build_chain(config["family"], _params_from_config(config))
+    if coeffs is None:
+        coeffs = _coeffs_from_config(config)
+    return build_chain(config["family"], coeffs.params, coeffs=coeffs)
 
 
 def _config_hash(config):
@@ -275,18 +301,19 @@ def _write_csv(handle, config, columns, rows, comments=()):
 
 def cmd_spectrum(config, out_path, tol=None):
     """Write per-mode rows ``j, lambda_analytic, lambda_numeric, rel_gap``."""
-    chain = _chain_from_config(config)
+    coeffs = _coeffs_from_config(config)
+    chain = _chain_from_config(config, coeffs)
     spectral = eigendecompose(assemble(chain))
     lam_num = spectral.lambda_numeric
     tolerances = _tolerances(config)
     gap_tol = tol if tol is not None else tolerances["spectrum"]
     failed = False
     rows = []
-    if config["family"] == "explicit":
+    if coeffs is None:
         for j, value in enumerate(lam_num):
             rows.append((j, None, value, None))
     else:
-        lam_ana = analytic_spectrum(config["family"], _params_from_config(config))
+        lam_ana = analytic_spectrum(config["family"], coeffs.params, coeffs=coeffs)
         position = np.empty(lam_ana.size, dtype=int)
         position[np.argsort(lam_ana, kind="stable")] = np.arange(lam_ana.size)
         for j, value in enumerate(lam_ana):
@@ -340,12 +367,11 @@ def cmd_verify(config, out_path, tol=None):
     report = CheckReport(title=f"verify {family}")
 
     chain = None
-    params = None
-    if family == "explicit":
+    coeffs = _coeffs_from_config(config)
+    if coeffs is None:
         chain = _chain_from_config(config)
     else:
-        params = _params_from_config(config)
-        coeffs = contiguity_coefficients(family, params)
+        params = coeffs.params
         _merge(
             report,
             verify_contiguity(
@@ -367,13 +393,15 @@ def cmd_verify(config, out_path, tol=None):
         report.add("spectrum-parity", spectral.pairing_error, tolerances["parity"])
         report.add("transition-orthogonality", spectral.ortho_error, tolerances["orthogonality"])
         _merge(report, singular_value_check(system, spectral, tol=tolerances["svd"]))
-        if params is not None:
+        if coeffs is not None:
             _merge(
                 report,
-                analytic_vs_numeric(family, params, spectral=spectral, tol=spectrum_tol),
+                analytic_vs_numeric(
+                    family, params, spectral=spectral, tol=spectrum_tol, coeffs=coeffs
+                ),
             )
             try:
-                pq = build_pq_table(family, params, chain=chain)
+                pq = build_pq_table(family, params, coeffs=coeffs, chain=chain)
             except InvalidParameterRegime as exc:
                 report.add_note(f"P/Q tables unavailable: {exc}")
             else:

@@ -349,11 +349,15 @@ def recurrence_check(pq, tol=1e-8):
     return report
 
 
-def analytic_vs_numeric(family, params, spectral=None, tol=1e-8):
-    """Report comparing the closed-form spectrum to the numeric one."""
-    lam_ana = analytic_spectrum(family, params)
+def analytic_vs_numeric(family, params, spectral=None, tol=1e-8, coeffs=None):
+    """Report comparing the closed-form spectrum to the numeric one.
+
+    ``coeffs`` is the contiguity record of ``(family, params)``, built here
+    when not given.
+    """
+    lam_ana = analytic_spectrum(family, params, coeffs=coeffs)
     if spectral is None:
-        spectral = eigendecompose(assemble(build_chain(family, params)))
+        spectral = eigendecompose(assemble(build_chain(family, params, coeffs=coeffs)))
     lam_num = spectral.lambda_numeric
     scale = max(1.0, float(np.max(lam_ana)) if lam_ana.size else 1.0)
     gap = float(np.max(np.abs(np.sort(lam_ana) - np.sort(lam_num))))

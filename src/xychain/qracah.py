@@ -16,7 +16,7 @@ data later yields couplings and spectra of an open XY chain (module
 :mod:`xychain.chain`).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -62,7 +62,7 @@ class QRacahParams:
     q: float
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)) or self.N < 1:
             raise InvalidParameterRegime(f"N must be an integer >= 1, got {self.N!r}")
         for name in ("a", "b", "c", "q"):
             value = getattr(self, name)
@@ -203,9 +203,9 @@ class ContiguityCoefficients:
     ``lambda_plus``/``lambda_minus`` are the relation eigenvalues over the
     grid ``x = 0..N``.
 
-    For family ``qr24`` two candidate formulas exist for ``phi_0_minus``; both
-    are retained in ``phi_0_minus_variants`` and ``variant`` records which one
-    is active (selection happens in :func:`contiguity_coefficients`).
+    The record holds no polynomial values; the exact grids are built on first
+    use by the checks that read them (:func:`verify_contiguity`,
+    :func:`xychain.chain.build_pq_table`, :func:`xychain.chain.validate_draw`).
     """
 
     family: str
@@ -218,8 +218,6 @@ class ContiguityCoefficients:
     phi_plus1_minus: np.ndarray
     phi_0_minus: np.ndarray
     phi_minus1_minus: np.ndarray
-    variant: str = "unique"
-    phi_0_minus_variants: dict = field(default_factory=dict)
 
     def constraint_ratio_deviation(self):
         """Max deviation from 1 of the eight-factor consistency ratio.
@@ -299,7 +297,6 @@ def _raw_tables(family, params):
             * (1 - ab * q ** (N + i + 1))
             / (q * (1 - a) * (1 - b * c) * (1 - ab * q ** (2 * i)) * (1 - ab * q ** (2 * i + 1)))
         )
-        variants = {}
     else:
         lam_p = (1 - a * q**x) * (c - a * q ** (N - x)) / (a * (1 - a))
         lam_m = (1 - b * c * q ** (x + 1)) * (1 - b * q ** (N - x + 1)) / (b * q * (1 - b * c * q))
@@ -337,16 +334,10 @@ def _raw_tables(family, params):
             / (b * q * (1 - a) * (1 - ab * q ** (2 * i)) * (1 - ab * q ** (2 * i + 1)))
         )
         lam0_m = (1 - b * c * q) * (1 - b * q ** (N + 1)) / (b * q * (1 - b * c * q))
-        # Two candidate closed forms circulate for the middle "minus"
-        # coefficient: one subtracting the "plus"-relation neighbours from
-        # lambda_plus(0), one subtracting the "minus"-relation neighbours from
-        # lambda_minus(0).  Only one satisfies the defining relation; the
-        # caller selects by measured residual.
-        variants = {
-            "plus_offset": lam0_p - up_p - dn_p,
-            "sum_rule": lam0_m - up_m - dn_m,
-        }
-        mid_m = variants["sum_rule"]
+        # Sum rule of the "minus" relation at x = 0 (every R_i(0) = 1).  The
+        # other printed form, lambda_plus(0) minus the "plus"-relation
+        # neighbours, fails the relation; a discrimination test keeps it so.
+        mid_m = lam0_m - up_m - dn_m
     return {
         "lambda_plus": lam_p,
         "lambda_minus": lam_m,
@@ -356,7 +347,6 @@ def _raw_tables(family, params):
         "phi_plus1_minus": up_m,
         "phi_0_minus": mid_m,
         "phi_minus1_minus": dn_m,
-        "variants": variants,
     }
 
 
@@ -435,7 +425,8 @@ def _polynomial_grids(family, params):
 
 
 def _grids_for(coeffs):
-    """Cached `(base, shifted)` polynomial grids for a coefficient record."""
+    """`(base, shifted)` polynomial grids of a coefficient record, built once
+    on first use and kept on the record."""
     grids = getattr(coeffs, "_grids", None)
     if grids is None:
         grids = _polynomial_grids(coeffs.family, coeffs.params)
@@ -443,14 +434,13 @@ def _grids_for(coeffs):
     return grids
 
 
-def _relation_residuals(coeffs, base, shifted, phi_0_minus=None):
+def _relation_residuals(coeffs, base, shifted):
     """Elementwise relative residuals of the two three-term relations.
 
     Returns two ``(N+1, N+1)`` arrays indexed ``[i, x]``.  Boundary terms with
     out-of-range degree carry identically vanishing coefficients and are
     omitted (never evaluating a degree ``N+1`` polynomial).
     """
-    mid_m = coeffs.phi_0_minus if phi_0_minus is None else phi_0_minus
 
     def three_term(up, mid, dn, table):
         rhs = mid[:, None] * table
@@ -471,7 +461,9 @@ def _relation_residuals(coeffs, base, shifted, phi_0_minus=None):
     res_plus = np.abs(lhs - rhs) / scale
 
     lhs = coeffs.lambda_minus[None, :] * shifted
-    rhs, mags = three_term(coeffs.phi_plus1_minus, mid_m, coeffs.phi_minus1_minus, base)
+    rhs, mags = three_term(
+        coeffs.phi_plus1_minus, coeffs.phi_0_minus, coeffs.phi_minus1_minus, base
+    )
     scale = np.maximum(np.maximum(np.abs(lhs), mags), _RESIDUAL_FLOOR)
     res_minus = np.abs(lhs - rhs) / scale
     return res_plus, res_minus
@@ -494,19 +486,10 @@ def _boundary_mask(family, N):
     return mask
 
 
-def contiguity_coefficients(family, params, variant="auto"):
+def contiguity_coefficients(family, params):
     """Build the full contiguity data for a family at a parameter point.
 
-    Parameters
-    ----------
-    family : str
-        ``"qr13"`` or ``"qr24"``.
-    params : QRacahParams
-    variant : str
-        Only meaningful for ``qr24``, which has two candidate formulas for
-        ``phi_0_minus``: ``"auto"`` (default) selects the one with the smaller
-        measured relation residual, ``"sum_rule"`` / ``"plus_offset"`` force a
-        choice.
+    Only the closed-form tables are evaluated; no polynomial values.
 
     Raises
     ------
@@ -518,15 +501,7 @@ def contiguity_coefficients(family, params, variant="auto"):
     for label, value in _family_specific_factors(family, params) + _denominator_factors(params):
         if value == 0.0:
             raise InvalidParameterRegime(f"denominator factor ({label}) vanishes")
-    raw = _raw_tables(family, params)
-    variants = raw.pop("variants")
-    coeffs = ContiguityCoefficients(
-        family=family,
-        params=params,
-        variant="unique",
-        phi_0_minus_variants=variants,
-        **raw,
-    )
+    coeffs = ContiguityCoefficients(family=family, params=params, **_raw_tables(family, params))
     for name in (
         "lambda_plus",
         "lambda_minus",
@@ -540,39 +515,17 @@ def contiguity_coefficients(family, params, variant="auto"):
         values = getattr(coeffs, name)
         if not np.all(np.isfinite(values)):
             raise InvalidParameterRegime(f"coefficient table {name} has non-finite entries")
-    if family == "qr24":
-        if variant == "auto":
-            coeffs.variant = _select_variant(coeffs)
-        elif variant in variants:
-            coeffs.variant = variant
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        coeffs.phi_0_minus = variants[coeffs.variant]
-    elif variant not in ("auto", "unique"):
-        raise ValueError(f"family {family} has a unique phi_0_minus; got variant={variant!r}")
     return coeffs
-
-
-def _select_variant(coeffs):
-    """Pick the ``phi_0_minus`` variant with the smaller relation residual."""
-    base, shifted = _grids_for(coeffs)
-    mask = _boundary_mask(coeffs.family, coeffs.params.N)
-    best = None
-    for name, column in coeffs.phi_0_minus_variants.items():
-        _, res_minus = _relation_residuals(coeffs, base, shifted, phi_0_minus=column)
-        worst = float(np.max(res_minus[mask]))
-        if best is None or worst < best[1]:
-            best = (name, worst)
-    return best[0]
 
 
 def verify_contiguity(family, params, relation_tol=RELATION_TOL,
                       constraint_tol=CONSTRAINT_TOL, coeffs=None):
     """Certify the contiguity data against direct polynomial evaluation.
 
-    Evaluates both three-term relations at every grid point ``(i, x)`` by
-    computing each side from scratch with :func:`qracah_eval`, plus the
-    eight-factor consistency ratio, and returns a :class:`CheckReport`.
+    Evaluates both three-term relations at every grid point ``(i, x)`` on the
+    exact-rational polynomial grids of ``coeffs`` (built here on first use),
+    plus the eight-factor consistency ratio, and returns a
+    :class:`CheckReport`.
     """
     if coeffs is None:
         coeffs = contiguity_coefficients(family, params)
@@ -585,13 +538,4 @@ def verify_contiguity(family, params, relation_tol=RELATION_TOL,
     report.add("relation-plus", np.max(res_plus[mask]), relation_tol, note)
     report.add("relation-minus", np.max(res_minus[mask]), relation_tol, note)
     report.add("constraint-ratio", coeffs.constraint_ratio_deviation(), constraint_tol)
-    if coeffs.family == "qr24":
-        rejected = [v for v in coeffs.phi_0_minus_variants if v != coeffs.variant]
-        _, res_rej = _relation_residuals(
-            coeffs, base, shifted, phi_0_minus=coeffs.phi_0_minus_variants[rejected[0]]
-        )
-        report.add_note(
-            f"phi_0_minus variant: {coeffs.variant} "
-            f"(rejected {rejected[0]}: residual {np.max(res_rej[mask]):.2e})"
-        )
     return report

@@ -9,6 +9,9 @@ import re
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR
+from xychain import qracah
+from xychain.chain import validate_draw
 from xychain.cli import main
 
 QR24_CONFIG = {
@@ -292,6 +295,40 @@ class TestConfigErrors:
         path = write_config(tmp_path, dict(QR24_CONFIG, note="hello"))
         assert main(["spectrum", "--config", path]) == 0
 
+    @pytest.mark.parametrize("key", ["a", "b", "c", "q"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge-int"]
+    )
+    def test_non_finite_parameter(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, dict(QR24_CONFIG, **{key: value}))
+        assert main(["verify", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_finite_explicit_coupling(self, tmp_path, capsys):
+        explicit = {
+            "family": "explicit", "N": 1,
+            "alpha": [float("nan")], "beta": [1.0, 1.0], "gamma": [0.0],
+        }
+        path = write_config(tmp_path, explicit)
+        assert main(["verify", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_finite_tolerance(self, tmp_path):
+        path = write_config(tmp_path, dict(QR24_CONFIG, tolerances={"relation": float("nan")}))
+        assert main(["verify", "--config", path]) == 2
+
+    def test_non_finite_scan_range(self, tmp_path):
+        ranges = dict(SCAN_CONFIG["ranges"], b=[0.05, float("nan")])
+        path = write_config(tmp_path, dict(SCAN_CONFIG, ranges=ranges))
+        assert main(["scan", "--config", path]) == 2
+
+    def test_inverted_scan_range(self, tmp_path, capsys):
+        ranges = dict(SCAN_CONFIG["ranges"], a=[-0.1, -0.9])
+        path = write_config(tmp_path, dict(SCAN_CONFIG, ranges=ranges))
+        assert main(["scan", "--config", path]) == 2
+        assert "hi < lo" in capsys.readouterr().err
+
 
 class TestRegimeErrors:
     def test_invalid_q_exits_three(self, tmp_path):
@@ -326,3 +363,38 @@ class TestArgparseSurface:
         with pytest.raises(SystemExit) as excinfo:
             main(["spectrum", "--config", path, "--family", "qr99"])
         assert excinfo.value.code == 2
+
+
+class TestGridWork:
+    """The exact polynomial grids are built only where a check reads them."""
+
+    @pytest.fixture
+    def series_calls(self, monkeypatch):
+        calls = []
+        exact = qracah.phi43_terminating_exact
+
+        def counting(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(qracah, "phi43_terminating_exact", counting)
+        return calls
+
+    @pytest.mark.parametrize("command", ["chain-coeffs", "spectrum", "manybody"])
+    def test_exports_evaluate_no_series(self, tmp_path, series_calls, command):
+        config = str(CONFIG_DIR / "qr24_default.json")
+        assert main([command, "--config", config, "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(series_calls) == 0
+
+    def test_verify_builds_one_grid_pair(self, tmp_path, series_calls):
+        config = CONFIG_DIR / "qr24_default.json"
+        n = json.loads(config.read_text())["N"]
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 0
+        assert len(series_calls) == 2 * (n + 1) ** 2
+
+    def test_radicand_rejected_draw_evaluates_no_series(self, series_calls):
+        params = qracah.QRacahParams(a=0.5, b=0.3, c=0.8, N=4, q=0.7)
+        valid, reason = validate_draw("qr24", params, level="couplings")
+        assert not valid
+        assert reason.startswith("negative radicand")
+        assert len(series_calls) == 0

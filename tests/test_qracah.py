@@ -5,6 +5,7 @@ for the degree structure, and exact-rational evaluation of the defining
 three-term relations with the package's coefficient tables.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -171,6 +172,10 @@ class TestParams:
         with pytest.raises(InvalidParameterRegime):
             QRacahParams(a=float("nan"), b=0.2, c=0.3, N=3, q=0.5)
 
+    def test_bool_degree_rejected(self):
+        with pytest.raises(InvalidParameterRegime, match="N must be an integer"):
+            QRacahParams(a=0.1, b=0.2, c=0.3, N=True, q=0.5)
+
     def test_as_tuple_round_trip(self):
         assert QR24_DEFAULT.as_tuple() == (-0.3, 0.3, -0.8, 4, 0.7)
 
@@ -192,19 +197,19 @@ class TestContiguityTables:
             assert abs(coeffs.phi_plus1_plus[-1]) < 1e-14
             assert abs(coeffs.phi_plus1_minus[-1]) < 1e-14
 
-    def test_variant_selection_picks_sum_rule(self):
+    def test_plus_offset_phi_0_minus_fails_relation(self):
+        # The other printed qr24 form of phi_0_minus, lambda_plus(0) minus the
+        # "plus"-relation neighbours, must be caught by the certification.
         coeffs = contiguity_coefficients("qr24", QR24_DEFAULT)
-        assert coeffs.variant == "sum_rule"
-        assert set(coeffs.phi_0_minus_variants) == {"plus_offset", "sum_rule"}
-        np.testing.assert_array_equal(
-            coeffs.phi_0_minus, coeffs.phi_0_minus_variants["sum_rule"]
+        plus_offset = (
+            coeffs.lambda_plus[0] - coeffs.phi_plus1_plus - coeffs.phi_minus1_plus
         )
-
-    def test_rejected_variant_fails_relation(self):
-        forced = contiguity_coefficients("qr24", QR24_DEFAULT, variant="plus_offset")
+        forced = dataclasses.replace(coeffs, phi_0_minus=plus_offset)
         report = verify_contiguity("qr24", QR24_DEFAULT, coeffs=forced)
-        failed = {c.name for c in report.checks if not c.passed}
-        assert "relation-minus" in failed
+        checks = {c.name: c for c in report.checks}
+        assert not checks["relation-minus"].passed
+        assert checks["relation-minus"].residual > 0.1
+        assert checks["relation-plus"].passed
 
     def test_exact_zero_denominator_rejected(self):
         # a b q = 1 exactly for a = 4, b = 1, q = 1/4.
