@@ -36,19 +36,17 @@ import numpy as np
 
 from .errors import InvalidParameterRegime, NoValidParameters, XYChainError
 from .qracah import (
-    CONSTRAINT_TOL,
-    RELATION_TOL,
     QRacahParams,
-    _boundary_mask,
     _check_family,
     _denominator_factors,
     _family_specific_factors,
     _grids_for,
-    _relation_residuals,
+    _masked_relation_residuals,
     closed_form_lambda_squared,
     contiguity_coefficients,
     shift_params,
 )
+from .report import TOLERANCES
 
 __all__ = [
     "ChainSpec",
@@ -69,22 +67,21 @@ SCAN_LEVELS = ("contiguity", "couplings", "spectral", "full")
 #: construction instead of being clamped.
 RADICAND_TOL = 1e-12
 
+#: Scan draws with a denominator factor closer to zero than this are rejected.
+DENOMINATOR_FLOOR = 1e-8
+
 
 @dataclass
 class ChainSpec:
     """Couplings of an open XY chain on ``N + 1`` sites.
 
     ``alpha`` and ``gamma`` have length ``N`` (bonds), ``beta`` length
-    ``N + 1`` (sites).  ``family``/``params`` record provenance when the chain
-    was built from contiguity data; explicitly supplied chains leave them
-    ``None``.
+    ``N + 1`` (sites).
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
-    family: str = None
-    params: QRacahParams = None
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
@@ -129,22 +126,35 @@ class PQTable:
     Q: np.ndarray
     lam: np.ndarray
     chain: ChainSpec
-    family: str
-    params: QRacahParams
 
 
-def _radicand_check(values, label, scale=None):
+def _negative_radicand(values):
+    """True when an entry lies below zero by more than ``RADICAND_TOL`` times
+    the larger of 1 and the largest magnitude."""
+    if not values.size:
+        return False
+    scale = max(1.0, float(np.max(np.abs(values))))
+    return float(values.min()) < -RADICAND_TOL * scale
+
+
+def _radicand_check(values, label):
     """Clamp tiny negatives to zero; reject genuinely negative radicands."""
     values = np.asarray(values, dtype=float)
-    if scale is None:
-        scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    low = float(values.min()) if values.size else 0.0
-    if low < -RADICAND_TOL * scale:
+    if _negative_radicand(values):
         j = int(np.argmin(values))
         raise InvalidParameterRegime(
             f"radicand {label}[{j}] = {values[j]:.6e} is negative beyond tolerance"
         )
     return np.maximum(values, 0.0)
+
+
+def _coupling_radicands(coeffs):
+    """Squared couplings as products of the coefficient tables, by label."""
+    return {
+        "beta^2": coeffs.phi_0_plus * coeffs.phi_0_minus,
+        "(alpha-gamma)^2": coeffs.phi_minus1_plus[1:] * coeffs.phi_plus1_minus[:-1],
+        "(alpha+gamma)^2": coeffs.phi_minus1_minus[1:] * coeffs.phi_plus1_plus[:-1],
+    }
 
 
 def build_chain(family, params, coeffs=None):
@@ -163,19 +173,11 @@ def build_chain(family, params, coeffs=None):
     """
     if coeffs is None:
         coeffs = contiguity_coefficients(family, params)
-    beta_sq = coeffs.phi_0_plus * coeffs.phi_0_minus
-    diff_sq = coeffs.phi_minus1_plus[1:] * coeffs.phi_plus1_minus[:-1]
-    sum_sq = coeffs.phi_minus1_minus[1:] * coeffs.phi_plus1_plus[:-1]
-    beta = np.sqrt(_radicand_check(beta_sq, "beta^2"))
-    diff = np.sqrt(_radicand_check(diff_sq, "(alpha-gamma)^2"))
-    ssum = np.sqrt(_radicand_check(sum_sq, "(alpha+gamma)^2"))
-    return ChainSpec(
-        alpha=0.5 * (ssum + diff),
-        beta=beta,
-        gamma=0.5 * (ssum - diff),
-        family=family,
-        params=params,
+    beta, diff, ssum = (
+        np.sqrt(_radicand_check(values, label))
+        for label, values in _coupling_radicands(coeffs).items()
     )
+    return ChainSpec(alpha=0.5 * (ssum + diff), beta=beta, gamma=0.5 * (ssum - diff))
 
 
 def analytic_spectrum(family, params, coeffs=None):
@@ -241,14 +243,7 @@ def build_pq_table(family, params, coeffs=None, chain=None):
     weight_q = np.sqrt(_radicand_check(rad_q, "Q normalization"))
 
     base, shifted = _grids_for(coeffs)
-    return PQTable(
-        P=weight_p * base,
-        Q=weight_q * shifted,
-        lam=lam,
-        chain=chain,
-        family=family,
-        params=params,
-    )
+    return PQTable(P=weight_p * base, Q=weight_q * shifted, lam=lam, chain=chain)
 
 
 def pq_recurrence_residual(pq):
@@ -293,8 +288,9 @@ def _sign_ok(values, sign, tol):
     return bool(np.min(sign * values) >= -tol)
 
 
-def validate_draw(family, params, level="full", relation_tol=RELATION_TOL,
-                  constraint_tol=CONSTRAINT_TOL, denominator_floor=1e-8):
+def validate_draw(family, params, level="full", relation_tol=TOLERANCES["relation"],
+                  constraint_tol=TOLERANCES["constraint"],
+                  denominator_floor=DENOMINATOR_FLOOR):
     """Classify one parameter draw against a scan validity level.
 
     Returns ``(valid, reason)`` where ``reason`` names the first failed
@@ -322,16 +318,11 @@ def validate_draw(family, params, level="full", relation_tol=RELATION_TOL,
 
     rank = SCAN_LEVELS.index(level)
     if rank >= 1:
-        radicands = {
-            "beta^2": coeffs.phi_0_plus * coeffs.phi_0_minus,
-            "(alpha-gamma)^2": coeffs.phi_minus1_plus[1:] * coeffs.phi_plus1_minus[:-1],
-            "(alpha+gamma)^2": coeffs.phi_minus1_minus[1:] * coeffs.phi_plus1_plus[:-1],
-            "Lambda^2": closed_form_lambda_squared(family, params),
-            "lambda product": coeffs.lambda_plus * coeffs.lambda_minus,
-        }
+        radicands = _coupling_radicands(coeffs)
+        radicands["Lambda^2"] = closed_form_lambda_squared(family, params)
+        radicands["lambda product"] = coeffs.lambda_plus * coeffs.lambda_minus
         for label, values in radicands.items():
-            scale = max(1.0, float(np.max(np.abs(values)))) if values.size else 1.0
-            if float(values.min()) < -RADICAND_TOL * scale:
+            if _negative_radicand(values):
                 return False, f"negative radicand {label}"
     if rank >= 2:
         # per-bond sign-loop condition: the sign of the middle-coefficient
@@ -367,11 +358,10 @@ def validate_draw(family, params, level="full", relation_tol=RELATION_TOL,
         ):
             return False, "no global sign (P/Q normalization radicands mixed)"
 
-    mask = _boundary_mask(family, params.N)
-    res_plus, res_minus = _relation_residuals(coeffs, *_grids_for(coeffs))
-    if float(np.max(res_plus[mask])) > relation_tol:
+    worst_plus, worst_minus, _ = _masked_relation_residuals(coeffs)
+    if worst_plus > relation_tol:
         return False, "relation-plus residual above tolerance"
-    if float(np.max(res_minus[mask])) > relation_tol:
+    if worst_minus > relation_tol:
         return False, "relation-minus residual above tolerance"
     if coeffs.constraint_ratio_deviation() > constraint_tol:
         return False, "constraint ratio deviates"
@@ -392,8 +382,9 @@ def _draw_value(rng, spec, label):
 
 
 def parameter_scan(family, ranges, N, samples, seed=0, level="full",
-                   relation_tol=RELATION_TOL, constraint_tol=CONSTRAINT_TOL,
-                   denominator_floor=1e-8):
+                   relation_tol=TOLERANCES["relation"],
+                   constraint_tol=TOLERANCES["constraint"],
+                   denominator_floor=DENOMINATOR_FLOOR):
     """Randomly sample a parameter box and keep the valid draws.
 
     Parameters

@@ -23,6 +23,7 @@ error; 4 verification failure.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -59,29 +60,9 @@ from .freefermion import (
     singular_value_check,
 )
 from .linalg import jacobi_eigh
-from .qracah import (
-    CONSTRAINT_TOL,
-    FAMILIES,
-    RELATION_TOL,
-    QRacahParams,
-    contiguity_coefficients,
-    verify_contiguity,
-)
-from .report import CheckReport
+from .qracah import FAMILIES, QRacahParams, contiguity_coefficients, verify_contiguity
+from .report import TOLERANCES, CheckReport
 from .spinoracle import SPIN_DIMENSION_CAP, jw_certify
-
-DEFAULT_TOLERANCES = {
-    "relation": RELATION_TOL,
-    "constraint": CONSTRAINT_TOL,
-    "spectrum": 1e-8,
-    "svd": 1e-8,
-    "recurrence": 1e-8,
-    "cosine": 1e-8,
-    "jw": 1e-8,
-    "match": 1e-6,
-    "parity": 1e-10,
-    "orthogonality": 1e-8,
-}
 
 _COMMON_KEYS = {"family", "seed", "tolerances", "note"}
 _QRACAH_KEYS = {"a", "b", "c", "q", "N"}
@@ -94,6 +75,8 @@ _REGIME_ERRORS = (
     DenominatorVanishes,
     NoValidParameters,
     ConvergenceFailure,
+    # overflow or underflow to zero of float arithmetic at extreme parameters
+    ArithmeticError,
 )
 
 
@@ -125,6 +108,16 @@ def _require_number(config, key):
 
 def _require_int(config, key):
     return int(_require(config, key, int, "an integer"))
+
+
+def _check_seed(seed, name):
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+
+
+def _check_tolerance(value, name):
+    if not _is_number(value) or value <= 0:
+        raise ConfigError(f"{name} must be a finite positive number")
 
 
 def _require_number_list(config, key, length):
@@ -207,25 +200,26 @@ def load_config(path, mode="compute", family_override=None):
         for key in ("a", "b", "c", "q"):
             _require_number(config, key)
     if "seed" in config:
-        seed = _require_int(config, "seed")
-        if seed < 0:
-            raise ConfigError(f"config field 'seed' must be >= 0, got {seed}")
+        _check_seed(_require_int(config, "seed"), "config field 'seed'")
     if "note" in config and not isinstance(config["note"], str):
         raise ConfigError("config field 'note' must be a string")
     if "tolerances" in config:
         overrides = _require(config, "tolerances", dict, "an object")
-        unknown = sorted(set(overrides) - set(DEFAULT_TOLERANCES))
+        unknown = sorted(set(overrides) - set(TOLERANCES))
         if unknown:
             raise ConfigError(f"unknown tolerance names: {unknown}")
         for key, value in overrides.items():
-            if not _is_number(value) or value <= 0:
-                raise ConfigError(f"tolerance '{key}' must be a finite positive number")
+            _check_tolerance(value, f"tolerance '{key}'")
     return config
 
 
-def _tolerances(config):
-    merged = dict(DEFAULT_TOLERANCES)
+def _tolerances(config, spectrum=None):
+    """Default tolerances with the config's overrides and, when given, the
+    ``--tol`` override of ``spectrum``."""
+    merged = dict(TOLERANCES)
     merged.update(config.get("tolerances", {}))
+    if spectrum is not None:
+        merged["spectrum"] = spectrum
     return merged
 
 
@@ -262,30 +256,22 @@ def _config_hash(config):
 
 
 def _format_cell(value):
+    if isinstance(value, float):  # first: nearly every cell is one
+        return repr(float(value))
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
 
-class _Output:
-    """Open ``path`` for writing, or fall back to stdout."""
-
-    def __init__(self, path):
-        self.path = path
-        self.handle = None
-
-    def __enter__(self):
-        if self.path is None:
-            return sys.stdout
-        self.handle = open(self.path, "w", newline="")
-        return self.handle
-
-    def __exit__(self, *exc_info):
-        if self.handle is not None:
-            self.handle.close()
-        return False
+def _open_out(path):
+    """The file at ``path`` opened for writing, or stdout when ``path`` is None."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
 
 
 def _write_csv(handle, config, columns, rows, comments=()):
@@ -305,8 +291,7 @@ def cmd_spectrum(config, out_path, tol=None):
     chain = _chain_from_config(config, coeffs)
     spectral = eigendecompose(assemble(chain))
     lam_num = spectral.lambda_numeric
-    tolerances = _tolerances(config)
-    gap_tol = tol if tol is not None else tolerances["spectrum"]
+    gap_tol = _tolerances(config, tol)["spectrum"]
     failed = False
     rows = []
     if coeffs is None:
@@ -321,7 +306,7 @@ def cmd_spectrum(config, out_path, tol=None):
             gap = abs(value - numeric) / max(1.0, abs(value))
             failed = failed or gap > gap_tol
             rows.append((j, value, numeric, gap))
-    with _Output(out_path) as handle:
+    with _open_out(out_path) as handle:
         _write_csv(handle, config, ("j", "lambda_analytic", "lambda_numeric", "rel_gap"), rows)
     return 4 if failed else 0
 
@@ -338,7 +323,7 @@ def cmd_chain_coeffs(config, out_path):
     comments = []
     if chain.is_xx():
         comments.append("XX reduction: gamma identically zero")
-    with _Output(out_path) as handle:
+    with _open_out(out_path) as handle:
         _write_csv(handle, config, ("j", "alpha", "beta", "gamma"), rows, comments)
     return 0
 
@@ -349,7 +334,7 @@ def cmd_manybody(config, out_path):
     spectral = eigendecompose(assemble(chain))
     spectrum = many_body_spectrum(spectral.lambda_numeric)
     rows = list(zip((int(m) for m in spectrum.masks), spectrum.energies))
-    with _Output(out_path) as handle:
+    with _open_out(out_path) as handle:
         _write_csv(handle, config, ("mask", "energy"), rows)
     return 0
 
@@ -361,8 +346,7 @@ def _merge(target, source):
 
 def cmd_verify(config, out_path, tol=None):
     """Run every applicable certification; exit 4 if any check fails."""
-    tolerances = _tolerances(config)
-    spectrum_tol = tol if tol is not None else tolerances["spectrum"]
+    tolerances = _tolerances(config, tol)
     family = config["family"]
     report = CheckReport(title=f"verify {family}")
 
@@ -397,7 +381,8 @@ def cmd_verify(config, out_path, tol=None):
             _merge(
                 report,
                 analytic_vs_numeric(
-                    family, params, spectral=spectral, tol=spectrum_tol, coeffs=coeffs
+                    family, params, spectral=spectral, tol=tolerances["spectrum"],
+                    coeffs=coeffs,
                 ),
             )
             try:
@@ -421,7 +406,7 @@ def cmd_verify(config, out_path, tol=None):
             gap = float(
                 np.max(np.abs(np.sort(np.abs(values)) - np.sort(lam)))
             ) / max(1.0, float(np.max(lam)) if lam.size else 1.0)
-            report.add("xx-reduction", gap, spectrum_tol)
+            report.add("xx-reduction", gap, tolerances["spectrum"])
         if 2**chain.n_sites <= SPIN_DIMENSION_CAP:
             _merge(report, jw_certify(chain, tol_factor=tolerances["jw"], spectral=spectral))
         else:
@@ -433,25 +418,15 @@ def cmd_verify(config, out_path, tol=None):
             "config_sha256": _config_hash(config),
         }
         payload.update(report.to_dict())
-        with _Output(out_path) as handle:
+        with _open_out(out_path) as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
     elif out_path is not None:
-        rows = [
-            (c.name, c.residual, c.tolerance, "PASS" if c.passed else "FAIL", c.note)
-            for c in report.checks
-        ]
-        with _Output(out_path) as handle:
-            handle.write(f"# xychain {__version__}\n")
-            handle.write(f"# config sha256 {_config_hash(config)}\n")
-            for note in report.notes:
-                handle.write(f"# note: {note}\n")
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("name", "residual", "tolerance", "verdict", "note"))
-            for name, residual, tolerance, verdict, note in rows:
-                writer.writerow(
-                    [name, repr(float(residual)), repr(float(tolerance)), verdict, note]
-                )
+        rows = [(c.name, c.residual, c.tolerance, c.verdict, c.note) for c in report.checks]
+        notes = [f"note: {note}" for note in report.notes]
+        with _open_out(out_path) as handle:
+            columns = ("name", "residual", "tolerance", "verdict", "note")
+            _write_csv(handle, config, columns, rows, notes)
     else:
         print(report)
     return 0 if report.passed else 4
@@ -460,6 +435,7 @@ def cmd_verify(config, out_path, tol=None):
 def cmd_scan(config, out_path, seed=None):
     """Run a parameter scan and write the valid draws as CSV rows."""
     used_seed = seed if seed is not None else int(config.get("seed", 0))
+    tolerances = _tolerances(config)
     draws = parameter_scan(
         config["family"],
         config["ranges"],
@@ -467,6 +443,8 @@ def cmd_scan(config, out_path, seed=None):
         config["samples"],
         seed=used_seed,
         level=config["level"],
+        relation_tol=tolerances["relation"],
+        constraint_tol=tolerances["constraint"],
     )
     rows = [
         (k, p.a, p.b, p.c, p.N, p.q) for k, p in enumerate(draws)
@@ -477,7 +455,7 @@ def cmd_scan(config, out_path, seed=None):
         f"seed {used_seed}",
         f"valid {len(draws)}",
     )
-    with _Output(out_path) as handle:
+    with _open_out(out_path) as handle:
         _write_csv(handle, config, ("index", "a", "b", "c", "N", "q"), rows, comments)
     return 0
 
@@ -521,17 +499,24 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:
+            _check_seed(args.seed, "--seed")
+        if getattr(args, "tol", None) is not None:
+            _check_tolerance(args.tol, "--tol")
         mode = "scan" if args.command == "scan" else "compute"
         config = load_config(args.config, mode=mode, family_override=args.family)
-        if args.command == "spectrum":
-            return cmd_spectrum(config, args.out, tol=args.tol)
-        if args.command == "chain-coeffs":
-            return cmd_chain_coeffs(config, args.out)
-        if args.command == "verify":
-            return cmd_verify(config, args.out, tol=args.tol)
-        if args.command == "manybody":
-            return cmd_manybody(config, args.out)
-        return cmd_scan(config, args.out, seed=args.seed)
+        # Non-finite values are reported by the checks and the regime errors;
+        # numpy's floating-point warnings would only add stderr lines.
+        with np.errstate(all="ignore"):
+            if args.command == "spectrum":
+                return cmd_spectrum(config, args.out, tol=args.tol)
+            if args.command == "chain-coeffs":
+                return cmd_chain_coeffs(config, args.out)
+            if args.command == "verify":
+                return cmd_verify(config, args.out, tol=args.tol)
+            if args.command == "manybody":
+                return cmd_manybody(config, args.out)
+            return cmd_scan(config, args.out, seed=args.seed)
     except (ConfigError, SizeCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

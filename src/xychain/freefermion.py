@@ -16,7 +16,7 @@ import numpy as np
 from .chain import PQTable, analytic_spectrum, build_chain, pq_recurrence_residual
 from .errors import SizeCapExceeded
 from .linalg import jacobi_eigh
-from .report import CheckReport
+from .report import TOLERANCES, CheckReport
 
 __all__ = [
     "FreeFermionSystem",
@@ -38,6 +38,14 @@ MANY_BODY_MODE_CAP = 24
 #: scale are treated as zero modes when pairing eigenvectors.
 ZERO_MODE_FACTOR = 1e-10
 
+#: Largest principal angle (radians) accepted between a degenerate cluster's
+#: numeric and analytic eigenvector spans.
+ANGLE_TOL = 1e-6
+
+#: Numeric eigenvalues closer than this factor times the spectral scale form
+#: one degenerate cluster in the eigenvector crosscheck.
+DEGENERACY_TOL = 1e-8
+
 
 @dataclass
 class FreeFermionSystem:
@@ -46,7 +54,6 @@ class FreeFermionSystem:
     A: np.ndarray
     B: np.ndarray
     H: np.ndarray
-    chain: object = None
 
     @property
     def n_sites(self):
@@ -98,7 +105,7 @@ def assemble(chain):
         b[k, k + 1] = chain.gamma[k]
         b[k + 1, k] = -chain.gamma[k]
     h = np.block([[a, b], [-b, -a]])
-    return FreeFermionSystem(A=a, B=b, H=h, chain=chain)
+    return FreeFermionSystem(A=a, B=b, H=h)
 
 
 def _orthonormal_columns(columns, tol):
@@ -143,7 +150,7 @@ def _split_zero_modes(null_vectors, n):
     return psi_cols, phi_cols
 
 
-def eigendecompose(system, tol_factor=None, max_sweeps=None):
+def eigendecompose(system):
     """Numeric spectral data for the doubled matrix.
 
     Diagonalizes ``H`` with the in-repo Jacobi solver, extracts the
@@ -153,12 +160,7 @@ def eigendecompose(system, tol_factor=None, max_sweeps=None):
     signed so that the largest-magnitude entry of ``psi`` (of ``phi`` if
     ``psi`` vanishes) is positive, with ties broken by the lowest index.
     """
-    kwargs = {}
-    if tol_factor is not None:
-        kwargs["tol_factor"] = tol_factor
-    if max_sweeps is not None:
-        kwargs["max_sweeps"] = max_sweeps
-    values, vectors = jacobi_eigh(system.H, **kwargs)
+    values, vectors = jacobi_eigh(system.H)
     n = system.n_sites
     lam = values[n:].copy()
     scale = max(float(np.max(np.abs(values))), 1e-300)
@@ -210,7 +212,7 @@ def eigendecompose(system, tol_factor=None, max_sweeps=None):
     )
 
 
-def singular_value_check(system, spectral=None, tol=1e-8):
+def singular_value_check(system, spectral=None, tol=TOLERANCES["svd"]):
     """Certify the spectrum against the singular values of ``A + B``.
 
     The combination ``A + B`` maps eigenvector sums to eigenvector
@@ -267,8 +269,9 @@ def _principal_cosines(set_a, set_b):
     return np.sort(cosines)[::-1]
 
 
-def eigenvector_crosscheck(spectral, pq, cos_tol=1e-8, angle_tol=1e-6,
-                           match_tol=1e-6, degeneracy_tol=1e-8):
+def eigenvector_crosscheck(spectral, pq, cos_tol=TOLERANCES["cosine"],
+                           angle_tol=ANGLE_TOL, match_tol=TOLERANCES["match"],
+                           degeneracy_tol=DEGENERACY_TOL):
     """Compare numeric eigenvectors against the analytic ``P``/``Q`` tables.
 
     Matches numeric and analytic eigenvalues by sorted order (with a collision
@@ -340,7 +343,7 @@ def eigenvector_crosscheck(spectral, pq, cos_tol=1e-8, angle_tol=1e-6,
     return report
 
 
-def recurrence_check(pq, tol=1e-8):
+def recurrence_check(pq, tol=TOLERANCES["recurrence"]):
     """Wrap :func:`xychain.chain.pq_recurrence_residual` as a report."""
     res_p, res_q = pq_recurrence_residual(pq)
     report = CheckReport(title="P/Q recurrence")
@@ -349,7 +352,8 @@ def recurrence_check(pq, tol=1e-8):
     return report
 
 
-def analytic_vs_numeric(family, params, spectral=None, tol=1e-8, coeffs=None):
+def analytic_vs_numeric(family, params, spectral=None, tol=TOLERANCES["spectrum"],
+                        coeffs=None):
     """Report comparing the closed-form spectrum to the numeric one.
 
     ``coeffs`` is the contiguity record of ``(family, params)``, built here

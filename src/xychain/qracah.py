@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameterRegime, InvalidShiftedParams
 from .qseries import phi43_terminating, phi43_terminating_exact
-from .report import CheckReport
+from .report import TOLERANCES, CheckReport
 
 __all__ = [
     "FAMILIES",
@@ -39,10 +39,6 @@ __all__ = [
 
 #: Supported contiguity families (they differ in their shift maps and tables).
 FAMILIES = ("qr13", "qr24")
-
-#: Default tolerances for the relation / constraint certifications.
-RELATION_TOL = 1e-9
-CONSTRAINT_TOL = 1e-10
 
 _RESIDUAL_FLOOR = 1e-30
 
@@ -106,24 +102,22 @@ def qracah_eval(i, x, params):
     if not 0 <= i <= N:
         raise ValueError(f"polynomial degree must satisfy 0 <= i <= N={N}, got {i}")
     if float(x).is_integer():
-        xi = int(x)
-        af, bf, cf, qf = Fraction(a), Fraction(b), Fraction(c), Fraction(q)
-        return float(
-            phi43_terminating_exact(
-                i,
-                (af * bf * qf ** (i + 1), qf ** (-xi), cf * qf ** (xi - N)),
-                (af * qf, bf * cf * qf, qf ** (-N)),
-                qf,
-                qf,
-            )
-        )
-    return phi43_terminating(
-        i,
-        (a * b * q ** (i + 1), q ** (-x), c * q ** (x - N)),
-        (a * q, b * c * q, q ** (-N)),
-        q,
-        q,
-    )
+        a, b, c, q = (Fraction(v) for v in (a, b, c, q))
+        return float(phi43_terminating_exact(i, *_series_args(i, a, b, c, N, q)(int(x)), q, q))
+    return phi43_terminating(i, *_series_args(i, a, b, c, N, q)(x), q, q)
+
+
+def _series_args(i, a, b, c, N, q):
+    """Series parameters of the degree-``i`` polynomial as a function of ``x``.
+
+    Returns ``x -> (numerator params, denominator params)``; the factors that
+    do not depend on ``x`` are computed once.  Generic over the number type:
+    ``float`` inputs give the arguments of the float series, ``Fraction``
+    inputs the exact ones, by the same formula.
+    """
+    ab = a * b * q ** (i + 1)
+    den = (a * q, b * c * q, q ** (-N))
+    return lambda x: ((ab, q ** (-x), c * q ** (x - N)), den)
 
 
 def _denominator_factors(params):
@@ -161,6 +155,17 @@ def _check_family(family):
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+def _shift_map(family, a, b, c, q):
+    """Family shift map ``(a, b, c) -> (x_shift, a', b', c')``.
+
+    Generic over the number type, so the float and the exact-rational routes
+    apply the same formula.
+    """
+    if family == "qr13":
+        return 1, a / q, b * q, c / q**2
+    return 0, a / q, b * q, c
+
+
 def shift_params(family, params):
     """Family shift map: returns ``(x_shift, shifted_params)``.
 
@@ -176,12 +181,9 @@ def shift_params(family, params):
     """
     _check_family(family)
     a, b, c, N, q = params.as_tuple()
-    if family == "qr13":
-        x_shift, shifted = 1, (a / q, b * q, c / q**2, N, q)
-    else:
-        x_shift, shifted = 0, (a / q, b * q, c, N, q)
+    x_shift, *shifted = _shift_map(family, a, b, c, q)
     try:
-        shifted_params = QRacahParams(*shifted)
+        shifted_params = QRacahParams(*shifted, N, q)
     except InvalidParameterRegime as exc:
         raise InvalidShiftedParams(f"shifted parameters invalid: {exc}") from exc
     for label, value in _denominator_factors(shifted_params):
@@ -394,33 +396,17 @@ def _polynomial_grids(family, params):
     from N ~ 7 in direct float accumulation).
     """
     N = params.N
-    # Validates the shifted regime and fixes the grid offset.
-    x_shift, _ = shift_params(family, params)
-    a, b, c, _, q = params.as_tuple()
-    af, bf, cf, qf = Fraction(a), Fraction(b), Fraction(c), Fraction(q)
-    if family == "qr13":
-        sa, sb, sc = af / qf, bf * qf, cf / qf**2
-    else:
-        sa, sb, sc = af / qf, bf * qf, cf
-    den_base = (af * qf, bf * cf * qf, qf ** (-N))
-    den_shifted = (sa * qf, sb * sc * qf, qf ** (-N))
+    shift_params(family, params)  # validates the shifted regime
+    a, b, c, q = (Fraction(v) for v in (params.a, params.b, params.c, params.q))
+    x_shift, sa, sb, sc = _shift_map(family, a, b, c, q)
     base = np.empty((N + 1, N + 1))
     shifted = np.empty((N + 1, N + 1))
     for i in range(N + 1):
-        ab_base = af * bf * qf ** (i + 1)
-        ab_shifted = sa * sb * qf ** (i + 1)
+        base_args = _series_args(i, a, b, c, N, q)
+        shifted_args = _series_args(i, sa, sb, sc, N, q)
         for x in range(N + 1):
-            base[i, x] = float(
-                phi43_terminating_exact(
-                    i, (ab_base, qf ** (-x), cf * qf ** (x - N)), den_base, qf, qf
-                )
-            )
-            xs = x + x_shift
-            shifted[i, x] = float(
-                phi43_terminating_exact(
-                    i, (ab_shifted, qf ** (-xs), sc * qf ** (xs - N)), den_shifted, qf, qf
-                )
-            )
+            base[i, x] = float(phi43_terminating_exact(i, *base_args(x), q, q))
+            shifted[i, x] = float(phi43_terminating_exact(i, *shifted_args(x + x_shift), q, q))
     return base, shifted
 
 
@@ -486,6 +472,20 @@ def _boundary_mask(family, N):
     return mask
 
 
+def _masked_relation_residuals(coeffs):
+    """Worst residual of each relation over the certified grid points.
+
+    The one relation screen of both :func:`verify_contiguity` and
+    :func:`xychain.chain.validate_draw`.  Returns ``(worst_plus, worst_minus,
+    note)``; ``note`` states the points :func:`_boundary_mask` leaves out and
+    is empty when it leaves out none.
+    """
+    mask = _boundary_mask(coeffs.family, coeffs.params.N)
+    res_plus, res_minus = _relation_residuals(coeffs, *_grids_for(coeffs))
+    note = "" if mask.all() else "corner (i,x)=(N,N) excluded; weighted by lambda_minus(N)=0"
+    return float(np.max(res_plus[mask])), float(np.max(res_minus[mask])), note
+
+
 def contiguity_coefficients(family, params):
     """Build the full contiguity data for a family at a parameter point.
 
@@ -518,8 +518,8 @@ def contiguity_coefficients(family, params):
     return coeffs
 
 
-def verify_contiguity(family, params, relation_tol=RELATION_TOL,
-                      constraint_tol=CONSTRAINT_TOL, coeffs=None):
+def verify_contiguity(family, params, relation_tol=TOLERANCES["relation"],
+                      constraint_tol=TOLERANCES["constraint"], coeffs=None):
     """Certify the contiguity data against direct polynomial evaluation.
 
     Evaluates both three-term relations at every grid point ``(i, x)`` on the
@@ -529,13 +529,9 @@ def verify_contiguity(family, params, relation_tol=RELATION_TOL,
     """
     if coeffs is None:
         coeffs = contiguity_coefficients(family, params)
-    base, shifted = _grids_for(coeffs)
-    mask = _boundary_mask(family, params.N)
-    res_plus, res_minus = _relation_residuals(coeffs, base, shifted)
-
+    worst_plus, worst_minus, note = _masked_relation_residuals(coeffs)
     report = CheckReport(title=f"contiguity {family} {params.as_tuple()}")
-    note = "" if mask.all() else "corner (i,x)=(N,N) excluded; weighted by lambda_minus(N)=0"
-    report.add("relation-plus", np.max(res_plus[mask]), relation_tol, note)
-    report.add("relation-minus", np.max(res_minus[mask]), relation_tol, note)
+    report.add("relation-plus", worst_plus, relation_tol, note)
+    report.add("relation-minus", worst_minus, relation_tol, note)
     report.add("constraint-ratio", coeffs.constraint_ratio_deviation(), constraint_tol)
     return report

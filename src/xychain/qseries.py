@@ -13,7 +13,6 @@ from .errors import DenominatorVanishes
 
 __all__ = [
     "q_pochhammer",
-    "q_pochhammer_multi",
     "phi43_terminating",
     "phi43_terminating_exact",
 ]
@@ -36,14 +35,6 @@ def q_pochhammer(a, q, k):
     out = 1.0
     for l in range(k):
         out *= 1.0 - a * q**l
-    return out
-
-
-def q_pochhammer_multi(params, q, k):
-    """Product of q-Pochhammer symbols ``prod_j (a_j; q)_k`` over a sequence."""
-    out = 1.0
-    for a in params:
-        out *= q_pochhammer(a, q, k)
     return out
 
 

@@ -2,7 +2,23 @@
 
 from dataclasses import dataclass, field
 
-__all__ = ["CheckResult", "CheckReport"]
+__all__ = ["TOLERANCES", "CheckResult", "CheckReport"]
+
+#: Default tolerance of every named check.  The library's check functions
+#: take their defaults from here, and a run configuration's ``"tolerances"``
+#: object overrides any of them by name.
+TOLERANCES = {
+    "relation": 1e-9,
+    "constraint": 1e-10,
+    "spectrum": 1e-8,
+    "svd": 1e-8,
+    "recurrence": 1e-8,
+    "cosine": 1e-8,
+    "jw": 1e-8,
+    "match": 1e-6,
+    "parity": 1e-10,
+    "orthogonality": 1e-8,
+}
 
 
 @dataclass
@@ -15,9 +31,12 @@ class CheckResult:
     passed: bool
     note: str = ""
 
+    @property
+    def verdict(self):
+        return "PASS" if self.passed else "FAIL"
+
     def line(self):
-        verdict = "PASS" if self.passed else "FAIL"
-        text = f"{self.name}: residual={self.residual:.3e} tol={self.tolerance:.1e} {verdict}"
+        text = f"{self.name}: residual={self.residual:.3e} tol={self.tolerance:.1e} {self.verdict}"
         if self.note:
             text += f"  ({self.note})"
         return text
@@ -27,7 +46,7 @@ class CheckResult:
             "name": self.name,
             "residual": self.residual,
             "tolerance": self.tolerance,
-            "verdict": "PASS" if self.passed else "FAIL",
+            "verdict": self.verdict,
             "note": self.note,
         }
 

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import SizeCapExceeded
 from .freefermion import assemble, eigendecompose, many_body_spectrum
 from .linalg import jacobi_eigh
-from .report import CheckReport
+from .report import TOLERANCES, CheckReport
 
 __all__ = [
     "SPIN_DIMENSION_CAP",
@@ -75,7 +75,7 @@ def oracle_spectrum(hamiltonian):
     return values
 
 
-def jw_certify(chain, tol_factor=1e-8, spectral=None):
+def jw_certify(chain, tol_factor=TOLERANCES["jw"], spectral=None):
     """Certify the free-fermion solution against the spin-space oracle.
 
     Computes the ``2^(N+1)`` many-body energies from the numeric

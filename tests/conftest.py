@@ -1,4 +1,4 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared fixtures and the acceptance summary hook for the test suite."""
 
 import sys
 from pathlib import Path
@@ -6,15 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xychain import ChainSpec, QRacahParams
-
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-
-# One verdict line per acceptance criterion, appended by tests/test_acceptance.py
-# and echoed as a terminal section at the end of the run.
-ACCEPTANCE_LINES = []
+from helpers import ACCEPTANCE_LINES  # noqa: E402
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -22,34 +16,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-# Reference point where every certification level passes.
-QR24_DEFAULT = QRacahParams(a=-0.3, b=0.3, c=-0.8, N=4, q=0.7)
-# Real chain whose closed-form spectrum branch does not apply (couplings level).
-QR13_CHAIN = QRacahParams(a=4.21, b=6.28, c=-0.54, N=4, q=0.7)
-
-# Parameter boxes with healthy validity rates, used for randomized draws.
-QR24_BOX = {
-    "a": [-0.9, -0.05],
-    "b": [0.05, 0.9],
-    "c": [-0.95, -0.1],
-    "q": [0.3, 0.5, 0.7],
-}
-QR13_BOX = {
-    "a": [1.5, 9.0],
-    "b": [1.5, 9.0],
-    "c": [-0.9, -0.1],
-    "q": [0.3, 0.5, 0.7],
-}
-
-
-def random_chain(rng, n_sites):
-    """A generic open XY chain with couplings of mixed sign and order one."""
-    return ChainSpec(
-        alpha=rng.uniform(-1.5, 1.5, n_sites - 1),
-        beta=rng.uniform(-1.5, 1.5, n_sites),
-        gamma=rng.uniform(-1.0, 1.0, n_sites - 1),
-    )
 
 
 @pytest.fixture

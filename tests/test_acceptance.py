@@ -3,7 +3,7 @@
 Each test certifies one numbered criterion of the package's acceptance
 checklist (restated in README.md) end to end, preferring independent numeric
 routes over the code under test wherever one exists, and appends a one-line
-verdict to the terminal summary through ``conftest.ACCEPTANCE_LINES``.  The
+verdict to the terminal summary through ``helpers.ACCEPTANCE_LINES``.  The
 tolerances used here are the published contract; changing them is an
 interface change, not a test tweak.
 """
@@ -13,8 +13,8 @@ import time
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_LINES, CONFIG_DIR, QR13_BOX, QR24_BOX, random_chain
 from exact_oracles import relation_residuals_exact
+from helpers import ACCEPTANCE_LINES, CONFIG_DIR, QR13_BOX, QR24_BOX, random_chain
 
 from xychain import (
     ChainSpec,

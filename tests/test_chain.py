@@ -8,7 +8,7 @@ frozen regression values with exact-rational provenance.
 import numpy as np
 import pytest
 
-from conftest import QR13_BOX, QR13_CHAIN, QR24_BOX, QR24_DEFAULT
+from helpers import QR13_BOX, QR13_CHAIN, QR24_BOX, QR24_DEFAULT
 from xychain.chain import (
     SCAN_LEVELS,
     ChainSpec,

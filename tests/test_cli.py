@@ -5,11 +5,12 @@ import csv
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR
+from helpers import CONFIG_DIR, QR24_BOX
 from xychain import qracah
 from xychain.chain import validate_draw
 from xychain.cli import main
@@ -249,6 +250,22 @@ class TestScan:
         out_default = capsys.readouterr().out
         assert "# seed 99" in out_override
         assert out_override != out_default
+        # the header hashes the config file, not the override
+        assert out_override.splitlines()[1] == out_default.splitlines()[1]
+
+    def test_config_tolerances_govern_the_scan(self, tmp_path, capsys):
+        # 27 of these 50 draws pass the default relation tolerance; none
+        # reaches a relative residual of 1e-30
+        config = {
+            "family": "qr24", "N": 4, "ranges": QR24_BOX, "samples": 50, "level": "full",
+            "seed": 7, "tolerances": {"relation": 1e-30},
+        }
+        path = write_config(tmp_path, config)
+        assert main(["scan", "--config", path]) == 3
+        assert capsys.readouterr().err.startswith("error: no full-valid draws")
+        del config["tolerances"]
+        assert main(["scan", "--config", write_config(tmp_path, config, "default.json")]) == 0
+        assert "# valid 27" in capsys.readouterr().out
 
     def test_first_family_full_scan_exits_regime(self, tmp_path):
         impossible = {
@@ -329,6 +346,21 @@ class TestConfigErrors:
         assert main(["scan", "--config", path]) == 2
         assert "hi < lo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config, override",
+        [
+            ("scan", "qr24_scan.json", "--seed=-1"),
+            ("verify", "qr24_default.json", "--tol=nan"),
+            ("verify", "qr24_default.json", "--tol=inf"),
+            ("spectrum", "qr24_default.json", "--tol=-1"),
+            ("spectrum", "qr24_default.json", "--tol=0"),
+        ],
+    )
+    def test_invalid_override(self, capsys, command, config, override):
+        assert main([command, "--config", str(CONFIG_DIR / config), override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + override.split("=")[0]) and err.count("\n") == 1
+
 
 class TestRegimeErrors:
     def test_invalid_q_exits_three(self, tmp_path):
@@ -344,6 +376,28 @@ class TestRegimeErrors:
         bad = {"family": "qr24", "a": 2.0, "b": 0.5, "c": 0.3, "q": 0.7, "N": 4}
         path = write_config(tmp_path, bad)
         assert main(["chain-coeffs", "--config", path]) == 3
+
+    @pytest.mark.parametrize(
+        "command, change",
+        [
+            ("spectrum", {"q": 5e-324}),  # q**2 underflows to zero in the shift map
+            ("verify", {"q": 1e-200}),  # grid values overflow a float
+            ("chain-coeffs", {"c": 1e308}),  # coefficient tables overflow
+            ("scan", {"a": [-1e308, 1e308]}),  # range width overflows
+        ],
+    )
+    def test_float_overflow_exits_three(self, tmp_path, capsys, command, change):
+        if command == "scan":
+            config = dict(SCAN_CONFIG, ranges=dict(SCAN_CONFIG["ranges"], **change))
+        else:
+            config = dict(QR24_CONFIG, **change)
+        path = write_config(tmp_path, config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not caught  # a warning would print more stderr lines
 
 
 class TestArgparseSurface:

@@ -8,7 +8,7 @@ from occupation bitmasks.
 import numpy as np
 import pytest
 
-from conftest import QR13_CHAIN, QR24_DEFAULT, QR24_BOX, random_chain
+from helpers import QR13_CHAIN, QR24_DEFAULT, QR24_BOX, random_chain
 from xychain.chain import ChainSpec, build_chain, build_pq_table, parameter_scan
 from xychain.errors import SizeCapExceeded
 from xychain.freefermion import (

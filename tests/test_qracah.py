@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import QR13_CHAIN, QR24_DEFAULT
 from exact_oracles import qracah_exact, relation_residuals_exact
+from helpers import QR13_CHAIN, QR24_DEFAULT
 from xychain.errors import InvalidParameterRegime, InvalidShiftedParams
 from xychain.qracah import (
     FAMILIES,

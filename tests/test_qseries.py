@@ -5,7 +5,6 @@ The primary oracle is an exact-rational reimplementation
 any disagreement beyond accumulated rounding is a real bug.
 """
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from exact_oracles import phi43_exact
 from xychain.errors import DenominatorVanishes
-from xychain.qseries import phi43_terminating, q_pochhammer, q_pochhammer_multi
+from xychain.qseries import phi43_terminating, q_pochhammer
 
 # (i, numerator params, denominator params, q, z) exercising long products,
 # mixed signs, and parameters of magnitude > 1.
@@ -112,11 +111,6 @@ class TestQPochhammer:
         assert q_pochhammer(a, q, 3) == pytest.approx(
             (1 - a) * (1 - a * q) * (1 - a * q**2), rel=1e-15
         )
-
-    def test_multi_is_product_of_singles(self):
-        params, q, k = (0.3, -0.8, 1.7), 0.6, 5
-        single = math.prod(q_pochhammer(p, q, k) for p in params)
-        assert q_pochhammer_multi(params, q, k) == pytest.approx(single, rel=1e-13)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ by hand.
 import numpy as np
 import pytest
 
-from conftest import QR13_CHAIN, QR24_DEFAULT, random_chain
+from helpers import QR13_CHAIN, QR24_DEFAULT, random_chain
 from xychain.chain import ChainSpec, build_chain
 from xychain.errors import SizeCapExceeded
 from xychain.freefermion import assemble, eigendecompose, many_body_spectrum
