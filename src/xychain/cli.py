@@ -75,8 +75,6 @@ _REGIME_ERRORS = (
     DenominatorVanishes,
     NoValidParameters,
     ConvergenceFailure,
-    # overflow or underflow to zero of float arithmetic at extreme parameters
-    ArithmeticError,
 )
 
 
@@ -183,6 +181,11 @@ def load_config(path, mode="compute", family_override=None):
                 )
             if len(value) == 2 and value[1] < value[0]:
                 raise ConfigError(f"ranges['{key}'] = {value!r} has hi < lo")
+            if len(value) == 2 and not math.isfinite(float(value[1]) - float(value[0])):
+                raise ConfigError(
+                    f"ranges['{key}'] = {value!r} has a width hi - lo that is not "
+                    f"a finite float"
+                )
         samples = _require_int(config, "samples")
         if samples < 1:
             raise ConfigError(f"config field 'samples' must be >= 1, got {samples}")
@@ -522,6 +525,12 @@ def main(argv=None):
         return 2
     except _REGIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # float overflow or underflow to zero
+        print(
+            f"error: float arithmetic failed at this parameter point: {exc}",
+            file=sys.stderr,
+        )
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

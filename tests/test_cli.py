@@ -346,6 +346,14 @@ class TestConfigErrors:
         assert main(["scan", "--config", path]) == 2
         assert "hi < lo" in capsys.readouterr().err
 
+    def test_scan_range_width_not_finite(self, tmp_path, capsys):
+        ranges = dict(SCAN_CONFIG["ranges"], a=[-1e308, 1e308])
+        path = write_config(tmp_path, dict(SCAN_CONFIG, ranges=ranges))
+        assert main(["scan", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ranges['a']") and err.count("\n") == 1
+        assert "not a finite float" in err
+
     @pytest.mark.parametrize(
         "command, config, override",
         [
@@ -383,21 +391,24 @@ class TestRegimeErrors:
             ("spectrum", {"q": 5e-324}),  # q**2 underflows to zero in the shift map
             ("verify", {"q": 1e-200}),  # grid values overflow a float
             ("chain-coeffs", {"c": 1e308}),  # coefficient tables overflow
-            ("scan", {"a": [-1e308, 1e308]}),  # range width overflows
         ],
     )
     def test_float_overflow_exits_three(self, tmp_path, capsys, command, change):
-        if command == "scan":
-            config = dict(SCAN_CONFIG, ranges=dict(SCAN_CONFIG["ranges"], **change))
-        else:
-            config = dict(QR24_CONFIG, **change)
-        path = write_config(tmp_path, config)
+        path = write_config(tmp_path, dict(QR24_CONFIG, **change))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main([command, "--config", path]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not caught  # a warning would print more stderr lines
+
+    def test_float_failure_names_the_parameter_point(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(QR24_CONFIG, q=5e-324))
+        assert main(["spectrum", "--config", path]) == 3
+        assert capsys.readouterr().err == (
+            "error: float arithmetic failed at this parameter point: "
+            "float division by zero\n"
+        )
 
 
 class TestArgparseSurface:

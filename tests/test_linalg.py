@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from xychain.errors import ConvergenceFailure
-from xychain.linalg import jacobi_eigh, offdiag_max
+from xychain.linalg import _tournament, jacobi_eigh, offdiag_max
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -17,14 +17,15 @@ def random_symmetric(rng, n, scale=1.0):
 
 
 class TestAgainstNumpyOracle:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 64, 128])
     def test_eigenvalues_match(self, rng, n):
         matrix = random_symmetric(rng, n)
         values, _ = jacobi_eigh(matrix)
         expected = np.linalg.eigvalsh(matrix)
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * max(1, n))
 
-    @pytest.mark.parametrize("n", [2, 4, 9])
+    # odd n runs with one isolated padding row and column
+    @pytest.mark.parametrize("n", [2, 4, 9, 7, 13, 33])
     def test_eigenpairs_satisfy_definition(self, rng, n):
         matrix = random_symmetric(rng, n)
         values, vectors = jacobi_eigh(matrix)
@@ -65,6 +66,34 @@ class TestAgainstNumpyOracle:
         matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         values, _ = jacobi_eigh(matrix)
         np.testing.assert_allclose(values, np.linalg.eigvalsh(matrix), atol=1e-12)
+
+    def test_block_diagonal_input_stays_blocked(self, rng):
+        # Pairs across the blocks have a zero off-diagonal entry and are
+        # skipped, so every eigenvector lives on one block exactly.
+        blocks = [random_symmetric(rng, 5), random_symmetric(rng, 6)]
+        matrix = np.zeros((11, 11))
+        matrix[:5, :5], matrix[5:, 5:] = blocks
+        values, vectors = jacobi_eigh(matrix)
+        np.testing.assert_allclose(
+            values, np.linalg.eigvalsh(matrix), rtol=0, atol=1e-12 * 11
+        )
+        on_first = np.any(vectors[:5] != 0.0, axis=0)
+        on_second = np.any(vectors[5:] != 0.0, axis=0)
+        assert not np.any(on_first & on_second)
+        assert on_first.sum() == 5 and on_second.sum() == 6
+
+
+class TestTournament:
+    @pytest.mark.parametrize("size", [2, 4, 6, 8, 34])
+    def test_each_pair_once_per_sweep(self, size):
+        step = _tournament(size)
+        order = np.arange(size)
+        met = []
+        for _ in range(size - 1):
+            met.extend(frozenset(pair) for pair in order.reshape(-1, 2).tolist())
+            order = order[step]
+        assert len(met) == len(set(met)) == size * (size - 1) // 2
+        np.testing.assert_array_equal(order, np.arange(size))
 
 
 class TestEdgeCases:

@@ -1,10 +1,12 @@
 """Tests for the brute-force spin-chain oracle.
 
-Oracles: hand-written matrices for one- and two-site chains, and
-``numpy.linalg.eigvalsh`` for everything larger.  ``jw_certify`` is itself a
-certification; here we certify the certifier on cases small enough to check
-by hand.
+Oracles: hand-written matrices for one- and two-site chains, the Kronecker
+product construction of the Hamiltonian, and ``numpy.linalg.eigvalsh`` for
+spectra.  ``jw_certify`` is itself a certification; here we certify the
+certifier on cases small enough to check by hand.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,10 +17,45 @@ from xychain.errors import SizeCapExceeded
 from xychain.freefermion import assemble, eigendecompose, many_body_spectrum
 from xychain.spinoracle import (
     SPIN_DIMENSION_CAP,
+    _coupled_blocks,
     build_spin_hamiltonian,
     jw_certify,
     oracle_spectrum,
 )
+
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+# i * sigma_y is real; sigma_y x sigma_y = -(i sigma_y) x (i sigma_y)
+_I_SIGMA_Y = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _site_operator(op, site, n_sites):
+    """Kronecker embedding of a single-site operator (site 0 leftmost)."""
+    left = np.eye(2**site)
+    right = np.eye(2 ** (n_sites - site - 1))
+    return np.kron(np.kron(left, op), right)
+
+
+def kronecker_hamiltonian(chain):
+    """The spin Hamiltonian summed from Kronecker products, term by term."""
+    n = chain.n_sites
+    h = np.zeros((2**n, 2**n))
+    for j in range(n - 1):
+        xx = _site_operator(_SIGMA_X, j, n) @ _site_operator(_SIGMA_X, j + 1, n)
+        yy = -(_site_operator(_I_SIGMA_Y, j, n) @ _site_operator(_I_SIGMA_Y, j + 1, n))
+        h += (chain.alpha[j] + chain.gamma[j]) * xx
+        h += (chain.alpha[j] - chain.gamma[j]) * yy
+    for j in range(n):
+        h -= chain.beta[j] * _site_operator(_SIGMA_Z, j, n)
+    return h
+
+
+def model_chain(rng, n_sites, model):
+    """A random XY chain, or for ``"xx"`` the same chain with ``gamma = 0``."""
+    chain = random_chain(rng, n_sites)
+    if model == "xx":
+        return ChainSpec(alpha=chain.alpha, beta=chain.beta, gamma=np.zeros(n_sites - 1))
+    return chain
 
 
 class TestHamiltonianAssembly:
@@ -52,6 +89,15 @@ class TestHamiltonianAssembly:
         np.testing.assert_array_equal(matrix, matrix.T)
         assert abs(np.trace(matrix)) < 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("model", ["xy", "xx"])
+    def test_matches_kronecker_construction(self, rng, n, model):
+        # Same sums in the same order as the Kronecker route: equal bit for bit.
+        chain = model_chain(rng, n, model)
+        np.testing.assert_array_equal(
+            build_spin_hamiltonian(chain), kronecker_hamiltonian(chain)
+        )
+
     def test_dimension_cap(self):
         chain = ChainSpec(
             alpha=np.ones(9), beta=np.zeros(10), gamma=np.zeros(9)
@@ -69,6 +115,43 @@ class TestOracleSpectrum:
             oracle = np.linalg.eigvalsh(matrix)
             scale = max(1.0, float(np.max(np.abs(oracle))))
             np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-11 * scale)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("model", ["xy", "xx"])
+    def test_sectors_match_numpy(self, rng, n, model):
+        chain = model_chain(rng, n, model)
+        matrix = build_spin_hamiltonian(chain)
+        oracle = np.linalg.eigvalsh(matrix)
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        np.testing.assert_allclose(
+            oracle_spectrum(matrix), oracle, rtol=0, atol=1e-11 * scale
+        )
+
+    @pytest.mark.parametrize("model", ["xy", "xx"])
+    def test_blocks_are_symmetry_sectors(self, rng, model):
+        # Parity sectors for the XY chain; magnetization sectors when gamma = 0.
+        n = 6
+        chain = model_chain(rng, n, model)
+        blocks = _coupled_blocks(build_spin_hamiltonian(chain))
+        ones = [{bin(int(state)).count("1") for state in block} for block in blocks]
+        if model == "xy":
+            assert sorted(map(len, blocks)) == [2 ** (n - 1)] * 2
+            assert all(len({k % 2 for k in counts}) == 1 for counts in ones)
+        else:
+            assert sorted(map(len, blocks)) == sorted(comb(n, k) for k in range(n + 1))
+            assert all(len(counts) == 1 for counts in ones)
+
+    def test_cross_sector_entry_merges_sectors(self, rng):
+        # Discrimination: an entry linking the two parity sectors must join
+        # them into one block, not be dropped by the split.
+        matrix = build_spin_hamiltonian(random_chain(rng, 5))
+        matrix[0, 1] = matrix[1, 0] = 0.75
+        oracle = np.linalg.eigvalsh(matrix)
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        assert len(_coupled_blocks(matrix)) == 1
+        np.testing.assert_allclose(
+            oracle_spectrum(matrix), oracle, rtol=0, atol=1e-11 * scale
+        )
 
     def test_spectrum_symmetric_about_zero(self, rng):
         # Free-fermion structure: many-body levels come in (S, complement)
