@@ -11,6 +11,7 @@ from xychain import (
     analytic_spectrum,
     assemble,
     build_chain,
+    contiguity_coefficients,
     eigendecompose,
 )
 
@@ -24,13 +25,14 @@ def main():
     print(f"\nParameters: a={params.a}, b={params.b}, c={params.c}, "
           f"N={params.N}, q={params.q}  (family qr24)")
 
-    chain = build_chain("qr24", params)
+    coeffs = contiguity_coefficients("qr24", params)
+    chain = build_chain(coeffs)
     print("\nConstructed couplings (open chain, 5 sites):")
     print(f"  alpha (xx+yy part): {np.array2string(chain.alpha, precision=6)}")
     print(f"  beta  (field):      {np.array2string(chain.beta, precision=6)}")
     print(f"  gamma (xx-yy part): {np.array2string(chain.gamma, precision=6)}")
 
-    lam = analytic_spectrum("qr24", params)
+    lam = analytic_spectrum(coeffs)
     spectral = eigendecompose(assemble(chain))
     numeric = spectral.lambda_numeric
 

@@ -8,7 +8,7 @@ grid of polynomial values.
 Run:  python3 demos/02_contiguity_certification.py
 """
 
-from xychain import QRacahParams, shift_params, verify_contiguity
+from xychain import QRacahParams, contiguity_coefficients, shift_params, verify_contiguity
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
         print(f"\n--- family {family} ---")
         print(f"base    parameters: {params.as_tuple()}")
         print(f"shifted parameters: {shifted.as_tuple()}  (grid offset {x_shift})")
-        report = verify_contiguity(family, params)
+        report = verify_contiguity(contiguity_coefficients(family, params))
         print(report)
 
     print("\nBoth families satisfy their relations to ~1e-14 at these points.")

@@ -14,6 +14,7 @@ from xychain import (
     assemble,
     build_chain,
     build_spin_hamiltonian,
+    contiguity_coefficients,
     eigendecompose,
     jw_certify,
     many_body_spectrum,
@@ -27,7 +28,7 @@ def main():
     print("=" * 66)
 
     params = QRacahParams(a=-0.3, b=0.3, c=-0.8, N=3, q=0.7)
-    chain = build_chain("qr24", params)
+    chain = build_chain(contiguity_coefficients("qr24", params))
     n = chain.n_sites
     print(f"\nChain with {n} sites -> spin Hamiltonian of dimension {2**n}.")
 
@@ -42,7 +43,7 @@ def main():
     for mask, energy, oracle in list(zip(mb.masks, mb.energies, spin))[:5]:
         print(f"  {mask:>06b}  {energy:>18.12f}  {oracle:>18.12f}")
 
-    report = jw_certify(chain, spectral=spectral)
+    report = jw_certify(chain, spectral)
     print()
     print(report)
     print("\nEvery one of the 2^n spin eigenvalues is a sum/difference of the")

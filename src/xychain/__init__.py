@@ -51,6 +51,7 @@ from .freefermion import (
     many_body_spectrum,
     recurrence_check,
     singular_value_check,
+    xx_reduction_check,
 )
 from .linalg import jacobi_eigh
 from .qracah import (
@@ -103,6 +104,7 @@ __all__ = [
     "many_body_spectrum",
     "recurrence_check",
     "singular_value_check",
+    "xx_reduction_check",
     "jacobi_eigh",
     "FAMILIES",
     "ContiguityCoefficients",

@@ -40,7 +40,6 @@ from .qracah import (
     _check_family,
     _denominator_factors,
     _family_specific_factors,
-    _grids_for,
     _masked_relation_residuals,
     closed_form_lambda_squared,
     contiguity_coefficients,
@@ -69,6 +68,9 @@ RADICAND_TOL = 1e-12
 
 #: Scan draws with a denominator factor closer to zero than this are rejected.
 DENOMINATOR_FLOOR = 1e-8
+
+#: Largest ``|gamma_j|`` of a chain that counts as an XX chain.
+XX_TOL = 1e-12
 
 
 @dataclass
@@ -107,9 +109,9 @@ class ChainSpec:
     def N(self):
         return self.beta.size - 1
 
-    def is_xx(self, tol=1e-12):
+    def is_xx(self):
         """True when the antisymmetric couplings vanish identically."""
-        return self.gamma.size == 0 or float(np.max(np.abs(self.gamma))) <= tol
+        return self.gamma.size == 0 or float(np.max(np.abs(self.gamma))) <= XX_TOL
 
 
 @dataclass
@@ -157,7 +159,7 @@ def _coupling_radicands(coeffs):
     }
 
 
-def build_chain(family, params, coeffs=None):
+def build_chain(coeffs):
     """Construct the positive-branch chain couplings from contiguity data.
 
     ``beta_j`` is the square root of the product of the two middle
@@ -171,8 +173,6 @@ def build_chain(family, params, coeffs=None):
         If any radicand is negative beyond tolerance (the error names the
         offending bond/site).
     """
-    if coeffs is None:
-        coeffs = contiguity_coefficients(family, params)
     beta, diff, ssum = (
         np.sqrt(_radicand_check(values, label))
         for label, values in _coupling_radicands(coeffs).items()
@@ -180,17 +180,15 @@ def build_chain(family, params, coeffs=None):
     return ChainSpec(alpha=0.5 * (ssum + diff), beta=beta, gamma=0.5 * (ssum - diff))
 
 
-def analytic_spectrum(family, params, coeffs=None):
+def analytic_spectrum(coeffs):
     """Closed-form single-particle spectrum ``Lambda_j >= 0`` for ``j = 0..N``.
 
     Computed by two independent routes — the direct product formula in the
-    model parameters and ``sqrt(lambda_plus(j) * lambda_minus(j))`` from the
-    contiguity eigenvalues — and cross-asserted to ``1e-12`` before returning
-    the direct form.
+    model parameters ``coeffs.params`` and ``sqrt(lambda_plus(j) *
+    lambda_minus(j))`` from the contiguity eigenvalues of ``coeffs`` — and
+    cross-asserted to ``1e-12`` before returning the direct form.
     """
-    if coeffs is None:
-        coeffs = contiguity_coefficients(family, params)
-    rad_closed = closed_form_lambda_squared(family, params)
+    rad_closed = closed_form_lambda_squared(coeffs.family, coeffs.params)
     rad_product = coeffs.lambda_plus * coeffs.lambda_minus
     lam_closed = np.sqrt(_radicand_check(rad_closed, "Lambda^2"))
     lam_product = np.sqrt(_radicand_check(rad_product, "lambda_plus*lambda_minus"))
@@ -204,11 +202,14 @@ def analytic_spectrum(family, params, coeffs=None):
     return lam_closed
 
 
-def build_pq_table(family, params, coeffs=None, chain=None):
+def build_pq_table(coeffs, chain, lam):
     """Build the normalized ``P``/``Q`` eigenvector tables.
 
-    Row ``i`` scales the degree-``i`` polynomial on the base grid (``P``) and
-    on the shifted grid (``Q``) by square-root prefactors accumulated from the
+    ``chain`` and ``lam`` are :func:`build_chain` and
+    :func:`analytic_spectrum` of the contiguity record ``coeffs``; the table
+    keeps them for the recurrence and eigenvector checks.  Row ``i`` scales
+    the degree-``i`` polynomial on the base grid (``P``) and on the shifted
+    grid (``Q``) by square-root prefactors accumulated from the
     coefficient tables; column ``x`` carries ``sqrt(lambda_plus(x))`` or
     ``sqrt(lambda_minus(x))`` respectively.
 
@@ -218,12 +219,7 @@ def build_pq_table(family, params, coeffs=None, chain=None):
         If a prefactor radicand is negative beyond tolerance (the parameter
         point is not ``full``-valid).
     """
-    if coeffs is None:
-        coeffs = contiguity_coefficients(family, params)
-    if chain is None:
-        chain = build_chain(family, params, coeffs=coeffs)
-    lam = analytic_spectrum(family, params, coeffs=coeffs)
-    N = params.N
+    N = coeffs.params.N
 
     # cumulative row prefactors: ratios of neighbouring-degree coefficients
     ratio_p = np.ones(N + 1)
@@ -242,7 +238,7 @@ def build_pq_table(family, params, coeffs=None, chain=None):
     weight_p = np.sqrt(_radicand_check(rad_p, "P normalization"))
     weight_q = np.sqrt(_radicand_check(rad_q, "Q normalization"))
 
-    base, shifted = _grids_for(coeffs)
+    base, shifted = coeffs.grids
     return PQTable(P=weight_p * base, Q=weight_q * shifted, lam=lam, chain=chain)
 
 
@@ -289,8 +285,7 @@ def _sign_ok(values, sign, tol):
 
 
 def validate_draw(family, params, level="full", relation_tol=TOLERANCES["relation"],
-                  constraint_tol=TOLERANCES["constraint"],
-                  denominator_floor=DENOMINATOR_FLOOR):
+                  constraint_tol=TOLERANCES["constraint"]):
     """Classify one parameter draw against a scan validity level.
 
     Returns ``(valid, reason)`` where ``reason`` names the first failed
@@ -309,8 +304,8 @@ def validate_draw(family, params, level="full", relation_tol=TOLERANCES["relatio
         return False, f"shift map: {exc}"
     factors += _denominator_factors(shifted_params)
     for label, value in factors:
-        if abs(value) < denominator_floor:
-            return False, f"denominator factor ({label}) within {denominator_floor:g} of zero"
+        if abs(value) < DENOMINATOR_FLOOR:
+            return False, f"denominator factor ({label}) within {DENOMINATOR_FLOOR:g} of zero"
     try:
         coeffs = contiguity_coefficients(family, params)
     except XYChainError as exc:
@@ -383,8 +378,7 @@ def _draw_value(rng, spec, label):
 
 def parameter_scan(family, ranges, N, samples, seed=0, level="full",
                    relation_tol=TOLERANCES["relation"],
-                   constraint_tol=TOLERANCES["constraint"],
-                   denominator_floor=DENOMINATOR_FLOOR):
+                   constraint_tol=TOLERANCES["constraint"]):
     """Randomly sample a parameter box and keep the valid draws.
 
     Parameters
@@ -432,7 +426,6 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full",
             level=level,
             relation_tol=relation_tol,
             constraint_tol=constraint_tol,
-            denominator_floor=denominator_floor,
         )
         if valid:
             hits.append(params)

@@ -58,8 +58,8 @@ from .freefermion import (
     many_body_spectrum,
     recurrence_check,
     singular_value_check,
+    xx_reduction_check,
 )
-from .linalg import jacobi_eigh
 from .qracah import FAMILIES, QRacahParams, contiguity_coefficients, verify_contiguity
 from .report import TOLERANCES, CheckReport
 from .spinoracle import SPIN_DIMENSION_CAP, jw_certify
@@ -243,14 +243,13 @@ def _coeffs_from_config(config):
     return contiguity_coefficients(config["family"], _params_from_config(config))
 
 
-def _chain_from_config(config, coeffs=None):
+def _chain_from_config(config, coeffs):
+    """The config's explicit chain, or the chain built from its record ``coeffs``."""
     if config["family"] == "explicit":
         return ChainSpec(
             alpha=config["alpha"], beta=config["beta"], gamma=config["gamma"]
         )
-    if coeffs is None:
-        coeffs = _coeffs_from_config(config)
-    return build_chain(config["family"], coeffs.params, coeffs=coeffs)
+    return build_chain(coeffs)
 
 
 def _config_hash(config):
@@ -297,11 +296,11 @@ def cmd_spectrum(config, out_path, tol=None):
     gap_tol = _tolerances(config, tol)["spectrum"]
     failed = False
     rows = []
-    if coeffs is None:
+    if config["family"] == "explicit":
         for j, value in enumerate(lam_num):
             rows.append((j, None, value, None))
     else:
-        lam_ana = analytic_spectrum(config["family"], coeffs.params, coeffs=coeffs)
+        lam_ana = analytic_spectrum(coeffs)
         position = np.empty(lam_ana.size, dtype=int)
         position[np.argsort(lam_ana, kind="stable")] = np.arange(lam_ana.size)
         for j, value in enumerate(lam_ana):
@@ -316,7 +315,7 @@ def cmd_spectrum(config, out_path, tol=None):
 
 def cmd_chain_coeffs(config, out_path):
     """Write coupling rows ``j, alpha_j, beta_j, gamma_j``."""
-    chain = _chain_from_config(config)
+    chain = _chain_from_config(config, _coeffs_from_config(config))
     rows = []
     for j in range(chain.n_sites):
         last = j == chain.N
@@ -333,7 +332,7 @@ def cmd_chain_coeffs(config, out_path):
 
 def cmd_manybody(config, out_path):
     """Write all many-body levels as ``mask, energy`` rows, ascending."""
-    chain = _chain_from_config(config)
+    chain = _chain_from_config(config, _coeffs_from_config(config))
     spectral = eigendecompose(assemble(chain))
     spectrum = many_body_spectrum(spectral.lambda_numeric)
     rows = list(zip((int(m) for m in spectrum.masks), spectrum.energies))
@@ -350,46 +349,37 @@ def _merge(target, source):
 def cmd_verify(config, out_path, tol=None):
     """Run every applicable certification; exit 4 if any check fails."""
     tolerances = _tolerances(config, tol)
-    family = config["family"]
-    report = CheckReport(title=f"verify {family}")
+    explicit = config["family"] == "explicit"
+    report = CheckReport(title=f"verify {config['family']}")
 
     chain = None
     coeffs = _coeffs_from_config(config)
-    if coeffs is None:
-        chain = _chain_from_config(config)
+    if explicit:
+        chain = _chain_from_config(config, coeffs)
     else:
-        params = coeffs.params
         _merge(
             report,
             verify_contiguity(
-                family,
-                params,
+                coeffs,
                 relation_tol=tolerances["relation"],
                 constraint_tol=tolerances["constraint"],
-                coeffs=coeffs,
             ),
         )
         try:
-            chain = build_chain(family, params, coeffs=coeffs)
+            chain = build_chain(coeffs)
         except InvalidParameterRegime as exc:
             report.add_note(f"chain construction unavailable: {exc}")
 
     if chain is not None:
-        system = assemble(chain)
-        spectral = eigendecompose(system)
+        spectral = eigendecompose(assemble(chain))
         report.add("spectrum-parity", spectral.pairing_error, tolerances["parity"])
         report.add("transition-orthogonality", spectral.ortho_error, tolerances["orthogonality"])
-        _merge(report, singular_value_check(system, spectral, tol=tolerances["svd"]))
-        if coeffs is not None:
-            _merge(
-                report,
-                analytic_vs_numeric(
-                    family, params, spectral=spectral, tol=tolerances["spectrum"],
-                    coeffs=coeffs,
-                ),
-            )
+        _merge(report, singular_value_check(spectral, tol=tolerances["svd"]))
+        if not explicit:
+            lam = analytic_spectrum(coeffs)
+            _merge(report, analytic_vs_numeric(lam, spectral, tol=tolerances["spectrum"]))
             try:
-                pq = build_pq_table(family, params, coeffs=coeffs, chain=chain)
+                pq = build_pq_table(coeffs, chain, lam)
             except InvalidParameterRegime as exc:
                 report.add_note(f"P/Q tables unavailable: {exc}")
             else:
@@ -404,14 +394,9 @@ def cmd_verify(config, out_path, tol=None):
                     ),
                 )
         if chain.is_xx():
-            values, _ = jacobi_eigh(system.A)
-            lam = spectral.lambda_numeric
-            gap = float(
-                np.max(np.abs(np.sort(np.abs(values)) - np.sort(lam)))
-            ) / max(1.0, float(np.max(lam)) if lam.size else 1.0)
-            report.add("xx-reduction", gap, tolerances["spectrum"])
+            _merge(report, xx_reduction_check(spectral, tol=tolerances["spectrum"]))
         if 2**chain.n_sites <= SPIN_DIMENSION_CAP:
-            _merge(report, jw_certify(chain, tol_factor=tolerances["jw"], spectral=spectral))
+            _merge(report, jw_certify(chain, spectral, tol_factor=tolerances["jw"]))
         else:
             report.add_note("spin-oracle comparison skipped: dimension above cap")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import PQTable, analytic_spectrum, build_chain, pq_recurrence_residual
+from .chain import PQTable, pq_recurrence_residual
 from .errors import SizeCapExceeded
 from .linalg import jacobi_eigh
 from .report import TOLERANCES, CheckReport
@@ -29,6 +29,7 @@ __all__ = [
     "eigenvector_crosscheck",
     "recurrence_check",
     "analytic_vs_numeric",
+    "xx_reduction_check",
 ]
 
 #: Many-body enumeration cap: ``2^MANY_BODY_MODE_CAP`` energies.
@@ -212,28 +213,46 @@ def eigendecompose(system):
     )
 
 
-def singular_value_check(system, spectral=None, tol=TOLERANCES["svd"]):
-    """Certify the spectrum against the singular values of ``A + B``.
+def _spectrum_gap(values, reference):
+    """Largest gap between ``values`` and ``reference``, both sorted, relative
+    to ``max(1, max(reference))``: the one comparison rule of the spectrum
+    checks."""
+    scale = max(1.0, float(np.max(reference)))
+    return float(np.max(np.abs(np.sort(values) - np.sort(reference)))) / scale
 
-    The combination ``A + B`` maps eigenvector sums to eigenvector
-    differences scaled by ``Lambda``, so its singular values must reproduce
-    the nonnegative spectrum.  They are computed by the independent route of
-    diagonalizing the Gram matrix ``(A + B)^T (A + B)``.
+
+def singular_value_check(spectral, tol=TOLERANCES["svd"]):
+    """Certify the numeric spectrum against the singular values of ``A + B``.
+
+    The combination ``A + B`` of ``spectral.system`` maps eigenvector sums to
+    eigenvector differences scaled by ``Lambda``, so its singular values must
+    reproduce the nonnegative spectrum.  They are computed by the independent
+    route of diagonalizing the Gram matrix ``(A + B)^T (A + B)``.
     """
-    if spectral is None:
-        spectral = eigendecompose(system)
-    m = system.A + system.B
+    m = spectral.system.A + spectral.system.B
     gram_values, _ = jacobi_eigh(m.T @ m)
     singulars = np.sqrt(np.maximum(gram_values, 0.0))
-    lam = spectral.lambda_numeric
-    scale = max(1.0, float(np.max(lam)) if lam.size else 1.0)
-    gap = float(np.max(np.abs(np.sort(singulars) - np.sort(lam))))
     report = CheckReport(title="singular-value route")
-    report.add("spectrum-vs-singular-values", gap / scale, tol)
+    report.add(
+        "spectrum-vs-singular-values", _spectrum_gap(singulars, spectral.lambda_numeric), tol
+    )
     return report
 
 
-def many_body_spectrum(lam, cap=MANY_BODY_MODE_CAP):
+def xx_reduction_check(spectral, tol=TOLERANCES["spectrum"]):
+    """Certify the XX reduction of a chain with ``gamma = 0``.
+
+    With ``B = 0`` the single-particle energies are the absolute eigenvalues
+    of the hopping matrix ``A`` of ``spectral.system``, diagonalized here on
+    its own and compared with the numeric spectrum of the doubled matrix.
+    """
+    values, _ = jacobi_eigh(spectral.system.A)
+    report = CheckReport(title="XX reduction")
+    report.add("xx-reduction", _spectrum_gap(np.abs(values), spectral.lambda_numeric), tol)
+    return report
+
+
+def many_body_spectrum(lam):
     """Enumerate all ``2^n`` many-body energies of ``n`` independent modes.
 
     Occupying mode ``j`` adds ``2 * lam[j]`` to the base energy
@@ -243,9 +262,9 @@ def many_body_spectrum(lam, cap=MANY_BODY_MODE_CAP):
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.size
-    if n > cap:
+    if n > MANY_BODY_MODE_CAP:
         raise SizeCapExceeded(
-            f"many-body enumeration needs 2^{n} levels; cap is 2^{cap}"
+            f"many-body enumeration needs 2^{n} levels; cap is 2^{MANY_BODY_MODE_CAP}"
         )
     energies = np.array([-float(lam.sum())])
     masks = np.array([0], dtype=np.uint32)
@@ -270,8 +289,7 @@ def _principal_cosines(set_a, set_b):
 
 
 def eigenvector_crosscheck(spectral, pq, cos_tol=TOLERANCES["cosine"],
-                           angle_tol=ANGLE_TOL, match_tol=TOLERANCES["match"],
-                           degeneracy_tol=DEGENERACY_TOL):
+                           match_tol=TOLERANCES["match"]):
     """Compare numeric eigenvectors against the analytic ``P``/``Q`` tables.
 
     Matches numeric and analytic eigenvalues by sorted order (with a collision
@@ -311,7 +329,7 @@ def eigenvector_crosscheck(spectral, pq, cos_tol=TOLERANCES["cosine"],
     groups = []
     start = 0
     for j in range(1, n + 1):
-        if j == n or lam_num[j] - lam_num[j - 1] > degeneracy_tol * scale:
+        if j == n or lam_num[j] - lam_num[j - 1] > DEGENERACY_TOL * scale:
             groups.append(list(range(start, j)))
             start = j
     for group in groups:
@@ -339,7 +357,7 @@ def eigenvector_crosscheck(spectral, pq, cos_tol=TOLERANCES["cosine"],
                 cosines = _principal_cosines(numeric[:, group], analytic[:, live])
                 worst = float(np.min(cosines[: len(live)])) if cosines.size else 0.0
                 angle = float(np.arccos(np.clip(worst, -1.0, 1.0)))
-                report.add(label, angle, angle_tol, note="principal angle (rad)")
+                report.add(label, angle, ANGLE_TOL, note="principal angle (rad)")
     return report
 
 
@@ -352,19 +370,9 @@ def recurrence_check(pq, tol=TOLERANCES["recurrence"]):
     return report
 
 
-def analytic_vs_numeric(family, params, spectral=None, tol=TOLERANCES["spectrum"],
-                        coeffs=None):
-    """Report comparing the closed-form spectrum to the numeric one.
-
-    ``coeffs`` is the contiguity record of ``(family, params)``, built here
-    when not given.
-    """
-    lam_ana = analytic_spectrum(family, params, coeffs=coeffs)
-    if spectral is None:
-        spectral = eigendecompose(assemble(build_chain(family, params, coeffs=coeffs)))
-    lam_num = spectral.lambda_numeric
-    scale = max(1.0, float(np.max(lam_ana)) if lam_ana.size else 1.0)
-    gap = float(np.max(np.abs(np.sort(lam_ana) - np.sort(lam_num))))
+def analytic_vs_numeric(lam_ana, spectral, tol=TOLERANCES["spectrum"]):
+    """Report comparing the closed-form spectrum ``lam_ana`` (from
+    :func:`xychain.chain.analytic_spectrum`) to the numeric one."""
     report = CheckReport(title="closed form vs numeric spectrum")
-    report.add("analytic-vs-numeric", gap / scale, tol)
+    report.add("analytic-vs-numeric", _spectrum_gap(spectral.lambda_numeric, lam_ana), tol)
     return report

@@ -49,12 +49,12 @@ def _tournament(size):
     return step
 
 
-def jacobi_eigh(matrix, tol_factor=OFFDIAG_TOL_FACTOR, max_sweeps=MAX_SWEEPS):
+def jacobi_eigh(matrix, max_sweeps=MAX_SWEEPS):
     """Full eigendecomposition of a real symmetric matrix.
 
     Repeatedly applies two-sided Givens rotations over all index pairs until
-    every off-diagonal entry is at most ``tol_factor`` times the largest
-    magnitude of the input.  Returns ``(values, vectors)`` with eigenvalues
+    every off-diagonal entry is at most ``OFFDIAG_TOL_FACTOR`` times the
+    largest magnitude of the input.  Returns ``(values, vectors)`` with eigenvalues
     ascending and eigenvectors as the corresponding columns.
 
     Raises
@@ -92,7 +92,7 @@ def jacobi_eigh(matrix, tol_factor=OFFDIAG_TOL_FACTOR, max_sweeps=MAX_SWEEPS):
     moved = np.argsort(step)
     annihilated = np.stack([pos * size + moved[pos + 1], (pos + 1) * size + moved[pos]])
 
-    threshold = tol_factor * scale
+    threshold = OFFDIAG_TOL_FACTOR * scale
     # rotating entries already far below threshold wastes sweeps without
     # improving the final off-diagonal maximum
     skip = 0.1 * threshold

@@ -18,6 +18,7 @@ data later yields couplings and spectra of an open XY chain (module
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -205,9 +206,11 @@ class ContiguityCoefficients:
     ``lambda_plus``/``lambda_minus`` are the relation eigenvalues over the
     grid ``x = 0..N``.
 
-    The record holds no polynomial values; the exact grids are built on first
-    use by the checks that read them (:func:`verify_contiguity`,
-    :func:`xychain.chain.build_pq_table`, :func:`xychain.chain.validate_draw`).
+    The record is the one input of every later stage: it carries its own
+    ``family`` and ``params``.  It holds no polynomial values until
+    :attr:`grids` is first read, by the checks that need them
+    (:func:`verify_contiguity`, :func:`xychain.chain.build_pq_table`,
+    :func:`xychain.chain.validate_draw`).
     """
 
     family: str
@@ -220,6 +223,12 @@ class ContiguityCoefficients:
     phi_plus1_minus: np.ndarray
     phi_0_minus: np.ndarray
     phi_minus1_minus: np.ndarray
+
+    @cached_property
+    def grids(self):
+        """``(base, shifted)`` exact polynomial grids of this parameter point
+        (see :func:`_polynomial_grids`), built once on first use."""
+        return _polynomial_grids(self.family, self.params)
 
     def constraint_ratio_deviation(self):
         """Max deviation from 1 of the eight-factor consistency ratio.
@@ -410,16 +419,6 @@ def _polynomial_grids(family, params):
     return base, shifted
 
 
-def _grids_for(coeffs):
-    """`(base, shifted)` polynomial grids of a coefficient record, built once
-    on first use and kept on the record."""
-    grids = getattr(coeffs, "_grids", None)
-    if grids is None:
-        grids = _polynomial_grids(coeffs.family, coeffs.params)
-        coeffs._grids = grids
-    return grids
-
-
 def _relation_residuals(coeffs, base, shifted):
     """Elementwise relative residuals of the two three-term relations.
 
@@ -481,7 +480,7 @@ def _masked_relation_residuals(coeffs):
     is empty when it leaves out none.
     """
     mask = _boundary_mask(coeffs.family, coeffs.params.N)
-    res_plus, res_minus = _relation_residuals(coeffs, *_grids_for(coeffs))
+    res_plus, res_minus = _relation_residuals(coeffs, *coeffs.grids)
     note = "" if mask.all() else "corner (i,x)=(N,N) excluded; weighted by lambda_minus(N)=0"
     return float(np.max(res_plus[mask])), float(np.max(res_minus[mask])), note
 
@@ -518,19 +517,16 @@ def contiguity_coefficients(family, params):
     return coeffs
 
 
-def verify_contiguity(family, params, relation_tol=TOLERANCES["relation"],
-                      constraint_tol=TOLERANCES["constraint"], coeffs=None):
+def verify_contiguity(coeffs, relation_tol=TOLERANCES["relation"],
+                      constraint_tol=TOLERANCES["constraint"]):
     """Certify the contiguity data against direct polynomial evaluation.
 
     Evaluates both three-term relations at every grid point ``(i, x)`` on the
-    exact-rational polynomial grids of ``coeffs`` (built here on first use),
-    plus the eight-factor consistency ratio, and returns a
-    :class:`CheckReport`.
+    exact-rational polynomial grids ``coeffs.grids``, plus the eight-factor
+    consistency ratio, and returns a :class:`CheckReport`.
     """
-    if coeffs is None:
-        coeffs = contiguity_coefficients(family, params)
     worst_plus, worst_minus, note = _masked_relation_residuals(coeffs)
-    report = CheckReport(title=f"contiguity {family} {params.as_tuple()}")
+    report = CheckReport(title=f"contiguity {coeffs.family} {coeffs.params.as_tuple()}")
     report.add("relation-plus", worst_plus, relation_tol, note)
     report.add("relation-minus", worst_minus, relation_tol, note)
     report.add("constraint-ratio", coeffs.constraint_ratio_deviation(), constraint_tol)

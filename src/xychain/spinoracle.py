@@ -10,7 +10,7 @@ which is the ground truth every analytic claim ultimately rests on.
 import numpy as np
 
 from .errors import SizeCapExceeded
-from .freefermion import assemble, eigendecompose, many_body_spectrum
+from .freefermion import many_body_spectrum
 from .linalg import jacobi_eigh
 from .report import TOLERANCES, CheckReport
 
@@ -98,17 +98,16 @@ def oracle_spectrum(hamiltonian):
     return np.sort(np.concatenate(values))
 
 
-def jw_certify(chain, tol_factor=TOLERANCES["jw"], spectral=None):
+def jw_certify(chain, spectral, tol_factor=TOLERANCES["jw"]):
     """Certify the free-fermion solution against the spin-space oracle.
 
     Computes the ``2^(N+1)`` many-body energies from the numeric
-    single-particle modes and compares them, as a sorted multiset, with the
-    exact dense spin spectrum.  Tolerance scales with the spectral radius.
-    The report records the worst-matched level.
+    single-particle modes ``spectral`` of ``chain`` and compares them, as a
+    sorted multiset, with the exact dense spin spectrum of ``chain``.
+    Tolerance scales with the spectral radius.  The report records the
+    worst-matched level.
     """
     spin_values = oracle_spectrum(build_spin_hamiltonian(chain))
-    if spectral is None:
-        spectral = eigendecompose(assemble(chain))
     fermion_values = many_body_spectrum(spectral.lambda_numeric).energies
     scale = max(float(np.max(np.abs(spin_values))), 1e-300)
     gaps = np.abs(spin_values - fermion_values)

@@ -8,7 +8,14 @@ together.
 
 from pathlib import Path
 
-from xychain import ChainSpec, QRacahParams
+from xychain import (
+    ChainSpec,
+    QRacahParams,
+    analytic_spectrum,
+    build_chain,
+    build_pq_table,
+    contiguity_coefficients,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -43,3 +50,9 @@ def random_chain(rng, n_sites):
         beta=rng.uniform(-1.5, 1.5, n_sites),
         gamma=rng.uniform(-1.0, 1.0, n_sites - 1),
     )
+
+
+def pq_table(family, params):
+    """P/Q tables of a q-Racah point, from its chain and closed-form spectrum."""
+    coeffs = contiguity_coefficients(family, params)
+    return build_pq_table(coeffs, build_chain(coeffs), analytic_spectrum(coeffs))

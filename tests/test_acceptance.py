@@ -73,7 +73,9 @@ def contiguity_survey():
                     )
                 except NoValidParameters:
                     draws = []
-                rows += [(p, verify_contiguity(family, p)) for p in draws]
+                rows += [
+                    (p, verify_contiguity(contiguity_coefficients(family, p))) for p in draws
+                ]
         survey[family] = rows
     survey["seconds"] = time.perf_counter() - t0
     return survey
@@ -171,13 +173,13 @@ def test_criterion_3_closed_form_spectra(spectral_draws):
     worst_product = worst_numeric = worst_svd = 0.0
     for params in spectral_draws:
         coeffs = contiguity_coefficients("qr24", params)
-        lam = analytic_spectrum("qr24", params, coeffs=coeffs)
+        lam = analytic_spectrum(coeffs)
         scale = max(1.0, float(lam.max()))
 
         product = np.sqrt(np.maximum(coeffs.lambda_plus * coeffs.lambda_minus, 0.0))
         worst_product = max(worst_product, float(np.max(np.abs(lam - product))) / scale)
 
-        system = assemble(build_chain("qr24", params, coeffs=coeffs))
+        system = assemble(build_chain(coeffs))
         spectral = eigendecompose(system)
         worst_numeric = max(
             worst_numeric,
@@ -222,7 +224,7 @@ def test_criterion_4_jordan_wigner_end_to_end():
     n_random = 100
     for k in range(n_random):
         chain = random_chain(rng, 2 + k % 5)  # 2..6 sites
-        report = jw_certify(chain)
+        report = jw_certify(chain, eigendecompose(assemble(chain)))
         worst = max(worst, report.checks[0].residual)
 
     draw_counts = {}
@@ -237,7 +239,8 @@ def test_criterion_4_jordan_wigner_end_to_end():
                 pass
         hits = hits[:12]
         for params in hits:
-            report = jw_certify(build_chain(family, params))
+            chain = build_chain(contiguity_coefficients(family, params))
+            report = jw_certify(chain, eigendecompose(assemble(chain)))
             worst = max(worst, report.checks[0].residual)
         draw_counts[family] = len(hits)
 
@@ -281,8 +284,8 @@ def test_criterion_5_structural_invariants():
     n_modes = 0
     for params in draws:
         coeffs = contiguity_coefficients("qr24", params)
-        chain = build_chain("qr24", params, coeffs=coeffs)
-        pq = build_pq_table("qr24", params, coeffs=coeffs, chain=chain)
+        chain = build_chain(coeffs)
+        pq = build_pq_table(coeffs, chain, analytic_spectrum(coeffs))
         worst_recurrence = max(worst_recurrence, *pq_recurrence_residual(pq))
 
         spectral = eigendecompose(assemble(chain))

@@ -8,13 +8,12 @@ frozen regression values with exact-rational provenance.
 import numpy as np
 import pytest
 
-from helpers import QR13_BOX, QR13_CHAIN, QR24_BOX, QR24_DEFAULT
+from helpers import QR13_BOX, QR13_CHAIN, QR24_BOX, QR24_DEFAULT, pq_table
 from xychain.chain import (
     SCAN_LEVELS,
     ChainSpec,
     analytic_spectrum,
     build_chain,
-    build_pq_table,
     parameter_scan,
     pq_recurrence_residual,
     validate_draw,
@@ -63,7 +62,7 @@ class TestChainSpec:
 
 class TestBuildChain:
     def test_frozen_reference_couplings(self):
-        chain = build_chain("qr24", QR24_DEFAULT)
+        chain = build_chain(contiguity_coefficients("qr24", QR24_DEFAULT))
         np.testing.assert_allclose(chain.alpha, FROZEN_ALPHA, rtol=1e-12)
         np.testing.assert_allclose(chain.beta, FROZEN_BETA, rtol=1e-12)
         np.testing.assert_allclose(chain.gamma, FROZEN_GAMMA, rtol=1e-12)
@@ -76,7 +75,7 @@ class TestBuildChain:
         # products of contiguity-table entries; those tables are certified
         # independently, so this ties the chain to certified data.
         coeffs = contiguity_coefficients(family, params)
-        chain = build_chain(family, params, coeffs=coeffs)
+        chain = build_chain(coeffs)
         np.testing.assert_allclose(
             chain.beta**2, coeffs.phi_0_plus * coeffs.phi_0_minus, rtol=1e-12
         )
@@ -94,7 +93,7 @@ class TestBuildChain:
         )
 
     def test_positive_branch(self):
-        chain = build_chain("qr24", QR24_DEFAULT)
+        chain = build_chain(contiguity_coefficients("qr24", QR24_DEFAULT))
         assert np.all(chain.beta > 0)
         assert np.all(chain.alpha - chain.gamma > 0)
         assert np.all(chain.alpha + chain.gamma > 0)
@@ -103,22 +102,22 @@ class TestBuildChain:
         params = QRacahParams(a=0.5, b=0.3, c=0.8, N=4, q=0.7)
         for family in ("qr13", "qr24"):
             with pytest.raises(InvalidParameterRegime, match="radicand"):
-                build_chain(family, params)
+                build_chain(contiguity_coefficients(family, params))
 
     def test_exact_denominator_zero_rejected(self):
         # 1 - a b q^0 = 0 exactly for a = 2, b = 1/2.
         params = QRacahParams(a=2.0, b=0.5, c=0.3, N=4, q=0.7)
         with pytest.raises(InvalidParameterRegime, match="denominator"):
-            build_chain("qr24", params)
+            build_chain(contiguity_coefficients("qr24", params))
 
 
 class TestAnalyticSpectrum:
     def test_frozen_reference_spectrum(self):
-        lam = analytic_spectrum("qr24", QR24_DEFAULT)
+        lam = analytic_spectrum(contiguity_coefficients("qr24", QR24_DEFAULT))
         np.testing.assert_allclose(lam, FROZEN_LAMBDA, rtol=1e-12)
 
     def test_all_energies_positive_and_distinct(self):
-        lam = analytic_spectrum("qr24", QR24_DEFAULT)
+        lam = analytic_spectrum(contiguity_coefficients("qr24", QR24_DEFAULT))
         assert np.all(lam > 0)
         assert np.unique(np.round(lam, 10)).size == lam.size
 
@@ -127,10 +126,10 @@ class TestAnalyticSpectrum:
         # from the constructed couplings and diagonalize with Jacobi.
         from xychain.freefermion import assemble, eigendecompose
 
-        chain = build_chain("qr24", QR24_DEFAULT)
+        chain = build_chain(contiguity_coefficients("qr24", QR24_DEFAULT))
         spectral = eigendecompose(assemble(chain))
         np.testing.assert_allclose(
-            np.sort(analytic_spectrum("qr24", QR24_DEFAULT)),
+            np.sort(analytic_spectrum(contiguity_coefficients("qr24", QR24_DEFAULT))),
             spectral.lambda_numeric,
             rtol=0,
             atol=1e-12 * max(FROZEN_LAMBDA),
@@ -144,15 +143,16 @@ class TestAnalyticSpectrum:
         )
         assert draws, "expected spectral-level draws in the reference box"
         for params in draws[:10]:
-            lam = analytic_spectrum("qr24", params)
-            spectral = eigendecompose(assemble(build_chain("qr24", params)))
+            coeffs = contiguity_coefficients("qr24", params)
+            lam = analytic_spectrum(coeffs)
+            spectral = eigendecompose(assemble(build_chain(coeffs)))
             scale = max(1.0, float(np.max(lam)))
             assert np.max(np.abs(np.sort(lam) - spectral.lambda_numeric)) < 1e-10 * scale
 
 
 class TestPQTables:
     def test_shapes_and_finiteness(self):
-        pq = build_pq_table("qr24", QR24_DEFAULT)
+        pq = pq_table("qr24", QR24_DEFAULT)
         n = QR24_DEFAULT.N + 1
         assert pq.P.shape == (n, n)
         assert pq.Q.shape == (n, n)
@@ -162,7 +162,7 @@ class TestPQTables:
     def test_recurrence_residuals_tiny(self):
         # The defining property: (A - B) P = Q diag(lam) and
         # (A + B) Q = P diag(lam) with A, B assembled from the couplings.
-        pq = build_pq_table("qr24", QR24_DEFAULT)
+        pq = pq_table("qr24", QR24_DEFAULT)
         res_p, res_q = pq_recurrence_residual(pq)
         assert res_p < 1e-12
         assert res_q < 1e-12
@@ -173,14 +173,14 @@ class TestPQTables:
         )
         assert draws
         for params in draws[:5]:
-            res_p, res_q = pq_recurrence_residual(build_pq_table("qr24", params))
+            res_p, res_q = pq_recurrence_residual(pq_table("qr24", params))
             # Non-normalized columns span orders of magnitude, so relative
             # residuals can reach ~1e-9; the certification tolerance is 1e-8.
             assert max(res_p, res_q) < 1e-8
 
     def test_corrupted_chain_breaks_recurrence(self):
         # Discrimination: the residual is not vacuously small.
-        pq = build_pq_table("qr24", QR24_DEFAULT)
+        pq = pq_table("qr24", QR24_DEFAULT)
         bad_beta = pq.chain.beta.copy()
         bad_beta[2] *= 1.01
         bad_chain = ChainSpec(alpha=pq.chain.alpha, beta=bad_beta, gamma=pq.chain.gamma)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import CONFIG_DIR, QR24_BOX
-from xychain import qracah
+from xychain import chain, qracah
 from xychain.chain import validate_draw
 from xychain.cli import main
 
@@ -456,6 +456,19 @@ class TestGridWork:
         n = json.loads(config.read_text())["N"]
         assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 0
         assert len(series_calls) == 2 * (n + 1) ** 2
+
+    def test_verify_computes_the_closed_form_spectrum_once(self, tmp_path, monkeypatch):
+        calls = []
+        closed_form = chain.closed_form_lambda_squared
+
+        def counting(*args):
+            calls.append(args)
+            return closed_form(*args)
+
+        monkeypatch.setattr(chain, "closed_form_lambda_squared", counting)
+        config = str(CONFIG_DIR / "qr24_default.json")
+        assert main(["verify", "--config", config, "--out", str(tmp_path / "r.csv")]) == 0
+        assert len(calls) == 1
 
     def test_radicand_rejected_draw_evaluates_no_series(self, series_calls):
         params = qracah.QRacahParams(a=0.5, b=0.3, c=0.8, N=4, q=0.7)

@@ -8,8 +8,8 @@ from occupation bitmasks.
 import numpy as np
 import pytest
 
-from helpers import QR13_CHAIN, QR24_DEFAULT, QR24_BOX, random_chain
-from xychain.chain import ChainSpec, build_chain, build_pq_table, parameter_scan
+from helpers import QR13_CHAIN, QR24_DEFAULT, QR24_BOX, pq_table, random_chain
+from xychain.chain import ChainSpec, analytic_spectrum, build_chain, parameter_scan
 from xychain.errors import SizeCapExceeded
 from xychain.freefermion import (
     MANY_BODY_MODE_CAP,
@@ -20,7 +20,9 @@ from xychain.freefermion import (
     many_body_spectrum,
     recurrence_check,
     singular_value_check,
+    xx_reduction_check,
 )
+from xychain.qracah import contiguity_coefficients
 
 
 class TestAssemble:
@@ -109,7 +111,7 @@ class TestSingularValueCheck:
     def test_report_passes_on_random_chains(self, rng):
         for n in (2, 5, 7):
             system = assemble(random_chain(rng, n))
-            report = singular_value_check(system)
+            report = singular_value_check(eigendecompose(system))
             assert report.passed
             names = [c.name for c in report.checks]
             assert names == ["spectrum-vs-singular-values"]
@@ -120,6 +122,19 @@ class TestSingularValueCheck:
         oracle = np.sort(np.linalg.svd(system.A + system.B, compute_uv=False))
         scale = max(1.0, float(oracle[-1]))
         assert np.max(np.abs(oracle - spectral.lambda_numeric)) < 1e-12 * scale
+
+
+class TestXXReductionCheck:
+    def test_passes_on_xx_chain_and_fails_on_xy_modes(self, rng):
+        chain = ChainSpec(
+            alpha=rng.uniform(-1.5, 1.5, 4), beta=rng.uniform(-1.5, 1.5, 5), gamma=np.zeros(4)
+        )
+        report = xx_reduction_check(eigendecompose(assemble(chain)))
+        assert report.passed
+        assert [c.name for c in report.checks] == ["xx-reduction"]
+        # Discrimination: with gamma switched on, the modes no longer are |eig(A)|.
+        xy = ChainSpec(alpha=chain.alpha, beta=chain.beta, gamma=np.full(4, 0.5))
+        assert not xx_reduction_check(eigendecompose(assemble(xy))).passed
 
 
 class TestManyBody:
@@ -160,8 +175,9 @@ class TestManyBody:
 
 class TestCrosschecks:
     def test_reference_point_crosscheck_passes(self):
-        spectral = eigendecompose(assemble(build_chain("qr24", QR24_DEFAULT)))
-        pq = build_pq_table("qr24", QR24_DEFAULT)
+        chain = build_chain(contiguity_coefficients("qr24", QR24_DEFAULT))
+        spectral = eigendecompose(assemble(chain))
+        pq = pq_table("qr24", QR24_DEFAULT)
         report = eigenvector_crosscheck(spectral, pq)
         assert report.passed
         names = [c.name for c in report.checks]
@@ -173,27 +189,31 @@ class TestCrosschecks:
         draws = parameter_scan("qr24", QR24_BOX, N=5, samples=100, seed=6, level="full")
         assert draws
         for params in draws[:5]:
-            spectral = eigendecompose(assemble(build_chain("qr24", params)))
-            report = eigenvector_crosscheck(spectral, build_pq_table("qr24", params))
+            chain = build_chain(contiguity_coefficients("qr24", params))
+            spectral = eigendecompose(assemble(chain))
+            report = eigenvector_crosscheck(spectral, pq_table("qr24", params))
             assert report.passed, str(report)
 
     def test_crosscheck_detects_corruption(self):
         from dataclasses import replace
 
-        spectral = eigendecompose(assemble(build_chain("qr24", QR24_DEFAULT)))
-        pq = build_pq_table("qr24", QR24_DEFAULT)
+        chain = build_chain(contiguity_coefficients("qr24", QR24_DEFAULT))
+        spectral = eigendecompose(assemble(chain))
+        pq = pq_table("qr24", QR24_DEFAULT)
         bad_p = pq.P.copy()
         bad_p[:, 2] = bad_p[::-1, 2] + 0.3
         report = eigenvector_crosscheck(spectral, replace(pq, P=bad_p))
         assert not report.passed
 
     def test_recurrence_check_report(self):
-        report = recurrence_check(build_pq_table("qr24", QR24_DEFAULT))
+        report = recurrence_check(pq_table("qr24", QR24_DEFAULT))
         assert report.passed
         assert [c.name for c in report.checks] == ["recurrence-P", "recurrence-Q"]
 
     def test_analytic_vs_numeric_reference(self):
-        report = analytic_vs_numeric("qr24", QR24_DEFAULT)
+        coeffs = contiguity_coefficients("qr24", QR24_DEFAULT)
+        spectral = eigendecompose(assemble(build_chain(coeffs)))
+        report = analytic_vs_numeric(analytic_spectrum(coeffs), spectral)
         assert report.passed
         assert report.checks[0].name == "analytic-vs-numeric"
         assert report.checks[0].residual < 1e-12
@@ -201,6 +221,8 @@ class TestCrosschecks:
     def test_analytic_vs_numeric_fails_outside_branch(self):
         # The first family's closed-form branch does not apply at this real
         # chain: the certification must report the genuine mismatch.
-        report = analytic_vs_numeric("qr13", QR13_CHAIN)
+        coeffs = contiguity_coefficients("qr13", QR13_CHAIN)
+        spectral = eigendecompose(assemble(build_chain(coeffs)))
+        report = analytic_vs_numeric(analytic_spectrum(coeffs), spectral)
         assert not report.passed
         assert report.checks[0].residual > 1e-2

@@ -205,7 +205,7 @@ class TestContiguityTables:
             coeffs.lambda_plus[0] - coeffs.phi_plus1_plus - coeffs.phi_minus1_plus
         )
         forced = dataclasses.replace(coeffs, phi_0_minus=plus_offset)
-        report = verify_contiguity("qr24", QR24_DEFAULT, coeffs=forced)
+        report = verify_contiguity(forced)
         checks = {c.name: c for c in report.checks}
         assert not checks["relation-minus"].passed
         assert checks["relation-minus"].residual > 0.1
@@ -252,7 +252,7 @@ class TestRelationsExact:
         # exact-rational grid evaluation keeps the measured residual at the
         # float precision of the coefficient tables.
         params = QRacahParams(a=-0.4, b=0.3, c=-0.5, N=9, q=0.7)
-        report = verify_contiguity("qr24", params)
+        report = verify_contiguity(contiguity_coefficients("qr24", params))
         assert report.passed
         worst = max(c.residual for c in report.checks)
         assert worst < 1e-13
@@ -271,13 +271,13 @@ class TestRelationsExact:
 
 class TestVerifyReport:
     def test_reference_point_passes(self):
-        report = verify_contiguity("qr24", QR24_DEFAULT)
+        report = verify_contiguity(contiguity_coefficients("qr24", QR24_DEFAULT))
         assert report.passed
         names = [c.name for c in report.checks]
         assert names == ["relation-plus", "relation-minus", "constraint-ratio"]
 
     def test_first_family_passes_with_corner_note(self):
-        report = verify_contiguity("qr13", QR13_CHAIN)
+        report = verify_contiguity(contiguity_coefficients("qr13", QR13_CHAIN))
         assert report.passed
         corner_notes = [c.note for c in report.checks if "corner" in c.note]
         assert corner_notes, "expected the corner exclusion to be disclosed"

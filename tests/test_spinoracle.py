@@ -15,6 +15,7 @@ from helpers import QR13_CHAIN, QR24_DEFAULT, random_chain
 from xychain.chain import ChainSpec, build_chain
 from xychain.errors import SizeCapExceeded
 from xychain.freefermion import assemble, eigendecompose, many_body_spectrum
+from xychain.qracah import contiguity_coefficients
 from xychain.spinoracle import (
     SPIN_DIMENSION_CAP,
     _coupled_blocks,
@@ -163,7 +164,8 @@ class TestOracleSpectrum:
 class TestJordanWignerCertification:
     def test_random_chains_certify(self, rng):
         for n in (2, 3, 4, 5):
-            report = jw_certify(random_chain(rng, n))
+            chain = random_chain(rng, n)
+            report = jw_certify(chain, eigendecompose(assemble(chain)))
             assert report.passed, str(report)
             assert report.checks[0].name == "many-body-multiset"
 
@@ -171,13 +173,14 @@ class TestJordanWignerCertification:
         chain = ChainSpec(
             alpha=[1.0, 1.0, 1.0], beta=[0.5] * 4, gamma=[0.0, 0.0, 0.0]
         )
-        assert jw_certify(chain).passed
+        assert jw_certify(chain, eigendecompose(assemble(chain))).passed
 
     def test_family_chains_certify(self):
         # Both family constructions produce genuine free-fermion chains, even
         # where the closed-form energy branch does not apply.
         for family, params in (("qr24", QR24_DEFAULT), ("qr13", QR13_CHAIN)):
-            report = jw_certify(build_chain(family, params))
+            chain = build_chain(contiguity_coefficients(family, params))
+            report = jw_certify(chain, eigendecompose(assemble(chain)))
             assert report.passed, str(report)
 
     def test_matches_bitmask_enumeration(self, rng):
@@ -198,5 +201,5 @@ class TestJordanWignerCertification:
             alpha=chain.alpha * 1.1, beta=chain.beta, gamma=chain.gamma
         )
         spectral = eigendecompose(assemble(other))
-        report = jw_certify(chain, spectral=spectral)
+        report = jw_certify(chain, spectral)
         assert not report.passed
