@@ -41,6 +41,7 @@ from .qracah import (
     _denominator_factors,
     _family_specific_factors,
     _masked_relation_residuals,
+    _three_term_residual,
     closed_form_lambda_squared,
     contiguity_coefficients,
     shift_params,
@@ -130,22 +131,31 @@ class PQTable:
     chain: ChainSpec
 
 
-def _negative_radicand(values):
-    """True when an entry lies below zero by more than ``RADICAND_TOL`` times
-    the larger of 1 and the largest magnitude."""
+def _radicand_fault(values):
+    """What rules out an entrywise square root of ``values``: ``"non-finite"``
+    when an entry is not finite, ``"negative"`` when an entry lies below zero
+    by more than ``RADICAND_TOL`` times the larger of 1 and the largest
+    magnitude, and ``""`` when neither holds."""
+    if not np.all(np.isfinite(values)):
+        return "non-finite"
     if not values.size:
-        return False
+        return ""
     scale = max(1.0, float(np.max(np.abs(values))))
-    return float(values.min()) < -RADICAND_TOL * scale
+    return "negative" if float(values.min()) < -RADICAND_TOL * scale else ""
 
 
 def _radicand_check(values, label):
-    """Clamp tiny negatives to zero; reject genuinely negative radicands."""
+    """Clamp tiny negatives to zero; reject genuinely negative or non-finite
+    radicands."""
     values = np.asarray(values, dtype=float)
-    if _negative_radicand(values):
-        j = int(np.argmin(values))
+    fault = _radicand_fault(values)
+    if fault == "non-finite":
+        raise InvalidParameterRegime(f"radicand {label} has non-finite entries")
+    if fault:
+        at = np.unravel_index(np.argmin(values), values.shape)
         raise InvalidParameterRegime(
-            f"radicand {label}[{j}] = {values[j]:.6e} is negative beyond tolerance"
+            f"radicand {label}[{', '.join(map(str, at))}] = {values[at]:.6e} "
+            f"is negative beyond tolerance"
         )
     return np.maximum(values, 0.0)
 
@@ -195,7 +205,7 @@ def analytic_spectrum(coeffs):
     scale = max(1.0, float(lam_closed.max()))
     gap = float(np.max(np.abs(lam_closed - lam_product)))
     if gap > 1e-12 * scale:
-        raise XYChainError(
+        raise InvalidParameterRegime(
             f"internal cross-check failed: closed-form spectrum deviates from "
             f"the eigenvalue-product route by {gap:.3e}"
         )
@@ -257,26 +267,10 @@ def pq_recurrence_residual(pq):
     """
     chain, P, Q, lam = pq.chain, pq.P, pq.Q, pq.lam
     alpha, beta, gamma = chain.alpha, chain.beta, chain.gamma
-    floor = 1e-12 * max(
-        1.0, float(np.max(np.abs(P)) if P.size else 1.0), float(np.max(np.abs(Q)) if Q.size else 1.0)
-    )
-
-    def one_side(main, other, up_couplings, down_couplings):
-        target = lam[None, :] * other
-        acc = beta[:, None] * main
-        mags = np.maximum(np.abs(acc), np.abs(target))
-        if main.shape[0] > 1:
-            contrib = up_couplings[:, None] * main[1:]
-            acc[:-1] += contrib
-            mags[:-1] = np.maximum(mags[:-1], np.abs(contrib))
-            contrib = down_couplings[:, None] * main[:-1]
-            acc[1:] += contrib
-            mags[1:] = np.maximum(mags[1:], np.abs(contrib))
-        return float(np.max(np.abs(acc - target) / np.maximum(mags, floor)))
-
-    res_p = one_side(P, Q, alpha - gamma, alpha + gamma)
-    res_q = one_side(Q, P, alpha + gamma, alpha - gamma)
-    return res_p, res_q
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(P))), float(np.max(np.abs(Q))))
+    res_p = _three_term_residual(lam[None, :] * Q, beta, alpha - gamma, alpha + gamma, P, floor)
+    res_q = _three_term_residual(lam[None, :] * P, beta, alpha + gamma, alpha - gamma, Q, floor)
+    return float(np.max(res_p)), float(np.max(res_q))
 
 
 def _sign_ok(values, sign, tol):
@@ -317,8 +311,9 @@ def validate_draw(family, params, level="full", relation_tol=TOLERANCES["relatio
         radicands["Lambda^2"] = closed_form_lambda_squared(family, params)
         radicands["lambda product"] = coeffs.lambda_plus * coeffs.lambda_minus
         for label, values in radicands.items():
-            if _negative_radicand(values):
-                return False, f"negative radicand {label}"
+            fault = _radicand_fault(values)
+            if fault:
+                return False, f"{fault} radicand {label}"
     if rank >= 2:
         # per-bond sign-loop condition: the sign of the middle-coefficient
         # product across a bond must match the sign of the raising-coefficient

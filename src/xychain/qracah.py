@@ -419,6 +419,25 @@ def _polynomial_grids(family, params):
     return base, shifted
 
 
+def _three_term_residual(lhs, mid, up, dn, table, floor):
+    """Elementwise relative residual of a three-term identity on a grid.
+
+    Row ``i`` of the right-hand side is ``mid[i] table[i] + up[i] table[i+1]
+    + dn[i-1] table[i-1]``, out-of-range terms absent (``up`` and ``dn`` have
+    one entry fewer than ``mid``).  Returns ``|lhs - rhs| / max(|lhs|, largest
+    single right-hand term, floor)``; shared with the P/Q recurrences.
+    """
+    rhs = mid[:, None] * table
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    contrib = up[:, None] * table[1:]
+    rhs[:-1] += contrib
+    scale[:-1] = np.maximum(scale[:-1], np.abs(contrib))
+    contrib = dn[:, None] * table[:-1]
+    rhs[1:] += contrib
+    scale[1:] = np.maximum(scale[1:], np.abs(contrib))
+    return np.abs(lhs - rhs) / np.maximum(scale, floor)
+
+
 def _relation_residuals(coeffs, base, shifted):
     """Elementwise relative residuals of the two three-term relations.
 
@@ -426,31 +445,14 @@ def _relation_residuals(coeffs, base, shifted):
     out-of-range degree carry identically vanishing coefficients and are
     omitted (never evaluating a degree ``N+1`` polynomial).
     """
-
-    def three_term(up, mid, dn, table):
-        rhs = mid[:, None] * table
-        mags = np.abs(rhs)
-        contrib = up[:-1, None] * table[1:]
-        rhs[:-1] += contrib
-        mags[:-1] = np.maximum(mags[:-1], np.abs(contrib))
-        contrib = dn[1:, None] * table[:-1]
-        rhs[1:] += contrib
-        mags[1:] = np.maximum(mags[1:], np.abs(contrib))
-        return rhs, mags
-
-    lhs = coeffs.lambda_plus[None, :] * base
-    rhs, mags = three_term(
-        coeffs.phi_plus1_plus, coeffs.phi_0_plus, coeffs.phi_minus1_plus, shifted
+    res_plus = _three_term_residual(
+        coeffs.lambda_plus[None, :] * base, coeffs.phi_0_plus,
+        coeffs.phi_plus1_plus[:-1], coeffs.phi_minus1_plus[1:], shifted, _RESIDUAL_FLOOR,
     )
-    scale = np.maximum(np.maximum(np.abs(lhs), mags), _RESIDUAL_FLOOR)
-    res_plus = np.abs(lhs - rhs) / scale
-
-    lhs = coeffs.lambda_minus[None, :] * shifted
-    rhs, mags = three_term(
-        coeffs.phi_plus1_minus, coeffs.phi_0_minus, coeffs.phi_minus1_minus, base
+    res_minus = _three_term_residual(
+        coeffs.lambda_minus[None, :] * shifted, coeffs.phi_0_minus,
+        coeffs.phi_plus1_minus[:-1], coeffs.phi_minus1_minus[1:], base, _RESIDUAL_FLOOR,
     )
-    scale = np.maximum(np.maximum(np.abs(lhs), mags), _RESIDUAL_FLOOR)
-    res_minus = np.abs(lhs - rhs) / scale
     return res_plus, res_minus
 
 
@@ -500,21 +502,11 @@ def contiguity_coefficients(family, params):
     for label, value in _family_specific_factors(family, params) + _denominator_factors(params):
         if value == 0.0:
             raise InvalidParameterRegime(f"denominator factor ({label}) vanishes")
-    coeffs = ContiguityCoefficients(family=family, params=params, **_raw_tables(family, params))
-    for name in (
-        "lambda_plus",
-        "lambda_minus",
-        "phi_plus1_plus",
-        "phi_0_plus",
-        "phi_minus1_plus",
-        "phi_plus1_minus",
-        "phi_0_minus",
-        "phi_minus1_minus",
-    ):
-        values = getattr(coeffs, name)
+    tables = _raw_tables(family, params)
+    for name, values in tables.items():
         if not np.all(np.isfinite(values)):
             raise InvalidParameterRegime(f"coefficient table {name} has non-finite entries")
-    return coeffs
+    return ContiguityCoefficients(family=family, params=params, **tables)
 
 
 def verify_contiguity(coeffs, relation_tol=TOLERANCES["relation"],

@@ -1,9 +1,9 @@
 """Basic q-series building blocks.
 
 Provides q-Pochhammer symbols and a terminating balanced ``4phi3`` evaluator
-in two flavours: plain float arithmetic for generic arguments, and an
-exact-rational twin used where catastrophic cancellation in the alternating
-sum would otherwise contaminate downstream certifications.
+for float or :class:`fractions.Fraction` arguments.  The exact sum is used
+where catastrophic cancellation in the alternating sum would otherwise
+contaminate downstream certifications.
 """
 
 import math
@@ -51,22 +51,26 @@ def phi43_terminating(i, num_params, den_params, q, z):
     because of the ``q^{-i}`` numerator parameter, which is supplied through
     ``i`` and never passed explicitly.
 
+    Accepts float or :class:`fractions.Fraction` arguments: floats give the
+    float sum, Fractions the exact sum (see also
+    :func:`phi43_terminating_exact`).
+
     Parameters
     ----------
     i : int
         Termination degree (``q^{-i}`` numerator parameter); must be >= 0.
-    num_params : sequence of 3 floats
+    num_params : sequence of 3 floats or Fractions
         The remaining numerator parameters ``(a1, a2, a3)``.
-    den_params : sequence of 3 floats
+    den_params : sequence of 3 floats or Fractions
         Denominator parameters ``(b1, b2, b3)``.
-    q : float
+    q : float or Fraction
         Base, required strictly inside (0, 1).
-    z : float
+    z : float or Fraction
         Argument.
 
     Returns
     -------
-    float
+    float (Fraction for Fraction arguments)
 
     Raises
     ------
@@ -75,36 +79,17 @@ def phi43_terminating(i, num_params, den_params, q, z):
         that is still being accumulated.  If a *numerator* factor vanishes
         first at the same ``k``, the series has already terminated and the
         denominator zero is never touched.
+    ArithmeticError
+        If the sum is not finite as a float.
     """
-    if i < 0:
-        raise ValueError(f"termination degree must be >= 0, got {i}")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie strictly inside (0, 1), got {q}")
-    a1, a2, a3 = num_params
-    b1, b2, b3 = den_params
-    total = 1.0
-    term = 1.0
-    for k in range(i):
-        qk = q**k
-        num = (1.0 - q ** (k - i)) * (1.0 - a1 * qk) * (1.0 - a2 * qk) * (1.0 - a3 * qk)
-        if num == 0.0:
-            # a numerator factor hit zero: every later term vanishes too
-            break
-        factors = (1.0 - q ** (k + 1), 1.0 - b1 * qk, 1.0 - b2 * qk, 1.0 - b3 * qk)
-        den = factors[0] * factors[1] * factors[2] * factors[3]
-        if den == 0.0:
-            for p, f in zip((q, b1, b2, b3), factors):
-                if f == 0.0:
-                    raise DenominatorVanishes(k, p)
-        term *= num * z / den
-        total += term
+    total = _phi43(i, num_params, den_params, q, z)
     if not math.isfinite(total):
         raise ArithmeticError(f"series accumulated a non-finite value: {total}")
     return total
 
 
 def phi43_terminating_exact(i, num_params, den_params, q, z):
-    """Exact-rational twin of :func:`phi43_terminating`.
+    """Exact-rational form of :func:`phi43_terminating`.
 
     All inputs are converted with :class:`fractions.Fraction` — binary floats
     are represented exactly — and the terminating sum is accumulated without
@@ -113,24 +98,30 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
 
     The direct float accumulation loses digits to cancellation between large
     alternating terms as the degree grows; callers that feed certification
-    residuals (grid evaluations, relation checks) use this twin and round
+    residuals (grid evaluations, relation checks) use this form and round
     once at the end.  Same termination and error semantics as the float
-    version.
+    sum.
     """
+    nums = [Fraction(v) for v in num_params]
+    dens = [Fraction(v) for v in den_params]
+    return _phi43(i, nums, dens, Fraction(q), Fraction(z))
+
+
+def _phi43(i, num_params, den_params, q, z):
+    """The 4phi3 loop of both entry points, generic over the number type:
+    float arguments give the float sum, Fraction arguments the exact sum."""
     if i < 0:
         raise ValueError(f"termination degree must be >= 0, got {i}")
-    q = Fraction(q)
-    z = Fraction(z)
     if not 0 < q < 1:
         raise ValueError(f"q must lie strictly inside (0, 1), got {float(q)}")
-    a1, a2, a3 = (Fraction(v) for v in num_params)
-    b1, b2, b3 = (Fraction(v) for v in den_params)
-    total = Fraction(1)
-    term = Fraction(1)
+    a1, a2, a3 = num_params
+    b1, b2, b3 = den_params
+    total = term = q**0  # 1.0, or Fraction(1) for exact arguments
     for k in range(i):
         qk = q**k
         num = (1 - q ** (k - i)) * (1 - a1 * qk) * (1 - a2 * qk) * (1 - a3 * qk)
         if num == 0:
+            # a numerator factor hit zero: every later term vanishes too
             break
         factors = (1 - q ** (k + 1), 1 - b1 * qk, 1 - b2 * qk, 1 - b3 * qk)
         den = factors[0] * factors[1] * factors[2] * factors[3]
@@ -138,6 +129,6 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
             for p, f in zip((q, b1, b2, b3), factors):
                 if f == 0:
                     raise DenominatorVanishes(k, float(p))
-        term = term * num * z / den
+        term *= num * z / den
         total += term
     return total

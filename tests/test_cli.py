@@ -410,6 +410,41 @@ class TestRegimeErrors:
             "float division by zero\n"
         )
 
+    # Extreme qr24 points, each of which once ended in a traceback.
+    EXTREME_POINTS = {
+        # a negative P/Q normalization radicand in a row other than the first
+        "pq-radicand-column": {"a": 1.0000001, "b": 0.3, "c": 5.0, "q": 0.7, "N": 1},
+        "pq-radicand-row": {"a": -0.3, "b": -0.3, "c": 0.999999999, "q": 0.9999999999, "N": 3},
+        # coupling radicands overflow to inf
+        "coupling-overflow": {"a": 1e-200, "b": 1e-200, "c": 0.3, "q": 0.9999999999, "N": 1},
+        # the closed-form spectrum deviates from the eigenvalue-product route
+        "spectrum-crosscheck": {"a": 1e-160, "b": 1e-160, "c": 1e-160, "q": 0.9999999999, "N": 1},
+    }
+
+    @pytest.mark.parametrize("point", sorted(EXTREME_POINTS))
+    def test_extreme_point_ends_in_a_documented_exit(self, tmp_path, capsys, point):
+        path = write_config(tmp_path, dict(self.EXTREME_POINTS[point], family="qr24"))
+        for command in ("spectrum", "chain-coeffs", "manybody", "verify"):
+            code = main([command, "--config", path, "--out", str(tmp_path / "out.csv")])
+            assert code in (0, 2, 3, 4)
+            err = capsys.readouterr().err
+            if code in (2, 3):
+                assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "point, entry",
+        [("pq-radicand-column", "[0, 1]"), ("pq-radicand-row", "[1, 0]")],
+        ids=["pq-radicand-column", "pq-radicand-row"],
+    )
+    def test_negative_pq_radicand_is_a_note(self, tmp_path, point, entry):
+        path = write_config(tmp_path, dict(self.EXTREME_POINTS[point], family="qr24"))
+        out = tmp_path / "report.csv"
+        assert main(["verify", "--config", path, "--out", str(out)]) in (0, 4)
+        assert (
+            f"# note: P/Q tables unavailable: radicand P normalization{entry} = "
+            in out.read_text()
+        )
+
 
 class TestArgparseSurface:
     def test_version_flag(self, capsys):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_oracles import qracah_exact, relation_residuals_exact
+from exact_oracles import qracah_exact, relation_residuals_exact, shift_exact
 from helpers import QR13_CHAIN, QR24_DEFAULT
 from xychain.errors import InvalidParameterRegime, InvalidShiftedParams
 from xychain.qracah import (
@@ -80,6 +80,19 @@ class TestPolynomialValues:
                 exact = float(qracah_exact(i, x, a, b, c, N, q))
                 got = qracah_eval(i, x, POLY_POINT)
                 assert got == pytest.approx(exact, rel=1e-15, abs=1e-300)
+        # The exact grids round each exact value once, and Fraction -> float
+        # rounding is correct, so they must equal the oracle bit for bit.
+        for family, point in (("qr24", QR24_DEFAULT), ("qr13", QR13_CHAIN)):
+            for N in (4, 10):
+                params = dataclasses.replace(point, N=N)
+                base, shifted = contiguity_coefficients(family, params).grids
+                x_shift, shifted_args = shift_exact(family, *params.as_tuple())
+                for i in range(N + 1):
+                    for x in range(N + 1):
+                        assert base[i, x] == float(qracah_exact(i, x, *params.as_tuple()))
+                        assert shifted[i, x] == float(
+                            qracah_exact(i, x + x_shift, *shifted_args)
+                        )
 
     def test_shifted_point_value(self):
         shifted = QRacahParams(a=-0.8, b=0.15, c=0.8, N=5, q=0.5)
