@@ -30,7 +30,7 @@ points but provably no ``spectral``/``full`` ones under the positive branch;
 scans at those levels raise :class:`NoValidParameters` (see README).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +40,11 @@ from .qracah import (
     _check_family,
     _denominator_factors,
     _family_specific_factors,
-    _masked_relation_residuals,
     _three_term_residual,
     closed_form_lambda_squared,
     contiguity_coefficients,
     shift_params,
+    verify_contiguity,
 )
 from .report import TOLERANCES
 
@@ -131,42 +131,20 @@ class PQTable:
     chain: ChainSpec
 
 
-def _radicand_fault(values):
-    """What rules out an entrywise square root of ``values``: ``"non-finite"``
-    when an entry is not finite, ``"negative"`` when an entry lies below zero
-    by more than ``RADICAND_TOL`` times the larger of 1 and the largest
-    magnitude, and ``""`` when neither holds."""
-    if not np.all(np.isfinite(values)):
-        return "non-finite"
-    if not values.size:
-        return ""
-    scale = max(1.0, float(np.max(np.abs(values))))
-    return "negative" if float(values.min()) < -RADICAND_TOL * scale else ""
-
-
 def _radicand_check(values, label):
-    """Clamp tiny negatives to zero; reject genuinely negative or non-finite
-    radicands."""
+    """Clamp tiny negatives to zero; reject non-finite radicands and radicands
+    below zero by more than ``RADICAND_TOL`` times the larger of 1 and their
+    largest magnitude."""
     values = np.asarray(values, dtype=float)
-    fault = _radicand_fault(values)
-    if fault == "non-finite":
+    if not np.all(np.isfinite(values)):
         raise InvalidParameterRegime(f"radicand {label} has non-finite entries")
-    if fault:
+    if values.size and values.min() < -RADICAND_TOL * max(1.0, float(np.max(np.abs(values)))):
         at = np.unravel_index(np.argmin(values), values.shape)
         raise InvalidParameterRegime(
             f"radicand {label}[{', '.join(map(str, at))}] = {values[at]:.6e} "
             f"is negative beyond tolerance"
         )
     return np.maximum(values, 0.0)
-
-
-def _coupling_radicands(coeffs):
-    """Squared couplings as products of the coefficient tables, by label."""
-    return {
-        "beta^2": coeffs.phi_0_plus * coeffs.phi_0_minus,
-        "(alpha-gamma)^2": coeffs.phi_minus1_plus[1:] * coeffs.phi_plus1_minus[:-1],
-        "(alpha+gamma)^2": coeffs.phi_minus1_minus[1:] * coeffs.phi_plus1_plus[:-1],
-    }
 
 
 def build_chain(coeffs):
@@ -183,10 +161,12 @@ def build_chain(coeffs):
         If any radicand is negative beyond tolerance (the error names the
         offending bond/site).
     """
-    beta, diff, ssum = (
-        np.sqrt(_radicand_check(values, label))
-        for label, values in _coupling_radicands(coeffs).items()
-    )
+    radicands = {
+        "beta^2": coeffs.phi_0_plus * coeffs.phi_0_minus,
+        "(alpha-gamma)^2": coeffs.phi_minus1_plus[1:] * coeffs.phi_plus1_minus[:-1],
+        "(alpha+gamma)^2": coeffs.phi_minus1_minus[1:] * coeffs.phi_plus1_plus[:-1],
+    }
+    beta, diff, ssum = (np.sqrt(_radicand_check(v, label)) for label, v in radicands.items())
     return ChainSpec(alpha=0.5 * (ssum + diff), beta=beta, gamma=0.5 * (ssum - diff))
 
 
@@ -282,79 +262,70 @@ def validate_draw(family, params, level="full", relation_tol=TOLERANCES["relatio
                   constraint_tol=TOLERANCES["constraint"]):
     """Classify one parameter draw against a scan validity level.
 
-    Returns ``(valid, reason)`` where ``reason`` names the first failed
-    predicate (empty when valid).  Checks are ordered cheapest-first; the
-    comparatively expensive relation certification runs last.
+    A draw is valid when the stages its level needs succeed and
+    :func:`verify_contiguity` passes, the same certification ``verify``
+    reports.  Stages run cheapest-first: the denominator-floor screen (base,
+    family and shifted factors) and the coefficient tables, then
+    :func:`build_chain` and :func:`analytic_spectrum` (``couplings``), the
+    sign-loop screen (``spectral``), the global-sign screen (``full``), and
+    last the certification.
+
+    Returns ``(valid, reason)``.  ``reason`` is empty when valid; otherwise
+    it names the failed screen, carries the message of the stage that raised
+    (an :class:`XYChainError` or a float arithmetic error), or reads
+    ``"<check> residual above tolerance"`` for the first failed check.
     """
     if level not in SCAN_LEVELS:
         raise ValueError(f"unknown scan level {level!r}; expected one of {SCAN_LEVELS}")
     _check_family(family)
-
-    # parameter and denominator screens (both base and shifted)
-    factors = _family_specific_factors(family, params) + _denominator_factors(params)
-    try:
-        _, shifted_params = shift_params(family, params)
-    except XYChainError as exc:
-        return False, f"shift map: {exc}"
-    factors += _denominator_factors(shifted_params)
-    for label, value in factors:
-        if abs(value) < DENOMINATOR_FLOOR:
-            return False, f"denominator factor ({label}) within {DENOMINATOR_FLOOR:g} of zero"
-    try:
-        coeffs = contiguity_coefficients(family, params)
-    except XYChainError as exc:
-        return False, f"coefficient tables: {exc}"
-
     rank = SCAN_LEVELS.index(level)
-    if rank >= 1:
-        radicands = _coupling_radicands(coeffs)
-        radicands["Lambda^2"] = closed_form_lambda_squared(family, params)
-        radicands["lambda product"] = coeffs.lambda_plus * coeffs.lambda_minus
-        for label, values in radicands.items():
-            fault = _radicand_fault(values)
-            if fault:
-                return False, f"{fault} radicand {label}"
-    if rank >= 2:
-        # per-bond sign-loop condition: the sign of the middle-coefficient
-        # product across a bond must match the sign of the raising-coefficient
-        # product, otherwise the positive-branch couplings cannot reproduce
-        # the closed-form spectrum
-        lhs = coeffs.phi_0_plus[1:] * coeffs.phi_0_plus[:-1]
-        rhs = coeffs.phi_plus1_plus[:-1] * coeffs.phi_plus1_minus[:-1]
-        if np.any(np.sign(lhs) != np.sign(rhs)):
-            return False, "sign-loop condition fails (spectrum not reachable)"
-    if rank >= 3:
-        tol = RADICAND_TOL * max(
-            1.0,
-            float(np.max(np.abs(coeffs.phi_0_plus))),
-            float(np.max(np.abs(coeffs.phi_0_minus))),
-        )
-        interior = np.concatenate(
-            [
-                coeffs.phi_plus1_plus[:-1],
-                coeffs.phi_minus1_plus[1:],
-                coeffs.phi_0_plus,
-                coeffs.phi_plus1_minus[:-1],
-                coeffs.phi_minus1_minus[1:],
-                coeffs.phi_0_minus,
-            ]
-        )
-        lam_minus = coeffs.lambda_minus
-        if family == "qr13":
-            lam_minus = lam_minus[:-1]  # last entry is a structural zero
-        lams = np.concatenate([coeffs.lambda_plus, lam_minus])
-        if not any(
-            _sign_ok(interior, s, tol) and _sign_ok(lams, s, tol) for s in (1.0, -1.0)
-        ):
-            return False, "no global sign (P/Q normalization radicands mixed)"
-
-    worst_plus, worst_minus, _ = _masked_relation_residuals(coeffs)
-    if worst_plus > relation_tol:
-        return False, "relation-plus residual above tolerance"
-    if worst_minus > relation_tol:
-        return False, "relation-minus residual above tolerance"
-    if coeffs.constraint_ratio_deviation() > constraint_tol:
-        return False, "constraint ratio deviates"
+    try:
+        factors = _family_specific_factors(family, params) + _denominator_factors(params)
+        factors += _denominator_factors(shift_params(family, params)[1])
+        for label, value in factors:
+            if abs(value) < DENOMINATOR_FLOOR:
+                return False, f"denominator factor ({label}) within {DENOMINATOR_FLOOR:g} of zero"
+        coeffs = contiguity_coefficients(family, params)
+        if rank >= 1:
+            build_chain(coeffs)
+            analytic_spectrum(coeffs)
+        if rank >= 2:
+            # per-bond sign-loop condition: the sign of the middle-coefficient
+            # product across a bond must match the sign of the raising-coefficient
+            # product, otherwise the positive-branch couplings cannot reproduce
+            # the closed-form spectrum
+            lhs = coeffs.phi_0_plus[1:] * coeffs.phi_0_plus[:-1]
+            rhs = coeffs.phi_plus1_plus[:-1] * coeffs.phi_plus1_minus[:-1]
+            if np.any(np.sign(lhs) != np.sign(rhs)):
+                return False, "sign-loop condition fails (spectrum not reachable)"
+        if rank >= 3:
+            tol = RADICAND_TOL * max(
+                1.0,
+                float(np.max(np.abs(coeffs.phi_0_plus))),
+                float(np.max(np.abs(coeffs.phi_0_minus))),
+            )
+            interior = np.concatenate(
+                [
+                    coeffs.phi_plus1_plus[:-1],
+                    coeffs.phi_minus1_plus[1:],
+                    coeffs.phi_0_plus,
+                    coeffs.phi_plus1_minus[:-1],
+                    coeffs.phi_minus1_minus[1:],
+                    coeffs.phi_0_minus,
+                ]
+            )
+            lams = np.concatenate([coeffs.lambda_plus, coeffs.lambda_minus])
+            if not any(
+                _sign_ok(interior, s, tol) and _sign_ok(lams, s, tol) for s in (1.0, -1.0)
+            ):
+                return False, "no global sign (P/Q normalization radicands mixed)"
+        report = verify_contiguity(coeffs, relation_tol=relation_tol,
+                                   constraint_tol=constraint_tol)
+    except (XYChainError, ArithmeticError) as exc:
+        return False, str(exc)
+    for check in report.checks:
+        if not check.passed:
+            return False, f"{check.name} residual above tolerance"
     return True, ""
 
 

@@ -129,14 +129,16 @@ def _split_zero_modes(null_vectors, n):
     and ``x - y`` in the kernel of ``A - B``.  Kernel bases are orthonormalized
     separately, paired greedily by overlap, and each pair is signed so the
     conjugate component ``phi = (u - w) / 2`` has minimal norm.  Pairs are
-    orthonormal in the doubled space by construction.
+    orthonormal in the doubled space by construction.  Returns ``(psi, phi)``
+    with one column per pair.
     """
     tol = 1e-8
     u_basis = _orthonormal_columns(null_vectors[:n] + null_vectors[n:], tol)
     w_basis = _orthonormal_columns(null_vectors[:n] - null_vectors[n:], tol)
     m = min(u_basis.shape[1], w_basis.shape[1])
     overlaps = w_basis.T @ u_basis
-    psi_cols, phi_cols = [], []
+    psi = np.empty((n, m))
+    phi = np.empty((n, m))
     used = set()
     for r in range(m):
         weights = [
@@ -146,9 +148,9 @@ def _split_zero_modes(null_vectors, n):
         used.add(s)
         u = u_basis[:, s] * (1.0 if overlaps[r, s] >= 0.0 else -1.0)
         w = w_basis[:, r]
-        psi_cols.append(0.5 * (w + u))
-        phi_cols.append(0.5 * (u - w))
-    return psi_cols, phi_cols
+        psi[:, r] = 0.5 * (w + u)
+        phi[:, r] = 0.5 * (u - w)
+    return psi, phi
 
 
 def eigendecompose(system):
@@ -168,34 +170,23 @@ def eigendecompose(system):
     pairing_error = float(np.max(np.abs(values[:n][::-1] + lam))) / scale
 
     zero_cut = ZERO_MODE_FACTOR * scale
-    psi = np.zeros((n, n))
-    phi = np.zeros((n, n))
-    zero_idx = [j for j in range(n) if abs(lam[j]) <= zero_cut]
-    for j in range(n):
-        if j in zero_idx:
-            continue
-        column = vectors[:, n + j]
-        psi[:, j] = column[:n]
-        phi[:, j] = column[n:]
-    if zero_idx:
+    psi = vectors[:n, n:].copy()
+    phi = vectors[n:, n:].copy()
+    zero_idx = np.flatnonzero(np.abs(lam) <= zero_cut)
+    if zero_idx.size:
         lam[zero_idx] = np.abs(lam[zero_idx])  # clamp sign noise on zeros
-        null_cols = [n + j for j in zero_idx] + [n - 1 - j for j in zero_idx]
-        psi_cols, phi_cols = _split_zero_modes(vectors[:, null_cols], n)
-        for j, p_col, f_col in zip(zero_idx, psi_cols, phi_cols):
-            psi[:, j] = p_col
-            phi[:, j] = f_col
-        for j in zero_idx[len(psi_cols):]:
-            # kernel split came up rank-deficient; keep the raw eigenvector
-            column = vectors[:, n + j]
-            psi[:, j] = column[:n]
-            phi[:, j] = column[n:]
+        null_cols = np.concatenate([n + zero_idx, n - 1 - zero_idx])
+        zero_psi, zero_phi = _split_zero_modes(vectors[:, null_cols], n)
+        # a rank-deficient kernel split pairs fewer modes; the rest keep the
+        # raw eigenvector
+        paired = zero_idx[: zero_psi.shape[1]]
+        psi[:, paired] = zero_psi
+        phi[:, paired] = zero_phi
 
-    for j in range(n):
-        anchor = psi[:, j] if np.max(np.abs(psi[:, j])) > 0.0 else phi[:, j]
-        k = int(np.argmax(np.abs(anchor)))
-        if anchor[k] < 0.0:
-            psi[:, j] = -psi[:, j]
-            phi[:, j] = -phi[:, j]
+    anchor = np.where(np.max(np.abs(psi), axis=0) > 0.0, psi, phi)
+    flip = np.where(anchor[np.argmax(np.abs(anchor), axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
+    psi *= flip
+    phi *= flip
 
     t = np.block([[psi, phi], [phi, psi]])
     ortho_error = float(np.max(np.abs(t.T @ t - np.eye(2 * n))))

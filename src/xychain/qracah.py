@@ -209,8 +209,7 @@ class ContiguityCoefficients:
     The record is the one input of every later stage: it carries its own
     ``family`` and ``params``.  It holds no polynomial values until
     :attr:`grids` is first read, by the checks that need them
-    (:func:`verify_contiguity`, :func:`xychain.chain.build_pq_table`,
-    :func:`xychain.chain.validate_draw`).
+    (:func:`verify_contiguity` and :func:`xychain.chain.build_pq_table`).
     """
 
     family: str
@@ -473,20 +472,6 @@ def _boundary_mask(family, N):
     return mask
 
 
-def _masked_relation_residuals(coeffs):
-    """Worst residual of each relation over the certified grid points.
-
-    The one relation screen of both :func:`verify_contiguity` and
-    :func:`xychain.chain.validate_draw`.  Returns ``(worst_plus, worst_minus,
-    note)``; ``note`` states the points :func:`_boundary_mask` leaves out and
-    is empty when it leaves out none.
-    """
-    mask = _boundary_mask(coeffs.family, coeffs.params.N)
-    res_plus, res_minus = _relation_residuals(coeffs, *coeffs.grids)
-    note = "" if mask.all() else "corner (i,x)=(N,N) excluded; weighted by lambda_minus(N)=0"
-    return float(np.max(res_plus[mask])), float(np.max(res_minus[mask])), note
-
-
 def contiguity_coefficients(family, params):
     """Build the full contiguity data for a family at a parameter point.
 
@@ -517,9 +502,11 @@ def verify_contiguity(coeffs, relation_tol=TOLERANCES["relation"],
     exact-rational polynomial grids ``coeffs.grids``, plus the eight-factor
     consistency ratio, and returns a :class:`CheckReport`.
     """
-    worst_plus, worst_minus, note = _masked_relation_residuals(coeffs)
+    mask = _boundary_mask(coeffs.family, coeffs.params.N)
+    note = "" if mask.all() else "corner (i,x)=(N,N) excluded; weighted by lambda_minus(N)=0"
     report = CheckReport(title=f"contiguity {coeffs.family} {coeffs.params.as_tuple()}")
-    report.add("relation-plus", worst_plus, relation_tol, note)
-    report.add("relation-minus", worst_minus, relation_tol, note)
+    for name, res in zip(("relation-plus", "relation-minus"),
+                         _relation_residuals(coeffs, *coeffs.grids)):
+        report.add(name, float(np.max(res[mask])), relation_tol, note)
     report.add("constraint-ratio", coeffs.constraint_ratio_deviation(), constraint_tol)
     return report

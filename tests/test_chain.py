@@ -248,6 +248,12 @@ class TestValidateDraw:
                         if order[weak] < order[strong]:
                             assert status[weak], (params, strong, weak)
 
+    def test_nan_residual_names_the_failed_check(self):
+        params = QRacahParams(a=-5.0, b=-5.0, c=-1e100, N=8, q=1e-6)
+        with np.errstate(all="ignore"):
+            valid, reason = validate_draw("qr13", params, level="contiguity")
+        assert (valid, reason) == (False, "relation-minus residual above tolerance")
+
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             validate_draw("qr24", QR24_DEFAULT, level="extreme")

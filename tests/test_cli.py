@@ -230,6 +230,22 @@ class TestManybody:
 
 
 class TestScan:
+    # Boxes with degenerate draws, each of which once ended the whole scan or
+    # kept a draw that verify fails: (config, exit code, rows, q values kept).
+    DEGENERATE_BOXES = (
+        # c = -1e100 makes the constraint-ratio denominator vanish
+        ({"family": "qr24", "N": 1, "samples": 20, "level": "couplings",
+          "ranges": {"a": [-1e100, -0.3, -0.3, -0.3], "b": [0.3],
+                     "c": [-1e100, -0.8, -0.8], "q": [0.3]}}, 0, 15, {0.3}),
+        # q = 1e-6 overflows a float in the exact grids; q = 0.5 is valid
+        ({"family": "qr13", "N": 12, "samples": 20, "level": "contiguity", "seed": 1,
+          "ranges": {"a": [-0.3], "b": [0.3], "c": [-0.8], "q": [1e-6, 0.5, 0.5]}},
+         0, 12, {0.5}),
+        # the relation-minus residual of the box's one point is NaN
+        ({"family": "qr13", "N": 8, "samples": 3, "level": "contiguity",
+          "ranges": {"a": [-5.0], "b": [-5.0], "c": [-1e100], "q": [1e-6]}}, 3, 0, set()),
+    )
+
     def test_scan_reports_parameters_in_ranges(self, tmp_path, capsys):
         path = write_config(tmp_path, SCAN_CONFIG)
         assert main(["scan", "--config", path]) == 0
@@ -241,6 +257,15 @@ class TestScan:
             assert box["a"][0] <= float(row["a"]) <= box["a"][1]
             assert float(row["q"]) in set(box["q"])
             assert int(row["N"]) == 3
+        for config, code, kept, qs in self.DEGENERATE_BOXES:
+            assert main(["scan", "--config", write_config(tmp_path, config)]) == code
+            captured = capsys.readouterr()
+            _, rows = parse_csv(captured.out)
+            assert len(rows) == kept and {float(row["q"]) for row in rows} == qs
+            for row in rows:
+                assert all(float(row[k]) in choices for k, choices in config["ranges"].items())
+            if code == 3:
+                assert captured.err.startswith(f"error: no {config['level']}-valid draws")
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         path = write_config(tmp_path, SCAN_CONFIG)
@@ -509,5 +534,7 @@ class TestGridWork:
         params = qracah.QRacahParams(a=0.5, b=0.3, c=0.8, N=4, q=0.7)
         valid, reason = validate_draw("qr24", params, level="couplings")
         assert not valid
-        assert reason.startswith("negative radicand")
+        assert re.fullmatch(
+            r"radicand \(alpha[-+]gamma\)\^2\[\d+\] = \S+ is negative beyond tolerance", reason
+        ), reason
         assert len(series_calls) == 0

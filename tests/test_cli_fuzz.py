@@ -3,16 +3,18 @@
 Every run of :func:`xychain.cli.main` on a config document and argument list
 that argparse accepts must end in one of the documented exit codes 0, 2, 3
 or 4 without an exception escaping, and exits 2 and 3 must explain
-themselves in exactly one stderr line starting with ``error:``.  Documents
-start from valid configs of each kind and are then corrupted: wrong types,
-``bool``, missing and extra keys, NaN and Infinity, extreme magnitudes and
-inverted ranges.  ``N`` stays at most 4 and ``samples`` at most 20 so that
+themselves in exactly one stderr line starting with ``error:``.  A ``scan``
+exits 3 only when no draw is valid, and says so.  Documents start from
+valid configs of each kind and are then corrupted: wrong types, ``bool``,
+missing and extra keys, NaN and Infinity, extreme magnitudes and inverted
+ranges.  ``N`` stays at most 4 and ``samples`` at most 20 so that
 no example is expensive.
 """
 
 import copy
 import io
 import json
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -143,3 +145,5 @@ def test_main_ends_in_a_documented_exit(workdir, case):
     if code in (2, 3):
         lines = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    if code == 3 and argv[0] == "scan":  # a scan rejects every failing draw
+        assert re.match(r"error: no \S+-valid draws", lines[0]), lines

@@ -17,6 +17,9 @@ Cases:
   written as CSV, as JSON and as text on stdout;
 * every candidate in ``bench/data/pool.json`` x the commands of its group
   (``verify`` in the same three forms);
+* every ``scan-qr`` candidate of the pool once more at each of the three
+  validity levels other than its own, since a scan's CSV shows only the
+  verdicts at its configured level;
 * explicit XY and XX chains of 2-8 sites drawn from a fixed seed, x
   ``spectrum``, ``chain-coeffs``, ``manybody`` and the three ``verify``
   forms.
@@ -45,6 +48,7 @@ POOL = ROOT / "bench" / "data" / "pool.json"
 
 COMMANDS = ("spectrum", "chain-coeffs", "manybody", "scan")
 VERIFY_FORMS = ("verify.csv", "verify.json", "verify.txt")
+SCAN_LEVELS = ("contiguity", "couplings", "spectral", "full")
 CHAIN_SEED = 20240917
 CHAIN_SITES = range(2, 9)
 
@@ -88,8 +92,14 @@ def build_cases(config_dir):
             continue
         for g, group in enumerate(groups):
             for c, candidate in enumerate(group["candidates"]):
-                add(f"pool/{workload}/{g}/{c}", candidate["config"],
-                    _forms(group["commands"]))
+                config = candidate["config"]
+                add(f"pool/{workload}/{g}/{c}", config, _forms(group["commands"]))
+                if workload != "scan-qr":
+                    continue
+                for level in SCAN_LEVELS:
+                    if level != config["level"]:
+                        add(f"pool/{workload}/{g}/{c}@{level}", dict(config, level=level),
+                            ("scan.csv",))
     rng = np.random.default_rng(CHAIN_SEED)
     for sites in CHAIN_SITES:
         for xx in (False, True):
