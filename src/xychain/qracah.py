@@ -93,18 +93,19 @@ def qracah_eval(i, x, params):
     integer grid (the series is defined for any real ``x``); ``i`` must stay
     within ``0..N`` for the series to make sense.
 
-    On integer grid points the alternating sum is accumulated in exact
-    rational arithmetic (the float parameters are represented exactly) and
-    rounded once, so the result stays accurate at degrees where direct float
-    accumulation would lose many digits to cancellation.  Off-grid arguments
-    use the float evaluator.
+    On integer grid points the series arguments are formed exactly from the
+    (exactly represented) float parameters and the result is the float the
+    exact sum rounds to (:func:`~xychain.qseries.phi43_terminating_exact`),
+    so it stays accurate at degrees where direct float accumulation would
+    lose many digits to cancellation.  Off-grid arguments use the float
+    evaluator.
     """
     a, b, c, N, q = params.as_tuple()
     if not 0 <= i <= N:
         raise ValueError(f"polynomial degree must satisfy 0 <= i <= N={N}, got {i}")
     if float(x).is_integer():
         a, b, c, q = (Fraction(v) for v in (a, b, c, q))
-        return float(phi43_terminating_exact(i, *_series_args(i, a, b, c, N, q)(int(x)), q, q))
+        return phi43_terminating_exact(i, *_series_args(i, a, b, c, N, q)(int(x)), q, q)
     return phi43_terminating(i, *_series_args(i, a, b, c, N, q)(x), q, q)
 
 
@@ -225,7 +226,7 @@ class ContiguityCoefficients:
 
     @cached_property
     def grids(self):
-        """``(base, shifted)`` exact polynomial grids of this parameter point
+        """``(base, shifted)`` correctly rounded polynomial grids of this point
         (see :func:`_polynomial_grids`), built once on first use."""
         return _polynomial_grids(self.family, self.params)
 
@@ -394,14 +395,16 @@ def _polynomial_grids(family, params):
     parameters and ``shifted[i, x] = R_i(x + x_shift)`` at the shifted
     parameters, for ``i, x = 0..N``.
 
-    Both grids are evaluated in exact rational arithmetic from the (exactly
-    represented) float parameters, with the parameter shift applied in the
-    same arithmetic, then rounded to float once.  This matters twice over:
-    the relation residuals computed from these grids compare the base and
-    shifted families, which is an identity only when the shifted parameters
-    are *exactly* ``(a/q, bq, ...)`` of the base ones, and the alternating
-    series itself loses digits to cancellation as the degree grows (visible
-    from N ~ 7 in direct float accumulation).
+    The parameter shift and the series arguments are formed in exact
+    rational arithmetic from the (exactly represented) float parameters, and
+    every entry is the float its exact sum rounds to, from the
+    checked-precision decimal sum of
+    :func:`~xychain.qseries.phi43_terminating_exact`.  This matters twice
+    over: the relation residuals computed from these grids compare the base
+    and shifted families, which is an identity only when the shifted
+    parameters are *exactly* ``(a/q, bq, ...)`` of the base ones, and the
+    alternating series itself loses digits to cancellation as the degree
+    grows (visible from N ~ 7 in direct float accumulation).
     """
     N = params.N
     shift_params(family, params)  # validates the shifted regime
@@ -413,8 +416,8 @@ def _polynomial_grids(family, params):
         base_args = _series_args(i, a, b, c, N, q)
         shifted_args = _series_args(i, sa, sb, sc, N, q)
         for x in range(N + 1):
-            base[i, x] = float(phi43_terminating_exact(i, *base_args(x), q, q))
-            shifted[i, x] = float(phi43_terminating_exact(i, *shifted_args(x + x_shift), q, q))
+            base[i, x] = phi43_terminating_exact(i, *base_args(x), q, q)
+            shifted[i, x] = phi43_terminating_exact(i, *shifted_args(x + x_shift), q, q)
     return base, shifted
 
 
@@ -499,7 +502,7 @@ def verify_contiguity(coeffs, relation_tol=TOLERANCES["relation"],
     """Certify the contiguity data against direct polynomial evaluation.
 
     Evaluates both three-term relations at every grid point ``(i, x)`` on the
-    exact-rational polynomial grids ``coeffs.grids``, plus the eight-factor
+    correctly rounded polynomial grids ``coeffs.grids``, plus the eight-factor
     consistency ratio, and returns a :class:`CheckReport`.
     """
     mask = _boundary_mask(coeffs.family, coeffs.params.N)

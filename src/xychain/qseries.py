@@ -1,21 +1,37 @@
 """Basic q-series building blocks.
 
 Provides q-Pochhammer symbols and a terminating balanced ``4phi3`` evaluator
-for float or :class:`fractions.Fraction` arguments.  The exact sum is used
-where catastrophic cancellation in the alternating sum would otherwise
-contaminate downstream certifications.
+in two forms: the float sum, and :func:`phi43_terminating_exact`, which
+returns the float that the exact sum rounds to.  The second is used where
+catastrophic cancellation in the alternating sum would otherwise contaminate
+downstream certifications.  It carries the sum in stdlib :mod:`decimal` at a
+precision it checks itself: accepted only when the cancellation leaves
+:data:`GUARD_DIGITS` digits and a sum at twice the digits rounds to the same
+float, with the digits doubled up to :data:`PRECISION_CAP` otherwise.  What
+needs exact values (where the series ends, vanishing denominators, an exactly
+zero sum) is decided on the exact arguments.
 """
 
+import decimal
+import functools
 import math
 from fractions import Fraction
 
-from .errors import DenominatorVanishes
+from .errors import ConvergenceFailure, DenominatorVanishes
 
 __all__ = [
     "q_pochhammer",
     "phi43_terminating",
     "phi43_terminating_exact",
 ]
+
+#: Significant decimal digits of the first decimal sum.
+START_DIGITS = 40
+#: Digits an accepted decimal sum must keep after cancellation.
+GUARD_DIGITS = 30
+#: Most significant decimal digits any sum is carried at; a series that has
+#: no checked float by then raises :class:`ConvergenceFailure`.
+PRECISION_CAP = 2560
 
 
 def q_pochhammer(a, q, k):
@@ -51,26 +67,25 @@ def phi43_terminating(i, num_params, den_params, q, z):
     because of the ``q^{-i}`` numerator parameter, which is supplied through
     ``i`` and never passed explicitly.
 
-    Accepts float or :class:`fractions.Fraction` arguments: floats give the
-    float sum, Fractions the exact sum (see also
-    :func:`phi43_terminating_exact`).
+    The sum is accumulated in float arithmetic; see
+    :func:`phi43_terminating_exact` for the correctly rounded value.
 
     Parameters
     ----------
     i : int
         Termination degree (``q^{-i}`` numerator parameter); must be >= 0.
-    num_params : sequence of 3 floats or Fractions
+    num_params : sequence of 3 floats
         The remaining numerator parameters ``(a1, a2, a3)``.
-    den_params : sequence of 3 floats or Fractions
+    den_params : sequence of 3 floats
         Denominator parameters ``(b1, b2, b3)``.
-    q : float or Fraction
+    q : float
         Base, required strictly inside (0, 1).
-    z : float or Fraction
+    z : float
         Argument.
 
     Returns
     -------
-    float (Fraction for Fraction arguments)
+    float
 
     Raises
     ------
@@ -82,53 +97,179 @@ def phi43_terminating(i, num_params, den_params, q, z):
     ArithmeticError
         If the sum is not finite as a float.
     """
-    total = _phi43(i, num_params, den_params, q, z)
+    _check_domain(i, q)
+    total = sum(_phi43_terms(i, num_params, den_params, q, z))
     if not math.isfinite(total):
         raise ArithmeticError(f"series accumulated a non-finite value: {total}")
     return total
 
 
 def phi43_terminating_exact(i, num_params, den_params, q, z):
-    """Exact-rational form of :func:`phi43_terminating`.
+    """The float nearest to the exact value of the terminating 4phi3 sum.
 
-    All inputs are converted with :class:`fractions.Fraction` — binary floats
-    are represented exactly — and the terminating sum is accumulated without
-    any rounding, so the returned ``Fraction`` is the exact value of the
-    series at the given (float-valued) parameters.
+    Same series as :func:`phi43_terminating`; the arguments may be floats or
+    :class:`fractions.Fraction`, and both are read exactly as integer ratios.
+    The decisions that need exact values are taken on those integers: where
+    a numerator factor ends the series and whether a denominator factor
+    vanishes before that.  A factor that merely rounds to zero in a decimal
+    sum therefore neither stops the series nor raises.
+
+    The sum itself is carried in :mod:`decimal` at ``p`` significant digits,
+    starting at :data:`START_DIGITS`.  The ``p``-digit sum is accepted when
+
+    * it is nonzero and keeps at least :data:`GUARD_DIGITS` digits after
+      cancellation, ``p - log10(sum |term_k| / |sum term_k|)``, with the
+      logarithm bounded above by the decimal exponents' difference plus one;
+    * the sum at ``2p`` digits rounds to the same float.
+
+    Otherwise ``p`` doubles.  Agreement of ``p`` and ``2p`` alone is not
+    enough: when cancellation eats more digits than both carry, both sums
+    come out as the same wrong value (often exactly zero).  A series that no
+    pair within :data:`PRECISION_CAP` digits accepts is ``0.0`` if its exact
+    sum is zero (no decimal sum of an exact zero keeps any digits).
 
     The direct float accumulation loses digits to cancellation between large
     alternating terms as the degree grows; callers that feed certification
-    residuals (grid evaluations, relation checks) use this form and round
-    once at the end.  Same termination and error semantics as the float
-    sum.
+    residuals (grid evaluations, relation checks) use this form.
+
+    Returns
+    -------
+    float
+
+    Raises
+    ------
+    DenominatorVanishes
+        As :func:`phi43_terminating`, decided on the exact arguments.
+    ConvergenceFailure
+        If no ``p``, ``2p`` pair within :data:`PRECISION_CAP` digits is
+        accepted and the exact sum is not zero.
+    OverflowError
+        If the accepted sum is too large for a float.
     """
-    nums = [Fraction(v) for v in num_params]
-    dens = [Fraction(v) for v in den_params]
-    return _phi43(i, nums, dens, Fraction(q), Fraction(z))
+    _check_domain(i, q)
+    # every argument as the (numerator, denominator) of its exact value
+    nums = [v.as_integer_ratio() for v in num_params]
+    dens = [v.as_integer_ratio() for v in den_params]
+    q, z = q.as_integer_ratio(), z.as_integer_ratio()
+    series = (i, nums, dens, q, z, _exact_steps(i, nums, dens, q))
+    digits = START_DIGITS
+    value, kept = _decimal_sum(digits, *series)
+    while 2 * digits <= PRECISION_CAP:
+        digits *= 2
+        check, check_kept = _decimal_sum(digits, *series)
+        if kept and check == value:
+            if math.isinf(value):
+                raise OverflowError("series sum too large for a float")
+            return value
+        value, kept = check, check_kept
+    if _sums_to_zero(*series):
+        return 0.0
+    raise ConvergenceFailure(
+        f"4phi3 sum of degree {i} has no checked float within the precision "
+        f"cap of {PRECISION_CAP} significant digits"
+    )
 
 
-def _phi43(i, num_params, den_params, q, z):
-    """The 4phi3 loop of both entry points, generic over the number type:
-    float arguments give the float sum, Fraction arguments the exact sum."""
+def _check_domain(i, q):
     if i < 0:
         raise ValueError(f"termination degree must be >= 0, got {i}")
     if not 0 < q < 1:
         raise ValueError(f"q must lie strictly inside (0, 1), got {float(q)}")
+
+
+def _exact_steps(i, nums, dens, q):
+    """Steps of the series loop before a numerator factor ends it.
+
+    Decided on the exact ``(numerator, denominator)`` pairs by integer
+    cross-multiplication: ``1 - p q^k`` with ``p = n/d`` and ``q = qn/qd``
+    vanishes exactly when ``n qn^k == d qd^k``.  Both pairs are in lowest
+    terms with positive denominators, so that is ``(n, d) == (qd^k, qn^k)``,
+    compared without multiplying.  The factors ``1 - q^(k-i)`` and
+    ``1 - q^(k+1)`` never vanish inside the loop.  Raises
+    :class:`DenominatorVanishes` with the ``k`` and parameter at which the
+    loop itself would raise.
+    """
+    (qn, qd), nums, dens = q, set(nums), set(dens)
+    qn_k = qd_k = 1
+    for k in range(i):
+        if (qd_k, qn_k) in nums:
+            return k
+        if (qd_k, qn_k) in dens:
+            raise DenominatorVanishes(k, qd_k / qn_k)
+        qn_k *= qn
+        qd_k *= qd
+    return i
+
+
+def _sums_to_zero(i, nums, dens, q, z, steps):
+    """Whether the series sums to exactly zero, decided like the steps on
+    the exact arguments: the one term loop in rational arithmetic.  Only a
+    series that reached the precision cap is asked."""
+    nums = [Fraction(*p) for p in nums]
+    dens = [Fraction(*p) for p in dens]
+    return sum(_phi43_terms(i, nums, dens, Fraction(*q), Fraction(*z), steps)) == 0
+
+
+@functools.lru_cache(maxsize=512)
+def _decimal_of(numerator, denominator, digits):
+    """``numerator / denominator`` rounded to ``digits`` significant digits.
+
+    Cached because a grid passes the same few arguments to all its series.
+    """
+    return decimal.Context(prec=digits).divide(numerator, denominator)
+
+
+def _decimal_sum(digits, i, nums, dens, q, z, steps):
+    """The series summed at ``digits`` significant digits.
+
+    The arguments are ``(numerator, denominator)`` pairs.  Returns the float
+    the sum rounds to and whether the sum is nonzero and keeps
+    :data:`GUARD_DIGITS` digits after cancellation.  A factor that rounds to
+    zero in a denominator gives ``(nan, False)``.
+    """
+    nums = [_decimal_of(*p, digits) for p in nums]
+    dens = [_decimal_of(*p, digits) for p in dens]
+    q, z = _decimal_of(*q, digits), _decimal_of(*z, digits)
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        try:
+            terms = list(_phi43_terms(i, nums, dens, q, z, steps))
+        except (decimal.DivisionByZero, decimal.InvalidOperation):
+            return math.nan, False
+        total = sum(terms)
+        magnitude = sum(map(abs, terms))
+    lost = magnitude.adjusted() - total.adjusted() + 1
+    return float(total), total != 0 and digits - lost >= GUARD_DIGITS
+
+
+def _phi43_terms(i, num_params, den_params, q, z, steps=None):
+    """Terms of the 4phi3 sum, the leading 1 first: the one term recurrence
+    of both entry points, generic over the number type (float, Decimal, or
+    Fraction for the exact zero test).
+
+    With ``steps=None`` (the float route) the loop decides termination and
+    vanishing denominators on the computed factors.  The decimal route passes
+    the number of steps decided beforehand on the exact arguments (see
+    :func:`_exact_steps`), so a factor that only rounds to zero neither
+    stops the loop nor raises.
+    """
     a1, a2, a3 = num_params
     b1, b2, b3 = den_params
-    total = term = q**0  # 1.0, or Fraction(1) for exact arguments
-    for k in range(i):
-        qk = q**k
-        num = (1 - q ** (k - i)) * (1 - a1 * qk) * (1 - a2 * qk) * (1 - a3 * qk)
-        if num == 0:
+    term = qk = q**0  # 1 in the number type of q
+    q_ki = q**-i  # q^(k-i), carried along like q^k
+    yield term
+    for k in range(i if steps is None else steps):
+        num = (1 - q_ki) * (1 - a1 * qk) * (1 - a2 * qk) * (1 - a3 * qk)
+        if steps is None and num == 0:
             # a numerator factor hit zero: every later term vanishes too
-            break
-        factors = (1 - q ** (k + 1), 1 - b1 * qk, 1 - b2 * qk, 1 - b3 * qk)
+            return
+        qk_next = qk * q
+        factors = (1 - qk_next, 1 - b1 * qk, 1 - b2 * qk, 1 - b3 * qk)
         den = factors[0] * factors[1] * factors[2] * factors[3]
-        if den == 0:
+        if steps is None and den == 0:
             for p, f in zip((q, b1, b2, b3), factors):
                 if f == 0:
                     raise DenominatorVanishes(k, float(p))
         term *= num * z / den
-        total += term
-    return total
+        yield term
+        qk = qk_next
+        q_ki *= q

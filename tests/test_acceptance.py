@@ -35,6 +35,9 @@ from xychain import (
 
 Q_VALUES = (0.3, 0.5, 0.7)
 N_VALUES = tuple(range(2, 11))
+# Criterion 1 goes on to N = 20 with one draw per cell above N = 10, where
+# one grid pair costs 0.05-0.25 s.
+CONTIGUITY_N_VALUES = N_VALUES + tuple(range(11, 21))
 FAMILY_BOXES = (("qr13", QR13_BOX), ("qr24", QR24_BOX))
 
 
@@ -60,14 +63,14 @@ def contiguity_survey():
     survey = {}
     for family, box in FAMILY_BOXES:
         rows = []
-        for N in N_VALUES:
+        for N in CONTIGUITY_N_VALUES:
             for k, q in enumerate(Q_VALUES):
                 try:
                     draws = parameter_scan(
                         family,
                         _sub_box(box, q),
                         N,
-                        samples=3,
+                        samples=3 if N in N_VALUES else 1,
                         seed=1000 * N + k,
                         level="contiguity",
                     )
@@ -89,7 +92,7 @@ def test_criterion_1_contiguity_relations(contiguity_survey):
     for family, _ in FAMILY_BOXES:
         rows = contiguity_survey[family]
         counts[family] = len(rows)
-        coverage_ok &= {p.N for p, _ in rows} == set(N_VALUES)
+        coverage_ok &= {p.N for p, _ in rows} == set(CONTIGUITY_N_VALUES)
         coverage_ok &= {p.q for p, _ in rows} == set(Q_VALUES)
         for _, report in rows:
             worst = max(
@@ -123,7 +126,7 @@ def test_criterion_1_contiguity_relations(contiguity_survey):
     _record(
         ok,
         f"criterion 1 - contiguity relations <= 1e-9 on full grids "
-        f"(qr13 {counts['qr13']} draws, qr24 {counts['qr24']} draws, N=2..10, "
+        f"(qr13 {counts['qr13']} draws, qr24 {counts['qr24']} draws, N=2..20, "
         f"q in {{0.3,0.5,0.7}}; worst {worst:.2e}; {spot_checks} exact-rational "
         f"spot checks, worst {exact_worst:.2e}; {contiguity_survey['seconds']:.1f} s)",
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import CONFIG_DIR, QR24_BOX
-from xychain import chain, qracah
+from xychain import chain, qracah, qseries
 from xychain.chain import validate_draw
 from xychain.cli import main
 
@@ -469,6 +469,42 @@ class TestRegimeErrors:
             f"# note: P/Q tables unavailable: radicand P normalization{entry} = "
             in out.read_text()
         )
+
+
+class TestPrecisionCap:
+    """A grid value with no checked float within the precision cap is a regime
+    error: exit 3 for ``verify``, a rejected draw for ``scan``."""
+
+    # Several grid values here are accepted only at a (160, 320)-digit pair or
+    # later, so a cap of 160 digits leaves them unchecked; at q = 0.5 every
+    # value is accepted within it.
+    POINT = {"family": "qr24", "a": 1e-6, "b": 0.3, "c": -0.8, "q": 1e-6, "N": 8}
+
+    @pytest.fixture(autouse=True)
+    def low_cap(self, monkeypatch):
+        monkeypatch.setattr(qseries, "PRECISION_CAP", 160)
+
+    def test_verify_exits_three_with_one_error_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.POINT)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "r.csv")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: 4phi3 sum of degree 5 has no checked float within the precision "
+            "cap of 160 significant digits\n"
+        )
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_scan_rejects_the_draw_and_keeps_the_others(self, tmp_path, capsys):
+        ranges = {k: [self.POINT[k]] for k in ("a", "b", "c")}
+        config = {"family": "qr24", "N": 8, "ranges": dict(ranges, q=[1e-6, 0.5, 0.5]),
+                  "samples": 12, "level": "contiguity", "seed": 1}
+        assert main(["scan", "--config", write_config(tmp_path, config)]) == 0
+        comments, rows = parse_csv(capsys.readouterr().out)
+        assert "# valid 8" in comments
+        assert {float(row["q"]) for row in rows} == {0.5}
+        params = qracah.QRacahParams(**{k: v for k, v in self.POINT.items() if k != "family"})
+        valid, reason = validate_draw("qr24", params, level="contiguity")
+        assert not valid and "precision cap of 160" in reason
 
 
 class TestArgparseSurface:

@@ -54,6 +54,18 @@ FIELDS = (
 )
 
 
+def _assert_grids_match_exact_oracle(family, params):
+    """Each grid entry is the float its exact sum rounds to, and Fraction ->
+    float rounding is correct, so the grids must equal the oracle bit for bit."""
+    base, shifted = contiguity_coefficients(family, params).grids
+    x_shift, shifted_args = shift_exact(family, *params.as_tuple())
+    for i in range(params.N + 1):
+        for x in range(params.N + 1):
+            assert base[i, x] == float(qracah_exact(i, x, *params.as_tuple()))
+            assert shifted[i, x] == float(qracah_exact(i, x + x_shift, *shifted_args))
+    return base, shifted
+
+
 class TestPolynomialValues:
     def test_degree_zero_is_one_on_grid(self):
         for x in range(POLY_POINT.N + 1):
@@ -80,19 +92,30 @@ class TestPolynomialValues:
                 exact = float(qracah_exact(i, x, a, b, c, N, q))
                 got = qracah_eval(i, x, POLY_POINT)
                 assert got == pytest.approx(exact, rel=1e-15, abs=1e-300)
-        # The exact grids round each exact value once, and Fraction -> float
-        # rounding is correct, so they must equal the oracle bit for bit.
         for family, point in (("qr24", QR24_DEFAULT), ("qr13", QR13_CHAIN)):
-            for N in (4, 10):
-                params = dataclasses.replace(point, N=N)
-                base, shifted = contiguity_coefficients(family, params).grids
-                x_shift, shifted_args = shift_exact(family, *params.as_tuple())
-                for i in range(N + 1):
-                    for x in range(N + 1):
-                        assert base[i, x] == float(qracah_exact(i, x, *params.as_tuple()))
-                        assert shifted[i, x] == float(
-                            qracah_exact(i, x + x_shift, *shifted_args)
-                        )
+            for N in (4, 10, 14):
+                _assert_grids_match_exact_oracle(family, dataclasses.replace(point, N=N))
+
+    @pytest.mark.parametrize("q, value", [
+        # sums carried at 60 and at 120 digits both give 0.0
+        (1e-6, -0.20971508675417788),
+        # sums at 40 and at 80 digits, the first pair tried, both give 0.0
+        (1e-5, -0.20971406753403193),
+    ])
+    def test_cancellation_beyond_both_precisions_is_escalated(self, q, value):
+        # base[7, 8] cancels by more than the digits of a p- and 2p-digit
+        # pair that agree on a wrong value, which the cancellation guard
+        # rejects.
+        params = QRacahParams(a=1e-6, b=0.3, c=-0.8, N=8, q=q)
+        base, _ = _assert_grids_match_exact_oracle("qr24", params)
+        assert base[7, 8] == value
+
+    def test_exact_zero_values(self):
+        # No decimal sum of an exact zero keeps any digits; R_1(3) and the
+        # shifted R_1(2) are exactly zero at this point, which verify passes.
+        params = QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5)
+        base, shifted = _assert_grids_match_exact_oracle("qr24", params)
+        assert base[1, 3] == 0.0 and shifted[1, 2] == 0.0
 
     def test_shifted_point_value(self):
         shifted = QRacahParams(a=-0.8, b=0.15, c=0.8, N=5, q=0.5)

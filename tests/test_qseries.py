@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from exact_oracles import phi43_exact
 from xychain.errors import DenominatorVanishes
-from xychain.qseries import phi43_terminating, q_pochhammer
+from xychain.qseries import phi43_terminating, phi43_terminating_exact, q_pochhammer
 
 # (i, numerator params, denominator params, q, z) exercising long products,
 # mixed signs, and parameters of magnitude > 1.
@@ -34,6 +34,7 @@ class TestAgainstExactRational:
         exact = float(phi43_exact(i, nums, dens, q, z))
         got = phi43_terminating(i, nums, dens, q, z)
         assert got == pytest.approx(exact, rel=5e-13)
+        assert phi43_terminating_exact(i, nums, dens, q, z) == exact
 
     @pytest.mark.parametrize("case, frozen", list(zip(ORACLE_CASES, FROZEN_VALUES)))
     def test_frozen_regression_values(self, case, frozen):
@@ -72,33 +73,75 @@ class TestStructure:
         # a denominator zero that would occur at k = 4 is never reached.
         q = 0.5
         value = phi43_terminating(9, (q**-3, 0.3, 0.5), (q**-4, 0.2, 0.1), q, 0.7)
-        exact = float(phi43_exact(9, (Fraction(8), Fraction(3, 10), Fraction(1, 2)),
-                                  (Fraction(16), Fraction(1, 5), Fraction(1, 10)),
-                                  Fraction(1, 2), Fraction(7, 10)))
+        exact_args = (9, (Fraction(8), Fraction(3, 10), Fraction(1, 2)),
+                      (Fraction(16), Fraction(1, 5), Fraction(1, 10)),
+                      Fraction(1, 2), Fraction(7, 10))
+        exact = float(phi43_exact(*exact_args))
         assert value == pytest.approx(exact, rel=1e-13)
+        assert phi43_terminating_exact(*exact_args) == exact
 
     def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            phi43_terminating(-1, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), 0.5, 0.5)
-        with pytest.raises(ValueError):
-            phi43_terminating(2, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), 1.5, 0.5)
+        for evaluate in (phi43_terminating, phi43_terminating_exact):
+            with pytest.raises(ValueError):
+                evaluate(-1, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), 0.5, 0.5)
+            for q in (0.0, 1.0, 1.5, -0.5):
+                with pytest.raises(ValueError):
+                    evaluate(2, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), q, 0.5)
 
 
 class TestDenominatorVanishes:
+    """Both evaluators report the same step and parameter; the exact one
+    decides on its exact arguments."""
+
     def test_reports_offending_step_and_parameter(self):
         # With q = 1/2 the denominator factor 1 - 4 * q^k hits exact zero at
         # k = 2 (powers of two are exact in binary floats).
-        with pytest.raises(DenominatorVanishes) as excinfo:
-            phi43_terminating(6, (0.3, 0.7, 0.9), (4.0, 0.2, 0.1), 0.5, 0.5)
-        assert excinfo.value.k == 2
-        assert excinfo.value.param == 4.0
+        for evaluate in (phi43_terminating, phi43_terminating_exact):
+            with pytest.raises(DenominatorVanishes) as excinfo:
+                evaluate(6, (0.3, 0.7, 0.9), (4.0, 0.2, 0.1), 0.5, 0.5)
+            assert excinfo.value.k == 2
+            assert excinfo.value.param == 4.0
 
     def test_q_power_denominator_also_detected(self):
         # The (q; q)_k factor itself cannot vanish for 0 < q < 1, but a
         # denominator parameter exactly equal to 1 vanishes at k = 0.
+        for evaluate in (phi43_terminating, phi43_terminating_exact):
+            with pytest.raises(DenominatorVanishes) as excinfo:
+                evaluate(3, (0.3, 0.7, 0.9), (1.0, 0.2, 0.1), 0.5, 0.5)
+            assert excinfo.value.k == 0
+            assert excinfo.value.param == 1.0
+
+
+class TestExactDecisions:
+    """``phi43_terminating_exact`` decides termination and vanishing
+    denominators on its exact arguments, never on rounded decimals."""
+
+    def test_denominator_that_only_rounds_to_zero_does_not_raise(self):
+        # 1 - b q^2 = -2.5e-46: zero at 40 significant digits, not exactly.
+        args = (6, (0.3, 0.7, 0.9), (Fraction(4) + Fraction(1, 10**45), 0.2, 0.1),
+                Fraction(1, 2), Fraction(1, 2))
+        assert phi43_terminating_exact(*args) == float(phi43_exact(*args))
+
+    def test_numerator_that_only_rounds_to_zero_does_not_terminate(self):
+        # 1 - a1 q^3 = -1.25e-101 and 1 - b1 q^4 = -6.25e-102 both round to
+        # zero at 40 and at 80 significant digits; their ratio makes the later
+        # terms ~1e10.
+        q, tiny = Fraction(1, 2), Fraction(1, 10**100)
+        nums = (8 + tiny, 0.3, 0.5)
+        args = (9, nums, (16 + tiny, 0.2, 0.1), q, Fraction(7, 10))
+        assert phi43_terminating_exact(*args) == float(phi43_exact(*args))
+        # With b1 exactly 16 the series runs on into an exact denominator zero.
         with pytest.raises(DenominatorVanishes) as excinfo:
-            phi43_terminating(3, (0.3, 0.7, 0.9), (1.0, 0.2, 0.1), 0.5, 0.5)
-        assert excinfo.value.k == 0
+            phi43_terminating_exact(9, nums, (16.0, 0.2, 0.1), q, Fraction(7, 10))
+        assert (excinfo.value.k, excinfo.value.param) == (4, 16.0)
+
+    def test_ill_conditioned_factor_is_caught_by_the_doubled_sum(self):
+        # 1 - b1 q^2 = -8.3e-40 comes out as -7.5e-40 at 40 digits: that sum
+        # has no cancellation to guard against, yet is 17 % off; the 80-digit
+        # sum disagrees with it.
+        args = (6, (0.3, 0.7, 0.9), (Fraction(4) + Fraction(1, 3 * 10**38), 0.2, 0.1),
+                Fraction(1, 2), Fraction(1, 2))
+        assert phi43_terminating_exact(*args) == float(phi43_exact(*args))
 
 
 class TestQPochhammer:
