@@ -65,7 +65,7 @@ from .qracah import (
     shift_params,
     verify_contiguity,
 )
-from .qseries import phi43_terminating, q_pochhammer
+from .qseries import q_pochhammer
 from .report import CheckReport, CheckResult
 from .spinoracle import (
     SPIN_DIMENSION_CAP,
@@ -115,7 +115,6 @@ __all__ = [
     "qracah_eval",
     "shift_params",
     "verify_contiguity",
-    "phi43_terminating",
     "q_pochhammer",
     "CheckReport",
     "CheckResult",

@@ -477,7 +477,8 @@ def _build_parser():
             cmd.add_argument(
                 "--tol",
                 type=float,
-                help="override the analytic-vs-numeric spectrum tolerance",
+                help="override the 'spectrum' tolerance: the gap that makes spectrum "
+                "exit 4, and verify's analytic-vs-numeric and xx-reduction checks",
             )
         if name == "scan":
             cmd.add_argument("--seed", type=int, help="override the scan seed")

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameterRegime, InvalidShiftedParams
-from .qseries import phi43_terminating, phi43_terminating_exact
+from .qseries import phi43_terminating_exact
 from .report import TOLERANCES, CheckReport
 
 __all__ = [
@@ -93,29 +93,29 @@ def qracah_eval(i, x, params):
     integer grid (the series is defined for any real ``x``); ``i`` must stay
     within ``0..N`` for the series to make sense.
 
-    On integer grid points the series arguments are formed exactly from the
-    (exactly represented) float parameters and the result is the float the
-    exact sum rounds to (:func:`~xychain.qseries.phi43_terminating_exact`),
-    so it stays accurate at degrees where direct float accumulation would
-    lose many digits to cancellation.  Off-grid arguments use the float
-    evaluator.
+    The series arguments are formed from the (exactly represented) float
+    parameters as :class:`fractions.Fraction`; an integer-valued ``x`` is
+    passed as an ``int``, so ``q^{-x}`` stays exact on the grid, while an
+    off-grid ``x`` makes the two ``x``-dependent arguments floats.  Every
+    value is the float the exact sum of those arguments rounds to
+    (:func:`~xychain.qseries.phi43_terminating_exact`), so it stays accurate
+    at degrees where direct float accumulation would lose many digits to
+    cancellation.
     """
     a, b, c, N, q = params.as_tuple()
     if not 0 <= i <= N:
         raise ValueError(f"polynomial degree must satisfy 0 <= i <= N={N}, got {i}")
-    if float(x).is_integer():
-        a, b, c, q = (Fraction(v) for v in (a, b, c, q))
-        return phi43_terminating_exact(i, *_series_args(i, a, b, c, N, q)(int(x)), q, q)
-    return phi43_terminating(i, *_series_args(i, a, b, c, N, q)(x), q, q)
+    a, b, c, q = (Fraction(v) for v in (a, b, c, q))
+    x = int(x) if float(x).is_integer() else x
+    return phi43_terminating_exact(i, *_series_args(i, a, b, c, N, q)(x), q, q)
 
 
 def _series_args(i, a, b, c, N, q):
     """Series parameters of the degree-``i`` polynomial as a function of ``x``.
 
     Returns ``x -> (numerator params, denominator params)``; the factors that
-    do not depend on ``x`` are computed once.  Generic over the number type:
-    ``float`` inputs give the arguments of the float series, ``Fraction``
-    inputs the exact ones, by the same formula.
+    do not depend on ``x`` are computed once.  The parameters are
+    ``Fraction``s, shared by :func:`qracah_eval` and the grids.
     """
     ab = a * b * q ** (i + 1)
     den = (a * q, b * c * q, q ** (-N))

@@ -1,15 +1,14 @@
 """Basic q-series building blocks.
 
-Provides q-Pochhammer symbols and a terminating balanced ``4phi3`` evaluator
-in two forms: the float sum, and :func:`phi43_terminating_exact`, which
-returns the float that the exact sum rounds to.  The second is used where
-catastrophic cancellation in the alternating sum would otherwise contaminate
-downstream certifications.  It carries the sum in stdlib :mod:`decimal` at a
-precision it checks itself: accepted only when the cancellation leaves
-:data:`GUARD_DIGITS` digits and a sum at twice the digits rounds to the same
-float, with the digits doubled up to :data:`PRECISION_CAP` otherwise.  What
-needs exact values (where the series ends, vanishing denominators, an exactly
-zero sum) is decided on the exact arguments.
+Provides q-Pochhammer symbols and the one terminating balanced ``4phi3``
+evaluator, :func:`phi43_terminating_exact`, which returns the float that the
+exact sum rounds to, so catastrophic cancellation in the alternating sum
+never contaminates downstream certifications.  It carries the sum in stdlib
+:mod:`decimal` at a precision it checks itself: accepted only when the
+cancellation leaves :data:`GUARD_DIGITS` digits and a sum at twice the digits
+rounds to the same float, with the digits doubled up to :data:`PRECISION_CAP`
+otherwise.  What needs exact values (where the series ends, vanishing
+denominators, an exactly zero sum) is decided on the exact arguments.
 """
 
 import decimal
@@ -21,7 +20,6 @@ from .errors import ConvergenceFailure, DenominatorVanishes
 
 __all__ = [
     "q_pochhammer",
-    "phi43_terminating",
     "phi43_terminating_exact",
 ]
 
@@ -54,33 +52,47 @@ def q_pochhammer(a, q, k):
     return out
 
 
-def phi43_terminating(i, num_params, den_params, q, z):
-    """Terminating basic hypergeometric series 4phi3.
-
-    Evaluates
+def phi43_terminating_exact(i, num_params, den_params, q, z):
+    """The float nearest to the exact value of the terminating 4phi3 sum
 
         sum_{k=0}^{i} [ (q^{-i};q)_k (a1;q)_k (a2;q)_k (a3;q)_k /
-                        ( (q;q)_k (b1;q)_k (b2;q)_k (b3;q)_k ) ] z^k
+                        ( (q;q)_k (b1;q)_k (b2;q)_k (b3;q)_k ) ] z^k.
 
-    by accumulating successive term ratios, so each term costs O(1) and no
-    large intermediate Pochhammer products are formed.  The series terminates
-    because of the ``q^{-i}`` numerator parameter, which is supplied through
-    ``i`` and never passed explicitly.
+    The series terminates because of the ``q^{-i}`` numerator parameter,
+    which is supplied through ``i`` and never passed explicitly.  The
+    arguments may be floats or :class:`fractions.Fraction`, and both are read
+    exactly as integer ratios.  The decisions that need exact values are
+    taken on those integers: where a numerator factor ends the series and
+    whether a denominator factor vanishes before that.  A factor that merely
+    rounds to zero in a decimal sum therefore neither stops the series nor
+    raises.
 
-    The sum is accumulated in float arithmetic; see
-    :func:`phi43_terminating_exact` for the correctly rounded value.
+    The sum itself is accumulated by successive term ratios in
+    :mod:`decimal` at ``p`` significant digits, starting at
+    :data:`START_DIGITS`.  The ``p``-digit sum is accepted when
+
+    * it is nonzero and keeps at least :data:`GUARD_DIGITS` digits after
+      cancellation, ``p - log10(sum |term_k| / |sum term_k|)``, with the
+      logarithm bounded above by the decimal exponents' difference plus one;
+    * the sum at ``2p`` digits rounds to the same float.
+
+    Otherwise ``p`` doubles.  Agreement of ``p`` and ``2p`` alone is not
+    enough: when cancellation eats more digits than both carry, both sums
+    come out as the same wrong value (often exactly zero).  A series that no
+    pair within :data:`PRECISION_CAP` digits accepts is ``0.0`` if its exact
+    sum is zero (no decimal sum of an exact zero keeps any digits).
 
     Parameters
     ----------
     i : int
         Termination degree (``q^{-i}`` numerator parameter); must be >= 0.
-    num_params : sequence of 3 floats
+    num_params : sequence of 3 floats or Fractions
         The remaining numerator parameters ``(a1, a2, a3)``.
-    den_params : sequence of 3 floats
+    den_params : sequence of 3 floats or Fractions
         Denominator parameters ``(b1, b2, b3)``.
-    q : float
+    q : float or Fraction
         Base, required strictly inside (0, 1).
-    z : float
+    z : float or Fraction
         Argument.
 
     Returns
@@ -94,59 +106,16 @@ def phi43_terminating(i, num_params, den_params, q, z):
         that is still being accumulated.  If a *numerator* factor vanishes
         first at the same ``k``, the series has already terminated and the
         denominator zero is never touched.
-    ArithmeticError
-        If the sum is not finite as a float.
-    """
-    _check_domain(i, q)
-    total = sum(_phi43_terms(i, num_params, den_params, q, z))
-    if not math.isfinite(total):
-        raise ArithmeticError(f"series accumulated a non-finite value: {total}")
-    return total
-
-
-def phi43_terminating_exact(i, num_params, den_params, q, z):
-    """The float nearest to the exact value of the terminating 4phi3 sum.
-
-    Same series as :func:`phi43_terminating`; the arguments may be floats or
-    :class:`fractions.Fraction`, and both are read exactly as integer ratios.
-    The decisions that need exact values are taken on those integers: where
-    a numerator factor ends the series and whether a denominator factor
-    vanishes before that.  A factor that merely rounds to zero in a decimal
-    sum therefore neither stops the series nor raises.
-
-    The sum itself is carried in :mod:`decimal` at ``p`` significant digits,
-    starting at :data:`START_DIGITS`.  The ``p``-digit sum is accepted when
-
-    * it is nonzero and keeps at least :data:`GUARD_DIGITS` digits after
-      cancellation, ``p - log10(sum |term_k| / |sum term_k|)``, with the
-      logarithm bounded above by the decimal exponents' difference plus one;
-    * the sum at ``2p`` digits rounds to the same float.
-
-    Otherwise ``p`` doubles.  Agreement of ``p`` and ``2p`` alone is not
-    enough: when cancellation eats more digits than both carry, both sums
-    come out as the same wrong value (often exactly zero).  A series that no
-    pair within :data:`PRECISION_CAP` digits accepts is ``0.0`` if its exact
-    sum is zero (no decimal sum of an exact zero keeps any digits).
-
-    The direct float accumulation loses digits to cancellation between large
-    alternating terms as the degree grows; callers that feed certification
-    residuals (grid evaluations, relation checks) use this form.
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    DenominatorVanishes
-        As :func:`phi43_terminating`, decided on the exact arguments.
     ConvergenceFailure
         If no ``p``, ``2p`` pair within :data:`PRECISION_CAP` digits is
         accepted and the exact sum is not zero.
     OverflowError
         If the accepted sum is too large for a float.
     """
-    _check_domain(i, q)
+    if i < 0:
+        raise ValueError(f"termination degree must be >= 0, got {i}")
+    if not 0 < q < 1:
+        raise ValueError(f"q must lie strictly inside (0, 1), got {float(q)}")
     # every argument as the (numerator, denominator) of its exact value
     nums = [v.as_integer_ratio() for v in num_params]
     dens = [v.as_integer_ratio() for v in den_params]
@@ -170,13 +139,6 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
     )
 
 
-def _check_domain(i, q):
-    if i < 0:
-        raise ValueError(f"termination degree must be >= 0, got {i}")
-    if not 0 < q < 1:
-        raise ValueError(f"q must lie strictly inside (0, 1), got {float(q)}")
-
-
 def _exact_steps(i, nums, dens, q):
     """Steps of the series loop before a numerator factor ends it.
 
@@ -186,8 +148,8 @@ def _exact_steps(i, nums, dens, q):
     terms with positive denominators, so that is ``(n, d) == (qd^k, qn^k)``,
     compared without multiplying.  The factors ``1 - q^(k-i)`` and
     ``1 - q^(k+1)`` never vanish inside the loop.  Raises
-    :class:`DenominatorVanishes` with the ``k`` and parameter at which the
-    loop itself would raise.
+    :class:`DenominatorVanishes` with the ``k`` and parameter of the first
+    denominator factor that vanishes exactly before the series ends.
     """
     (qn, qd), nums, dens = q, set(nums), set(dens)
     qn_k = qd_k = 1
@@ -241,34 +203,24 @@ def _decimal_sum(digits, i, nums, dens, q, z, steps):
     return float(total), total != 0 and digits - lost >= GUARD_DIGITS
 
 
-def _phi43_terms(i, num_params, den_params, q, z, steps=None):
-    """Terms of the 4phi3 sum, the leading 1 first: the one term recurrence
-    of both entry points, generic over the number type (float, Decimal, or
-    Fraction for the exact zero test).
+def _phi43_terms(i, num_params, den_params, q, z, steps):
+    """Terms of the 4phi3 sum, the leading 1 first: the one term recurrence,
+    generic over the number type (Decimal for the checked sums, Fraction for
+    the exact zero test).
 
-    With ``steps=None`` (the float route) the loop decides termination and
-    vanishing denominators on the computed factors.  The decimal route passes
-    the number of steps decided beforehand on the exact arguments (see
-    :func:`_exact_steps`), so a factor that only rounds to zero neither
-    stops the loop nor raises.
+    The loop runs the ``steps`` decided beforehand on the exact arguments
+    (see :func:`_exact_steps`), so a factor that only rounds to zero neither
+    stops it nor raises.
     """
     a1, a2, a3 = num_params
     b1, b2, b3 = den_params
     term = qk = q**0  # 1 in the number type of q
     q_ki = q**-i  # q^(k-i), carried along like q^k
     yield term
-    for k in range(i if steps is None else steps):
+    for _ in range(steps):
         num = (1 - q_ki) * (1 - a1 * qk) * (1 - a2 * qk) * (1 - a3 * qk)
-        if steps is None and num == 0:
-            # a numerator factor hit zero: every later term vanishes too
-            return
         qk_next = qk * q
-        factors = (1 - qk_next, 1 - b1 * qk, 1 - b2 * qk, 1 - b3 * qk)
-        den = factors[0] * factors[1] * factors[2] * factors[3]
-        if steps is None and den == 0:
-            for p, f in zip((q, b1, b2, b3), factors):
-                if f == 0:
-                    raise DenominatorVanishes(k, float(p))
+        den = (1 - qk_next) * (1 - b1 * qk) * (1 - b2 * qk) * (1 - b3 * qk)
         term *= num * z / den
         yield term
         qk = qk_next

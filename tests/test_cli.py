@@ -444,6 +444,8 @@ class TestRegimeErrors:
         "coupling-overflow": {"a": 1e-200, "b": 1e-200, "c": 0.3, "q": 0.9999999999, "N": 1},
         # the closed-form spectrum deviates from the eigenvalue-product route
         "spectrum-crosscheck": {"a": 1e-160, "b": 1e-160, "c": 1e-160, "q": 0.9999999999, "N": 1},
+        # the smallest Lambda (1.4e-9) is below the zero-mode cut but not zero
+        "near-zero-mode": {"a": 0.5, "b": -0.5, "c": 0.0, "q": 1e-06, "N": 4},
     }
 
     @pytest.mark.parametrize("point", sorted(EXTREME_POINTS))

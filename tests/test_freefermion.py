@@ -107,6 +107,28 @@ class TestEigendecompose:
         assert spectral.ortho_error < 1e-12
 
 
+    def test_near_zero_modes_on_graded_chains(self):
+        # Couplings falling geometrically along the chain give modes below
+        # the zero-mode cut that are not exact zeros; 8 of these 20 chains
+        # once paired more zero-mode columns than they had modes.
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            decay = 10.0 ** -rng.uniform(1, 4)
+            chain = ChainSpec(
+                alpha=rng.uniform(-1, 1, n - 1) * decay ** np.arange(n - 1),
+                beta=rng.uniform(-1, 1, n) * decay ** np.arange(n),
+                gamma=rng.uniform(-1, 1, n - 1) * decay ** np.arange(n - 1),
+            )
+            system = assemble(chain)
+            spectral = eigendecompose(system)
+            assert spectral.Psi.shape == spectral.Phi.shape == (n, n)
+            oracle = np.linalg.eigvalsh(system.H)[n:]
+            scale = max(1.0, float(np.max(oracle)))
+            assert np.max(np.abs(spectral.lambda_numeric - oracle)) < 1e-12 * scale
+            assert spectral.eigen_residual < 1e-10
+
+
 class TestSingularValueCheck:
     def test_report_passes_on_random_chains(self, rng):
         for n in (2, 5, 7):
@@ -122,6 +144,14 @@ class TestSingularValueCheck:
         oracle = np.sort(np.linalg.svd(system.A + system.B, compute_uv=False))
         scale = max(1.0, float(oracle[-1]))
         assert np.max(np.abs(oracle - spectral.lambda_numeric)) < 1e-12 * scale
+
+
+    def test_huge_coupling_does_not_overflow_the_gram_product(self):
+        # (A + B)^T (A + B) would hold 1e400; the singular values do not.
+        chain = ChainSpec(alpha=[1e200, 1.0, 1.0], beta=[0.0] * 4, gamma=[0.0] * 3)
+        with np.errstate(over="ignore"):  # tau^2 = inf in a Jacobi angle gives t = 0
+            report = singular_value_check(eigendecompose(assemble(chain)))
+        assert report.passed, report.checks
 
 
 class TestXXReductionCheck:

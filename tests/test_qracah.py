@@ -8,10 +8,9 @@ three-term relations with the package's coefficient tables.
 import dataclasses
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from exact_oracles import qracah_exact, relation_residuals_exact, shift_exact
+from exact_oracles import phi43_exact, qracah_exact, relation_residuals_exact, shift_exact
 from helpers import QR13_CHAIN, QR24_DEFAULT
 from xychain.errors import InvalidParameterRegime, InvalidShiftedParams
 from xychain.qracah import (
@@ -130,8 +129,14 @@ class TestPolynomialValues:
             qracah_eval(POLY_POINT.N + 1, 0, POLY_POINT)
 
     def test_off_grid_argument_allowed(self):
-        value = qracah_eval(2, 1.5, POLY_POINT)
-        assert np.isfinite(value)
+        # Off the grid q^-x and c q^(x-N) are floats; the value is the float
+        # the exact sum of those very arguments rounds to.
+        a, b, c, N, q = POLY_POINT.as_tuple()
+        a, b, c, q = (Fraction(v) for v in (a, b, c, q))
+        i, x = 2, 1.5
+        nums = (a * b * q ** (i + 1), q ** (-x), c * q ** (x - N))
+        exact = phi43_exact(i, nums, (a * q, b * c * q, q ** (-N)), q, q)
+        assert qracah_eval(i, x, POLY_POINT) == float(exact)
 
 
 class TestDegreeStructure:

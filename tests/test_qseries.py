@@ -1,8 +1,9 @@
 """Tests for the terminating basic hypergeometric series.
 
 The primary oracle is an exact-rational reimplementation
-(:mod:`exact_oracles`); float inputs are converted to Fractions exactly, so
-any disagreement beyond accumulated rounding is a real bug.
+(:mod:`exact_oracles`); float inputs are converted to Fractions exactly, and
+the evaluator returns the float the exact sum rounds to, so any disagreement
+at all is a real bug.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from exact_oracles import phi43_exact
 from xychain.errors import DenominatorVanishes
-from xychain.qseries import phi43_terminating, phi43_terminating_exact, q_pochhammer
+from xychain.qseries import phi43_terminating_exact, q_pochhammer
 
 # (i, numerator params, denominator params, q, z) exercising long products,
 # mixed signs, and parameters of magnitude > 1.
@@ -30,16 +31,11 @@ FROZEN_VALUES = [-4.0, 4037579.0665726066, -16108209.864902496]
 class TestAgainstExactRational:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_exact_oracle(self, case):
-        i, nums, dens, q, z = case
-        exact = float(phi43_exact(i, nums, dens, q, z))
-        got = phi43_terminating(i, nums, dens, q, z)
-        assert got == pytest.approx(exact, rel=5e-13)
-        assert phi43_terminating_exact(i, nums, dens, q, z) == exact
+        assert phi43_terminating_exact(*case) == float(phi43_exact(*case))
 
     @pytest.mark.parametrize("case, frozen", list(zip(ORACLE_CASES, FROZEN_VALUES)))
     def test_frozen_regression_values(self, case, frozen):
-        got = phi43_terminating(*case)
-        assert got == pytest.approx(frozen, rel=1e-12)
+        assert phi43_terminating_exact(*case) == pytest.approx(frozen, rel=1e-12)
 
     def test_random_parameters_match_oracle(self, rng):
         for _ in range(25):
@@ -49,67 +45,59 @@ class TestAgainstExactRational:
             q = float(rng.uniform(0.3, 0.9))
             z = float(rng.uniform(-0.9, 0.9))
             exact = float(phi43_exact(i, nums, dens, q, z))
-            got = phi43_terminating(i, nums, dens, q, z)
-            assert got == pytest.approx(exact, rel=1e-11, abs=1e-11)
+            assert phi43_terminating_exact(i, nums, dens, q, z) == exact
 
 
 class TestStructure:
     def test_degree_zero_is_one(self):
-        assert phi43_terminating(0, (0.3, -0.5, 2.0), (0.2, 0.4, 0.6), 0.5, 0.8) == 1.0
+        assert phi43_terminating_exact(0, (0.3, -0.5, 2.0), (0.2, 0.4, 0.6), 0.5, 0.8) == 1.0
 
     def test_zero_argument_is_one(self):
-        assert phi43_terminating(6, (0.3, -0.5, 2.0), (0.2, 0.4, 0.6), 0.5, 0.0) == 1.0
+        assert phi43_terminating_exact(6, (0.3, -0.5, 2.0), (0.2, 0.4, 0.6), 0.5, 0.0) == 1.0
 
     def test_degree_one_single_step(self):
         nums, dens, q, z = (0.25, -0.5, 0.75), (0.125, 0.375, -0.625), 0.5, 0.5
-        expected = 1.0 + (
-            (1 - q**-1) * (1 - nums[0]) * (1 - nums[1]) * (1 - nums[2])
-            / ((1 - q) * (1 - dens[0]) * (1 - dens[1]) * (1 - dens[2]))
-        ) * z
-        assert phi43_terminating(1, nums, dens, q, z) == pytest.approx(expected, rel=1e-15)
+        n, d = [Fraction(v) for v in nums], [Fraction(v) for v in dens]
+        expected = 1 + (
+            (1 - 1 / Fraction(q)) * (1 - n[0]) * (1 - n[1]) * (1 - n[2])
+            / ((1 - Fraction(q)) * (1 - d[0]) * (1 - d[1]) * (1 - d[2]))
+        ) * Fraction(z)
+        assert phi43_terminating_exact(1, nums, dens, q, z) == float(expected)
 
     def test_vanishing_numerator_truncates_early(self):
         # A numerator parameter equal to q^-2 kills every term with k >= 3, so
         # a denominator zero that would occur at k = 4 is never reached.
         q = 0.5
-        value = phi43_terminating(9, (q**-3, 0.3, 0.5), (q**-4, 0.2, 0.1), q, 0.7)
-        exact_args = (9, (Fraction(8), Fraction(3, 10), Fraction(1, 2)),
-                      (Fraction(16), Fraction(1, 5), Fraction(1, 10)),
-                      Fraction(1, 2), Fraction(7, 10))
-        exact = float(phi43_exact(*exact_args))
-        assert value == pytest.approx(exact, rel=1e-13)
-        assert phi43_terminating_exact(*exact_args) == exact
+        args = (9, (q**-3, 0.3, 0.5), (q**-4, 0.2, 0.1), q, 0.7)
+        assert phi43_terminating_exact(*args) == float(phi43_exact(*args))
 
     def test_invalid_inputs_rejected(self):
-        for evaluate in (phi43_terminating, phi43_terminating_exact):
+        with pytest.raises(ValueError):
+            phi43_terminating_exact(-1, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), 0.5, 0.5)
+        for q in (0.0, 1.0, 1.5, -0.5):
             with pytest.raises(ValueError):
-                evaluate(-1, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), 0.5, 0.5)
-            for q in (0.0, 1.0, 1.5, -0.5):
-                with pytest.raises(ValueError):
-                    evaluate(2, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), q, 0.5)
+                phi43_terminating_exact(2, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), q, 0.5)
 
 
 class TestDenominatorVanishes:
-    """Both evaluators report the same step and parameter; the exact one
-    decides on its exact arguments."""
+    """The step and parameter of an exactly vanishing denominator factor are
+    decided on the exact arguments."""
 
     def test_reports_offending_step_and_parameter(self):
         # With q = 1/2 the denominator factor 1 - 4 * q^k hits exact zero at
         # k = 2 (powers of two are exact in binary floats).
-        for evaluate in (phi43_terminating, phi43_terminating_exact):
-            with pytest.raises(DenominatorVanishes) as excinfo:
-                evaluate(6, (0.3, 0.7, 0.9), (4.0, 0.2, 0.1), 0.5, 0.5)
-            assert excinfo.value.k == 2
-            assert excinfo.value.param == 4.0
+        with pytest.raises(DenominatorVanishes) as excinfo:
+            phi43_terminating_exact(6, (0.3, 0.7, 0.9), (4.0, 0.2, 0.1), 0.5, 0.5)
+        assert excinfo.value.k == 2
+        assert excinfo.value.param == 4.0
 
     def test_q_power_denominator_also_detected(self):
         # The (q; q)_k factor itself cannot vanish for 0 < q < 1, but a
         # denominator parameter exactly equal to 1 vanishes at k = 0.
-        for evaluate in (phi43_terminating, phi43_terminating_exact):
-            with pytest.raises(DenominatorVanishes) as excinfo:
-                evaluate(3, (0.3, 0.7, 0.9), (1.0, 0.2, 0.1), 0.5, 0.5)
-            assert excinfo.value.k == 0
-            assert excinfo.value.param == 1.0
+        with pytest.raises(DenominatorVanishes) as excinfo:
+            phi43_terminating_exact(3, (0.3, 0.7, 0.9), (1.0, 0.2, 0.1), 0.5, 0.5)
+        assert excinfo.value.k == 0
+        assert excinfo.value.param == 1.0
 
 
 class TestExactDecisions:
@@ -191,7 +179,8 @@ class TestIndexArgumentSymmetry:
     )
     @settings(max_examples=150, deadline=None)
     def test_swap_index_with_numerator_power(self, i, x, a1, a2, d, q, z):
-        first = phi43_terminating(i, (a1, q ** (-x), a2), d, q, z)
-        second = phi43_terminating(x, (a1, q ** (-i), a2), d, q, z)
-        scale = max(1.0, abs(first), abs(second))
-        assert abs(first - second) <= 1e-7 * scale
+        # q^-x and q^-i exact, so both are the same exact sum
+        q = Fraction(q)
+        first = phi43_terminating_exact(i, (a1, q ** (-x), a2), d, q, z)
+        second = phi43_terminating_exact(x, (a1, q ** (-i), a2), d, q, z)
+        assert first == second
