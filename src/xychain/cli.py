@@ -41,15 +41,7 @@ from .chain import (
     build_pq_table,
     parameter_scan,
 )
-from .errors import (
-    ConfigError,
-    ConvergenceFailure,
-    DenominatorVanishes,
-    InvalidParameterRegime,
-    InvalidShiftedParams,
-    NoValidParameters,
-    SizeCapExceeded,
-)
+from .errors import ConfigError, InvalidParameterRegime, SizeCapExceeded, XYChainError
 from .freefermion import (
     analytic_vs_numeric,
     assemble,
@@ -68,14 +60,6 @@ _COMMON_KEYS = {"family", "seed", "tolerances", "note"}
 _QRACAH_KEYS = {"a", "b", "c", "q", "N"}
 _EXPLICIT_KEYS = {"N", "alpha", "beta", "gamma"}
 _SCAN_KEYS = {"N", "ranges", "samples", "level"}
-
-_REGIME_ERRORS = (
-    InvalidParameterRegime,
-    InvalidShiftedParams,
-    DenominatorVanishes,
-    NoValidParameters,
-    ConvergenceFailure,
-)
 
 
 def _require(config, key, kinds, kind_name):
@@ -257,18 +241,6 @@ def _config_hash(config):
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _format_cell(value):
-    if isinstance(value, float):  # first: nearly every cell is one
-        return repr(float(value))
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _open_out(path):
     """The file at ``path`` opened for writing, or stdout when ``path`` is None."""
     if path is None:
@@ -277,14 +249,16 @@ def _open_out(path):
 
 
 def _write_csv(handle, config, columns, rows, comments=()):
+    """Header comments, then ``columns`` and ``rows`` as CSV.  Cells are plain
+    Python values (``.tolist()``, not numpy scalars): ``csv`` writes a float
+    as its ``repr``, an int with ``str`` and ``None`` as an empty cell."""
     handle.write(f"# xychain {__version__}\n")
     handle.write(f"# config sha256 {_config_hash(config)}\n")
     for comment in comments:
         handle.write(f"# {comment}\n")
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(cell) for cell in row])
+    writer.writerows(rows)
 
 
 def cmd_spectrum(config, out_path, tol=None):
@@ -292,7 +266,7 @@ def cmd_spectrum(config, out_path, tol=None):
     coeffs = _coeffs_from_config(config)
     chain = _chain_from_config(config, coeffs)
     spectral = eigendecompose(assemble(chain))
-    lam_num = spectral.lambda_numeric
+    lam_num = spectral.lambda_numeric.tolist()
     gap_tol = _tolerances(config, tol)["spectrum"]
     failed = False
     rows = []
@@ -303,7 +277,7 @@ def cmd_spectrum(config, out_path, tol=None):
         lam_ana = analytic_spectrum(coeffs)
         position = np.empty(lam_ana.size, dtype=int)
         position[np.argsort(lam_ana, kind="stable")] = np.arange(lam_ana.size)
-        for j, value in enumerate(lam_ana):
+        for j, value in enumerate(lam_ana.tolist()):
             numeric = lam_num[position[j]]
             gap = abs(value - numeric) / max(1.0, abs(value))
             failed = failed or gap > gap_tol
@@ -316,12 +290,12 @@ def cmd_spectrum(config, out_path, tol=None):
 def cmd_chain_coeffs(config, out_path):
     """Write coupling rows ``j, alpha_j, beta_j, gamma_j``."""
     chain = _chain_from_config(config, _coeffs_from_config(config))
-    rows = []
-    for j in range(chain.n_sites):
-        last = j == chain.N
-        rows.append(
-            (j, None if last else chain.alpha[j], chain.beta[j], None if last else chain.gamma[j])
-        )
+    rows = zip(
+        range(chain.n_sites),
+        chain.alpha.tolist() + [None],
+        chain.beta.tolist(),
+        chain.gamma.tolist() + [None],
+    )
     comments = []
     if chain.is_xx():
         comments.append("XX reduction: gamma identically zero")
@@ -335,7 +309,7 @@ def cmd_manybody(config, out_path):
     chain = _chain_from_config(config, _coeffs_from_config(config))
     spectral = eigendecompose(assemble(chain))
     spectrum = many_body_spectrum(spectral.lambda_numeric)
-    rows = list(zip((int(m) for m in spectrum.masks), spectrum.energies))
+    rows = zip(spectrum.masks.tolist(), spectrum.energies.tolist())
     with _open_out(out_path) as handle:
         _write_csv(handle, config, ("mask", "energy"), rows)
     return 0
@@ -509,7 +483,7 @@ def main(argv=None):
     except (ConfigError, SizeCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _REGIME_ERRORS as exc:
+    except XYChainError as exc:  # every other domain error is a regime error
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:  # float overflow or underflow to zero

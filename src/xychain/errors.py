@@ -17,15 +17,13 @@ class DenominatorVanishes(XYChainError):
     see which factor ``(1 - p q^k)`` vanished.
     """
 
-    def __init__(self, k, param, message=None):
+    def __init__(self, k, param):
         self.k = k
         self.param = param
-        if message is None:
-            message = (
-                f"denominator q-Pochhammer factor (1 - p*q^k) vanishes at "
-                f"k={k} for p={param!r}"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"denominator q-Pochhammer factor (1 - p*q^k) vanishes at "
+            f"k={k} for p={param!r}"
+        )
 
 
 class InvalidShiftedParams(XYChainError):

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from helpers import CONFIG_DIR, QR24_BOX
-from xychain import chain, qracah, qseries
+from xychain import chain, cli, qracah, qseries
 from xychain.chain import validate_draw
 from xychain.cli import main
+from xychain.errors import XYChainError
+from xychain.freefermion import assemble, eigendecompose, many_body_spectrum
 
 QR24_CONFIG = {
     "family": "qr24", "a": -0.3, "b": 0.3, "c": -0.8, "q": 0.7, "N": 4,
@@ -144,6 +146,13 @@ class TestChainCoeffs:
         _, rows = parse_csv(capsys.readouterr().out)
         assert rows[-1]["alpha"] == "" and rows[-1]["gamma"] == ""
         assert float(rows[-1]["beta"]) > 0
+        params = {k: v for k, v in QR24_CONFIG.items() if k != "family"}
+        built = chain.build_chain(
+            qracah.contiguity_coefficients("qr24", qracah.QRacahParams(**params))
+        )
+        assert [float(r["alpha"]) for r in rows[:-1]] == built.alpha.tolist()
+        assert [float(r["beta"]) for r in rows] == built.beta.tolist()
+        assert [float(r["gamma"]) for r in rows[:-1]] == built.gamma.tolist()
 
     def test_xx_reduction_note(self, tmp_path, capsys):
         path = write_config(tmp_path, XX_CONFIG)
@@ -219,6 +228,11 @@ class TestManybody:
         energies = [float(r["energy"]) for r in rows]
         assert energies == sorted(energies)
         assert sorted(int(r["mask"]) for r in rows) == list(range(8))
+        couplings = {k: XX_CONFIG[k] for k in ("alpha", "beta", "gamma")}
+        spectral = eigendecompose(assemble(chain.ChainSpec(**couplings)))
+        expected = many_body_spectrum(spectral.lambda_numeric)
+        assert [int(r["mask"]) for r in rows] == expected.masks.tolist()
+        assert energies == expected.energies.tolist()
 
     def test_mode_cap_is_config_error(self, tmp_path):
         over_cap = {
@@ -457,6 +471,20 @@ class TestRegimeErrors:
             err = capsys.readouterr().err
             if code in (2, 3):
                 assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_any_domain_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        class NewDomainError(XYChainError):
+            pass
+
+        def raise_new(*args, **kwargs):
+            raise NewDomainError("a domain error the CLI has never seen")
+
+        monkeypatch.setattr(cli, "build_chain", raise_new)
+        path = write_config(tmp_path, QR24_CONFIG)
+        assert main(["chain-coeffs", "--config", path]) == 3
+        assert capsys.readouterr().err == (
+            "error: a domain error the CLI has never seen\n"
+        )
 
     @pytest.mark.parametrize(
         "point, entry",
