@@ -9,7 +9,8 @@ numerical oracles:
   the three-term relations that encode the chain.
 - :mod:`xychain.chain` — chain construction, closed-form spectra, P/Q
   eigenvector tables, and parameter scans.
-- :mod:`xychain.linalg` — self-contained Jacobi eigensolver.
+- :mod:`xychain.linalg` — self-contained eigensolvers: Jacobi for the
+  free-fermion path, Householder and Sturm bisection for the spin oracle.
 - :mod:`xychain.freefermion` — doubled one-particle matrix, numeric
   diagonalization, many-body spectra, and cross-checks.
 - :mod:`xychain.spinoracle` — brute-force spin-chain Hamiltonian oracle.
@@ -53,7 +54,7 @@ from .freefermion import (
     singular_value_check,
     xx_reduction_check,
 )
-from .linalg import jacobi_eigh
+from .linalg import jacobi_eigh, sturm_eigvalsh
 from .qracah import (
     FAMILIES,
     ContiguityCoefficients,
@@ -106,6 +107,7 @@ __all__ = [
     "singular_value_check",
     "xx_reduction_check",
     "jacobi_eigh",
+    "sturm_eigvalsh",
     "FAMILIES",
     "ContiguityCoefficients",
     "QRacahParams",

@@ -329,8 +329,11 @@ def validate_draw(family, params, level="full", relation_tol=TOLERANCES["relatio
     return True, ""
 
 
-def _draw_value(rng, spec, label):
-    """Draw one value from a range tuple ``(lo, hi)`` or a choice list."""
+def _sampler(rng, spec, label):
+    """Check a ``(lo, hi)`` range or a choice list; return a function drawing from it.
+
+    The spec is checked once here, so each draw only consumes ``rng``.
+    """
     values = np.atleast_1d(np.asarray(spec, dtype=float))
     if not np.all(np.isfinite(values)):
         raise ValueError(f"range for {label} must be finite, got {spec!r}")
@@ -338,8 +341,8 @@ def _draw_value(rng, spec, label):
         lo, hi = float(values[0]), float(values[1])
         if hi < lo:
             raise ValueError(f"range for {label} has hi < lo: {spec!r}")
-        return float(rng.uniform(lo, hi))
-    return float(values[rng.integers(values.size)])
+        return lambda: float(rng.uniform(lo, hi))
+    return lambda: float(values[rng.integers(values.size)])
 
 
 def parameter_scan(family, ranges, N, samples, seed=0, level="full",
@@ -370,6 +373,9 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full",
 
     Raises
     ------
+    ValueError
+        If ``samples < 1``, a key of ``ranges`` is missing, or a range has a
+        non-finite entry or ``hi < lo``; checked before the first draw.
     NoValidParameters
         If no draw passes; the message suggests widening the box.
     """
@@ -379,9 +385,10 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full",
     if missing:
         raise ValueError(f"ranges is missing keys: {sorted(missing)}")
     rng = np.random.default_rng(seed)
+    samplers = {label: _sampler(rng, ranges[label], label) for label in ("a", "b", "c", "q")}
     hits = []
     for _ in range(samples):
-        draw = {label: _draw_value(rng, ranges[label], label) for label in ("a", "b", "c", "q")}
+        draw = {label: sample() for label, sample in samplers.items()}
         try:
             params = QRacahParams(draw["a"], draw["b"], draw["c"], int(N), draw["q"])
         except InvalidParameterRegime:

@@ -1,17 +1,20 @@
 """Brute-force spin-space oracle for small chains.
 
 Builds the full ``2^(N+1)``-dimensional Hamiltonian of the open XY chain as a
-dense real symmetric matrix and diagonalizes it exactly, one decoupled block
+dense real symmetric matrix and finds its whole spectrum, one decoupled block
 at a time.  Comparing its spectrum with the free-fermion many-body enumeration
 certifies the entire fermionic solution end-to-end for arbitrary couplings,
-which is the ground truth every analytic claim ultimately rests on.
+which is the ground truth every analytic claim ultimately rests on.  The
+eigenvalues come from :func:`xychain.linalg.sturm_eigvalsh` (Householder
+tridiagonalization and Sturm bisection), which shares no code with the
+free-fermion path's Jacobi solver.
 """
 
 import numpy as np
 
 from .errors import SizeCapExceeded
 from .freefermion import many_body_spectrum
-from .linalg import jacobi_eigh
+from .linalg import sturm_eigvalsh
 from .report import TOLERANCES, CheckReport
 
 __all__ = [
@@ -35,7 +38,7 @@ def build_spin_hamiltonian(chain):
     flips both of its bits: ``xx`` and ``yy`` add up to ``2 alpha_j`` between
     states whose two bits differ and to ``2 gamma_j`` between states whose
     two bits agree, so the result is a real symmetric matrix suitable for the
-    in-repo eigensolver.
+    in-repo eigensolvers.
 
     Raises
     ------
@@ -83,19 +86,16 @@ def _coupled_blocks(matrix):
 
 
 def oracle_spectrum(hamiltonian):
-    """Full spin-space spectrum, ascending, via the in-repo eigensolver.
+    """Full spin-space spectrum, ascending, via :func:`sturm_eigvalsh`.
 
     Entries between different connected components of the nonzero pattern
-    are zero, so each component is diagonalized on its own and the union of
-    their eigenvalues is the whole spectrum.  On the XY chain the components
-    are the two parity sectors, and the magnetization sectors when
-    ``gamma = 0``.
+    are zero, so each component is solved on its own and the union of their
+    eigenvalues is the whole spectrum.  On the XY chain the components are
+    the two parity sectors, and the magnetization sectors when ``gamma = 0``;
+    one solver call bisects the eigenvalues of all of them together.
     """
-    values = [
-        jacobi_eigh(hamiltonian[np.ix_(block, block)])[0]
-        for block in _coupled_blocks(hamiltonian)
-    ]
-    return np.sort(np.concatenate(values))
+    blocks = (hamiltonian[np.ix_(block, block)] for block in _coupled_blocks(hamiltonian))
+    return np.sort(np.concatenate(sturm_eigvalsh(blocks)))
 
 
 def jw_certify(chain, spectral, tol_factor=TOLERANCES["jw"]):

@@ -300,3 +300,31 @@ class TestParameterScan:
     def test_missing_range_key_rejected(self):
         with pytest.raises(ValueError, match="ranges"):
             parameter_scan("qr24", {"a": [-0.5, -0.1]}, N=4, samples=10)
+
+    @pytest.mark.parametrize(
+        ("label", "spec", "message"),
+        [
+            ("a", [-0.9, float("nan")], "range for a must be finite"),
+            ("c", [float("-inf"), -0.1], "range for c must be finite"),
+            ("q", [0.3, float("inf"), 0.7], "range for q must be finite"),
+            ("b", [0.9, 0.05], "range for b has hi < lo"),
+        ],
+    )
+    def test_bad_range_rejected_when_called_directly(self, label, spec, message):
+        # The CLI checks ranges in load_config; a direct call must still
+        # refuse them rather than draw from them.
+        with pytest.raises(ValueError, match=message):
+            parameter_scan("qr24", {**QR24_BOX, label: spec}, N=4, samples=10)
+
+    def test_draws_follow_the_generator_stream(self):
+        # Each draw takes a, b, c uniformly and then one q choice from one
+        # generator, in that order; the kept draws are a subsequence.
+        rng = np.random.default_rng(5)
+        stream = []
+        for _ in range(40):
+            a, b, c = (float(rng.uniform(*QR24_BOX[key])) for key in ("a", "b", "c"))
+            q = QR24_BOX["q"][rng.integers(len(QR24_BOX["q"]))]
+            stream.append((a, b, c, 4, q))
+        draws = parameter_scan("qr24", QR24_BOX, N=4, samples=40, seed=5, level="couplings")
+        kept = iter(stream)
+        assert draws and all(p.as_tuple() in kept for p in draws)

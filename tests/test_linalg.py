@@ -1,4 +1,4 @@
-"""Tests for the self-contained Jacobi eigensolver.
+"""Tests for the self-contained eigensolvers: Jacobi and Sturm bisection.
 
 Oracle: ``numpy.linalg.eigh`` (kept out of the library's computational path
 precisely so it can serve as an independent reference here).
@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from xychain.errors import ConvergenceFailure
-from xychain.linalg import _tournament, jacobi_eigh, offdiag_max
+from xychain.linalg import (
+    _householder_tridiagonal,
+    _tournament,
+    jacobi_eigh,
+    offdiag_max,
+    sturm_eigvalsh,
+)
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -148,3 +154,107 @@ class TestOffdiagMax:
 
     def test_zero_for_diagonal(self):
         assert offdiag_max(np.diag([1.0, 2.0])) == 0.0
+
+
+def assert_matches_eigvalsh(values, matrix):
+    """Ascending and within 1e-12 of the spectral radius of ``numpy.linalg.eigvalsh``."""
+    expected = np.linalg.eigvalsh(matrix)
+    scale = float(np.max(np.abs(expected), initial=0.0))
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * scale)
+    assert np.all(np.diff(values) >= 0)
+
+
+class TestSturmEigvalsh:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 129])
+    def test_random_symmetric(self, rng, n):
+        matrix = random_symmetric(rng, n)
+        assert_matches_eigvalsh(sturm_eigvalsh([matrix])[0], matrix)
+
+    def test_zero_matrix(self):
+        np.testing.assert_array_equal(sturm_eigvalsh([np.zeros((4, 4))])[0], np.zeros(4))
+
+    def test_diagonal_matrix_skips_every_reflection(self):
+        # The midpoint 0 of the Gershgorin interval [-1, 1] makes the first
+        # pivot exactly zero, and the next coupling is zero too: without the
+        # pivot guard that is 0 / 0 and the count is lost.
+        matrix = np.diag([0.0, -1.0, 1.0, 0.5, -0.25])
+        exponent, diag, off = _householder_tridiagonal(matrix)
+        np.testing.assert_array_equal(np.ldexp(diag, exponent), np.diag(matrix))
+        np.testing.assert_array_equal(off, np.zeros(5))
+        assert_matches_eigvalsh(sturm_eigvalsh([matrix])[0], matrix)
+
+    def test_zero_coupling_mid_way(self, rng):
+        # A tridiagonal input is already reduced; the zero splits it in two.
+        diag = rng.uniform(-2, 2, 9)
+        off = rng.uniform(0.1, 1.5, 8)
+        off[4] = 0.0
+        matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        _, _, coupling = _householder_tridiagonal(matrix)
+        assert coupling[5] == 0.0
+        assert_matches_eigvalsh(sturm_eigvalsh([matrix])[0], matrix)
+
+    @pytest.mark.parametrize(
+        ("matrix", "eigenvalues"),
+        [
+            # Gershgorin interval [-7, 7]: the first midpoint is the
+            # eigenvalue 0 and the first pivot is exactly zero.
+            ([[0, 3, 0], [3, 0, 4], [0, 4, 0]], [-5, 0, 5]),
+            # not tridiagonal, so the reflections run: eigenvalues 2 +- 1, 2 +- 3
+            ([[2, 1, 0, 3], [1, 2, 3, 0], [0, 3, 2, 1], [3, 0, 1, 2]], [-2, 0, 4, 6]),
+        ],
+    )
+    def test_integer_matrix_with_integer_eigenvalues(self, matrix, eigenvalues):
+        matrix = np.array(matrix, dtype=float)
+        values = sturm_eigvalsh([matrix])[0]
+        scale = max(map(abs, eigenvalues))
+        np.testing.assert_allclose(values, eigenvalues, rtol=0, atol=1e-12 * scale)
+
+    def test_exact_degeneracy(self, rng):
+        # identity plus rank one: 1 repeated n - 1 times, and 1 + |u|^2
+        u = rng.normal(size=12)
+        matrix = np.eye(12) + np.outer(u, u)
+        values = sturm_eigvalsh([matrix])[0]
+        assert_matches_eigvalsh(values, matrix)
+        np.testing.assert_allclose(values[:-1], 1.0, rtol=0, atol=1e-12 * values[-1])
+
+    def test_graded_matrix(self, rng):
+        grading = np.diag(10.0 ** -np.arange(10))
+        matrix = grading @ random_symmetric(rng, 10) @ grading
+        assert_matches_eigvalsh(sturm_eigvalsh([matrix])[0], matrix)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scales(self, rng, scale):
+        # scaled by a power of two first, so no square overflows or vanishes
+        matrix = random_symmetric(rng, 6, scale=scale)
+        assert_matches_eigvalsh(sturm_eigvalsh([matrix])[0], matrix)
+
+    def test_blocks_in_one_call_equal_separate_calls(self, rng):
+        matrices = [
+            random_symmetric(rng, 9),
+            np.zeros((0, 0)),
+            np.array([[2.5]]),
+            np.diag([0.0, -1.0, 1.0]),
+            random_symmetric(rng, 31, scale=1e3),
+            np.eye(4) + 1.0,
+        ]
+        together = sturm_eigvalsh(matrices)
+        assert len(together) == len(matrices)
+        for values, matrix in zip(together, matrices):
+            np.testing.assert_array_equal(values, sturm_eigvalsh([matrix])[0])
+            if matrix.size:
+                assert_matches_eigvalsh(values, matrix)
+        assert sturm_eigvalsh([]) == []
+
+    def test_input_not_mutated(self, rng):
+        matrix = random_symmetric(rng, 5)
+        copy = matrix.copy()
+        sturm_eigvalsh([matrix])
+        np.testing.assert_array_equal(matrix, copy)
+
+    def test_non_square_rejected(self, rng):
+        with pytest.raises(ValueError, match="square"):
+            sturm_eigvalsh([random_symmetric(rng, 2), np.zeros((3, 4))])
+
+    def test_non_symmetric_rejected(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            sturm_eigvalsh([np.eye(2), np.array([[1.0, 2.0], [0.5, 1.0]])])

@@ -6,12 +6,14 @@ spectra.  ``jw_certify`` is itself a certification; here we certify the
 certifier on cases small enough to check by hand.
 """
 
+import sys
 from math import comb
 
 import numpy as np
 import pytest
 
 from helpers import QR13_CHAIN, QR24_DEFAULT, random_chain
+from xychain import linalg
 from xychain.chain import ChainSpec, build_chain
 from xychain.errors import SizeCapExceeded
 from xychain.freefermion import assemble, eigendecompose, many_body_spectrum
@@ -57,6 +59,20 @@ def model_chain(rng, n_sites, model):
     if model == "xx":
         return ChainSpec(alpha=chain.alpha, beta=chain.beta, gamma=np.zeros(n_sites - 1))
     return chain
+
+
+def break_everywhere(monkeypatch, name):
+    """Make every binding of ``xychain.linalg.<name>`` in the package raise."""
+    original = getattr(linalg, name)
+
+    def broken(*args, **kwargs):
+        raise AssertionError(f"{name} must not be called on this route")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "xychain" or module_name.startswith("xychain."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, broken)
 
 
 class TestHamiltonianAssembly:
@@ -159,6 +175,30 @@ class TestOracleSpectrum:
         # pairs with opposite energies, even with a transverse field.
         values = oracle_spectrum(build_spin_hamiltonian(random_chain(rng, 3)))
         np.testing.assert_allclose(values, -values[::-1], atol=1e-12)
+
+
+class TestRouteIndependence:
+    """The oracle and the free-fermion path share no eigensolver."""
+
+    @pytest.mark.parametrize("model", ["xy", "xx"])
+    def test_oracle_runs_without_jacobi(self, rng, monkeypatch, model):
+        break_everywhere(monkeypatch, "jacobi_eigh")
+        matrix = build_spin_hamiltonian(model_chain(rng, 6, model))
+        oracle = np.linalg.eigvalsh(matrix)
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        np.testing.assert_allclose(
+            oracle_spectrum(matrix), oracle, rtol=0, atol=1e-11 * scale
+        )
+
+    def test_fermion_path_runs_without_the_oracle_solver(self, rng, monkeypatch):
+        break_everywhere(monkeypatch, "sturm_eigvalsh")
+        chain = random_chain(rng, 6)
+        system = assemble(chain)
+        oracle = np.linalg.eigvalsh(system.H)[chain.n_sites :]
+        scale = max(1.0, float(np.max(oracle)))
+        np.testing.assert_allclose(
+            eigendecompose(system).lambda_numeric, oracle, rtol=0, atol=1e-12 * scale
+        )
 
 
 class TestJordanWignerCertification:
