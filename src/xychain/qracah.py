@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameterRegime, InvalidShiftedParams
-from .qseries import phi43_terminating_exact
+from .qseries import _shared_factor_runs, phi43_terminating_exact
 from .report import TOLERANCES, CheckReport
 
 __all__ = [
@@ -107,19 +107,22 @@ def qracah_eval(i, x, params):
         raise ValueError(f"polynomial degree must satisfy 0 <= i <= N={N}, got {i}")
     a, b, c, q = (Fraction(v) for v in (a, b, c, q))
     x = int(x) if float(x).is_integer() else x
-    return phi43_terminating_exact(i, *_series_args(i, a, b, c, N, q)(x), q, q)
+    rows, (column,), den = _series_args(a, b, c, N, q, [x])
+    return phi43_terminating_exact(i, (rows[i], *column), den, q, q)
 
 
-def _series_args(i, a, b, c, N, q):
-    """Series parameters of the degree-``i`` polynomial as a function of ``x``.
+def _series_args(a, b, c, N, q, xs):
+    """Series parameters of the degrees ``i = 0..N`` at the points ``xs``.
 
-    Returns ``x -> (numerator params, denominator params)``; the factors that
-    do not depend on ``x`` are computed once.  The parameters are
+    Returns ``(rows, columns, den)``: the numerator parameter
+    ``a b q^{i+1}`` of each degree, the numerator parameters
+    ``(q^{-x}, c q^{x-N})`` of each point and the denominator parameters
+    ``(a q, b c q, q^{-N})``, each formed once.  The parameters are
     ``Fraction``s, shared by :func:`qracah_eval` and the grids.
     """
-    ab = a * b * q ** (i + 1)
-    den = (a * q, b * c * q, q ** (-N))
-    return lambda x: ((ab, q ** (-x), c * q ** (x - N)), den)
+    rows = [a * b * q ** (i + 1) for i in range(N + 1)]
+    columns = [(q ** (-x), c * q ** (x - N)) for x in xs]
+    return rows, columns, (a * q, b * c * q, q ** (-N))
 
 
 def _denominator_factors(params):
@@ -405,19 +408,30 @@ def _polynomial_grids(family, params):
     parameters are *exactly* ``(a/q, bq, ...)`` of the base ones, and the
     alternating series itself loses digits to cancellation as the degree
     grows (visible from N ~ 7 in direct float accumulation).
+
+    Each series argument is formed once: the row parameter per degree, the
+    two ``x``-dependent parameters per grid point ``x`` and the denominator
+    parameters per grid.  The sums of both grids share their decimal factor
+    runs (see :mod:`xychain.qseries`) for this build only, so every entry is
+    bit for bit the value a lone :func:`qracah_eval` call gives.
     """
     N = params.N
     shift_params(family, params)  # validates the shifted regime
     a, b, c, q = (Fraction(v) for v in (params.a, params.b, params.c, params.q))
     x_shift, sa, sb, sc = _shift_map(family, a, b, c, q)
+    rows, columns, den = _series_args(a, b, c, N, q, range(N + 1))
+    shifted_rows, shifted_columns, shifted_den = _series_args(
+        sa, sb, sc, N, q, range(x_shift, x_shift + N + 1)
+    )
     base = np.empty((N + 1, N + 1))
     shifted = np.empty((N + 1, N + 1))
-    for i in range(N + 1):
-        base_args = _series_args(i, a, b, c, N, q)
-        shifted_args = _series_args(i, sa, sb, sc, N, q)
-        for x in range(N + 1):
-            base[i, x] = phi43_terminating_exact(i, *base_args(x), q, q)
-            shifted[i, x] = phi43_terminating_exact(i, *shifted_args(x + x_shift), q, q)
+    with _shared_factor_runs(N):
+        for i in range(N + 1):
+            for x in range(N + 1):
+                base[i, x] = phi43_terminating_exact(i, (rows[i], *columns[x]), den, q, q)
+                shifted[i, x] = phi43_terminating_exact(
+                    i, (shifted_rows[i], *shifted_columns[x]), shifted_den, q, q
+                )
     return base, shifted
 
 

@@ -9,10 +9,23 @@ cancellation leaves :data:`GUARD_DIGITS` digits and a sum at twice the digits
 rounds to the same float, with the digits doubled up to :data:`PRECISION_CAP`
 otherwise.  What needs exact values (where the series ends, vanishing
 denominators, an exactly zero sum) is decided on the exact arguments.
+
+The term ratio of step ``k`` is a product of factors ``(1 - p q^k)``, and
+the sums of one grid of polynomial values share most of them.  Inside a
+:func:`_shared_factor_runs` block (one grid build) each run of factors over
+``k`` is computed once per precision and read by every sum that needs it:
+the denominator products ``(1 - q^(k+1)) (1 - b1 q^k) (1 - b2 q^k)
+(1 - b3 q^k)`` once per denominator triple, the heads ``(1 - q^(k-i))
+(1 - a1 q^k)`` once per degree and first numerator parameter, and
+``(1 - p q^k)`` once per other numerator parameter.  A run entry is the
+decimal operation the term loop would otherwise repeat per sum, in the same
+order at the same precision, so sharing changes no bit of any value.  The
+runs die with the block; a call outside one has runs of its own.
 """
 
+import contextlib
+import contextvars
 import decimal
-import functools
 import math
 from fractions import Fraction
 
@@ -82,6 +95,10 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
     pair within :data:`PRECISION_CAP` digits accepts is ``0.0`` if its exact
     sum is zero (no decimal sum of an exact zero keeps any digits).
 
+    Inside a :func:`_shared_factor_runs` block the sum reads the factor runs
+    it shares with the other sums of the block; the value is the same bit for
+    bit.
+
     Parameters
     ----------
     i : int
@@ -118,20 +135,21 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
         raise ValueError(f"q must lie strictly inside (0, 1), got {float(q)}")
     # every argument as the (numerator, denominator) of its exact value
     nums = [v.as_integer_ratio() for v in num_params]
-    dens = [v.as_integer_ratio() for v in den_params]
+    dens = tuple(v.as_integer_ratio() for v in den_params)
     q, z = q.as_integer_ratio(), z.as_integer_ratio()
-    series = (i, nums, dens, q, z, _exact_steps(i, nums, dens, q))
+    series = (i, nums, dens, z, _exact_steps(i, nums, dens, q))
+    scope = _SCOPE.get() or _FactorRuns(i)
     digits = START_DIGITS
-    value, kept = _decimal_sum(digits, *series)
+    value, kept = _decimal_sum(scope.runs(digits, q), *series)
     while 2 * digits <= PRECISION_CAP:
         digits *= 2
-        check, check_kept = _decimal_sum(digits, *series)
+        check, check_kept = _decimal_sum(scope.runs(digits, q), *series)
         if kept and check == value:
             if math.isinf(value):
                 raise OverflowError("series sum too large for a float")
             return value
         value, kept = check, check_kept
-    if _sums_to_zero(*series):
+    if _sums_to_zero(scope.runs(None, q), *series):
         return 0.0
     raise ConvergenceFailure(
         f"4phi3 sum of degree {i} has no checked float within the precision "
@@ -163,65 +181,151 @@ def _exact_steps(i, nums, dens, q):
     return i
 
 
-def _sums_to_zero(i, nums, dens, q, z, steps):
+def _sums_to_zero(runs, i, nums, dens, z, steps):
     """Whether the series sums to exactly zero, decided like the steps on
-    the exact arguments: the one term loop in rational arithmetic.  Only a
+    the exact arguments: the one term loop over ``Fraction`` runs.  Only a
     series that reached the precision cap is asked."""
-    nums = [Fraction(*p) for p in nums]
-    dens = [Fraction(*p) for p in dens]
-    return sum(_phi43_terms(i, nums, dens, Fraction(*q), Fraction(*z), steps)) == 0
+    return sum(_phi43_terms(runs, i, nums, dens, z, steps)) == 0
 
 
-@functools.lru_cache(maxsize=512)
-def _decimal_of(numerator, denominator, digits):
-    """``numerator / denominator`` rounded to ``digits`` significant digits.
-
-    Cached because a grid passes the same few arguments to all its series.
-    """
-    return decimal.Context(prec=digits).divide(numerator, denominator)
-
-
-def _decimal_sum(digits, i, nums, dens, q, z, steps):
-    """The series summed at ``digits`` significant digits.
+def _decimal_sum(runs, i, nums, dens, z, steps):
+    """The series summed over the decimal ``runs``, at their digits.
 
     The arguments are ``(numerator, denominator)`` pairs.  Returns the float
     the sum rounds to and whether the sum is nonzero and keeps
     :data:`GUARD_DIGITS` digits after cancellation.  A factor that rounds to
     zero in a denominator gives ``(nan, False)``.
     """
-    nums = [_decimal_of(*p, digits) for p in nums]
-    dens = [_decimal_of(*p, digits) for p in dens]
-    q, z = _decimal_of(*q, digits), _decimal_of(*z, digits)
-    with decimal.localcontext(decimal.Context(prec=digits)):
+    with decimal.localcontext(runs.context):
         try:
-            terms = list(_phi43_terms(i, nums, dens, q, z, steps))
+            terms = list(_phi43_terms(runs, i, nums, dens, z, steps))
         except (decimal.DivisionByZero, decimal.InvalidOperation):
             return math.nan, False
         total = sum(terms)
         magnitude = sum(map(abs, terms))
     lost = magnitude.adjusted() - total.adjusted() + 1
-    return float(total), total != 0 and digits - lost >= GUARD_DIGITS
+    return float(total), total != 0 and runs.context.prec - lost >= GUARD_DIGITS
 
 
-def _phi43_terms(i, num_params, den_params, q, z, steps):
+def _phi43_terms(runs, i, nums, dens, z, steps):
     """Terms of the 4phi3 sum, the leading 1 first: the one term recurrence,
-    generic over the number type (Decimal for the checked sums, Fraction for
-    the exact zero test).
+    generic over the number type of the ``runs`` (Decimal for the checked
+    sums, Fraction for the exact zero test).
 
     The loop runs the ``steps`` decided beforehand on the exact arguments
     (see :func:`_exact_steps`), so a factor that only rounds to zero neither
     stops it nor raises.
     """
-    a1, a2, a3 = num_params
-    b1, b2, b3 = den_params
-    term = qk = q**0  # 1 in the number type of q
-    q_ki = q**-i  # q^(k-i), carried along like q^k
+    a1, a2, a3 = nums
+    head, f2, f3 = runs.head(i, a1), runs.factor(a2), runs.factor(a3)
+    den, z = runs.den(dens), runs.value(z)
+    term = runs.powers[0]
     yield term
-    for _ in range(steps):
-        num = (1 - q_ki) * (1 - a1 * qk) * (1 - a2 * qk) * (1 - a3 * qk)
-        qk_next = qk * q
-        den = (1 - qk_next) * (1 - b1 * qk) * (1 - b2 * qk) * (1 - b3 * qk)
-        term *= num * z / den
+    for k in range(steps):
+        term *= head[k] * f2[k] * f3[k] * z / den[k]
         yield term
-        qk = qk_next
-        q_ki *= q
+
+
+#: The factor runs of the enclosing :func:`_shared_factor_runs` block, if
+#: any.  A context variable, so that each sum of a grid is still one call of
+#: :func:`phi43_terminating_exact` with its own arguments and no more.
+_SCOPE = contextvars.ContextVar("phi43_factor_runs", default=None)
+
+
+@contextlib.contextmanager
+def _shared_factor_runs(n):
+    """Let the 4phi3 sums evaluated inside this block share their factor runs.
+
+    Meant for one grid build: every sum in the block must have degree at most
+    ``n``, which is the length of the runs.  The runs are dropped when the
+    block ends, so no state outlives it.
+    """
+    token = _SCOPE.set(_FactorRuns(n))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+class _FactorRuns:
+    """The factor runs of one scope (a grid build, or a single sum), by
+    number type and base; every sum in the scope has degree <= ``length``."""
+
+    def __init__(self, length):
+        self.length = length
+        self._runs = {}
+
+    def runs(self, digits, q):
+        """The :class:`_Runs` of base ``q`` at ``digits`` digits, or in
+        ``Fraction`` arithmetic for ``digits=None``."""
+        runs = self._runs.get((digits, q))
+        if runs is None:
+            runs = self._runs[digits, q] = _Runs(digits, q, self.length)
+        return runs
+
+
+class _Runs:
+    """Factor runs over ``k < length`` in one number type, each built on
+    first use by the operations of the term loop, in its order.
+
+    ``context`` is the decimal context of the sums and of every run
+    (``Fraction`` arithmetic ignores it).  Parameters are ``(numerator,
+    denominator)`` pairs, converted by ``context.divide`` (or ``Fraction``).
+    """
+
+    def __init__(self, digits, q, length):
+        self.context = decimal.Context(prec=digits)
+        self._number = Fraction if digits is None else self.context.divide
+        self._shared = {}
+        self._q = self.value(q)
+        with decimal.localcontext(self.context):
+            # q^k stepped by multiplication from q**0, 1 in q's number type
+            qk = self._q**0
+            self.powers = [qk]
+            for _ in range(length):
+                qk = qk * self._q
+                self.powers.append(qk)
+
+    def _share(self, key, build):
+        run = self._shared.get(key)
+        if run is None:
+            with decimal.localcontext(self.context):
+                run = self._shared[key] = build()
+        return run
+
+    def value(self, p):
+        """The parameter ``p`` in this number type."""
+        return self._share(("value", p), lambda: self._number(*p))
+
+    def den(self, dens):
+        """``(1 - q^(k+1)) (1 - b1 q^k) (1 - b2 q^k) (1 - b3 q^k)``."""
+
+        def build():
+            b1, b2, b3 = map(self.value, dens)
+            return [(1 - qk_next) * (1 - b1 * qk) * (1 - b2 * qk) * (1 - b3 * qk)
+                    for qk, qk_next in zip(self.powers, self.powers[1:])]
+
+        return self._share(("den", dens), build)
+
+    def head(self, i, a1):
+        """``(1 - q^(k-i)) (1 - a1 q^k)`` for ``k < i``, ``q^(k-i)`` carried
+        along from ``q**-i`` like ``q^k``."""
+
+        def build():
+            a, run = self.value(a1), []
+            q_ki = self._q**-i
+            for qk in self.powers[:i]:
+                run.append((1 - q_ki) * (1 - a * qk))
+                q_ki *= self._q
+            return run
+
+        return self._share(("head", i, a1), build)
+
+    def factor(self, p):
+        """``1 - p q^k``."""
+
+        def build():
+            a = self.value(p)
+            return [1 - a * qk for qk in self.powers[:-1]]
+
+        return self._share(("factor", p), build)

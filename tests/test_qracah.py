@@ -8,20 +8,25 @@ three-term relations with the package's coefficient tables.
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from exact_oracles import phi43_exact, qracah_exact, relation_residuals_exact, shift_exact
 from helpers import QR13_CHAIN, QR24_DEFAULT
+from xychain import qseries
 from xychain.errors import InvalidParameterRegime, InvalidShiftedParams
 from xychain.qracah import (
     FAMILIES,
     QRacahParams,
+    _polynomial_grids,
     contiguity_coefficients,
     grid_variable,
     qracah_eval,
     shift_params,
     verify_contiguity,
 )
+from xychain.qseries import phi43_terminating_exact
+from xychain.report import TOLERANCES
 
 # Sample point used for frozen polynomial values.
 POLY_POINT = QRacahParams(a=-0.4, b=0.3, c=0.2, N=5, q=0.5)
@@ -139,6 +144,65 @@ class TestPolynomialValues:
         assert qracah_eval(i, x, POLY_POINT) == float(exact)
 
 
+def _lone_grids(family, params):
+    """Every grid entry from its own evaluator call, outside any grid build:
+    :func:`qracah_eval` on the base grid, and on the shifted grid
+    :func:`phi43_terminating_exact` of the exactly shifted arguments."""
+    N = params.N
+    base = [[qracah_eval(i, x, params) for x in range(N + 1)] for i in range(N + 1)]
+    x_shift, (a, b, c, _, q) = shift_exact(family, *params.as_tuple())
+    den = (a * q, b * c * q, q ** (-N))
+    shifted = [
+        [
+            phi43_terminating_exact(
+                i, (a * b * q ** (i + 1), q ** -(x + x_shift), c * q ** (x + x_shift - N)),
+                den, q, q,
+            )
+            for x in range(N + 1)
+        ]
+        for i in range(N + 1)
+    ]
+    return np.array(base), np.array(shifted)
+
+
+class TestGridEvaluator:
+    """A grid build shares decimal factor runs among its sums; every entry
+    must still be, bit for bit, the value of a lone evaluation."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.7])
+    @pytest.mark.parametrize("N", [1, 2, 9, 12, 20])
+    @pytest.mark.parametrize("family", ["qr24", "qr13"])
+    def test_grids_equal_lone_evaluations(self, family, N, q):
+        point = {"qr24": QR24_DEFAULT, "qr13": QR13_CHAIN}[family]
+        params = dataclasses.replace(point, N=N, q=q)
+        grids = _polynomial_grids(family, params)
+        for grid, lone in zip(grids, _lone_grids(family, params)):
+            assert grid.tobytes() == lone.tobytes()
+
+    @pytest.mark.parametrize("params", [
+        # values accepted only past the (40, 80)-digit pair
+        pytest.param(QRacahParams(a=1e-6, b=0.3, c=-0.8, N=8, q=1e-6), id="escalation"),
+        # exact zeros, decided by the Fraction sum at the precision cap
+        pytest.param(QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5), id="exact-zero"),
+    ])
+    def test_escalated_and_exact_zero_points(self, params):
+        grids = _polynomial_grids("qr24", params)
+        for grid, lone in zip(grids, _lone_grids("qr24", params)):
+            assert grid.tobytes() == lone.tobytes()
+
+    def test_no_state_outlives_a_build(self):
+        first, other = QR24_DEFAULT, QRacahParams(a=-0.4, b=0.3, c=-0.5, N=9, q=0.5)
+        before = _polynomial_grids("qr24", first)
+        _polynomial_grids("qr24", other)
+        after = _polynomial_grids("qr24", first)
+        for grid, again in zip(before, after):
+            assert grid.tobytes() == again.tobytes()
+        assert qseries._SCOPE.get() is None
+        caches = [name for name, value in vars(qseries).items()
+                  if hasattr(value, "cache_info") or hasattr(value, "cache_clear")]
+        assert caches == []
+
+
 class TestDegreeStructure:
     """R_i is a polynomial of degree i in the grid variable: exact Lagrange
     interpolation through i+1 grid nodes must reproduce every other node."""
@@ -251,6 +315,23 @@ class TestContiguityTables:
         assert not checks["relation-minus"].passed
         assert checks["relation-minus"].residual > 0.1
         assert checks["relation-plus"].passed
+
+    def test_corrupted_base_grid_fails_relation_plus(self):
+        coeffs = contiguity_coefficients("qr24", QR24_DEFAULT)
+        base, _ = coeffs.grids
+        base[2, 3] *= 1 + 1e-6
+        checks = {c.name: c for c in verify_contiguity(coeffs).checks}
+        assert not checks["relation-plus"].passed
+        assert checks["relation-plus"].residual > 100 * TOLERANCES["relation"]
+
+    def test_scaled_phi_0_plus_fails_constraint_ratio(self):
+        coeffs = contiguity_coefficients("qr24", QR24_DEFAULT)
+        phi_0_plus = coeffs.phi_0_plus.copy()
+        phi_0_plus[2] *= 1 + 1e-6
+        report = verify_contiguity(dataclasses.replace(coeffs, phi_0_plus=phi_0_plus))
+        checks = {c.name: c for c in report.checks}
+        assert not checks["constraint-ratio"].passed
+        assert checks["constraint-ratio"].residual > 100 * TOLERANCES["constraint"]
 
     def test_exact_zero_denominator_rejected(self):
         # a b q = 1 exactly for a = 4, b = 1, q = 1/4.
