@@ -165,29 +165,27 @@ def _lone_grids(family, params):
     return np.array(base), np.array(shifted)
 
 
+GRID_CASES = [
+    pytest.param(family, dataclasses.replace(point, N=N, q=q), id=f"{family}-N{N}-q{q}")
+    for family, point in (("qr24", QR24_DEFAULT), ("qr13", QR13_CHAIN))
+    for N in (1, 2, 9, 12, 20)
+    for q in (0.3, 0.7)
+] + [
+    # values accepted only past the (40, 80)-digit pair
+    pytest.param("qr24", QRacahParams(a=1e-6, b=0.3, c=-0.8, N=8, q=1e-6), id="escalation"),
+    # exact zeros, decided by the Fraction sum at the precision cap
+    pytest.param("qr24", QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5), id="exact-zero"),
+]
+
+
 class TestGridEvaluator:
     """A grid build shares decimal factor runs among its sums; every entry
     must still be, bit for bit, the value of a lone evaluation."""
 
-    @pytest.mark.parametrize("q", [0.3, 0.7])
-    @pytest.mark.parametrize("N", [1, 2, 9, 12, 20])
-    @pytest.mark.parametrize("family", ["qr24", "qr13"])
-    def test_grids_equal_lone_evaluations(self, family, N, q):
-        point = {"qr24": QR24_DEFAULT, "qr13": QR13_CHAIN}[family]
-        params = dataclasses.replace(point, N=N, q=q)
+    @pytest.mark.parametrize("family, params", GRID_CASES)
+    def test_grids_equal_lone_evaluations(self, family, params):
         grids = _polynomial_grids(family, params)
         for grid, lone in zip(grids, _lone_grids(family, params)):
-            assert grid.tobytes() == lone.tobytes()
-
-    @pytest.mark.parametrize("params", [
-        # values accepted only past the (40, 80)-digit pair
-        pytest.param(QRacahParams(a=1e-6, b=0.3, c=-0.8, N=8, q=1e-6), id="escalation"),
-        # exact zeros, decided by the Fraction sum at the precision cap
-        pytest.param(QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5), id="exact-zero"),
-    ])
-    def test_escalated_and_exact_zero_points(self, params):
-        grids = _polynomial_grids("qr24", params)
-        for grid, lone in zip(grids, _lone_grids("qr24", params)):
             assert grid.tobytes() == lone.tobytes()
 
     def test_no_state_outlives_a_build(self):
