@@ -31,19 +31,22 @@ scans at those levels raise :class:`NoValidParameters` (see README).
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import InvalidParameterRegime, NoValidParameters, XYChainError
 from .qracah import (
     QRacahParams,
+    _Points,
+    _base_factors,
     _check_family,
-    _denominator_factors,
-    _family_specific_factors,
+    _contiguity_block,
+    _record,
+    _reject,
+    _shift_block,
     _three_term_residual,
     closed_form_lambda_squared,
-    contiguity_coefficients,
-    shift_params,
     verify_contiguity,
 )
 from .report import TOLERANCES
@@ -72,6 +75,10 @@ DENOMINATOR_FLOOR = 1e-8
 
 #: Largest ``|gamma_j|`` of a chain that counts as an XX chain.
 XX_TOL = 1e-12
+
+#: Draws a scan screens in one pass; bounds the screen's memory for any
+#: number of samples.
+_SCAN_BLOCK = 256
 
 
 @dataclass
@@ -131,20 +138,48 @@ class PQTable:
     chain: ChainSpec
 
 
-def _radicand_check(values, label):
-    """Clamp tiny negatives to zero; reject non-finite radicands and radicands
-    below zero by more than ``RADICAND_TOL`` times the larger of 1 and their
-    largest magnitude."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise InvalidParameterRegime(f"radicand {label} has non-finite entries")
-    if values.size and values.min() < -RADICAND_TOL * max(1.0, float(np.max(np.abs(values)))):
-        at = np.unravel_index(np.argmin(values), values.shape)
-        raise InvalidParameterRegime(
-            f"radicand {label}[{', '.join(map(str, at))}] = {values[at]:.6e} "
+def _radicand_screen(values, label, errors):
+    """Row-wise radicand screen (see :func:`~xychain.qracah._reject`): a row
+    of ``values`` (any shape after the first axis) fails on a non-finite
+    entry or on an entry below zero by more than ``RADICAND_TOL`` times the
+    larger of 1 and the row's largest magnitude."""
+    flat = values.reshape(len(values), -1)
+    _reject(errors, ~np.isfinite(flat), lambda s, k: InvalidParameterRegime(
+        f"radicand {label} has non-finite entries"
+    ))
+    if not flat.shape[1]:
+        return
+
+    def negative(s, k):
+        at = np.unravel_index(np.argmin(flat[s]), values.shape[1:])
+        return InvalidParameterRegime(
+            f"radicand {label}[{', '.join(map(str, at))}] = {values[s][at]:.6e} "
             f"is negative beyond tolerance"
         )
+
+    bound = -RADICAND_TOL * np.maximum(1.0, np.abs(flat).max(axis=1))
+    _reject(errors, flat.min(axis=1) < bound, negative)
+
+
+def _radicand_check(values, label):
+    """Clamp tiny negatives to zero; raise the :func:`_radicand_screen` error
+    of ``values``."""
+    values = np.asarray(values, dtype=float)
+    errors = [None]
+    _radicand_screen(values[None], label, errors)
+    if errors[0] is not None:
+        raise errors[0]
     return np.maximum(values, 0.0)
+
+
+def _coupling_radicands(tables):
+    """Squared couplings ``beta^2``, ``(alpha-gamma)^2``, ``(alpha+gamma)^2``
+    of one record or of a block of ``(S, N+1)`` tables."""
+    return {
+        "beta^2": tables.phi_0_plus * tables.phi_0_minus,
+        "(alpha-gamma)^2": tables.phi_minus1_plus[..., 1:] * tables.phi_plus1_minus[..., :-1],
+        "(alpha+gamma)^2": tables.phi_minus1_minus[..., 1:] * tables.phi_plus1_plus[..., :-1],
+    }
 
 
 def build_chain(coeffs):
@@ -161,13 +196,28 @@ def build_chain(coeffs):
         If any radicand is negative beyond tolerance (the error names the
         offending bond/site).
     """
-    radicands = {
-        "beta^2": coeffs.phi_0_plus * coeffs.phi_0_minus,
-        "(alpha-gamma)^2": coeffs.phi_minus1_plus[1:] * coeffs.phi_plus1_minus[:-1],
-        "(alpha+gamma)^2": coeffs.phi_minus1_minus[1:] * coeffs.phi_plus1_plus[:-1],
-    }
-    beta, diff, ssum = (np.sqrt(_radicand_check(v, label)) for label, v in radicands.items())
+    beta, diff, ssum = (
+        np.sqrt(_radicand_check(v, label)) for label, v in _coupling_radicands(coeffs).items()
+    )
     return ChainSpec(alpha=0.5 * (ssum + diff), beta=beta, gamma=0.5 * (ssum - diff))
+
+
+def _spectrum_rows(rad_closed, rad_product, errors):
+    """Row-wise :func:`analytic_spectrum` from the ``(S, N+1)`` closed-form
+    and eigenvalue-product radicands: the closed-form ``Lambda`` rows, and
+    each row's error (see :func:`~xychain.qracah._reject`)."""
+    _radicand_screen(rad_closed, "Lambda^2", errors)
+    _radicand_screen(rad_product, "lambda_plus*lambda_minus", errors)
+    lam_closed = np.sqrt(np.maximum(rad_closed, 0.0))
+    # rows with a non-finite radicand already carry their error
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(lam_closed - np.sqrt(np.maximum(rad_product, 0.0))).max(axis=1)
+    scale = np.maximum(1.0, lam_closed.max(axis=1))
+    _reject(errors, gap > 1e-12 * scale, lambda s, k: InvalidParameterRegime(
+        f"internal cross-check failed: closed-form spectrum deviates from "
+        f"the eigenvalue-product route by {gap[s]:.3e}"
+    ))
+    return lam_closed
 
 
 def analytic_spectrum(coeffs):
@@ -179,17 +229,11 @@ def analytic_spectrum(coeffs):
     cross-asserted to ``1e-12`` before returning the direct form.
     """
     rad_closed = closed_form_lambda_squared(coeffs.family, coeffs.params)
-    rad_product = coeffs.lambda_plus * coeffs.lambda_minus
-    lam_closed = np.sqrt(_radicand_check(rad_closed, "Lambda^2"))
-    lam_product = np.sqrt(_radicand_check(rad_product, "lambda_plus*lambda_minus"))
-    scale = max(1.0, float(lam_closed.max()))
-    gap = float(np.max(np.abs(lam_closed - lam_product)))
-    if gap > 1e-12 * scale:
-        raise InvalidParameterRegime(
-            f"internal cross-check failed: closed-form spectrum deviates from "
-            f"the eigenvalue-product route by {gap:.3e}"
-        )
-    return lam_closed
+    errors = [None]
+    lam = _spectrum_rows(rad_closed[None], (coeffs.lambda_plus * coeffs.lambda_minus)[None], errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return lam[0]
 
 
 def build_pq_table(coeffs, chain, lam):
@@ -253,9 +297,93 @@ def pq_recurrence_residual(pq):
     return float(np.max(res_p)), float(np.max(res_q))
 
 
-def _sign_ok(values, sign, tol):
-    """True when every entry matches ``sign`` up to a small-zero allowance."""
-    return bool(np.min(sign * values) >= -tol)
+def _screen_block(family, points, level):
+    """The cheap screens of :func:`validate_draw`, row-wise over a block.
+
+    Runs, in this order, the shift map, the denominator-floor screen (family,
+    base and shifted factors), the table checks of
+    :func:`~xychain.qracah.contiguity_coefficients`, at ``couplings`` and
+    above the radicands of :func:`build_chain` and :func:`analytic_spectrum`
+    and its cross-check, the sign-loop screen (``spectral``) and the
+    global-sign screen (``full``).  Returns, per point, the error of its
+    first failed screen or its contiguity record.  Every row is computed on
+    its own, so a point's outcome does not depend on its neighbours.
+    """
+    rank = SCAN_LEVELS.index(level)
+    # non-finite values become the reasons; numpy's warnings would repeat them
+    with np.errstate(all="ignore"):
+        _, _, shifted_factors, errors = _shift_block(family, points)
+        base_factors = _base_factors(family, points)
+        labels = base_factors[0] + shifted_factors[0]
+        values = np.hstack([base_factors[1], shifted_factors[1]])
+        _reject(errors, np.abs(values) < DENOMINATOR_FLOOR, lambda s, k: InvalidParameterRegime(
+            f"denominator factor ({labels[k]}) within {DENOMINATOR_FLOOR:g} of zero"
+        ))
+        tables = _contiguity_block(family, points, base_factors, errors)
+        t = SimpleNamespace(**tables)
+        if rank >= 1:
+            for label, radicand in _coupling_radicands(t).items():
+                _radicand_screen(radicand, label, errors)
+            _spectrum_rows(
+                closed_form_lambda_squared(family, points), t.lambda_plus * t.lambda_minus, errors
+            )
+        if rank >= 2:
+            # per-bond sign-loop condition: the sign of the middle-coefficient
+            # product across a bond must match the sign of the raising-coefficient
+            # product, otherwise the positive-branch couplings cannot reproduce
+            # the closed-form spectrum
+            lhs = t.phi_0_plus[:, 1:] * t.phi_0_plus[:, :-1]
+            rhs = t.phi_plus1_plus[:, :-1] * t.phi_plus1_minus[:, :-1]
+            _reject(errors, np.sign(lhs) != np.sign(rhs), lambda s, k: InvalidParameterRegime(
+                "sign-loop condition fails (spectrum not reachable)"
+            ))
+        if rank >= 3:
+            tol = RADICAND_TOL * np.maximum(
+                1.0,
+                np.maximum(np.abs(t.phi_0_plus).max(axis=1), np.abs(t.phi_0_minus).max(axis=1)),
+            )
+            interior = np.hstack([
+                t.phi_plus1_plus[:, :-1],
+                t.phi_minus1_plus[:, 1:],
+                t.phi_0_plus,
+                t.phi_plus1_minus[:, :-1],
+                t.phi_minus1_minus[:, 1:],
+                t.phi_0_minus,
+            ])
+            lams = np.hstack([t.lambda_plus, t.lambda_minus])
+            signed = [
+                ((sign * interior).min(axis=1) >= -tol) & ((sign * lams).min(axis=1) >= -tol)
+                for sign in (1.0, -1.0)
+            ]
+            _reject(errors, ~(signed[0] | signed[1]), lambda s, k: InvalidParameterRegime(
+                "no global sign (P/Q normalization radicands mixed)"
+            ))
+    return [
+        error if error is not None else _record(family, params, tables, s)
+        for s, (params, error) in enumerate(zip(points.points, errors))
+    ]
+
+
+def _certify(screened, relation_tol, constraint_tol):
+    """``(valid, reason)`` of one draw from its :func:`_screen_block` outcome:
+    the screen's error, or the verdict of :func:`verify_contiguity`."""
+    if isinstance(screened, Exception):
+        return False, str(screened)
+    try:
+        report = verify_contiguity(screened, relation_tol=relation_tol,
+                                   constraint_tol=constraint_tol)
+    except (XYChainError, ArithmeticError) as exc:
+        return False, str(exc)
+    for check in report.checks:
+        if not check.passed:
+            return False, f"{check.name} residual above tolerance"
+    return True, ""
+
+
+def _check_level(family, level):
+    if level not in SCAN_LEVELS:
+        raise ValueError(f"unknown scan level {level!r}; expected one of {SCAN_LEVELS}")
+    _check_family(family)
 
 
 def validate_draw(family, params, level="full", relation_tol=TOLERANCES["relation"],
@@ -264,69 +392,20 @@ def validate_draw(family, params, level="full", relation_tol=TOLERANCES["relatio
 
     A draw is valid when the stages its level needs succeed and
     :func:`verify_contiguity` passes, the same certification ``verify``
-    reports.  Stages run cheapest-first: the denominator-floor screen (base,
-    family and shifted factors) and the coefficient tables, then
-    :func:`build_chain` and :func:`analytic_spectrum` (``couplings``), the
-    sign-loop screen (``spectral``), the global-sign screen (``full``), and
-    last the certification.
+    reports.  Stages run cheapest-first: the cheap screens of
+    :func:`_screen_block` (shift map, denominator floor, coefficient tables,
+    at ``couplings`` the radicands of :func:`build_chain` and
+    :func:`analytic_spectrum`, at ``spectral`` the sign loop, at ``full`` the
+    global sign), here on a block of one draw, and last the certification.
 
     Returns ``(valid, reason)``.  ``reason`` is empty when valid; otherwise
     it names the failed screen, carries the message of the stage that raised
     (an :class:`XYChainError` or a float arithmetic error), or reads
     ``"<check> residual above tolerance"`` for the first failed check.
     """
-    if level not in SCAN_LEVELS:
-        raise ValueError(f"unknown scan level {level!r}; expected one of {SCAN_LEVELS}")
-    _check_family(family)
-    rank = SCAN_LEVELS.index(level)
-    try:
-        factors = _family_specific_factors(family, params) + _denominator_factors(params)
-        factors += _denominator_factors(shift_params(family, params)[1])
-        for label, value in factors:
-            if abs(value) < DENOMINATOR_FLOOR:
-                return False, f"denominator factor ({label}) within {DENOMINATOR_FLOOR:g} of zero"
-        coeffs = contiguity_coefficients(family, params)
-        if rank >= 1:
-            build_chain(coeffs)
-            analytic_spectrum(coeffs)
-        if rank >= 2:
-            # per-bond sign-loop condition: the sign of the middle-coefficient
-            # product across a bond must match the sign of the raising-coefficient
-            # product, otherwise the positive-branch couplings cannot reproduce
-            # the closed-form spectrum
-            lhs = coeffs.phi_0_plus[1:] * coeffs.phi_0_plus[:-1]
-            rhs = coeffs.phi_plus1_plus[:-1] * coeffs.phi_plus1_minus[:-1]
-            if np.any(np.sign(lhs) != np.sign(rhs)):
-                return False, "sign-loop condition fails (spectrum not reachable)"
-        if rank >= 3:
-            tol = RADICAND_TOL * max(
-                1.0,
-                float(np.max(np.abs(coeffs.phi_0_plus))),
-                float(np.max(np.abs(coeffs.phi_0_minus))),
-            )
-            interior = np.concatenate(
-                [
-                    coeffs.phi_plus1_plus[:-1],
-                    coeffs.phi_minus1_plus[1:],
-                    coeffs.phi_0_plus,
-                    coeffs.phi_plus1_minus[:-1],
-                    coeffs.phi_minus1_minus[1:],
-                    coeffs.phi_0_minus,
-                ]
-            )
-            lams = np.concatenate([coeffs.lambda_plus, coeffs.lambda_minus])
-            if not any(
-                _sign_ok(interior, s, tol) and _sign_ok(lams, s, tol) for s in (1.0, -1.0)
-            ):
-                return False, "no global sign (P/Q normalization radicands mixed)"
-        report = verify_contiguity(coeffs, relation_tol=relation_tol,
-                                   constraint_tol=constraint_tol)
-    except (XYChainError, ArithmeticError) as exc:
-        return False, str(exc)
-    for check in report.checks:
-        if not check.passed:
-            return False, f"{check.name} residual above tolerance"
-    return True, ""
+    _check_level(family, level)
+    (screened,) = _screen_block(family, _Points([params]), level)
+    return _certify(screened, relation_tol, constraint_tol)
 
 
 def _sampler(rng, spec, label):
@@ -349,6 +428,11 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full",
                    relation_tol=TOLERANCES["relation"],
                    constraint_tol=TOLERANCES["constraint"]):
     """Randomly sample a parameter box and keep the valid draws.
+
+    Each draw is classified as :func:`validate_draw` would, with the same
+    verdict.  The draws are taken one at a time from one generator and
+    screened in blocks of ``_SCAN_BLOCK`` in one vectorized pass
+    (:func:`_screen_block`); only the survivors are certified, in draw order.
 
     Parameters
     ----------
@@ -374,8 +458,9 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full",
     Raises
     ------
     ValueError
-        If ``samples < 1``, a key of ``ranges`` is missing, or a range has a
-        non-finite entry or ``hi < lo``; checked before the first draw.
+        If ``samples < 1``, a key of ``ranges`` is missing, a range has a
+        non-finite entry or ``hi < lo``, or the family or level is unknown;
+        checked before the first draw.
     NoValidParameters
         If no draw passes; the message suggests widening the box.
     """
@@ -386,22 +471,21 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full",
         raise ValueError(f"ranges is missing keys: {sorted(missing)}")
     rng = np.random.default_rng(seed)
     samplers = {label: _sampler(rng, ranges[label], label) for label in ("a", "b", "c", "q")}
+    _check_level(family, level)
     hits = []
-    for _ in range(samples):
-        draw = {label: sample() for label, sample in samplers.items()}
-        try:
-            params = QRacahParams(draw["a"], draw["b"], draw["c"], int(N), draw["q"])
-        except InvalidParameterRegime:
+    for start in range(0, samples, _SCAN_BLOCK):
+        block = []
+        for _ in range(min(_SCAN_BLOCK, samples - start)):
+            draw = {label: sample() for label, sample in samplers.items()}
+            try:
+                block.append(QRacahParams(draw["a"], draw["b"], draw["c"], int(N), draw["q"]))
+            except InvalidParameterRegime:
+                continue
+        if not block:
             continue
-        valid, _ = validate_draw(
-            family,
-            params,
-            level=level,
-            relation_tol=relation_tol,
-            constraint_tol=constraint_tol,
-        )
-        if valid:
-            hits.append(params)
+        for params, screened in zip(block, _screen_block(family, _Points(block), level)):
+            if _certify(screened, relation_tol, constraint_tol)[0]:
+                hits.append(params)
     if not hits:
         raise NoValidParameters(
             f"no {level}-valid draws for family {family} in {samples} samples; "

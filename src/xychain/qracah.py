@@ -125,34 +125,87 @@ def _series_args(a, b, c, N, q, xs):
     return rows, columns, (a * q, b * c * q, q ** (-N))
 
 
-def _denominator_factors(params):
+class _Points:
+    """Parameter points of one degree ``N``, as ``(S, 1)`` float columns.
+
+    The screens and the coefficient tables run on every point of a block in
+    one numpy pass; a block of one is a single point.  ``q_pow[:, m]`` is
+    ``q**m`` for ``m = 0..2N+2``, a Python float power of each point's own
+    ``q`` as the per-point code had it, never numpy's ``power``, which
+    differs from it in the last bit for about 5 % of ``q``.  A shifted block
+    shares the powers of its base block (``q`` does not shift).
+    """
+
+    def __init__(self, points, q_pow=None):
+        self.points = list(points)
+        self.N = self.points[0].N
+        self.a, self.b, self.c, self.q = (
+            np.array([getattr(p, name) for p in self.points], dtype=float)[:, None]
+            for name in ("a", "b", "c", "q")
+        )
+        if q_pow is None:
+            q_pow = np.array([[p.q**m for m in range(2 * self.N + 3)] for p in self.points])
+        self.q_pow = q_pow
+
+    def __len__(self):
+        return len(self.points)
+
+    def as_tuple(self):
+        return (self.a, self.b, self.c, self.N, self.q)
+
+
+def _reject(errors, hits, make):
+    """Give each point of a block that has no error yet and a ``True`` in its
+    row of ``hits`` the error ``make(s, k)``, ``k`` its first such column.
+
+    ``errors`` holds one entry per point, ``None`` or the error of the first
+    screen the point failed, and is updated in place, so a later screen
+    never replaces an earlier one.
+    """
+    hits = hits.reshape(len(errors), -1)
+    if not hits.any():
+        return
+    for s in np.flatnonzero(hits.any(axis=1)).tolist():
+        if errors[s] is None:
+            errors[s] = make(s, int(hits[s].argmax()))
+
+
+@np.errstate(all="ignore")  # as the Python float arithmetic it replaces
+def _denominator_factors(points):
     """Factors that must stay away from zero for series/table evaluation.
 
-    Returns a list of ``(label, value)`` pairs covering the series
-    denominators ``(1 - a q^m)``, ``(1 - b c q^m)`` for ``m = 1..N`` and the
-    table denominators ``(1 - a b q^m)`` for ``m = 0..2N+2``.
+    Returns ``(labels, values)``: the series denominators ``(1 - a q^m)``,
+    ``(1 - b c q^m)`` for ``m = 1..N`` and the table denominators
+    ``(1 - a b q^m)`` for ``m = 0..2N+2``; ``values[s, k]`` is factor
+    ``labels[k]`` at point ``s`` of the block ``points``.
     """
-    a, b, c, N, q = params.as_tuple()
-    factors = []
-    for m in range(1, N + 1):
-        factors.append((f"1 - a q^{m}", 1.0 - a * q**m))
-        factors.append((f"1 - b c q^{m}", 1.0 - b * c * q**m))
-    ab = a * b
-    for m in range(0, 2 * N + 3):
-        factors.append((f"1 - a b q^{m}", 1.0 - ab * q**m))
-    return factors
+    a, b, c, N, q = points.as_tuple()
+    q_m = points.q_pow
+    labels = [label for m in range(1, N + 1) for label in (f"1 - a q^{m}", f"1 - b c q^{m}")]
+    labels += [f"1 - a b q^{m}" for m in range(0, 2 * N + 3)]
+    values = np.empty((len(points), len(labels)))
+    values[:, 0 : 2 * N : 2] = 1.0 - a * q_m[:, 1 : N + 1]
+    values[:, 1 : 2 * N : 2] = 1.0 - b * c * q_m[:, 1 : N + 1]
+    values[:, 2 * N :] = 1.0 - a * b * q_m
+    return labels, values
 
 
-def _family_specific_factors(family, params):
-    a, b, c, N, q = params.as_tuple()
+@np.errstate(all="ignore")  # as the Python float arithmetic it replaces
+def _family_specific_factors(family, points):
+    """``(labels, values)`` of the family's own structural factors, as
+    :func:`_denominator_factors`."""
+    a, b, c, N, q = points.as_tuple()
     if family == "qr13":
-        return [("1 - a", 1.0 - a), ("1 - b c", 1.0 - b * c)]
-    return [
-        ("a", a),
-        ("b", b),
-        ("1 - a", 1.0 - a),
-        ("1 - b c q", 1.0 - b * c * q),
-    ]
+        return ["1 - a", "1 - b c"], np.hstack([1.0 - a, 1.0 - b * c])
+    return ["a", "b", "1 - a", "1 - b c q"], np.hstack([a, b, 1.0 - a, 1.0 - b * c * q])
+
+
+def _base_factors(family, points):
+    """Family and base denominator factors, the ones
+    :func:`contiguity_coefficients` needs nonzero."""
+    labels, values = _family_specific_factors(family, points)
+    more_labels, more_values = _denominator_factors(points)
+    return labels + more_labels, np.hstack([values, more_values])
 
 
 def _check_family(family):
@@ -171,6 +224,40 @@ def _shift_map(family, a, b, c, q):
     return 0, a / q, b * q, c
 
 
+def _shift_block(family, points):
+    """Row-wise :func:`shift_params` over the block ``points``.
+
+    Returns ``(x_shift, shifted, factors, errors)``: the grid shift, the
+    shifted points as a block, their :func:`_denominator_factors` and, per
+    point, the error :func:`shift_params` raises for it, or ``None``.  The
+    map itself runs per point in Python floats, as ``shift_params`` always
+    did; a point whose map fails keeps its base point as a placeholder row.
+    """
+    x_shift = None
+    shifted = []
+    errors = []
+    for params in points.points:
+        a, b, c, N, q = params.as_tuple()
+        error = None
+        try:
+            x_shift, *mapped = _shift_map(family, a, b, c, q)
+            shifted.append(QRacahParams(*mapped, N, q))
+        except InvalidParameterRegime as exc:
+            error = InvalidShiftedParams(f"shifted parameters invalid: {exc}")
+            error.__cause__ = exc
+        except ArithmeticError as exc:
+            error = exc
+        if error is not None:
+            shifted.append(params)
+        errors.append(error)
+    shifted = _Points(shifted, points.q_pow)
+    labels, values = factors = _denominator_factors(shifted)
+    _reject(errors, values == 0.0, lambda s, k: InvalidShiftedParams(
+        f"shifted parameters make denominator factor ({labels[k]}) vanish"
+    ))
+    return x_shift, shifted, factors, errors
+
+
 def shift_params(family, params):
     """Family shift map: returns ``(x_shift, shifted_params)``.
 
@@ -185,18 +272,10 @@ def shift_params(family, params):
         make a series denominator vanish exactly.
     """
     _check_family(family)
-    a, b, c, N, q = params.as_tuple()
-    x_shift, *shifted = _shift_map(family, a, b, c, q)
-    try:
-        shifted_params = QRacahParams(*shifted, N, q)
-    except InvalidParameterRegime as exc:
-        raise InvalidShiftedParams(f"shifted parameters invalid: {exc}") from exc
-    for label, value in _denominator_factors(shifted_params):
-        if value == 0.0:
-            raise InvalidShiftedParams(
-                f"shifted parameters make denominator factor ({label}) vanish"
-            )
-    return x_shift, shifted_params
+    x_shift, shifted, _, (error,) = _shift_block(family, _Points([params]))
+    if error is not None:
+        raise error
+    return x_shift, shifted.points[0]
 
 
 @dataclass
@@ -261,9 +340,27 @@ class ContiguityCoefficients:
         return float(np.max(np.abs(num / den - 1.0)))
 
 
-def _raw_tables(family, params):
-    """Evaluate the printed coefficient tables (vectorized over i and x)."""
+def _sum_rule_heads(params):
+    """``lambda_plus(0)`` and ``lambda_minus(0)`` of one qr24 point, the heads
+    of the middle tables' sum rules, in Python float arithmetic: a zero
+    divisor raises ``ZeroDivisionError``, where numpy would give ``inf``."""
     a, b, c, N, q = params.as_tuple()
+    lam0_p = (1 - a) * (c - a * q**N) / (a * (1 - a))
+    lam0_m = (1 - b * c * q) * (1 - b * q ** (N + 1)) / (b * q * (1 - b * c * q))
+    return lam0_p, lam0_m
+
+
+def _raw_tables(family, points, errors):
+    """Evaluate the printed coefficient tables of the block ``points``.
+
+    Vectorized over the points (rows) and over ``i`` and ``x`` (columns):
+    each table is an ``(S, N+1)`` array.  Terms in the parameters alone stay
+    per-point Python floats (``q^N`` from ``points.q_pow`` and the qr24
+    :func:`_sum_rule_heads`), so every entry is the float the per-point
+    evaluation gives; a point whose heads fail gets that error in ``errors``
+    (see :func:`_reject`).
+    """
+    a, b, c, N, q = points.as_tuple()
     i = np.arange(N + 1, dtype=float)
     x = np.arange(N + 1, dtype=float)
     ab = a * b
@@ -312,10 +409,19 @@ def _raw_tables(family, params):
             / (q * (1 - a) * (1 - b * c) * (1 - ab * q ** (2 * i)) * (1 - ab * q ** (2 * i + 1)))
         )
     else:
+        q_N = points.q_pow[:, N : N + 1]
+        heads = np.full((len(points), 2), np.nan)
+        for s, params in enumerate(points.points):
+            try:
+                heads[s] = _sum_rule_heads(params)
+            except ArithmeticError as exc:
+                if errors[s] is None:
+                    errors[s] = exc
+        lam0_p, lam0_m = heads[:, :1], heads[:, 1:]
         lam_p = (1 - a * q**x) * (c - a * q ** (N - x)) / (a * (1 - a))
         lam_m = (1 - b * c * q ** (x + 1)) * (1 - b * q ** (N - x + 1)) / (b * q * (1 - b * c * q))
         up_p = (
-            -(q**N - q**i)
+            -(q_N - q**i)
             * (1 - ab * q ** (i + 1))
             * (1 - b * c * q ** (i + 1))
             * (1 - b * c * q ** (i + 2))
@@ -330,13 +436,12 @@ def _raw_tables(family, params):
             * (1 - ab * q ** (N + i + 1))
             / (a * (1 - b * c * q) * (1 - ab * q ** (2 * i)) * (1 - ab * q ** (2 * i + 1)))
         )
-        lam0_p = (1 - a) * (c - a * q**N) / (a * (1 - a))
         mid_p = lam0_p - up_p - dn_p
         up_m = (
             (1 - a * q**i)
             * (1 - a * q ** (i + 1))
             * (1 - ab * q ** (i + 1))
-            * (q**i - q**N)
+            * (q**i - q_N)
             / ((1 - a) * (1 - ab * q ** (2 * i + 1)) * (1 - ab * q ** (2 * i + 2)))
         )
         dn_m = (
@@ -347,7 +452,6 @@ def _raw_tables(family, params):
             * (1 - ab * q ** (N + i + 1))
             / (b * q * (1 - a) * (1 - ab * q ** (2 * i)) * (1 - ab * q ** (2 * i + 1)))
         )
-        lam0_m = (1 - b * c * q) * (1 - b * q ** (N + 1)) / (b * q * (1 - b * c * q))
         # Sum rule of the "minus" relation at x = 0 (every R_i(0) = 1).  The
         # other printed form, lambda_plus(0) minus the "plus"-relation
         # neighbours, fails the relation; a discrimination test keeps it so.
@@ -369,7 +473,9 @@ def closed_form_lambda_squared(family, params):
 
     This is the product form written directly in the model parameters; it must
     agree with ``lambda_plus(j) * lambda_minus(j)`` identically (cross-checked
-    in :func:`xychain.chain.analytic_spectrum`).
+    in :func:`xychain.chain.analytic_spectrum`).  ``params`` is one
+    :class:`QRacahParams`, or a block of points whose parameters are
+    ``(S, 1)`` columns, for which the result has one row per point.
     """
     _check_family(family)
     a, b, c, N, q = params.as_tuple()
@@ -489,6 +595,34 @@ def _boundary_mask(family, N):
     return mask
 
 
+@np.errstate(all="ignore")  # a non-finite entry is reported as the point's error
+def _contiguity_block(family, points, factors, errors):
+    """Row-wise :func:`contiguity_coefficients` over the block ``points``.
+
+    ``factors`` are the block's :func:`_base_factors`.  Gives each point the
+    error ``contiguity_coefficients`` raises for it (see :func:`_reject`)
+    and returns the tables as ``(S, N+1)`` arrays.
+    """
+    labels, values = factors
+    _reject(errors, values == 0.0, lambda s, k: InvalidParameterRegime(
+        f"denominator factor ({labels[k]}) vanishes"
+    ))
+    tables = _raw_tables(family, points, errors)
+    names = list(tables)
+    finite = np.isfinite(np.stack(list(tables.values()), axis=1)).all(axis=2)
+    _reject(errors, ~finite, lambda s, k: InvalidParameterRegime(
+        f"coefficient table {names[k]} has non-finite entries"
+    ))
+    return tables
+
+
+def _record(family, params, tables, s):
+    """The :class:`ContiguityCoefficients` of row ``s`` of block ``tables``."""
+    return ContiguityCoefficients(
+        family=family, params=params, **{name: table[s] for name, table in tables.items()}
+    )
+
+
 def contiguity_coefficients(family, params):
     """Build the full contiguity data for a family at a parameter point.
 
@@ -501,14 +635,12 @@ def contiguity_coefficients(family, params):
         finite.
     """
     _check_family(family)
-    for label, value in _family_specific_factors(family, params) + _denominator_factors(params):
-        if value == 0.0:
-            raise InvalidParameterRegime(f"denominator factor ({label}) vanishes")
-    tables = _raw_tables(family, params)
-    for name, values in tables.items():
-        if not np.all(np.isfinite(values)):
-            raise InvalidParameterRegime(f"coefficient table {name} has non-finite entries")
-    return ContiguityCoefficients(family=family, params=params, **tables)
+    points = _Points([params])
+    errors = [None]
+    tables = _contiguity_block(family, points, _base_factors(family, points), errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return _record(family, params, tables, 0)
 
 
 def verify_contiguity(coeffs, relation_tol=TOLERANCES["relation"],

@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 
 from helpers import QR13_BOX, QR13_CHAIN, QR24_BOX, QR24_DEFAULT, pq_table
+from xychain import chain
 from xychain.chain import (
     SCAN_LEVELS,
     ChainSpec,
+    _SCAN_BLOCK,
+    _sampler,
+    _screen_block,
     analytic_spectrum,
     build_chain,
     parameter_scan,
@@ -20,7 +24,7 @@ from xychain.chain import (
 )
 from xychain.errors import InvalidParameterRegime, NoValidParameters
 from xychain.linalg import jacobi_eigh
-from xychain.qracah import QRacahParams, contiguity_coefficients
+from xychain.qracah import QRacahParams, _Points, _raw_tables, contiguity_coefficients
 
 # Frozen couplings and spectrum at the qr24 reference point.
 FROZEN_ALPHA = [0.31065916369567, 0.33974793882028204, 0.2950548157339187, 0.20744776232261103]
@@ -30,6 +34,12 @@ FROZEN_GAMMA = [0.10124152823607636, 0.10377750627544419, 0.08710266153520348,
                 0.06011170703811548]
 FROZEN_LAMBDA = [3.31247048415721, 3.0240364316436827, 2.7572312847417093,
                  2.477255870232123, 2.1459797798727145]
+
+# The eight coefficient tables of a contiguity record, in table order.
+TABLE_FIELDS = (
+    "lambda_plus", "lambda_minus", "phi_plus1_plus", "phi_0_plus", "phi_minus1_plus",
+    "phi_plus1_minus", "phi_0_minus", "phi_minus1_minus",
+)
 
 
 class TestChainSpec:
@@ -257,6 +267,146 @@ class TestValidateDraw:
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             validate_draw("qr24", QR24_DEFAULT, level="extreme")
+
+
+#: One draw per screen of ``validate_draw`` at level ``full``, with its exact
+#: ``(valid, reason)``, in screen order.  The cross-check has no real draw
+#: (its two routes multiply the same factors), so it is locked below by
+#: perturbing the closed form instead.
+SCREEN_DRAWS = [
+    # family factor, base factor and shifted factor below the floor
+    (("qr24", 1e-9, 0.3, -0.8, 4, 0.7), "denominator factor (a) within 1e-08 of zero"),
+    (("qr24", 1.999999998, 0.3, -0.8, 4, 0.5),
+     "denominator factor (1 - a q^1) within 1e-08 of zero"),
+    (("qr24", -0.3, 0.3, 106.66666656000001, 4, 0.5),
+     "denominator factor (1 - b c q^4) within 1e-08 of zero"),
+    # invalid shifted parameters: non-finite, a vanishing factor, a zero q^2
+    (("qr13", -0.3, 0.3, 1e300, 4, 1e-5),
+     "shifted parameters invalid: parameter c must be finite, got inf"),
+    (("qr24", -0.3, 1.0, 32.0, 4, 0.5),
+     "shifted parameters make denominator factor (1 - b c q^4) vanish"),
+    (("qr13", -0.3, 0.3, -0.8, 4, 1e-320), "float division by zero"),
+    # the coefficient tables: a zero divisor of a per-point term, a non-finite entry
+    (("qr24", 1e-8, 1e-8, -0.8, 4, 2e-316), "float division by zero"),
+    (("qr24", -0.3, 0.3, 1e308, 4, 0.7), "coefficient table lambda_plus has non-finite entries"),
+    (("qr24", 0.10044109572818183, -0.4162318775149334, 0.5207914286288444, 4, 0.5),
+     "radicand beta^2[1] = -2.558929e+01 is negative beyond tolerance"),
+    (("qr24", -2.4352281465576047, -0.401238358581157, -0.12569221115499563, 4, 0.7),
+     "radicand (alpha-gamma)^2[0] = -1.317224e+00 is negative beyond tolerance"),
+    (("qr24", 472.55645435919536, 630.7200989563315, 412.5437947600831, 4, 0.99),
+     "radicand (alpha+gamma)^2[2] = -1.079731e-06 is negative beyond tolerance"),
+    (("qr24", -0.1491745889207142, 8.580233076151011e-06, -1.0149034716436375e157, 4, 0.99),
+     "radicand Lambda^2 has non-finite entries"),
+    (("qr24", 2.37451443960627, 2.8688450563047763, 0.014244055433511704, 4, 0.9),
+     "sign-loop condition fails (spectrum not reachable)"),
+    (("qr24", 0.8915000363677201, -2.283626489272071, -0.006631933354358743, 4, 0.5),
+     "no global sign (P/Q normalization radicands mixed)"),
+    (("qr24", -0.3, 0.3, -0.8, 4, 0.7), ""),
+]
+
+
+def _screen_params(draw):
+    family, a, b, c, N, q = draw
+    return family, QRacahParams(a, b, c, N, q)
+
+
+class TestScreenReasons:
+    """Each screen of ``validate_draw`` keeps its exact reason string."""
+
+    @pytest.mark.parametrize(("draw", "reason"), SCREEN_DRAWS)
+    def test_first_reason(self, draw, reason):
+        family, params = _screen_params(draw)
+        with np.errstate(all="ignore"):
+            assert validate_draw(family, params, level="full") == (not reason, reason)
+
+    def test_cross_check_reason(self, monkeypatch):
+        closed_form = chain.closed_form_lambda_squared
+        monkeypatch.setattr(chain, "closed_form_lambda_squared",
+                            lambda *args: closed_form(*args) * (1 + 1e-9))
+        assert validate_draw("qr24", QR24_DEFAULT, level="couplings") == (
+            False, "internal cross-check failed: closed-form spectrum deviates from the "
+            "eigenvalue-product route by 1.656e-09",
+        )
+
+    @pytest.mark.parametrize("family", ["qr13", "qr24"])
+    @pytest.mark.parametrize("level", ["contiguity", "full"])
+    def test_scan_keeps_the_draws_validate_draw_accepts(self, family, level):
+        # A box of discrete choices from the screen draws: the scan keeps
+        # exactly the draws that validate_draw accepts one at a time.
+        draws = [draw for draw, _ in SCREEN_DRAWS if draw[0] == family]
+        ranges = {key: [draw[k] for draw in draws] + [getattr(QR24_DEFAULT, key)]
+                  for k, key in ((1, "a"), (2, "b"), (3, "c"), (5, "q"))}
+        expected = _replayed_valid_draws(family, ranges, 4, 60, 3, level)
+        with np.errstate(all="ignore"):
+            if not expected:
+                with pytest.raises(NoValidParameters):
+                    parameter_scan(family, ranges, N=4, samples=60, seed=3, level=level)
+                return
+            kept = parameter_scan(family, ranges, N=4, samples=60, seed=3, level=level)
+        assert [p.as_tuple() for p in kept] == [p.as_tuple() for p in expected]
+
+
+def _replayed_valid_draws(family, ranges, N, samples, seed, level):
+    """The draws of ``parameter_scan``'s generator stream that
+    ``validate_draw`` accepts one at a time, in draw order."""
+    rng = np.random.default_rng(seed)
+    samplers = [_sampler(rng, ranges[key], key) for key in ("a", "b", "c", "q")]
+    valid = []
+    for _ in range(samples):
+        a, b, c, q = (sample() for sample in samplers)
+        try:
+            params = QRacahParams(a, b, c, N, q)
+        except InvalidParameterRegime:
+            continue
+        with np.errstate(all="ignore"):
+            if validate_draw(family, params, level=level)[0]:
+                valid.append(params)
+    return valid
+
+
+class TestScreenBlocks:
+    """A block screens each draw on its own, bit for bit."""
+
+    NEIGHBOURS = [
+        QRacahParams(-0.3, 0.3, 1e308, 4, 0.7),  # overflowing tables
+        QR24_DEFAULT,
+        QRacahParams(1e-8, 1e-8, -0.8, 4, 2e-316),  # b q underflows: NaN tables
+        QRacahParams(0.10044109572818183, -0.4162318775149334, 0.5207914286288444, 4, 0.5),
+        QRacahParams(-0.35, 0.4, -0.7, 4, 0.5),
+    ]
+
+    @staticmethod
+    def _outcome(screened):
+        if isinstance(screened, Exception):
+            return str(screened)
+        return b"".join(getattr(screened, f).tobytes() for f in TABLE_FIELDS)
+
+    @pytest.mark.parametrize("level", SCAN_LEVELS)
+    def test_outcome_does_not_depend_on_neighbours(self, level):
+        together = _screen_block("qr24", _Points(self.NEIGHBOURS), level)
+        for params, screened in zip(self.NEIGHBOURS, together):
+            (alone,) = _screen_block("qr24", _Points([params]), level)
+            assert self._outcome(screened) == self._outcome(alone)
+        outcomes = [self._outcome(screened) for screened in together]
+        assert outcomes[0] == "coefficient table lambda_plus has non-finite entries"
+        assert outcomes[2] == "float division by zero"
+        assert all(isinstance(outcome, bytes) for outcome in outcomes[1::3])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_table_bytes_do_not_depend_on_neighbours(self):
+        together = _raw_tables("qr24", _Points(self.NEIGHBOURS), [None] * len(self.NEIGHBOURS))
+        for s, params in enumerate(self.NEIGHBOURS):
+            alone = _raw_tables("qr24", _Points([params]), [None])
+            for name, table in together.items():
+                assert table[s].tobytes() == alone[name][0].tobytes(), (params, name)
+
+    @pytest.mark.parametrize(("family", "box"), [("qr24", QR24_BOX), ("qr13", QR13_BOX)])
+    def test_scan_across_a_block_boundary(self, family, box):
+        # One more draw than a block: the last draw is a block of its own.
+        samples = _SCAN_BLOCK + 1
+        expected = _replayed_valid_draws(family, box, 2, samples, 17, "couplings")
+        kept = parameter_scan(family, box, N=2, samples=samples, seed=17, level="couplings")
+        assert [p.as_tuple() for p in kept] == [p.as_tuple() for p in expected]
 
 
 class TestParameterScan:

@@ -6,6 +6,7 @@ three-term relations with the package's coefficient tables.
 """
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,9 @@ from xychain.errors import InvalidParameterRegime, InvalidShiftedParams
 from xychain.qracah import (
     FAMILIES,
     QRacahParams,
+    _Points,
     _polynomial_grids,
+    _raw_tables,
     contiguity_coefficients,
     grid_variable,
     qracah_eval,
@@ -283,6 +286,59 @@ class TestParams:
         assert QR24_DEFAULT.as_tuple() == (-0.3, 0.3, -0.8, 4, 0.7)
 
 
+#: sha256 of the eight coefficient tables (bytes, in table order) at 20
+#: seeded draws, a, b, c uniform in [-3, 3] and q in [0.01, 0.99], recorded
+#: from the per-point tables before they were batched.  The seed puts q where
+#: numpy's power differs from Python's in the last bit at the qr24 scalar
+#: powers q^N or q^{N+1}, so computing those with numpy fails here.
+TABLE_DIGESTS = [
+    ("qr13", -1.0381663403666357, 2.9236610600275537, -1.0877349690868996, 4,
+     0.7827779571036284, "f7ed741a22bb4a21fab5a4dbe58d422a3a5e6b2b1ead352f61c8ca45f0ab54ab"),
+    ("qr24", 2.219379070177297, -0.6534911607648359, -0.3727087612632074, 7,
+     0.375293925027566, "ecf9473a84f85bfaed63957fad3d061b87234e5cf7dcbcb6218a9180d5acca80"),
+    ("qr13", -2.358278421163354, -0.126207275023698, -1.5518871294919063, 12,
+     0.26200234358010716, "0e074b80c6cf298960a5c0513cdce8a43edbca1cf9879b7793ce765fae6f9d52"),
+    ("qr24", -1.8916106589935107, -1.8368127065741358, 1.8829660209301258, 4,
+     0.4245245043813418, "97256c5034062249373c84d8c4c467716197994bb8f3adf0a0e23cf7569e391c"),
+    ("qr13", -1.4644769690506436, 0.5454171105924694, 0.6256337763507345, 7,
+     0.6439208665189842, "44cdd36ba36e4867eb818ee9366087591dd0f537d34fbd94b259d99150518b4a"),
+    ("qr24", 2.468138282691145, -2.0987633282281895, -0.7716772293456229, 12,
+     0.2889282247605963, "1053dfdff543edd2e5c025d38b9511f0cfecaa28ab59be8b8e336aba22a3771b"),
+    ("qr13", -2.8993076860532954, -1.910676375823623, -0.631988512208383, 4,
+     0.39544449588459774, "72706c38f30a962625683f6788d5c3bc590a6a6b9b9832f4cb09ec96c47ecc24"),
+    ("qr24", 0.7003676664420055, -0.2864008270371219, 0.6439840054288495, 7,
+     0.22859878570510533, "224ca2aa9c6d2161908d4666b9386d2699ba7578ce280b469a95bd55aa11764b"),
+    ("qr13", -2.1960772092037257, -1.024263739729477, -2.423349398831118, 12,
+     0.3685231163744401, "9d7229613024ad7c256c20eb3bdc94d6076dc910ad27a23b2ed90f93867866e1"),
+    ("qr24", -0.238924155060253, 1.3139318633370847, 2.2021492160124767, 4,
+     0.06079893946634062, "70526afef44ca9398839cb12f7dc864e561b89b6751adda28277accf8c4fe052"),
+    ("qr13", 2.736575463995397, 1.3206085512922066, 2.932641592038925, 7,
+     0.12640156711232442, "c9d497fdec655ab488907a87f8cf5bc3313405bbd64c0a478516e8d6e1dbceb2"),
+    ("qr24", -0.7498694658102028, 0.013524071430487616, 1.4833407721108705, 12,
+     0.31481033082679627, "ff2cd01b5dade353f0a70abf49a4fb93acab908ad7090b557effbe3aade51849"),
+    ("qr13", -0.3005743434924062, -1.343043884396121, -0.305009023793561, 4,
+     0.5097745277433436, "e297ae4aad4730f3c1cbd9673265819ef3f88e0f954e47c920845e9186decb36"),
+    ("qr24", 0.39016763858714665, 1.225144290552243, -1.5490800805271228, 7,
+     0.6278806721497227, "a2874408b45c707e950b3c5eefc2268abe5f2a607272ba1c515e25350de4a321"),
+    ("qr13", -2.4591229280321065, 0.6662517865934525, -0.24577443371142538, 12,
+     0.14215713714263226, "3abd75e34869fdfe50e5d37f578a6e634b1fdd6201d94c749a8157c06c51113d"),
+    ("qr24", -1.4598314523993081, -2.6107606777246803, -0.7660682243528765, 4,
+     0.4057040882053361, "23481fb3f58ddf6e62e8de0f6d3d5891ebe956e50035245301bd40d64b166ed1"),
+    ("qr13", -0.06730560893773063, -2.5808556205166093, 1.294097819167777, 7,
+     0.32255493498652194, "07e3f3eb0ee6fbe2ad817f0539876d4b5868a326fe9805a1302d6c38d52897ab"),
+    ("qr24", -1.3091782645593537, 2.348192522295859, 0.6066740020806733, 12,
+     0.6554998865820197, "9e62a44f962d6a45fc0e08e6c560bfda42b81c29c0af230b197ffe0bed2d601a"),
+    ("qr13", 0.18853464893224814, -1.7028176100362815, -2.0948142345974263, 4,
+     0.19046364728027196, "d44b5a7f6e47132600391652647c84b2a851b303cc14b7f6317aa2a44a95f6b7"),
+    ("qr24", -0.9558940773888382, -1.979647088113357, -0.13330052787844338, 7,
+     0.9580213230594554, "cdc836b16c56a7f08d01f51e3b2b301f47bbb2b27c588a53e1f466f0b5bbc46b"),
+]
+
+
+def _table_digest(tables, s):
+    return hashlib.sha256(b"".join(table[s].tobytes() for table in tables.values())).hexdigest()
+
+
 class TestContiguityTables:
     def test_frozen_reference_entries(self):
         coeffs = contiguity_coefficients("qr24", QR24_DEFAULT)
@@ -330,6 +386,18 @@ class TestContiguityTables:
         checks = {c.name: c for c in report.checks}
         assert not checks["constraint-ratio"].passed
         assert checks["constraint-ratio"].residual > 100 * TOLERANCES["constraint"]
+
+    def test_tables_are_bit_identical_to_the_per_point_route(self):
+        groups = {}
+        for family, a, b, c, N, q, digest in TABLE_DIGESTS:
+            groups.setdefault((family, N), []).append((QRacahParams(a, b, c, N, q), digest))
+        for (family, N), draws in groups.items():
+            points = _Points([params for params, _ in draws])
+            tables = _raw_tables(family, points, [None] * len(draws))
+            for s, (params, digest) in enumerate(draws):
+                assert _table_digest(tables, s) == digest, (family, params)
+                single = contiguity_coefficients(family, params)
+                assert _table_digest({f: getattr(single, f)[None] for f in tables}, 0) == digest
 
     def test_exact_zero_denominator_rejected(self):
         # a b q = 1 exactly for a = 4, b = 1, q = 1/4.

@@ -22,7 +22,14 @@ Cases:
   verdicts at its configured level;
 * explicit XY and XX chains of 2-8 sites drawn from a fixed seed, x
   ``spectrum``, ``chain-coeffs``, ``manybody`` and the three ``verify``
-  forms.
+  forms;
+* the shipped qr24 point moved onto a degenerate or extreme value (``a = 1``,
+  ``b c q = 1``, ``c = 1e308``, subnormal ``q = 1e-320``), in both families, x
+  ``spectrum`` and the three ``verify`` forms, so the messages of the table
+  and shift errors are compared too;
+* one scan box of discrete choices on and between those values, in both
+  families and at every validity level, with more samples than one screen
+  block.
 
 A case that ends in an uncaught exception reports the exit ``traceback`` and
 hashes the exception's type and message as its stderr.
@@ -51,6 +58,15 @@ VERIFY_FORMS = ("verify.csv", "verify.json", "verify.txt")
 SCAN_LEVELS = ("contiguity", "couplings", "spectral", "full")
 CHAIN_SEED = 20240917
 CHAIN_SITES = range(2, 9)
+EDGE_BASE = {"a": -0.3, "b": 0.3, "c": -0.8, "q": 0.7, "N": 4}
+EDGE_MOVES = {
+    "a=1": {"a": 1.0},
+    "bcq=1": {"b": 0.5, "c": 4.0, "q": 0.5},
+    "c=1e308": {"c": 1e308},
+    "q=1e-320": {"q": 1e-320},
+}
+EDGE_BOX = {"a": [-0.3, 0.0, 1.0, 2.0], "b": [0.3, 0.5, 0.0], "c": [-0.8, 4.0, 1e308],
+            "q": [0.5, 0.7, 1e-320]}
 
 
 def _forms(commands):
@@ -105,6 +121,14 @@ def build_cases(config_dir):
         for xx in (False, True):
             add(f"chain/{sites}-sites/{'xx' if xx else 'xy'}", _random_chain(rng, sites, xx),
                 _forms(("spectrum", "chain-coeffs", "manybody", "verify")))
+    for family in ("qr13", "qr24"):
+        for move, values in EDGE_MOVES.items():
+            add(f"edge/{family}/{move}", dict(EDGE_BASE, family=family, **values),
+                _forms(("spectrum", "verify")))
+        for level in SCAN_LEVELS:
+            add(f"edge/{family}/box@{level}",
+                {"family": family, "N": 4, "ranges": EDGE_BOX, "samples": 300, "level": level},
+                ("scan.csv",))
     return cases
 
 
