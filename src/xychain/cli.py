@@ -25,6 +25,7 @@ error; 4 verification failure.
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -60,6 +61,9 @@ _COMMON_KEYS = {"family", "seed", "tolerances", "note"}
 _QRACAH_KEYS = {"a", "b", "c", "q", "N"}
 _EXPLICIT_KEYS = {"N", "alpha", "beta", "gamma"}
 _SCAN_KEYS = {"N", "ranges", "samples", "level"}
+#: Many-body levels formatted per write: bounds how many rows exist as Python
+#: objects at once (the cap allows 2^24 levels).
+_MANYBODY_BLOCK = 1 << 16
 
 
 def _require(config, key, kinds, kind_name):
@@ -309,9 +313,16 @@ def cmd_manybody(config, out_path):
     chain = _chain_from_config(config, _coeffs_from_config(config))
     spectral = eigendecompose(assemble(chain))
     spectrum = many_body_spectrum(spectral.lambda_numeric)
-    rows = zip(spectrum.masks.tolist(), spectrum.energies.tolist())
+    masks, energies = spectrum.masks, spectrum.energies
     with _open_out(out_path) as handle:
-        _write_csv(handle, config, ("mask", "energy"), rows)
+        _write_csv(handle, config, ("mask", "energy"), ())
+        # The bytes ``csv`` would write: an int cell is its ``str``, a float
+        # cell its ``repr``, and neither ever needs quoting.
+        for start in range(0, masks.size, _MANYBODY_BLOCK):
+            block = slice(start, start + _MANYBODY_BLOCK)
+            handle.writelines(
+                map("{},{!r}\n".format, masks[block].tolist(), energies[block].tolist())
+            )
     return 0
 
 
@@ -422,7 +433,10 @@ def cmd_scan(config, out_path, seed=None):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused: parsing keeps
+    no state in it, every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="xychain",
         description="Exactly solvable inhomogeneous XY chains from q-Racah contiguity data",

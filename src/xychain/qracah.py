@@ -16,6 +16,7 @@ data later yields couplings and spectra of an open XY chain (module
 :mod:`xychain.chain`).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -63,7 +64,7 @@ class QRacahParams:
             raise InvalidParameterRegime(f"N must be an integer >= 1, got {self.N!r}")
         for name in ("a", "b", "c", "q"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise InvalidParameterRegime(f"parameter {name} must be finite, got {value!r}")
         if not 0.0 < self.q < 1.0:
             raise InvalidParameterRegime(

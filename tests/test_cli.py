@@ -234,6 +234,43 @@ class TestManybody:
         assert [int(r["mask"]) for r in rows] == expected.masks.tolist()
         assert energies == expected.energies.tolist()
 
+    @staticmethod
+    def _random_chain(rng, sites, scale):
+        N = sites - 1
+        return {
+            "family": "explicit", "N": N,
+            "alpha": (scale * rng.uniform(0.5, 1.5, N)).tolist(),
+            "beta": (scale * rng.uniform(-1.0, 1.0, sites)).tolist(),
+            "gamma": (scale * rng.uniform(-0.5, 0.5, N)).tolist(),
+        }
+
+    # 17 sites give 2^17 levels, more than one write block; couplings near
+    # 1e-7 give energies whose repr uses exponent notation.
+    @pytest.mark.parametrize("sites, scale", [(17, 1.0), (6, 1e-7)])
+    def test_rows_are_the_csv_writer_bytes(self, tmp_path, capsys, rng, sites, scale):
+        config = self._random_chain(rng, sites, scale)
+        path = write_config(tmp_path, config)
+        out = tmp_path / "levels.csv"
+        assert main(["manybody", "--config", path, "--out", str(out)]) == 0
+        written = out.read_bytes()
+        assert main(["manybody", "--config", path]) == 0
+        assert capsys.readouterr().out.encode() == written
+
+        couplings = {k: config[k] for k in ("alpha", "beta", "gamma")}
+        spectral = eigendecompose(assemble(chain.ChainSpec(**couplings)))
+        levels = many_body_spectrum(spectral.lambda_numeric)
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(("mask", "energy"))
+        writer.writerows(zip(levels.masks.tolist(), levels.energies.tolist()))
+        *comments, body = written.decode().split("\n", 2)
+        assert all(line.startswith("# ") for line in comments)
+        assert body == reference.getvalue()
+        if sites == 17:
+            assert levels.energies.size > cli._MANYBODY_BLOCK
+        else:
+            assert re.search(r"e-0\d\n", body)
+
     def test_mode_cap_is_config_error(self, tmp_path):
         over_cap = {
             "family": "explicit", "N": 24,
@@ -554,6 +591,47 @@ class TestArgparseSurface:
         with pytest.raises(SystemExit) as excinfo:
             main(["spectrum", "--config", path, "--family", "qr99"])
         assert excinfo.value.code == 2
+
+
+class TestParserReuse:
+    """``main`` reuses one parser; no option of a call reaches the next."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_option_outlives_its_call(self, tmp_path, capsys):
+        scan = write_config(tmp_path, SCAN_CONFIG, "scan.json")
+        point = write_config(tmp_path, QR24_CONFIG, "point.json")
+        plain = {
+            "scan": ["scan", "--config", scan],
+            "spectrum": ["spectrum", "--config", point],
+            "verify": ["verify", "--config", point],
+        }
+        cli._build_parser.cache_clear()
+        fresh = {name: self._run(argv, capsys) for name, argv in plain.items()}
+        assert fresh["scan"][0] == 0 and "# seed 3\n" in fresh["scan"][1]
+        assert fresh["spectrum"][0] == 0 and fresh["verify"][0] == 0
+        calls = [
+            (plain["scan"] + ["--seed", "7"], 0, "scan"),
+            (plain["spectrum"] + ["--tol", "1e-30"], 4, "spectrum"),
+            (plain["verify"] + ["--family", "qr13"], 0, "verify"),
+            # usage errors: one after --tol and --family were parsed, one
+            # after --seed, one in the value of --tol
+            (plain["spectrum"] + ["--tol", "1e-30", "--family", "qr13", "--bogus"], 2, "spectrum"),
+            (plain["scan"] + ["--seed", "7", "--family", "qr99"], 2, "scan"),
+            (plain["verify"] + ["--tol", "tight"], 2, "verify"),
+        ]
+        for argv, code, name in calls:
+            assert self._run(argv, capsys)[0] == code, argv
+            assert self._run(plain[name], capsys) == fresh[name], argv
 
 
 class TestGridWork:

@@ -278,6 +278,15 @@ class TestParams:
         with pytest.raises(InvalidParameterRegime):
             QRacahParams(a=float("nan"), b=0.2, c=0.3, N=3, q=0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["a", "b", "c", "q"])
+    def test_non_finite_field_rejected(self, name, value):
+        fields = {"a": 0.1, "b": 0.2, "c": 0.3, "N": 3, "q": 0.5, name: value}
+        message = f"parameter {name} must be finite, got {value!r}"
+        with pytest.raises(InvalidParameterRegime) as excinfo:
+            QRacahParams(**fields)
+        assert str(excinfo.value) == message
+
     def test_bool_degree_rejected(self):
         with pytest.raises(InvalidParameterRegime, match="N must be an integer"):
             QRacahParams(a=0.1, b=0.2, c=0.3, N=True, q=0.5)

@@ -22,7 +22,7 @@ Cases:
   verdicts at its configured level;
 * explicit XY and XX chains of 2-8 sites drawn from a fixed seed, x
   ``spectrum``, ``chain-coeffs``, ``manybody`` and the three ``verify``
-  forms;
+  forms, and ``manybody`` once more on stdout;
 * the shipped qr24 point moved onto a degenerate or extreme value (``a = 1``,
   ``b c q = 1``, ``c = 1e308``, subnormal ``q = 1e-320``), in both families, x
   ``spectrum`` and the three ``verify`` forms, so the messages of the table
@@ -120,7 +120,7 @@ def build_cases(config_dir):
     for sites in CHAIN_SITES:
         for xx in (False, True):
             add(f"chain/{sites}-sites/{'xx' if xx else 'xy'}", _random_chain(rng, sites, xx),
-                _forms(("spectrum", "chain-coeffs", "manybody", "verify")))
+                _forms(("spectrum", "chain-coeffs", "manybody", "verify")) + ["manybody.txt"])
     for family in ("qr13", "qr24"):
         for move, values in EDGE_MOVES.items():
             add(f"edge/{family}/{move}", dict(EDGE_BASE, family=family, **values),
