@@ -9,10 +9,11 @@ numerical oracles:
   the three-term relations that encode the chain.
 - :mod:`xychain.chain` — chain construction, closed-form spectra, P/Q
   eigenvector tables, and parameter scans.
-- :mod:`xychain.linalg` — self-contained eigensolvers: Jacobi for the
-  free-fermion path, Householder and Sturm bisection for the spin oracle.
-- :mod:`xychain.freefermion` — doubled one-particle matrix, numeric
-  diagonalization, many-body spectra, and cross-checks.
+- :mod:`xychain.linalg` — self-contained solvers: a one-sided Jacobi SVD for
+  the free-fermion path, a values-only Jacobi eigensolver that certifies it,
+  Householder and Sturm bisection for the spin oracle.
+- :mod:`xychain.freefermion` — doubled one-particle matrix, its solution by
+  the SVD of ``A + B``, many-body spectra, and cross-checks.
 - :mod:`xychain.spinoracle` — brute-force spin-chain Hamiltonian oracle.
 - :mod:`xychain.cli` — the ``xychain`` command-line tool.
 """

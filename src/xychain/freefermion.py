@@ -3,20 +3,21 @@
 The chain couplings define a symmetric tridiagonal matrix ``A`` (diagonal
 ``beta``, off-diagonal ``alpha``) and an antisymmetric tridiagonal matrix
 ``B`` (superdiagonal ``gamma``), combined into the doubled single-particle
-matrix ``H = [[A, B], [-B, -A]]``.  Its spectrum is symmetric about zero; the
-nonnegative half and the paired eigenvectors determine the orthogonal
-transition matrix ``T = [[Psi, Phi], [Phi, Psi]]`` and, through independent
-mode occupation, all ``2^(N+1)`` many-body energies.
+matrix ``H = [[A, B], [-B, -A]]``.  Its spectrum is ``+-Lambda``, the
+singular values of ``A + B``, whose singular vectors give the orthogonal
+transition matrix ``T = [[Psi, Phi], [Phi, Psi]]`` (Lieb, Schultz & Mattis,
+Ann. Phys. 16, 1961) and, through independent mode occupation, all
+``2^(N+1)`` many-body energies.
 """
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .chain import PQTable, pq_recurrence_residual
 from .errors import SizeCapExceeded
-from .linalg import jacobi_eigh
+from .linalg import jacobi_eigh, jacobi_svd
 from .report import TOLERANCES, CheckReport
 
 __all__ = [
@@ -35,10 +36,6 @@ __all__ = [
 
 #: Many-body enumeration cap: ``2^MANY_BODY_MODE_CAP`` energies.
 MANY_BODY_MODE_CAP = 24
-
-#: Numeric eigenvalues closer to zero than this factor times the spectral
-#: scale are treated as zero modes when pairing eigenvectors.
-ZERO_MODE_FACTOR = 1e-10
 
 #: Largest principal angle (radians) accepted between a degenerate cluster's
 #: numeric and analytic eigenvector spans.
@@ -66,13 +63,14 @@ class FreeFermionSystem:
 class SpectralData:
     """Numeric spectral decomposition of a :class:`FreeFermionSystem`.
 
-    ``lambda_numeric`` is the nonnegative half of the spectrum, ascending.
-    Column ``j`` of ``Psi``/``Phi`` splits the eigenvector of
+    ``lambda_numeric`` holds the singular values of ``A + B``, ascending.
+    Column ``j`` of ``Psi``/``Phi`` splits the eigenvector of ``H`` for
     ``+lambda_numeric[j]`` into its site/conjugate-site halves, so
     ``T = [[Psi, Phi], [Phi, Psi]]`` is orthogonal and diagonalizes ``H``.
-    ``ortho_error``, ``pairing_error`` and ``eigen_residual`` record the
-    achieved quality (max-norm; ``pairing_error`` measures the symmetry of the
-    spectrum about zero).
+    ``ortho_error`` and ``eigen_residual`` record the achieved quality
+    (max-norm).  ``doubled_values``, the eigenvalues of ``H`` by an
+    independent route, is computed on first use; ``pairing_error`` measures
+    their symmetry about zero.
     """
 
     lambda_numeric: np.ndarray
@@ -81,8 +79,17 @@ class SpectralData:
     T: np.ndarray
     system: FreeFermionSystem
     ortho_error: float
-    pairing_error: float
     eigen_residual: float
+
+    @cached_property
+    def doubled_values(self):
+        return jacobi_eigh(self.system.H)
+
+    @property
+    def pairing_error(self):
+        values = self.doubled_values
+        scale = max(float(np.max(np.abs(values))), 1e-300)
+        return float(np.max(np.abs(values + values[::-1]))) / scale
 
 
 @dataclass
@@ -110,82 +117,21 @@ def assemble(chain):
     return FreeFermionSystem(A=a, B=b, H=h)
 
 
-def _orthonormal_columns(columns, tol):
-    """Orthonormal basis of the column span (modified Gram-Schmidt)."""
-    basis = []
-    for v in columns.T:
-        w = v.copy()
-        for u in basis:
-            w -= np.dot(u, w) * u
-        norm = np.linalg.norm(w)
-        if norm > tol:
-            basis.append(w / norm)
-    return np.array(basis).T if basis else np.zeros((columns.shape[0], 0))
-
-
-def _split_zero_modes(null_vectors, n):
-    """Split a null-space basis of ``H`` into paired ``(psi, phi)`` columns.
-
-    Each null vector ``[x; y]`` yields ``x + y`` in the kernel of ``A + B``
-    and ``x - y`` in the kernel of ``A - B``.  Kernel bases are orthonormalized
-    separately, paired greedily by overlap, and each pair is signed so the
-    conjugate component ``phi = (u - w) / 2`` has minimal norm.  Pairs are
-    orthonormal in the doubled space by construction.  Returns ``(psi, phi)``
-    with one column per pair, and at most one pair per two null vectors: the
-    two vectors of a mode that is only near zero give two independent
-    vectors on each side.
-    """
-    tol = 1e-8
-    u_basis = _orthonormal_columns(null_vectors[:n] + null_vectors[n:], tol)
-    w_basis = _orthonormal_columns(null_vectors[:n] - null_vectors[n:], tol)
-    m = min(u_basis.shape[1], w_basis.shape[1], null_vectors.shape[1] // 2)
-    overlaps = w_basis.T @ u_basis
-    psi = np.empty((n, m))
-    phi = np.empty((n, m))
-    used = set()
-    for r in range(m):
-        weights = [
-            (abs(overlaps[r, s]), s) for s in range(u_basis.shape[1]) if s not in used
-        ]
-        _, s = max(weights)
-        used.add(s)
-        u = u_basis[:, s] * (1.0 if overlaps[r, s] >= 0.0 else -1.0)
-        w = w_basis[:, r]
-        psi[:, r] = 0.5 * (w + u)
-        phi[:, r] = 0.5 * (u - w)
-    return psi, phi
-
-
 def eigendecompose(system):
     """Numeric spectral data for the doubled matrix.
 
-    Diagonalizes ``H`` with the in-repo Jacobi solver, extracts the
-    nonnegative half of the spectrum, and pairs eigenvectors of ``+Lambda``
-    and ``-Lambda``.  Exact zero modes (doubly degenerate in ``H``) are split
-    into ``(psi, phi)`` by the minimal-``phi`` convention.  Every column is
-    signed so that the largest-magnitude entry of ``psi`` (of ``phi`` if
-    ``psi`` vanishes) is positive, with ties broken by the lowest index.
+    The in-repo SVD ``A + B = W diag(Lambda) U^T`` gives ``(A + B) u =
+    Lambda w`` and ``(A - B) w = Lambda u``, so ``psi = (u + w) / 2`` and
+    ``phi = (u - w) / 2`` pair into eigenvectors of ``H`` for ``+Lambda``,
+    and ``T`` is orthogonal as ``U`` and ``W`` are; for a zero mode any pair
+    of null vectors does.  Every column is signed so that the
+    largest-magnitude entry of ``psi`` (of ``phi`` if ``psi`` vanishes) is
+    positive, with ties broken by the lowest index.
     """
-    values, vectors = jacobi_eigh(system.H)
+    lam, u, w = jacobi_svd(system.A + system.B)
     n = system.n_sites
-    lam = values[n:].copy()
-    scale = max(float(np.max(np.abs(values))), 1e-300)
-    pairing_error = float(np.max(np.abs(values[:n][::-1] + lam))) / scale
-
-    zero_cut = ZERO_MODE_FACTOR * scale
-    psi = vectors[:n, n:].copy()
-    phi = vectors[n:, n:].copy()
-    zero_idx = np.flatnonzero(np.abs(lam) <= zero_cut)
-    if zero_idx.size:
-        lam[zero_idx] = np.abs(lam[zero_idx])  # clamp sign noise on zeros
-        null_cols = np.concatenate([n + zero_idx, n - 1 - zero_idx])
-        zero_psi, zero_phi = _split_zero_modes(vectors[:, null_cols], n)
-        # a rank-deficient kernel split pairs fewer modes; the rest keep the
-        # raw eigenvector
-        paired = zero_idx[: zero_psi.shape[1]]
-        psi[:, paired] = zero_psi
-        phi[:, paired] = zero_phi
-
+    psi = 0.5 * (u + w)
+    phi = 0.5 * (u - w)
     anchor = np.where(np.max(np.abs(psi), axis=0) > 0.0, psi, phi)
     flip = np.where(anchor[np.argmax(np.abs(anchor), axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
     psi *= flip
@@ -194,6 +140,7 @@ def eigendecompose(system):
     t = np.block([[psi, phi], [phi, psi]])
     ortho_error = float(np.max(np.abs(t.T @ t - np.eye(2 * n))))
     stacked = np.vstack([psi, phi])
+    scale = max(float(lam[-1]), 1e-300)
     eigen_residual = float(np.max(np.abs(system.H @ stacked - stacked * lam[None, :]))) / scale
     return SpectralData(
         lambda_numeric=lam,
@@ -202,7 +149,6 @@ def eigendecompose(system):
         T=t,
         system=system,
         ortho_error=ortho_error,
-        pairing_error=pairing_error,
         eigen_residual=eigen_residual,
     )
 
@@ -216,23 +162,12 @@ def _spectrum_gap(values, reference):
 
 
 def singular_value_check(spectral, tol=TOLERANCES["svd"]):
-    """Certify the numeric spectrum against the singular values of ``A + B``.
-
-    The combination ``A + B`` of ``spectral.system`` maps eigenvector sums to
-    eigenvector differences scaled by ``Lambda``, so its singular values must
-    reproduce the nonnegative spectrum.  They are computed by the independent
-    route of diagonalizing the Gram matrix ``(A + B)^T (A + B)``.
-    """
-    m = spectral.system.A + spectral.system.B
-    # scaled by a power of two, which is exact, so the Gram product cannot overflow
-    exponent = math.frexp(float(np.max(np.abs(m))))[1]
-    m = np.ldexp(m, -exponent)
-    gram_values, _ = jacobi_eigh(m.T @ m)
-    singulars = np.ldexp(np.sqrt(np.maximum(gram_values, 0.0)), exponent)
+    """Certify the singular values of ``A + B`` in ``spectral`` against the
+    nonnegative half of ``spectral.doubled_values``, the eigenvalues of ``H``
+    by the independent two-sided Jacobi route."""
+    values = spectral.doubled_values[spectral.system.n_sites :]
     report = CheckReport(title="singular-value route")
-    report.add(
-        "spectrum-vs-singular-values", _spectrum_gap(singulars, spectral.lambda_numeric), tol
-    )
+    report.add("spectrum-vs-singular-values", _spectrum_gap(values, spectral.lambda_numeric), tol)
     return report
 
 
@@ -241,9 +176,9 @@ def xx_reduction_check(spectral, tol=TOLERANCES["spectrum"]):
 
     With ``B = 0`` the single-particle energies are the absolute eigenvalues
     of the hopping matrix ``A`` of ``spectral.system``, diagonalized here on
-    its own and compared with the numeric spectrum of the doubled matrix.
+    its own and compared with the singular values of ``A + B``.
     """
-    values, _ = jacobi_eigh(spectral.system.A)
+    values = jacobi_eigh(spectral.system.A)
     report = CheckReport(title="XX reduction")
     report.add("xx-reduction", _spectrum_gap(np.abs(values), spectral.lambda_numeric), tol)
     return report
@@ -253,12 +188,14 @@ def many_body_spectrum(lam):
     """Enumerate all ``2^n`` many-body energies of ``n`` independent modes.
 
     Occupying mode ``j`` adds ``2 * lam[j]`` to the base energy
-    ``-sum(lam)``.  Returns energies ascending with their occupation masks.
-    The sort is stable, so equal floats keep mask order, but levels that are
-    degenerate only in exact arithmetic differ in the last bits and come out
-    in an order set by rounding (four adjacent pairs of
-    ``configs/xx_uniform.json``, 1.3-1.8e-15 apart): the same on every run
-    of one build, not across eigensolver or BLAS changes.
+    ``-sum(lam)``; level ``k`` of the enumeration occupies the modes of the
+    bits of ``k``, so its index is its mask.  Returns energies ascending with
+    their occupation masks.  Levels that are degenerate in exact arithmetic
+    differ in the last bits (four adjacent pairs of
+    ``configs/xx_uniform.json``, 1.3-1.8e-15 apart), so after the sort a run
+    of levels, each within ``n * eps * max(1, sum |lam|)`` of the one before,
+    becomes one level: it takes the run's first energy and lists its masks
+    ascending.  The row order then does not depend on rounding.
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.size
@@ -266,26 +203,37 @@ def many_body_spectrum(lam):
         raise SizeCapExceeded(
             f"many-body enumeration needs 2^{n} levels; cap is 2^{MANY_BODY_MODE_CAP}"
         )
-    energies = np.array([-float(lam.sum())])
-    masks = np.array([0], dtype=np.uint32)
+    energies = np.empty(1 << n)
+    energies[0] = -float(lam.sum())
     for j in range(n):
-        energies = np.concatenate([energies, energies + 2.0 * lam[j]])
-        masks = np.concatenate([masks, masks | np.uint32(1 << j)])
-    order = np.argsort(energies, kind="stable")
-    return ManyBodySpectrum(energies=energies[order], masks=masks[order])
+        np.add(energies[: 1 << j], 2.0 * lam[j], out=energies[1 << j : 2 << j])
+    order = np.argsort(energies)
+    energies = energies[order]
+    tie = np.diff(energies) <= n * np.finfo(float).eps * max(1.0, float(np.abs(lam).sum()))
+    # one in-place sort of (run index << n) | mask orders each run by mask
+    key = np.zeros(energies.size, dtype=np.int64)
+    key[1:] = ~tie
+    np.cumsum(key, out=key)  # in place: a cast from bool would copy
+    key <<= n
+    key |= order
+    del order
+    key.sort()
+    key &= energies.size - 1
+    # sorted, so the running maximum past each run's masked tail is its head
+    energies[1:][tie] = -np.inf
+    np.maximum.accumulate(energies, out=energies)
+    return ManyBodySpectrum(energies=energies, masks=key.astype(np.uint32))
 
 
 def _principal_cosines(set_a, set_b):
-    """Cosines of the principal angles between two column spans."""
-    tol = 1e-10
-    qa = _orthonormal_columns(set_a, tol)
-    qb = _orthonormal_columns(set_b, tol)
-    if qa.shape[1] == 0 or qb.shape[1] == 0:
-        return np.array([])
-    g = qa.T @ qb
-    values, _ = jacobi_eigh(g.T @ g)
-    cosines = np.sqrt(np.clip(values, 0.0, 1.0))
-    return np.sort(cosines)[::-1]
+    """Cosines of the principal angles between two column spans, largest
+    first: one per dimension of ``set_b``'s span, zero for each that
+    ``set_a``'s span lacks.  A span's basis is the left singular vectors
+    whose value exceeds ``1e-10`` times the largest."""
+    qa, qb = (left[:, values > 1e-10 * values[-1]]
+              for values, _, left in map(jacobi_svd, (set_a, set_b)))
+    overlap = np.pad(qa.T @ qb, ((0, max(0, qb.shape[1] - qa.shape[1])), (0, 0)))
+    return np.minimum(jacobi_svd(overlap)[0], 1.0)[::-1]
 
 
 def eigenvector_crosscheck(spectral, pq, cos_tol=TOLERANCES["cosine"],
@@ -355,7 +303,7 @@ def eigenvector_crosscheck(spectral, pq, cos_tol=TOLERANCES["cosine"],
                 report.add(label, 1.0 - cosine, cos_tol)
             else:
                 cosines = _principal_cosines(numeric[:, group], analytic[:, live])
-                worst = float(np.min(cosines[: len(live)])) if cosines.size else 0.0
+                worst = float(np.min(cosines[: len(live)]))
                 angle = float(np.arccos(np.clip(worst, -1.0, 1.0)))
                 report.add(label, angle, ANGLE_TOL, note="principal angle (rad)")
     return report

@@ -1,19 +1,19 @@
-"""Dense symmetric eigensolvers kept in-repo, one per verification route.
+"""Dense solvers kept in-repo, one per verification route.
 
-Both solvers are kept in-repo (rather than delegating to LAPACK) so the
+The solvers are kept in-repo (rather than delegating to LAPACK) so the
 verification layers have numerical routes that are independent of the library
-eigensolvers used as oracles in the test suite, and of each other.
+solvers used as oracles in the test suite, and of each other.
 
-:func:`jacobi_eigh` is the free-fermion path's full eigendecomposition, built
-on round-robin Jacobi rotations, with explicit control of the termination
-tolerance and the high relative accuracy of Jacobi iteration (Demmel &
-Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992).  Each sweep visits every
-index pair once in the round-robin (tournament) order of Brent & Luk (SIAM J.
-Sci. Stat. Comput. 6(1), 1985): a round holds ``n/2`` disjoint pairs, whose
-rotations commute and are applied together as array operations.
+:func:`jacobi_svd`, the free-fermion path's solver, is a one-sided Jacobi SVD
+with relatively accurate values and orthogonal factors (Demmel & Veselic,
+SIAM J. Matrix Anal. Appl. 13(4), 1992); :func:`jacobi_eigh`, the
+eigenvalues of the doubled matrix that certify it, a two-sided Jacobi.  Each
+sweep of either visits every index pair once in the round-robin (tournament)
+order of Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985): a round holds
+``n/2`` disjoint pairs, whose rotations commute and are applied together.
 
 :func:`sturm_eigvalsh` is the spin oracle's values-only solver and shares no
-code with :func:`jacobi_eigh`.  It reduces each matrix to tridiagonal form by
+code with the Jacobi solvers.  It reduces each matrix to tridiagonal form by
 Householder reflections (Golub & Van Loan, Matrix Computations, 4th ed.,
 Sec. 8.3.1) and finds every eigenvalue of every matrix in one Sturm-count
 bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), with the tiny
@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 
-__all__ = ["jacobi_eigh", "offdiag_max", "sturm_eigvalsh"]
+__all__ = ["jacobi_eigh", "jacobi_svd", "offdiag_max", "sturm_eigvalsh"]
 
-#: Termination: largest off-diagonal magnitude must fall below this factor
-#: times the largest magnitude of the input matrix.
+#: Termination of :func:`jacobi_eigh`: largest off-diagonal magnitude must
+#: fall below this factor times the largest magnitude of the input matrix.
 OFFDIAG_TOL_FACTOR = 1e-12
 
 MAX_SWEEPS = 100
@@ -64,13 +64,27 @@ def _tournament(size):
     return step
 
 
+def _rotations(app, aqq, apq, rotate, out):
+    """Rotations annihilating ``apq`` of each block ``[[app, apq], [apq, aqq]]``
+    where ``rotate`` holds: ``out[k]`` takes rows ``p, q`` of pair ``k`` to
+    ``c p - s q`` and ``s p + c q``."""
+    tau = (aqq - app) / (2.0 * np.where(rotate, apq, 1.0))
+    # hypot(1, tau) is sqrt(1 + tau^2) without overflow
+    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+    c = np.where(rotate, 1.0 / np.hypot(1.0, t), 1.0)
+    s = np.where(rotate, t * c, 0.0)
+    out[:, 0, 0] = c
+    out[:, 0, 1] = -s
+    out[:, 1, 0] = s
+    out[:, 1, 1] = c
+
+
 def jacobi_eigh(matrix, max_sweeps=MAX_SWEEPS):
-    """Full eigendecomposition of a real symmetric matrix.
+    """Eigenvalues of a real symmetric matrix, ascending.
 
     Repeatedly applies two-sided Givens rotations over all index pairs until
     every off-diagonal entry is at most ``OFFDIAG_TOL_FACTOR`` times the
-    largest magnitude of the input.  Returns ``(values, vectors)`` with eigenvalues
-    ascending and eigenvectors as the corresponding columns.
+    largest magnitude of the input; the eigenvalues are then the diagonal.
 
     Raises
     ------
@@ -87,9 +101,7 @@ def jacobi_eigh(matrix, max_sweeps=MAX_SWEEPS):
     if n and float(np.max(np.abs(a - a.T))) > 1e-12 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
     if n < 2 or scale == 0.0:
-        values = np.diag(a).copy()
-        order = np.argsort(values, kind="stable")
-        return values[order], np.eye(n)[:, order]
+        return np.sort(np.diag(a))
 
     # An odd dimension gets one isolated zero row and column: every pair it
     # joins has a zero off-diagonal entry, so it is never rotated.
@@ -97,7 +109,6 @@ def jacobi_eigh(matrix, max_sweeps=MAX_SWEEPS):
     half = size // 2
     pairs = (half, 2, size)  # rows 2k, 2k + 1 as the k-th pair
     a = np.pad(a, ((0, size - n), (0, size - n)))
-    vectors_t = np.eye(size)  # row k holds the current k-th eigenvector
     work = np.empty((size, size))
     rotations = np.empty((half, 2, 2))
     step = _tournament(size)
@@ -122,36 +133,91 @@ def jacobi_eigh(matrix, max_sweeps=MAX_SWEEPS):
             )
         for _ in range(size - 1):
             flat = a.reshape(-1)
-            app = flat[0 :: 2 * size + 2]
-            aqq = flat[size + 1 :: 2 * size + 2]
             apq = flat[1 :: 2 * size + 2]
             rotate = np.abs(apq) > skip
-            # rotation angle annihilating a[p, q]
-            tau = (aqq - app) / (2.0 * np.where(rotate, apq, 1.0))
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (
-                np.abs(tau) + np.sqrt(1.0 + tau * tau)
-            )
-            c = np.where(rotate, 1.0 / np.sqrt(1.0 + t * t), 1.0)
-            s = np.where(rotate, t * c, 0.0)
-            rotations[:, 0, 0] = c
-            rotations[:, 0, 1] = -s
-            rotations[:, 1, 0] = s
-            rotations[:, 1, 1] = c
-            # A <- S^T R^T A R S, with R the rotations (rows p, q become
-            # c p - s q and s p + c q) and S the next round's order.  As A is
-            # symmetric, the transpose of S^T R^T A is A R S, so the column
-            # pass rotates rows too.  Every index of ``step`` is in range;
-            # mode="clip" lets ``take`` write straight into ``out``.
+            _rotations(flat[0 :: 2 * size + 2], flat[size + 1 :: 2 * size + 2], apq,
+                       rotate, rotations)
+            # A <- S^T R^T A R S, with R the rotations and S the next round's
+            # order.  As A is symmetric, the transpose of S^T R^T A is A R S,
+            # so the column pass rotates rows too.  Every index of ``step``
+            # is in range; mode="clip" lets ``take`` write straight into ``out``.
             np.matmul(rotations, a.reshape(pairs), out=work.reshape(pairs))
             np.take(work, step, axis=0, out=a, mode="clip")
             np.matmul(rotations, a.T.reshape(pairs), out=work.reshape(pairs))
             work.reshape(-1)[annihilated[:, rotate]] = 0.0
             np.take(work, step, axis=0, out=a, mode="clip")
-            np.matmul(rotations, vectors_t.reshape(pairs), out=work.reshape(pairs))
-            np.take(work, step, axis=0, out=vectors_t, mode="clip")
-    values = np.diag(a)[:n].copy()
+    return np.sort(np.diag(a)[:n])
+
+
+def jacobi_svd(matrix, max_sweeps=MAX_SWEEPS):
+    """SVD of a real matrix with no more columns than rows, by one-sided
+    (Hestenes) Jacobi rotations of column pairs.
+
+    The matrix is scaled by a power of two to entries below one, and sweeps
+    run until one finds every pair orthogonal, ``|c_i . c_j| <= rows * eps *
+    |c_i| |c_j|``; a column whose squared norm underflows counts as zero.
+    Returns ``(values, right, left)``, values ascending, with ``matrix @
+    right = left * values``, ``right`` orthogonal and ``left`` orthonormal:
+    Gram-Schmidt of unit vectors completes it for zero values.
+
+    Raises
+    ------
+    ValueError
+        If the matrix is not two-dimensional or has more columns than rows.
+    ConvergenceFailure
+        If the sweep budget is exhausted before every pair is orthogonal.
+    """
+    g = np.array(matrix, dtype=float)
+    if g.ndim != 2 or g.shape[0] < g.shape[1]:
+        raise ValueError(f"expected a matrix with rows >= columns, got shape {g.shape}")
+    m, n = g.shape
+    exponent = int(np.frexp(np.max(np.abs(g), initial=0.0))[1])
+    # row k holds column k and then row k of the right factor; an odd count
+    # gets one zero row, which is never rotated
+    size = n + n % 2
+    pairs = (size // 2, 2, m + n)
+    stack = np.zeros((size, m + n))
+    stack[:n, :m] = np.ldexp(g.T, -exponent)
+    stack[:n, m:] = np.eye(n)
+    work = np.empty_like(stack)
+    rotations = np.empty((size // 2, 2, 2))
+    step = _tournament(size)
+    tol, tiny = m * np.finfo(float).eps, np.finfo(float).tiny
+    for _ in range(max_sweeps):
+        rotated = False
+        for _ in range(size - 1):
+            columns = stack[:, :m].reshape(pairs[:2] + (m,))
+            norms2 = np.einsum("kij,kij->ki", columns, columns)
+            cross = np.einsum("kj,kj->k", columns[:, 0], columns[:, 1])
+            rotate = np.all(norms2 >= tiny, axis=1)
+            rotate &= np.abs(cross) > tol * np.prod(np.sqrt(norms2), axis=1)
+            rotated |= bool(rotate.any())
+            _rotations(norms2[:, 0], norms2[:, 1], cross, rotate, rotations)
+            np.matmul(rotations, stack.reshape(pairs), out=work.reshape(pairs))
+            np.take(work, step, axis=0, out=stack, mode="clip")
+        if not rotated:
+            break
+    else:
+        raise ConvergenceFailure(
+            f"one-sided Jacobi left a column pair above orthogonality tolerance "
+            f"{tol:.3e} after {max_sweeps} sweeps"
+        )
+    columns, right_t = stack[:n, :m], stack[:n, m:]
+    norms2 = np.einsum("ij,ij->i", columns, columns)
+    live = norms2 >= tiny
+    values = np.where(live, np.sqrt(norms2), 0.0)
+    left_t = np.zeros((n, m))
+    left_t[live] = columns[live] / values[live, None]
+    for k in np.flatnonzero(~live):
+        # the unit vector farthest from the span so far, projected out twice
+        basis = left_t[live]
+        vector = np.eye(m)[np.argmin(np.einsum("ij,ij->j", basis, basis))]
+        for _ in range(2):
+            vector -= basis.T @ (basis @ vector)
+        left_t[k] = vector / np.sqrt(vector @ vector)
+        live[k] = True
     order = np.argsort(values, kind="stable")
-    return values[order], vectors_t[order, :n].T
+    return np.ldexp(values[order], exponent), right_t[order].T, left_t[order].T
 
 
 def _householder_tridiagonal(matrix):

@@ -6,6 +6,7 @@ directly, and ``from conftest import ...`` would resolve to whichever
 together.
 """
 
+import sys
 from pathlib import Path
 
 from xychain import (
@@ -15,6 +16,7 @@ from xychain import (
     build_chain,
     build_pq_table,
     contiguity_coefficients,
+    linalg,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -56,3 +58,15 @@ def pq_table(family, params):
     """P/Q tables of a q-Racah point, from its chain and closed-form spectrum."""
     coeffs = contiguity_coefficients(family, params)
     return build_pq_table(coeffs, build_chain(coeffs), analytic_spectrum(coeffs))
+
+
+def bind_everywhere(monkeypatch, name, replacement):
+    """Bind ``replacement`` wherever the package binds ``xychain.linalg.<name>``
+    (``from .linalg import f`` makes copies); return the original."""
+    original = getattr(linalg, name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "xychain" or module_name.startswith("xychain."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+    return original

@@ -216,7 +216,7 @@ class TestXXReduction:
             )
             system = assemble(chain)
             spectral = eigendecompose(system)
-            hop_values, _ = jacobi_eigh(system.A)
+            hop_values = jacobi_eigh(system.A)
             np.testing.assert_allclose(
                 spectral.lambda_numeric,
                 np.sort(np.abs(hop_values)),

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import CONFIG_DIR, QR24_BOX
+from helpers import CONFIG_DIR, QR24_BOX, bind_everywhere
 from xychain import chain, cli, qracah, qseries
 from xychain.chain import validate_draw
 from xychain.cli import main
@@ -495,7 +495,7 @@ class TestRegimeErrors:
         "coupling-overflow": {"a": 1e-200, "b": 1e-200, "c": 0.3, "q": 0.9999999999, "N": 1},
         # the closed-form spectrum deviates from the eigenvalue-product route
         "spectrum-crosscheck": {"a": 1e-160, "b": 1e-160, "c": 1e-160, "q": 0.9999999999, "N": 1},
-        # the smallest Lambda (1.4e-9) is below the zero-mode cut but not zero
+        # the smallest Lambda (1.4e-9) is 7e-13 of the largest but not zero
         "near-zero-mode": {"a": 0.5, "b": -0.5, "c": 0.0, "q": 1e-06, "N": 4},
     }
 
@@ -522,6 +522,18 @@ class TestRegimeErrors:
         assert capsys.readouterr().err == (
             "error: a domain error the CLI has never seen\n"
         )
+
+    def test_near_zero_mode_certifies_the_single_particle_solve(self, tmp_path):
+        # Jacobi on the doubled matrix cannot separate the vectors of
+        # +-Lambda_0 = +-1.4e-9, and the Gram matrix of A + B squares it
+        # away: both rows failed here until the SVD became the solver.
+        path = write_config(tmp_path, dict(self.EXTREME_POINTS["near-zero-mode"], family="qr24"))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", path, "--out", str(out)]) == 4
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for name in ("transition-orthogonality", "spectrum-vs-singular-values"):
+            assert checks[name]["verdict"] == "PASS"
+            assert checks[name]["residual"] < 1e-14
 
     @pytest.mark.parametrize(
         "point, entry",
@@ -682,3 +694,39 @@ class TestGridWork:
             r"radicand \(alpha[-+]gamma\)\^2\[\d+\] = \S+ is negative beyond tolerance", reason
         ), reason
         assert len(series_calls) == 0
+
+
+class TestSolverCalls:
+    """The doubled-matrix eigensolver runs only where a check reads it."""
+
+    @staticmethod
+    def _record_shapes(monkeypatch):
+        shapes = []
+
+        def recording(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return original(matrix, *args, **kwargs)
+
+        original = bind_everywhere(monkeypatch, "jacobi_eigh", recording)
+        return shapes
+
+    @pytest.mark.parametrize("command", ["spectrum", "manybody", "chain-coeffs"])
+    def test_exports_call_no_eigensolver(self, tmp_path, monkeypatch, command):
+        shapes = self._record_shapes(monkeypatch)
+        for config in (QR24_CONFIG, XX_CONFIG):
+            path = write_config(tmp_path, config)
+            assert main([command, "--config", path, "--out", str(tmp_path / "out.csv")]) == 0
+        assert shapes == []
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [(QR24_CONFIG, [(10, 10)]), (XX_CONFIG, [(6, 6), (3, 3)])],
+        ids=["xy", "xx"],
+    )
+    def test_verify_solves_the_doubled_matrix_once(self, tmp_path, monkeypatch, config, expected):
+        # once on H for spectrum-parity and spectrum-vs-singular-values, and
+        # on an XX chain once more on A for xx-reduction
+        shapes = self._record_shapes(monkeypatch)
+        path = write_config(tmp_path, config)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "out.csv")]) == 0
+        assert shapes == expected

@@ -5,10 +5,12 @@ svd) as an independent solver, and direct recomputation of many-body energies
 from occupation bitmasks.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from helpers import QR13_CHAIN, QR24_DEFAULT, QR24_BOX, pq_table, random_chain
+from helpers import CONFIG_DIR, QR13_CHAIN, QR24_DEFAULT, QR24_BOX, pq_table, random_chain
 from xychain.chain import ChainSpec, analytic_spectrum, build_chain, parameter_scan
 from xychain.errors import SizeCapExceeded
 from xychain.freefermion import (
@@ -90,7 +92,7 @@ class TestEigendecompose:
     def test_exact_zero_modes_handled(self):
         # A field-free hopping chain with an odd number of sites has an exact
         # zero single-particle energy; the transition matrix must stay
-        # orthogonal through the zero-mode pairing.
+        # orthogonal with whichever null vectors the SVD pairs.
         chain = ChainSpec(alpha=[1.0, 1.0], beta=[0.0, 0.0, 0.0], gamma=[0.0, 0.0])
         spectral = eigendecompose(assemble(chain))
         np.testing.assert_allclose(
@@ -108,25 +110,41 @@ class TestEigendecompose:
 
 
     def test_near_zero_modes_on_graded_chains(self):
-        # Couplings falling geometrically along the chain give modes below
-        # the zero-mode cut that are not exact zeros; 8 of these 20 chains
-        # once paired more zero-mode columns than they had modes.
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            decay = 10.0 ** -rng.uniform(1, 4)
-            chain = ChainSpec(
-                alpha=rng.uniform(-1, 1, n - 1) * decay ** np.arange(n - 1),
-                beta=rng.uniform(-1, 1, n) * decay ** np.arange(n),
-                gamma=rng.uniform(-1, 1, n - 1) * decay ** np.arange(n - 1),
-            )
-            system = assemble(chain)
+        # Couplings falling geometrically along the chain give modes many
+        # orders below the largest that are not exact zeros; 8 of these 20
+        # chains once paired more zero-mode columns than they had modes.
+        for system in graded_systems():
             spectral = eigendecompose(system)
+            n = system.n_sites
             assert spectral.Psi.shape == spectral.Phi.shape == (n, n)
             oracle = np.linalg.eigvalsh(system.H)[n:]
             scale = max(1.0, float(np.max(oracle)))
             assert np.max(np.abs(spectral.lambda_numeric - oracle)) < 1e-12 * scale
             assert spectral.eigen_residual < 1e-10
+
+    def test_graded_chains_orthogonal_and_relatively_accurate(self):
+        # The doubled-matrix Jacobi left T up to 5.8e-6 from orthogonal here
+        # and lost the small modes' relative accuracy.
+        for system in graded_systems():
+            spectral = eigendecompose(system)
+            assert spectral.ortho_error <= 1e-12
+            oracle = np.sort(np.linalg.svd(system.A + system.B, compute_uv=False))
+            np.testing.assert_allclose(spectral.lambda_numeric, oracle, rtol=1e-13, atol=0)
+
+
+def graded_systems():
+    """20 seeded chains of 2..6 sites whose couplings fall geometrically."""
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        decay = 10.0 ** -rng.uniform(1, 4)
+        yield assemble(
+            ChainSpec(
+                alpha=rng.uniform(-1, 1, n - 1) * decay ** np.arange(n - 1),
+                beta=rng.uniform(-1, 1, n) * decay ** np.arange(n),
+                gamma=rng.uniform(-1, 1, n - 1) * decay ** np.arange(n - 1),
+            )
+        )
 
 
 class TestSingularValueCheck:
@@ -196,6 +214,29 @@ class TestManyBody:
     def test_sorted_ascending(self, rng):
         spectrum = many_body_spectrum(rng.uniform(0.1, 2.0, 8))
         assert np.all(np.diff(spectrum.energies) >= 0)
+
+    def test_degenerate_levels_ordered_by_mask(self):
+        # configs/xx_uniform.json has levels degenerate in exact arithmetic
+        # whose float energies differ in the last bits.  Moving one mode by
+        # two ulps must leave the mask column as it is.
+        config = json.loads((CONFIG_DIR / "xx_uniform.json").read_text())
+        chain = ChainSpec(alpha=config["alpha"], beta=config["beta"], gamma=config["gamma"])
+        lam = eigendecompose(assemble(chain)).lambda_numeric
+        spectrum = many_body_spectrum(lam)
+        assert np.all(np.diff(spectrum.energies) >= 0)
+        for j in range(lam.size):
+            for direction in (-np.inf, np.inf):
+                moved = lam.copy()
+                moved[j] = np.nextafter(np.nextafter(lam[j], direction), direction)
+                np.testing.assert_array_equal(many_body_spectrum(moved).masks, spectrum.masks)
+
+    def test_degenerate_run_takes_its_first_energy(self):
+        # Modes 0.1 + 0.2 and mode 0.3 differ in the last bits, and by
+        # rounding mask 4 came first: one level now, masks ascending.
+        spectrum = many_body_spectrum(np.array([0.1, 0.2, 0.3]))
+        np.testing.assert_array_equal(spectrum.masks, np.arange(8))
+        assert spectrum.energies[3] == spectrum.energies[4]
+        assert np.all(np.diff(spectrum.energies) >= 0.0)
 
     def test_mode_cap_enforced(self):
         assert MANY_BODY_MODE_CAP == 24

@@ -1,7 +1,9 @@
-"""Tests for the self-contained eigensolvers: Jacobi and Sturm bisection.
+"""Tests for the self-contained solvers: Jacobi eigenvalues, the one-sided
+Jacobi SVD and Sturm bisection.
 
-Oracle: ``numpy.linalg.eigh`` (kept out of the library's computational path
-precisely so it can serve as an independent reference here).
+Oracles: ``numpy.linalg.eigvalsh`` and ``numpy.linalg.svd`` (kept out of the
+library's computational path precisely so they can serve as independent
+references here).
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from xychain.linalg import (
     _householder_tridiagonal,
     _tournament,
     jacobi_eigh,
+    jacobi_svd,
     offdiag_max,
     sturm_eigvalsh,
 )
@@ -26,31 +29,38 @@ class TestAgainstNumpyOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 64, 128])
     def test_eigenvalues_match(self, rng, n):
         matrix = random_symmetric(rng, n)
-        values, _ = jacobi_eigh(matrix)
+        values = jacobi_eigh(matrix)
         expected = np.linalg.eigvalsh(matrix)
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * max(1, n))
 
-    # odd n runs with one isolated padding row and column
+    # odd n runs with one isolated padding column
     @pytest.mark.parametrize("n", [2, 4, 9, 7, 13, 33])
     def test_eigenpairs_satisfy_definition(self, rng, n):
+        # The SVD of a symmetric matrix with distinct |eigenvalues| pairs
+        # each right vector with +-itself: an eigenpair, the sign its
+        # eigenvalue's.
         matrix = random_symmetric(rng, n)
-        values, vectors = jacobi_eigh(matrix)
+        values, right, left = jacobi_svd(matrix)
+        eigenvalues = values * np.sign(np.sum(right * left, axis=0))
         scale = np.max(np.abs(matrix))
-        residual = np.max(np.abs(matrix @ vectors - vectors * values))
+        residual = np.max(np.abs(matrix @ right - right * eigenvalues))
         assert residual < 1e-12 * max(1.0, scale) * n
-        ortho = np.max(np.abs(vectors.T @ vectors - np.eye(n)))
+        ortho = np.max(np.abs(right.T @ right - np.eye(n)))
         assert ortho < 1e-13 * n
+        np.testing.assert_allclose(
+            np.sort(eigenvalues), np.linalg.eigvalsh(matrix), rtol=0, atol=1e-12 * max(1, n)
+        )
 
     def test_large_scale_matrix(self, rng):
         matrix = random_symmetric(rng, 6, scale=1e8)
-        values, _ = jacobi_eigh(matrix)
+        values = jacobi_eigh(matrix)
         np.testing.assert_allclose(
             values, np.linalg.eigvalsh(matrix), rtol=1e-12, atol=1e-4
         )
 
     def test_tiny_scale_matrix(self, rng):
         matrix = random_symmetric(rng, 6, scale=1e-9)
-        values, _ = jacobi_eigh(matrix)
+        values = jacobi_eigh(matrix)
         np.testing.assert_allclose(
             values, np.linalg.eigvalsh(matrix), rtol=0, atol=1e-21
         )
@@ -60,33 +70,120 @@ class TestAgainstNumpyOracle:
         # degenerate eigenvalue with a 3-dimensional eigenspace.
         q_mat, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         matrix = q_mat @ np.diag([2.0, 2.0, 2.0, -1.0]) @ q_mat.T
-        values, vectors = jacobi_eigh(matrix)
+        values = jacobi_eigh(matrix)
         np.testing.assert_allclose(values, [-1.0, 2.0, 2.0, 2.0], atol=1e-12)
-        residual = np.max(np.abs(matrix @ vectors - vectors * values))
-        assert residual < 1e-12
 
     def test_tridiagonal_chain_matrix(self, rng):
         n = 10
         diag = rng.uniform(-2, 2, n)
         off = rng.uniform(0.1, 1.5, n - 1)
         matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        values, _ = jacobi_eigh(matrix)
+        values = jacobi_eigh(matrix)
         np.testing.assert_allclose(values, np.linalg.eigvalsh(matrix), atol=1e-12)
 
     def test_block_diagonal_input_stays_blocked(self, rng):
-        # Pairs across the blocks have a zero off-diagonal entry and are
-        # skipped, so every eigenvector lives on one block exactly.
-        blocks = [random_symmetric(rng, 5), random_symmetric(rng, 6)]
+        # Column pairs across the blocks are exactly orthogonal and never
+        # rotated, so every singular vector lives on one block exactly.
+        blocks = [rng.normal(size=(5, 5)), rng.normal(size=(6, 6))]
         matrix = np.zeros((11, 11))
         matrix[:5, :5], matrix[5:, 5:] = blocks
-        values, vectors = jacobi_eigh(matrix)
-        np.testing.assert_allclose(
-            values, np.linalg.eigvalsh(matrix), rtol=0, atol=1e-12 * 11
-        )
-        on_first = np.any(vectors[:5] != 0.0, axis=0)
-        on_second = np.any(vectors[5:] != 0.0, axis=0)
-        assert not np.any(on_first & on_second)
-        assert on_first.sum() == 5 and on_second.sum() == 6
+        values, right, left = jacobi_svd(matrix)
+        assert_matches_svd(values, matrix)
+        for vectors in (right, left):
+            on_first = np.any(vectors[:5] != 0.0, axis=0)
+            on_second = np.any(vectors[5:] != 0.0, axis=0)
+            assert not np.any(on_first & on_second)
+            assert on_first.sum() == 5 and on_second.sum() == 6
+
+
+def assert_matches_svd(values, matrix, rtol=1e-13):
+    """Ascending and within ``rtol`` relative of ``numpy.linalg.svd``."""
+    expected = np.sort(np.linalg.svd(matrix, compute_uv=False))
+    np.testing.assert_allclose(values, expected, rtol=rtol, atol=0)
+
+
+def assert_factors(matrix, values, right, left, tol=1e-13):
+    """``matrix @ right = left * values`` and orthonormal factors, within
+    ``tol`` times the size (and the largest value, for the residual)."""
+    n = matrix.shape[1]
+    residual = np.max(np.abs(matrix @ right - left * values), initial=0.0)
+    assert residual <= tol * n * max(values[-1], np.finfo(float).tiny)
+    assert np.max(np.abs(right.T @ right - np.eye(n))) <= tol * n
+    assert np.max(np.abs(left.T @ left - np.eye(n))) <= tol * n
+
+
+class TestJacobiSVD:
+    # odd column counts run with one padding column that is never rotated
+    @pytest.mark.parametrize("n", [2, 4, 9, 7, 13, 33])
+    def test_factors_satisfy_definition(self, rng, n):
+        matrix = rng.normal(size=(n, n))
+        values, right, left = jacobi_svd(matrix)
+        assert_matches_svd(values, matrix)
+        assert_factors(matrix, values, right, left)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (6, 3), (40, 7)])
+    def test_tall_matrices(self, rng, shape):
+        matrix = rng.normal(size=shape)
+        values, right, left = jacobi_svd(matrix)
+        assert right.shape == (shape[1], shape[1]) and left.shape == shape
+        assert_matches_svd(values, matrix)
+        assert_factors(matrix, values, right, left)
+
+    def test_graded_matrix_is_relatively_accurate(self, rng):
+        # The smallest value is about 1e-15 of the largest; relative
+        # accuracy needs a one-sided Jacobi, an eigensolver of the Gram
+        # matrix would lose it.
+        grading = np.diag(10.0 ** -np.arange(8, dtype=float))
+        matrix = rng.normal(size=(8, 8)) @ grading
+        values, right, left = jacobi_svd(matrix)
+        assert_matches_svd(values, matrix, rtol=1e-12)
+        assert_factors(matrix, values, right, left)
+
+    def test_zero_matrix(self):
+        values, right, left = jacobi_svd(np.zeros((4, 3)))
+        np.testing.assert_array_equal(values, np.zeros(3))
+        np.testing.assert_array_equal(right, np.eye(3))
+        assert_factors(np.zeros((4, 3)), values, right, left)
+
+    def test_exact_zero_columns(self):
+        # Rank 2 of 4: two exact zeros, whose left vectors are completed
+        # orthonormally from unit vectors.
+        matrix = np.array([[1.0, 0, 2, 0], [0, 0, 1, 0], [3, 0, 0, 0], [0, 0, 1, 0]])
+        values, right, left = jacobi_svd(matrix)
+        np.testing.assert_array_equal(values[:2], [0.0, 0.0])
+        assert_matches_svd(values[2:], matrix[:, [0, 2]])
+        assert_factors(matrix, values, right, left)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scales(self, rng, scale):
+        # scaled by a power of two first, so no squared norm overflows or
+        # underflows
+        matrix = rng.normal(size=(6, 6)) * scale
+        values, right, left = jacobi_svd(matrix)
+        assert_matches_svd(values, matrix)
+        assert_factors(matrix, values, right, left)
+
+    def test_underflowing_column_counts_as_zero(self):
+        # Scaled to entries below one, the second column's squared norm
+        # underflows: it is a zero value, not an endless rotation.
+        matrix = np.array([[1e200, 1.0], [0.0, 1.0]])
+        values, right, left = jacobi_svd(matrix)
+        assert values[0] == 0.0 and values[1] == pytest.approx(1e200, rel=1e-15)
+        assert np.max(np.abs(left.T @ left - np.eye(2))) < 1e-15
+
+    def test_input_not_mutated(self, rng):
+        matrix = rng.normal(size=(5, 4))
+        copy = matrix.copy()
+        jacobi_svd(matrix)
+        np.testing.assert_array_equal(matrix, copy)
+
+    def test_wide_matrix_rejected(self):
+        with pytest.raises(ValueError, match="rows >= columns"):
+            jacobi_svd(np.zeros((3, 4)))
+
+    def test_sweep_budget_exhaustion_raises(self, rng):
+        with pytest.raises(ConvergenceFailure):
+            jacobi_svd(rng.normal(size=(6, 6)), max_sweeps=0)
 
 
 class TestTournament:
@@ -104,24 +201,17 @@ class TestTournament:
 
 class TestEdgeCases:
     def test_one_by_one(self):
-        values, vectors = jacobi_eigh(np.array([[3.5]]))
-        assert values[0] == 3.5
-        assert vectors[0, 0] == 1.0
+        np.testing.assert_array_equal(jacobi_eigh(np.array([[3.5]])), [3.5])
 
     def test_zero_matrix(self):
-        values, vectors = jacobi_eigh(np.zeros((4, 4)))
-        np.testing.assert_array_equal(values, np.zeros(4))
-        np.testing.assert_array_equal(vectors, np.eye(4))
+        np.testing.assert_array_equal(jacobi_eigh(np.zeros((4, 4))), np.zeros(4))
 
     def test_already_diagonal(self):
-        matrix = np.diag([3.0, -1.0, 2.0])
-        values, vectors = jacobi_eigh(matrix)
+        values = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
         np.testing.assert_array_equal(values, [-1.0, 2.0, 3.0])
-        residual = np.max(np.abs(matrix @ vectors - vectors * values))
-        assert residual == 0.0
 
     def test_values_sorted_ascending(self, rng):
-        values, _ = jacobi_eigh(random_symmetric(rng, 7))
+        values = jacobi_eigh(random_symmetric(rng, 7))
         assert np.all(np.diff(values) >= 0)
 
     def test_input_not_mutated(self, rng):

@@ -6,17 +6,20 @@ spectra.  ``jw_certify`` is itself a certification; here we certify the
 certifier on cases small enough to check by hand.
 """
 
-import sys
 from math import comb
 
 import numpy as np
 import pytest
 
-from helpers import QR13_CHAIN, QR24_DEFAULT, random_chain
-from xychain import linalg
+from helpers import QR13_CHAIN, QR24_DEFAULT, bind_everywhere, random_chain
 from xychain.chain import ChainSpec, build_chain
 from xychain.errors import SizeCapExceeded
-from xychain.freefermion import assemble, eigendecompose, many_body_spectrum
+from xychain.freefermion import (
+    assemble,
+    eigendecompose,
+    many_body_spectrum,
+    singular_value_check,
+)
 from xychain.qracah import contiguity_coefficients
 from xychain.spinoracle import (
     SPIN_DIMENSION_CAP,
@@ -63,16 +66,11 @@ def model_chain(rng, n_sites, model):
 
 def break_everywhere(monkeypatch, name):
     """Make every binding of ``xychain.linalg.<name>`` in the package raise."""
-    original = getattr(linalg, name)
 
     def broken(*args, **kwargs):
         raise AssertionError(f"{name} must not be called on this route")
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name == "xychain" or module_name.startswith("xychain."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, broken)
+    bind_everywhere(monkeypatch, name, broken)
 
 
 class TestHamiltonianAssembly:
@@ -199,6 +197,24 @@ class TestRouteIndependence:
         np.testing.assert_allclose(
             eigendecompose(system).lambda_numeric, oracle, rtol=0, atol=1e-12 * scale
         )
+
+    def test_fermion_path_runs_without_the_doubled_eigensolver(self, rng, monkeypatch):
+        break_everywhere(monkeypatch, "jacobi_eigh")
+        chain = random_chain(rng, 6)
+        system = assemble(chain)
+        oracle = np.linalg.eigvalsh(system.H)[chain.n_sites :]
+        scale = max(1.0, float(np.max(oracle)))
+        np.testing.assert_allclose(
+            eigendecompose(system).lambda_numeric, oracle, rtol=0, atol=1e-12 * scale
+        )
+
+    def test_doubled_route_runs_without_the_svd(self, rng, monkeypatch):
+        # The certifying side of the single-particle solve: pairing and the
+        # singular-value comparison read only the eigenvalues of H.
+        spectral = eigendecompose(assemble(random_chain(rng, 6)))
+        break_everywhere(monkeypatch, "jacobi_svd")
+        assert spectral.pairing_error < 1e-12
+        assert singular_value_check(spectral).passed
 
 
 class TestJordanWignerCertification:

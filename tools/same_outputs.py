@@ -9,7 +9,10 @@ Usage::
 Each tree runs every case through ``xychain.cli.main`` in-process, in one
 subprocess per tree.  For each case the script prints the exit code and the
 sha256 of the ``--out`` file, of stdout and of stderr, with temporary paths
-masked.  It exits 1 and lists the cases that differ, 0 when all agree.
+masked.  For each case that differs it also prints both exit codes, every
+check whose verdict changed, and per output column the number of changed
+cells and the largest relative change of a numeric cell; a summary ends the
+run.  It exits 1 when any case differs, 0 when all agree.
 
 Cases:
 
@@ -29,7 +32,9 @@ Cases:
   and shift errors are compared too;
 * one scan box of discrete choices on and between those values, in both
   families and at every validity level, with more samples than one screen
-  block.
+  block;
+* a spectral-valid qr24 point whose smallest mode, 1.4e-9, is 7e-13 of the
+  largest, x ``spectrum``, ``manybody`` and the three ``verify`` forms.
 
 A case that ends in an uncaught exception reports the exit ``traceback`` and
 hashes the exception's type and message as its stderr.
@@ -37,10 +42,13 @@ hashes the exception's type and message as its stderr.
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -67,6 +75,8 @@ EDGE_MOVES = {
 }
 EDGE_BOX = {"a": [-0.3, 0.0, 1.0, 2.0], "b": [0.3, 0.5, 0.0], "c": [-0.8, 4.0, 1e308],
             "q": [0.5, 0.7, 1e-320]}
+NEAR_ZERO_MODE = {"family": "qr24", "a": 0.5, "b": -0.5, "c": 0.0, "q": 1e-06, "N": 4}
+REPORT_LINE = re.compile(r"^(\S+): residual=(\S+) tol=(\S+) (PASS|FAIL)")
 
 
 def _forms(commands):
@@ -129,6 +139,7 @@ def build_cases(config_dir):
             add(f"edge/{family}/box@{level}",
                 {"family": family, "N": 4, "ranges": EDGE_BOX, "samples": 300, "level": level},
                 ("scan.csv",))
+    add("near-zero-mode", NEAR_ZERO_MODE, _forms(("spectrum", "manybody", "verify")))
     return cases
 
 
@@ -136,9 +147,10 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def run_tree(src, cases):
+def run_tree(src, cases, keep_dir):
     """Run every case through ``cli.main`` of the tree at ``src``; return one
-    record per case."""
+    record per case.  Case ``k``'s output (the ``--out`` file, or stdout for
+    the ``.txt`` forms) is kept as ``keep_dir/k`` for the cell comparison."""
     sys.path.insert(0, str(Path(src).resolve()))
     from xychain import cli
 
@@ -166,7 +178,11 @@ def run_tree(src, cases):
             masked = [t.replace(out_dir, "<tmp>").replace(str(Path(config).parent), "<tmp>")
                       for t in texts]
             out_sha = _sha(out.read_bytes()) if out.exists() else "-"
-            out.unlink(missing_ok=True)
+            kept = Path(keep_dir) / str(len(records))
+            if ext == "txt":
+                kept.write_text(masked[0])
+            elif out.exists():
+                out.replace(kept)
             records.append({
                 "name": name,
                 "exit": code,
@@ -183,11 +199,80 @@ def _line(record):
             f"stdout {record['stdout'][:12]}  stderr {record['stderr'][:12]}")
 
 
+def _table(path, form):
+    """``(verdicts, columns)`` of a kept output: check name -> verdict, and
+    column name -> list of cells.  A missing output is an empty table."""
+    text = path.read_text() if path.exists() else ""
+    verdicts, columns = {}, {}
+    if form == "verify.json":
+        checks = json.loads(text)["checks"] if text else []
+        rows = [(c["name"], repr(c["residual"]), repr(c["tolerance"]), c["verdict"])
+                for c in checks]
+    elif form == "verify.txt":
+        rows = [match.groups() for match in map(REPORT_LINE.match, text.splitlines()) if match]
+    else:
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        table = list(csv.reader(lines))
+        header, rows = (table[0], table[1:]) if table else ([], [])
+        for index, name in enumerate(header):
+            columns[name] = [row[index] for row in rows]
+        if "verdict" in columns:
+            verdicts = dict(zip(columns["name"], columns["verdict"]))
+        return verdicts, columns
+    for name, residual, tolerance, verdict in rows:
+        verdicts[name] = verdict
+        columns.setdefault("residual", []).append(residual)
+        columns.setdefault("tolerance", []).append(tolerance)
+    return verdicts, columns
+
+
+def _relative_change(old, new):
+    """Relative change between two numeric cells; ``None`` if either is not a
+    number."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return None
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _cell_changes(old_path, new_path, form):
+    """Lines describing how one case's outputs differ, and column name ->
+    largest relative change of a numeric cell."""
+    (old_verdicts, old_columns), (new_verdicts, new_columns) = (
+        _table(old_path, form), _table(new_path, form))
+    lines, largest = [], {}
+    for name in sorted(set(old_verdicts) | set(new_verdicts)):
+        before, after = old_verdicts.get(name, "-"), new_verdicts.get(name, "-")
+        if before != after:
+            lines.append(f"verdict {name}: {before} -> {after}")
+    for name in sorted(set(old_columns) | set(new_columns)):
+        before, after = old_columns.get(name, []), new_columns.get(name, [])
+        if len(before) != len(after):
+            lines.append(f"column {name}: {len(before)} -> {len(after)} cells")
+            continue
+        changed = [(a, b) for a, b in zip(before, after) if a != b]
+        if not changed:
+            continue
+        changes = [_relative_change(a, b) for a, b in changed]
+        numeric = [change for change in changes if change is not None]
+        text = f"column {name}: {len(changed)} of {len(before)} cells changed"
+        if numeric:
+            largest[name] = max(numeric)
+            text += f", largest relative change {largest[name]:.2e}"
+        if len(numeric) < len(changes):
+            text += f", {len(changes) - len(numeric)} not numeric"
+        lines.append(text)
+    return lines, largest
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--worker"]:  # one tree, in its own process
-        src, case_file = argv[1:]
-        records = run_tree(src, json.loads(Path(case_file).read_text()))
+        src, case_file, keep_dir = argv[1:]
+        records = run_tree(src, json.loads(Path(case_file).read_text()), keep_dir)
         Path(case_file).write_text(json.dumps(records))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -205,25 +290,42 @@ def main(argv=None):
         for tag, src in (("old", args.old_src), ("new", args.new_src)):
             case_file = work / f"{tag}.json"
             case_file.write_text(json.dumps(cases))
+            (work / tag).mkdir()
             workers.append((case_file, subprocess.Popen(
-                [sys.executable, __file__, "--worker", src, str(case_file)], env=env)))
+                [sys.executable, __file__, "--worker", src, str(case_file), str(work / tag)],
+                env=env)))
         codes = [worker.wait() for _, worker in workers]
         if any(codes):
             raise SystemExit(f"a worker failed (exit codes {codes})")
         old, new = (json.loads(case_file.read_text()) for case_file, _ in workers)
 
-    differ = []
-    for before, after in zip(old, new):
-        same = all(before[key] == after[key] for key in ("exit", "out", "stdout", "stderr"))
-        if same:
-            print(f"same    {after['name']}  {_line(after)}")
-        else:
+        differ, verdict_changes, largest = [], [], {}
+        for index, (before, after) in enumerate(zip(old, new)):
+            same = all(before[key] == after[key] for key in ("exit", "out", "stdout", "stderr"))
+            if same:
+                print(f"same    {after['name']}  {_line(after)}")
+                continue
             differ.append((before, after))
             print(f"DIFFERS {after['name']}\n  old  {_line(before)}  {before['last_stderr'][0]}"
                   f"\n  new  {_line(after)}  {after['last_stderr'][0]}")
+            form = cases[index][2]
+            lines, case_largest = _cell_changes(work / "old" / str(index),
+                                                work / "new" / str(index), form)
+            for line in lines:
+                print(f"  {line}")
+            verdict_changes += [f"{after['name']}: {line}" for line in lines
+                                if line.startswith("verdict ")]
+            for column, change in case_largest.items():
+                if change > largest.get(column, (-1.0, ""))[0]:
+                    largest[column] = (change, after["name"])
     print(f"{len(new)} cases, {len(new) - len(differ)} identical, {len(differ)} differ")
     for before, after in differ:
         print(f"  differs: {after['name']} (exit {before['exit']} -> {after['exit']})")
+    print(f"{len(verdict_changes)} verdict changes")
+    for line in verdict_changes:
+        print(f"  {line}")
+    for column, (change, name) in sorted(largest.items()):
+        print(f"largest relative change in column {column}: {change:.2e} ({name})")
     return 1 if differ else 0
 
 
