@@ -193,7 +193,7 @@ def many_body_spectrum(lam):
     their occupation masks.  Levels that are degenerate in exact arithmetic
     differ in the last bits (four adjacent pairs of
     ``configs/xx_uniform.json``, 1.3-1.8e-15 apart), so after the sort a run
-    of levels, each within ``n * eps * max(1, sum |lam|)`` of the one before,
+    of levels, each within ``n * eps * sum |lam|`` of the one before,
     becomes one level: it takes the run's first energy and lists its masks
     ascending.  The row order then does not depend on rounding.
     """
@@ -209,7 +209,7 @@ def many_body_spectrum(lam):
         np.add(energies[: 1 << j], 2.0 * lam[j], out=energies[1 << j : 2 << j])
     order = np.argsort(energies)
     energies = energies[order]
-    tie = np.diff(energies) <= n * np.finfo(float).eps * max(1.0, float(np.abs(lam).sum()))
+    tie = np.diff(energies) <= n * np.finfo(float).eps * float(np.abs(lam).sum())
     # one in-place sort of (run index << n) | mask orders each run by mask
     key = np.zeros(energies.size, dtype=np.int64)
     key[1:] = ~tie

@@ -149,13 +149,15 @@ def jacobi_eigh(matrix, max_sweeps=MAX_SWEEPS):
     return np.sort(np.diag(a)[:n])
 
 
-def jacobi_svd(matrix, max_sweeps=MAX_SWEEPS):
+def jacobi_svd(matrix):
     """SVD of a real matrix with no more columns than rows, by one-sided
     (Hestenes) Jacobi rotations of column pairs.
 
     The matrix is scaled by a power of two to entries below one, and sweeps
     run until one finds every pair orthogonal, ``|c_i . c_j| <= rows * eps *
-    |c_i| |c_j|``; a column whose squared norm underflows counts as zero.
+    |c_i| |c_j|``.  A column whose squared norm then underflows, one about
+    ``1e154`` below the largest, counts as zero: values are relatively
+    accurate only above that, and within ``eps`` of the largest always.
     Returns ``(values, right, left)``, values ascending, with ``matrix @
     right = left * values``, ``right`` orthogonal and ``left`` orthonormal:
     Gram-Schmidt of unit vectors completes it for zero values.
@@ -183,7 +185,7 @@ def jacobi_svd(matrix, max_sweeps=MAX_SWEEPS):
     rotations = np.empty((size // 2, 2, 2))
     step = _tournament(size)
     tol, tiny = m * np.finfo(float).eps, np.finfo(float).tiny
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         rotated = False
         for _ in range(size - 1):
             columns = stack[:, :m].reshape(pairs[:2] + (m,))
@@ -200,7 +202,7 @@ def jacobi_svd(matrix, max_sweeps=MAX_SWEEPS):
     else:
         raise ConvergenceFailure(
             f"one-sided Jacobi left a column pair above orthogonality tolerance "
-            f"{tol:.3e} after {max_sweeps} sweeps"
+            f"{tol:.3e} after {MAX_SWEEPS} sweeps"
         )
     columns, right_t = stack[:n, :m], stack[:n, m:]
     norms2 = np.einsum("ij,ij->i", columns, columns)

@@ -238,6 +238,28 @@ class TestManyBody:
         assert spectrum.energies[3] == spectrum.energies[4]
         assert np.all(np.diff(spectrum.energies) >= 0.0)
 
+    @pytest.mark.parametrize("config_name", ["xx_uniform.json", None])
+    def test_tie_rule_scales_with_the_couplings(self, config_name):
+        # The tie tolerance is relative to sum |lam|: a chain scaled by 1e-17
+        # keeps its distinct levels apart and its masks, and its energies are
+        # the unscaled ones times 1e-17.  ``None`` is the 3-site chain with
+        # hoppings 1e-17, whose 8 levels an absolute floor of n * eps merged.
+        if config_name is None:
+            config = {"alpha": [1.0, 1.0], "beta": [0.0, 0.0, 0.0], "gamma": [0.0, 0.0]}
+        else:
+            config = json.loads((CONFIG_DIR / config_name).read_text())
+        spectra = []
+        for scale in (1.0, 1e-17):
+            chain = ChainSpec(alpha=np.multiply(config["alpha"], scale),
+                              beta=np.multiply(config["beta"], scale),
+                              gamma=np.multiply(config["gamma"], scale))
+            spectra.append(many_body_spectrum(eigendecompose(assemble(chain)).lambda_numeric))
+        unscaled, scaled = spectra
+        np.testing.assert_array_equal(scaled.masks, unscaled.masks)
+        bound = 1e-17 * 1e-14 * np.max(np.abs(unscaled.energies))
+        np.testing.assert_allclose(scaled.energies, 1e-17 * unscaled.energies, rtol=0, atol=bound)
+        assert np.unique(scaled.energies).size == np.unique(unscaled.energies).size > 1
+
     def test_mode_cap_enforced(self):
         assert MANY_BODY_MODE_CAP == 24
         with pytest.raises(SizeCapExceeded):
