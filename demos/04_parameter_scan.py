@@ -1,8 +1,8 @@
 """Scan a parameter box for draws that pass each validity level.
 
 Not every (a, b, c, q) gives a physical chain: denominators must stay away
-from zero, the squared couplings must be non-negative, and the closed-form
-spectrum needs consistent signs across the coefficient tables.  The scan
+from zero, the squared couplings must be non-negative, and the strictest
+level also asks every coefficient table to share one sign.  The scan
 classifies random draws by the strictest level they pass.
 
 Run:  python3 demos/04_parameter_scan.py
@@ -16,6 +16,12 @@ RANGES = {
     "a": [-0.9, -0.05],
     "b": [0.05, 0.9],
     "c": [-0.95, -0.1],
+    "q": [0.3, 0.5, 0.7],
+}
+QR13_RANGES = {
+    "a": [1.5, 9.0],
+    "b": [1.5, 9.0],
+    "c": [-0.9, -0.1],
     "q": [0.3, 0.5, 0.7],
 }
 
@@ -42,10 +48,9 @@ def main():
         ok, reason = validate_draw("qr24", sample, level=level)
         print(f"  {level:<{width}}  {'ok' if ok else 'rejected: ' + reason}")
 
-    print("\nThe first shift family (qr13) has no draws at the spectral or full")
-    print("levels: the sign pattern required by the closed-form energies is")
-    print("impossible for real parameters there.  Scans at those levels raise")
-    print("an explanatory error instead of looping forever.")
+    draws = parameter_scan("qr13", QR13_RANGES, N=3, samples=300, seed=11, level="spectral")
+    print(f"\nThe first shift family (qr13) over {QR13_RANGES}, N=3:")
+    print(f"  spectral  {len(draws):>4} / 300 valid")
 
 
 if __name__ == "__main__":

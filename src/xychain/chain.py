@@ -3,13 +3,12 @@
 Turns the contiguity data of :mod:`xychain.qracah` into a physical open XY
 chain: site fields ``beta_j``, bond couplings ``alpha_j`` (symmetric part) and
 ``gamma_j`` (antisymmetric part), the closed-form single-particle spectrum
-``Lambda_j``, and the two polynomial eigenvector tables ``P``/``Q``.  All
-square roots take the nonnegative branch, so ``alpha_j >= |gamma_j| >= 0``
-whenever construction succeeds.
+``Lambda_j``, and the two polynomial eigenvector tables ``P``/``Q``.  The
+paper gives the couplings only through their squares; :func:`build_chain`
+gives each square root the sign of one of its factors (see there).
 
-Not every parameter point supports every layer of the construction under the
-positive branch.  :func:`parameter_scan` discovers usable points at four
-nested validity levels:
+:func:`parameter_scan` discovers usable points at four nested validity
+levels:
 
 ``contiguity``
     The three-term relations and the consistency ratio certify (true for
@@ -18,16 +17,14 @@ nested validity levels:
     Additionally all radicands of the coupling and spectrum formulas are
     nonnegative, so :func:`build_chain` and :func:`analytic_spectrum` succeed.
 ``spectral``
-    Additionally a per-bond sign condition holds which makes the
-    positive-branch chain's numeric spectrum coincide with the closed form.
+    The same draws as ``couplings``.
 ``full``
-    Additionally all table entries share one global sign, so the normalized
-    ``P``/``Q`` tables are real and satisfy the coupled recurrences.
+    Additionally all coefficient tables and contiguity eigenvalues share one
+    global sign.
 
 Family ``qr24`` admits large ``full``-valid regions (for instance ``a < 0``,
-``c < 0``, ``b`` in ``(0, 1)``).  Family ``qr13`` admits ``couplings``-valid
-points but provably no ``spectral``/``full`` ones under the positive branch;
-scans at those levels raise :class:`NoValidParameters` (see README).
+``c < 0``, ``b`` in ``(0, 1)``); family ``qr13`` admits ``spectral``-valid
+ones (see README).
 """
 
 from dataclasses import dataclass
@@ -183,12 +180,17 @@ def _coupling_radicands(tables):
 
 
 def build_chain(coeffs):
-    """Construct the positive-branch chain couplings from contiguity data.
+    """Construct the chain couplings from contiguity data.
 
-    ``beta_j`` is the square root of the product of the two middle
+    ``beta_j`` is a square root of the product of the two middle
     coefficients at degree ``j``; the bond couplings come from
     ``alpha_j - gamma_j = sqrt(phi_minus1_plus[j+1] * phi_plus1_minus[j])``
     and ``alpha_j + gamma_j = sqrt(phi_minus1_minus[j+1] * phi_plus1_plus[j])``.
+    Each root takes the sign of its factor ``phi_0_plus[j]``,
+    ``phi_plus1_minus[j]`` or ``phi_plus1_plus[j]`` times the sign of
+    ``phi_0_plus[0]``, as a positive diagonal scaling symmetrizes a
+    tridiagonal recurrence; the last factor fixes the gauge ``H -> -H``.
+    Where every factor has one sign, every root is nonnegative.
 
     Raises
     ------
@@ -196,8 +198,11 @@ def build_chain(coeffs):
         If any radicand is negative beyond tolerance (the error names the
         offending bond/site).
     """
+    factors = (coeffs.phi_0_plus, coeffs.phi_plus1_minus[:-1], coeffs.phi_plus1_plus[:-1])
+    gauge = -1.0 if coeffs.phi_0_plus[0] < 0 else 1.0
     beta, diff, ssum = (
-        np.sqrt(_radicand_check(v, label)) for label, v in _coupling_radicands(coeffs).items()
+        np.where(gauge * factor < 0, -1.0, 1.0) * np.sqrt(_radicand_check(v, label))
+        for factor, (label, v) in zip(factors, _coupling_radicands(coeffs).items())
     )
     return ChainSpec(alpha=0.5 * (ssum + diff), beta=beta, gamma=0.5 * (ssum - diff))
 
@@ -304,10 +309,10 @@ def _screen_block(family, points, level):
     base and shifted factors), the table checks of
     :func:`~xychain.qracah.contiguity_coefficients`, at ``couplings`` and
     above the radicands of :func:`build_chain` and :func:`analytic_spectrum`
-    and its cross-check, the sign-loop screen (``spectral``) and the
-    global-sign screen (``full``).  Returns, per point, the error of its
-    first failed screen or its contiguity record.  Every row is computed on
-    its own, so a point's outcome does not depend on its neighbours.
+    and its cross-check, and the global-sign screen (``full``).  Returns, per
+    point, the error of its first failed screen or its contiguity record.
+    Every row is computed on its own, so a point's outcome does not depend on
+    its neighbours.
     """
     rank = SCAN_LEVELS.index(level)
     # non-finite values become the reasons; numpy's warnings would repeat them
@@ -327,16 +332,6 @@ def _screen_block(family, points, level):
             _spectrum_rows(
                 closed_form_lambda_squared(family, points), t.lambda_plus * t.lambda_minus, errors
             )
-        if rank >= 2:
-            # per-bond sign-loop condition: the sign of the middle-coefficient
-            # product across a bond must match the sign of the raising-coefficient
-            # product, otherwise the positive-branch couplings cannot reproduce
-            # the closed-form spectrum
-            lhs = t.phi_0_plus[:, 1:] * t.phi_0_plus[:, :-1]
-            rhs = t.phi_plus1_plus[:, :-1] * t.phi_plus1_minus[:, :-1]
-            _reject(errors, np.sign(lhs) != np.sign(rhs), lambda s, k: InvalidParameterRegime(
-                "sign-loop condition fails (spectrum not reachable)"
-            ))
         if rank >= 3:
             tol = RADICAND_TOL * np.maximum(
                 1.0,
@@ -356,7 +351,7 @@ def _screen_block(family, points, level):
                 for sign in (1.0, -1.0)
             ]
             _reject(errors, ~(signed[0] | signed[1]), lambda s, k: InvalidParameterRegime(
-                "no global sign (P/Q normalization radicands mixed)"
+                "no global sign (coefficient tables or eigenvalues of mixed sign)"
             ))
     return [
         error if error is not None else _record(family, params, tables, s)
@@ -394,9 +389,9 @@ def validate_draw(family, params, level="full", relation_tol=TOLERANCES["relatio
     :func:`verify_contiguity` passes, the same certification ``verify``
     reports.  Stages run cheapest-first: the cheap screens of
     :func:`_screen_block` (shift map, denominator floor, coefficient tables,
-    at ``couplings`` the radicands of :func:`build_chain` and
-    :func:`analytic_spectrum`, at ``spectral`` the sign loop, at ``full`` the
-    global sign), here on a block of one draw, and last the certification.
+    from ``couplings`` on the radicands of :func:`build_chain` and
+    :func:`analytic_spectrum`, at ``full`` also the global sign), here on a
+    block of one draw, and last the certification.
 
     Returns ``(valid, reason)``.  ``reason`` is empty when valid; otherwise
     it names the failed screen, carries the message of the stage that raised
@@ -490,11 +485,5 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full",
         raise NoValidParameters(
             f"no {level}-valid draws for family {family} in {samples} samples; "
             f"consider widening the ranges"
-            + (
-                " (note: family qr13 has no spectral/full-valid region under "
-                "the positive branch)"
-                if family == "qr13" and level in ("spectral", "full")
-                else ""
-            )
         )
     return hits

@@ -24,12 +24,13 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 
-__all__ = ["jacobi_eigh", "jacobi_svd", "offdiag_max", "sturm_eigvalsh"]
+__all__ = ["jacobi_eigh", "jacobi_svd", "sturm_eigvalsh"]
 
 #: Termination of :func:`jacobi_eigh`: largest off-diagonal magnitude must
 #: fall below this factor times the largest magnitude of the input matrix.
 OFFDIAG_TOL_FACTOR = 1e-12
 
+#: Sweep budget of both Jacobi solvers, read when each is called.
 MAX_SWEEPS = 100
 
 #: Bisection steps of :func:`sturm_eigvalsh`.  Each halves every eigenvalue's
@@ -79,7 +80,7 @@ def _rotations(app, aqq, apq, rotate, out):
     out[:, 1, 1] = c
 
 
-def jacobi_eigh(matrix, max_sweeps=MAX_SWEEPS):
+def jacobi_eigh(matrix):
     """Eigenvalues of a real symmetric matrix, ascending.
 
     Repeatedly applies two-sided Givens rotations over all index pairs until
@@ -122,13 +123,13 @@ def jacobi_eigh(matrix, max_sweeps=MAX_SWEEPS):
     # rotating entries already far below threshold wastes sweeps without
     # improving the final off-diagonal maximum
     skip = 0.1 * threshold
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(MAX_SWEEPS + 1):
         if offdiag_max(a) <= threshold:
             break
-        if sweep == max_sweeps:
+        if sweep == MAX_SWEEPS:
             raise ConvergenceFailure(
                 f"Jacobi iteration did not reach off-diagonal tolerance "
-                f"{threshold:.3e} within {max_sweeps} sweeps "
+                f"{threshold:.3e} within {MAX_SWEEPS} sweeps "
                 f"(current {offdiag_max(a):.3e})"
             )
         for _ in range(size - 1):

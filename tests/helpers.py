@@ -27,7 +27,7 @@ ACCEPTANCE_LINES = []
 
 # Reference point where every certification level passes.
 QR24_DEFAULT = QRacahParams(a=-0.3, b=0.3, c=-0.8, N=4, q=0.7)
-# Real chain whose closed-form spectrum branch does not apply (couplings level).
+# First-family point whose coupling roots have mixed signs (spectral level).
 QR13_CHAIN = QRacahParams(a=4.21, b=6.28, c=-0.54, N=4, q=0.7)
 
 # Parameter boxes with healthy validity rates, used for randomized draws.

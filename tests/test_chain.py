@@ -108,6 +108,18 @@ class TestBuildChain:
         assert np.all(chain.alpha - chain.gamma > 0)
         assert np.all(chain.alpha + chain.gamma > 0)
 
+    def test_root_signs_follow_their_factors(self):
+        # At this point the roots have mixed signs; each takes the sign of
+        # its factor times the sign of phi_0_plus[0].
+        coeffs = contiguity_coefficients("qr13", QR13_CHAIN)
+        chain = build_chain(coeffs)
+        gauge = np.sign(coeffs.phi_0_plus[0])
+        for root, factor in ((chain.beta, coeffs.phi_0_plus),
+                             (chain.alpha - chain.gamma, coeffs.phi_plus1_minus[:-1]),
+                             (chain.alpha + chain.gamma, coeffs.phi_plus1_plus[:-1])):
+            np.testing.assert_array_equal(np.sign(root), gauge * np.sign(factor))
+        assert len({*np.sign(chain.beta), *np.sign(chain.alpha - chain.gamma)}) == 2
+
     def test_negative_radicand_rejected(self):
         params = QRacahParams(a=0.5, b=0.3, c=0.8, N=4, q=0.7)
         for family in ("qr13", "qr24"):
@@ -231,11 +243,10 @@ class TestValidateDraw:
         assert ok, reason
 
     def test_first_family_point_couplings_only(self):
-        ok, reason = validate_draw("qr13", QR13_CHAIN, level="couplings")
-        assert ok, reason
-        ok, reason = validate_draw("qr13", QR13_CHAIN, level="spectral")
-        assert not ok
-        assert "sign" in reason
+        # valid up to spectral; its reason at full is a SCREEN_DRAWS row
+        for level in ("couplings", "spectral"):
+            ok, reason = validate_draw("qr13", QR13_CHAIN, level=level)
+            assert ok, (level, reason)
 
     def test_levels_are_nested(self, rng):
         # Any draw valid at a level must be valid at every weaker level.
@@ -270,9 +281,9 @@ class TestValidateDraw:
 
 
 #: One draw per screen of ``validate_draw`` at level ``full``, with its exact
-#: ``(valid, reason)``, in screen order.  The cross-check has no real draw
-#: (its two routes multiply the same factors), so it is locked below by
-#: perturbing the closed form instead.
+#: ``(valid, reason)``, in screen order, and the qr13 point.  The cross-check
+#: has no real draw (its two routes multiply the same factors), so it is
+#: locked below by perturbing the closed form instead.
 SCREEN_DRAWS = [
     # family factor, base factor and shifted factor below the floor
     (("qr24", 1e-9, 0.3, -0.8, 4, 0.7), "denominator factor (a) within 1e-08 of zero"),
@@ -297,10 +308,11 @@ SCREEN_DRAWS = [
      "radicand (alpha+gamma)^2[2] = -1.079731e-06 is negative beyond tolerance"),
     (("qr24", -0.1491745889207142, 8.580233076151011e-06, -1.0149034716436375e157, 4, 0.99),
      "radicand Lambda^2 has non-finite entries"),
-    (("qr24", 2.37451443960627, 2.8688450563047763, 0.014244055433511704, 4, 0.9),
-     "sign-loop condition fails (spectrum not reachable)"),
     (("qr24", 0.8915000363677201, -2.283626489272071, -0.006631933354358743, 4, 0.5),
-     "no global sign (P/Q normalization radicands mixed)"),
+     "no global sign (coefficient tables or eigenvalues of mixed sign)"),
+    # the qr13 point: every screen but the global sign passes
+    (("qr13", 4.21, 6.28, -0.54, 4, 0.7),
+     "no global sign (coefficient tables or eigenvalues of mixed sign)"),
     (("qr24", -0.3, 0.3, -0.8, 4, 0.7), ""),
 ]
 
@@ -443,7 +455,7 @@ class TestParameterScan:
         draws = parameter_scan("qr13", QR13_BOX, N=4, samples=200, seed=4, level="couplings")
         assert draws
 
-    def test_first_family_spectral_scan_raises(self):
+    def test_first_family_full_scan_raises(self):
         with pytest.raises(NoValidParameters, match="qr13"):
             parameter_scan("qr13", QR13_BOX, N=4, samples=100, seed=4, level="full")
 

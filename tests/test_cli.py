@@ -10,9 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import CONFIG_DIR, QR24_BOX, bind_everywhere
+from helpers import CONFIG_DIR, QR13_BOX, QR24_BOX, bind_everywhere
 from xychain import chain, cli, qracah, qseries
-from xychain.chain import validate_draw
+from xychain.chain import parameter_scan, validate_draw
 from xychain.cli import main
 from xychain.errors import XYChainError
 from xychain.freefermion import assemble, eigendecompose, many_body_spectrum
@@ -169,13 +169,33 @@ class TestVerify:
         assert "FAIL" not in out
         assert "many-body-multiset" in out
 
-    def test_first_family_chain_fails_honestly(self, tmp_path, capsys):
+    def test_first_family_chain_certifies(self, tmp_path):
         path = write_config(tmp_path, QR13_CONFIG)
-        assert main(["verify", "--config", path]) == 4
-        out = capsys.readouterr().out
-        assert "analytic-vs-numeric" in out and "FAIL" in out
-        # The chain itself is genuine: its spin oracle still passes.
-        assert re.search(r"many-body-multiset.*PASS", out)
+        out_path = str(tmp_path / "report.csv")
+        assert main(["verify", "--config", path, "--out", out_path]) == 0
+        _, rows = parse_csv((tmp_path / "report.csv").read_text())
+        verdicts = {row["name"]: row["verdict"] for row in rows}
+        assert {"analytic-vs-numeric", "recurrence-P", "recurrence-Q",
+                "many-body-multiset"} <= set(verdicts)
+        assert set(verdicts.values()) == {"PASS"}
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_first_family_box_certifies(self, tmp_path, N):
+        # Every couplings-valid draw of the qr13 box gets the full verify
+        # report (spectrum, P/Q recurrences, eigenvectors, spin oracle) and
+        # passes it.
+        draws = parameter_scan("qr13", QR13_BOX, N=N, samples=100, seed=N, level="couplings")
+        assert len(draws) >= 10
+        out_path = str(tmp_path / "report.json")
+        for params in draws:
+            config = dict(family="qr13", a=params.a, b=params.b, c=params.c, q=params.q, N=N)
+            path = write_config(tmp_path, config)
+            assert main(["verify", "--config", path, "--out", out_path]) == 0, config
+            payload = json.loads((tmp_path / "report.json").read_text())
+            names = {c["name"] for c in payload["checks"]}
+            assert {"analytic-vs-numeric", "recurrence-P", "recurrence-Q",
+                    "eigenvalue-matching", "many-body-multiset"} <= names, config
+            assert {c["verdict"] for c in payload["checks"]} == {"PASS"}, config
 
     def test_json_report(self, tmp_path):
         path = write_config(tmp_path, QR24_CONFIG)

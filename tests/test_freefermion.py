@@ -312,10 +312,16 @@ class TestCrosschecks:
         assert report.checks[0].residual < 1e-12
 
     def test_analytic_vs_numeric_fails_outside_branch(self):
-        # The first family's closed-form branch does not apply at this real
-        # chain: the certification must report the genuine mismatch.
+        # The coupling roots at this point have mixed signs.  The chain of
+        # their magnitudes is real but has another spectrum, and the
+        # certification must report the mismatch; build_chain's branch passes.
         coeffs = contiguity_coefficients("qr13", QR13_CHAIN)
-        spectral = eigendecompose(assemble(build_chain(coeffs)))
-        report = analytic_vs_numeric(analytic_spectrum(coeffs), spectral)
+        lam = analytic_spectrum(coeffs)
+        signed = build_chain(coeffs)
+        diff = np.abs(signed.alpha - signed.gamma)
+        ssum = np.abs(signed.alpha + signed.gamma)
+        magnitudes = ChainSpec(0.5 * (ssum + diff), np.abs(signed.beta), 0.5 * (ssum - diff))
+        report = analytic_vs_numeric(lam, eigendecompose(assemble(magnitudes)))
         assert not report.passed
         assert report.checks[0].residual > 1e-2
+        assert analytic_vs_numeric(lam, eigendecompose(assemble(signed))).passed

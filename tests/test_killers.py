@@ -54,6 +54,20 @@ def _scale_doubled_value(values):
     return values * np.r_[1 + 1e-6, np.ones(values.size - 1)]
 
 
+def _flip_bond_difference(chain):
+    # alpha - gamma of bond 1 changes sign, alpha + gamma stays: the bond's
+    # alpha and gamma trade places
+    alpha, gamma = chain.alpha.copy(), chain.gamma.copy()
+    alpha[1], gamma[1] = chain.gamma[1], chain.alpha[1]
+    return dataclasses.replace(chain, alpha=alpha, gamma=gamma)
+
+
+def _flip_site_field(chain):
+    beta = chain.beta.copy()
+    beta[2] = -beta[2]
+    return dataclasses.replace(chain, beta=beta)
+
+
 # check name -> (tolerance key, module whose binding is wrapped, function
 # name, corruption of that function's first result)
 KILLERS = {
@@ -62,6 +76,9 @@ KILLERS = {
     "transition-orthogonality": ("orthogonality", "linalg", "jacobi_svd", _rotate_right_column),
     "spectrum-parity": ("parity", "linalg", "jacobi_eigh", _scale_doubled_value),
     "spectrum-vs-singular-values": ("svd", "linalg", "jacobi_svd", _scale_largest_singular_value),
+    "analytic-vs-numeric": ("spectrum", "cli", "build_chain", _flip_bond_difference),
+    "recurrence-P": ("recurrence", "cli", "build_chain", _flip_site_field),
+    "recurrence-Q": ("recurrence", "cli", "build_chain", _flip_site_field),
 }
 
 

@@ -241,10 +241,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             jacobi_eigh(matrix)
 
-    def test_sweep_budget_exhaustion_raises(self, rng):
+    def test_sweep_budget_exhaustion_raises(self, rng, monkeypatch):
         matrix = random_symmetric(rng, 6)
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
         with pytest.raises(ConvergenceFailure):
-            jacobi_eigh(matrix, max_sweeps=0)
+            jacobi_eigh(matrix)
 
 
 class TestOffdiagMax:

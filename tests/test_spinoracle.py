@@ -232,8 +232,8 @@ class TestJordanWignerCertification:
         assert jw_certify(chain, eigendecompose(assemble(chain))).passed
 
     def test_family_chains_certify(self):
-        # Both family constructions produce genuine free-fermion chains, even
-        # where the closed-form energy branch does not apply.
+        # Both family constructions produce genuine free-fermion chains, also
+        # where the coupling roots have mixed signs (the qr13 point).
         for family, params in (("qr24", QR24_DEFAULT), ("qr13", QR13_CHAIN)):
             chain = build_chain(contiguity_coefficients(family, params))
             report = jw_certify(chain, eigendecompose(assemble(chain)))

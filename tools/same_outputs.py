@@ -34,7 +34,9 @@ Cases:
   families and at every validity level, with more samples than one screen
   block;
 * a spectral-valid qr24 point whose smallest mode, 1.4e-9, is 7e-13 of the
-  largest, x ``spectrum``, ``manybody`` and the three ``verify`` forms.
+  largest, x ``spectrum``, ``manybody`` and the three ``verify`` forms;
+* a scan of the qr13 box of ``tests/helpers.py`` at ``N = 3``, at every
+  validity level.
 
 A case that ends in an uncaught exception reports the exit ``traceback`` and
 hashes the exception's type and message as its stderr.
@@ -76,6 +78,7 @@ EDGE_MOVES = {
 EDGE_BOX = {"a": [-0.3, 0.0, 1.0, 2.0], "b": [0.3, 0.5, 0.0], "c": [-0.8, 4.0, 1e308],
             "q": [0.5, 0.7, 1e-320]}
 NEAR_ZERO_MODE = {"family": "qr24", "a": 0.5, "b": -0.5, "c": 0.0, "q": 1e-06, "N": 4}
+QR13_BOX = {"a": [1.5, 9.0], "b": [1.5, 9.0], "c": [-0.9, -0.1], "q": [0.3, 0.5, 0.7]}
 REPORT_LINE = re.compile(r"^(\S+): residual=(\S+) tol=(\S+) (PASS|FAIL)")
 
 
@@ -140,6 +143,10 @@ def build_cases(config_dir):
                 {"family": family, "N": 4, "ranges": EDGE_BOX, "samples": 300, "level": level},
                 ("scan.csv",))
     add("near-zero-mode", NEAR_ZERO_MODE, _forms(("spectrum", "manybody", "verify")))
+    for level in SCAN_LEVELS:
+        add(f"qr13-box@{level}",
+            {"family": "qr13", "N": 3, "ranges": QR13_BOX, "samples": 200, "level": level},
+            ("scan.csv",))
     return cases
 
 
