@@ -507,8 +507,8 @@ def _polynomial_grids(family, params):
 
     The parameter shift and the series arguments are formed in exact
     rational arithmetic from the (exactly represented) float parameters, and
-    every entry is the float its exact sum rounds to, from the
-    checked-precision decimal sum of
+    every entry is the float its exact sum rounds to, proved by the
+    error-bounded decimal sum of
     :func:`~xychain.qseries.phi43_terminating_exact`.  This matters twice
     over: the relation residuals computed from these grids compare the base
     and shifted families, which is an identity only when the shifted
@@ -519,8 +519,9 @@ def _polynomial_grids(family, params):
     Each series argument is formed once: the row parameter per degree, the
     two ``x``-dependent parameters per grid point ``x`` and the denominator
     parameters per grid.  The sums of both grids share their decimal factor
-    runs (see :mod:`xychain.qseries`) for this build only, so every entry is
-    bit for bit the value a lone :func:`qracah_eval` call gives.
+    runs (see :mod:`xychain.qseries`) for this build only; every value is
+    proved, so every entry is bit for bit the value a lone
+    :func:`qracah_eval` call gives.
     """
     N = params.N
     shift_params(family, params)  # validates the shifted regime

@@ -50,6 +50,40 @@ def qracah_exact(i, x, a, b, c, N, q):
     )
 
 
+def qracah_grid_by_recurrence(a, b, c, N, q):
+    """Base grid ``R_i(x)``, ``i, x = 0..N``, from the three-term recurrence
+    in the degree, in exact rational arithmetic.
+
+    Koekoek, Lesky & Swarttouw, *Hypergeometric Orthogonal Polynomials and
+    Their q-Analogues* (2010), (14.2.3), with ``alpha = a``, ``beta = b``,
+    ``gamma = q^(-N-1)`` and ``delta = c``:
+
+        -(1 - q^-x)(1 - c q^(x-N)) R_n = A_n R_{n+1} - (A_n + C_n) R_n + C_n R_{n-1}.
+
+    It shares no step with the series: no term ratio, no termination.  Its
+    coefficients have poles the series does not have, so it is an oracle
+    for points away from them, and cheap only for dyadic ``q``.
+    """
+    a, b, c, q = Fraction(a), Fraction(b), Fraction(c), Fraction(q)
+    gamma = q ** (-N - 1)
+    A, C = [], []
+    for n in range(N):
+        A.append((1 - a * q ** (n + 1)) * (1 - a * b * q ** (n + 1))
+                 * (1 - b * c * q ** (n + 1)) * (1 - gamma * q ** (n + 1))
+                 / ((1 - a * b * q ** (2 * n + 1)) * (1 - a * b * q ** (2 * n + 2))))
+        C.append(q * (1 - q**n) * (1 - b * q**n) * (gamma - a * b * q**n) * (c - a * q**n)
+                 / ((1 - a * b * q ** (2 * n)) * (1 - a * b * q ** (2 * n + 1))))
+    grid = [[Fraction(1)] * (N + 1)]
+    for n in range(N):
+        row = []
+        for x in range(N + 1):
+            variable = -(1 - q ** (-x)) * (1 - c * q ** (x - N))
+            below = grid[n - 1][x] if n else 0
+            row.append(((A[n] + C[n] + variable) * grid[n][x] - C[n] * below) / A[n])
+        grid.append(row)
+    return grid
+
+
 def shift_exact(family, a, b, c, N, q):
     """Exact-rational version of the family shift map."""
     a, b, c, q = Fraction(a), Fraction(b), Fraction(c), Fraction(q)

@@ -574,9 +574,9 @@ class TestPrecisionCap:
     """A grid value with no checked float within the precision cap is a regime
     error: exit 3 for ``verify``, a rejected draw for ``scan``."""
 
-    # Several grid values here are accepted only at a (160, 320)-digit pair or
-    # later, so a cap of 160 digits leaves them unchecked; at q = 0.5 every
-    # value is accepted within it.
+    # Several grid values here are proved only at 320 digits or more, so a
+    # cap of 160 digits leaves them unproved (degree 8 first); at q = 0.5
+    # every value is proved within it.
     POINT = {"family": "qr24", "a": 1e-6, "b": 0.3, "c": -0.8, "q": 1e-6, "N": 8}
 
     @pytest.fixture(autouse=True)
@@ -588,7 +588,7 @@ class TestPrecisionCap:
         assert main(["verify", "--config", path, "--out", str(tmp_path / "r.csv")]) == 3
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: 4phi3 sum of degree 5 has no checked float within the precision "
+            "error: 4phi3 sum of degree 8 has no checked float within the precision "
             "cap of 160 significant digits\n"
         )
         assert not (tmp_path / "r.csv").exists()

@@ -27,6 +27,12 @@ def _scale_base_grid_entry(coeffs):
     return coeffs
 
 
+def _scale_shifted_grid_entry(coeffs):
+    _, shifted = coeffs.grids
+    shifted[2, 3] *= 1 + 1e-6
+    return coeffs
+
+
 def _scale_phi_0_plus_entry(coeffs):
     phi_0_plus = coeffs.phi_0_plus.copy()
     phi_0_plus[2] *= 1 + 1e-6
@@ -72,6 +78,7 @@ def _flip_site_field(chain):
 # name, corruption of that function's first result)
 KILLERS = {
     "relation-plus": ("relation", "cli", "contiguity_coefficients", _scale_base_grid_entry),
+    "relation-minus": ("relation", "cli", "contiguity_coefficients", _scale_shifted_grid_entry),
     "constraint-ratio": ("constraint", "cli", "contiguity_coefficients", _scale_phi_0_plus_entry),
     "transition-orthogonality": ("orthogonality", "linalg", "jacobi_svd", _rotate_right_column),
     "spectrum-parity": ("parity", "linalg", "jacobi_eigh", _scale_doubled_value),

@@ -12,7 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_oracles import phi43_exact, qracah_exact, relation_residuals_exact, shift_exact
+from exact_oracles import (
+    phi43_exact, qracah_exact, qracah_grid_by_recurrence, relation_residuals_exact, shift_exact,
+)
 from helpers import QR13_CHAIN, QR24_DEFAULT
 from xychain import qseries
 from xychain.errors import InvalidParameterRegime, InvalidShiftedParams
@@ -103,25 +105,41 @@ class TestPolynomialValues:
                 _assert_grids_match_exact_oracle(family, dataclasses.replace(point, N=N))
 
     @pytest.mark.parametrize("q, value", [
-        # sums carried at 60 and at 120 digits both give 0.0
+        # the 40- and 80-digit sums are 1e87 and 0.0
         (1e-6, -0.20971508675417788),
-        # sums at 40 and at 80 digits, the first pair tried, both give 0.0
+        # the 40- and 80-digit sums are 1e66 and 1e26
         (1e-5, -0.20971406753403193),
     ])
     def test_cancellation_beyond_both_precisions_is_escalated(self, q, value):
-        # base[7, 8] cancels by more than the digits of a p- and 2p-digit
-        # pair that agree on a wrong value, which the cancellation guard
-        # rejects.
+        # base[7, 8] cancels by more than 80 digits, so the 40- and 80-digit
+        # sums are far off; their error bounds refuse them, and the 160-digit
+        # sum is the first one proved.
         params = QRacahParams(a=1e-6, b=0.3, c=-0.8, N=8, q=q)
         base, _ = _assert_grids_match_exact_oracle("qr24", params)
         assert base[7, 8] == value
 
+    @pytest.mark.parametrize("N", [20, 40])
+    def test_base_grid_matches_the_degree_recurrence(self, N):
+        # the recurrence shares no step with the series; a dyadic q keeps
+        # its Fractions small
+        params = dataclasses.replace(QR24_DEFAULT, N=N, q=0.5)
+        base, _ = _polynomial_grids("qr24", params)
+        exact = qracah_grid_by_recurrence(*params.as_tuple())
+        assert base.tobytes() == np.array(exact, dtype=float).tobytes()
+
     def test_exact_zero_values(self):
-        # No decimal sum of an exact zero keeps any digits; R_1(3) and the
+        # No interval around an exact zero rounds to one float; R_1(3) and the
         # shifted R_1(2) are exactly zero at this point, which verify passes.
         params = QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5)
         base, shifted = _assert_grids_match_exact_oracle("qr24", params)
         assert base[1, 3] == 0.0 and shifted[1, 2] == 0.0
+
+    def test_exact_tie_values(self):
+        # No interval around a value halfway between two floats rounds to one
+        # float; entry [1, 4] of the shifted grid is such a tie here, rounded
+        # to even.
+        params = QRacahParams(a=0.0, b=0.0, c=-0.8, N=4, q=0.5)
+        _assert_grids_match_exact_oracle("qr13", params)
 
     def test_shifted_point_value(self):
         shifted = QRacahParams(a=-0.8, b=0.15, c=0.8, N=5, q=0.5)
@@ -173,7 +191,7 @@ GRID_CASES = [
     for N in (1, 2, 9, 12, 20)
     for q in (0.3, 0.7)
 ] + [
-    # values accepted only past the (40, 80)-digit pair
+    # values proved only at 160 digits
     pytest.param("qr24", QRacahParams(a=1e-6, b=0.3, c=-0.8, N=8, q=1e-6), id="escalation"),
     # exact zeros, decided by the Fraction sum at the precision cap
     pytest.param("qr24", QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5), id="exact-zero"),

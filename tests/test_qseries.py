@@ -6,6 +6,7 @@ the evaluator returns the float the exact sum rounds to, so any disagreement
 at all is a real bug.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_oracles import phi43_exact
-from xychain.errors import DenominatorVanishes
+from helpers import CONFIG_DIR
+from xychain import qseries
+from xychain.errors import ConvergenceFailure, DenominatorVanishes
+from xychain.qracah import QRacahParams, _polynomial_grids
 from xychain.qseries import phi43_terminating_exact, q_pochhammer
 
 # (i, numerator params, denominator params, q, z) exercising long products,
@@ -123,13 +127,74 @@ class TestExactDecisions:
             phi43_terminating_exact(9, nums, (16.0, 0.2, 0.1), q, Fraction(7, 10))
         assert (excinfo.value.k, excinfo.value.param) == (4, 16.0)
 
-    def test_ill_conditioned_factor_is_caught_by_the_doubled_sum(self):
-        # 1 - b1 q^2 = -8.3e-40 comes out as -7.5e-40 at 40 digits: that sum
-        # has no cancellation to guard against, yet is 17 % off; the 80-digit
-        # sum disagrees with it.
+@pytest.fixture
+def sums(monkeypatch):
+    """The digits of every decimal sum, and whether its bound proved it."""
+    record = []
+    proved_sum = qseries._proved_sum
+
+    def recording(runs, *series):
+        value = proved_sum(runs, *series)
+        record.append((runs.context.prec, value is not None))
+        return value
+
+    monkeypatch.setattr(qseries, "_proved_sum", recording)
+    return record
+
+
+class TestErrorBound:
+    """A decimal sum is accepted only when its running error bound proves the
+    float that the exact sum rounds to; otherwise the digits double."""
+
+    def test_ill_conditioned_factor_is_refused_by_the_bound(self, sums):
+        # 1 - b1 q^2 = -8.3e-40 has condition |b1 q^2| / |1 - b1 q^2| ~ 1.2e39:
+        # at 40 digits the bound of that factor alone exceeds 1, at 80 digits
+        # it is below 1e-39
         args = (6, (0.3, 0.7, 0.9), (Fraction(4) + Fraction(1, 3 * 10**38), 0.2, 0.1),
                 Fraction(1, 2), Fraction(1, 2))
         assert phi43_terminating_exact(*args) == float(phi43_exact(*args))
+        assert sums == [(40, False), (80, True)]
+
+    def test_near_tie_is_refused_then_settled(self, sums, monkeypatch):
+        # The sum is 1 + 2^-53 + 1e-50, just above the midpoint of 1 and
+        # 1 + 2^-52.  The 40-digit sum rounds to below the midpoint, and its
+        # interval straddles it; the 80-digit interval lies above it.
+        above_tie = Fraction(1, 2**53) + Fraction(1, 10**50)
+        args = (1, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), -above_tie / 2)
+        assert phi43_terminating_exact(*args) == float(phi43_exact(*args)) == 1 + 2**-52
+        assert sums == [(40, False), (80, True)]
+        monkeypatch.setattr(qseries, "PRECISION_CAP", 40)
+        with pytest.raises(ConvergenceFailure, match="precision cap of 40 significant"):
+            phi43_terminating_exact(*args)
+
+    @pytest.mark.parametrize("a1", [
+        Fraction(1, 2**1076), Fraction(-1, 2**1076), Fraction(3, 2**1076),
+        Fraction(-3, 2**1076), Fraction(0),
+    ], ids=["+0.0", "-0.0", "+tiny", "-tiny", "exact-zero"])
+    def test_sum_next_to_zero_keeps_its_sign(self, a1):
+        # With q = z = 1/2 the sum is 1 + (a1 - 1) = a1, which rounds to a
+        # signed zero or to the smallest subnormal; the bound proves it only
+        # once 1 - a1 is carried to ~325 digits.  An exact zero is never
+        # proved and is decided at the cap.
+        args = (1, (a1, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), Fraction(1, 2))
+        assert phi43_terminating_exact(*args).hex() == float(phi43_exact(*args)).hex()
+
+    @pytest.mark.parametrize("a1, value", [
+        (Fraction(2**53 + 1, 2**53), 1.0),
+        (Fraction(2**53 + 3, 2**53), 1 + 2**-51),
+    ], ids=["down-to-even", "up-to-even"])
+    def test_exact_tie_is_decided_at_the_cap(self, sums, a1, value):
+        # The sum is a1, halfway between two floats: every interval around
+        # it straddles the tie, so the exact sum decides, rounding to even.
+        args = (1, (a1, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), Fraction(1, 2))
+        assert phi43_terminating_exact(*args) == float(phi43_exact(*args)) == value
+        assert [proved for _, proved in sums] == [False] * 7
+
+    def test_default_grid_pair_makes_one_sum_per_entry(self, sums):
+        config = json.loads((CONFIG_DIR / "qr24_default.json").read_text())
+        params = QRacahParams(**{name: config[name] for name in ("a", "b", "c", "N", "q")})
+        _polynomial_grids(config["family"], params)
+        assert len(sums) <= 1.05 * 2 * (params.N + 1) ** 2
 
 
 class TestQPochhammer:

@@ -36,7 +36,10 @@ Cases:
 * a spectral-valid qr24 point whose smallest mode, 1.4e-9, is 7e-13 of the
   largest, x ``spectrum``, ``manybody`` and the three ``verify`` forms;
 * a scan of the qr13 box of ``tests/helpers.py`` at ``N = 3``, at every
-  validity level.
+  validity level;
+* the shipped qr24 point at ``N = 20`` and ``N = 30`` x the three ``verify``
+  forms, whose grids reach deeper precision ladders than the pool's
+  ``N <= 16``.
 
 A case that ends in an uncaught exception reports the exit ``traceback`` and
 hashes the exception's type and message as its stderr.
@@ -79,6 +82,7 @@ EDGE_BOX = {"a": [-0.3, 0.0, 1.0, 2.0], "b": [0.3, 0.5, 0.0], "c": [-0.8, 4.0, 1
             "q": [0.5, 0.7, 1e-320]}
 NEAR_ZERO_MODE = {"family": "qr24", "a": 0.5, "b": -0.5, "c": 0.0, "q": 1e-06, "N": 4}
 QR13_BOX = {"a": [1.5, 9.0], "b": [1.5, 9.0], "c": [-0.9, -0.1], "q": [0.3, 0.5, 0.7]}
+DEEP_N = (20, 30)
 REPORT_LINE = re.compile(r"^(\S+): residual=(\S+) tol=(\S+) (PASS|FAIL)")
 
 
@@ -147,6 +151,9 @@ def build_cases(config_dir):
         add(f"qr13-box@{level}",
             {"family": "qr13", "N": 3, "ranges": QR13_BOX, "samples": 200, "level": level},
             ("scan.csv",))
+    qr24 = json.loads((CONFIG_DIR / "qr24_default.json").read_text())
+    for N in DEEP_N:
+        add(f"configs/qr24_default.json@N={N}", dict(qr24, N=N), VERIFY_FORMS)
     return cases
 
 
