@@ -62,12 +62,10 @@ from .qracah import (
     QRacahParams,
     closed_form_lambda_squared,
     contiguity_coefficients,
-    grid_variable,
     qracah_eval,
     shift_params,
     verify_contiguity,
 )
-from .qseries import q_pochhammer
 from .report import CheckReport, CheckResult
 from .spinoracle import (
     SPIN_DIMENSION_CAP,
@@ -114,11 +112,9 @@ __all__ = [
     "QRacahParams",
     "closed_form_lambda_squared",
     "contiguity_coefficients",
-    "grid_variable",
     "qracah_eval",
     "shift_params",
     "verify_contiguity",
-    "q_pochhammer",
     "CheckReport",
     "CheckResult",
     "SPIN_DIMENSION_CAP",

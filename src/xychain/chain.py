@@ -359,14 +359,13 @@ def _screen_block(family, points, level):
     ]
 
 
-def _certify(screened, relation_tol, constraint_tol):
+def _certify(screened, tolerances):
     """``(valid, reason)`` of one draw from its :func:`_screen_block` outcome:
     the screen's error, or the verdict of :func:`verify_contiguity`."""
     if isinstance(screened, Exception):
         return False, str(screened)
     try:
-        report = verify_contiguity(screened, relation_tol=relation_tol,
-                                   constraint_tol=constraint_tol)
+        report = verify_contiguity(screened, tolerances)
     except (XYChainError, ArithmeticError) as exc:
         return False, str(exc)
     for check in report.checks:
@@ -381,8 +380,7 @@ def _check_level(family, level):
     _check_family(family)
 
 
-def validate_draw(family, params, level="full", relation_tol=TOLERANCES["relation"],
-                  constraint_tol=TOLERANCES["constraint"]):
+def validate_draw(family, params, level="full", tolerances=TOLERANCES):
     """Classify one parameter draw against a scan validity level.
 
     A draw is valid when the stages its level needs succeed and
@@ -391,7 +389,8 @@ def validate_draw(family, params, level="full", relation_tol=TOLERANCES["relatio
     :func:`_screen_block` (shift map, denominator floor, coefficient tables,
     from ``couplings`` on the radicands of :func:`build_chain` and
     :func:`analytic_spectrum`, at ``full`` also the global sign), here on a
-    block of one draw, and last the certification.
+    block of one draw, and last the certification, which reads
+    ``tolerances["relation"]`` and ``tolerances["constraint"]``.
 
     Returns ``(valid, reason)``.  ``reason`` is empty when valid; otherwise
     it names the failed screen, carries the message of the stage that raised
@@ -400,7 +399,7 @@ def validate_draw(family, params, level="full", relation_tol=TOLERANCES["relatio
     """
     _check_level(family, level)
     (screened,) = _screen_block(family, _Points([params]), level)
-    return _certify(screened, relation_tol, constraint_tol)
+    return _certify(screened, tolerances)
 
 
 def _sampler(rng, spec, label):
@@ -409,6 +408,8 @@ def _sampler(rng, spec, label):
     The spec is checked once here, so each draw only consumes ``rng``.
     """
     values = np.atleast_1d(np.asarray(spec, dtype=float))
+    if values.size == 0:
+        raise ValueError(f"range for {label} is empty")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"range for {label} must be finite, got {spec!r}")
     if values.size == 2:
@@ -419,9 +420,7 @@ def _sampler(rng, spec, label):
     return lambda: float(values[rng.integers(values.size)])
 
 
-def parameter_scan(family, ranges, N, samples, seed=0, level="full",
-                   relation_tol=TOLERANCES["relation"],
-                   constraint_tol=TOLERANCES["constraint"]):
+def parameter_scan(family, ranges, N, samples, seed=0, level="full", tolerances=TOLERANCES):
     """Randomly sample a parameter box and keep the valid draws.
 
     Each draw is classified as :func:`validate_draw` would, with the same
@@ -434,8 +433,8 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full",
     family : str
     ranges : mapping
         Keys ``"a"``, ``"b"``, ``"c"``, ``"q"``; each value is either a
-        two-entry ``(lo, hi)`` range (sampled uniformly) or a list of discrete
-        choices of any other length.
+        two-entry ``(lo, hi)`` range (sampled uniformly) or a nonempty list
+        of discrete choices of any other length.
     N : int
         Truncation degree used for every draw.
     samples : int
@@ -445,6 +444,9 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full",
         identical list of draws.
     level : str
         Validity level, one of :data:`SCAN_LEVELS`.
+    tolerances : mapping
+        Check tolerances by name; the certification reads ``"relation"``
+        and ``"constraint"``.
 
     Returns
     -------
@@ -453,9 +455,9 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full",
     Raises
     ------
     ValueError
-        If ``samples < 1``, a key of ``ranges`` is missing, a range has a
-        non-finite entry or ``hi < lo``, or the family or level is unknown;
-        checked before the first draw.
+        If ``samples < 1``, a key of ``ranges`` is missing, a range is empty,
+        has a non-finite entry or ``hi < lo``, or the family or level is
+        unknown; checked before the first draw.
     NoValidParameters
         If no draw passes; the message suggests widening the box.
     """
@@ -479,7 +481,7 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full",
         if not block:
             continue
         for params, screened in zip(block, _screen_block(family, _Points(block), level)):
-            if _certify(screened, relation_tol, constraint_tol)[0]:
+            if _certify(screened, tolerances)[0]:
                 hits.append(params)
     if not hits:
         raise NoValidParameters(

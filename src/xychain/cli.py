@@ -342,14 +342,7 @@ def cmd_verify(config, out_path, tol=None):
     if explicit:
         chain = _chain_from_config(config, coeffs)
     else:
-        _merge(
-            report,
-            verify_contiguity(
-                coeffs,
-                relation_tol=tolerances["relation"],
-                constraint_tol=tolerances["constraint"],
-            ),
-        )
+        _merge(report, verify_contiguity(coeffs, tolerances))
         try:
             chain = build_chain(coeffs)
         except InvalidParameterRegime as exc:
@@ -359,29 +352,21 @@ def cmd_verify(config, out_path, tol=None):
         spectral = eigendecompose(assemble(chain))
         report.add("spectrum-parity", spectral.pairing_error, tolerances["parity"])
         report.add("transition-orthogonality", spectral.ortho_error, tolerances["orthogonality"])
-        _merge(report, singular_value_check(spectral, tol=tolerances["svd"]))
+        _merge(report, singular_value_check(spectral, tolerances))
         if not explicit:
             lam = analytic_spectrum(coeffs)
-            _merge(report, analytic_vs_numeric(lam, spectral, tol=tolerances["spectrum"]))
+            _merge(report, analytic_vs_numeric(lam, spectral, tolerances))
             try:
                 pq = build_pq_table(coeffs, chain, lam)
             except InvalidParameterRegime as exc:
                 report.add_note(f"P/Q tables unavailable: {exc}")
             else:
-                _merge(report, recurrence_check(pq, tol=tolerances["recurrence"]))
-                _merge(
-                    report,
-                    eigenvector_crosscheck(
-                        spectral,
-                        pq,
-                        cos_tol=tolerances["cosine"],
-                        match_tol=tolerances["match"],
-                    ),
-                )
+                _merge(report, recurrence_check(pq, tolerances))
+                _merge(report, eigenvector_crosscheck(spectral, pq, tolerances))
         if chain.is_xx():
-            _merge(report, xx_reduction_check(spectral, tol=tolerances["spectrum"]))
+            _merge(report, xx_reduction_check(spectral, tolerances))
         if 2**chain.n_sites <= SPIN_DIMENSION_CAP:
-            _merge(report, jw_certify(chain, spectral, tol_factor=tolerances["jw"]))
+            _merge(report, jw_certify(chain, spectral, tolerances))
         else:
             report.add_note("spin-oracle comparison skipped: dimension above cap")
 
@@ -408,7 +393,6 @@ def cmd_verify(config, out_path, tol=None):
 def cmd_scan(config, out_path, seed=None):
     """Run a parameter scan and write the valid draws as CSV rows."""
     used_seed = seed if seed is not None else int(config.get("seed", 0))
-    tolerances = _tolerances(config)
     draws = parameter_scan(
         config["family"],
         config["ranges"],
@@ -416,8 +400,7 @@ def cmd_scan(config, out_path, seed=None):
         config["samples"],
         seed=used_seed,
         level=config["level"],
-        relation_tol=tolerances["relation"],
-        constraint_tol=tolerances["constraint"],
+        tolerances=_tolerances(config),
     )
     rows = [
         (k, p.a, p.b, p.c, p.N, p.q) for k, p in enumerate(draws)

@@ -161,26 +161,27 @@ def _spectrum_gap(values, reference):
     return float(np.max(np.abs(np.sort(values) - np.sort(reference)))) / scale
 
 
-def singular_value_check(spectral, tol=TOLERANCES["svd"]):
+def singular_value_check(spectral, tolerances=TOLERANCES):
     """Certify the singular values of ``A + B`` in ``spectral`` against the
     nonnegative half of ``spectral.doubled_values``, the eigenvalues of ``H``
-    by the independent two-sided Jacobi route."""
+    by the independent two-sided Jacobi route.  Reads ``tolerances["svd"]``."""
     values = spectral.doubled_values[spectral.system.n_sites :]
     report = CheckReport(title="singular-value route")
-    report.add("spectrum-vs-singular-values", _spectrum_gap(values, spectral.lambda_numeric), tol)
+    report.add("spectrum-vs-singular-values", _spectrum_gap(values, spectral.lambda_numeric), tolerances["svd"])
     return report
 
 
-def xx_reduction_check(spectral, tol=TOLERANCES["spectrum"]):
+def xx_reduction_check(spectral, tolerances=TOLERANCES):
     """Certify the XX reduction of a chain with ``gamma = 0``.
 
     With ``B = 0`` the single-particle energies are the absolute eigenvalues
     of the hopping matrix ``A`` of ``spectral.system``, diagonalized here on
-    its own and compared with the singular values of ``A + B``.
+    its own and compared with the singular values of ``A + B``.  Reads
+    ``tolerances["spectrum"]``.
     """
     values = jacobi_eigh(spectral.system.A)
     report = CheckReport(title="XX reduction")
-    report.add("xx-reduction", _spectrum_gap(np.abs(values), spectral.lambda_numeric), tol)
+    report.add("xx-reduction", _spectrum_gap(np.abs(values), spectral.lambda_numeric), tolerances["spectrum"])
     return report
 
 
@@ -236,8 +237,7 @@ def _principal_cosines(set_a, set_b):
     return np.minimum(jacobi_svd(overlap)[0], 1.0)[::-1]
 
 
-def eigenvector_crosscheck(spectral, pq, cos_tol=TOLERANCES["cosine"],
-                           match_tol=TOLERANCES["match"]):
+def eigenvector_crosscheck(spectral, pq, tolerances=TOLERANCES):
     """Compare numeric eigenvectors against the analytic ``P``/``Q`` tables.
 
     Matches numeric and analytic eigenvalues by sorted order (with a collision
@@ -246,7 +246,9 @@ def eigenvector_crosscheck(spectral, pq, cos_tol=TOLERANCES["cosine"],
     the matched mode.  Nondegenerate modes use absolute cosine similarity;
     degenerate clusters are compared span-to-span via principal angles.
     Analytic columns that vanish identically (zero normalization weight) are
-    skipped with a note.
+    skipped with a note.  Reads ``tolerances["match"]`` for the pairing gaps
+    and ``tolerances["cosine"]`` for single modes; a cluster's principal
+    angle is held to the fixed :data:`ANGLE_TOL`.
     """
     if not isinstance(pq, PQTable):
         raise TypeError(f"expected a PQTable, got {type(pq).__name__}")
@@ -261,7 +263,7 @@ def eigenvector_crosscheck(spectral, pq, cos_tol=TOLERANCES["cosine"],
 
     order = np.argsort(lam_ana, kind="stable")
     gaps = np.abs(lam_num - lam_ana[order])
-    report.add("eigenvalue-matching", float(np.max(gaps)) / scale, match_tol)
+    report.add("eigenvalue-matching", float(np.max(gaps)) / scale, tolerances["match"])
 
     minus_num = spectral.Psi - spectral.Phi
     plus_num = spectral.Psi + spectral.Phi
@@ -300,7 +302,7 @@ def eigenvector_crosscheck(spectral, pq, cos_tol=TOLERANCES["cosine"],
                 cosine = abs(np.dot(v_num, v_ana)) / (
                     np.linalg.norm(v_num) * np.linalg.norm(v_ana)
                 )
-                report.add(label, 1.0 - cosine, cos_tol)
+                report.add(label, 1.0 - cosine, tolerances["cosine"])
             else:
                 cosines = _principal_cosines(numeric[:, group], analytic[:, live])
                 worst = float(np.min(cosines[: len(live)]))
@@ -309,18 +311,20 @@ def eigenvector_crosscheck(spectral, pq, cos_tol=TOLERANCES["cosine"],
     return report
 
 
-def recurrence_check(pq, tol=TOLERANCES["recurrence"]):
-    """Wrap :func:`xychain.chain.pq_recurrence_residual` as a report."""
+def recurrence_check(pq, tolerances=TOLERANCES):
+    """Wrap :func:`xychain.chain.pq_recurrence_residual` as a report.  Reads
+    ``tolerances["recurrence"]``."""
     res_p, res_q = pq_recurrence_residual(pq)
     report = CheckReport(title="P/Q recurrence")
-    report.add("recurrence-P", res_p, tol)
-    report.add("recurrence-Q", res_q, tol)
+    report.add("recurrence-P", res_p, tolerances["recurrence"])
+    report.add("recurrence-Q", res_q, tolerances["recurrence"])
     return report
 
 
-def analytic_vs_numeric(lam_ana, spectral, tol=TOLERANCES["spectrum"]):
+def analytic_vs_numeric(lam_ana, spectral, tolerances=TOLERANCES):
     """Report comparing the closed-form spectrum ``lam_ana`` (from
-    :func:`xychain.chain.analytic_spectrum`) to the numeric one."""
+    :func:`xychain.chain.analytic_spectrum`) to the numeric one.  Reads
+    ``tolerances["spectrum"]``."""
     report = CheckReport(title="closed form vs numeric spectrum")
-    report.add("analytic-vs-numeric", _spectrum_gap(spectral.lambda_numeric, lam_ana), tol)
+    report.add("analytic-vs-numeric", _spectrum_gap(spectral.lambda_numeric, lam_ana), tolerances["spectrum"])
     return report

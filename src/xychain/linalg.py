@@ -80,6 +80,24 @@ def _rotations(app, aqq, apq, rotate, out):
     out[:, 1, 1] = c
 
 
+def _symmetric_copy(matrix):
+    """``(a, scale)``: a float copy of a real symmetric matrix and its largest
+    entry magnitude (0 when empty).
+
+    Raises
+    ------
+    ValueError
+        If the matrix is not square or not symmetric.
+    """
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if a.size and float(np.max(np.abs(a - a.T))) > 1e-12 * max(scale, 1.0):
+        raise ValueError("matrix is not symmetric")
+    return a, scale
+
+
 def jacobi_eigh(matrix):
     """Eigenvalues of a real symmetric matrix, ascending.
 
@@ -94,13 +112,8 @@ def jacobi_eigh(matrix):
     ConvergenceFailure
         If the sweep budget is exhausted before reaching tolerance.
     """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a, scale = _symmetric_copy(matrix)
     n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    if n and float(np.max(np.abs(a - a.T))) > 1e-12 * max(scale, 1.0):
-        raise ValueError("matrix is not symmetric")
     if n < 2 or scale == 0.0:
         return np.sort(np.diag(a))
 
@@ -239,12 +252,7 @@ def _householder_tridiagonal(matrix):
     ValueError
         If the matrix is not square or not symmetric.
     """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if a.size and float(np.max(np.abs(a - a.T))) > 1e-12 * max(scale, 1.0):
-        raise ValueError("matrix is not symmetric")
+    a, scale = _symmetric_copy(matrix)
     exponent = int(np.frexp(scale)[1])
     np.ldexp(a, -exponent, out=a)
     n = a.shape[0]

@@ -31,7 +31,6 @@ __all__ = [
     "FAMILIES",
     "QRacahParams",
     "ContiguityCoefficients",
-    "grid_variable",
     "qracah_eval",
     "shift_params",
     "contiguity_coefficients",
@@ -73,16 +72,6 @@ class QRacahParams:
 
     def as_tuple(self):
         return (self.a, self.b, self.c, self.N, self.q)
-
-
-def grid_variable(x, params):
-    """Grid value ``-(1 - q^{-x}) (1 - c q^{x-N})`` at grid point ``x``.
-
-    The degree-``i`` member of the family is a polynomial of degree exactly
-    ``i`` in this variable (certified by an interpolation test in the suite).
-    """
-    a, b, c, N, q = params.as_tuple()
-    return -(1.0 - q ** (-x)) * (1.0 - c * q ** (x - N))
 
 
 def qracah_eval(i, x, params):
@@ -645,19 +634,19 @@ def contiguity_coefficients(family, params):
     return _record(family, params, tables, 0)
 
 
-def verify_contiguity(coeffs, relation_tol=TOLERANCES["relation"],
-                      constraint_tol=TOLERANCES["constraint"]):
+def verify_contiguity(coeffs, tolerances=TOLERANCES):
     """Certify the contiguity data against direct polynomial evaluation.
 
     Evaluates both three-term relations at every grid point ``(i, x)`` on the
     correctly rounded polynomial grids ``coeffs.grids``, plus the eight-factor
-    consistency ratio, and returns a :class:`CheckReport`.
+    consistency ratio, and returns a :class:`CheckReport`.  Reads
+    ``tolerances["relation"]`` and ``tolerances["constraint"]``.
     """
     mask = _boundary_mask(coeffs.family, coeffs.params.N)
     note = "" if mask.all() else "corner (i,x)=(N,N) excluded; weighted by lambda_minus(N)=0"
     report = CheckReport(title=f"contiguity {coeffs.family} {coeffs.params.as_tuple()}")
     for name, res in zip(("relation-plus", "relation-minus"),
                          _relation_residuals(coeffs, *coeffs.grids)):
-        report.add(name, float(np.max(res[mask])), relation_tol, note)
-    report.add("constraint-ratio", coeffs.constraint_ratio_deviation(), constraint_tol)
+        report.add(name, float(np.max(res[mask])), tolerances["relation"], note)
+    report.add("constraint-ratio", coeffs.constraint_ratio_deviation(), tolerances["constraint"])
     return report

@@ -1,9 +1,9 @@
 """Basic q-series building blocks.
 
-Provides q-Pochhammer symbols and the one terminating balanced ``4phi3``
-evaluator, :func:`phi43_terminating_exact`, which returns the float that the
-exact sum rounds to, so catastrophic cancellation in the alternating sum
-never contaminates downstream certifications.  It carries the sum in stdlib
+Provides the one terminating balanced ``4phi3`` evaluator,
+:func:`phi43_terminating_exact`, which returns the float that the exact sum
+rounds to, so catastrophic cancellation in the alternating sum never
+contaminates downstream certifications.  It carries the sum in stdlib
 :mod:`decimal` at ``p`` significant digits together with a running bound on
 the sum's error (Higham, *Accuracy and Stability of Numerical Algorithms*,
 2nd ed., sections 3.1 and 3.3).  A sum is accepted when every real within
@@ -36,7 +36,6 @@ from fractions import Fraction
 from .errors import ConvergenceFailure, DenominatorVanishes
 
 __all__ = [
-    "q_pochhammer",
     "phi43_terminating_exact",
 ]
 
@@ -54,26 +53,6 @@ _SLACK = decimal.Decimal("1.0001")
 #: Significant digits of the error bounds, which are always rounded upward.
 _BOUND_DIGITS = 9
 _INFINITY = decimal.Decimal("Infinity")
-
-
-def q_pochhammer(a, q, k):
-    """Finite q-Pochhammer symbol ``(a; q)_k = prod_{l=0}^{k-1} (1 - a q^l)``.
-
-    Parameters
-    ----------
-    a : float
-        Base parameter.
-    q : float
-        Deformation parameter.
-    k : int
-        Number of factors; ``k = 0`` gives the empty product 1.
-    """
-    if k < 0:
-        raise ValueError(f"q-Pochhammer order must be >= 0, got {k}")
-    out = 1.0
-    for l in range(k):
-        out *= 1.0 - a * q**l
-    return out
 
 
 def phi43_terminating_exact(i, num_params, den_params, q, z):

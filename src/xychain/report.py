@@ -4,8 +4,9 @@ from dataclasses import dataclass, field
 
 __all__ = ["TOLERANCES", "CheckResult", "CheckReport"]
 
-#: Default tolerance of every named check.  The library's check functions
-#: take their defaults from here, and a run configuration's ``"tolerances"``
+#: Default tolerance of every named check.  Each library check takes a
+#: mapping like this one as its ``tolerances`` argument (default: this one)
+#: and reads only its own names; a run configuration's ``"tolerances"``
 #: object overrides any of them by name.
 TOLERANCES = {
     "relation": 1e-9,

@@ -98,14 +98,14 @@ def oracle_spectrum(hamiltonian):
     return np.sort(np.concatenate(sturm_eigvalsh(blocks)))
 
 
-def jw_certify(chain, spectral, tol_factor=TOLERANCES["jw"]):
+def jw_certify(chain, spectral, tolerances=TOLERANCES):
     """Certify the free-fermion solution against the spin-space oracle.
 
     Computes the ``2^(N+1)`` many-body energies from the numeric
     single-particle modes ``spectral`` of ``chain`` and compares them, as a
     sorted multiset, with the exact dense spin spectrum of ``chain``.
-    Tolerance scales with the spectral radius.  The report records the
-    worst-matched level.
+    The gaps are relative to the spectral radius and held to
+    ``tolerances["jw"]``.  The report records the worst-matched level.
     """
     spin_values = oracle_spectrum(build_spin_hamiltonian(chain))
     fermion_values = many_body_spectrum(spectral.lambda_numeric).energies
@@ -116,7 +116,7 @@ def jw_certify(chain, spectral, tol_factor=TOLERANCES["jw"]):
     report.add(
         "many-body-multiset",
         float(gaps[worst]) / scale,
-        tol_factor,
+        tolerances["jw"],
         note=(
             f"worst level {worst}: spin {spin_values[worst]:.12g} "
             f"vs fermion {fermion_values[worst]:.12g}"

@@ -470,6 +470,7 @@ class TestParameterScan:
             ("c", [float("-inf"), -0.1], "range for c must be finite"),
             ("q", [0.3, float("inf"), 0.7], "range for q must be finite"),
             ("b", [0.9, 0.05], "range for b has hi < lo"),
+            ("a", [], "range for a is empty"),
         ],
     )
     def test_bad_range_rejected_when_called_directly(self, label, spec, message):

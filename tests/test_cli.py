@@ -16,6 +16,7 @@ from xychain.chain import parameter_scan, validate_draw
 from xychain.cli import main
 from xychain.errors import XYChainError
 from xychain.freefermion import assemble, eigendecompose, many_body_spectrum
+from xychain.report import TOLERANCES
 
 QR24_CONFIG = {
     "family": "qr24", "a": -0.3, "b": 0.3, "c": -0.8, "q": 0.7, "N": 4,
@@ -26,6 +27,21 @@ QR13_CONFIG = {
 XX_CONFIG = {
     "family": "explicit", "N": 2,
     "alpha": [1.0, 1.0], "beta": [0.5, 0.5, 0.5], "gamma": [0.0, 0.0],
+}
+#: The verify rows whose tolerance each ``"tolerances"`` name sets.  A
+#: degenerate cluster row ``P-modes-i..j`` is held to the fixed
+#: ``freefermion.ANGLE_TOL``; only single-mode rows read ``cosine``.
+TOLERANCE_ROWS = {
+    "relation": lambda row: row in ("relation-plus", "relation-minus"),
+    "constraint": lambda row: row == "constraint-ratio",
+    "spectrum": lambda row: row in ("analytic-vs-numeric", "xx-reduction"),
+    "svd": lambda row: row == "spectrum-vs-singular-values",
+    "recurrence": lambda row: row in ("recurrence-P", "recurrence-Q"),
+    "cosine": lambda row: re.fullmatch(r"[PQ]-modes-\d+", row) is not None,
+    "match": lambda row: row == "eigenvalue-matching",
+    "jw": lambda row: row == "many-body-multiset",
+    "parity": lambda row: row == "spectrum-parity",
+    "orthogonality": lambda row: row == "transition-orthogonality",
 }
 SCAN_CONFIG = {
     "family": "qr24", "N": 3,
@@ -222,6 +238,31 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "xx-reduction" in out
         assert "spectrum-parity" in out
+
+    def test_each_tolerance_sets_exactly_its_rows(self, tmp_path):
+        # The override is read on the tolerance column, not on the exit code:
+        # a check can still pass at 1e-300 (1 - |cos| rounds to 0 or below).
+        assert set(TOLERANCE_ROWS) == set(TOLERANCES)
+        out_path = str(tmp_path / "report.csv")
+
+        def tolerance_column(config):
+            main(["verify", "--config", write_config(tmp_path, config), "--out", out_path])
+            _, rows = parse_csv((tmp_path / "report.csv").read_text())
+            return {row["name"]: row["tolerance"] for row in rows}
+
+        bound = set()
+        for name in ("qr24_default.json", "qr13_chain.json", "xx_uniform.json"):
+            config = json.loads((CONFIG_DIR / name).read_text())
+            default = tolerance_column(config)
+            for key, owns in TOLERANCE_ROWS.items():
+                tight = tolerance_column(dict(config, tolerances={key: 1e-300}))
+                assert tight.keys() == default.keys(), (name, key)
+                changed = {row for row in default if tight[row] != default[row]}
+                assert changed == set(filter(owns, default)), (name, key)
+                assert {tight[row] for row in changed} <= {"1e-300"}, (name, key)
+                if changed:
+                    bound.add(key)
+        assert bound == set(TOLERANCES)
 
     def test_family_override_applies_before_validation(self, tmp_path):
         # Overriding an explicit config to a q-Racah family makes the array

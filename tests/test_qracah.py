@@ -25,7 +25,6 @@ from xychain.qracah import (
     _polynomial_grids,
     _raw_tables,
     contiguity_coefficients,
-    grid_variable,
     qracah_eval,
     shift_params,
     verify_contiguity,
@@ -242,15 +241,6 @@ class TestDegreeStructure:
                             weight *= (t - nodes[m]) / (nodes[j] - nodes[m])
                     predicted += values[j] * weight
                 assert predicted == qracah_exact(i, x_check, a, b, c, N, q)
-
-    def test_grid_variable_formula(self):
-        params = POLY_POINT
-        assert grid_variable(0, params) == 0.0
-        a, b, c = Fraction(-2, 5), Fraction(3, 10), Fraction(1, 5)
-        q = Fraction(1, 2)
-        for x in range(params.N + 1):
-            exact = float(-(1 - q**-x) * (1 - c * q ** (x - params.N)))
-            assert grid_variable(x, params) == pytest.approx(exact, rel=1e-14, abs=1e-15)
 
 
 class TestShiftMap:

@@ -18,7 +18,7 @@ from helpers import CONFIG_DIR
 from xychain import qseries
 from xychain.errors import ConvergenceFailure, DenominatorVanishes
 from xychain.qracah import QRacahParams, _polynomial_grids
-from xychain.qseries import phi43_terminating_exact, q_pochhammer
+from xychain.qseries import phi43_terminating_exact
 
 # (i, numerator params, denominator params, q, z) exercising long products,
 # mixed signs, and parameters of magnitude > 1.
@@ -195,33 +195,6 @@ class TestErrorBound:
         params = QRacahParams(**{name: config[name] for name in ("a", "b", "c", "N", "q")})
         _polynomial_grids(config["family"], params)
         assert len(sums) <= 1.05 * 2 * (params.N + 1) ** 2
-
-
-class TestQPochhammer:
-    def test_empty_product(self):
-        assert q_pochhammer(0.7, 0.5, 0) == 1.0
-
-    def test_explicit_small_orders(self):
-        a, q = 0.5, 0.25
-        assert q_pochhammer(a, q, 1) == pytest.approx(1 - a, rel=1e-15)
-        assert q_pochhammer(a, q, 3) == pytest.approx(
-            (1 - a) * (1 - a * q) * (1 - a * q**2), rel=1e-15
-        )
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            q_pochhammer(0.5, 0.5, -1)
-
-    @given(
-        a=st.floats(-2.0, 2.0, allow_nan=False),
-        q=st.floats(0.05, 0.95, allow_nan=False),
-        k=st.integers(0, 20),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_recurrence_property(self, a, q, k):
-        longer = q_pochhammer(a, q, k + 1)
-        stepped = q_pochhammer(a, q, k) * (1 - a * q**k)
-        assert longer == pytest.approx(stepped, rel=1e-12, abs=1e-300)
 
 
 class TestIndexArgumentSymmetry:

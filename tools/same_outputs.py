@@ -39,7 +39,12 @@ Cases:
   validity level;
 * the shipped qr24 point at ``N = 20`` and ``N = 30`` x the three ``verify``
   forms, whose grids reach deeper precision ladders than the pool's
-  ``N <= 16``.
+  ``N <= 16``;
+* the three shipped chain configs with each ``"tolerances"`` name in turn
+  set to 1e-300, x the three ``verify`` forms, so every check shows which
+  name sets its tolerance;
+* ``configs/qr24_scan.json`` once with ``relation`` and once with
+  ``constraint`` at 1e-300.
 
 A case that ends in an uncaught exception reports the exit ``traceback`` and
 hashes the exception's type and message as its stderr.
@@ -83,6 +88,11 @@ EDGE_BOX = {"a": [-0.3, 0.0, 1.0, 2.0], "b": [0.3, 0.5, 0.0], "c": [-0.8, 4.0, 1
 NEAR_ZERO_MODE = {"family": "qr24", "a": 0.5, "b": -0.5, "c": 0.0, "q": 1e-06, "N": 4}
 QR13_BOX = {"a": [1.5, 9.0], "b": [1.5, 9.0], "c": [-0.9, -0.1], "q": [0.3, 0.5, 0.7]}
 DEEP_N = (20, 30)
+CHAIN_CONFIGS = ("qr24_default.json", "qr13_chain.json", "xx_uniform.json")
+#: The names of ``xychain.report.TOLERANCES``, each tightened to ``TIGHT``.
+TOLERANCE_NAMES = ("relation", "constraint", "spectrum", "svd", "recurrence", "cosine",
+                   "jw", "match", "parity", "orthogonality")
+TIGHT = 1e-300
 REPORT_LINE = re.compile(r"^(\S+): residual=(\S+) tol=(\S+) (PASS|FAIL)")
 
 
@@ -154,6 +164,15 @@ def build_cases(config_dir):
     qr24 = json.loads((CONFIG_DIR / "qr24_default.json").read_text())
     for N in DEEP_N:
         add(f"configs/qr24_default.json@N={N}", dict(qr24, N=N), VERIFY_FORMS)
+    for name in CHAIN_CONFIGS:
+        config = json.loads((CONFIG_DIR / name).read_text())
+        for key in TOLERANCE_NAMES:
+            add(f"configs/{name}@{key}={TIGHT}", dict(config, tolerances={key: TIGHT}),
+                VERIFY_FORMS)
+    scan = json.loads((CONFIG_DIR / "qr24_scan.json").read_text())
+    for key in ("relation", "constraint"):
+        add(f"configs/qr24_scan.json@{key}={TIGHT}", dict(scan, tolerances={key: TIGHT}),
+            ("scan.csv",))
     return cases
 
 
