@@ -8,12 +8,13 @@ numerical oracles:
 - :mod:`xychain.qracah` — q-Racah polynomials, contiguity coefficients, and
   the three-term relations that encode the chain.
 - :mod:`xychain.chain` — chain construction, closed-form spectra, P/Q
-  eigenvector tables, and parameter scans.
+  eigenvector tables and their recurrence check, and parameter scans.
 - :mod:`xychain.linalg` — self-contained solvers: a one-sided Jacobi SVD for
   the free-fermion path, a values-only Jacobi eigensolver that certifies it,
   Householder and Sturm bisection for the spin oracle.
 - :mod:`xychain.freefermion` — doubled one-particle matrix, its solution by
-  the SVD of ``A + B``, many-body spectra, and cross-checks.
+  the SVD of ``A + B`` (:class:`SpectralData`: values, ``Psi`` and ``Phi``),
+  many-body spectra, and the checks of that solution.
 - :mod:`xychain.spinoracle` — brute-force spin-chain Hamiltonian oracle.
 - :mod:`xychain.cli` — the ``xychain`` command-line tool.
 """
@@ -28,7 +29,7 @@ from .chain import (
     build_chain,
     build_pq_table,
     parameter_scan,
-    pq_recurrence_residual,
+    recurrence_check,
     validate_draw,
 )
 from .errors import (
@@ -51,7 +52,6 @@ from .freefermion import (
     eigendecompose,
     eigenvector_crosscheck,
     many_body_spectrum,
-    recurrence_check,
     singular_value_check,
     xx_reduction_check,
 )
@@ -83,7 +83,7 @@ __all__ = [
     "build_chain",
     "build_pq_table",
     "parameter_scan",
-    "pq_recurrence_residual",
+    "recurrence_check",
     "validate_draw",
     "ConfigError",
     "ConvergenceFailure",
@@ -102,7 +102,6 @@ __all__ = [
     "eigendecompose",
     "eigenvector_crosscheck",
     "many_body_spectrum",
-    "recurrence_check",
     "singular_value_check",
     "xx_reduction_check",
     "jacobi_eigh",

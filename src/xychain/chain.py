@@ -46,7 +46,7 @@ from .qracah import (
     closed_form_lambda_squared,
     verify_contiguity,
 )
-from .report import TOLERANCES
+from .report import TOLERANCES, CheckReport
 
 __all__ = [
     "ChainSpec",
@@ -54,7 +54,7 @@ __all__ = [
     "build_chain",
     "analytic_spectrum",
     "build_pq_table",
-    "pq_recurrence_residual",
+    "recurrence_check",
     "parameter_scan",
     "validate_draw",
     "SCAN_LEVELS",
@@ -281,25 +281,29 @@ def build_pq_table(coeffs, chain, lam):
     return PQTable(P=weight_p * base, Q=weight_q * shifted, lam=lam, chain=chain)
 
 
-def pq_recurrence_residual(pq):
-    """Max relative residual of the coupled three-term recurrences.
+def recurrence_check(pq, tolerances=TOLERANCES):
+    """Certify the coupled three-term recurrences of the ``P``/``Q`` tables.
 
     The two recurrences tie ``P`` and ``Q`` together through the chain
     couplings: at each site ``k`` and mode ``j``,
 
     * ``beta_k P_k + (alpha_k - gamma_k) P_{k+1} + (alpha_{k-1} + gamma_{k-1})
-      P_{k-1} = Lambda_j Q_k`` and
+      P_{k-1} = Lambda_j Q_k`` (``recurrence-P``) and
     * ``beta_k Q_k + (alpha_k + gamma_k) Q_{k+1} + (alpha_{k-1} - gamma_{k-1})
-      Q_{k-1} = Lambda_j P_k``,
+      Q_{k-1} = Lambda_j P_k`` (``recurrence-Q``),
 
-    with out-of-range terms absent.  Returns ``(residual_P, residual_Q)``.
+    with out-of-range terms absent.  Each row is the largest relative
+    residual of its recurrence, read against ``tolerances["recurrence"]``.
     """
     chain, P, Q, lam = pq.chain, pq.P, pq.Q, pq.lam
     alpha, beta, gamma = chain.alpha, chain.beta, chain.gamma
     floor = 1e-12 * max(1.0, float(np.max(np.abs(P))), float(np.max(np.abs(Q))))
     res_p = _three_term_residual(lam[None, :] * Q, beta, alpha - gamma, alpha + gamma, P, floor)
     res_q = _three_term_residual(lam[None, :] * P, beta, alpha + gamma, alpha - gamma, Q, floor)
-    return float(np.max(res_p)), float(np.max(res_q))
+    report = CheckReport(title="P/Q recurrence")
+    report.add("recurrence-P", float(np.max(res_p)), tolerances["recurrence"])
+    report.add("recurrence-Q", float(np.max(res_q)), tolerances["recurrence"])
+    return report
 
 
 def _screen_block(family, points, level):

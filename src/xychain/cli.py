@@ -41,6 +41,7 @@ from .chain import (
     build_chain,
     build_pq_table,
     parameter_scan,
+    recurrence_check,
 )
 from .errors import ConfigError, InvalidParameterRegime, SizeCapExceeded, XYChainError
 from .freefermion import (
@@ -49,7 +50,6 @@ from .freefermion import (
     eigendecompose,
     eigenvector_crosscheck,
     many_body_spectrum,
-    recurrence_check,
     singular_value_check,
     xx_reduction_check,
 )
@@ -350,8 +350,6 @@ def cmd_verify(config, out_path, tol=None):
 
     if chain is not None:
         spectral = eigendecompose(assemble(chain))
-        report.add("spectrum-parity", spectral.pairing_error, tolerances["parity"])
-        report.add("transition-orthogonality", spectral.ortho_error, tolerances["orthogonality"])
         _merge(report, singular_value_check(spectral, tolerances))
         if not explicit:
             lam = analytic_spectrum(coeffs)

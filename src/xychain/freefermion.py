@@ -8,16 +8,18 @@ singular values of ``A + B``, whose singular vectors give the orthogonal
 transition matrix ``T = [[Psi, Phi], [Phi, Psi]]`` (Lieb, Schultz & Mattis,
 Ann. Phys. 16, 1961) and, through independent mode occupation, all
 ``2^(N+1)`` many-body energies.
+
+:func:`eigendecompose` keeps only that decomposition; each check builds
+what it compares and returns the ``verify`` rows it owns.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .chain import PQTable, pq_recurrence_residual
+from .chain import PQTable
 from .errors import SizeCapExceeded
-from .linalg import jacobi_eigh, jacobi_svd
+from .linalg import _finite, jacobi_eigh, jacobi_svd
 from .report import TOLERANCES, CheckReport
 
 __all__ = [
@@ -29,7 +31,6 @@ __all__ = [
     "singular_value_check",
     "many_body_spectrum",
     "eigenvector_crosscheck",
-    "recurrence_check",
     "analytic_vs_numeric",
     "xx_reduction_check",
 ]
@@ -66,30 +67,14 @@ class SpectralData:
     ``lambda_numeric`` holds the singular values of ``A + B``, ascending.
     Column ``j`` of ``Psi``/``Phi`` splits the eigenvector of ``H`` for
     ``+lambda_numeric[j]`` into its site/conjugate-site halves, so
-    ``T = [[Psi, Phi], [Phi, Psi]]`` is orthogonal and diagonalizes ``H``.
-    ``ortho_error`` and ``eigen_residual`` record the achieved quality
-    (max-norm).  ``doubled_values``, the eigenvalues of ``H`` by an
-    independent route, is computed on first use; ``pairing_error`` measures
-    their symmetry about zero.
+    ``T = [[Psi, Phi], [Phi, Psi]]`` is orthogonal and diagonalizes ``H``;
+    :func:`singular_value_check` certifies both.
     """
 
     lambda_numeric: np.ndarray
     Psi: np.ndarray
     Phi: np.ndarray
-    T: np.ndarray
     system: FreeFermionSystem
-    ortho_error: float
-    eigen_residual: float
-
-    @cached_property
-    def doubled_values(self):
-        return jacobi_eigh(self.system.H)
-
-    @property
-    def pairing_error(self):
-        values = self.doubled_values
-        scale = max(float(np.max(np.abs(values))), 1e-300)
-        return float(np.max(np.abs(values + values[::-1]))) / scale
 
 
 @dataclass
@@ -136,21 +121,7 @@ def eigendecompose(system):
     flip = np.where(anchor[np.argmax(np.abs(anchor), axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
     psi *= flip
     phi *= flip
-
-    t = np.block([[psi, phi], [phi, psi]])
-    ortho_error = float(np.max(np.abs(t.T @ t - np.eye(2 * n))))
-    stacked = np.vstack([psi, phi])
-    scale = max(float(lam[-1]), 1e-300)
-    eigen_residual = float(np.max(np.abs(system.H @ stacked - stacked * lam[None, :]))) / scale
-    return SpectralData(
-        lambda_numeric=lam,
-        Psi=psi,
-        Phi=phi,
-        T=t,
-        system=system,
-        ortho_error=ortho_error,
-        eigen_residual=eigen_residual,
-    )
+    return SpectralData(lambda_numeric=lam, Psi=psi, Phi=phi, system=system)
 
 
 def _spectrum_gap(values, reference):
@@ -162,12 +133,27 @@ def _spectrum_gap(values, reference):
 
 
 def singular_value_check(spectral, tolerances=TOLERANCES):
-    """Certify the singular values of ``A + B`` in ``spectral`` against the
-    nonnegative half of ``spectral.doubled_values``, the eigenvalues of ``H``
-    by the independent two-sided Jacobi route.  Reads ``tolerances["svd"]``."""
-    values = spectral.doubled_values[spectral.system.n_sites :]
-    report = CheckReport(title="singular-value route")
-    report.add("spectrum-vs-singular-values", _spectrum_gap(values, spectral.lambda_numeric), tolerances["svd"])
+    """Certify the decomposition in ``spectral`` on the doubled matrix ``H``.
+
+    The eigenvalues of ``H`` by the independent two-sided Jacobi route must
+    pair up about zero (``spectrum-parity``, relative to the largest, read
+    against ``tolerances["parity"]``), ``T`` must be orthogonal
+    (``transition-orthogonality``, the largest entry of ``T^T T - I``,
+    ``tolerances["orthogonality"]``), and the nonnegative half must match
+    the singular values of ``A + B`` (``spectrum-vs-singular-values``,
+    ``tolerances["svd"]``).
+    """
+    n = spectral.system.n_sites
+    values = jacobi_eigh(spectral.system.H)
+    scale = max(float(np.max(np.abs(values))), 1e-300)
+    t = np.block([[spectral.Psi, spectral.Phi], [spectral.Phi, spectral.Psi]])
+    report = CheckReport(title="doubled matrix")
+    report.add("spectrum-parity", float(np.max(np.abs(values + values[::-1]))) / scale,
+               tolerances["parity"])
+    report.add("transition-orthogonality", float(np.max(np.abs(t.T @ t - np.eye(2 * n)))),
+               tolerances["orthogonality"])
+    report.add("spectrum-vs-singular-values", _spectrum_gap(values[n:], spectral.lambda_numeric),
+               tolerances["svd"])
     return report
 
 
@@ -196,7 +182,8 @@ def many_body_spectrum(lam):
     ``configs/xx_uniform.json``, 1.3-1.8e-15 apart), so after the sort a run
     of levels, each within ``n * eps * sum |lam|`` of the one before,
     becomes one level: it takes the run's first energy and lists its masks
-    ascending.  The row order then does not depend on rounding.
+    ascending.  The row order then does not depend on rounding.  An energy
+    or partial sum beyond the float range raises ``OverflowError``.
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.size
@@ -210,6 +197,8 @@ def many_body_spectrum(lam):
         np.add(energies[: 1 << j], 2.0 * lam[j], out=energies[1 << j : 2 << j])
     order = np.argsort(energies)
     energies = energies[order]
+    # sorted, so an infinity or NaN (which sorts last) is at an end
+    _finite(energies[[0, -1]], "many-body energies")
     tie = np.diff(energies) <= n * np.finfo(float).eps * float(np.abs(lam).sum())
     # one in-place sort of (run index << n) | mask orders each run by mask
     key = np.zeros(energies.size, dtype=np.int64)
@@ -248,17 +237,17 @@ def eigenvector_crosscheck(spectral, pq, tolerances=TOLERANCES):
     Analytic columns that vanish identically (zero normalization weight) are
     skipped with a note.  Reads ``tolerances["match"]`` for the pairing gaps
     and ``tolerances["cosine"]`` for single modes; a cluster's principal
-    angle is held to the fixed :data:`ANGLE_TOL`.
+    angle is held to the fixed :data:`ANGLE_TOL`.  Raises ``ValueError`` if
+    ``pq`` and ``spectral`` have different numbers of modes.
     """
     if not isinstance(pq, PQTable):
         raise TypeError(f"expected a PQTable, got {type(pq).__name__}")
     lam_num = spectral.lambda_numeric
     lam_ana = pq.lam
     n = lam_num.size
-    report = CheckReport(title="eigenvector crosscheck")
     if lam_ana.size != n:
-        report.add("mode-count", float(abs(lam_ana.size - n)), 0.0)
-        return report
+        raise ValueError(f"{lam_ana.size} analytic modes against {n} numeric ones")
+    report = CheckReport(title="eigenvector crosscheck")
     scale = max(1.0, float(np.max(lam_num)) if n else 1.0)
 
     order = np.argsort(lam_ana, kind="stable")
@@ -308,16 +297,6 @@ def eigenvector_crosscheck(spectral, pq, tolerances=TOLERANCES):
                 worst = float(np.min(cosines[: len(live)]))
                 angle = float(np.arccos(np.clip(worst, -1.0, 1.0)))
                 report.add(label, angle, ANGLE_TOL, note="principal angle (rad)")
-    return report
-
-
-def recurrence_check(pq, tolerances=TOLERANCES):
-    """Wrap :func:`xychain.chain.pq_recurrence_residual` as a report.  Reads
-    ``tolerances["recurrence"]``."""
-    res_p, res_q = pq_recurrence_residual(pq)
-    report = CheckReport(title="P/Q recurrence")
-    report.add("recurrence-P", res_p, tolerances["recurrence"])
-    report.add("recurrence-Q", res_q, tolerances["recurrence"])
     return report
 
 

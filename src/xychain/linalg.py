@@ -18,6 +18,10 @@ Householder reflections (Golub & Van Loan, Matrix Computations, 4th ed.,
 Sec. 8.3.1) and finds every eigenvalue of every matrix in one Sturm-count
 bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), with the tiny
 pivot guard of LAPACK ``dstebz``.
+
+Each solver works on a copy scaled by a power of two to entries below one,
+so no intermediate overflows, and raises ``OverflowError`` when a value it
+returns, scaled back, is not a finite float.
 """
 
 import numpy as np
@@ -80,9 +84,9 @@ def _rotations(app, aqq, apq, rotate, out):
     out[:, 1, 1] = c
 
 
-def _symmetric_copy(matrix):
-    """``(a, scale)``: a float copy of a real symmetric matrix and its largest
-    entry magnitude (0 when empty).
+def _scaled_symmetric_copy(matrix):
+    """``(a, exponent)``: a float copy of a real symmetric matrix times
+    ``2^-exponent``, whose entries are below one in magnitude.
 
     Raises
     ------
@@ -95,15 +99,24 @@ def _symmetric_copy(matrix):
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if a.size and float(np.max(np.abs(a - a.T))) > 1e-12 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
-    return a, scale
+    exponent = int(np.frexp(scale)[1])
+    return np.ldexp(a, -exponent, out=a), exponent
+
+
+def _finite(values, what):
+    """``values``, checked to hold no infinity or NaN."""
+    if not np.all(np.isfinite(values)):
+        raise OverflowError(f"{what} too large for a float")
+    return values
 
 
 def jacobi_eigh(matrix):
     """Eigenvalues of a real symmetric matrix, ascending.
 
-    Repeatedly applies two-sided Givens rotations over all index pairs until
-    every off-diagonal entry is at most ``OFFDIAG_TOL_FACTOR`` times the
-    largest magnitude of the input; the eigenvalues are then the diagonal.
+    The matrix is scaled by a power of two to entries below one, then
+    two-sided Givens rotations over all index pairs are applied until every
+    off-diagonal entry is at most ``OFFDIAG_TOL_FACTOR`` times the largest
+    magnitude; the eigenvalues are then the diagonal, scaled back.
 
     Raises
     ------
@@ -111,11 +124,13 @@ def jacobi_eigh(matrix):
         If the matrix is not square or not symmetric.
     ConvergenceFailure
         If the sweep budget is exhausted before reaching tolerance.
+    OverflowError
+        If an eigenvalue is too large for a float.
     """
-    a, scale = _symmetric_copy(matrix)
+    a, exponent = _scaled_symmetric_copy(matrix)
     n = a.shape[0]
-    if n < 2 or scale == 0.0:
-        return np.sort(np.diag(a))
+    if n < 2 or not a.any():
+        return _finite(np.ldexp(np.sort(np.diag(a)), exponent), "eigenvalues")
 
     # An odd dimension gets one isolated zero row and column: every pair it
     # joins has a zero off-diagonal entry, so it is never rotated.
@@ -132,7 +147,7 @@ def jacobi_eigh(matrix):
     moved = np.argsort(step)
     annihilated = np.stack([pos * size + moved[pos + 1], (pos + 1) * size + moved[pos]])
 
-    threshold = OFFDIAG_TOL_FACTOR * scale
+    threshold = OFFDIAG_TOL_FACTOR * float(np.max(np.abs(a)))
     # rotating entries already far below threshold wastes sweeps without
     # improving the final off-diagonal maximum
     skip = 0.1 * threshold
@@ -160,7 +175,7 @@ def jacobi_eigh(matrix):
             np.matmul(rotations, a.T.reshape(pairs), out=work.reshape(pairs))
             work.reshape(-1)[annihilated[:, rotate]] = 0.0
             np.take(work, step, axis=0, out=a, mode="clip")
-    return np.sort(np.diag(a)[:n])
+    return _finite(np.ldexp(np.sort(np.diag(a)[:n]), exponent), "eigenvalues")
 
 
 def jacobi_svd(matrix):
@@ -182,6 +197,8 @@ def jacobi_svd(matrix):
         If the matrix is not two-dimensional or has more columns than rows.
     ConvergenceFailure
         If the sweep budget is exhausted before every pair is orthogonal.
+    OverflowError
+        If a singular value is too large for a float.
     """
     g = np.array(matrix, dtype=float)
     if g.ndim != 2 or g.shape[0] < g.shape[1]:
@@ -233,7 +250,8 @@ def jacobi_svd(matrix):
         left_t[k] = vector / np.sqrt(vector @ vector)
         live[k] = True
     order = np.argsort(values, kind="stable")
-    return np.ldexp(values[order], exponent), right_t[order].T, left_t[order].T
+    values = _finite(np.ldexp(values[order], exponent), "singular values")
+    return values, right_t[order].T, left_t[order].T
 
 
 def _householder_tridiagonal(matrix):
@@ -252,9 +270,7 @@ def _householder_tridiagonal(matrix):
     ValueError
         If the matrix is not square or not symmetric.
     """
-    a, scale = _symmetric_copy(matrix)
-    exponent = int(np.frexp(scale)[1])
-    np.ldexp(a, -exponent, out=a)
+    a, exponent = _scaled_symmetric_copy(matrix)
     n = a.shape[0]
     off = np.zeros(n)
     for k in range(n - 2):
@@ -305,6 +321,8 @@ def sturm_eigvalsh(matrices):
     ------
     ValueError
         If a matrix is not square or not symmetric.
+    OverflowError
+        If an eigenvalue is too large for a float.
     """
     tridiagonals = [_householder_tridiagonal(matrix) for matrix in matrices]
     sizes = [diag.size for _, diag, _ in tridiagonals]
@@ -353,6 +371,6 @@ def sturm_eigvalsh(matrices):
     values = 0.5 * (lo + hi)
     bounds = np.cumsum([0] + sizes)
     return [
-        np.ldexp(values[begin:end], exponent)
+        _finite(np.ldexp(values[begin:end], exponent), "eigenvalues")
         for (exponent, _, _), begin, end in zip(tridiagonals, bounds[:-1], bounds[1:])
     ]

@@ -522,7 +522,7 @@ def _polynomial_grids(family, params):
     )
     base = np.empty((N + 1, N + 1))
     shifted = np.empty((N + 1, N + 1))
-    with _shared_factor_runs(N):
+    with _shared_factor_runs(q, N):
         for i in range(N + 1):
             for x in range(N + 1):
                 base[i, x] = phi43_terminating_exact(i, (rows[i], *columns[x]), den, q, q)

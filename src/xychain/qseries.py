@@ -19,10 +19,11 @@ sums of one grid of polynomial values share them.  Inside a
 per precision and read by every sum that needs it: the heads ``(1 - q^(k-i))
 (1 - a1 q^k)`` once per degree and first numerator parameter, the columns
 ``(1 - a2 q^k) (1 - a3 q^k)`` once per pair of other numerator parameters
-(one grid column), and the quotients ``z / ((1 - q^(k+1)) (1 - b1 q^k)
-(1 - b2 q^k) (1 - b3 q^k))`` once per denominator triple and argument.  Every
-run entry carries a bound on its relative error, and a run keeps the running
-sums of those bounds, so the bound of a whole sum costs a few operations.
+(one grid column, up to where one of them ends its series), and the
+quotients ``z / ((1 - q^(k+1)) (1 - b1 q^k) (1 - b2 q^k) (1 - b3 q^k))``
+once per denominator triple and argument.  Every run entry carries a bound
+on its relative error, and a run keeps the running sums of those bounds, so
+the bound of a whole sum costs a few operations.
 The runs die with the block; a call outside one has runs of its own.
 """
 
@@ -122,7 +123,7 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
     """
     if i < 0:
         raise ValueError(f"termination degree must be >= 0, got {i}")
-    base = (_SCOPE.get() or _FactorRuns(i)).base(q.as_integer_ratio())
+    base = _SCOPE.get() or _Base(q.as_integer_ratio(), i)
     # every other argument as the (numerator, denominator) of its exact value
     nums = [v.as_integer_ratio() for v in num_params]
     dens = tuple(v.as_integer_ratio() for v in den_params)
@@ -204,48 +205,32 @@ def _is_tie(exact):
     return 2 * exact == Fraction(nearest) + Fraction(other)
 
 
-#: The factor runs of the enclosing :func:`_shared_factor_runs` block, if
+#: The :class:`_Base` of the enclosing :func:`_shared_factor_runs` block, if
 #: any.  A context variable, so that each sum of a grid is still one call of
 #: :func:`phi43_terminating_exact` with its own arguments and no more.
 _SCOPE = contextvars.ContextVar("phi43_factor_runs", default=None)
 
 
 @contextlib.contextmanager
-def _shared_factor_runs(n):
+def _shared_factor_runs(q, n):
     """Let the 4phi3 sums evaluated inside this block share their factor runs.
 
-    Meant for one grid build: every sum in the block must have degree at most
-    ``n``, which is the length of the runs.  The runs are dropped when the
-    block ends, so no state outlives it.
+    Meant for one grid build: every sum in the block must be in base ``q``
+    and have degree at most ``n``, which is the length of the runs.  The runs
+    are dropped when the block ends, so no state outlives it.
     """
-    token = _SCOPE.set(_FactorRuns(n))
+    token = _SCOPE.set(_Base(q.as_integer_ratio(), n))
     try:
         yield
     finally:
         _SCOPE.reset(token)
 
 
-class _FactorRuns:
-    """What the sums of one scope (a grid build, or a single sum) share, by
-    base; every sum in the scope has degree <= ``length``."""
-
-    def __init__(self, length):
-        self.length = length
-        self._bases = {}
-
-    def base(self, q):
-        """The :class:`_Base` of ``q``, a ``(numerator, denominator)`` pair,
-        checked to lie strictly inside (0, 1) when first asked for."""
-        base = self._bases.get(q)
-        if base is None:
-            base = self._bases[q] = _Base(q, self.length)
-        return base
-
-
 class _Base:
-    """The exact powers ``q^k = qn^k / qd^k`` for ``k <= length``, the
-    termination and vanishing steps they decide, and the runs at each
-    precision."""
+    """What the sums of one scope (a grid build, or a single sum) share: the
+    exact powers ``q^k = qn^k / qd^k`` for ``k <= length`` of the base ``q``,
+    a ``(numerator, denominator)`` pair inside (0, 1), the termination and
+    vanishing steps they decide, and the runs at each precision."""
 
     def __init__(self, q, length):
         qn, qd = q
@@ -282,7 +267,7 @@ class _Base:
         arithmetic for ``digits=None``."""
         runs = self._runs.get(digits)
         if runs is None:
-            runs = self._runs[digits] = _Runs(digits, self.powers)
+            runs = self._runs[digits] = _Runs(digits, self.powers, self._vanishes_at)
         return runs
 
 
@@ -301,7 +286,8 @@ _Run = namedtuple("_Run", "values bounds")
 
 
 class _Runs:
-    """Runs over ``k < length`` in one number type, each built on first use.
+    """Runs over ``k < length`` in one number type, each built on first use;
+    ``vanishes_at`` is :class:`_Base`'s.
 
     ``context`` is the decimal context of the sums and of every run; for
     ``digits=None`` the runs are ``Fraction``s, and their bounds are 0
@@ -312,7 +298,7 @@ class _Runs:
     the ends of a sum's interval outward.
     """
 
-    def __init__(self, digits, powers):
+    def __init__(self, digits, powers, vanishes_at):
         if digits is None:
             self.context, self._number, unit = None, Fraction, 0
         else:
@@ -327,6 +313,7 @@ class _Runs:
         self._three_units = 3 * unit
         self.powers = [self._number(n, d) for n, d in powers]
         self._inverse_powers = [self._number(d, n) for n, d in powers]
+        self._vanishes_at = vanishes_at
         self._values = {}
         self._shared = {}
 
@@ -382,11 +369,14 @@ class _Runs:
         return self._share(("head", i, a1), entries)
 
     def column(self, a2, a3):
-        """``(1 - a2 q^k) (1 - a3 q^k)``."""
+        """``(1 - a2 q^k) (1 - a3 q^k)`` up to the first exact zero of either
+        factor, where every series of this column has ended."""
 
         def entries():
             b, c = self.value(a2), self.value(a3)
-            for qk in self.powers[:-1]:
+            length = len(self.powers) - 1
+            stop = min(self._vanishes_at.get(a2, length), self._vanishes_at.get(a3, length))
+            for qk in self.powers[:stop]:
                 f, f_bound = self._one_minus(b * qk, self._three_units)
                 g, g_bound = self._one_minus(c * qk, self._three_units)
                 yield f * g, self._product(f_bound, g_bound)

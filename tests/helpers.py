@@ -60,10 +60,15 @@ def pq_table(family, params):
     return build_pq_table(coeffs, build_chain(coeffs), analytic_spectrum(coeffs))
 
 
-def bind_everywhere(monkeypatch, name, replacement):
-    """Bind ``replacement`` wherever the package binds ``xychain.linalg.<name>``
+def residuals(report):
+    """Check name -> residual of a :class:`~xychain.report.CheckReport`."""
+    return {check.name: check.residual for check in report.checks}
+
+
+def bind_everywhere(monkeypatch, name, replacement, module=linalg):
+    """Bind ``replacement`` wherever the package binds ``<module>.<name>``
     (``from .linalg import f`` makes copies); return the original."""
-    original = getattr(linalg, name)
+    original = getattr(module, name)
     for module_name, module in list(sys.modules.items()):
         if module_name == "xychain" or module_name.startswith("xychain."):
             for attr, value in list(vars(module).items()):

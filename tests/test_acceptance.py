@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 from exact_oracles import relation_residuals_exact
-from helpers import ACCEPTANCE_LINES, CONFIG_DIR, QR13_BOX, QR24_BOX, random_chain
+from helpers import ACCEPTANCE_LINES, CONFIG_DIR, QR13_BOX, QR24_BOX, random_chain, residuals
 
 from xychain import (
     ChainSpec,
@@ -30,8 +30,9 @@ from xychain import (
     eigenvector_crosscheck,
     jw_certify,
     parameter_scan,
-    pq_recurrence_residual,
     qracah,
+    recurrence_check,
+    singular_value_check,
     verify_contiguity,
 )
 
@@ -278,9 +279,10 @@ def test_criterion_5_structural_invariants():
     worst_pairing = worst_ortho = 0.0
     n_random = 40
     for k in range(n_random):
-        spectral = eigendecompose(assemble(random_chain(rng, 2 + k % 9)))
-        worst_pairing = max(worst_pairing, spectral.pairing_error)
-        worst_ortho = max(worst_ortho, spectral.ortho_error)
+        doubled = residuals(singular_value_check(
+            eigendecompose(assemble(random_chain(rng, 2 + k % 9)))))
+        worst_pairing = max(worst_pairing, doubled["spectrum-parity"])
+        worst_ortho = max(worst_ortho, doubled["transition-orthogonality"])
 
     draws = []
     for N in range(2, 9):
@@ -298,11 +300,12 @@ def test_criterion_5_structural_invariants():
         coeffs = contiguity_coefficients("qr24", params)
         chain = build_chain(coeffs)
         pq = build_pq_table(coeffs, chain, analytic_spectrum(coeffs))
-        worst_recurrence = max(worst_recurrence, *pq_recurrence_residual(pq))
+        worst_recurrence = max(worst_recurrence, *residuals(recurrence_check(pq)).values())
 
         spectral = eigendecompose(assemble(chain))
-        worst_pairing = max(worst_pairing, spectral.pairing_error)
-        worst_ortho = max(worst_ortho, spectral.ortho_error)
+        doubled = residuals(singular_value_check(spectral))
+        worst_pairing = max(worst_pairing, doubled["spectrum-parity"])
+        worst_ortho = max(worst_ortho, doubled["transition-orthogonality"])
 
         report = eigenvector_crosscheck(spectral, pq)
         crosschecks_ok &= report.passed

@@ -8,7 +8,7 @@ frozen regression values with exact-rational provenance.
 import numpy as np
 import pytest
 
-from helpers import QR13_BOX, QR13_CHAIN, QR24_BOX, QR24_DEFAULT, pq_table
+from helpers import QR13_BOX, QR13_CHAIN, QR24_BOX, QR24_DEFAULT, pq_table, residuals
 from xychain import chain
 from xychain.chain import (
     SCAN_LEVELS,
@@ -19,7 +19,7 @@ from xychain.chain import (
     analytic_spectrum,
     build_chain,
     parameter_scan,
-    pq_recurrence_residual,
+    recurrence_check,
     validate_draw,
 )
 from xychain.errors import InvalidParameterRegime, NoValidParameters
@@ -185,9 +185,9 @@ class TestPQTables:
         # The defining property: (A - B) P = Q diag(lam) and
         # (A + B) Q = P diag(lam) with A, B assembled from the couplings.
         pq = pq_table("qr24", QR24_DEFAULT)
-        res_p, res_q = pq_recurrence_residual(pq)
-        assert res_p < 1e-12
-        assert res_q < 1e-12
+        res = residuals(recurrence_check(pq))
+        assert res["recurrence-P"] < 1e-12
+        assert res["recurrence-Q"] < 1e-12
 
     def test_recurrence_on_scan_draws(self):
         draws = parameter_scan(
@@ -195,10 +195,10 @@ class TestPQTables:
         )
         assert draws
         for params in draws[:5]:
-            res_p, res_q = pq_recurrence_residual(pq_table("qr24", params))
+            res = residuals(recurrence_check(pq_table("qr24", params)))
             # Non-normalized columns span orders of magnitude, so relative
             # residuals can reach ~1e-9; the certification tolerance is 1e-8.
-            assert max(res_p, res_q) < 1e-8
+            assert max(res.values()) < 1e-8
 
     def test_corrupted_chain_breaks_recurrence(self):
         # Discrimination: the residual is not vacuously small.
@@ -208,8 +208,8 @@ class TestPQTables:
         bad_chain = ChainSpec(alpha=pq.chain.alpha, beta=bad_beta, gamma=pq.chain.gamma)
         from dataclasses import replace
 
-        res_p, res_q = pq_recurrence_residual(replace(pq, chain=bad_chain))
-        assert max(res_p, res_q) > 1e-4
+        res = residuals(recurrence_check(replace(pq, chain=bad_chain)))
+        assert max(res.values()) > 1e-4
 
 
 class TestXXReduction:

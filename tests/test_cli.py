@@ -611,6 +611,45 @@ class TestRegimeErrors:
         )
 
 
+class TestFloatRange:
+    """Explicit chains of finite couplings near the top of the float range:
+    a spectrum or many-body energy beyond it exits 3 with one error line,
+    and a chain whose values fit certifies."""
+
+    CHAINS = {
+        # two bonds at 8e307: every value fits, but many-body -sum(Lambda)
+        # does not
+        "z3": ({"N": 9, "alpha": [8e307, 8e307] + [1.0] * 7, "beta": [0.0] * 10,
+                "gamma": [0.0] * 9}, {"spectrum": 0, "manybody": 3, "verify": 0}),
+        # singular values up to 2e308
+        "z2": ({"N": 9, "alpha": [1e308] * 9, "beta": [0.0] * 10, "gamma": [0.0] * 9},
+               {"spectrum": 3, "manybody": 3, "verify": 3}),
+        # Lambda = 0, 1.4e308, 1.4e308 fit; their sum and the spin
+        # Hamiltonian's bond amplitudes 2e308 do not
+        "e1": ({"N": 2, "alpha": [1e308, 1e308], "beta": [0.0] * 3, "gamma": [0.0] * 2},
+               {"spectrum": 0, "manybody": 3, "verify": 3}),
+        # energies +-1e308 fit, but -sum(Lambda) + 2 Lambda_1 overflows on the way
+        "e4": ({"N": 1, "alpha": [0.0], "beta": [1e308, 0.0], "gamma": [0.0]},
+               {"spectrum": 0, "manybody": 3, "verify": 3}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_exit_codes(self, tmp_path, capsys, name):
+        couplings, codes = self.CHAINS[name]
+        path = write_config(tmp_path, dict(couplings, family="explicit"))
+        for command, code in codes.items():
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", path, "--out", str(out)]) == code, command
+            err = capsys.readouterr().err
+            if code == 3:
+                assert err.startswith("error: float arithmetic failed at this parameter point: ")
+                assert err.count("\n") == 1
+            else:
+                _, rows = parse_csv(out.read_text())
+                cells = [cell for row in rows for cell in row.values()]
+                assert not {"inf", "-inf", "nan", "FAIL"} & set(cells), command
+
+
 class TestPrecisionCap:
     """A grid value with no checked float within the precision cap is a regime
     error: exit 3 for ``verify``, a rejected draw for ``scan``."""

@@ -10,8 +10,22 @@ import json
 import numpy as np
 import pytest
 
-from helpers import CONFIG_DIR, QR13_CHAIN, QR24_DEFAULT, QR24_BOX, pq_table, random_chain
-from xychain.chain import ChainSpec, analytic_spectrum, build_chain, parameter_scan
+from helpers import (
+    CONFIG_DIR,
+    QR13_CHAIN,
+    QR24_BOX,
+    QR24_DEFAULT,
+    pq_table,
+    random_chain,
+    residuals,
+)
+from xychain.chain import (
+    ChainSpec,
+    analytic_spectrum,
+    build_chain,
+    parameter_scan,
+    recurrence_check,
+)
 from xychain.errors import SizeCapExceeded
 from xychain.freefermion import (
     MANY_BODY_MODE_CAP,
@@ -20,11 +34,24 @@ from xychain.freefermion import (
     eigendecompose,
     eigenvector_crosscheck,
     many_body_spectrum,
-    recurrence_check,
     singular_value_check,
     xx_reduction_check,
 )
 from xychain.qracah import contiguity_coefficients
+
+
+def orthogonality(spectral):
+    """The ``transition-orthogonality`` residual of ``spectral``."""
+    return residuals(singular_value_check(spectral))["transition-orthogonality"]
+
+
+def eigen_residual(spectral):
+    """Largest entry of ``H [Psi; Phi] - [Psi; Phi] diag(lambda)``, relative
+    to the largest ``lambda``."""
+    stacked = np.vstack([spectral.Psi, spectral.Phi])
+    lam = spectral.lambda_numeric
+    residual = spectral.system.H @ stacked - stacked * lam[None, :]
+    return float(np.max(np.abs(residual))) / max(float(lam[-1]), 1e-300)
 
 
 class TestAssemble:
@@ -57,9 +84,10 @@ class TestEigendecompose:
             assert spectral.lambda_numeric.shape == (n,)
             assert np.all(spectral.lambda_numeric >= 0)
             assert np.all(np.diff(spectral.lambda_numeric) >= 0)
-            assert spectral.pairing_error < 1e-12
-            assert spectral.ortho_error < 1e-10
-            assert spectral.eigen_residual < 1e-10
+            doubled = residuals(singular_value_check(spectral))
+            assert doubled["spectrum-parity"] < 1e-12
+            assert doubled["transition-orthogonality"] < 1e-10
+            assert eigen_residual(spectral) < 1e-10
 
     def test_matches_numpy_oracle(self, rng):
         for n in (2, 4, 7):
@@ -72,13 +100,10 @@ class TestEigendecompose:
             )
 
     def test_transition_matrix_block_structure(self, rng):
-        system = assemble(random_chain(rng, 5))
-        spectral = eigendecompose(system)
-        n = 5
-        np.testing.assert_array_equal(spectral.T[:n, :n], spectral.Psi)
-        np.testing.assert_array_equal(spectral.T[n:, :n], spectral.Phi)
-        np.testing.assert_array_equal(spectral.T[:n, n:], spectral.Phi)
-        np.testing.assert_array_equal(spectral.T[n:, n:], spectral.Psi)
+        # transition-orthogonality reads T = [[Psi, Phi], [Phi, Psi]]
+        spectral = eigendecompose(assemble(random_chain(rng, 5)))
+        t = np.block([[spectral.Psi, spectral.Phi], [spectral.Phi, spectral.Psi]])
+        assert orthogonality(spectral) == np.max(np.abs(t.T @ t - np.eye(10)))
 
     def test_transition_columns_diagonalize(self, rng):
         # H [psi; phi] = lam [psi; phi] column by column.
@@ -98,15 +123,15 @@ class TestEigendecompose:
         np.testing.assert_allclose(
             spectral.lambda_numeric, [0.0, np.sqrt(2), np.sqrt(2)], atol=1e-14
         )
-        assert spectral.ortho_error < 1e-12
-        assert spectral.eigen_residual < 1e-12
+        assert orthogonality(spectral) < 1e-12
+        assert eigen_residual(spectral) < 1e-12
 
     def test_degenerate_spectrum_handled(self):
         # Two decoupled identical sites: doubly degenerate energies.
         chain = ChainSpec(alpha=[0.0], beta=[0.9, 0.9], gamma=[0.0])
         spectral = eigendecompose(assemble(chain))
         np.testing.assert_allclose(spectral.lambda_numeric, [0.9, 0.9], atol=1e-15)
-        assert spectral.ortho_error < 1e-12
+        assert orthogonality(spectral) < 1e-12
 
 
     def test_near_zero_modes_on_graded_chains(self):
@@ -120,14 +145,14 @@ class TestEigendecompose:
             oracle = np.linalg.eigvalsh(system.H)[n:]
             scale = max(1.0, float(np.max(oracle)))
             assert np.max(np.abs(spectral.lambda_numeric - oracle)) < 1e-12 * scale
-            assert spectral.eigen_residual < 1e-10
+            assert eigen_residual(spectral) < 1e-10
 
     def test_graded_chains_orthogonal_and_relatively_accurate(self):
         # The doubled-matrix Jacobi left T up to 5.8e-6 from orthogonal here
         # and lost the small modes' relative accuracy.
         for system in graded_systems():
             spectral = eigendecompose(system)
-            assert spectral.ortho_error <= 1e-12
+            assert orthogonality(spectral) <= 1e-12
             oracle = np.sort(np.linalg.svd(system.A + system.B, compute_uv=False))
             np.testing.assert_allclose(spectral.lambda_numeric, oracle, rtol=1e-13, atol=0)
 
@@ -154,7 +179,9 @@ class TestSingularValueCheck:
             report = singular_value_check(eigendecompose(system))
             assert report.passed
             names = [c.name for c in report.checks]
-            assert names == ["spectrum-vs-singular-values"]
+            assert names == [
+                "spectrum-parity", "transition-orthogonality", "spectrum-vs-singular-values"
+            ]
 
     def test_agrees_with_numpy_svd(self, rng):
         system = assemble(random_chain(rng, 6))
@@ -260,6 +287,15 @@ class TestManyBody:
         np.testing.assert_allclose(scaled.energies, 1e-17 * unscaled.energies, rtol=0, atol=bound)
         assert np.unique(scaled.energies).size == np.unique(unscaled.energies).size > 1
 
+    @pytest.mark.parametrize("lam", [[1e308, 1e308], [0.0, 1e308]])
+    def test_energies_beyond_the_float_range_raise(self, lam):
+        # -sum(lam) and 2 lam_1 leave the float range, though every energy of
+        # the second (+-1e308) is a float
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            OverflowError, match="many-body energies too large for a float"
+        ):
+            many_body_spectrum(np.array(lam))
+
     def test_mode_cap_enforced(self):
         assert MANY_BODY_MODE_CAP == 24
         with pytest.raises(SizeCapExceeded):
@@ -297,6 +333,12 @@ class TestCrosschecks:
         bad_p[:, 2] = bad_p[::-1, 2] + 0.3
         report = eigenvector_crosscheck(spectral, replace(pq, P=bad_p))
         assert not report.passed
+
+    def test_mode_count_mismatch_raises(self):
+        pq = pq_table("qr24", QR24_DEFAULT)
+        spectral = eigendecompose(assemble(ChainSpec(alpha=[1.0], beta=[0.0, 0.0], gamma=[0.0])))
+        with pytest.raises(ValueError, match="5 analytic modes against 2 numeric ones"):
+            eigenvector_crosscheck(spectral, pq)
 
     def test_recurrence_check_report(self):
         report = recurrence_check(pq_table("qr24", QR24_DEFAULT))

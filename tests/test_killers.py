@@ -1,23 +1,44 @@
 """Every check fails on a small corruption of its stage's input.
 
-One row per check name: ``verify`` runs on the shipped qr24 point with one
-library call's result corrupted, and the named check must FAIL with a
-residual at least ``MARGIN`` times its tolerance.  The same run without the
-corruption must PASS it, so the row shows the corruption is what kills it.
+One row per check name: ``verify`` runs on a config (the shipped qr24 point
+unless the row names another) with one call of a library function, the
+first unless the row says otherwise, returning a corrupted result, and the
+named check must FAIL with a residual at least ``MARGIN`` times its
+tolerance.  The same run without the corruption must PASS it, so the row
+shows the corruption is what kills it.  A meta-test runs ``verify`` on four
+configs and requires a row for every check name they emit.
 """
 
 import dataclasses
+import importlib
 import json
+import re
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
-from helpers import bind_everywhere
+from helpers import CONFIG_DIR, bind_everywhere
 from xychain import cli
 from xychain.cli import main
 from xychain.report import TOLERANCES
 
 QR24_CONFIG = {"family": "qr24", "a": -0.3, "b": 0.3, "c": -0.8, "q": 0.7, "N": 4}
+XX_CONFIG = json.loads((CONFIG_DIR / "xx_uniform.json").read_text())
+EXPLICIT_CONFIG = {
+    "family": "explicit",
+    "N": 5,
+    "alpha": [0.9, -1.1, 0.7, 1.3, -0.8],
+    "beta": [0.2, -0.5, 0.4, 0.1, -0.3, 0.6],
+    "gamma": [0.3, 0.5, -0.2, 0.4, 0.1],
+}
+#: The configs of the meta-test: between them every check ``verify`` emits.
+META_CONFIGS = {
+    "qr24": QR24_CONFIG,
+    "qr13": json.loads((CONFIG_DIR / "qr13_chain.json").read_text()),
+    "xx": XX_CONFIG,
+    "explicit": EXPLICIT_CONFIG,
+}
 MARGIN = 100
 
 
@@ -74,49 +95,127 @@ def _flip_site_field(chain):
     return dataclasses.replace(chain, beta=beta)
 
 
-# check name -> (tolerance key, module whose binding is wrapped, function
-# name, corruption of that function's first result)
+def _scale_largest_analytic_mode(pq):
+    # the matching gap is relative to max(1, largest mode), and the largest
+    # mode here is above 1, so 1e-3 lands at 1000 times the tolerance
+    lam = pq.lam.copy()
+    lam[np.argmax(lam)] *= 1 + 1e-3
+    return dataclasses.replace(pq, lam=lam)
+
+
+def _tilt_column(table, j):
+    # tilting a column by 0.1 of its norm makes 1 - |cos| about 4e-3 here
+    table = table.copy()
+    table[0, j] += 0.1 * np.linalg.norm(table[:, j])
+    return table
+
+
+def _tilt_p_column(pq):
+    return dataclasses.replace(pq, P=_tilt_column(pq.P, 2))
+
+
+def _tilt_q_column(pq):
+    return dataclasses.replace(pq, Q=_tilt_column(pq.Q, 2))
+
+
+def _scale_lowest_level(spectrum):
+    # the lowest level has the largest magnitude, so the gap is 1e-5 of the
+    # spectral radius
+    energies = spectrum.energies.copy()
+    energies[0] *= 1 + 1e-5
+    return dataclasses.replace(spectrum, energies=energies)
+
+
+def _scale_hopping_values(values):
+    # the largest |eigenvalue| of the hopping matrix is above 1, so the gap
+    # is about 1e-5
+    return values * (1 + 1e-5)
+
+
+class Killer(NamedTuple):
+    """A tolerance key, the module whose binding is wrapped (``cli``: only
+    that binding; otherwise every binding of the module's function), the
+    function name, the corruption of that function's result, the config of
+    the run and which call, counted from 1, is corrupted."""
+
+    key: str
+    module: str
+    function: str
+    corruption: Callable
+    config: dict = QR24_CONFIG
+    call: int = 1
+
+
 KILLERS = {
-    "relation-plus": ("relation", "cli", "contiguity_coefficients", _scale_base_grid_entry),
-    "relation-minus": ("relation", "cli", "contiguity_coefficients", _scale_shifted_grid_entry),
-    "constraint-ratio": ("constraint", "cli", "contiguity_coefficients", _scale_phi_0_plus_entry),
-    "transition-orthogonality": ("orthogonality", "linalg", "jacobi_svd", _rotate_right_column),
-    "spectrum-parity": ("parity", "linalg", "jacobi_eigh", _scale_doubled_value),
-    "spectrum-vs-singular-values": ("svd", "linalg", "jacobi_svd", _scale_largest_singular_value),
-    "analytic-vs-numeric": ("spectrum", "cli", "build_chain", _flip_bond_difference),
-    "recurrence-P": ("recurrence", "cli", "build_chain", _flip_site_field),
-    "recurrence-Q": ("recurrence", "cli", "build_chain", _flip_site_field),
+    "relation-plus": Killer("relation", "cli", "contiguity_coefficients", _scale_base_grid_entry),
+    "relation-minus": Killer("relation", "cli", "contiguity_coefficients",
+                             _scale_shifted_grid_entry),
+    "constraint-ratio": Killer("constraint", "cli", "contiguity_coefficients",
+                               _scale_phi_0_plus_entry),
+    "transition-orthogonality": Killer("orthogonality", "linalg", "jacobi_svd",
+                                       _rotate_right_column),
+    "spectrum-parity": Killer("parity", "linalg", "jacobi_eigh", _scale_doubled_value),
+    "spectrum-vs-singular-values": Killer("svd", "linalg", "jacobi_svd",
+                                          _scale_largest_singular_value),
+    "analytic-vs-numeric": Killer("spectrum", "cli", "build_chain", _flip_bond_difference),
+    "recurrence-P": Killer("recurrence", "cli", "build_chain", _flip_site_field),
+    "recurrence-Q": Killer("recurrence", "cli", "build_chain", _flip_site_field),
+    "eigenvalue-matching": Killer("match", "cli", "build_pq_table",
+                                  _scale_largest_analytic_mode),
+    "P-modes-2": Killer("cosine", "cli", "build_pq_table", _tilt_p_column),
+    "Q-modes-2": Killer("cosine", "cli", "build_pq_table", _tilt_q_column),
+    "many-body-multiset": Killer("jw", "freefermion", "many_body_spectrum", _scale_lowest_level),
+    # the first jacobi_eigh call is the doubled matrix's, the second the
+    # hopping matrix's
+    "xx-reduction": Killer("spectrum", "linalg", "jacobi_eigh", _scale_hopping_values,
+                           config=XX_CONFIG, call=2),
 }
 
 
-def _verify_checks(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(QR24_CONFIG))
+def _folded(name):
+    """A check name with the mode range of ``P-modes-*``/``Q-modes-*`` folded."""
+    return re.sub(r"^([PQ]-modes)-.*", r"\1-*", name)
+
+
+def _verify_checks(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     out = tmp_path / "report.json"
-    main(["verify", "--config", str(config), "--out", str(out)])
+    main(["verify", "--config", str(path), "--out", str(out)])
     return {check["name"]: check for check in json.loads(out.read_text())["checks"]}
 
 
 @pytest.mark.parametrize("name", sorted(KILLERS))
 @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted"])
 def test_corruption_fails_its_check(tmp_path, monkeypatch, name, corrupt):
-    key, module, function, corruption = KILLERS[name]
+    key, module, function, corruption, config, call = KILLERS[name]
     if corrupt:
         calls = []
 
-        def corrupted_first_call(*args, **kwargs):
+        def corrupted_call(*args, **kwargs):
             result = original(*args, **kwargs)
             calls.append(None)
-            return corruption(result) if len(calls) == 1 else result
+            return corruption(result) if len(calls) == call else result
 
         if module == "cli":
             original = getattr(cli, function)
-            monkeypatch.setattr(cli, function, corrupted_first_call)
+            monkeypatch.setattr(cli, function, corrupted_call)
         else:
-            original = bind_everywhere(monkeypatch, function, corrupted_first_call)
-    check = _verify_checks(tmp_path)[name]
+            original = bind_everywhere(monkeypatch, function, corrupted_call,
+                                       importlib.import_module(f"xychain.{module}"))
+    check = _verify_checks(tmp_path, config)[name]
     if corrupt:
         assert check["verdict"] == "FAIL"
         assert check["residual"] >= MARGIN * TOLERANCES[key]
     else:
         assert check["verdict"] == "PASS"
+
+
+def test_every_emitted_check_has_a_killer(tmp_path):
+    emitted = {}
+    for label, config in META_CONFIGS.items():
+        directory = tmp_path / label
+        directory.mkdir()
+        for name in _verify_checks(directory, config):
+            emitted.setdefault(_folded(name), label)
+    assert set(emitted) == {_folded(name) for name in KILLERS}, emitted

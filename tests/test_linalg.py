@@ -248,6 +248,36 @@ class TestValidation:
             jacobi_eigh(matrix)
 
 
+class TestFloatRange:
+    """Entries near the top of the float range are fine; values beyond it
+    raise ``OverflowError``."""
+
+    # eigenvalues 0 and 2e308, singular values likewise
+    BEYOND = np.full((2, 2), 1e308)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [jacobi_eigh, lambda m: jacobi_svd(m)[0], lambda m: sturm_eigvalsh([m])[0]],
+        ids=["jacobi_eigh", "jacobi_svd", "sturm_eigvalsh"],
+    )
+    def test_values_beyond_the_float_range_raise(self, solve):
+        with np.errstate(over="ignore"), pytest.raises(OverflowError, match="too large"):
+            solve(self.BEYOND)
+
+    def test_jacobi_eigh_near_the_top_of_the_range(self):
+        # The hopping matrix of a 10-site chain with two bonds at 8e307: the
+        # rotation angles of the unscaled matrix overflowed, leaving
+        # eigenvalues 2 % off.
+        hopping = np.diag([8e307, 8e307] + [1.0] * 7, 1)
+        matrix = hopping + hopping.T
+        assert_matches_eigvalsh(jacobi_eigh(matrix), matrix)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_jacobi_eigh_extreme_scales(self, rng, scale):
+        matrix = random_symmetric(rng, 6, scale=scale)
+        assert_matches_eigvalsh(jacobi_eigh(matrix), matrix)
+
+
 class TestOffdiagMax:
     def test_reports_largest_off_diagonal(self):
         matrix = np.array([[5.0, 0.25, -0.5], [0.25, 1.0, 0.125], [-0.5, 0.125, 2.0]])

@@ -213,8 +213,10 @@ class TestRouteIndependence:
         # singular-value comparison read only the eigenvalues of H.
         spectral = eigendecompose(assemble(random_chain(rng, 6)))
         break_everywhere(monkeypatch, "jacobi_svd")
-        assert spectral.pairing_error < 1e-12
-        assert singular_value_check(spectral).passed
+        report = singular_value_check(spectral)
+        assert report.passed
+        assert report.checks[0].name == "spectrum-parity"
+        assert report.checks[0].residual < 1e-12
 
 
 class TestJordanWignerCertification:

@@ -44,7 +44,10 @@ Cases:
   set to 1e-300, x the three ``verify`` forms, so every check shows which
   name sets its tolerance;
 * ``configs/qr24_scan.json`` once with ``relation`` and once with
-  ``constraint`` at 1e-300.
+  ``constraint`` at 1e-300;
+* four explicit chains of finite couplings near the top of the float range
+  (``FLOAT_RANGE_CHAINS``: ``z2``, ``z3``, ``e1``, ``e4``), x ``spectrum``,
+  ``manybody`` and the three ``verify`` forms.
 
 A case that ends in an uncaught exception reports the exit ``traceback`` and
 hashes the exception's type and message as its stderr.
@@ -93,6 +96,14 @@ CHAIN_CONFIGS = ("qr24_default.json", "qr13_chain.json", "xx_uniform.json")
 TOLERANCE_NAMES = ("relation", "constraint", "spectrum", "svd", "recurrence", "cosine",
                    "jw", "match", "parity", "orthogonality")
 TIGHT = 1e-300
+#: Explicit chains whose spectra, many-body energies or spin Hamiltonians
+#: reach the top of the float range.
+FLOAT_RANGE_CHAINS = {
+    "z2": {"N": 9, "alpha": [1e308] * 9, "beta": [0.0] * 10, "gamma": [0.0] * 9},
+    "z3": {"N": 9, "alpha": [8e307, 8e307] + [1.0] * 7, "beta": [0.0] * 10, "gamma": [0.0] * 9},
+    "e1": {"N": 2, "alpha": [1e308, 1e308], "beta": [0.0] * 3, "gamma": [0.0] * 2},
+    "e4": {"N": 1, "alpha": [0.0], "beta": [1e308, 0.0], "gamma": [0.0]},
+}
 REPORT_LINE = re.compile(r"^(\S+): residual=(\S+) tol=(\S+) (PASS|FAIL)")
 
 
@@ -173,6 +184,9 @@ def build_cases(config_dir):
     for key in ("relation", "constraint"):
         add(f"configs/qr24_scan.json@{key}={TIGHT}", dict(scan, tolerances={key: TIGHT}),
             ("scan.csv",))
+    for name, couplings in FLOAT_RANGE_CHAINS.items():
+        add(f"float-range/{name}", dict(couplings, family="explicit"),
+            _forms(("spectrum", "manybody", "verify")))
     return cases
 
 
