@@ -62,8 +62,10 @@ _QRACAH_KEYS = {"a", "b", "c", "q", "N"}
 _EXPLICIT_KEYS = {"N", "alpha", "beta", "gamma"}
 _SCAN_KEYS = {"N", "ranges", "samples", "level"}
 #: Many-body levels formatted per write: bounds how many rows exist as Python
-#: objects at once (the cap allows 2^24 levels).
-_MANYBODY_BLOCK = 1 << 16
+#: objects at once (the cap allows 2^24 levels).  On a 2-core x86-64 VM,
+#: 2^17 rows reach a file fastest at 2^11-2^12 levels per block, and about
+#: 20 % slower at 2^16.
+_MANYBODY_BLOCK = 1 << 12
 
 
 def _require(config, key, kinds, kind_name):
@@ -317,12 +319,14 @@ def cmd_manybody(config, out_path):
     with _open_out(out_path) as handle:
         _write_csv(handle, config, ("mask", "energy"), ())
         # The bytes ``csv`` would write: an int cell is its ``str``, a float
-        # cell its ``repr``, and neither ever needs quoting.
+        # cell its ``repr``, and neither ever needs quoting.  An f-string
+        # calls both directly; ``str.format`` parses its template per row.
         for start in range(0, masks.size, _MANYBODY_BLOCK):
             block = slice(start, start + _MANYBODY_BLOCK)
-            handle.writelines(
-                map("{},{!r}\n".format, masks[block].tolist(), energies[block].tolist())
-            )
+            handle.write("".join([
+                f"{mask},{energy!r}\n"
+                for mask, energy in zip(masks[block].tolist(), energies[block].tolist())
+            ]))
     return 0
 
 

@@ -38,6 +38,11 @@ __all__ = [
 #: Many-body enumeration cap: ``2^MANY_BODY_MODE_CAP`` energies.
 MANY_BODY_MODE_CAP = 24
 
+#: Many-body levels per step of the tie test and the run key: bounds their
+#: temporaries, so the enumeration holds at most two full-size float or int64
+#: arrays at once.
+_RUN_BLOCK = 1 << 16
+
 #: Largest principal angle (radians) accepted between a degenerate cluster's
 #: numeric and analytic eigenvector spans.
 ANGLE_TOL = 1e-6
@@ -196,23 +201,42 @@ def many_body_spectrum(lam):
     for j in range(n):
         np.add(energies[: 1 << j], 2.0 * lam[j], out=energies[1 << j : 2 << j])
     order = np.argsort(energies)
-    energies = energies[order]
+    # in place: the values of energies[order], but -0.0 and 0.0 may trade
+    # places or signs, which only the zero run's head (below) can show
+    energies.sort()
     # sorted, so an infinity or NaN (which sorts last) is at an end
     _finite(energies[[0, -1]], "many-body energies")
-    tie = np.diff(energies) <= n * np.finfo(float).eps * float(np.abs(lam).sum())
-    # one in-place sort of (run index << n) | mask orders each run by mask
-    key = np.zeros(energies.size, dtype=np.int64)
-    key[1:] = ~tie
-    np.cumsum(key, out=key)  # in place: a cast from bool would copy
-    key <<= n
-    key |= order
-    del order
-    key.sort()
-    key &= energies.size - 1
+    tol = n * np.finfo(float).eps * float(np.abs(lam).sum())
+    head = np.empty(energies.size, dtype=bool)
+    head[0] = True
+    for start in range(1, energies.size, _RUN_BLOCK):
+        stop = min(start + _RUN_BLOCK, energies.size)
+        np.greater(energies[start:stop] - energies[start - 1 : stop - 1], tol,
+                   out=head[start:stop])
+    # zeros are equal, so they share one run; a run headed by a zero takes
+    # the energy of the argsort's mask there, summed as the enumeration did
+    zero = int(np.searchsorted(energies, 0.0))
+    if zero < energies.size and energies[zero] == 0.0 and head[zero]:
+        mask, energy = int(order[zero]), -float(lam.sum())
+        for j in range(n):
+            if mask >> j & 1:
+                energy += 2.0 * lam[j]
+        energies[zero] = energy
+    # one in-place sort of (run index << n) | mask orders each run by mask;
+    # the key is built into ``order``, one block at a time
+    run = -1
+    for start in range(0, energies.size, _RUN_BLOCK):
+        runs = np.cumsum(head[start : start + _RUN_BLOCK], dtype=np.int64)
+        runs += run
+        run = int(runs[-1])
+        runs <<= n
+        order[start : start + _RUN_BLOCK] |= runs
+    order.sort()
+    order &= energies.size - 1
     # sorted, so the running maximum past each run's masked tail is its head
-    energies[1:][tie] = -np.inf
+    energies[~head] = -np.inf
     np.maximum.accumulate(energies, out=energies)
-    return ManyBodySpectrum(energies=energies, masks=key.astype(np.uint32))
+    return ManyBodySpectrum(energies=energies, masks=order.astype(np.uint32))
 
 
 def _principal_cosines(set_a, set_b):

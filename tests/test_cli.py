@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, CSV determinism, config
 validation, and round trips through the explicit-chain mode."""
 
+import contextlib
 import csv
 import io
 import json
@@ -306,10 +307,19 @@ class TestManybody:
         }
 
     # 17 sites give 2^17 levels, more than one write block; couplings near
-    # 1e-7 give energies whose repr uses exponent notation.
-    @pytest.mark.parametrize("sites, scale", [(17, 1.0), (6, 1e-7)])
+    # 1e-7 give energies whose repr uses exponent notation; all-zero couplings
+    # give -0.0 energies; a uniform 14-site XX chain (alpha = 1, beta = 0.5)
+    # has merged tie runs that cross write-block boundaries.
+    @pytest.mark.parametrize("sites, scale", [
+        (17, 1.0), (6, 1e-7),
+        pytest.param(4, 0.0, id="all-zero"), pytest.param(14, None, id="uniform-xx"),
+    ])
     def test_rows_are_the_csv_writer_bytes(self, tmp_path, capsys, rng, sites, scale):
-        config = self._random_chain(rng, sites, scale)
+        if scale is None:
+            config = {"family": "explicit", "N": sites - 1, "alpha": [1.0] * (sites - 1),
+                      "beta": [0.5] * sites, "gamma": [0.0] * (sites - 1)}
+        else:
+            config = self._random_chain(rng, sites, scale)
         path = write_config(tmp_path, config)
         out = tmp_path / "levels.csv"
         assert main(["manybody", "--config", path, "--out", str(out)]) == 0
@@ -329,8 +339,45 @@ class TestManybody:
         assert body == reference.getvalue()
         if sites == 17:
             assert levels.energies.size > cli._MANYBODY_BLOCK
+        elif scale is None:
+            # one run of equal energies, masks ascending, on both sides of a
+            # block boundary
+            starts = np.arange(cli._MANYBODY_BLOCK, levels.energies.size, cli._MANYBODY_BLOCK)
+            energies, masks = levels.energies, levels.masks
+            crossing = (energies[starts - 1] == energies[starts]) & (masks[starts - 1] < masks[starts])
+            assert crossing.any()
+        elif scale == 0.0:
+            assert re.search(r",-0\.0\n", body)
         else:
             assert re.search(r"e-0\d\n", body)
+
+    def test_rows_stream_in_blocks(self, tmp_path, monkeypatch, rng):
+        class Recorder:
+            def __init__(self, handle):
+                self.handle, self.writes = handle, []
+
+            def write(self, text):
+                self.writes.append(text)
+                return self.handle.write(text)
+
+        recorders = []
+        open_out = cli._open_out
+
+        @contextlib.contextmanager
+        def recording_open_out(path):
+            with open_out(path) as handle:
+                recorders.append(Recorder(handle))
+                yield recorders[-1]
+
+        monkeypatch.setattr(cli, "_open_out", recording_open_out)
+        path = write_config(tmp_path, self._random_chain(rng, 14, 1.0))
+        out = tmp_path / "levels.csv"
+        assert main(["manybody", "--config", path, "--out", str(out)]) == 0
+        (recorder,) = recorders
+        rows = [text.count("\n") for text in recorder.writes]
+        assert sum(rows) == 3 + (1 << 14)  # two comment lines, the header, the levels
+        assert max(rows) <= cli._MANYBODY_BLOCK < (1 << 14)
+        assert "".join(recorder.writes) == out.read_text()
 
     def test_mode_cap_is_config_error(self, tmp_path):
         over_cap = {

@@ -19,6 +19,7 @@ from helpers import (
     random_chain,
     residuals,
 )
+from xychain import freefermion
 from xychain.chain import (
     ChainSpec,
     analytic_spectrum,
@@ -52,6 +53,26 @@ def eigen_residual(spectral):
     lam = spectral.lambda_numeric
     residual = spectral.system.H @ stacked - stacked * lam[None, :]
     return float(np.max(np.abs(residual))) / max(float(lam[-1]), 1e-300)
+
+
+def gathered_many_body(lam):
+    """:func:`many_body_spectrum` with full-size steps: the sorted energies
+    gathered by the ``argsort`` order, the ties from ``np.diff`` and a
+    separate run key.  It shares no step with the in-place sort, the
+    blockwise tie test or the key built into the order."""
+    lam = np.asarray(lam, dtype=float)
+    n = lam.size
+    energies = np.empty(1 << n)
+    energies[0] = -float(lam.sum())
+    for j in range(n):
+        np.add(energies[: 1 << j], 2.0 * lam[j], out=energies[1 << j : 2 << j])
+    order = np.argsort(energies)
+    energies = energies[order]
+    tie = np.diff(energies) <= n * np.finfo(float).eps * float(np.abs(lam).sum())
+    run = np.concatenate([[0], np.cumsum(~tie)])
+    masks = order[np.lexsort((order, run))]
+    energies[1:][tie] = -np.inf
+    return np.maximum.accumulate(energies), masks
 
 
 class TestAssemble:
@@ -286,6 +307,23 @@ class TestManyBody:
         bound = 1e-17 * 1e-14 * np.max(np.abs(unscaled.energies))
         np.testing.assert_allclose(scaled.energies, 1e-17 * unscaled.energies, rtol=0, atol=bound)
         assert np.unique(scaled.energies).size == np.unique(unscaled.energies).size > 1
+
+    # All-zero modes give one run of -0.0 and 0.0, whose head's sign the
+    # in-place sort does not keep; [0.5, 0.5] a run of zeros after -1.0; 17
+    # random modes and the 16 of a uniform XX chain more than one block.
+    @pytest.mark.parametrize("lam", [
+        [0.0] * 4, [0.0] * 17, [0.5, 0.5], [0.1, 0.2, 0.3],
+        pytest.param(np.random.default_rng(7).uniform(0.1, 2.0, 17), id="random-17"),
+        pytest.param(np.abs(2 * np.cos(np.pi * np.arange(1, 17) / 17)), id="xx-16"),
+    ])
+    def test_bits_are_the_gathered_enumeration(self, lam):
+        spectrum = many_body_spectrum(np.array(lam))
+        energies, masks = gathered_many_body(lam)
+        assert spectrum.energies.tobytes() == energies.tobytes()
+        np.testing.assert_array_equal(spectrum.masks, masks)
+        assert spectrum.masks.dtype == np.uint32
+        if len(lam) == 17:
+            assert energies.size > freefermion._RUN_BLOCK
 
     @pytest.mark.parametrize("lam", [[1e308, 1e308], [0.0, 1e308]])
     def test_energies_beyond_the_float_range_raise(self, lam):

@@ -47,7 +47,11 @@ Cases:
   ``constraint`` at 1e-300;
 * four explicit chains of finite couplings near the top of the float range
   (``FLOAT_RANGE_CHAINS``: ``z2``, ``z3``, ``e1``, ``e4``), x ``spectrum``,
-  ``manybody`` and the three ``verify`` forms.
+  ``manybody`` and the three ``verify`` forms;
+* two explicit chains whose many-body rows test the row writer
+  (``MANYBODY_CHAINS``: a uniform 14-site XX chain, whose merged tie runs
+  cross write-block boundaries, and an all-zero chain, whose energies are
+  ``-0.0``), x ``manybody`` on ``--out`` and on stdout.
 
 A case that ends in an uncaught exception reports the exit ``traceback`` and
 hashes the exception's type and message as its stderr.
@@ -103,6 +107,12 @@ FLOAT_RANGE_CHAINS = {
     "z3": {"N": 9, "alpha": [8e307, 8e307] + [1.0] * 7, "beta": [0.0] * 10, "gamma": [0.0] * 9},
     "e1": {"N": 2, "alpha": [1e308, 1e308], "beta": [0.0] * 3, "gamma": [0.0] * 2},
     "e4": {"N": 1, "alpha": [0.0], "beta": [1e308, 0.0], "gamma": [0.0]},
+}
+#: Explicit chains whose many-body rows are tie runs across write blocks or
+#: signed zeros.
+MANYBODY_CHAINS = {
+    "uniform-xx-14": {"N": 13, "alpha": [1.0] * 13, "beta": [0.5] * 14, "gamma": [0.0] * 13},
+    "all-zero": {"N": 3, "alpha": [0.0] * 3, "beta": [0.0] * 4, "gamma": [0.0] * 3},
 }
 REPORT_LINE = re.compile(r"^(\S+): residual=(\S+) tol=(\S+) (PASS|FAIL)")
 
@@ -187,6 +197,9 @@ def build_cases(config_dir):
     for name, couplings in FLOAT_RANGE_CHAINS.items():
         add(f"float-range/{name}", dict(couplings, family="explicit"),
             _forms(("spectrum", "manybody", "verify")))
+    for name, couplings in MANYBODY_CHAINS.items():
+        add(f"manybody/{name}", dict(couplings, family="explicit"),
+            ("manybody.csv", "manybody.txt"))
     return cases
 
 
