@@ -200,7 +200,7 @@ def load_config(path, mode="compute", family_override=None):
         overrides = _require(config, "tolerances", dict, "an object")
         unknown = sorted(set(overrides) - set(TOLERANCES))
         if unknown:
-            raise ConfigError(f"unknown tolerance names: {unknown}")
+            raise ConfigError(f"unknown tolerance names: {unknown}; valid: {sorted(TOLERANCES)}")
         for key, value in overrides.items():
             _check_tolerance(value, f"tolerance '{key}'")
     return config

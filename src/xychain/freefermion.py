@@ -10,7 +10,9 @@ Ann. Phys. 16, 1961) and, through independent mode occupation, all
 ``2^(N+1)`` many-body energies.
 
 :func:`eigendecompose` keeps only that decomposition; each check builds
-what it compares and returns the ``verify`` rows it owns.
+what it compares and returns the ``verify`` rows it owns.  The analytic
+eigenvector tables are read against it by one measure, the sine of the
+largest principal angle (:func:`eigenvector_crosscheck`).
 """
 
 from dataclasses import dataclass
@@ -42,10 +44,6 @@ MANY_BODY_MODE_CAP = 24
 #: temporaries, so the enumeration holds at most two full-size float or int64
 #: arrays at once.
 _RUN_BLOCK = 1 << 16
-
-#: Largest principal angle (radians) accepted between a degenerate cluster's
-#: numeric and analytic eigenvector spans.
-ANGLE_TOL = 1e-6
 
 #: Numeric eigenvalues closer than this factor times the spectral scale form
 #: one degenerate cluster in the eigenvector crosscheck.
@@ -239,30 +237,26 @@ def many_body_spectrum(lam):
     return ManyBodySpectrum(energies=energies, masks=order.astype(np.uint32))
 
 
-def _principal_cosines(set_a, set_b):
-    """Cosines of the principal angles between two column spans, largest
-    first: one per dimension of ``set_b``'s span, zero for each that
-    ``set_a``'s span lacks.  A span's basis is the left singular vectors
-    whose value exceeds ``1e-10`` times the largest."""
-    qa, qb = (left[:, values > 1e-10 * values[-1]]
-              for values, _, left in map(jacobi_svd, (set_a, set_b)))
-    overlap = np.pad(qa.T @ qb, ((0, max(0, qb.shape[1] - qa.shape[1])), (0, 0)))
-    return np.minimum(jacobi_svd(overlap)[0], 1.0)[::-1]
-
-
 def eigenvector_crosscheck(spectral, pq, tolerances=TOLERANCES):
     """Compare numeric eigenvectors against the analytic ``P``/``Q`` tables.
 
     Matches numeric and analytic eigenvalues by sorted order (with a collision
-    check on the pairing gaps), then certifies that ``psi_j - phi_j`` is
-    parallel to the ``P`` column and ``psi_j + phi_j`` to the ``Q`` column of
-    the matched mode.  Nondegenerate modes use absolute cosine similarity;
-    degenerate clusters are compared span-to-span via principal angles.
-    Analytic columns that vanish identically (zero normalization weight) are
-    skipped with a note.  Reads ``tolerances["match"]`` for the pairing gaps
-    and ``tolerances["cosine"]`` for single modes; a cluster's principal
-    angle is held to the fixed :data:`ANGLE_TOL`.  Raises ``ValueError`` if
-    ``pq`` and ``spectral`` have different numbers of modes.
+    check on the pairing gaps), then certifies that ``psi - phi`` spans the
+    ``P`` columns and ``psi + phi`` the ``Q`` columns of the matched modes.
+    Modes whose numeric eigenvalues lie within :data:`DEGENERACY_TOL` of each
+    other form one group, and each group's row is the sine of the largest
+    principal angle between the analytic span ``Q_b`` and the numeric columns
+    ``Q_a``, ``sigma_max(Q_b - Q_a (Q_a^T Q_b))`` (Bjorck & Golub, Math. Comp.
+    27, 1973).  ``Q_a`` needs no factorization: ``psi - phi`` and ``psi +
+    phi`` are the orthonormal factors of the SVD, which
+    ``transition-orthogonality`` certifies.  For one mode ``Q_b`` is the unit
+    analytic column and the sine is one residual norm; for a cluster ``Q_b``
+    is the left factor of the live columns' SVD, cut at ``1e-10`` times the
+    largest value.  Analytic columns that vanish identically (zero
+    normalization weight) are skipped with a note.  Reads
+    ``tolerances["match"]`` for the pairing gaps and ``tolerances["angle"]``
+    for every group.  Raises ``ValueError`` if ``pq`` and ``spectral`` have
+    different numbers of modes.
     """
     if not isinstance(pq, PQTable):
         raise TypeError(f"expected a PQTable, got {type(pq).__name__}")
@@ -272,21 +266,24 @@ def eigenvector_crosscheck(spectral, pq, tolerances=TOLERANCES):
     if lam_ana.size != n:
         raise ValueError(f"{lam_ana.size} analytic modes against {n} numeric ones")
     report = CheckReport(title="eigenvector crosscheck")
-    scale = max(1.0, float(np.max(lam_num)) if n else 1.0)
+    scale = max(1.0, float(np.max(lam_num)))
 
     order = np.argsort(lam_ana, kind="stable")
     gaps = np.abs(lam_num - lam_ana[order])
     report.add("eigenvalue-matching", float(np.max(gaps)) / scale, tolerances["match"])
 
-    minus_num = spectral.Psi - spectral.Phi
-    plus_num = spectral.Psi + spectral.Phi
-    minus_ana = pq.P[:, order]
-    plus_ana = pq.Q[:, order]
-    table_scale = max(
-        float(np.max(np.abs(pq.P))) if pq.P.size else 0.0,
-        float(np.max(np.abs(pq.Q))) if pq.Q.size else 0.0,
-        1e-300,
-    )
+    table_scale = max(float(np.max(np.abs(pq.P))), float(np.max(np.abs(pq.Q))), 1e-300)
+    sides = []
+    for side, numeric, table in (
+        ("P", spectral.Psi - spectral.Phi, pq.P),
+        ("Q", spectral.Psi + spectral.Phi, pq.Q),
+    ):
+        # entries at most 1, so the column norms cannot overflow
+        analytic = table[:, order] / table_scale
+        live = np.max(np.abs(analytic), axis=0) > 1e-12
+        unit = analytic / np.where(live, np.linalg.norm(analytic, axis=0), 1.0)
+        sines = np.linalg.norm(unit - numeric * np.sum(numeric * unit, axis=0), axis=0)
+        sides.append((side, numeric, analytic, live, sines))
 
     # group modes whose numeric eigenvalues are within the degeneracy tolerance
     groups = []
@@ -296,31 +293,18 @@ def eigenvector_crosscheck(spectral, pq, tolerances=TOLERANCES):
             groups.append(list(range(start, j)))
             start = j
     for group in groups:
-        for side, numeric, analytic in (
-            ("P", minus_num, minus_ana),
-            ("Q", plus_num, plus_ana),
-        ):
+        for side, numeric, analytic, live, sines in sides:
             label = f"{side}-modes-{group[0]}" + (f"..{group[-1]}" if len(group) > 1 else "")
-            live = [
-                j for j in group
-                if np.max(np.abs(analytic[:, j])) > 1e-12 * table_scale
-            ]
-            if not live:
+            columns = [j for j in group if live[j]]
+            if not columns:
                 report.add_note(f"{label}: analytic column vanishes; skipped")
-                continue
-            if len(group) == 1:
-                j = group[0]
-                v_num = numeric[:, j]
-                v_ana = analytic[:, j]
-                cosine = abs(np.dot(v_num, v_ana)) / (
-                    np.linalg.norm(v_num) * np.linalg.norm(v_ana)
-                )
-                report.add(label, 1.0 - cosine, tolerances["cosine"])
+            elif len(group) == 1:
+                report.add(label, sines[group[0]], tolerances["angle"])
             else:
-                cosines = _principal_cosines(numeric[:, group], analytic[:, live])
-                worst = float(np.min(cosines[: len(live)]))
-                angle = float(np.arccos(np.clip(worst, -1.0, 1.0)))
-                report.add(label, angle, ANGLE_TOL, note="principal angle (rad)")
+                values, _, left = jacobi_svd(analytic[:, columns])
+                q_b = left[:, values > 1e-10 * values[-1]]
+                q_a = numeric[:, group]
+                report.add(label, jacobi_svd(q_b - q_a @ (q_a.T @ q_b))[0][-1], tolerances["angle"])
     return report
 
 

@@ -14,7 +14,7 @@ TOLERANCES = {
     "spectrum": 1e-8,
     "svd": 1e-8,
     "recurrence": 1e-8,
-    "cosine": 1e-8,
+    "angle": 1e-8,
     "jw": 1e-8,
     "match": 1e-6,
     "parity": 1e-10,

@@ -29,16 +29,16 @@ XX_CONFIG = {
     "family": "explicit", "N": 2,
     "alpha": [1.0, 1.0], "beta": [0.5, 0.5, 0.5], "gamma": [0.0, 0.0],
 }
-#: The verify rows whose tolerance each ``"tolerances"`` name sets.  A
-#: degenerate cluster row ``P-modes-i..j`` is held to the fixed
-#: ``freefermion.ANGLE_TOL``; only single-mode rows read ``cosine``.
+#: The verify rows whose tolerance each ``"tolerances"`` name sets.  ``angle``
+#: sets every eigenvector row, a single mode ``P-modes-i`` and a degenerate
+#: cluster ``P-modes-i..j`` alike.
 TOLERANCE_ROWS = {
     "relation": lambda row: row in ("relation-plus", "relation-minus"),
     "constraint": lambda row: row == "constraint-ratio",
     "spectrum": lambda row: row in ("analytic-vs-numeric", "xx-reduction"),
     "svd": lambda row: row == "spectrum-vs-singular-values",
     "recurrence": lambda row: row in ("recurrence-P", "recurrence-Q"),
-    "cosine": lambda row: re.fullmatch(r"[PQ]-modes-\d+", row) is not None,
+    "angle": lambda row: re.fullmatch(r"[PQ]-modes-\d+(\.\.\d+)?", row) is not None,
     "match": lambda row: row == "eigenvalue-matching",
     "jw": lambda row: row == "many-body-multiset",
     "parity": lambda row: row == "spectrum-parity",
@@ -242,7 +242,7 @@ class TestVerify:
 
     def test_each_tolerance_sets_exactly_its_rows(self, tmp_path):
         # The override is read on the tolerance column, not on the exit code:
-        # a check can still pass at 1e-300 (1 - |cos| rounds to 0 or below).
+        # a check can still pass at 1e-300 (an exact zero residual).
         assert set(TOLERANCE_ROWS) == set(TOLERANCES)
         out_path = str(tmp_path / "report.csv")
 
@@ -488,9 +488,15 @@ class TestConfigErrors:
     def test_missing_file(self):
         assert main(["spectrum", "--config", "/nonexistent/config.json"]) == 2
 
-    def test_unknown_tolerance_name(self, tmp_path):
+    def test_unknown_tolerance_name(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(QR24_CONFIG, tolerances={"wibble": 1e-5}))
         assert main(["verify", "--config", path]) == 2
+        # the message lists the valid names, so a config that names a retired
+        # tolerance learns the current ones
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown tolerance names: ['wibble']; valid: [")
+        assert err.count("\n") == 1
+        assert all(f"'{name}'" in err for name in TOLERANCES)
 
     def test_note_field_allowed(self, tmp_path):
         path = write_config(tmp_path, dict(QR24_CONFIG, note="hello"))

@@ -6,6 +6,7 @@ from occupation bitmasks.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from helpers import (
 from xychain import freefermion
 from xychain.chain import (
     ChainSpec,
+    PQTable,
     analytic_spectrum,
     build_chain,
     parameter_scan,
@@ -362,8 +364,6 @@ class TestCrosschecks:
             assert report.passed, str(report)
 
     def test_crosscheck_detects_corruption(self):
-        from dataclasses import replace
-
         chain = build_chain(contiguity_coefficients("qr24", QR24_DEFAULT))
         spectral = eigendecompose(assemble(chain))
         pq = pq_table("qr24", QR24_DEFAULT)
@@ -371,6 +371,56 @@ class TestCrosschecks:
         bad_p[:, 2] = bad_p[::-1, 2] + 0.3
         report = eigenvector_crosscheck(spectral, replace(pq, P=bad_p))
         assert not report.passed
+
+    @staticmethod
+    def _cluster_tables():
+        """Two identical decoupled 3-site XY blocks, so every mode is doubly
+        degenerate, with ``P``/``Q`` tables from ``numpy.linalg.svd``: each
+        pair is mixed by one rotation and its two columns rescaled apart."""
+        block = ([0.8, -1.1], [0.3, -0.6, 0.9], [0.4, 0.2])
+        chain = ChainSpec(alpha=block[0] + [0.0] + block[0], beta=block[1] * 2,
+                          gamma=block[2] + [0.0] + block[2])
+        system = assemble(chain)
+        left, values, right_t = np.linalg.svd(system.A + system.B)
+        p, q, lam = left[:, ::-1], right_t[::-1].T, values[::-1]
+        turn = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+        mix = np.kron(np.eye(3), turn) * np.tile([2.0, 0.3], 3)
+        return eigendecompose(system), PQTable(P=p @ mix, Q=q @ mix, lam=lam, chain=chain)
+
+    def test_degenerate_clusters_pass_clean(self):
+        spectral, pq = self._cluster_tables()
+        rows = eigenvector_crosscheck(spectral, pq).checks[1:]
+        assert [row.name for row in rows] == [
+            f"{side}-modes-{j}..{j + 1}" for j in (0, 2, 4) for side in "PQ"
+        ]
+        assert all(0.0 <= row.residual <= 1e-14 for row in rows)
+
+    def test_tilt_out_of_a_cluster_fails(self):
+        # P column 0 leans 1e-6 of its norm towards the numeric P column of
+        # mode 2, which is orthogonal to the numeric span of modes 0 and 1
+        spectral, pq = self._cluster_tables()
+        bad_p = pq.P.copy()
+        tilt = spectral.Psi[:, 2] - spectral.Phi[:, 2]
+        bad_p[:, 0] += 1e-6 * np.linalg.norm(bad_p[:, 0]) * tilt
+        report = eigenvector_crosscheck(spectral, replace(pq, P=bad_p))
+        assert [row.name for row in report.checks if not row.passed] == ["P-modes-0..1"]
+        rows = residuals(report)
+        assert rows["P-modes-0..1"] > 0.9e-6
+        assert rows["Q-modes-0..1"] <= 1e-14
+
+    def test_single_modes_need_no_svd(self, monkeypatch):
+        # every mode of the reference point is single, and a single mode's
+        # sine is one column norm
+        chain = build_chain(contiguity_coefficients("qr24", QR24_DEFAULT))
+        spectral = eigendecompose(assemble(chain))
+
+        def refuse(matrix):
+            raise AssertionError("jacobi_svd called")
+
+        monkeypatch.setattr(freefermion, "jacobi_svd", refuse)
+        report = eigenvector_crosscheck(spectral, pq_table("qr24", QR24_DEFAULT))
+        assert report.passed
+        assert len(report.checks) == 11
 
     def test_mode_count_mismatch_raises(self):
         pq = pq_table("qr24", QR24_DEFAULT)

@@ -32,6 +32,9 @@ EXPLICIT_CONFIG = {
     "beta": [0.2, -0.5, 0.4, 0.1, -0.3, 0.6],
     "gamma": [0.3, 0.5, -0.2, 0.4, 0.1],
 }
+#: A spectral-valid qr24 point whose two smallest modes, 1.4e-9 and 2e-6, lie
+#: within ``DEGENERACY_TOL`` of the largest, 2000, so they form one cluster.
+NEAR_ZERO_MODE = {"family": "qr24", "a": 0.5, "b": -0.5, "c": 0.0, "q": 1e-06, "N": 4}
 #: The configs of the meta-test: between them every check ``verify`` emits.
 META_CONFIGS = {
     "qr24": QR24_CONFIG,
@@ -104,7 +107,8 @@ def _scale_largest_analytic_mode(pq):
 
 
 def _tilt_column(table, j):
-    # tilting a column by 0.1 of its norm makes 1 - |cos| about 4e-3 here
+    # tilting a column by 0.1 of its norm makes the sine of its angle about
+    # 0.09 here
     table = table.copy()
     table[0, j] += 0.1 * np.linalg.norm(table[:, j])
     return table
@@ -116,6 +120,25 @@ def _tilt_p_column(pq):
 
 def _tilt_q_column(pq):
     return dataclasses.replace(pq, Q=_tilt_column(pq.Q, 2))
+
+
+def _turn_p_column(mode, toward):
+    """A corruption that turns the ``P`` column of ``mode`` (counted in
+    ascending order) by 2e-6 rad towards the column of mode ``toward``, which
+    is orthogonal to the numeric span of ``mode``'s row.  The sine lands at
+    200 times the tolerance (1e-6 rad would land on the margin itself), while
+    ``1 - cos`` is 2e-12."""
+
+    def corruption(pq):
+        order = np.argsort(pq.lam, kind="stable")
+        column, other = pq.P[:, order[mode]], pq.P[:, order[toward]]
+        away = other - column * (column @ other) / (column @ column)
+        away *= np.linalg.norm(column) / np.linalg.norm(away)
+        turned = pq.P.copy()
+        turned[:, order[mode]] = np.cos(2e-6) * column + np.sin(2e-6) * away
+        return dataclasses.replace(pq, P=turned)
+
+    return corruption
 
 
 def _scale_lowest_level(spectrum):
@@ -162,8 +185,17 @@ KILLERS = {
     "recurrence-Q": Killer("recurrence", "cli", "build_chain", _flip_site_field),
     "eigenvalue-matching": Killer("match", "cli", "build_pq_table",
                                   _scale_largest_analytic_mode),
-    "P-modes-2": Killer("cosine", "cli", "build_pq_table", _tilt_p_column),
-    "Q-modes-2": Killer("cosine", "cli", "build_pq_table", _tilt_q_column),
+    # no draw of the shipped or tests/helpers.py scan boxes has a degenerate
+    # cluster: on a 60^3 grid of the qr24 boxes at N = 2..12 no two closed-form
+    # modes cross and the smallest relative gap is 7e-5, and the qr13 box's
+    # crossings found at N = 2..8 all fail a coupling radicand.  The cluster
+    # row comes from NEAR_ZERO_MODE; tests/test_freefermion.py::TestCrosschecks
+    # kills exact double degeneracies.
+    "P-modes-1": Killer("angle", "cli", "build_pq_table", _turn_p_column(1, 2)),
+    "P-modes-0..1": Killer("angle", "cli", "build_pq_table", _turn_p_column(0, 4),
+                           config=NEAR_ZERO_MODE),
+    "P-modes-2": Killer("angle", "cli", "build_pq_table", _tilt_p_column),
+    "Q-modes-2": Killer("angle", "cli", "build_pq_table", _tilt_q_column),
     "many-body-multiset": Killer("jw", "freefermion", "many_body_spectrum", _scale_lowest_level),
     # the first jacobi_eigh call is the doubled matrix's, the second the
     # hopping matrix's

@@ -97,7 +97,7 @@ QR13_BOX = {"a": [1.5, 9.0], "b": [1.5, 9.0], "c": [-0.9, -0.1], "q": [0.3, 0.5,
 DEEP_N = (20, 30)
 CHAIN_CONFIGS = ("qr24_default.json", "qr13_chain.json", "xx_uniform.json")
 #: The names of ``xychain.report.TOLERANCES``, each tightened to ``TIGHT``.
-TOLERANCE_NAMES = ("relation", "constraint", "spectrum", "svd", "recurrence", "cosine",
+TOLERANCE_NAMES = ("relation", "constraint", "spectrum", "svd", "recurrence", "angle",
                    "jw", "match", "parity", "orthogonality")
 TIGHT = 1e-300
 #: Explicit chains whose spectra, many-body energies or spin Hamiltonians
