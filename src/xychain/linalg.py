@@ -17,12 +17,17 @@ code with the Jacobi solvers.  It reduces each matrix to tridiagonal form by
 Householder reflections (Golub & Van Loan, Matrix Computations, 4th ed.,
 Sec. 8.3.1) and finds every eigenvalue of every matrix in one Sturm-count
 bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), with the tiny
-pivot guard of LAPACK ``dstebz``.
+pivot guard of LAPACK ``dstebz``.  The guard runs on row 0 only; the other
+rows run unguarded, one check per step finds a pivot the guard would have
+changed, and only such a step reruns guarded, as LAPACK ``dlaneg`` does
+(Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28(5), 2006).
 
 Each solver works on a copy scaled by a power of two to entries below one,
 so no intermediate overflows, and raises ``OverflowError`` when a value it
 returns, scaled back, is not a finite float.
 """
+
+import math
 
 import numpy as np
 
@@ -273,22 +278,30 @@ def _householder_tridiagonal(matrix):
     a, exponent = _scaled_symmetric_copy(matrix)
     n = a.shape[0]
     off = np.zeros(n)
+    # [v w] and [w; v] of the rank-2 update, in the leading rows or columns;
+    # v and w stay contiguous arrays of their own, so their products keep
+    # their bits
+    left, right = np.empty((n, 2)), np.empty((2, n))
     for k in range(n - 2):
         x = a[k + 1 :, k]
-        sigma = x[1:] @ x[1:]
+        sigma = float(x[1:] @ x[1:])
+        x0 = float(x[0])
         if sigma == 0.0:
-            off[k + 1] = x[0]
+            off[k + 1] = x0
             continue
         # the reflected entry takes the sign opposite to x[0], so v[0] adds
         # two numbers of one sign and does not cancel
-        alpha = -np.copysign(np.sqrt(x[0] * x[0] + sigma), x[0])
+        alpha = -math.copysign(math.sqrt(x0 * x0 + sigma), x0)
         v = x.copy()
-        v[0] -= alpha
-        beta = 2.0 / (v @ v)
+        v[0] = x0 - alpha
+        beta = 2.0 / float(v @ v)
         trailing = a[k + 1 :, k + 1 :]
         p = beta * (trailing @ v)
-        w = p - (0.5 * beta * (p @ v)) * v
-        trailing -= np.stack([v, w], axis=1) @ np.stack([w, v])
+        w = p - (0.5 * beta * float(p @ v)) * v
+        m = n - k - 1
+        left[:m, 0] = right[1, :m] = v
+        left[:m, 1] = right[0, :m] = w
+        trailing -= left[:m] @ right[:, :m]
         off[k + 1] = alpha
     if n >= 2:
         off[n - 1] = a[n - 1, n - 2]
@@ -310,8 +323,14 @@ def sturm_eigvalsh(matrices):
     ``+inf`` and never count.  A pivot smaller in magnitude than ``pivmin``
     becomes ``-pivmin`` and counts as negative, as in LAPACK ``dstebz``, so a
     shift that hits a pivot exactly still gives a consistent count and no
-    division overflows.  Every quantity is per matrix, so one call gives the
-    same values as one call per matrix.
+    division overflows.  Each step guards row 0 and runs the other rows
+    unguarded; one check of every pivot against ``pivmin`` then shows
+    whether the guard would have changed any of them, and only such a step
+    is rerun with the guard on every row (Marques, Riedy & Voemel, SIAM J.
+    Sci. Comput. 28(5), 2006, as in LAPACK ``dlaneg``).  Up to the first
+    pivot below ``pivmin`` both passes do the same operations, so the values
+    are those of the guard on every row.  Every quantity is per matrix, so
+    one call gives the same values as one call per matrix.
 
     ``matrices`` may be any iterable; each matrix is read once, so a
     generator lets each be freed as soon as it is reduced.  Returns a list
@@ -349,6 +368,8 @@ def sturm_eigvalsh(matrices):
         index[block] = np.arange(n)
         start += n
 
+    if not total:
+        return [np.empty(0) for _ in tridiagonals]
     pivots = np.empty((rows, total))
     quotient = np.empty(total)
     tiny = np.empty(total, dtype=bool)
@@ -357,14 +378,29 @@ def sturm_eigvalsh(matrices):
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         np.subtract(diag, mid, out=pivots)
-        previous = first
-        for pivot, coupling in zip(pivots, off2):
-            # LDL^T pivot: d_i - x - e_{i-1}^2 / pivot_{i-1}
-            np.divide(coupling, previous, out=quotient)
-            pivot -= quotient
-            np.less(np.abs(pivot, out=quotient), pivmin, out=tiny)
-            np.copyto(pivot, guard, where=tiny)
-            previous = pivot
+        # Row 0 guarded: mid often lands exactly on a 1 x 1 block's entry.
+        # The other rows run unguarded, and one check finds whether any of
+        # their pivots fell below pivmin (or turned NaN after one that did);
+        # until such a pivot both loops do the same operations, and
+        # |e^2 / pivot| <= 1 / tiny keeps them finite.
+        previous = pivots[0]
+        np.less(np.abs(previous, out=quotient), pivmin, out=tiny)
+        np.copyto(previous, guard, where=tiny)
+        with np.errstate(all="ignore"):
+            for pivot, coupling in zip(pivots[1:], off2[1:]):
+                np.divide(coupling, previous, out=quotient)
+                pivot -= quotient
+                previous = pivot
+        if not (np.abs(pivots) >= pivmin).all():
+            np.subtract(diag, mid, out=pivots)
+            previous = first
+            for pivot, coupling in zip(pivots, off2):
+                # LDL^T pivot: d_i - x - e_{i-1}^2 / pivot_{i-1}
+                np.divide(coupling, previous, out=quotient)
+                pivot -= quotient
+                np.less(np.abs(pivot, out=quotient), pivmin, out=tiny)
+                np.copyto(pivot, guard, where=tiny)
+                previous = pivot
         above = np.count_nonzero(pivots < 0.0, axis=0) > index
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)

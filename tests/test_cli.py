@@ -233,6 +233,19 @@ class TestVerify:
         assert comments[0].startswith("# xychain")
         assert {row["verdict"] for row in rows} == {"PASS"}
 
+    @pytest.mark.parametrize("sites", [6, 9])
+    def test_uniform_xx_chain_writes_nothing_to_stderr(self, tmp_path, capsys, sites):
+        # The spin oracle's bisection meets pivots below pivmin on these
+        # sectors and reruns those steps guarded; no warning escapes.
+        bonds = sites - 1
+        path = write_config(tmp_path, {"family": "explicit", "N": bonds, "alpha": [1.0] * bonds,
+                                       "beta": [0.0] * sites, "gamma": [0.0] * bonds})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--config", path]) == 0
+        assert capsys.readouterr().err == ""
+        assert not caught
+
     def test_explicit_chain_verification(self, tmp_path, capsys):
         path = write_config(tmp_path, XX_CONFIG)
         assert main(["verify", "--config", path]) == 0

@@ -6,10 +6,13 @@ library's computational path precisely so they can serve as independent
 references here).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from xychain import linalg
+from helpers import guarded_sturm_eigvalsh, stacked_householder_tridiagonal
+from xychain import ChainSpec, linalg
 from xychain.errors import ConvergenceFailure
 from xychain.linalg import (
     _householder_tridiagonal,
@@ -19,6 +22,7 @@ from xychain.linalg import (
     offdiag_max,
     sturm_eigvalsh,
 )
+from xychain.spinoracle import _coupled_blocks, build_spin_hamiltonian
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -389,3 +393,90 @@ class TestSturmEigvalsh:
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError, match="not symmetric"):
             sturm_eigvalsh([np.eye(2), np.array([[1.0, 2.0], [0.5, 1.0]])])
+
+
+def bits(values):
+    return np.asarray(values).view(np.int64)
+
+
+def assert_guarded_bits(matrices):
+    """``sturm_eigvalsh`` raises no warning and returns the bits of the
+    always-guarded reference; returns the reference's guarded step count."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sturm_eigvalsh(matrices)
+    expected, steps = guarded_sturm_eigvalsh(matrices)
+    assert len(got) == len(expected)
+    for values, reference in zip(got, expected):
+        np.testing.assert_array_equal(bits(values), bits(reference))
+    return steps
+
+
+#: Uniform chains, (alpha, beta, gamma) of every bond, site and bond, whose
+#: spin blocks put bisection midpoints exactly on pivots.
+UNIFORM_CHAINS = {
+    "xx": (1.0, 0.0, 0.0),
+    "xx-field": (1.0, 1.0, 0.0),
+    "xy": (1.0, 0.5, 0.25),
+    "ising": (0.5, 1.0, 0.5),
+    "zero": (0.0, 0.0, 0.0),
+}
+
+
+def uniform_spin_blocks(kind, sites):
+    alpha, beta, gamma = UNIFORM_CHAINS[kind]
+    hamiltonian = build_spin_hamiltonian(ChainSpec(
+        np.full(sites - 1, alpha), np.full(sites, beta), np.full(sites - 1, gamma)))
+    return [hamiltonian[np.ix_(block, block)] for block in _coupled_blocks(hamiltonian)]
+
+
+class TestSturmGuardBits:
+    """Rows past 0 run unguarded and a step reruns guarded only when one of
+    their pivots falls below ``pivmin``: the values keep the bits of the
+    guard on every row."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 59])
+    def test_random_and_integer_matrices(self, rng, n):
+        integer = rng.integers(-3, 4, size=(n, n)).astype(float)
+        assert_guarded_bits([random_symmetric(rng, n)])
+        assert_guarded_bits([integer + integer.T])
+
+    def test_zero_matrices(self):
+        # every midpoint is 0 and every pivot 0, so every step reruns guarded
+        assert assert_guarded_bits([np.zeros((1, 1)), np.zeros((6, 6))]) == linalg.BISECTION_STEPS
+
+    def test_one_by_one_blocks_among_larger_ones(self, rng):
+        integer = rng.integers(-2, 3, size=(9, 9)).astype(float)
+        assert_guarded_bits([np.array([[0.0]]), random_symmetric(rng, 7), np.array([[3.0]]),
+                             integer + integer.T, np.zeros((0, 0)), np.array([[-1.5]])])
+
+    @pytest.mark.parametrize("sites", range(2, 10))
+    @pytest.mark.parametrize("kind", sorted(UNIFORM_CHAINS))
+    def test_uniform_chain_spin_blocks(self, kind, sites):
+        assert_guarded_bits(uniform_spin_blocks(kind, sites))
+
+    def test_guarded_rerun_is_exercised(self):
+        # the 9-site zero-field XX chain's sectors hit a pivot below pivmin
+        # past row 0, so some steps take the guarded loop
+        assert assert_guarded_bits(uniform_spin_blocks("xx", 9)) > 0
+
+    def test_subnormal_pivot(self):
+        # The first midpoint is 0, so pivot 1 is the subnormal 1e-310 and
+        # 0.25 / 1e-310 overflows in the unguarded rows; the guarded rerun
+        # makes pivot 1 -pivmin instead, and no warning escapes.
+        matrix = np.array([[0.5, 0.0, 0.0], [0.0, 1e-310, 0.5], [0.0, 0.5, 0.0]])
+        assert assert_guarded_bits([matrix]) > 0
+        assert_matches_eigvalsh(sturm_eigvalsh([matrix])[0], matrix)
+
+
+class TestHouseholderBits:
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 31, 64, 129])
+    @pytest.mark.parametrize("density", [1.0, 0.1])
+    def test_same_bits_as_stacked_update(self, rng, n, density):
+        matrix = random_symmetric(rng, n) * (rng.random((n, n)) < density)
+        matrix = matrix + matrix.T
+        exponent, diag, off = _householder_tridiagonal(matrix)
+        expected = stacked_householder_tridiagonal(matrix)
+        assert exponent == expected[0]
+        np.testing.assert_array_equal(bits(diag), bits(expected[1]))
+        np.testing.assert_array_equal(bits(off), bits(expected[2]))

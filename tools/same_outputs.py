@@ -23,9 +23,13 @@ Cases:
 * every ``scan-qr`` candidate of the pool once more at each of the three
   validity levels other than its own, since a scan's CSV shows only the
   verdicts at its configured level;
-* explicit XY and XX chains of 2-8 sites drawn from a fixed seed, x
+* explicit XY and XX chains of 2-9 sites drawn from a fixed seed, x
   ``spectrum``, ``chain-coeffs``, ``manybody`` and the three ``verify``
   forms, and ``manybody`` once more on stdout;
+* uniform XX chains in zero and unit field, uniform XY chains and Ising
+  chains of 2-9 sites (``UNIFORM_CHAINS``), x ``manybody`` and the three
+  ``verify`` forms: their spin sectors put bisection midpoints on pivots,
+  so the spin oracle's guarded steps run;
 * the shipped qr24 point moved onto a degenerate or extreme value (``a = 1``,
   ``b c q = 1``, ``c = 1e308``, subnormal ``q = 1e-320``), in both families, x
   ``spectrum`` and the three ``verify`` forms, so the messages of the table
@@ -82,7 +86,15 @@ COMMANDS = ("spectrum", "chain-coeffs", "manybody", "scan")
 VERIFY_FORMS = ("verify.csv", "verify.json", "verify.txt")
 SCAN_LEVELS = ("contiguity", "couplings", "spectral", "full")
 CHAIN_SEED = 20240917
-CHAIN_SITES = range(2, 9)
+CHAIN_SITES = range(2, 10)
+#: Uniform chains by number of sites: (alpha, beta, gamma) of every bond,
+#: site and bond.
+UNIFORM_CHAINS = {
+    "xx": (1.0, 0.0, 0.0),
+    "xx-field": (1.0, 1.0, 0.0),
+    "xy": (1.0, 0.5, 0.25),
+    "ising": (0.5, 1.0, 0.5),
+}
 EDGE_BASE = {"a": -0.3, "b": 0.3, "c": -0.8, "q": 0.7, "N": 4}
 EDGE_MOVES = {
     "a=1": {"a": 1.0},
@@ -169,6 +181,13 @@ def build_cases(config_dir):
         for xx in (False, True):
             add(f"chain/{sites}-sites/{'xx' if xx else 'xy'}", _random_chain(rng, sites, xx),
                 _forms(("spectrum", "chain-coeffs", "manybody", "verify")) + ["manybody.txt"])
+    for name, (alpha, beta, gamma) in UNIFORM_CHAINS.items():
+        for sites in CHAIN_SITES:
+            N = sites - 1
+            add(f"uniform/{name}/{sites}-sites",
+                {"family": "explicit", "N": N, "alpha": [alpha] * N, "beta": [beta] * sites,
+                 "gamma": [gamma] * N},
+                _forms(("manybody", "verify")))
     for family in ("qr13", "qr24"):
         for move, values in EDGE_MOVES.items():
             add(f"edge/{family}/{move}", dict(EDGE_BASE, family=family, **values),
