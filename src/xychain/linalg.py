@@ -25,6 +25,12 @@ changed, and only such a step reruns guarded, as LAPACK ``dlaneg`` does
 Each solver works on a copy scaled by a power of two to entries below one,
 so no intermediate overflows, and raises ``OverflowError`` when a value it
 returns, scaled back, is not a finite float.
+
+The solver loops keep their bits by one rule: an iteration computes every
+value it keeps with the same float operations, on the same operands and in
+the same order, as the plain formulation (the references in
+``tests/helpers.py``); only the buffers it writes and the row views it reads
+are made once per call instead of once per iteration.
 """
 
 import math
@@ -74,19 +80,34 @@ def _tournament(size):
     return step
 
 
-def _rotations(app, aqq, apq, rotate, out):
+def _rotations(app, aqq, apq, rotate, work):
     """Rotations annihilating ``apq`` of each block ``[[app, apq], [apq, aqq]]``
-    where ``rotate`` holds: ``out[k]`` takes rows ``p, q`` of pair ``k`` to
-    ``c p - s q`` and ``s p + c q``."""
-    tau = (aqq - app) / (2.0 * np.where(rotate, apq, 1.0))
-    # hypot(1, tau) is sqrt(1 + tau^2) without overflow
-    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-    c = np.where(rotate, 1.0 / np.hypot(1.0, t), 1.0)
-    s = np.where(rotate, t * c, 0.0)
-    out[:, 0, 0] = c
-    out[:, 0, 1] = -s
-    out[:, 1, 0] = s
-    out[:, 1, 1] = c
+    where ``rotate`` holds, written into the rotations of ``work`` (see
+    :func:`_rotation_buffers`): rotation ``k`` takes rows ``p, q`` of pair
+    ``k`` to ``c p - s q`` and ``s p + c q``."""
+    (c, minus_s, s, c_again), tau, den, nonnegative, one, two, zero, minus_one = work
+    np.multiply(two, np.where(rotate, apq, one), den)
+    np.divide(np.subtract(aqq, app, tau), den, tau)
+    # hypot(1, tau) is sqrt(1 + tau^2) without overflow; s is scratch here
+    np.add(np.abs(tau, den), np.hypot(one, tau, s), den)
+    t = np.divide(np.where(np.greater_equal(tau, zero, nonnegative), one, minus_one), den, tau)
+    # t = 0 where no rotation: then c = 1 / hypot(1, 0) = 1 and s = 0 * c = 0
+    t = np.where(rotate, t, zero)
+    np.divide(one, np.hypot(one, t, c), c)
+    np.negative(np.multiply(t, c, s), minus_s)
+    c_again[...] = c
+
+
+def _rotation_buffers(pairs):
+    """``(rotations, work)``: the ``(pairs, 2, 2)`` rotations, and the views
+    of their four entries and the buffers that :func:`_rotations` fills them
+    through, made once per solver call."""
+    rotations = np.empty((pairs, 2, 2))
+    entries = (rotations[:, 0, 0], rotations[:, 0, 1], rotations[:, 1, 0], rotations[:, 1, 1])
+    # the scalar operands as arrays: a ufunc converts a Python float on
+    # every call
+    constants = np.repeat([[1.0], [2.0], [0.0], [-1.0]], pairs, axis=1)
+    return rotations, (entries, *np.empty((2, pairs)), np.empty(pairs, dtype=bool), *constants)
 
 
 def _scaled_symmetric_copy(matrix):
@@ -144,7 +165,7 @@ def jacobi_eigh(matrix):
     pairs = (half, 2, size)  # rows 2k, 2k + 1 as the k-th pair
     a = np.pad(a, ((0, size - n), (0, size - n)))
     work = np.empty((size, size))
-    rotations = np.empty((half, 2, 2))
+    rotations, rotation_work = _rotation_buffers(half)
     step = _tournament(size)
     # flat positions of the rotated a[p, q] and a[q, p] after the columns,
     # but not yet the rows, have been put in the next round's order
@@ -156,6 +177,13 @@ def jacobi_eigh(matrix):
     # rotating entries already far below threshold wastes sweeps without
     # improving the final off-diagonal maximum
     skip = 0.1 * threshold
+    # the pairs' diagonal and off-diagonal entries and the stacked views:
+    # made once, as take(out=a) keeps a's buffer in place
+    flat, flat_work = a.reshape(-1), work.reshape(-1)
+    app, aqq, apq = flat[0 :: 2 * size + 2], flat[size + 1 :: 2 * size + 2], flat[1 :: 2 * size + 2]
+    magnitude = np.empty(half)
+    rotate = np.empty(half, dtype=bool)
+    rows, columns, packed_work = a.reshape(pairs), a.T.reshape(pairs), work.reshape(pairs)
     for sweep in range(MAX_SWEEPS + 1):
         if offdiag_max(a) <= threshold:
             break
@@ -166,20 +194,17 @@ def jacobi_eigh(matrix):
                 f"(current {offdiag_max(a):.3e})"
             )
         for _ in range(size - 1):
-            flat = a.reshape(-1)
-            apq = flat[1 :: 2 * size + 2]
-            rotate = np.abs(apq) > skip
-            _rotations(flat[0 :: 2 * size + 2], flat[size + 1 :: 2 * size + 2], apq,
-                       rotate, rotations)
+            np.greater(np.abs(apq, magnitude), skip, rotate)
+            _rotations(app, aqq, apq, rotate, rotation_work)
             # A <- S^T R^T A R S, with R the rotations and S the next round's
             # order.  As A is symmetric, the transpose of S^T R^T A is A R S,
             # so the column pass rotates rows too.  Every index of ``step``
             # is in range; mode="clip" lets ``take`` write straight into ``out``.
-            np.matmul(rotations, a.reshape(pairs), out=work.reshape(pairs))
-            np.take(work, step, axis=0, out=a, mode="clip")
-            np.matmul(rotations, a.T.reshape(pairs), out=work.reshape(pairs))
-            work.reshape(-1)[annihilated[:, rotate]] = 0.0
-            np.take(work, step, axis=0, out=a, mode="clip")
+            np.matmul(rotations, rows, packed_work)
+            work.take(step, 0, a, "clip")
+            np.matmul(rotations, columns, packed_work)
+            flat_work[annihilated.compress(rotate, 1)] = 0.0
+            work.take(step, 0, a, "clip")
     return _finite(np.ldexp(np.sort(np.diag(a)[:n]), exponent), "eigenvalues")
 
 
@@ -218,21 +243,33 @@ def jacobi_svd(matrix):
     stack[:n, :m] = np.ldexp(g.T, -exponent)
     stack[:n, m:] = np.eye(n)
     work = np.empty_like(stack)
-    rotations = np.empty((size // 2, 2, 2))
+    rotations, rotation_work = _rotation_buffers(size // 2)
     step = _tournament(size)
     tol, tiny = m * np.finfo(float).eps, np.finfo(float).tiny
+    # the pairs' columns, their squared norms and cross products, and the
+    # orthogonality bound: views and buffers made once, as take(out=stack)
+    # keeps stack's buffer in place
+    columns = stack[:, :m].reshape(pairs[:2] + (m,))
+    first, second = columns[:, 0], columns[:, 1]
+    norms2, norms = np.empty((2,) + pairs[:2])
+    n0, n1, root0, root1 = norms2[:, 0], norms2[:, 1], norms[:, 0], norms[:, 1]
+    cross, bound, other = np.empty((3, size // 2))
+    rotate, orthogonal = np.empty((2, size // 2), dtype=bool)
+    packed, packed_work = stack.reshape(pairs), work.reshape(pairs)
     for _ in range(MAX_SWEEPS):
         rotated = False
         for _ in range(size - 1):
-            columns = stack[:, :m].reshape(pairs[:2] + (m,))
-            norms2 = np.einsum("kij,kij->ki", columns, columns)
-            cross = np.einsum("kj,kj->k", columns[:, 0], columns[:, 1])
-            rotate = np.all(norms2 >= tiny, axis=1)
-            rotate &= np.abs(cross) > tol * np.prod(np.sqrt(norms2), axis=1)
-            rotated |= bool(rotate.any())
-            _rotations(norms2[:, 0], norms2[:, 1], cross, rotate, rotations)
-            np.matmul(rotations, stack.reshape(pairs), out=work.reshape(pairs))
-            np.take(work, step, axis=0, out=stack, mode="clip")
+            np.einsum("kij,kij->ki", columns, columns, out=norms2)
+            np.einsum("kj,kj->k", first, second, out=cross)
+            np.greater_equal(np.minimum(n0, n1, out=bound), tiny, rotate)
+            # sqrt(n0) * sqrt(n1) is what np.prod forms over the pair
+            np.sqrt(norms2, norms)
+            np.multiply(tol, np.multiply(root0, root1, bound), bound)
+            rotate &= np.greater(np.abs(cross, other), bound, orthogonal)
+            rotated = rotated or np.count_nonzero(rotate) > 0
+            _rotations(n0, n1, cross, rotate, rotation_work)
+            np.matmul(rotations, packed, packed_work)
+            work.take(step, 0, stack, "clip")
         if not rotated:
             break
     else:
@@ -284,7 +321,9 @@ def _householder_tridiagonal(matrix):
     left, right = np.empty((n, 2)), np.empty((2, n))
     for k in range(n - 2):
         x = a[k + 1 :, k]
-        sigma = float(x[1:] @ x[1:])
+        below = x[1:]
+        # ndarray.dot is the 1-D product that @ calls, without the ufunc call
+        sigma = float(below.dot(below))
         x0 = float(x[0])
         if sigma == 0.0:
             off[k + 1] = x0
@@ -294,10 +333,10 @@ def _householder_tridiagonal(matrix):
         alpha = -math.copysign(math.sqrt(x0 * x0 + sigma), x0)
         v = x.copy()
         v[0] = x0 - alpha
-        beta = 2.0 / float(v @ v)
+        beta = 2.0 / float(v.dot(v))
         trailing = a[k + 1 :, k + 1 :]
         p = beta * (trailing @ v)
-        w = p - (0.5 * beta * float(p @ v)) * v
+        w = p - (0.5 * beta * float(p.dot(v))) * v
         m = n - k - 1
         left[:m, 0] = right[1, :m] = v
         left[:m, 1] = right[0, :m] = w
@@ -370,40 +409,46 @@ def sturm_eigvalsh(matrices):
 
     if not total:
         return [np.empty(0) for _ in tridiagonals]
-    pivots = np.empty((rows, total))
-    quotient = np.empty(total)
-    tiny = np.empty(total, dtype=bool)
+    pivots, magnitudes = np.empty((2, rows, total))
+    negative = np.empty((rows, total), dtype=bool)
+    mid, quotient, smallest = np.empty((3, total))
+    tiny, above = np.empty((2, total), dtype=bool)
+    count = np.empty(total, dtype=np.uint32)
     guard = -pivmin
-    first = np.ones(total)  # any nonzero: off2[0] is zero
+    # (pivot, coupling, previous pivot) of rows 1 on, and of every row; row
+    # 0's previous pivot is any nonzero, as off2[0] is zero
+    first = pivots[0]
+    unguarded = list(zip(pivots[1:], off2[1:], pivots[:-1]))
+    guarded = [(first, off2[0], np.ones(total)), *unguarded]
     for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        np.subtract(diag, mid, out=pivots)
+        np.multiply(0.5, np.add(lo, hi, mid), mid)
+        np.subtract(diag, mid, pivots)
         # Row 0 guarded: mid often lands exactly on a 1 x 1 block's entry.
         # The other rows run unguarded, and one check finds whether any of
-        # their pivots fell below pivmin (or turned NaN after one that did);
-        # until such a pivot both loops do the same operations, and
-        # |e^2 / pivot| <= 1 / tiny keeps them finite.
-        previous = pivots[0]
-        np.less(np.abs(previous, out=quotient), pivmin, out=tiny)
-        np.copyto(previous, guard, where=tiny)
+        # their pivots fell below pivmin (or turned NaN after one that did,
+        # which the minimum keeps); until such a pivot both loops do the same
+        # operations, and |e^2 / pivot| <= 1 / tiny keeps them finite.
+        np.less(np.abs(first, quotient), pivmin, tiny)
+        np.copyto(first, guard, where=tiny)
         with np.errstate(all="ignore"):
-            for pivot, coupling in zip(pivots[1:], off2[1:]):
-                np.divide(coupling, previous, out=quotient)
+            for pivot, coupling, previous in unguarded:
+                np.divide(coupling, previous, quotient)
                 pivot -= quotient
-                previous = pivot
-        if not (np.abs(pivots) >= pivmin).all():
-            np.subtract(diag, mid, out=pivots)
-            previous = first
-            for pivot, coupling in zip(pivots, off2):
+        np.minimum.reduce(np.abs(pivots, magnitudes), 0, None, smallest)
+        if not np.greater_equal(smallest, pivmin, tiny).all():
+            np.subtract(diag, mid, pivots)
+            for pivot, coupling, previous in guarded:
                 # LDL^T pivot: d_i - x - e_{i-1}^2 / pivot_{i-1}
-                np.divide(coupling, previous, out=quotient)
+                np.divide(coupling, previous, quotient)
                 pivot -= quotient
-                np.less(np.abs(pivot, out=quotient), pivmin, out=tiny)
+                np.less(np.abs(pivot, quotient), pivmin, tiny)
                 np.copyto(pivot, guard, where=tiny)
-                previous = pivot
-        above = np.count_nonzero(pivots < 0.0, axis=0) > index
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+        # negative pivots per column, summed in 32 bits: the reduction of a
+        # boolean array to np.intp is twice as slow
+        np.add.reduce(np.less(pivots, 0.0, negative), 0, np.uint32, count)
+        np.greater(count, index, above)
+        np.copyto(hi, mid, where=above)
+        np.copyto(lo, mid, where=np.logical_not(above, above))
     values = 0.5 * (lo + hi)
     bounds = np.cumsum([0] + sizes)
     return [

@@ -86,7 +86,11 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
     ``p`` doubles.  No interval around an exact zero, or around an exact tie
     halfway between two floats, converts to one float, so a series that no
     sum within :data:`PRECISION_CAP` digits proves is summed exactly: a zero
-    is ``0.0`` and a tie rounds to even.
+    is ``0.0`` and a tie rounds to even.  When every argument is a decimal of
+    at most ``p`` digits (its conversion leaves the context's ``Inexact``
+    flag clear), the exact sum is cheap, and a sum refused at ``p`` digits
+    whose exact value is a zero or a tie is decided at ``p`` rather than at
+    the cap.
 
     Inside a :func:`_shared_factor_runs` block the sum reads the runs it
     shares with the other sums of the block.
@@ -132,6 +136,13 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
     digits = START_DIGITS
     while digits <= PRECISION_CAP:
         value = _proved_sum(base.runs(digits), *series)
+        if value is None and _exact_decimals(digits, q.as_integer_ratio(), *nums, *dens, z):
+            # Arguments that are exact decimals at these digits have a cheap
+            # exact sum; a zero or a tie, which no wider sum proves either,
+            # is decided by it here rather than at the cap.
+            exact = _exact_sum(base.runs(None), *series)
+            if exact == 0 or _is_tie(exact):
+                value = float(exact)
         if value is not None:
             if math.isinf(value):
                 raise OverflowError("series sum too large for a float")
@@ -195,6 +206,16 @@ def _exact_sum(runs, i, nums, dens, z, steps):
     """The exact sum: the one term loop over ``Fraction`` runs.  Only a
     series that reached the precision cap is asked."""
     return sum(_terms(runs, *_series_runs(runs, i, nums, dens, z), steps))
+
+
+def _exact_decimals(digits, *ratios):
+    """Whether every ``numerator / denominator`` of ``ratios`` is a decimal
+    of at most ``digits`` significant digits: its division leaves the
+    context's ``Inexact`` flag clear."""
+    context = _context(digits)
+    for n, d in ratios:
+        context.divide(n, d)
+    return not context.flags[decimal.Inexact]
 
 
 def _is_tie(exact):

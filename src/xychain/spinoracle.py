@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 #: Largest dense spin-space dimension handled (2^9: chains of up to 9 sites).
+#: The solver would manage 2^10: a 10-site random XY chain's oracle takes
+#: 0.46 s with a tracemalloc peak of 25 MB, in-process on a 2-core x86-64 VM
+#: with BLAS on one thread, against 67 ms at 9 sites.
 SPIN_DIMENSION_CAP = 512
 
 

@@ -20,6 +20,7 @@ from xychain import (
     contiguity_coefficients,
     linalg,
 )
+from xychain.errors import ConvergenceFailure
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -160,3 +161,104 @@ def guarded_sturm_eigvalsh(matrices):
         np.ldexp(values[begin:end], exponent)
         for (exponent, _, _), begin, end in zip(tridiagonals, bounds[:-1], bounds[1:])
     ], steps
+
+
+def reference_rotations(app, aqq, apq, rotate, out):
+    """``linalg._rotations`` with a new array per operation and ``np.where``
+    at every masked step: the reference whose bits the solver keeps."""
+    tau = (aqq - app) / (2.0 * np.where(rotate, apq, 1.0))
+    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+    c = np.where(rotate, 1.0 / np.hypot(1.0, t), 1.0)
+    s = np.where(rotate, t * c, 0.0)
+    out[:, 0, 0] = c
+    out[:, 0, 1] = -s
+    out[:, 1, 0] = s
+    out[:, 1, 1] = c
+
+
+def reference_jacobi_eigh(matrix):
+    """``linalg.jacobi_eigh`` with its views made and its temporaries
+    allocated in every round: the reference whose bits the solver keeps."""
+    a, exponent = linalg._scaled_symmetric_copy(matrix)
+    n = a.shape[0]
+    if n < 2 or not a.any():
+        return linalg._finite(np.ldexp(np.sort(np.diag(a)), exponent), "eigenvalues")
+    size = n + n % 2
+    half = size // 2
+    pairs = (half, 2, size)
+    a = np.pad(a, ((0, size - n), (0, size - n)))
+    work = np.empty((size, size))
+    rotations = np.empty((half, 2, 2))
+    step = linalg._tournament(size)
+    pos = np.arange(0, size, 2)
+    moved = np.argsort(step)
+    annihilated = np.stack([pos * size + moved[pos + 1], (pos + 1) * size + moved[pos]])
+    threshold = linalg.OFFDIAG_TOL_FACTOR * float(np.max(np.abs(a)))
+    skip = 0.1 * threshold
+    for sweep in range(linalg.MAX_SWEEPS + 1):
+        if linalg.offdiag_max(a) <= threshold:
+            break
+        if sweep == linalg.MAX_SWEEPS:
+            raise ConvergenceFailure("sweep budget exhausted")
+        for _ in range(size - 1):
+            flat = a.reshape(-1)
+            apq = flat[1 :: 2 * size + 2]
+            rotate = np.abs(apq) > skip
+            reference_rotations(flat[0 :: 2 * size + 2], flat[size + 1 :: 2 * size + 2], apq,
+                                rotate, rotations)
+            np.matmul(rotations, a.reshape(pairs), out=work.reshape(pairs))
+            np.take(work, step, axis=0, out=a, mode="clip")
+            np.matmul(rotations, a.T.reshape(pairs), out=work.reshape(pairs))
+            work.reshape(-1)[annihilated[:, rotate]] = 0.0
+            np.take(work, step, axis=0, out=a, mode="clip")
+    return linalg._finite(np.ldexp(np.sort(np.diag(a)[:n]), exponent), "eigenvalues")
+
+
+def reference_jacobi_svd(matrix):
+    """``linalg.jacobi_svd`` with its pair tests as reductions over the pair
+    axis (``np.all`` and ``np.prod``) and its views made and temporaries
+    allocated in every round: the reference whose bits the solver keeps."""
+    g = np.array(matrix, dtype=float)
+    m, n = g.shape
+    exponent = int(np.frexp(np.max(np.abs(g), initial=0.0))[1])
+    size = n + n % 2
+    pairs = (size // 2, 2, m + n)
+    stack = np.zeros((size, m + n))
+    stack[:n, :m] = np.ldexp(g.T, -exponent)
+    stack[:n, m:] = np.eye(n)
+    work = np.empty_like(stack)
+    rotations = np.empty((size // 2, 2, 2))
+    step = linalg._tournament(size)
+    tol, tiny = m * np.finfo(float).eps, np.finfo(float).tiny
+    for _ in range(linalg.MAX_SWEEPS):
+        rotated = False
+        for _ in range(size - 1):
+            columns = stack[:, :m].reshape(pairs[:2] + (m,))
+            norms2 = np.einsum("kij,kij->ki", columns, columns)
+            cross = np.einsum("kj,kj->k", columns[:, 0], columns[:, 1])
+            rotate = np.all(norms2 >= tiny, axis=1)
+            rotate &= np.abs(cross) > tol * np.prod(np.sqrt(norms2), axis=1)
+            rotated |= bool(rotate.any())
+            reference_rotations(norms2[:, 0], norms2[:, 1], cross, rotate, rotations)
+            np.matmul(rotations, stack.reshape(pairs), out=work.reshape(pairs))
+            np.take(work, step, axis=0, out=stack, mode="clip")
+        if not rotated:
+            break
+    else:
+        raise ConvergenceFailure("sweep budget exhausted")
+    columns, right_t = stack[:n, :m], stack[:n, m:]
+    norms2 = np.einsum("ij,ij->i", columns, columns)
+    live = norms2 >= tiny
+    values = np.where(live, np.sqrt(norms2), 0.0)
+    left_t = np.zeros((n, m))
+    left_t[live] = columns[live] / values[live, None]
+    for k in np.flatnonzero(~live):
+        basis = left_t[live]
+        vector = np.eye(m)[np.argmin(np.einsum("ij,ij->j", basis, basis))]
+        for _ in range(2):
+            vector -= basis.T @ (basis @ vector)
+        left_t[k] = vector / np.sqrt(vector @ vector)
+        live[k] = True
+    order = np.argsort(values, kind="stable")
+    values = linalg._finite(np.ldexp(values[order], exponent), "singular values")
+    return values, right_t[order].T, left_t[order].T

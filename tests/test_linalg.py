@@ -6,14 +6,22 @@ library's computational path precisely so they can serve as independent
 references here).
 """
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import guarded_sturm_eigvalsh, stacked_householder_tridiagonal
-from xychain import ChainSpec, linalg
+from helpers import (
+    guarded_sturm_eigvalsh,
+    reference_jacobi_eigh,
+    reference_jacobi_svd,
+    stacked_householder_tridiagonal,
+)
+from xychain import ChainSpec, QRacahParams, build_chain, contiguity_coefficients, linalg
 from xychain.errors import ConvergenceFailure
+from xychain.freefermion import assemble
 from xychain.linalg import (
     _householder_tridiagonal,
     _tournament,
@@ -480,3 +488,74 @@ class TestHouseholderBits:
         assert exponent == expected[0]
         np.testing.assert_array_equal(bits(diag), bits(expected[1]))
         np.testing.assert_array_equal(bits(off), bits(expected[2]))
+
+
+def assert_jacobi_bits(matrix):
+    """``jacobi_svd`` of ``matrix`` and ``jacobi_eigh`` of its symmetric part
+    (of ``matrix.T @ matrix`` when it is not square) raise no warning and
+    return the bits of the references, which allocate every temporary and
+    reduce over the pair axis."""
+    symmetric = (matrix + matrix.T) / 2 if matrix.shape[0] == matrix.shape[1] else matrix.T @ matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = jacobi_svd(matrix)
+        values = jacobi_eigh(symmetric)
+    for array, reference in zip(got, reference_jacobi_svd(matrix)):
+        np.testing.assert_array_equal(bits(array), bits(reference))
+    np.testing.assert_array_equal(bits(values), bits(reference_jacobi_eigh(symmetric)))
+
+
+def pool_chains(low, high):
+    """The chains of the verify-qr24 pool's q-Racah points at ``low <= N <= high``."""
+    pool = json.loads((Path(__file__).resolve().parent.parent / "bench" / "data" / "pool.json")
+                      .read_text())
+    for group in pool["verify-qr24"]:
+        for candidate in group["candidates"]:
+            config = dict(candidate["config"])
+            family = config.pop("family")
+            if family == "qr24" and low <= config["N"] <= high:
+                yield build_chain(contiguity_coefficients(family, QRacahParams(**config)))
+
+
+class TestJacobiBits:
+    """The Jacobi rounds run on buffers and views made once per call, with
+    the pair tests taken on the pair's two columns: values and factors keep
+    the bits of the rounds that allocate every temporary (``helpers``)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 13, 26])
+    def test_random_and_integer_matrices(self, rng, n):
+        assert_jacobi_bits(rng.normal(size=(n, n)))
+        assert_jacobi_bits(rng.normal(size=(n + 3, n)))
+        assert_jacobi_bits(rng.integers(-3, 4, size=(n, n)).astype(float))
+
+    def test_zero_and_rank_deficient_matrices(self, rng):
+        assert_jacobi_bits(np.zeros((1, 1)))
+        assert_jacobi_bits(np.zeros((5, 5)))
+        assert_jacobi_bits(np.zeros((6, 3)))
+        matrix = rng.normal(size=(7, 7))
+        matrix[:, [1, 4]] = 0.0
+        assert_jacobi_bits(matrix)
+        assert_jacobi_bits(np.outer(rng.normal(size=6), rng.normal(size=6)))
+
+    def test_verify_pool_doubled_matrices(self):
+        chains = list(pool_chains(9, 12))
+        assert len(chains) >= 40
+        for chain in chains:
+            system = assemble(chain)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = jacobi_svd(system.A + system.B), jacobi_eigh(system.H)
+            expected = reference_jacobi_svd(system.A + system.B), reference_jacobi_eigh(system.H)
+            for array, reference in zip((*got[0], got[1]), (*expected[0], expected[1])):
+                np.testing.assert_array_equal(bits(array), bits(reference))
+
+    def test_negative_zero_tau(self):
+        # Equal diagonal entries (and, for the SVD, equal column norms) with
+        # a negative off-diagonal entry make tau = 0 / negative = -0.0, where
+        # np.where takes the +1 branch and np.copysign would take -1; the
+        # rotation, and with it every later round, depends on that choice.
+        assert_jacobi_bits(np.array([[5.0, -3.0], [0.0, 4.0]]))
+        assert_jacobi_bits(np.array([[5.0, -3.0, 1.0], [0.0, 4.0, 2.0], [1.0, 1.0, 3.0]]))
+        symmetric = np.array([[1.0, -0.5, 0.25, 0.0], [-0.5, 1.0, 0.5, 0.125],
+                              [0.25, 0.5, 2.0, -0.75], [0.0, 0.125, -0.75, 3.0]])
+        assert_jacobi_bits(symmetric)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import phi43_exact
+from exact_oracles import phi43_exact, qracah_exact, shift_exact
 from helpers import CONFIG_DIR
 from xychain import qseries
 from xychain.errors import ConvergenceFailure, DenominatorVanishes
@@ -175,7 +175,8 @@ class TestErrorBound:
         # With q = z = 1/2 the sum is 1 + (a1 - 1) = a1, which rounds to a
         # signed zero or to the smallest subnormal; the bound proves it only
         # once 1 - a1 is carried to ~325 digits.  An exact zero is never
-        # proved and is decided at the cap.
+        # proved; its arguments are exact 40-digit decimals, so the exact sum
+        # decides it after the first decimal sum.
         args = (1, (a1, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), Fraction(1, 2))
         assert phi43_terminating_exact(*args).hex() == float(phi43_exact(*args)).hex()
 
@@ -183,12 +184,31 @@ class TestErrorBound:
         (Fraction(2**53 + 1, 2**53), 1.0),
         (Fraction(2**53 + 3, 2**53), 1 + 2**-51),
     ], ids=["down-to-even", "up-to-even"])
-    def test_exact_tie_is_decided_at_the_cap(self, sums, a1, value):
+    def test_exact_tie_is_decided_once_its_arguments_are_exact(self, sums, a1, value):
         # The sum is a1, halfway between two floats: every interval around
         # it straddles the tie, so the exact sum decides, rounding to even.
+        # a1 has 54 significant digits, so it is exact from 80 digits on,
+        # and the exact sum decides after the refused 80-digit sum.
         args = (1, (a1, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), Fraction(1, 2))
         assert phi43_terminating_exact(*args) == float(phi43_exact(*args)) == value
-        assert [proved for _, proved in sums] == [False] * 7
+        assert sums == [(40, False), (80, False)]
+
+    @pytest.mark.parametrize("family", ["qr24", "qr13"])
+    def test_exact_zeros_leave_the_ladder_at_once(self, sums, family):
+        # Every argument of this point is an exact 40-digit decimal.  Its
+        # grids hold exact zeros (1 + term = 0, through the non-terminating
+        # quotient -32/837), which no decimal sum proves; the exact sum
+        # decides each after one refused 40-digit sum.
+        params = QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5)
+        base, shifted = _polynomial_grids(family, params)
+        assert len(sums) <= 1.05 * 2 * (params.N + 1) ** 2
+        assert (40, False) in sums and {digits for digits, _ in sums} == {40}
+        x_shift, shifted_args = shift_exact(family, *params.as_tuple())
+        for i in range(params.N + 1):
+            for x in range(params.N + 1):
+                assert base[i, x].hex() == float(qracah_exact(i, x, *params.as_tuple())).hex()
+                assert (shifted[i, x].hex()
+                        == float(qracah_exact(i, x + x_shift, *shifted_args)).hex())
 
     def test_default_grid_pair_makes_one_sum_per_entry(self, sums):
         config = json.loads((CONFIG_DIR / "qr24_default.json").read_text())

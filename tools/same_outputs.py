@@ -39,6 +39,8 @@ Cases:
   block;
 * a spectral-valid qr24 point whose smallest mode, 1.4e-9, is 7e-13 of the
   largest, x ``spectrum``, ``manybody`` and the three ``verify`` forms;
+* a point whose grids hold exact zeros (``EXACT_ZERO_POINT``), in both
+  families, x the three ``verify`` forms;
 * a scan of the qr13 box of ``tests/helpers.py`` at ``N = 3``, at every
   validity level;
 * the shipped qr24 point at ``N = 20`` and ``N = 30`` x the three ``verify``
@@ -105,6 +107,9 @@ EDGE_MOVES = {
 EDGE_BOX = {"a": [-0.3, 0.0, 1.0, 2.0], "b": [0.3, 0.5, 0.0], "c": [-0.8, 4.0, 1e308],
             "q": [0.5, 0.7, 1e-320]}
 NEAR_ZERO_MODE = {"family": "qr24", "a": 0.5, "b": -0.5, "c": 0.0, "q": 1e-06, "N": 4}
+#: A point whose grids hold exact zeros, in both families: every argument of
+#: its sums is an exact 40-digit decimal.
+EXACT_ZERO_POINT = {"a": 0.25, "b": 0.5, "c": -1.0, "q": 0.5, "N": 5}
 QR13_BOX = {"a": [1.5, 9.0], "b": [1.5, 9.0], "c": [-0.9, -0.1], "q": [0.3, 0.5, 0.7]}
 DEEP_N = (20, 30)
 CHAIN_CONFIGS = ("qr24_default.json", "qr13_chain.json", "xx_uniform.json")
@@ -197,6 +202,8 @@ def build_cases(config_dir):
                 {"family": family, "N": 4, "ranges": EDGE_BOX, "samples": 300, "level": level},
                 ("scan.csv",))
     add("near-zero-mode", NEAR_ZERO_MODE, _forms(("spectrum", "manybody", "verify")))
+    for family in ("qr13", "qr24"):
+        add(f"exact-zero/{family}", dict(EXACT_ZERO_POINT, family=family), VERIFY_FORMS)
     for level in SCAN_LEVELS:
         add(f"qr13-box@{level}",
             {"family": "qr13", "N": 3, "ranges": QR13_BOX, "samples": 200, "level": level},
