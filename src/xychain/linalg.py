@@ -23,8 +23,8 @@ changed, and only such a step reruns guarded, as LAPACK ``dlaneg`` does
 (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28(5), 2006).
 
 Each solver works on a copy scaled by a power of two to entries below one,
-so no intermediate overflows, and raises ``OverflowError`` when a value it
-returns, scaled back, is not a finite float.
+so no intermediate overflows, and raises ``OverflowError`` when an input
+entry, or a value it returns, scaled back, is not a finite float.
 
 The solver loops keep their bits by one rule: an iteration computes every
 value it keeps with the same float operations, on the same operands and in
@@ -118,10 +118,13 @@ def _scaled_symmetric_copy(matrix):
     ------
     ValueError
         If the matrix is not square or not symmetric.
+    OverflowError
+        If an entry is an infinity or NaN.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    _finite(a, "eigenvalues")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if a.size and float(np.max(np.abs(a - a.T))) > 1e-12 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
@@ -151,7 +154,8 @@ def jacobi_eigh(matrix):
     ConvergenceFailure
         If the sweep budget is exhausted before reaching tolerance.
     OverflowError
-        If an eigenvalue is too large for a float.
+        If an eigenvalue is too large for a float, or an entry is an
+        infinity or NaN.
     """
     a, exponent = _scaled_symmetric_copy(matrix)
     n = a.shape[0]
@@ -228,11 +232,14 @@ def jacobi_svd(matrix):
     ConvergenceFailure
         If the sweep budget is exhausted before every pair is orthogonal.
     OverflowError
-        If a singular value is too large for a float.
+        If a singular value is too large for a float, or an entry is an
+        infinity or NaN.
     """
     g = np.array(matrix, dtype=float)
     if g.ndim != 2 or g.shape[0] < g.shape[1]:
         raise ValueError(f"expected a matrix with rows >= columns, got shape {g.shape}")
+    # a NaN fails every rotation test and would end as a zero value
+    _finite(g, "singular values")
     m, n = g.shape
     exponent = int(np.frexp(np.max(np.abs(g), initial=0.0))[1])
     # row k holds column k and then row k of the right factor; an odd count
@@ -380,7 +387,8 @@ def sturm_eigvalsh(matrices):
     ValueError
         If a matrix is not square or not symmetric.
     OverflowError
-        If an eigenvalue is too large for a float.
+        If an eigenvalue is too large for a float, or an entry is an
+        infinity or NaN.
     """
     tridiagonals = [_householder_tridiagonal(matrix) for matrix in matrices]
     sizes = [diag.size for _, diag, _ in tridiagonals]

@@ -507,10 +507,12 @@ def _polynomial_grids(family, params):
 
     Each series argument is formed once: the row parameter per degree, the
     two ``x``-dependent parameters per grid point ``x`` and the denominator
-    parameters per grid.  The sums of both grids share their decimal factor
-    runs (see :mod:`xychain.qseries`) for this build only; every value is
-    proved, so every entry is bit for bit the value a lone
-    :func:`qracah_eval` call gives.
+    parameters per grid.  Each grid is one evaluator call over its degrees
+    and grid points, and the two calls share their decimal factor runs (see
+    :mod:`xychain.qseries`) for this build only; every value is proved, so
+    every entry is bit for bit the value a lone :func:`qracah_eval` call
+    gives.  The base grid is summed first: when both grids fail, the base
+    grid's error is raised.
     """
     N = params.N
     shift_params(family, params)  # validates the shifted regime
@@ -520,16 +522,13 @@ def _polynomial_grids(family, params):
     shifted_rows, shifted_columns, shifted_den = _series_args(
         sa, sb, sc, N, q, range(x_shift, x_shift + N + 1)
     )
-    base = np.empty((N + 1, N + 1))
-    shifted = np.empty((N + 1, N + 1))
+    degrees = range(N + 1)
     with _shared_factor_runs(q, N):
-        for i in range(N + 1):
-            for x in range(N + 1):
-                base[i, x] = phi43_terminating_exact(i, (rows[i], *columns[x]), den, q, q)
-                shifted[i, x] = phi43_terminating_exact(
-                    i, (shifted_rows[i], *shifted_columns[x]), shifted_den, q, q
-                )
-    return base, shifted
+        base = phi43_terminating_exact(degrees, (rows, columns), den, q, q)
+        shifted = phi43_terminating_exact(
+            degrees, (shifted_rows, shifted_columns), shifted_den, q, q
+        )
+    return np.array(base), np.array(shifted)
 
 
 def _three_term_residual(lhs, mid, up, dn, table, floor):

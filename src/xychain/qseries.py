@@ -13,26 +13,33 @@ up to :data:`PRECISION_CAP`.  What needs exact values (where the series
 ends, vanishing denominators, a sum that is exactly zero or exactly halfway
 between two floats) is decided on the exact arguments.
 
-The term ratio of step ``k`` is a product of three runs over ``k``, and the
-sums of one grid of polynomial values share them.  Inside a
-:func:`_shared_factor_runs` block (one grid build) each run is computed once
-per precision and read by every sum that needs it: the heads ``(1 - q^(k-i))
-(1 - a1 q^k)`` once per degree and first numerator parameter, the columns
-``(1 - a2 q^k) (1 - a3 q^k)`` once per pair of other numerator parameters
-(one grid column, up to where one of them ends its series), and the
-quotients ``z / ((1 - q^(k+1)) (1 - b1 q^k) (1 - b2 q^k) (1 - b3 q^k))``
-once per denominator triple and argument.  Every run entry carries a bound
-on its relative error, and a run keeps the running sums of those bounds, so
-the bound of a whole sum costs a few operations.
-The runs die with the block; a call outside one has runs of its own.
+One call sums a whole grid: rows of a degree ``i`` and its ``a1``, columns
+of a pair ``(a2, a3)``, and one ``b1, b2, b3``, ``q`` and ``z``; a single
+sum is a 1 x 1 grid.  The term ratio of step ``k`` is a product of three
+runs over ``k``: the heads ``(1 - q^(k-i)) (1 - a1 q^k)``, once per row,
+the columns ``(1 - a2 q^k) (1 - a3 q^k)``, once per column (up to where one
+of them ends its series), and the quotients ``z / ((1 - q^(k+1)) (1 - b1
+q^k) (1 - b2 q^k) (1 - b3 q^k))``, once per grid.  Per precision the call
+forms each row's prefix products of head times quotient and each column's
+prefix products once, and term ``k`` of an entry is the product of its
+row's and its column's ``k``-th prefix product.  Every run entry carries a
+bound on its relative error, and a run keeps the running sums of those
+bounds, so the bound of a whole sum costs a few operations.  Only the
+entries a precision leaves unproved go on to the next.  Inside a
+:func:`_shared_factor_runs` block (one grid build) the grids of the block
+also share their runs; the runs die with the block, and a call outside one
+has runs of its own.
 """
 
 import contextlib
 import contextvars
 import decimal
 import math
+import numbers
+import operator
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate, islice
 
 from .errors import ConvergenceFailure, DenominatorVanishes
 
@@ -60,47 +67,56 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
     """The float nearest to the exact value of the terminating 4phi3 sum
 
         sum_{k=0}^{i} [ (q^{-i};q)_k (a1;q)_k (a2;q)_k (a3;q)_k /
-                        ( (q;q)_k (b1;q)_k (b2;q)_k (b3;q)_k ) ] z^k.
+                        ( (q;q)_k (b1;q)_k (b2;q)_k (b3;q)_k ) ] z^k,
+
+    or the grid of such floats over rows ``(i, a1)`` and columns
+    ``(a2, a3)`` that share ``b1, b2, b3``, ``q`` and ``z``.
 
     The series terminates because of the ``q^{-i}`` numerator parameter,
     which is supplied through ``i`` and never passed explicitly.  The
     arguments may be floats or :class:`fractions.Fraction`, and both are read
     exactly as integer ratios.  The decisions that need exact values are
-    taken on those integers: where a numerator factor ends the series and
-    whether a denominator factor vanishes before that.  A factor that merely
-    rounds to zero in a decimal sum therefore neither stops the series nor
-    raises.
+    taken on those integers, once per grid: where a numerator factor ends
+    each row's and each column's series, and whether a denominator factor
+    vanishes before that.  A factor that merely rounds to zero in a decimal
+    sum therefore neither stops the series nor raises.
 
-    The sum ``S`` is accumulated by successive term ratios in :mod:`decimal`
-    at ``p`` significant digits, starting at :data:`START_DIGITS`, and with
-    it a bound ``E >= |S - exact sum|``: the first-order relative error bound
-    of the last term plus that of the summation, times ``sum |term_k|`` and
-    a slack for the higher-order terms, rounded upward.  Every rounding
-    counts ``u = 10^(1-p) / 2``, and the error a factor ``1 - m`` inherits
-    from ``m`` is scaled by its condition ``|m| / |1 - m|``.  ``S`` is
-    accepted when the two ends of ``[S - E, S + E]``, rounded outward,
-    convert to the same float bit for bit (so ``-0.0`` and ``0.0`` differ);
-    rounding to nearest is monotone, so the exact sum rounds to that float
-    too.  A bound that is infinite (a
-    factor rounded to zero) or not below 1e-6 proves nothing.  Otherwise
-    ``p`` doubles.  No interval around an exact zero, or around an exact tie
-    halfway between two floats, converts to one float, so a series that no
-    sum within :data:`PRECISION_CAP` digits proves is summed exactly: a zero
-    is ``0.0`` and a tie rounds to even.  When every argument is a decimal of
-    at most ``p`` digits (its conversion leaves the context's ``Inexact``
-    flag clear), the exact sum is cheap, and a sum refused at ``p`` digits
+    Term ``k`` of entry ``(r, c)`` is ``M_r[k] C_c[k]``: the prefix products
+    of its row's head-times-quotient factors and of its column's factors
+    (see :class:`_Runs`), each built once per grid and precision.  The sum
+    ``S`` of the terms is carried in :mod:`decimal` at ``p`` significant
+    digits, starting at :data:`START_DIGITS`, and with it a bound
+    ``E >= |S - exact sum|``: the first-order relative error bound of the
+    last term plus that of the summation, times ``sum |term_k|`` and a slack
+    for the higher-order terms, rounded upward.  Every rounding counts
+    ``u = 10^(1-p) / 2``, and the error a factor ``1 - m`` inherits from
+    ``m`` is scaled by its condition ``|m| / |1 - m|``.  ``S`` is accepted
+    when the two ends of ``[S - E, S + E]``, rounded outward, convert to the
+    same float bit for bit (so ``-0.0`` and ``0.0`` differ); rounding to
+    nearest is monotone, so the exact sum rounds to that float too.  A bound
+    that is infinite (a factor rounded to zero) or not below 1e-6 proves
+    nothing.  Otherwise that entry, and only it, goes on at ``2 p`` digits.
+    No interval around an exact zero, or around an exact tie halfway between
+    two floats, converts to one float, so an entry that no sum within
+    :data:`PRECISION_CAP` digits proves is summed exactly: a zero is ``0.0``
+    and a tie rounds to even.  When every argument of an entry is a decimal
+    of at most ``p`` digits (its conversion leaves the context's ``Inexact``
+    flag clear), the exact sum is cheap, and an entry refused at ``p`` digits
     whose exact value is a zero or a tie is decided at ``p`` rather than at
-    the cap.
+    the cap.  Every value is proved, so each grid entry is bit for bit the
+    float of its own one-entry call.
 
-    Inside a :func:`_shared_factor_runs` block the sum reads the runs it
-    shares with the other sums of the block.
+    Inside a :func:`_shared_factor_runs` block the sums read the runs they
+    share with the other grids of the block.
 
     Parameters
     ----------
-    i : int
+    i : int or sequence of int
         Termination degree (``q^{-i}`` numerator parameter); must be >= 0.
+        For a grid, the degree of each row.
     num_params : sequence of 3 floats or Fractions
-        The remaining numerator parameters ``(a1, a2, a3)``.
+        The remaining numerator parameters ``(a1, a2, a3)``.  For a grid, the
+        pair ``(a1 of each row, (a2, a3) of each column)``.
     den_params : sequence of 3 floats or Fractions
         Denominator parameters ``(b1, b2, b3)``.
     q : float or Fraction
@@ -110,7 +126,7 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
 
     Returns
     -------
-    float
+    float, or for a grid a list holding a list of floats per row
 
     Raises
     ------
@@ -124,88 +140,170 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
         sum is neither zero nor a tie.
     OverflowError
         If the proved sum is too large for a float.
+
+    A grid raises what the first entry that fails, in row order, raises on
+    its own.
     """
-    if i < 0:
-        raise ValueError(f"termination degree must be >= 0, got {i}")
-    base = _SCOPE.get() or _Base(q.as_integer_ratio(), i)
+    single = isinstance(i, numbers.Integral)
+    if single:
+        a1, a2, a3 = num_params
+        i, num_params = [i], ([a1], [(a2, a3)])
+    degrees = list(i)
+    for degree in degrees:
+        if degree < 0:
+            raise ValueError(f"termination degree must be >= 0, got {degree}")
+    base = _SCOPE.get() or _Base(q.as_integer_ratio(), max(degrees, default=0))
     # every other argument as the (numerator, denominator) of its exact value
-    nums = [v.as_integer_ratio() for v in num_params]
+    row_params, column_params = num_params
+    rows = [(i, a1.as_integer_ratio()) for i, a1 in zip(degrees, row_params, strict=True)]
+    columns = [(a2.as_integer_ratio(), a3.as_integer_ratio()) for a2, a3 in column_params]
     dens = tuple(v.as_integer_ratio() for v in den_params)
-    z = z.as_integer_ratio()
-    series = (i, nums, dens, z, base.steps(i, nums, dens))
-    digits = START_DIGITS
-    while digits <= PRECISION_CAP:
-        value = _proved_sum(base.runs(digits), *series)
-        if value is None and _exact_decimals(digits, q.as_integer_ratio(), *nums, *dens, z):
-            # Arguments that are exact decimals at these digits have a cheap
-            # exact sum; a zero or a tie, which no wider sum proves either,
-            # is decided by it here rather than at the cap.
-            exact = _exact_sum(base.runs(None), *series)
-            if exact == 0 or _is_tie(exact):
-                value = float(exact)
-        if value is not None:
-            if math.isinf(value):
-                raise OverflowError("series sum too large for a float")
-            return value
-        digits *= 2
-    exact = _exact_sum(base.runs(None), *series)
-    if exact == 0 or _is_tie(exact):
-        return float(exact)
-    raise ConvergenceFailure(
-        f"4phi3 sum of degree {i} has no checked float within the precision "
-        f"cap of {PRECISION_CAP} significant digits"
-    )
+    values = _Grid(base, q.as_integer_ratio(), rows, columns, dens, z.as_integer_ratio()).sums()
+    if single:
+        return values[0]
+    width = len(columns)
+    return [values[r * width:(r + 1) * width] for r in range(len(rows))]
 
 
-def _series_runs(runs, i, nums, dens, z):
-    """The head, column and quotient runs of one series."""
-    a1, a2, a3 = nums
-    return runs.head(i, a1), runs.column(a2, a3), runs.quotient(dens, z)
+class _Grid:
+    """The sums of one grid: ``rows`` of ``(i, a1)``, ``columns`` of
+    ``(a2, a3)``, and the shared ``q``, ``dens`` and ``z``, all exact
+    ``(numerator, denominator)`` pairs, on the powers of ``base``.  Entry
+    ``e`` is row ``e // width``, column ``e % width``."""
+
+    def __init__(self, base, q, rows, columns, dens, z):
+        self.base, self.q, self.rows, self.columns = base, q, rows, columns
+        self.dens, self.z = dens, z
+        vanishes_at, length = base.vanishes_at, base.length
+        # The steps before a numerator factor ends each row's and each
+        # column's series; 1 - q^(k-i) and 1 - q^(k+1) never vanish inside.
+        self.row_steps = [min(i, vanishes_at.get(a1, i)) for i, a1 in rows]
+        self.column_steps = [min(vanishes_at.get(a2, length), vanishes_at.get(a3, length))
+                             for a2, a3 in columns]
+        self.steps = [min(s, t) for s in self.row_steps for t in self.column_steps]
+        self.width = len(columns)
+
+    def sums(self):
+        """Every entry's float, in row order, or the exception of the first
+        entry that fails: each entry goes up the digits only while refused."""
+        steps, width, dens, z = self.steps, self.width, self.dens, self.z
+        values = [None] * len(steps)
+        failures = {}  # entry -> its exception; no entry after the first is summed
+        # The first denominator factor that vanishes exactly fails every entry
+        # whose series reaches it.
+        vanishes_at = self.base.vanishes_at
+        zero = min(((vanishes_at[p], p) for p in dens if p in vanishes_at), default=None)
+        if zero is not None:
+            k, (n, d) = zero
+            reaches = next((e for e, s in enumerate(steps) if s > k), None)
+            if reaches is not None:
+                failures[reaches] = DenominatorVanishes(k, n / d)
+
+        def settle(entries):
+            """Decide each of ``entries`` whose exact sum is a zero or a tie."""
+            if not entries:
+                return
+            _, row_runs, column_runs = self.prefixes(self.base.runs(None), entries)
+            for e in entries:
+                exact = sum(map(operator.mul, row_runs[e // width].values,
+                                column_runs[e % width].values))
+                try:
+                    if exact == 0 or _is_tie(exact):
+                        values[e] = float(exact)
+                except ArithmeticError as exc:
+                    failures[e] = exc
+
+        pending = range(min(failures, default=len(steps)))
+        digits = START_DIGITS
+        while pending and digits <= PRECISION_CAP:
+            runs = self.base.runs(digits)
+            refused = []
+            with decimal.localcontext(runs.context):
+                quotient, row_runs, column_runs = self.prefixes(runs, pending)
+                for e in pending:
+                    value = _proved_sum(runs, row_runs[e // width], column_runs[e % width],
+                                        quotient, steps[e])
+                    if value is None:
+                        refused.append(e)
+                    elif math.isinf(value):
+                        failures[e] = OverflowError("series sum too large for a float")
+                    else:
+                        values[e] = value
+            if refused and _exact_decimals(digits, self.q, *dens, z):
+                # Arguments that are exact decimals at these digits have a
+                # cheap exact sum; a zero or a tie, which no wider sum proves
+                # either, is decided by it here rather than at the cap.
+                settle([e for e in refused
+                        if _exact_decimals(digits, self.rows[e // width][1],
+                                           *self.columns[e % width])])
+            first = min(failures, default=len(steps))
+            pending = [e for e in refused if values[e] is None and e < first]
+            digits *= 2
+        settle(pending)
+        for e in pending:
+            if values[e] is None and e not in failures:
+                failures[e] = ConvergenceFailure(
+                    f"4phi3 sum of degree {self.rows[e // width][0]} has no checked float "
+                    f"within the precision cap of {PRECISION_CAP} significant digits"
+                )
+        if failures:
+            raise failures[min(failures)]
+        return values
+
+    def prefixes(self, runs, entries):
+        """``(quotient, rows, columns)`` at the number type of ``runs`` (in
+        its decimal context): the quotient run, and by index the prefix runs
+        of the rows and of the columns that ``entries`` read.
+
+        ``values[k]`` of a prefix run is the product of the first ``k``
+        factors, ``1`` first: the head times the quotient for a row, up to
+        where its series ends, and the column run for a column.  Its
+        ``bounds`` are those of the head or the column run.
+        """
+        quotient = runs.quotient(self.dens, self.z)
+        one = runs.powers[0]
+        rows, columns = {}, {}
+        for e in entries:
+            r, c = divmod(e, self.width)
+            if r not in rows:
+                head = runs.head(*self.rows[r])
+                factors = islice(map(operator.mul, head.values, quotient.values),
+                                 self.row_steps[r])
+                rows[r] = _Run(list(accumulate(factors, operator.mul, initial=one)), head.bounds)
+            if c not in columns:
+                column = runs.column(*self.columns[c])
+                columns[c] = _Run(list(accumulate(column.values, operator.mul, initial=one)),
+                                  column.bounds)
+        return quotient, rows, columns
 
 
-def _terms(runs, head, column, quotient, steps):
-    """Terms of the 4phi3 sum, the leading 1 first: the one term recurrence,
-    generic over the number type of the ``runs`` (Decimal for the proved
-    sums, Fraction for the exact sum at the cap).  Three multiplications a
-    step.
-
-    The loop runs the ``steps`` decided beforehand on the exact arguments
-    (see :meth:`_Base.steps`), so a factor that only rounds to zero neither
-    stops it nor raises.
-    """
-    term = runs.powers[0]
-    yield term
-    for h, c, d in zip(head.values[:steps], column.values, quotient.values):
-        term *= h * c * d
-        yield term
-
-
-def _proved_sum(runs, i, nums, dens, z, steps):
-    """The float the exact sum rounds to, as the sum over the decimal
-    ``runs`` at their digits proves it, or ``None`` if it does not."""
-    head, column, quotient = _series_runs(runs, i, nums, dens, z)
-    with decimal.localcontext(runs.context):
-        terms = list(_terms(runs, head, column, quotient, steps))
-        total = sum(terms)
-    # Term k carries the run bounds of steps < k and three roundings a step;
-    # the running sum adds at most one rounding a step to every term.
-    with decimal.localcontext(runs.up):
-        bound = (head.bounds[steps] + column.bounds[steps] + quotient.bounds[steps]
+def _proved_sum(runs, row, column, quotient, steps):
+    """The float the exact sum ``sum_k row.values[k] column.values[k]`` of
+    ``steps + 1`` terms rounds to, as its sum at the digits of ``runs``
+    proves it, or ``None`` if it does not.  Called in the decimal context of
+    ``runs``, which it leaves current."""
+    # the shorter prefix run ends at the entry's last term
+    terms = list(map(operator.mul, row.values, column.values))
+    total = sum(terms)
+    context = decimal.getcontext()
+    decimal.setcontext(runs.up)  # the bound, rounded upward
+    try:
+        # Term k carries the run bounds of steps < k and 3k - 1 roundings
+        # (2k - 1 in its row's prefix product, k - 1 in its column's, one in
+        # their product), at most three a step; the running sum adds at most
+        # one rounding a step to every term.
+        bound = (row.bounds[steps] + column.bounds[steps] + quotient.bounds[steps]
                  + steps * runs.four_units)
         if not bound < _BOUND_LIMIT:
             return None
         error = sum(map(decimal.Decimal.copy_abs, terms)) * bound * _SLACK
+    finally:
+        decimal.setcontext(context)
     low = float(runs.floor.subtract(total, error))
     high = float(runs.ceiling.add(total, error))
     if low == high and math.copysign(1.0, low) == math.copysign(1.0, high):
         return low
     return None
-
-
-def _exact_sum(runs, i, nums, dens, z, steps):
-    """The exact sum: the one term loop over ``Fraction`` runs.  Only a
-    series that reached the precision cap is asked."""
-    return sum(_terms(runs, *_series_runs(runs, i, nums, dens, z), steps))
 
 
 def _exact_decimals(digits, *ratios):
@@ -248,15 +346,16 @@ def _shared_factor_runs(q, n):
 
 
 class _Base:
-    """What the sums of one scope (a grid build, or a single sum) share: the
+    """What the sums of one scope (a grid build, or a single grid) share: the
     exact powers ``q^k = qn^k / qd^k`` for ``k <= length`` of the base ``q``,
-    a ``(numerator, denominator)`` pair inside (0, 1), the termination and
-    vanishing steps they decide, and the runs at each precision."""
+    a ``(numerator, denominator)`` pair inside (0, 1), the step at which each
+    parameter's factor vanishes, and the runs at each precision."""
 
     def __init__(self, q, length):
         qn, qd = q
         if not 0 < qn < qd:
             raise ValueError(f"q must lie strictly inside (0, 1), got {qn / qd}")
+        self.length = length
         self.powers = [(1, 1)]
         for _ in range(length):
             n, d = self.powers[-1]
@@ -264,31 +363,15 @@ class _Base:
         # 1 - p q^k with p = n/d vanishes exactly when n qn^k == d qd^k.  Both
         # pairs are in lowest terms with positive denominators, so that is
         # (n, d) == (qd^k, qn^k): the parameter that vanishes at step k.
-        self._vanishes_at = {(d, n): k for k, (n, d) in enumerate(self.powers[:length])}
+        self.vanishes_at = {(d, n): k for k, (n, d) in enumerate(self.powers[:length])}
         self._runs = {}
-
-    def steps(self, i, nums, dens):
-        """Steps of the series loop before a numerator factor ends it.
-
-        The factors ``1 - q^(k-i)`` and ``1 - q^(k+1)`` never vanish inside
-        the loop.  Raises :class:`DenominatorVanishes` with the ``k`` and
-        parameter of the first denominator factor that vanishes exactly
-        before the series ends.
-        """
-        vanishes_at = self._vanishes_at
-        steps = min(i, *(vanishes_at.get(p, i) for p in nums))
-        zeros = [(vanishes_at[p], p) for p in dens if vanishes_at.get(p, steps) < steps]
-        if zeros:
-            k, (n, d) = min(zeros)
-            raise DenominatorVanishes(k, n / d)
-        return steps
 
     def runs(self, digits):
         """The :class:`_Runs` at ``digits`` digits, or in ``Fraction``
         arithmetic for ``digits=None``."""
         runs = self._runs.get(digits)
         if runs is None:
-            runs = self._runs[digits] = _Runs(digits, self.powers, self._vanishes_at)
+            runs = self._runs[digits] = _Runs(digits, self.powers, self.vanishes_at)
         return runs
 
 
@@ -302,7 +385,9 @@ def _context(digits, rounding=decimal.ROUND_HALF_EVEN):
 
 
 #: A run over ``k``: ``values[k]`` and ``bounds[k]``, an upper bound on the
-#: sum of the relative error bounds of ``values[:k]``.
+#: sum of the relative error bounds of ``values[:k]``.  A prefix run of
+#: :meth:`_Grid.prefixes` holds products of a run's first ``k`` values and
+#: keeps that run's bounds.
 _Run = namedtuple("_Run", "values bounds")
 
 
@@ -408,7 +493,7 @@ class _Runs:
         """``z / ((1 - q^(k+1)) (1 - b1 q^k) (1 - b2 q^k) (1 - b3 q^k))``.
 
         An entry whose denominator is zero is 0 with an infinite bound: no
-        sum reaches an exact zero (see :meth:`_Base.steps`), and a sum that
+        sum reaches an exact zero (see :class:`_Grid`), and a sum that
         reaches one that only rounds to zero is not proved."""
 
         def entries():

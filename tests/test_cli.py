@@ -697,6 +697,11 @@ class TestFloatRange:
         # energies +-1e308 fit, but -sum(Lambda) + 2 Lambda_1 overflows on the way
         "e4": ({"N": 1, "alpha": [0.0], "beta": [1e308, 0.0], "gamma": [0.0]},
                {"spectrum": 0, "manybody": 3, "verify": 3}),
+        # A + B holds 1e308 + 1e308 = inf, which no solver may take for a
+        # matrix entry
+        "xy-overflow": ({"N": 2, "alpha": [1e308, 1e308], "beta": [0.0] * 3,
+                         "gamma": [1e308, 1e308]},
+                        {"spectrum": 3, "manybody": 3, "verify": 3}),
     }
 
     @pytest.mark.parametrize("name", sorted(CHAINS))
@@ -714,6 +719,17 @@ class TestFloatRange:
                 _, rows = parse_csv(out.read_text())
                 cells = [cell for row in rows for cell in row.values()]
                 assert not {"inf", "-inf", "nan", "FAIL"} & set(cells), command
+
+    @pytest.mark.parametrize("command", ["spectrum", "manybody"])
+    def test_overflowing_doubled_matrix_names_the_singular_values(self, tmp_path, capsys,
+                                                                   command):
+        couplings, _ = self.CHAINS["xy-overflow"]
+        path = write_config(tmp_path, dict(couplings, family="explicit"))
+        assert main([command, "--config", path, "--out", str(tmp_path / "out.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "error: float arithmetic failed at this parameter point: "
+            "singular values too large for a float\n"
+        )
 
 
 class TestPrecisionCap:
@@ -837,7 +853,10 @@ class TestGridWork:
         config = CONFIG_DIR / "qr24_default.json"
         n = json.loads(config.read_text())["N"]
         assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 0
-        assert len(series_calls) == 2 * (n + 1) ** 2
+        # one evaluator call per grid, over every (degree, point) entry
+        assert [len(degrees) * len(columns) for degrees, (_, columns), *_ in series_calls] == [
+            (n + 1) ** 2, (n + 1) ** 2
+        ]
 
     def test_verify_computes_the_closed_form_spectrum_once(self, tmp_path, monkeypatch):
         calls = []

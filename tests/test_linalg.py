@@ -276,6 +276,19 @@ class TestFloatRange:
         with np.errstate(over="ignore"), pytest.raises(OverflowError, match="too large"):
             solve(self.BEYOND)
 
+    @pytest.mark.parametrize("solve, values", [
+        (jacobi_eigh, "eigenvalues"),
+        (lambda m: jacobi_svd(m)[0], "singular values"),
+        (lambda m: sturm_eigvalsh([m])[0], "eigenvalues"),
+    ], ids=["jacobi_eigh", "jacobi_svd", "sturm_eigvalsh"])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_entry_raises(self, solve, values, entry):
+        # A NaN fails every rotation test, which would leave zero singular
+        # values or spend the whole sweep budget.
+        matrix = np.array([[entry, 1.0], [1.0, 2.0]])
+        with pytest.raises(OverflowError, match=f"^{values} too large for a float$"):
+            solve(matrix)
+
     def test_jacobi_eigh_near_the_top_of_the_range(self):
         # The hopping matrix of a 10-site chain with two bonds at 8e307: the
         # rotation angles of the unscaled matrix overflowed, leaving

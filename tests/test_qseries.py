@@ -7,6 +7,7 @@ at all is a real bug.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from exact_oracles import phi43_exact, qracah_exact, shift_exact
 from helpers import CONFIG_DIR
 from xychain import qseries
-from xychain.errors import ConvergenceFailure, DenominatorVanishes
+from xychain.errors import ConvergenceFailure, DenominatorVanishes, XYChainError
 from xychain.qracah import QRacahParams, _polynomial_grids
 from xychain.qseries import phi43_terminating_exact
 
@@ -127,9 +128,67 @@ class TestExactDecisions:
             phi43_terminating_exact(9, nums, (16.0, 0.2, 0.1), q, Fraction(7, 10))
         assert (excinfo.value.k, excinfo.value.param) == (4, 16.0)
 
+
+def _first_lone_failure(degrees, rows, columns, dens, q, z):
+    """The exception of the first entry, in row order, whose own call
+    raises, or ``None``."""
+    for i, a1 in zip(degrees, rows):
+        for a2, a3 in columns:
+            try:
+                phi43_terminating_exact(i, (a1, a2, a3), dens, q, z)
+            except (ArithmeticError, XYChainError) as exc:
+                return exc
+    return None
+
+
+class TestGrid:
+    """A grid call sums rows ``(i, a1)`` against columns ``(a2, a3)``; each
+    entry is its one-entry call, and a grid that fails raises what its first
+    failing entry raises."""
+
+    Q, Z = Fraction(1, 2), Fraction(7, 10)
+    # q^-x ends column x's series at step x
+    COLUMNS = [(Fraction(2) ** x, 0.5) for x in range(10)]
+
+    def test_entries_equal_their_own_calls(self):
+        degrees, rows, dens = range(10), [0.3 - 0.07 * i for i in range(10)], (0.25, -0.2, 0.1)
+        grid = phi43_terminating_exact(degrees, (rows, self.COLUMNS), dens, self.Q, self.Z)
+        assert [len(row) for row in grid] == [len(self.COLUMNS)] * 10
+        for i, a1, row in zip(degrees, rows, grid):
+            for (a2, a3), value in zip(self.COLUMNS, row):
+                args = (i, (a1, a2, a3), dens, self.Q, self.Z)
+                assert value.hex() == phi43_terminating_exact(*args).hex()
+                assert value.hex() == float(phi43_exact(*args)).hex()
+
+    def test_exact_denominator_zero_raises_the_first_entrys_error(self):
+        # 1 - 16 q^4 = 0: an entry raises once its series passes step 4
+        degrees, rows, dens = range(10), [0.3] * 10, (16.0, 0.2, 0.1)
+        lone = _first_lone_failure(degrees, rows, self.COLUMNS, dens, self.Q, self.Z)
+        with pytest.raises(DenominatorVanishes) as excinfo:
+            phi43_terminating_exact(degrees, (rows, self.COLUMNS), dens, self.Q, self.Z)
+        assert (excinfo.value.k, excinfo.value.param) == (lone.k, lone.param) == (4, 16.0)
+
+    @pytest.mark.parametrize("huge_row, error", [(1, OverflowError), (6, DenominatorVanishes)])
+    def test_first_failing_entry_in_row_order_decides(self, huge_row, error):
+        # Row huge_row overflows from column 1 on, and row 5 reaches the
+        # denominator zero at column 5: the earlier failure is raised.
+        degrees, dens, z = range(10), (16.0, 0.2, 0.1), Fraction(10**20)
+        rows = [-1e300 if i == huge_row else 0.3 for i in degrees]
+        lone = _first_lone_failure(degrees, rows, self.COLUMNS, dens, self.Q, z)
+        with pytest.raises(error) as excinfo:
+            phi43_terminating_exact(degrees, (rows, self.COLUMNS), dens, self.Q, z)
+        assert type(lone) is error and str(excinfo.value) == str(lone)
+
+    def test_empty_grid(self):
+        dens = (0.1, 0.2, 0.3)
+        assert phi43_terminating_exact([], ([], self.COLUMNS), dens, self.Q, self.Z) == []
+        assert phi43_terminating_exact([2, 3], ([0.1, 0.2], []), dens, self.Q, self.Z) == [[], []]
+
+
 @pytest.fixture
 def sums(monkeypatch):
-    """The digits of every decimal sum, and whether its bound proved it."""
+    """The digits of every decimal sum of a grid entry, and whether its bound
+    proved it."""
     record = []
     proved_sum = qseries._proved_sum
 
@@ -209,6 +268,22 @@ class TestErrorBound:
                 assert base[i, x].hex() == float(qracah_exact(i, x, *params.as_tuple())).hex()
                 assert (shifted[i, x].hex()
                         == float(qracah_exact(i, x + x_shift, *shifted_args)).hex())
+
+    # Sums at each precision for the grid pair of these points, as the
+    # evaluator that summed every entry in its own call made them.
+    LADDERS = {
+        "escalation": (QRacahParams(a=1e-6, b=0.3, c=-0.8, N=8, q=1e-6),
+                       {40: 162, 80: 18, 160: 11, 320: 2}),
+        "exact-zero": (QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5), {40: 72}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LADDERS))
+    def test_only_refused_entries_go_up_the_ladder(self, sums, name):
+        params, most = self.LADDERS[name]
+        _polynomial_grids("qr24", params)
+        made = Counter(digits for digits, _ in sums)
+        assert set(made) <= set(most)
+        assert all(made[digits] <= most[digits] for digits in made), made
 
     def test_default_grid_pair_makes_one_sum_per_entry(self, sums):
         config = json.loads((CONFIG_DIR / "qr24_default.json").read_text())

@@ -43,17 +43,18 @@ Cases:
   families, x the three ``verify`` forms;
 * a scan of the qr13 box of ``tests/helpers.py`` at ``N = 3``, at every
   validity level;
-* the shipped qr24 point at ``N = 20`` and ``N = 30`` x the three ``verify``
-  forms, whose grids reach deeper precision ladders than the pool's
-  ``N <= 16``;
+* the shipped qr24 point at ``N = 20``, ``N = 30`` and ``N = 40`` x the
+  three ``verify`` forms, whose grids reach deeper precision ladders than
+  the pool's ``N <= 16``;
 * the three shipped chain configs with each ``"tolerances"`` name in turn
   set to 1e-300, x the three ``verify`` forms, so every check shows which
   name sets its tolerance;
 * ``configs/qr24_scan.json`` once with ``relation`` and once with
   ``constraint`` at 1e-300;
-* four explicit chains of finite couplings near the top of the float range
-  (``FLOAT_RANGE_CHAINS``: ``z2``, ``z3``, ``e1``, ``e4``), x ``spectrum``,
-  ``manybody`` and the three ``verify`` forms;
+* five explicit chains of finite couplings near the top of the float range
+  (``FLOAT_RANGE_CHAINS``: ``z2``, ``z3``, ``e1``, ``e4``, ``xy-overflow``),
+  x ``spectrum``, ``chain-coeffs``, ``manybody`` and the three ``verify``
+  forms;
 * two explicit chains whose many-body rows test the row writer
   (``MANYBODY_CHAINS``: a uniform 14-site XX chain, whose merged tie runs
   cross write-block boundaries, and an all-zero chain, whose energies are
@@ -111,7 +112,7 @@ NEAR_ZERO_MODE = {"family": "qr24", "a": 0.5, "b": -0.5, "c": 0.0, "q": 1e-06, "
 #: its sums is an exact 40-digit decimal.
 EXACT_ZERO_POINT = {"a": 0.25, "b": 0.5, "c": -1.0, "q": 0.5, "N": 5}
 QR13_BOX = {"a": [1.5, 9.0], "b": [1.5, 9.0], "c": [-0.9, -0.1], "q": [0.3, 0.5, 0.7]}
-DEEP_N = (20, 30)
+DEEP_N = (20, 30, 40)
 CHAIN_CONFIGS = ("qr24_default.json", "qr13_chain.json", "xx_uniform.json")
 #: The names of ``xychain.report.TOLERANCES``, each tightened to ``TIGHT``.
 TOLERANCE_NAMES = ("relation", "constraint", "spectrum", "svd", "recurrence", "angle",
@@ -124,6 +125,9 @@ FLOAT_RANGE_CHAINS = {
     "z3": {"N": 9, "alpha": [8e307, 8e307] + [1.0] * 7, "beta": [0.0] * 10, "gamma": [0.0] * 9},
     "e1": {"N": 2, "alpha": [1e308, 1e308], "beta": [0.0] * 3, "gamma": [0.0] * 2},
     "e4": {"N": 1, "alpha": [0.0], "beta": [1e308, 0.0], "gamma": [0.0]},
+    # A + B holds 1e308 + 1e308 = inf
+    "xy-overflow": {"N": 2, "alpha": [1e308, 1e308], "beta": [0.0] * 3,
+                    "gamma": [1e308, 1e308]},
 }
 #: Explicit chains whose many-body rows are tie runs across write blocks or
 #: signed zeros.
@@ -222,7 +226,7 @@ def build_cases(config_dir):
             ("scan.csv",))
     for name, couplings in FLOAT_RANGE_CHAINS.items():
         add(f"float-range/{name}", dict(couplings, family="explicit"),
-            _forms(("spectrum", "manybody", "verify")))
+            _forms(("spectrum", "chain-coeffs", "manybody", "verify")))
     for name, couplings in MANYBODY_CHAINS.items():
         add(f"manybody/{name}", dict(couplings, family="explicit"),
             ("manybody.csv", "manybody.txt"))
