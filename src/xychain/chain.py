@@ -420,6 +420,8 @@ def _sampler(rng, spec, label):
         lo, hi = float(values[0]), float(values[1])
         if hi < lo:
             raise ValueError(f"range for {label} has hi < lo: {spec!r}")
+        if not np.isfinite(hi - lo):
+            raise ValueError(f"range for {label} has a width hi - lo that is not finite: {spec!r}")
         return lambda: float(rng.uniform(lo, hi))
     return lambda: float(values[rng.integers(values.size)])
 
@@ -460,8 +462,8 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full", tolerances=
     ------
     ValueError
         If ``samples < 1``, a key of ``ranges`` is missing, a range is empty,
-        has a non-finite entry or ``hi < lo``, or the family or level is
-        unknown; checked before the first draw.
+        has a non-finite entry or width ``hi - lo`` or ``hi < lo``, or the
+        family or level is unknown; checked before the first draw.
     NoValidParameters
         If no draw passes; the message suggests widening the box.
     """

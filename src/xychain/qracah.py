@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameterRegime, InvalidShiftedParams
-from .qseries import _shared_factor_runs, phi43_terminating_exact
+from .qseries import phi43_terminating_exact
 from .report import TOLERANCES, CheckReport
 
 __all__ = [
@@ -97,12 +97,13 @@ def qracah_eval(i, x, params):
         raise ValueError(f"polynomial degree must satisfy 0 <= i <= N={N}, got {i}")
     a, b, c, q = (Fraction(v) for v in (a, b, c, q))
     x = int(x) if float(x).is_integer() else x
-    rows, (column,), den = _series_args(a, b, c, N, q, [x])
-    return phi43_terminating_exact(i, (rows[i], *column), den, q, q)
+    # range() yields a numpy degree as a Python int, which Fraction powers need
+    (row,), (column,), den = _series_args(a, b, c, N, q, range(i, i + 1), [x])
+    return phi43_terminating_exact(i, (row, *column), den, q, q)
 
 
-def _series_args(a, b, c, N, q, xs):
-    """Series parameters of the degrees ``i = 0..N`` at the points ``xs``.
+def _series_args(a, b, c, N, q, degrees, xs):
+    """Series parameters of the ``degrees`` at the points ``xs``.
 
     Returns ``(rows, columns, den)``: the numerator parameter
     ``a b q^{i+1}`` of each degree, the numerator parameters
@@ -110,7 +111,7 @@ def _series_args(a, b, c, N, q, xs):
     ``(a q, b c q, q^{-N})``, each formed once.  The parameters are
     ``Fraction``s, shared by :func:`qracah_eval` and the grids.
     """
-    rows = [a * b * q ** (i + 1) for i in range(N + 1)]
+    rows = [a * b * q ** (i + 1) for i in degrees]
     columns = [(q ** (-x), c * q ** (x - N)) for x in xs]
     return rows, columns, (a * q, b * c * q, q ** (-N))
 
@@ -507,28 +508,30 @@ def _polynomial_grids(family, params):
 
     Each series argument is formed once: the row parameter per degree, the
     two ``x``-dependent parameters per grid point ``x`` and the denominator
-    parameters per grid.  Each grid is one evaluator call over its degrees
-    and grid points, and the two calls share their decimal factor runs (see
-    :mod:`xychain.qseries`) for this build only; every value is proved, so
-    every entry is bit for bit the value a lone :func:`qracah_eval` call
-    gives.  The base grid is summed first: when both grids fail, the base
-    grid's error is raised.
+    parameters per grid.  Both grids are one evaluator call: the shift map
+    keeps ``a b``, so the two families share the rows ``(i, a b q^(i+1))``,
+    and the columns are the base grid points followed by the shifted ones,
+    each carrying its family's denominator parameters.  Every value is
+    proved, so every entry is bit for bit the value a lone
+    :func:`qracah_eval` call gives.  When entries fail, the first failing
+    entry in row order raises, base columns before shifted ones.
     """
     N = params.N
     shift_params(family, params)  # validates the shifted regime
     a, b, c, q = (Fraction(v) for v in (params.a, params.b, params.c, params.q))
     x_shift, sa, sb, sc = _shift_map(family, a, b, c, q)
-    rows, columns, den = _series_args(a, b, c, N, q, range(N + 1))
-    shifted_rows, shifted_columns, shifted_den = _series_args(
-        sa, sb, sc, N, q, range(x_shift, x_shift + N + 1)
+    width = N + 1
+    rows, columns, den = _series_args(a, b, c, N, q, range(width), range(width))
+    # a b, and with it every row, is the same in both families
+    _, shifted_columns, shifted_den = _series_args(
+        sa, sb, sc, N, q, (), range(x_shift, x_shift + width)
     )
-    degrees = range(N + 1)
-    with _shared_factor_runs(q, N):
-        base = phi43_terminating_exact(degrees, (rows, columns), den, q, q)
-        shifted = phi43_terminating_exact(
-            degrees, (shifted_rows, shifted_columns), shifted_den, q, q
-        )
-    return np.array(base), np.array(shifted)
+    grid = phi43_terminating_exact(
+        range(width), (rows, columns + shifted_columns),
+        [den] * width + [shifted_den] * width, q, q,
+    )
+    return (np.array([row[:width] for row in grid]),
+            np.array([row[width:] for row in grid]))
 
 
 def _three_term_residual(lhs, mid, up, dn, table, floor):

@@ -14,25 +14,21 @@ ends, vanishing denominators, a sum that is exactly zero or exactly halfway
 between two floats) is decided on the exact arguments.
 
 One call sums a whole grid: rows of a degree ``i`` and its ``a1``, columns
-of a pair ``(a2, a3)``, and one ``b1, b2, b3``, ``q`` and ``z``; a single
-sum is a 1 x 1 grid.  The term ratio of step ``k`` is a product of three
-runs over ``k``: the heads ``(1 - q^(k-i)) (1 - a1 q^k)``, once per row,
-the columns ``(1 - a2 q^k) (1 - a3 q^k)``, once per column (up to where one
-of them ends its series), and the quotients ``z / ((1 - q^(k+1)) (1 - b1
-q^k) (1 - b2 q^k) (1 - b3 q^k))``, once per grid.  Per precision the call
-forms each row's prefix products of head times quotient and each column's
-prefix products once, and term ``k`` of an entry is the product of its
-row's and its column's ``k``-th prefix product.  Every run entry carries a
-bound on its relative error, and a run keeps the running sums of those
-bounds, so the bound of a whole sum costs a few operations.  Only the
-entries a precision leaves unproved go on to the next.  Inside a
-:func:`_shared_factor_runs` block (one grid build) the grids of the block
-also share their runs; the runs die with the block, and a call outside one
-has runs of its own.
+of ``(a2, a3)`` and their own ``(b1, b2, b3)``, and one ``q`` and ``z``; a
+single sum is a 1 x 1 grid.  The term ratio of step ``k`` is a product of
+three runs over ``k``: the heads ``(1 - q^(k-i)) (1 - a1 q^k)``, once per
+row, the columns ``(1 - a2 q^k) (1 - a3 q^k)`` (up to where one of them
+ends its series), and the quotients ``z / ((1 - q^(k+1)) (1 - b1 q^k) (1 -
+b2 q^k) (1 - b3 q^k))``, each once per call for each distinct pair or
+triple.  Per precision the call forms each row's prefix products of its
+head and each column's prefix products of its column run times its
+quotient run once, and term ``k`` of an entry is the product of its row's
+and its column's ``k``-th prefix product.  Every run entry carries a bound
+on its relative error, and a run keeps the running sums of those bounds,
+so the bound of a whole sum costs a few operations.  Only the entries a
+precision leaves unproved go on to the next.  The runs live for one call.
 """
 
-import contextlib
-import contextvars
 import decimal
 import math
 import numbers
@@ -70,22 +66,23 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
                         ( (q;q)_k (b1;q)_k (b2;q)_k (b3;q)_k ) ] z^k,
 
     or the grid of such floats over rows ``(i, a1)`` and columns
-    ``(a2, a3)`` that share ``b1, b2, b3``, ``q`` and ``z``.
+    ``(a2, a3)``, each column with its own ``(b1, b2, b3)``, that share
+    ``q`` and ``z``.
 
     The series terminates because of the ``q^{-i}`` numerator parameter,
     which is supplied through ``i`` and never passed explicitly.  The
     arguments may be floats or :class:`fractions.Fraction`, and both are read
     exactly as integer ratios.  The decisions that need exact values are
     taken on those integers, once per grid: where a numerator factor ends
-    each row's and each column's series, and whether a denominator factor
-    vanishes before that.  A factor that merely rounds to zero in a decimal
-    sum therefore neither stops the series nor raises.
+    each row's and each column's series, and whether a column's denominator
+    factor vanishes before that.  A factor that merely rounds to zero in a
+    decimal sum therefore neither stops the series nor raises.
 
     Term ``k`` of entry ``(r, c)`` is ``M_r[k] C_c[k]``: the prefix products
-    of its row's head-times-quotient factors and of its column's factors
-    (see :class:`_Runs`), each built once per grid and precision.  The sum
-    ``S`` of the terms is carried in :mod:`decimal` at ``p`` significant
-    digits, starting at :data:`START_DIGITS`, and with it a bound
+    of its row's head factors and of its column's factors times their
+    quotients (see :class:`_Runs`), each built once per grid and precision.
+    The sum ``S`` of the terms is carried in :mod:`decimal` at ``p``
+    significant digits, starting at :data:`START_DIGITS`, and with it a bound
     ``E >= |S - exact sum|``: the first-order relative error bound of the
     last term plus that of the summation, times ``sum |term_k|`` and a slack
     for the higher-order terms, rounded upward.  Every rounding counts
@@ -106,9 +103,6 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
     the cap.  Every value is proved, so each grid entry is bit for bit the
     float of its own one-entry call.
 
-    Inside a :func:`_shared_factor_runs` block the sums read the runs they
-    share with the other grids of the block.
-
     Parameters
     ----------
     i : int or sequence of int
@@ -118,7 +112,8 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
         The remaining numerator parameters ``(a1, a2, a3)``.  For a grid, the
         pair ``(a1 of each row, (a2, a3) of each column)``.
     den_params : sequence of 3 floats or Fractions
-        Denominator parameters ``(b1, b2, b3)``.
+        Denominator parameters ``(b1, b2, b3)``.  For a grid, one such
+        triple per column.
     q : float or Fraction
         Base, required strictly inside (0, 1).
     z : float or Fraction
@@ -147,18 +142,17 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
     single = isinstance(i, numbers.Integral)
     if single:
         a1, a2, a3 = num_params
-        i, num_params = [i], ([a1], [(a2, a3)])
+        i, num_params, den_params = [i], ([a1], [(a2, a3)]), [den_params]
     degrees = list(i)
     for degree in degrees:
         if degree < 0:
             raise ValueError(f"termination degree must be >= 0, got {degree}")
-    base = _SCOPE.get() or _Base(q.as_integer_ratio(), max(degrees, default=0))
     # every other argument as the (numerator, denominator) of its exact value
     row_params, column_params = num_params
     rows = [(i, a1.as_integer_ratio()) for i, a1 in zip(degrees, row_params, strict=True)]
-    columns = [(a2.as_integer_ratio(), a3.as_integer_ratio()) for a2, a3 in column_params]
-    dens = tuple(v.as_integer_ratio() for v in den_params)
-    values = _Grid(base, q.as_integer_ratio(), rows, columns, dens, z.as_integer_ratio()).sums()
+    columns = [tuple(v.as_integer_ratio() for v in (a2, a3, *dens))
+               for (a2, a3), dens in zip(column_params, den_params, strict=True)]
+    values = _Grid(q.as_integer_ratio(), rows, columns, z.as_integer_ratio()).sums()
     if single:
         return values[0]
     width = len(columns)
@@ -166,47 +160,72 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
 
 
 class _Grid:
-    """The sums of one grid: ``rows`` of ``(i, a1)``, ``columns`` of
-    ``(a2, a3)``, and the shared ``q``, ``dens`` and ``z``, all exact
-    ``(numerator, denominator)`` pairs, on the powers of ``base``.  Entry
-    ``e`` is row ``e // width``, column ``e % width``."""
+    """The sums of one grid: ``rows`` of ``(i, a1)``, columns of
+    ``(a2, a3, b1, b2, b3)``, and the shared ``q`` and ``z``, all exact
+    ``(numerator, denominator)`` pairs.  Entry ``e`` is row ``e // width``,
+    column ``e % width``.  The grid holds the exact powers ``q^k = qn^k /
+    qd^k`` for ``k <= length``, the largest degree, the step at which each
+    parameter's factor vanishes, and the runs at each precision; none of it
+    outlives the call."""
 
-    def __init__(self, base, q, rows, columns, dens, z):
-        self.base, self.q, self.rows, self.columns = base, q, rows, columns
-        self.dens, self.z = dens, z
-        vanishes_at, length = base.vanishes_at, base.length
+    def __init__(self, q, rows, columns, z):
+        qn, qd = q
+        if not 0 < qn < qd:
+            raise ValueError(f"q must lie strictly inside (0, 1), got {qn / qd}")
+        self.q, self.rows, self.columns, self.z = q, rows, columns, z
+        length = max((i for i, _ in rows), default=0)
+        self.powers = [(1, 1)]
+        for _ in range(length):
+            n, d = self.powers[-1]
+            self.powers.append((n * qn, d * qd))
+        # 1 - p q^k with p = n/d vanishes exactly when n qn^k == d qd^k.  Both
+        # pairs are in lowest terms with positive denominators, so that is
+        # (n, d) == (qd^k, qn^k): the parameter that vanishes at step k.
+        vanishes_at = {(d, n): k for k, (n, d) in enumerate(self.powers[:length])}
+        self.vanishes_at = vanishes_at
+        self._runs = {}
         # The steps before a numerator factor ends each row's and each
         # column's series; 1 - q^(k-i) and 1 - q^(k+1) never vanish inside.
         self.row_steps = [min(i, vanishes_at.get(a1, i)) for i, a1 in rows]
         self.column_steps = [min(vanishes_at.get(a2, length), vanishes_at.get(a3, length))
-                             for a2, a3 in columns]
+                             for a2, a3, *_ in columns]
         self.steps = [min(s, t) for s in self.row_steps for t in self.column_steps]
         self.width = len(columns)
+
+    def runs(self, digits):
+        """The :class:`_Runs` at ``digits`` digits, or in ``Fraction``
+        arithmetic for ``digits=None``."""
+        runs = self._runs.get(digits)
+        if runs is None:
+            runs = self._runs[digits] = _Runs(digits, self.powers, self.vanishes_at)
+        return runs
 
     def sums(self):
         """Every entry's float, in row order, or the exception of the first
         entry that fails: each entry goes up the digits only while refused."""
-        steps, width, dens, z = self.steps, self.width, self.dens, self.z
+        steps, width, z = self.steps, self.width, self.z
         values = [None] * len(steps)
         failures = {}  # entry -> its exception; no entry after the first is summed
-        # The first denominator factor that vanishes exactly fails every entry
-        # whose series reaches it.
-        vanishes_at = self.base.vanishes_at
-        zero = min(((vanishes_at[p], p) for p in dens if p in vanishes_at), default=None)
-        if zero is not None:
-            k, (n, d) = zero
-            reaches = next((e for e, s in enumerate(steps) if s > k), None)
+        # The first denominator factor of a column that vanishes exactly fails
+        # every entry of that column whose series reaches it.
+        vanishes_at = self.vanishes_at
+        zeros = [min(((vanishes_at[p], p) for p in column[2:] if p in vanishes_at), default=None)
+                 for column in self.columns]
+        if any(zeros):
+            reaches = next((e for e, s in enumerate(steps)
+                            if zeros[e % width] and s > zeros[e % width][0]), None)
             if reaches is not None:
+                k, (n, d) = zeros[reaches % width]
                 failures[reaches] = DenominatorVanishes(k, n / d)
 
         def settle(entries):
             """Decide each of ``entries`` whose exact sum is a zero or a tie."""
             if not entries:
                 return
-            _, row_runs, column_runs = self.prefixes(self.base.runs(None), entries)
+            row_runs, column_runs = self.prefixes(self.runs(None), entries)
             for e in entries:
                 exact = sum(map(operator.mul, row_runs[e // width].values,
-                                column_runs[e % width].values))
+                                column_runs[e % width][0].values))
                 try:
                     if exact == 0 or _is_tie(exact):
                         values[e] = float(exact)
@@ -216,20 +235,20 @@ class _Grid:
         pending = range(min(failures, default=len(steps)))
         digits = START_DIGITS
         while pending and digits <= PRECISION_CAP:
-            runs = self.base.runs(digits)
+            runs = self.runs(digits)
             refused = []
             with decimal.localcontext(runs.context):
-                quotient, row_runs, column_runs = self.prefixes(runs, pending)
+                row_runs, column_runs = self.prefixes(runs, pending)
                 for e in pending:
-                    value = _proved_sum(runs, row_runs[e // width], column_runs[e % width],
-                                        quotient, steps[e])
+                    value = _proved_sum(runs, row_runs[e // width], *column_runs[e % width],
+                                        steps[e])
                     if value is None:
                         refused.append(e)
                     elif math.isinf(value):
                         failures[e] = OverflowError("series sum too large for a float")
                     else:
                         values[e] = value
-            if refused and _exact_decimals(digits, self.q, *dens, z):
+            if refused and _exact_decimals(digits, self.q, z):
                 # Arguments that are exact decimals at these digits have a
                 # cheap exact sum; a zero or a tie, which no wider sum proves
                 # either, is decided by it here rather than at the cap.
@@ -251,30 +270,32 @@ class _Grid:
         return values
 
     def prefixes(self, runs, entries):
-        """``(quotient, rows, columns)`` at the number type of ``runs`` (in
-        its decimal context): the quotient run, and by index the prefix runs
-        of the rows and of the columns that ``entries`` read.
+        """``(rows, columns)`` at the number type of ``runs`` (in its decimal
+        context): by index, the prefix runs of the rows and, with the
+        quotient run of their denominators, of the columns that ``entries``
+        read.
 
         ``values[k]`` of a prefix run is the product of the first ``k``
-        factors, ``1`` first: the head times the quotient for a row, up to
-        where its series ends, and the column run for a column.  Its
-        ``bounds`` are those of the head or the column run.
+        factors, ``1`` first, up to where the series ends: the head for a
+        row, and the column run times its quotient run for a column.  Its
+        ``bounds`` are those of the head or of the column run.
         """
-        quotient = runs.quotient(self.dens, self.z)
         one = runs.powers[0]
         rows, columns = {}, {}
         for e in entries:
             r, c = divmod(e, self.width)
             if r not in rows:
                 head = runs.head(*self.rows[r])
-                factors = islice(map(operator.mul, head.values, quotient.values),
-                                 self.row_steps[r])
-                rows[r] = _Run(list(accumulate(factors, operator.mul, initial=one)), head.bounds)
+                rows[r] = _Run(list(accumulate(islice(head.values, self.row_steps[r]),
+                                               operator.mul, initial=one)), head.bounds)
             if c not in columns:
-                column = runs.column(*self.columns[c])
-                columns[c] = _Run(list(accumulate(column.values, operator.mul, initial=one)),
-                                  column.bounds)
-        return quotient, rows, columns
+                parameters = self.columns[c]
+                column = runs.column(*parameters[:2])  # ends where the column's series does
+                quotient = runs.quotient(parameters[2:], self.z)
+                factors = map(operator.mul, column.values, quotient.values)
+                columns[c] = (_Run(list(accumulate(factors, operator.mul, initial=one)),
+                                   column.bounds), quotient)
+        return rows, columns
 
 
 def _proved_sum(runs, row, column, quotient, steps):
@@ -289,7 +310,7 @@ def _proved_sum(runs, row, column, quotient, steps):
     decimal.setcontext(runs.up)  # the bound, rounded upward
     try:
         # Term k carries the run bounds of steps < k and 3k - 1 roundings
-        # (2k - 1 in its row's prefix product, k - 1 in its column's, one in
+        # (k - 1 in its row's prefix product, 2k - 1 in its column's, one in
         # their product), at most three a step; the running sum adds at most
         # one rounding a step to every term.
         bound = (row.bounds[steps] + column.bounds[steps] + quotient.bounds[steps]
@@ -324,57 +345,6 @@ def _is_tie(exact):
     return 2 * exact == Fraction(nearest) + Fraction(other)
 
 
-#: The :class:`_Base` of the enclosing :func:`_shared_factor_runs` block, if
-#: any.  A context variable, so that each sum of a grid is still one call of
-#: :func:`phi43_terminating_exact` with its own arguments and no more.
-_SCOPE = contextvars.ContextVar("phi43_factor_runs", default=None)
-
-
-@contextlib.contextmanager
-def _shared_factor_runs(q, n):
-    """Let the 4phi3 sums evaluated inside this block share their factor runs.
-
-    Meant for one grid build: every sum in the block must be in base ``q``
-    and have degree at most ``n``, which is the length of the runs.  The runs
-    are dropped when the block ends, so no state outlives it.
-    """
-    token = _SCOPE.set(_Base(q.as_integer_ratio(), n))
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
-
-
-class _Base:
-    """What the sums of one scope (a grid build, or a single grid) share: the
-    exact powers ``q^k = qn^k / qd^k`` for ``k <= length`` of the base ``q``,
-    a ``(numerator, denominator)`` pair inside (0, 1), the step at which each
-    parameter's factor vanishes, and the runs at each precision."""
-
-    def __init__(self, q, length):
-        qn, qd = q
-        if not 0 < qn < qd:
-            raise ValueError(f"q must lie strictly inside (0, 1), got {qn / qd}")
-        self.length = length
-        self.powers = [(1, 1)]
-        for _ in range(length):
-            n, d = self.powers[-1]
-            self.powers.append((n * qn, d * qd))
-        # 1 - p q^k with p = n/d vanishes exactly when n qn^k == d qd^k.  Both
-        # pairs are in lowest terms with positive denominators, so that is
-        # (n, d) == (qd^k, qn^k): the parameter that vanishes at step k.
-        self.vanishes_at = {(d, n): k for k, (n, d) in enumerate(self.powers[:length])}
-        self._runs = {}
-
-    def runs(self, digits):
-        """The :class:`_Runs` at ``digits`` digits, or in ``Fraction``
-        arithmetic for ``digits=None``."""
-        runs = self._runs.get(digits)
-        if runs is None:
-            runs = self._runs[digits] = _Runs(digits, self.powers, self.vanishes_at)
-        return runs
-
-
 def _context(digits, rounding=decimal.ROUND_HALF_EVEN):
     """A decimal context with the widest exponent range.  No value formed
     from float or ``Fraction`` arguments by a feasible number of steps comes
@@ -393,7 +363,7 @@ _Run = namedtuple("_Run", "values bounds")
 
 class _Runs:
     """Runs over ``k < length`` in one number type, each built on first use;
-    ``vanishes_at`` is :class:`_Base`'s.
+    ``vanishes_at`` is :class:`_Grid`'s.
 
     ``context`` is the decimal context of the sums and of every run; for
     ``digits=None`` the runs are ``Fraction``s, and their bounds are 0

@@ -471,6 +471,7 @@ class TestParameterScan:
             ("q", [0.3, float("inf"), 0.7], "range for q must be finite"),
             ("b", [0.9, 0.05], "range for b has hi < lo"),
             ("a", [], "range for a is empty"),
+            ("a", [-1e308, 1e308], "range for a has a width hi - lo that is not finite"),
         ],
     )
     def test_bad_range_rejected_when_called_directly(self, label, spec, message):

@@ -853,9 +853,9 @@ class TestGridWork:
         config = CONFIG_DIR / "qr24_default.json"
         n = json.loads(config.read_text())["N"]
         assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 0
-        # one evaluator call per grid, over every (degree, point) entry
+        # one evaluator call for both grids, over every (degree, point) entry
         assert [len(degrees) * len(columns) for degrees, (_, columns), *_ in series_calls] == [
-            (n + 1) ** 2, (n + 1) ** 2
+            2 * (n + 1) ** 2
         ]
 
     def test_verify_computes_the_closed_form_spectrum_once(self, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ for the degree structure, and exact-rational evaluation of the defining
 three-term relations with the package's coefficient tables.
 """
 
+import contextvars
 import dataclasses
 import hashlib
 from fractions import Fraction
@@ -24,6 +25,7 @@ from xychain.qracah import (
     _Points,
     _polynomial_grids,
     _raw_tables,
+    _shift_map,
     contiguity_coefficients,
     qracah_eval,
     shift_params,
@@ -152,6 +154,10 @@ class TestPolynomialValues:
         with pytest.raises(ValueError):
             qracah_eval(POLY_POINT.N + 1, 0, POLY_POINT)
 
+    def test_numpy_integer_degree(self):
+        # the degree's parameter a b q^(i+1) is formed from a Python int
+        assert qracah_eval(np.int64(3), 2, POLY_POINT) == qracah_eval(3, 2, POLY_POINT)
+
     def test_off_grid_argument_allowed(self):
         # Off the grid q^-x and c q^(x-N) are floats; the value is the float
         # the exact sum of those very arguments rounds to.
@@ -198,7 +204,7 @@ GRID_CASES = [
 
 
 class TestGridEvaluator:
-    """A grid build sums each grid in one evaluator call on shared decimal
+    """A grid build sums both grids in one evaluator call on shared decimal
     factor runs; every entry must still be, bit for bit, the value of a lone
     evaluation and of the exact oracle."""
 
@@ -222,10 +228,11 @@ class TestGridEvaluator:
         after = _polynomial_grids("qr24", first)
         for grid, again in zip(before, after):
             assert grid.tobytes() == again.tobytes()
-        assert qseries._SCOPE.get() is None
         caches = [name for name, value in vars(qseries).items()
                   if hasattr(value, "cache_info") or hasattr(value, "cache_clear")]
         assert caches == []
+        assert not [name for name, value in vars(qseries).items()
+                    if isinstance(value, contextvars.ContextVar)]
 
 
 class TestDegreeStructure:
@@ -280,6 +287,14 @@ class TestShiftMap:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             shift_params("qr99", POLY_POINT)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_exact_shift_keeps_a_times_b(self, family):
+        # the two grids of a build share their rows (i, a b q^(i+1))
+        for params in (POLY_POINT, QR24_DEFAULT, QR13_CHAIN):
+            a, b, c, _, q = (Fraction(v) for v in params.as_tuple())
+            _, sa, sb, _ = _shift_map(family, a, b, c, q)
+            assert type(sa * sb) is Fraction and sa * sb == a * b
 
 
 class TestParams:

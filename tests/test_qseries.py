@@ -131,48 +131,78 @@ class TestExactDecisions:
 
 def _first_lone_failure(degrees, rows, columns, dens, q, z):
     """The exception of the first entry, in row order, whose own call
-    raises, or ``None``."""
+    raises, or ``None``; ``dens`` holds each column's denominators."""
     for i, a1 in zip(degrees, rows):
-        for a2, a3 in columns:
+        for (a2, a3), b in zip(columns, dens):
             try:
-                phi43_terminating_exact(i, (a1, a2, a3), dens, q, z)
+                phi43_terminating_exact(i, (a1, a2, a3), b, q, z)
             except (ArithmeticError, XYChainError) as exc:
                 return exc
     return None
 
 
 class TestGrid:
-    """A grid call sums rows ``(i, a1)`` against columns ``(a2, a3)``; each
-    entry is its one-entry call, and a grid that fails raises what its first
-    failing entry raises."""
+    """A grid call sums rows ``(i, a1)`` against columns ``(a2, a3)``, each
+    with its own denominators; each entry is its one-entry call, and a grid
+    that fails raises what its first failing entry raises."""
 
     Q, Z = Fraction(1, 2), Fraction(7, 10)
     # q^-x ends column x's series at step x
     COLUMNS = [(Fraction(2) ** x, 0.5) for x in range(10)]
+    # 1 - 16 q^4 = 0: an entry with these denominators raises once its
+    # series passes step 4
+    ZERO_DENS = (16.0, 0.2, 0.1)
 
-    def test_entries_equal_their_own_calls(self):
-        degrees, rows, dens = range(10), [0.3 - 0.07 * i for i in range(10)], (0.25, -0.2, 0.1)
-        grid = phi43_terminating_exact(degrees, (rows, self.COLUMNS), dens, self.Q, self.Z)
-        assert [len(row) for row in grid] == [len(self.COLUMNS)] * 10
+    def _assert_lone_entries(self, degrees, rows, columns, dens, grid):
+        assert [len(row) for row in grid] == [len(columns)] * len(degrees)
         for i, a1, row in zip(degrees, rows, grid):
-            for (a2, a3), value in zip(self.COLUMNS, row):
-                args = (i, (a1, a2, a3), dens, self.Q, self.Z)
+            for (a2, a3), b, value in zip(columns, dens, row):
+                args = (i, (a1, a2, a3), b, self.Q, self.Z)
                 assert value.hex() == phi43_terminating_exact(*args).hex()
                 assert value.hex() == float(phi43_exact(*args)).hex()
 
+    def test_entries_equal_their_own_calls(self):
+        degrees, rows = range(10), [0.3 - 0.07 * i for i in range(10)]
+        dens = [(0.25, -0.2, 0.1)] * len(self.COLUMNS)
+        grid = phi43_terminating_exact(degrees, (rows, self.COLUMNS), dens, self.Q, self.Z)
+        self._assert_lone_entries(degrees, rows, self.COLUMNS, dens, grid)
+
     def test_exact_denominator_zero_raises_the_first_entrys_error(self):
-        # 1 - 16 q^4 = 0: an entry raises once its series passes step 4
-        degrees, rows, dens = range(10), [0.3] * 10, (16.0, 0.2, 0.1)
+        degrees, rows, dens = range(10), [0.3] * 10, [self.ZERO_DENS] * len(self.COLUMNS)
         lone = _first_lone_failure(degrees, rows, self.COLUMNS, dens, self.Q, self.Z)
         with pytest.raises(DenominatorVanishes) as excinfo:
             phi43_terminating_exact(degrees, (rows, self.COLUMNS), dens, self.Q, self.Z)
         assert (excinfo.value.k, excinfo.value.param) == (lone.k, lone.param) == (4, 16.0)
 
+    def test_columns_carry_their_own_denominators(self):
+        # Two column groups: only the second group's denominators vanish,
+        # and its columns up to x = 4 end their series before they do.
+        degrees, rows = range(10), [0.3 - 0.07 * i for i in range(10)]
+        clean = (0.25, -0.2, 0.1)
+        columns = self.COLUMNS + self.COLUMNS[:5]
+        dens = [clean] * 10 + [self.ZERO_DENS] * 5
+        grid = phi43_terminating_exact(degrees, (rows, columns), dens, self.Q, self.Z)
+        self._assert_lone_entries(degrees, rows, columns, dens, grid)
+        # With the whole second group, the first entry past step 4 is row 5,
+        # column x = 5 of that group, after every earlier entry of both.
+        columns = self.COLUMNS + self.COLUMNS
+        dens = [clean] * 10 + [self.ZERO_DENS] * 10
+        lone = _first_lone_failure(degrees, rows, columns, dens, self.Q, self.Z)
+        with pytest.raises(DenominatorVanishes) as excinfo:
+            phi43_terminating_exact(degrees, (rows, columns), dens, self.Q, self.Z)
+        assert (excinfo.value.k, excinfo.value.param) == (lone.k, lone.param) == (4, 16.0)
+        lone_failures = [
+            (i, g) for i in degrees for g in range(20)
+            if _first_lone_failure([i], [rows[i]], [columns[g]], [dens[g]], self.Q, self.Z)
+        ]
+        assert lone_failures[0] == (5, 15)
+        assert all(g >= 15 and i >= 5 for i, g in lone_failures)
+
     @pytest.mark.parametrize("huge_row, error", [(1, OverflowError), (6, DenominatorVanishes)])
     def test_first_failing_entry_in_row_order_decides(self, huge_row, error):
         # Row huge_row overflows from column 1 on, and row 5 reaches the
         # denominator zero at column 5: the earlier failure is raised.
-        degrees, dens, z = range(10), (16.0, 0.2, 0.1), Fraction(10**20)
+        degrees, dens, z = range(10), [self.ZERO_DENS] * len(self.COLUMNS), Fraction(10**20)
         rows = [-1e300 if i == huge_row else 0.3 for i in degrees]
         lone = _first_lone_failure(degrees, rows, self.COLUMNS, dens, self.Q, z)
         with pytest.raises(error) as excinfo:
@@ -180,9 +210,9 @@ class TestGrid:
         assert type(lone) is error and str(excinfo.value) == str(lone)
 
     def test_empty_grid(self):
-        dens = (0.1, 0.2, 0.3)
+        dens = [(0.1, 0.2, 0.3)] * len(self.COLUMNS)
         assert phi43_terminating_exact([], ([], self.COLUMNS), dens, self.Q, self.Z) == []
-        assert phi43_terminating_exact([2, 3], ([0.1, 0.2], []), dens, self.Q, self.Z) == [[], []]
+        assert phi43_terminating_exact([2, 3], ([0.1, 0.2], []), [], self.Q, self.Z) == [[], []]
 
 
 @pytest.fixture

@@ -43,9 +43,11 @@ Cases:
   families, x the three ``verify`` forms;
 * a scan of the qr13 box of ``tests/helpers.py`` at ``N = 3``, at every
   validity level;
-* the shipped qr24 point at ``N = 20``, ``N = 30`` and ``N = 40`` x the
-  three ``verify`` forms, whose grids reach deeper precision ladders than
-  the pool's ``N <= 16``;
+* the shipped qr24 and qr13 points (``configs/qr24_default.json`` and
+  ``configs/qr13_chain.json``) at ``N = 20``, ``N = 30`` and ``N = 40`` x
+  the three ``verify`` forms, whose grids reach deeper precision ladders
+  than the pool's ``N <= 16``; the qr13 shifted grid's columns differ from
+  its base grid's;
 * the three shipped chain configs with each ``"tolerances"`` name in turn
   set to 1e-300, x the three ``verify`` forms, so every check shows which
   name sets its tolerance;
@@ -113,6 +115,9 @@ NEAR_ZERO_MODE = {"family": "qr24", "a": 0.5, "b": -0.5, "c": 0.0, "q": 1e-06, "
 EXACT_ZERO_POINT = {"a": 0.25, "b": 0.5, "c": -1.0, "q": 0.5, "N": 5}
 QR13_BOX = {"a": [1.5, 9.0], "b": [1.5, 9.0], "c": [-0.9, -0.1], "q": [0.3, 0.5, 0.7]}
 DEEP_N = (20, 30, 40)
+#: The shipped points run at each ``DEEP_N``: qr24, whose shifted grid
+#: points are its base ones, and qr13, whose shifted points move by one.
+DEEP_CONFIGS = ("qr24_default.json", "qr13_chain.json")
 CHAIN_CONFIGS = ("qr24_default.json", "qr13_chain.json", "xx_uniform.json")
 #: The names of ``xychain.report.TOLERANCES``, each tightened to ``TIGHT``.
 TOLERANCE_NAMES = ("relation", "constraint", "spectrum", "svd", "recurrence", "angle",
@@ -212,9 +217,10 @@ def build_cases(config_dir):
         add(f"qr13-box@{level}",
             {"family": "qr13", "N": 3, "ranges": QR13_BOX, "samples": 200, "level": level},
             ("scan.csv",))
-    qr24 = json.loads((CONFIG_DIR / "qr24_default.json").read_text())
-    for N in DEEP_N:
-        add(f"configs/qr24_default.json@N={N}", dict(qr24, N=N), VERIFY_FORMS)
+    for name in DEEP_CONFIGS:
+        config = json.loads((CONFIG_DIR / name).read_text())
+        for N in DEEP_N:
+            add(f"configs/{name}@N={N}", dict(config, N=N), VERIFY_FORMS)
     for name in CHAIN_CONFIGS:
         config = json.loads((CONFIG_DIR / name).read_text())
         for key in TOLERANCE_NAMES:
