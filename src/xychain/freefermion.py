@@ -112,19 +112,10 @@ def eigendecompose(system):
     Lambda w`` and ``(A - B) w = Lambda u``, so ``psi = (u + w) / 2`` and
     ``phi = (u - w) / 2`` pair into eigenvectors of ``H`` for ``+Lambda``,
     and ``T`` is orthogonal as ``U`` and ``W`` are; for a zero mode any pair
-    of null vectors does.  Every column is signed so that the
-    largest-magnitude entry of ``psi`` (of ``phi`` if ``psi`` vanishes) is
-    positive, with ties broken by the lowest index.
+    of null vectors does.
     """
     lam, u, w = jacobi_svd(system.A + system.B)
-    n = system.n_sites
-    psi = 0.5 * (u + w)
-    phi = 0.5 * (u - w)
-    anchor = np.where(np.max(np.abs(psi), axis=0) > 0.0, psi, phi)
-    flip = np.where(anchor[np.argmax(np.abs(anchor), axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
-    psi *= flip
-    phi *= flip
-    return SpectralData(lambda_numeric=lam, Psi=psi, Phi=phi, system=system)
+    return SpectralData(lambda_numeric=lam, Psi=0.5 * (u + w), Phi=0.5 * (u - w), system=system)
 
 
 def _spectrum_gap(values, reference):

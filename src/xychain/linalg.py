@@ -7,7 +7,8 @@ solvers used as oracles in the test suite, and of each other.
 :func:`jacobi_svd`, the free-fermion path's solver, is a one-sided Jacobi SVD
 with relatively accurate values and orthogonal factors (Demmel & Veselic,
 SIAM J. Matrix Anal. Appl. 13(4), 1992); :func:`jacobi_eigh`, the
-eigenvalues of the doubled matrix that certify it, a two-sided Jacobi.  Each
+eigenvalues of the doubled matrix that certify it, and on an XX chain those
+of the hopping matrix ``A`` as well, a two-sided Jacobi.  Each
 sweep of either visits every index pair once in the round-robin (tournament)
 order of Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985): a round holds
 ``n/2`` disjoint pairs, whose rotations commute and are applied together.

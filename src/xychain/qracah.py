@@ -86,11 +86,11 @@ def qracah_eval(i, x, params):
     The series arguments are formed from the (exactly represented) float
     parameters as :class:`fractions.Fraction`; an integer-valued ``x`` is
     passed as an ``int``, so ``q^{-x}`` stays exact on the grid, while an
-    off-grid ``x`` makes the two ``x``-dependent arguments floats.  Every
-    value is the float the exact sum of those arguments rounds to
-    (:func:`~xychain.qseries.phi43_terminating_exact`), so it stays accurate
-    at degrees where direct float accumulation would lose many digits to
-    cancellation.
+    off-grid ``x`` makes the two ``x``-dependent arguments floats.  The value
+    is the one entry of a 1 x 1 grid of
+    :func:`~xychain.qseries.phi43_terminating_exact`: the float the exact sum
+    of those arguments rounds to, so it stays accurate at degrees where
+    direct float accumulation would lose many digits to cancellation.
     """
     a, b, c, N, q = params.as_tuple()
     if not 0 <= i <= N:
@@ -98,22 +98,24 @@ def qracah_eval(i, x, params):
     a, b, c, q = (Fraction(v) for v in (a, b, c, q))
     x = int(x) if float(x).is_integer() else x
     # range() yields a numpy degree as a Python int, which Fraction powers need
-    (row,), (column,), den = _series_args(a, b, c, N, q, range(i, i + 1), [x])
-    return phi43_terminating_exact(i, (row, *column), den, q, q)
+    rows, columns = _series_args(a, b, c, N, q, range(i, i + 1), [x])
+    return phi43_terminating_exact(rows, columns, q, q)[0][0]
 
 
 def _series_args(a, b, c, N, q, degrees, xs):
-    """Series parameters of the ``degrees`` at the points ``xs``.
+    """Series parameters of the ``degrees`` at the points ``xs``, in the
+    evaluator's ``(rows, columns)`` form.
 
-    Returns ``(rows, columns, den)``: the numerator parameter
-    ``a b q^{i+1}`` of each degree, the numerator parameters
-    ``(q^{-x}, c q^{x-N})`` of each point and the denominator parameters
-    ``(a q, b c q, q^{-N})``, each formed once.  The parameters are
+    Each row is a degree ``i`` and its numerator parameter ``a b q^{i+1}``;
+    each column is a point's numerator parameters ``(q^{-x}, c q^{x-N})``
+    followed by the denominator parameters ``(a q, b c q, q^{-N})``, which
+    are formed once and added to every column.  The parameters are
     ``Fraction``s, shared by :func:`qracah_eval` and the grids.
     """
-    rows = [a * b * q ** (i + 1) for i in degrees]
-    columns = [(q ** (-x), c * q ** (x - N)) for x in xs]
-    return rows, columns, (a * q, b * c * q, q ** (-N))
+    rows = [(i, a * b * q ** (i + 1)) for i in degrees]
+    den = (a * q, b * c * q, q ** (-N))
+    columns = [(q ** (-x), c * q ** (x - N), *den) for x in xs]
+    return rows, columns
 
 
 class _Points:
@@ -521,15 +523,10 @@ def _polynomial_grids(family, params):
     a, b, c, q = (Fraction(v) for v in (params.a, params.b, params.c, params.q))
     x_shift, sa, sb, sc = _shift_map(family, a, b, c, q)
     width = N + 1
-    rows, columns, den = _series_args(a, b, c, N, q, range(width), range(width))
+    rows, columns = _series_args(a, b, c, N, q, range(width), range(width))
     # a b, and with it every row, is the same in both families
-    _, shifted_columns, shifted_den = _series_args(
-        sa, sb, sc, N, q, (), range(x_shift, x_shift + width)
-    )
-    grid = phi43_terminating_exact(
-        range(width), (rows, columns + shifted_columns),
-        [den] * width + [shifted_den] * width, q, q,
-    )
+    _, shifted = _series_args(sa, sb, sc, N, q, (), range(x_shift, x_shift + width))
+    grid = phi43_terminating_exact(rows, columns + shifted, q, q)
     return (np.array([row[:width] for row in grid]),
             np.array([row[width:] for row in grid]))
 

@@ -13,25 +13,24 @@ up to :data:`PRECISION_CAP`.  What needs exact values (where the series
 ends, vanishing denominators, a sum that is exactly zero or exactly halfway
 between two floats) is decided on the exact arguments.
 
-One call sums a whole grid: rows of a degree ``i`` and its ``a1``, columns
-of ``(a2, a3)`` and their own ``(b1, b2, b3)``, and one ``q`` and ``z``; a
-single sum is a 1 x 1 grid.  The term ratio of step ``k`` is a product of
-three runs over ``k``: the heads ``(1 - q^(k-i)) (1 - a1 q^k)``, once per
-row, the columns ``(1 - a2 q^k) (1 - a3 q^k)`` (up to where one of them
-ends its series), and the quotients ``z / ((1 - q^(k+1)) (1 - b1 q^k) (1 -
-b2 q^k) (1 - b3 q^k))``, each once per call for each distinct pair or
-triple.  Per precision the call forms each row's prefix products of its
-head and each column's prefix products of its column run times its
-quotient run once, and term ``k`` of an entry is the product of its row's
-and its column's ``k``-th prefix product.  Every run entry carries a bound
-on its relative error, and a run keeps the running sums of those bounds,
-so the bound of a whole sum costs a few operations.  Only the entries a
-precision leaves unproved go on to the next.  The runs live for one call.
+The evaluator has one form, a grid: rows of a degree ``i`` and its ``a1``,
+columns of ``(a2, a3, b1, b2, b3)``, and one ``q`` and ``z``; a single sum
+is a 1 x 1 grid.  The term ratio of step ``k`` is a product of three runs
+over ``k``: the heads ``(1 - q^(k-i)) (1 - a1 q^k)``, once per row, the
+columns ``(1 - a2 q^k) (1 - a3 q^k)`` (up to where one of them ends its
+series), and the quotients ``z / ((1 - q^(k+1)) (1 - b1 q^k) (1 - b2 q^k)
+(1 - b3 q^k))``, each once per call for each distinct pair or triple.  Per
+precision the call forms each row's prefix products of its head and each
+column's prefix products of its column run times its quotient run once, and
+term ``k`` of an entry is the product of its row's and its column's
+``k``-th prefix product.  Every run entry carries a bound on its relative
+error, and a run keeps the running sums of those bounds, so the bound of a
+whole sum costs a few operations.  Only the entries a precision leaves
+unproved go on to the next.  The runs live for one call.
 """
 
 import decimal
 import math
-import numbers
 import operator
 from collections import namedtuple
 from fractions import Fraction
@@ -59,20 +58,20 @@ _BOUND_DIGITS = 9
 _INFINITY = decimal.Decimal("Infinity")
 
 
-def phi43_terminating_exact(i, num_params, den_params, q, z):
-    """The float nearest to the exact value of the terminating 4phi3 sum
+def phi43_terminating_exact(rows, columns, q, z):
+    """The grid of floats nearest to the exact values of the terminating
+    4phi3 sums
 
         sum_{k=0}^{i} [ (q^{-i};q)_k (a1;q)_k (a2;q)_k (a3;q)_k /
-                        ( (q;q)_k (b1;q)_k (b2;q)_k (b3;q)_k ) ] z^k,
+                        ( (q;q)_k (b1;q)_k (b2;q)_k (b3;q)_k ) ] z^k
 
-    or the grid of such floats over rows ``(i, a1)`` and columns
-    ``(a2, a3)``, each column with its own ``(b1, b2, b3)``, that share
-    ``q`` and ``z``.
+    over ``rows`` of ``(i, a1)`` and ``columns`` of ``(a2, a3, b1, b2,
+    b3)``, which share ``q`` and ``z``.  A single sum is a 1 x 1 grid.
 
     The series terminates because of the ``q^{-i}`` numerator parameter,
     which is supplied through ``i`` and never passed explicitly.  The
-    arguments may be floats or :class:`fractions.Fraction`, and both are read
-    exactly as integer ratios.  The decisions that need exact values are
+    parameters may be floats or :class:`fractions.Fraction`, and both are
+    read exactly as integer ratios.  The decisions that need exact values are
     taken on those integers, once per grid: where a numerator factor ends
     each row's and each column's series, and whether a column's denominator
     factor vanishes before that.  A factor that merely rounds to zero in a
@@ -101,19 +100,16 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
     flag clear), the exact sum is cheap, and an entry refused at ``p`` digits
     whose exact value is a zero or a tie is decided at ``p`` rather than at
     the cap.  Every value is proved, so each grid entry is bit for bit the
-    float of its own one-entry call.
+    float of its own 1 x 1 grid.
 
     Parameters
     ----------
-    i : int or sequence of int
-        Termination degree (``q^{-i}`` numerator parameter); must be >= 0.
-        For a grid, the degree of each row.
-    num_params : sequence of 3 floats or Fractions
-        The remaining numerator parameters ``(a1, a2, a3)``.  For a grid, the
-        pair ``(a1 of each row, (a2, a3) of each column)``.
-    den_params : sequence of 3 floats or Fractions
-        Denominator parameters ``(b1, b2, b3)``.  For a grid, one such
-        triple per column.
+    rows : iterable of (int, float or Fraction)
+        Per row, the termination degree ``i`` (the ``q^{-i}`` numerator
+        parameter, >= 0) and the numerator parameter ``a1``.
+    columns : iterable of 5 floats or Fractions
+        Per column, the numerator parameters ``(a2, a3)`` and the
+        denominator parameters ``(b1, b2, b3)``.
     q : float or Fraction
         Base, required strictly inside (0, 1).
     z : float or Fraction
@@ -121,7 +117,7 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
 
     Returns
     -------
-    float, or for a grid a list holding a list of floats per row
+    list holding a list of floats per row
 
     Raises
     ------
@@ -139,22 +135,13 @@ def phi43_terminating_exact(i, num_params, den_params, q, z):
     A grid raises what the first entry that fails, in row order, raises on
     its own.
     """
-    single = isinstance(i, numbers.Integral)
-    if single:
-        a1, a2, a3 = num_params
-        i, num_params, den_params = [i], ([a1], [(a2, a3)]), [den_params]
-    degrees = list(i)
-    for degree in degrees:
-        if degree < 0:
-            raise ValueError(f"termination degree must be >= 0, got {degree}")
-    # every other argument as the (numerator, denominator) of its exact value
-    row_params, column_params = num_params
-    rows = [(i, a1.as_integer_ratio()) for i, a1 in zip(degrees, row_params, strict=True)]
-    columns = [tuple(v.as_integer_ratio() for v in (a2, a3, *dens))
-               for (a2, a3), dens in zip(column_params, den_params, strict=True)]
+    # every parameter as the (numerator, denominator) of its exact value
+    rows = [(i, a1.as_integer_ratio()) for i, a1 in rows]
+    for i, _ in rows:
+        if i < 0:
+            raise ValueError(f"termination degree must be >= 0, got {i}")
+    columns = [tuple(v.as_integer_ratio() for v in column) for column in columns]
     values = _Grid(q.as_integer_ratio(), rows, columns, z.as_integer_ratio()).sums()
-    if single:
-        return values[0]
     width = len(columns)
     return [values[r * width:(r + 1) * width] for r in range(len(rows))]
 
@@ -197,7 +184,7 @@ class _Grid:
         arithmetic for ``digits=None``."""
         runs = self._runs.get(digits)
         if runs is None:
-            runs = self._runs[digits] = _Runs(digits, self.powers, self.vanishes_at)
+            runs = self._runs[digits] = _Runs(digits, self.powers)
         return runs
 
     def sums(self):
@@ -290,7 +277,7 @@ class _Grid:
                                                operator.mul, initial=one)), head.bounds)
             if c not in columns:
                 parameters = self.columns[c]
-                column = runs.column(*parameters[:2])  # ends where the column's series does
+                column = runs.column(*parameters[:2], self.column_steps[c])
                 quotient = runs.quotient(parameters[2:], self.z)
                 factors = map(operator.mul, column.values, quotient.values)
                 columns[c] = (_Run(list(accumulate(factors, operator.mul, initial=one)),
@@ -362,8 +349,7 @@ _Run = namedtuple("_Run", "values bounds")
 
 
 class _Runs:
-    """Runs over ``k < length`` in one number type, each built on first use;
-    ``vanishes_at`` is :class:`_Grid`'s.
+    """Runs over ``k < length`` in one number type, each built on first use.
 
     ``context`` is the decimal context of the sums and of every run; for
     ``digits=None`` the runs are ``Fraction``s, and their bounds are 0
@@ -374,7 +360,7 @@ class _Runs:
     the ends of a sum's interval outward.
     """
 
-    def __init__(self, digits, powers, vanishes_at):
+    def __init__(self, digits, powers):
         if digits is None:
             self.context, self._number, unit = None, Fraction, 0
         else:
@@ -389,7 +375,6 @@ class _Runs:
         self._three_units = 3 * unit
         self.powers = [self._number(n, d) for n, d in powers]
         self._inverse_powers = [self._number(d, n) for n, d in powers]
-        self._vanishes_at = vanishes_at
         self._values = {}
         self._shared = {}
 
@@ -444,14 +429,12 @@ class _Runs:
 
         return self._share(("head", i, a1), entries)
 
-    def column(self, a2, a3):
-        """``(1 - a2 q^k) (1 - a3 q^k)`` up to the first exact zero of either
-        factor, where every series of this column has ended."""
+    def column(self, a2, a3, stop):
+        """``(1 - a2 q^k) (1 - a3 q^k)`` for ``k < stop``, the step where every
+        series of this column ends (:attr:`_Grid.column_steps`)."""
 
         def entries():
             b, c = self.value(a2), self.value(a3)
-            length = len(self.powers) - 1
-            stop = min(self._vanishes_at.get(a2, length), self._vanishes_at.get(a3, length))
             for qk in self.powers[:stop]:
                 f, f_bound = self._one_minus(b * qk, self._three_units)
                 g, g_bound = self._one_minus(c * qk, self._three_units)

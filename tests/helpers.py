@@ -21,6 +21,7 @@ from xychain import (
     linalg,
 )
 from xychain.errors import ConvergenceFailure
+from xychain.qseries import phi43_terminating_exact
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -46,6 +47,14 @@ QR13_BOX = {
     "c": [-0.9, -0.1],
     "q": [0.3, 0.5, 0.7],
 }
+
+
+def phi43_lone(i, nums, dens, q, z):
+    """One terminating 4phi3 sum, in the argument order of
+    ``exact_oracles.phi43_exact``, as the 1 x 1 grid
+    ``[(i, a1)] x [(a2, a3, b1, b2, b3)]`` of the evaluator."""
+    a1, a2, a3 = nums
+    return phi43_terminating_exact([(i, a1)], [(a2, a3, *dens)], q, z)[0][0]
 
 
 def random_chain(rng, n_sites):

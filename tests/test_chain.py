@@ -480,6 +480,20 @@ class TestParameterScan:
         with pytest.raises(ValueError, match=message):
             parameter_scan("qr24", {**QR24_BOX, label: spec}, N=4, samples=10)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+            parameter_scan("qr24", QR24_BOX, N=4, samples=0)
+
+    def test_draws_the_parameter_record_refuses_are_skipped(self):
+        # q outside (0, 1) is refused when the draw is made, not screened:
+        # the other choices still give valid draws, and with no other choice
+        # nothing passes
+        box = {**QR24_BOX, "q": [0.0, 0.5, 0.7]}
+        draws = parameter_scan("qr24", box, N=4, samples=30, seed=2, level="couplings")
+        assert draws and {p.q for p in draws} <= {0.5, 0.7}
+        with pytest.raises(NoValidParameters):
+            parameter_scan("qr24", {**QR24_BOX, "q": [1.0, 1.5, 2.0]}, N=4, samples=30, seed=2)
+
     def test_draws_follow_the_generator_stream(self):
         # Each draw takes a, b, c uniformly and then one q choice from one
         # generator, in that order; the kept draws are a subsequence.

@@ -557,6 +557,40 @@ class TestConfigErrors:
         assert err.startswith("error: ranges['a']") and err.count("\n") == 1
         assert "not a finite float" in err
 
+    @pytest.mark.parametrize("command, config", [
+        ("verify", dict(XX_CONFIG, alpha=[True, 1.0])),
+        ("verify", dict(XX_CONFIG, tolerances={"svd": "1e-8"})),
+        ("scan", dict(SCAN_CONFIG, ranges=dict(SCAN_CONFIG["ranges"], q=[0.3, "0.5"]))),
+    ], ids=["bool-coupling", "string-tolerance", "string-range-entry"])
+    def test_non_number_entry(self, tmp_path, capsys, command, config):
+        assert main([command, "--config", write_config(tmp_path, config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_unknown_scan_range_key(self, tmp_path, capsys):
+        ranges = dict(SCAN_CONFIG["ranges"], d=[0.1, 0.2])
+        path = write_config(tmp_path, dict(SCAN_CONFIG, ranges=ranges))
+        assert main(["scan", "--config", path]) == 2
+        assert "has unknown keys: ['d']" in capsys.readouterr().err
+
+    def test_unknown_scan_level(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(SCAN_CONFIG, level="everything"))
+        assert main(["scan", "--config", path]) == 2
+        assert "'level' must be one of" in capsys.readouterr().err
+
+    def test_non_string_note(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(QR24_CONFIG, note=7))
+        assert main(["spectrum", "--config", path]) == 2
+        assert "'note' must be a string" in capsys.readouterr().err
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        path = write_config(tmp_path, QR24_CONFIG)
+        out = tmp_path / "missing" / "out.csv"
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize(
         "command, config, override",
         [
@@ -854,7 +888,7 @@ class TestGridWork:
         n = json.loads(config.read_text())["N"]
         assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 0
         # one evaluator call for both grids, over every (degree, point) entry
-        assert [len(degrees) * len(columns) for degrees, (_, columns), *_ in series_calls] == [
+        assert [len(rows) * len(columns) for rows, columns, *_ in series_calls] == [
             2 * (n + 1) ** 2
         ]
 

@@ -422,6 +422,42 @@ class TestCrosschecks:
         assert report.passed
         assert len(report.checks) == 11
 
+    @staticmethod
+    def _default_point():
+        """The chain, the numeric decomposition and the P/Q tables of the
+        shipped qr24 point (``configs/qr24_default.json``), whose largest
+        Lambda is 3.31."""
+        chain = build_chain(contiguity_coefficients("qr24", QR24_DEFAULT))
+        return chain, eigendecompose(assemble(chain)), pq_table("qr24", QR24_DEFAULT)
+
+    @staticmethod
+    def _rows(spectral, pq):
+        return [(row.name, row.residual.hex(), row.passed)
+                for row in eigenvector_crosscheck(spectral, pq).checks]
+
+    @pytest.mark.parametrize("k", [4, 30, 300])
+    def test_power_of_two_scale_keeps_every_row(self, k):
+        # 2^k times the chain has 2^k times its spectrum and the same
+        # eigenvectors; P and Q are unchanged
+        chain, spectral, pq = self._default_point()
+        scaled = ChainSpec(chain.alpha * 2.0**k, chain.beta * 2.0**k, chain.gamma * 2.0**k)
+        rows = self._rows(eigendecompose(assemble(scaled)),
+                          replace(pq, lam=pq.lam * 2.0**k, chain=scaled))
+        assert rows == self._rows(spectral, pq)
+
+    def test_tables_whose_squares_overflow_keep_every_row(self):
+        # the entries reach 1.3e302, so the column norms overflow unless the
+        # tables are brought down before them
+        _, spectral, pq = self._default_point()
+        huge = replace(pq, P=pq.P * 2.0**1000, Q=pq.Q * 2.0**1000)
+        assert np.max(np.abs(huge.P)) > np.sqrt(np.finfo(float).max)
+        assert self._rows(spectral, huge) == self._rows(spectral, pq)
+
+    def test_non_table_argument_raises(self):
+        _, spectral, pq = self._default_point()
+        with pytest.raises(TypeError, match="expected a PQTable, got tuple"):
+            eigenvector_crosscheck(spectral, (pq.P, pq.Q, pq.lam))
+
     def test_mode_count_mismatch_raises(self):
         pq = pq_table("qr24", QR24_DEFAULT)
         spectral = eigendecompose(assemble(ChainSpec(alpha=[1.0], beta=[0.0, 0.0], gamma=[0.0])))

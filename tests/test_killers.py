@@ -251,3 +251,32 @@ def test_every_emitted_check_has_a_killer(tmp_path):
         for name in _verify_checks(directory, config):
             emitted.setdefault(_folded(name), label)
     assert set(emitted) == {_folded(name) for name in KILLERS}, emitted
+
+
+#: ROADMAP item 8: the spectrum checks divide their gap by ``max(1, max
+#: Lambda)``, so below 1 they hold an absolute gap, which does not scale.
+_ABSOLUTE_GAP_BELOW_ONE = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 8: spectrum-vs-singular-values and xx-reduction divide by "
+           "max(1, max Lambda)",
+)
+
+
+@pytest.mark.parametrize("k", [
+    pytest.param(-30, marks=_ABSOLUTE_GAP_BELOW_ONE),
+    pytest.param(-4, marks=_ABSOLUTE_GAP_BELOW_ONE),
+    4, 30, 300,
+])
+@pytest.mark.parametrize("config", [EXPLICIT_CONFIG, XX_CONFIG], ids=["explicit", "xx"])
+def test_power_of_two_scale_keeps_every_row(tmp_path, config, k):
+    # Multiplying every coupling by 2^k is exact and scales every spectrum,
+    # singular value and many-body level by 2^k, so each relative residual,
+    # and with it each verdict, is the unscaled run's bit for bit.
+    scaled = dict(config, **{name: [value * 2.0**k for value in config[name]]
+                             for name in ("alpha", "beta", "gamma")})
+    rows = [
+        [(name, check["residual"].hex(), check["verdict"])
+         for name, check in _verify_checks(tmp_path, run).items()]
+        for run in (config, scaled)
+    ]
+    assert rows[1] == rows[0]

@@ -16,7 +16,7 @@ import pytest
 from exact_oracles import (
     phi43_exact, qracah_exact, qracah_grid_by_recurrence, relation_residuals_exact, shift_exact,
 )
-from helpers import QR13_CHAIN, QR24_DEFAULT
+from helpers import QR13_CHAIN, QR24_DEFAULT, phi43_lone
 from xychain import qseries
 from xychain.errors import InvalidParameterRegime, InvalidShiftedParams
 from xychain.qracah import (
@@ -31,7 +31,6 @@ from xychain.qracah import (
     shift_params,
     verify_contiguity,
 )
-from xychain.qseries import phi43_terminating_exact
 
 # Sample point used for frozen polynomial values.
 POLY_POINT = QRacahParams(a=-0.4, b=0.3, c=0.2, N=5, q=0.5)
@@ -170,16 +169,16 @@ class TestPolynomialValues:
 
 
 def _lone_grids(family, params):
-    """Every grid entry from its own evaluator call, outside any grid build:
-    :func:`qracah_eval` on the base grid, and on the shifted grid
-    :func:`phi43_terminating_exact` of the exactly shifted arguments."""
+    """Every grid entry from its own 1 x 1 evaluator grid, outside any grid
+    build: :func:`qracah_eval` on the base grid, and on the shifted grid
+    the lone sum of the exactly shifted arguments."""
     N = params.N
     base = [[qracah_eval(i, x, params) for x in range(N + 1)] for i in range(N + 1)]
     x_shift, (a, b, c, _, q) = shift_exact(family, *params.as_tuple())
     den = (a * q, b * c * q, q ** (-N))
     shifted = [
         [
-            phi43_terminating_exact(
+            phi43_lone(
                 i, (a * b * q ** (i + 1), q ** -(x + x_shift), c * q ** (x + x_shift - N)),
                 den, q, q,
             )

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_oracles import phi43_exact, qracah_exact, shift_exact
-from helpers import CONFIG_DIR
+from helpers import CONFIG_DIR, phi43_lone
 from xychain import qseries
 from xychain.errors import ConvergenceFailure, DenominatorVanishes, XYChainError
 from xychain.qracah import QRacahParams, _polynomial_grids
@@ -36,11 +36,11 @@ FROZEN_VALUES = [-4.0, 4037579.0665726066, -16108209.864902496]
 class TestAgainstExactRational:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_exact_oracle(self, case):
-        assert phi43_terminating_exact(*case) == float(phi43_exact(*case))
+        assert phi43_lone(*case) == float(phi43_exact(*case))
 
     @pytest.mark.parametrize("case, frozen", list(zip(ORACLE_CASES, FROZEN_VALUES)))
     def test_frozen_regression_values(self, case, frozen):
-        assert phi43_terminating_exact(*case) == pytest.approx(frozen, rel=1e-12)
+        assert phi43_lone(*case) == pytest.approx(frozen, rel=1e-12)
 
     def test_random_parameters_match_oracle(self, rng):
         for _ in range(25):
@@ -50,15 +50,15 @@ class TestAgainstExactRational:
             q = float(rng.uniform(0.3, 0.9))
             z = float(rng.uniform(-0.9, 0.9))
             exact = float(phi43_exact(i, nums, dens, q, z))
-            assert phi43_terminating_exact(i, nums, dens, q, z) == exact
+            assert phi43_lone(i, nums, dens, q, z) == exact
 
 
 class TestStructure:
     def test_degree_zero_is_one(self):
-        assert phi43_terminating_exact(0, (0.3, -0.5, 2.0), (0.2, 0.4, 0.6), 0.5, 0.8) == 1.0
+        assert phi43_lone(0, (0.3, -0.5, 2.0), (0.2, 0.4, 0.6), 0.5, 0.8) == 1.0
 
     def test_zero_argument_is_one(self):
-        assert phi43_terminating_exact(6, (0.3, -0.5, 2.0), (0.2, 0.4, 0.6), 0.5, 0.0) == 1.0
+        assert phi43_lone(6, (0.3, -0.5, 2.0), (0.2, 0.4, 0.6), 0.5, 0.0) == 1.0
 
     def test_degree_one_single_step(self):
         nums, dens, q, z = (0.25, -0.5, 0.75), (0.125, 0.375, -0.625), 0.5, 0.5
@@ -67,21 +67,21 @@ class TestStructure:
             (1 - 1 / Fraction(q)) * (1 - n[0]) * (1 - n[1]) * (1 - n[2])
             / ((1 - Fraction(q)) * (1 - d[0]) * (1 - d[1]) * (1 - d[2]))
         ) * Fraction(z)
-        assert phi43_terminating_exact(1, nums, dens, q, z) == float(expected)
+        assert phi43_lone(1, nums, dens, q, z) == float(expected)
 
     def test_vanishing_numerator_truncates_early(self):
         # A numerator parameter equal to q^-2 kills every term with k >= 3, so
         # a denominator zero that would occur at k = 4 is never reached.
         q = 0.5
         args = (9, (q**-3, 0.3, 0.5), (q**-4, 0.2, 0.1), q, 0.7)
-        assert phi43_terminating_exact(*args) == float(phi43_exact(*args))
+        assert phi43_lone(*args) == float(phi43_exact(*args))
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            phi43_terminating_exact(-1, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), 0.5, 0.5)
+            phi43_lone(-1, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), 0.5, 0.5)
         for q in (0.0, 1.0, 1.5, -0.5):
             with pytest.raises(ValueError):
-                phi43_terminating_exact(2, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), q, 0.5)
+                phi43_lone(2, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), q, 0.5)
 
 
 class TestDenominatorVanishes:
@@ -92,7 +92,7 @@ class TestDenominatorVanishes:
         # With q = 1/2 the denominator factor 1 - 4 * q^k hits exact zero at
         # k = 2 (powers of two are exact in binary floats).
         with pytest.raises(DenominatorVanishes) as excinfo:
-            phi43_terminating_exact(6, (0.3, 0.7, 0.9), (4.0, 0.2, 0.1), 0.5, 0.5)
+            phi43_lone(6, (0.3, 0.7, 0.9), (4.0, 0.2, 0.1), 0.5, 0.5)
         assert excinfo.value.k == 2
         assert excinfo.value.param == 4.0
 
@@ -100,7 +100,7 @@ class TestDenominatorVanishes:
         # The (q; q)_k factor itself cannot vanish for 0 < q < 1, but a
         # denominator parameter exactly equal to 1 vanishes at k = 0.
         with pytest.raises(DenominatorVanishes) as excinfo:
-            phi43_terminating_exact(3, (0.3, 0.7, 0.9), (1.0, 0.2, 0.1), 0.5, 0.5)
+            phi43_lone(3, (0.3, 0.7, 0.9), (1.0, 0.2, 0.1), 0.5, 0.5)
         assert excinfo.value.k == 0
         assert excinfo.value.param == 1.0
 
@@ -113,7 +113,7 @@ class TestExactDecisions:
         # 1 - b q^2 = -2.5e-46: zero at 40 significant digits, not exactly.
         args = (6, (0.3, 0.7, 0.9), (Fraction(4) + Fraction(1, 10**45), 0.2, 0.1),
                 Fraction(1, 2), Fraction(1, 2))
-        assert phi43_terminating_exact(*args) == float(phi43_exact(*args))
+        assert phi43_lone(*args) == float(phi43_exact(*args))
 
     def test_numerator_that_only_rounds_to_zero_does_not_terminate(self):
         # 1 - a1 q^3 = -1.25e-101 and 1 - b1 q^4 = -6.25e-102 both round to
@@ -122,78 +122,82 @@ class TestExactDecisions:
         q, tiny = Fraction(1, 2), Fraction(1, 10**100)
         nums = (8 + tiny, 0.3, 0.5)
         args = (9, nums, (16 + tiny, 0.2, 0.1), q, Fraction(7, 10))
-        assert phi43_terminating_exact(*args) == float(phi43_exact(*args))
+        assert phi43_lone(*args) == float(phi43_exact(*args))
         # With b1 exactly 16 the series runs on into an exact denominator zero.
         with pytest.raises(DenominatorVanishes) as excinfo:
-            phi43_terminating_exact(9, nums, (16.0, 0.2, 0.1), q, Fraction(7, 10))
+            phi43_lone(9, nums, (16.0, 0.2, 0.1), q, Fraction(7, 10))
         assert (excinfo.value.k, excinfo.value.param) == (4, 16.0)
 
 
-def _first_lone_failure(degrees, rows, columns, dens, q, z):
-    """The exception of the first entry, in row order, whose own call
-    raises, or ``None``; ``dens`` holds each column's denominators."""
-    for i, a1 in zip(degrees, rows):
-        for (a2, a3), b in zip(columns, dens):
+def _first_lone_failure(rows, columns, q, z):
+    """The exception of the first entry, in row order, whose own 1 x 1 grid
+    raises, or ``None``."""
+    for row in rows:
+        for column in columns:
             try:
-                phi43_terminating_exact(i, (a1, a2, a3), b, q, z)
+                phi43_terminating_exact([row], [column], q, z)
             except (ArithmeticError, XYChainError) as exc:
                 return exc
     return None
 
 
 class TestGrid:
-    """A grid call sums rows ``(i, a1)`` against columns ``(a2, a3)``, each
-    with its own denominators; each entry is its one-entry call, and a grid
-    that fails raises what its first failing entry raises."""
+    """A grid call sums rows ``(i, a1)`` against columns ``(a2, a3, b1, b2,
+    b3)``; each entry is its own 1 x 1 grid, and a grid that fails raises
+    what its first failing entry raises."""
 
     Q, Z = Fraction(1, 2), Fraction(7, 10)
     # q^-x ends column x's series at step x
-    COLUMNS = [(Fraction(2) ** x, 0.5) for x in range(10)]
+    POINTS = [(Fraction(2) ** x, 0.5) for x in range(10)]
+    CLEAN_DENS = (0.25, -0.2, 0.1)
     # 1 - 16 q^4 = 0: an entry with these denominators raises once its
     # series passes step 4
     ZERO_DENS = (16.0, 0.2, 0.1)
 
-    def _assert_lone_entries(self, degrees, rows, columns, dens, grid):
-        assert [len(row) for row in grid] == [len(columns)] * len(degrees)
-        for i, a1, row in zip(degrees, rows, grid):
-            for (a2, a3), b, value in zip(columns, dens, row):
-                args = (i, (a1, a2, a3), b, self.Q, self.Z)
-                assert value.hex() == phi43_terminating_exact(*args).hex()
+    @staticmethod
+    def _columns(points, dens):
+        return [(*point, *dens) for point in points]
+
+    def _assert_lone_entries(self, rows, columns, grid):
+        assert [len(row) for row in grid] == [len(columns)] * len(rows)
+        for (i, a1), values in zip(rows, grid):
+            for (a2, a3, *dens), value in zip(columns, values):
+                args = (i, (a1, a2, a3), dens, self.Q, self.Z)
+                assert value.hex() == phi43_lone(*args).hex()
                 assert value.hex() == float(phi43_exact(*args)).hex()
 
     def test_entries_equal_their_own_calls(self):
-        degrees, rows = range(10), [0.3 - 0.07 * i for i in range(10)]
-        dens = [(0.25, -0.2, 0.1)] * len(self.COLUMNS)
-        grid = phi43_terminating_exact(degrees, (rows, self.COLUMNS), dens, self.Q, self.Z)
-        self._assert_lone_entries(degrees, rows, self.COLUMNS, dens, grid)
+        rows = [(i, 0.3 - 0.07 * i) for i in range(10)]
+        columns = self._columns(self.POINTS, self.CLEAN_DENS)
+        grid = phi43_terminating_exact(rows, columns, self.Q, self.Z)
+        self._assert_lone_entries(rows, columns, grid)
 
     def test_exact_denominator_zero_raises_the_first_entrys_error(self):
-        degrees, rows, dens = range(10), [0.3] * 10, [self.ZERO_DENS] * len(self.COLUMNS)
-        lone = _first_lone_failure(degrees, rows, self.COLUMNS, dens, self.Q, self.Z)
+        rows = [(i, 0.3) for i in range(10)]
+        columns = self._columns(self.POINTS, self.ZERO_DENS)
+        lone = _first_lone_failure(rows, columns, self.Q, self.Z)
         with pytest.raises(DenominatorVanishes) as excinfo:
-            phi43_terminating_exact(degrees, (rows, self.COLUMNS), dens, self.Q, self.Z)
+            phi43_terminating_exact(rows, columns, self.Q, self.Z)
         assert (excinfo.value.k, excinfo.value.param) == (lone.k, lone.param) == (4, 16.0)
 
     def test_columns_carry_their_own_denominators(self):
         # Two column groups: only the second group's denominators vanish,
         # and its columns up to x = 4 end their series before they do.
-        degrees, rows = range(10), [0.3 - 0.07 * i for i in range(10)]
-        clean = (0.25, -0.2, 0.1)
-        columns = self.COLUMNS + self.COLUMNS[:5]
-        dens = [clean] * 10 + [self.ZERO_DENS] * 5
-        grid = phi43_terminating_exact(degrees, (rows, columns), dens, self.Q, self.Z)
-        self._assert_lone_entries(degrees, rows, columns, dens, grid)
+        rows = [(i, 0.3 - 0.07 * i) for i in range(10)]
+        clean = self._columns(self.POINTS, self.CLEAN_DENS)
+        columns = clean + self._columns(self.POINTS[:5], self.ZERO_DENS)
+        grid = phi43_terminating_exact(rows, columns, self.Q, self.Z)
+        self._assert_lone_entries(rows, columns, grid)
         # With the whole second group, the first entry past step 4 is row 5,
         # column x = 5 of that group, after every earlier entry of both.
-        columns = self.COLUMNS + self.COLUMNS
-        dens = [clean] * 10 + [self.ZERO_DENS] * 10
-        lone = _first_lone_failure(degrees, rows, columns, dens, self.Q, self.Z)
+        columns = clean + self._columns(self.POINTS, self.ZERO_DENS)
+        lone = _first_lone_failure(rows, columns, self.Q, self.Z)
         with pytest.raises(DenominatorVanishes) as excinfo:
-            phi43_terminating_exact(degrees, (rows, columns), dens, self.Q, self.Z)
+            phi43_terminating_exact(rows, columns, self.Q, self.Z)
         assert (excinfo.value.k, excinfo.value.param) == (lone.k, lone.param) == (4, 16.0)
         lone_failures = [
-            (i, g) for i in degrees for g in range(20)
-            if _first_lone_failure([i], [rows[i]], [columns[g]], [dens[g]], self.Q, self.Z)
+            (i, g) for i, row in enumerate(rows) for g, column in enumerate(columns)
+            if _first_lone_failure([row], [column], self.Q, self.Z)
         ]
         assert lone_failures[0] == (5, 15)
         assert all(g >= 15 and i >= 5 for i, g in lone_failures)
@@ -202,17 +206,18 @@ class TestGrid:
     def test_first_failing_entry_in_row_order_decides(self, huge_row, error):
         # Row huge_row overflows from column 1 on, and row 5 reaches the
         # denominator zero at column 5: the earlier failure is raised.
-        degrees, dens, z = range(10), [self.ZERO_DENS] * len(self.COLUMNS), Fraction(10**20)
-        rows = [-1e300 if i == huge_row else 0.3 for i in degrees]
-        lone = _first_lone_failure(degrees, rows, self.COLUMNS, dens, self.Q, z)
+        z = Fraction(10**20)
+        rows = [(i, -1e300 if i == huge_row else 0.3) for i in range(10)]
+        columns = self._columns(self.POINTS, self.ZERO_DENS)
+        lone = _first_lone_failure(rows, columns, self.Q, z)
         with pytest.raises(error) as excinfo:
-            phi43_terminating_exact(degrees, (rows, self.COLUMNS), dens, self.Q, z)
+            phi43_terminating_exact(rows, columns, self.Q, z)
         assert type(lone) is error and str(excinfo.value) == str(lone)
 
     def test_empty_grid(self):
-        dens = [(0.1, 0.2, 0.3)] * len(self.COLUMNS)
-        assert phi43_terminating_exact([], ([], self.COLUMNS), dens, self.Q, self.Z) == []
-        assert phi43_terminating_exact([2, 3], ([0.1, 0.2], []), [], self.Q, self.Z) == [[], []]
+        columns = self._columns(self.POINTS, (0.1, 0.2, 0.3))
+        assert phi43_terminating_exact([], columns, self.Q, self.Z) == []
+        assert phi43_terminating_exact([(2, 0.1), (3, 0.2)], [], self.Q, self.Z) == [[], []]
 
 
 @pytest.fixture
@@ -241,7 +246,7 @@ class TestErrorBound:
         # it is below 1e-39
         args = (6, (0.3, 0.7, 0.9), (Fraction(4) + Fraction(1, 3 * 10**38), 0.2, 0.1),
                 Fraction(1, 2), Fraction(1, 2))
-        assert phi43_terminating_exact(*args) == float(phi43_exact(*args))
+        assert phi43_lone(*args) == float(phi43_exact(*args))
         assert sums == [(40, False), (80, True)]
 
     def test_near_tie_is_refused_then_settled(self, sums, monkeypatch):
@@ -250,11 +255,11 @@ class TestErrorBound:
         # interval straddles it; the 80-digit interval lies above it.
         above_tie = Fraction(1, 2**53) + Fraction(1, 10**50)
         args = (1, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), -above_tie / 2)
-        assert phi43_terminating_exact(*args) == float(phi43_exact(*args)) == 1 + 2**-52
+        assert phi43_lone(*args) == float(phi43_exact(*args)) == 1 + 2**-52
         assert sums == [(40, False), (80, True)]
         monkeypatch.setattr(qseries, "PRECISION_CAP", 40)
         with pytest.raises(ConvergenceFailure, match="precision cap of 40 significant"):
-            phi43_terminating_exact(*args)
+            phi43_lone(*args)
 
     @pytest.mark.parametrize("a1", [
         Fraction(1, 2**1076), Fraction(-1, 2**1076), Fraction(3, 2**1076),
@@ -267,7 +272,7 @@ class TestErrorBound:
         # proved; its arguments are exact 40-digit decimals, so the exact sum
         # decides it after the first decimal sum.
         args = (1, (a1, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), Fraction(1, 2))
-        assert phi43_terminating_exact(*args).hex() == float(phi43_exact(*args)).hex()
+        assert phi43_lone(*args).hex() == float(phi43_exact(*args)).hex()
 
     @pytest.mark.parametrize("a1, value", [
         (Fraction(2**53 + 1, 2**53), 1.0),
@@ -279,7 +284,7 @@ class TestErrorBound:
         # a1 has 54 significant digits, so it is exact from 80 digits on,
         # and the exact sum decides after the refused 80-digit sum.
         args = (1, (a1, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), Fraction(1, 2))
-        assert phi43_terminating_exact(*args) == float(phi43_exact(*args)) == value
+        assert phi43_lone(*args) == float(phi43_exact(*args)) == value
         assert sums == [(40, False), (80, False)]
 
     @pytest.mark.parametrize("family", ["qr24", "qr13"])
@@ -344,6 +349,6 @@ class TestIndexArgumentSymmetry:
     def test_swap_index_with_numerator_power(self, i, x, a1, a2, d, q, z):
         # q^-x and q^-i exact, so both are the same exact sum
         q = Fraction(q)
-        first = phi43_terminating_exact(i, (a1, q ** (-x), a2), d, q, z)
-        second = phi43_terminating_exact(x, (a1, q ** (-i), a2), d, q, z)
+        first = phi43_lone(i, (a1, q ** (-x), a2), d, q, z)
+        second = phi43_lone(x, (a1, q ** (-i), a2), d, q, z)
         assert first == second
