@@ -3,15 +3,20 @@
 Provides the one terminating balanced ``4phi3`` evaluator,
 :func:`phi43_terminating_exact`, which returns the float that the exact sum
 rounds to, so catastrophic cancellation in the alternating sum never
-contaminates downstream certifications.  It carries the sum in stdlib
-:mod:`decimal` at ``p`` significant digits together with a running bound on
-the sum's error (Higham, *Accuracy and Stability of Numerical Algorithms*,
-2nd ed., sections 3.1 and 3.3).  A sum is accepted when every real within
-that bound of it rounds to one float, which is then proved to be the float
-the exact sum rounds to; otherwise ``p`` doubles, from :data:`START_DIGITS`
-up to :data:`PRECISION_CAP`.  What needs exact values (where the series
-ends, vanishing denominators, a sum that is exactly zero or exactly halfway
-between two floats) is decided on the exact arguments.
+contaminates downstream certifications.  Each sum goes up a ladder of
+precisions and stops at the first that proves its float.  At each rung the
+sum is carried together with a running bound on its error (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., sections 3.1 and
+3.3), and it is accepted when every real within that bound of it rounds to
+one float, which is then proved to be the float the exact sum rounds to.
+The first rung is double-word arithmetic on numpy arrays, about 106 bits,
+for the whole grid at once (:meth:`_Grid.double_word`); the next are stdlib
+:mod:`decimal` sums at ``p`` significant digits, ``p`` doubling from
+:data:`START_DIGITS` up to :data:`PRECISION_CAP`; the last is the exact
+``Fraction`` sum.  What needs exact values (where the series ends,
+vanishing denominators, a sum that is exactly zero or exactly halfway
+between two floats) is decided on the exact arguments, and no rung proves a
+zero or a tie.
 
 The evaluator has one form, a grid: rows of a degree ``i`` and its ``a1``,
 columns of ``(a2, a3, b1, b2, b3)``, and one ``q`` and ``z``; a single sum
@@ -19,22 +24,25 @@ is a 1 x 1 grid.  The term ratio of step ``k`` is a product of three runs
 over ``k``: the heads ``(1 - q^(k-i)) (1 - a1 q^k)``, once per row, the
 columns ``(1 - a2 q^k) (1 - a3 q^k)`` (up to where one of them ends its
 series), and the quotients ``z / ((1 - q^(k+1)) (1 - b1 q^k) (1 - b2 q^k)
-(1 - b3 q^k))``, each once per call for each distinct pair or triple.  Per
-precision the call forms each row's prefix products of its head and each
+(1 - b3 q^k))``, at a decimal rung once for each distinct pair or triple.
+Per rung the call forms each row's prefix products of its head and each
 column's prefix products of its column run times its quotient run once, and
 term ``k`` of an entry is the product of its row's and its column's
-``k``-th prefix product.  Every run entry carries a bound on its relative
-error, and a run keeps the running sums of those bounds, so the bound of a
-whole sum costs a few operations.  Only the entries a precision leaves
-unproved go on to the next.  The runs live for one call.
+``k``-th prefix product.  Every run entry carries a bound
+on its relative error, and a run keeps the running sums of those bounds, so
+the bound of a whole sum costs a few operations.  Only the entries a rung
+leaves unproved go on to the next.  The runs live for one call.
 """
 
 import decimal
+import functools
 import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, islice
+
+import numpy as np
 
 from .errors import ConvergenceFailure, DenominatorVanishes
 
@@ -75,16 +83,24 @@ def phi43_terminating_exact(rows, columns, q, z):
     taken on those integers, once per grid: where a numerator factor ends
     each row's and each column's series, and whether a column's denominator
     factor vanishes before that.  A factor that merely rounds to zero in a
-    decimal sum therefore neither stops the series nor raises.
+    rung of the ladder below therefore neither stops the series nor raises.
 
     Term ``k`` of entry ``(r, c)`` is ``M_r[k] C_c[k]``: the prefix products
     of its row's head factors and of its column's factors times their
-    quotients (see :class:`_Runs`), each built once per grid and precision.
-    The sum ``S`` of the terms is carried in :mod:`decimal` at ``p``
-    significant digits, starting at :data:`START_DIGITS`, and with it a bound
-    ``E >= |S - exact sum|``: the first-order relative error bound of the
-    last term plus that of the summation, times ``sum |term_k|`` and a slack
-    for the higher-order terms, rounded upward.  Every rounding counts
+    quotients (see :class:`_Runs`), each built once per grid and rung.  The
+    sum ``S`` of the terms goes up a ladder of rungs, each carrying ``S``
+    with a bound ``E >= |S - exact sum|``, until one proves the float the
+    exact sum rounds to.  The first rung sums every entry of the grid at
+    once in double-word arithmetic, about 106 bits, on numpy arrays (see
+    :meth:`_Grid.double_word`), with ``E`` from the per-operation error
+    bounds of Joldes, Muller and Popescu (2017); it proves ``S`` when its
+    low word plus ``E`` is below half the gap from its high word to the
+    nearer neighbouring float, and it refuses the whole grid when a
+    magnitude leaves [2^-900, 2^900].  Each entry it refuses is carried in
+    :mod:`decimal` at ``p`` significant digits, starting at
+    :data:`START_DIGITS`, where ``E`` is the first-order relative error bound
+    of the last term plus that of the summation, times ``sum |term_k|`` and a
+    slack for the higher-order terms, rounded upward.  Every rounding counts
     ``u = 10^(1-p) / 2``, and the error a factor ``1 - m`` inherits from
     ``m`` is scaled by its condition ``|m| / |1 - m|``.  ``S`` is accepted
     when the two ends of ``[S - E, S + E]``, rounded outward, convert to the
@@ -178,6 +194,12 @@ class _Grid:
                              for a2, a3, *_ in columns]
         self.steps = [min(s, t) for s in self.row_steps for t in self.column_steps]
         self.width = len(columns)
+        # Per column, the first denominator factor that vanishes exactly, as
+        # (step, parameter), or None: it fails every entry of that column
+        # whose series reaches it.
+        self.zeros = [min(((vanishes_at[p], p) for p in column[2:] if p in vanishes_at),
+                          default=None)
+                      for column in columns]
 
     def runs(self, digits):
         """The :class:`_Runs` at ``digits`` digits, or in ``Fraction``
@@ -189,15 +211,12 @@ class _Grid:
 
     def sums(self):
         """Every entry's float, in row order, or the exception of the first
-        entry that fails: each entry goes up the digits only while refused."""
+        entry that fails: each entry goes up the ladder, the double-word rung
+        and then the digits, only while refused."""
         steps, width, z = self.steps, self.width, self.z
         values = [None] * len(steps)
         failures = {}  # entry -> its exception; no entry after the first is summed
-        # The first denominator factor of a column that vanishes exactly fails
-        # every entry of that column whose series reaches it.
-        vanishes_at = self.vanishes_at
-        zeros = [min(((vanishes_at[p], p) for p in column[2:] if p in vanishes_at), default=None)
-                 for column in self.columns]
+        zeros = self.zeros
         if any(zeros):
             reaches = next((e for e, s in enumerate(steps)
                             if zeros[e % width] and s > zeros[e % width][0]), None)
@@ -220,6 +239,15 @@ class _Grid:
                     failures[e] = exc
 
         pending = range(min(failures, default=len(steps)))
+        rung = self.double_word() if pending else None
+        if rung is not None:
+            refused = []
+            for e, word, proved in zip(pending, *rung):
+                if proved:
+                    values[e] = word
+                else:
+                    refused.append(e)
+            pending = refused
         digits = START_DIGITS
         while pending and digits <= PRECISION_CAP:
             runs = self.runs(digits)
@@ -255,6 +283,163 @@ class _Grid:
         if failures:
             raise failures[min(failures)]
         return values
+
+    def double_word(self):
+        """The first rung: every entry's sum in double-word arithmetic, as the
+        lists ``(words, proved)`` in row order, where ``words[e]`` is the float
+        the exact sum rounds to for each ``proved[e]``; or ``None`` when a
+        magnitude leaves [2^-900, 2^900] (:data:`_TINY`, :data:`_HUGE`).
+
+        A double word ``(hi, lo)`` is the unevaluated sum of two floats,
+        about 106 bits.  The rung forms the runs of :meth:`prefixes` for the
+        whole grid at once, on ``length x (rows + columns)`` arrays: the
+        factors by one batch of operations, their prefix products by a scan
+        of ``log2(length)`` rounds (Hillis and Steele), and the terms of
+        :data:`_CHUNK` steps at a time (fewer where that passes
+        :data:`_CHUNK_TERMS` terms) as ``rows x columns`` arrays, summed
+        pairwise.  Every parameter, ``q^k`` and ``q^-k`` is converted once,
+        by correctly rounded integer divisions.
+
+        Each operation's relative error bound is the constant that Joldes,
+        Muller and Popescu, "Tight and rigorous error bounds for basic
+        building blocks of double-word arithmetic", ACM TOMS 44(2) (2017),
+        prove for its algorithm, counted in units of ``u^2 = 2^-106``; the
+        error ``m`` carries into ``1 - m`` is scaled by its condition, as in
+        :meth:`_Runs._one_minus`.  A product of ``n`` factors carries their
+        bounds plus 7 for each of its ``n - 1`` products in any order, and a
+        sum of ``s + 1`` terms at most ``s`` additions of two nonzero
+        operands, 3 each; adding a zero is exact.  So an entry's error is at
+        most its prefix runs' bounds at its steps ``s``, plus 7 for the
+        terms' products and ``3 s``, times ``u^2 sum_k |term_k|``: first
+        order in ``u^2``, as the decimal rungs' bounds are in theirs.  The
+        higher-order terms, the ``u^3`` terms of the constants and the float
+        roundings of the bound (at most ``2 length + 40`` along any entry's)
+        are covered by :data:`_WORD_SLACK` and a factor ``1 + (length + 16)
+        2^-50``.  :func:`_proved_words` then proves an entry or refuses it.
+        A factor ``1 - m`` that rounds to zero has an infinite bound, so no
+        entry that reads it is proved.
+
+        Dekker's product is exact, and the constants hold, for factors and
+        products within [2^-900, 2^900]; an underflowing low word there adds
+        under ``2^-175`` of the magnitude, which the slack covers.  The rung
+        checks the magnitudes that could leave the range unnoticed: the
+        conversions, the quotients ``z / denominator``, the prefix scan's
+        products and, by their extremes at each step, the prefix products
+        and the terms.  A product of at most four factors ``1 - m`` falls
+        below ``2^-800`` only through a factor below ``2^-200``, whose
+        condition exceeds ``2^199``, so every entry that reads it is refused
+        by its bound.  A factor beyond ``2^996``, infinite or not, overflows
+        the scan's Veltkamp split into a NaN, which reaches the prefix
+        products.
+
+        The exact decisions are :class:`_Grid`'s: each row's and column's
+        steps, and the denominator zeros, at which a column's run stops
+        (entries that reach one fail and are never read).  Past its steps a
+        run reads ``q^k = 0``, so every factor formed there is 1 or the
+        quotient ``z``, and its factors are then set to zero.
+        """
+        length, rows, columns = len(self.powers) - 1, len(self.rows), self.width
+        # q^k and q^-k for k <= length, a2 and b2 by column, a1 by row, a3, b1
+        # and b3 by column, and z
+        ratios = (self.powers + [(d, n) for n, d in self.powers]
+                  + [column[j] for j in (0, 3) for column in self.columns]
+                  + [a1 for _, a1 in self.rows]
+                  + [column[j] for j in (1, 2, 4) for column in self.columns] + [self.z])
+        unique = {}
+        index = [unique.setdefault(p, len(unique)) for p in ratios]
+        try:
+            words = np.array([_word(*p) for p in unique]).T[:, index]
+        except OverflowError:
+            return None
+        powers, inverse = words[:, :length + 1], words[:, length + 1:2 * length + 2]
+        parameters, z = words[:, 2 * length + 2:-1], words[:, -1]
+        k = np.arange(length)[:, None]
+        live_rows = k < np.array(self.row_steps)
+        live_columns = k < np.array([s if zero is None else min(s, zero[0])
+                                     for s, zero in zip(self.column_steps, self.zeros)])
+        with np.errstate(all="ignore"):
+            # The m of every factor 1 - m by k: the parameters times q^k (bound
+            # 9: two conversions and a product), and q^(k-i) and q^(k+1)
+            # (bound 1), arranged so that the products of the two halves are
+            # the heads (1 - q^(k-i)) (1 - a1 q^k), the column factors
+            # (1 - a2 q^k) (1 - a3 q^k) and the denominator's halves
+            # (1 - q^(k+1)) (1 - b1 q^k) and (1 - b2 q^k) (1 - b3 q^k).
+            live = np.hstack((live_columns,) * 2 + (live_rows,) + (live_columns,) * 3)
+            m = np.array(_times(parameters, np.where(live, powers[:, :length, None], 0.0)))
+            pieces = (np.where(live_rows, inverse[:, np.clip(
+                          np.array([i for i, _ in self.rows]) - k, 0, length)], 0.0),
+                      m[:, :, :columns], np.where(live_columns, powers[:, 1:, None], 0.0),
+                      m[:, :, columns:2 * columns], m[:, :, 2 * columns:])
+            factors, bounds = _one_minus(
+                np.concatenate(pieces, axis=-1),
+                np.repeat([1, 9, 1, 9, 9], [rows, columns, columns, columns, rows + 3 * columns]))
+            half = rows + 3 * columns
+            pairs = _times((factors[0][:, :half], factors[1][:, :half]),
+                           (factors[0][:, half:], factors[1][:, half:]))
+            bounds = bounds[:, :half] + bounds[:, half:] + 7
+            den = slice(rows + columns, rows + 2 * columns), slice(rows + 2 * columns, half)
+            quotient = _divide(z, _times(*((pairs[0][:, j], pairs[1][:, j]) for j in den)))
+            formed = [quotient[0]] if z[0] else []  # high words that must lie in range
+            column = _times((pairs[0][:, rows:rows + columns], pairs[1][:, rows:rows + columns]),
+                            quotient)
+            # the products, 7 each; z, 1; the division, 15
+            bounds = np.hstack((bounds[:, :rows], bounds[:, rows:rows + columns]
+                                + bounds[:, den[0]] + bounds[:, den[1]] + 30))
+            # Prefix products of the live factors by k, rows then columns, by
+            # a scan of log2(length) rounds (Hillis and Steele) after the
+            # leading 1: a prefix of k factors is a product of them in some
+            # order, and its bound counts 7 for each factor.  Zero from
+            # length + 1 to a whole number of chunks.
+            live = np.hstack((live_rows, live_columns))
+            bounds = np.cumsum(np.vstack((np.zeros(rows + columns), bounds + 7)), axis=0)
+            # a chunk is a power of two of steps, no more than the series
+            # needs, and halved while its terms pass _CHUNK_TERMS
+            chunk = min(_CHUNK, 1 << length.bit_length())
+            while chunk > 1 and chunk * rows * columns > _CHUNK_TERMS:
+                chunk //= 2
+            high = np.zeros((-(-(length + 1) // chunk) * chunk, rows + columns))
+            low = np.zeros_like(high)
+            high[0] = 1.0
+            high[1:length + 1] = np.where(live, np.hstack((pairs[0][:, :rows], column[0])), 0.0)
+            low[1:length + 1] = np.where(live, np.hstack((pairs[1][:, :rows], column[1])), 0.0)
+            shift = 1
+            while shift < length:
+                x = high[shift + 1:length + 1], low[shift + 1:length + 1]
+                y = high[1:length + 1 - shift], low[1:length + 1 - shift]
+                product = _times(x, y)
+                # A product must not underflow to zero.  Past a zero factor of
+                # a run every later one is zero too, so x is zero where y is;
+                # elsewhere a zero is a factor rounded to zero, whose entries
+                # are refused anyway.
+                formed.append(np.where(x[0] == 0, 1.0, product[0]))
+                high[shift + 1:length + 1], low[shift + 1:length + 1] = product
+                shift *= 2
+            magnitudes = np.abs(high)
+            if not (_in_range(formed)
+                    and _terms_in_range(magnitudes[:, :rows], magnitudes[:, rows:])):
+                return None
+            # The grid: term k of entry (r, c) is row r's k-th prefix product
+            # times column c's.  The terms of each chunk of steps are summed
+            # pairwise, and the chunks' sums in order.
+            split = _split(high)
+            sums = []
+            for j in range(0, len(high), chunk):
+                by_row, by_column = np.s_[j:j + chunk, :rows, None], np.s_[j:j + chunk, None, rows:]
+                terms = _times((high[by_row], low[by_row]), (high[by_column], low[by_column]),
+                               (split[0][by_row], split[1][by_row]),
+                               (split[0][by_column], split[1][by_column]))
+                while len(terms[0]) > 1:
+                    n = len(terms[0]) // 2
+                    terms = _plus((terms[0][:n], terms[1][:n]), (terms[0][n:], terms[1][n:]))
+                sums.append((terms[0][0], terms[1][0]))
+            total = functools.reduce(_plus, sums)
+            steps = np.array(self.steps).reshape(rows, columns)
+            bound = (bounds[steps, np.arange(rows)[:, None]]
+                     + bounds[steps, rows + np.arange(columns)] + 7 + 3 * steps)
+            error = bound * (magnitudes[:, :rows].T @ magnitudes[:, rows:]) * (
+                _WORD_UNIT * (_WORD_SLACK + (length + 16) * 2.0 ** -50))
+            proved = _proved_words(*total, error)
+        return total[0].ravel().tolist(), proved.ravel().tolist()
 
     def prefixes(self, runs, entries):
         """``(rows, columns)`` at the number type of ``runs`` (in its decimal
@@ -339,6 +524,138 @@ def _context(digits, rounding=decimal.ROUND_HALF_EVEN):
     overflow and division by zero still raise."""
     return decimal.Context(prec=digits, rounding=rounding,
                            Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+
+
+#: The unit of the double-word rung's bounds: ``u^2``, where ``u = 2^-53`` is
+#: the unit roundoff of a float.
+_WORD_UNIT = 2.0 ** -106
+#: Covers what the rung's first-order bound leaves out: its higher-order
+#: terms, below ``2^-52`` of it for any sum it proves (whose bound is below
+#: about ``u``), and the ``u^3`` terms of the per-operation constants.
+_WORD_SLACK = 1 + 2.0 ** -40
+#: Steps whose terms the rung forms at once, as ``_CHUNK x rows x columns``
+#: arrays, and sums pairwise; fewer where that would pass ``_CHUNK_TERMS``
+#: terms, so that a large grid's arrays stay ``rows x columns``.
+_CHUNK, _CHUNK_TERMS = 8, 2**16
+#: The range of nonzero magnitudes in which the rung's bounds hold.
+_TINY, _HUGE = 2.0 ** -900, 2.0 ** 900
+
+
+def _word(n, d):
+    """The double word ``(hi, lo)`` nearest ``n / d``: the float nearest it
+    and the float nearest the rest, each a correctly rounded integer
+    division, so one rounding of ``u^2`` in all.  ``OverflowError`` when ``n``
+    is not zero and ``|n / d|`` leaves [:data:`_TINY`, :data:`_HUGE`]."""
+    hi = n / d
+    if n and not _TINY <= abs(hi) <= _HUGE:
+        raise OverflowError("parameter outside the double-word range")
+    hn, hd = hi.as_integer_ratio()
+    return hi, (n * hd - hn * d) / (d * hd)
+
+
+def _in_range(arrays):
+    """Whether every magnitude in ``arrays`` lies in [:data:`_TINY`,
+    :data:`_HUGE`]; a NaN does not."""
+    a = np.abs(np.concatenate([np.empty(0)] + [array.ravel() for array in arrays]))
+    return bool(a.min(initial=_TINY) >= _TINY and a.max(initial=0.0) <= _HUGE)
+
+
+def _terms_in_range(rows, columns):
+    """Whether every nonzero ``rows[k, r] columns[k, c]`` of nonnegative
+    ``rows`` and ``columns`` lies in [:data:`_TINY`, :data:`_HUGE`], by the
+    extremes at each ``k``."""
+    smallest = [np.where(a == 0, np.inf, a).min(axis=1, initial=np.inf) for a in (rows, columns)]
+    return (np.max(rows.max(axis=1) * columns.max(axis=1), initial=0.0) <= _HUGE
+            and np.min(smallest[0] * smallest[1], initial=np.inf) >= _TINY)
+
+
+def _proved_words(high, low, error):
+    """Where the double words ``high + low``, each within ``error`` of an
+    exact sum, prove that the sum rounds to ``high``: ``high`` is not zero and
+    ``|low| + error`` is below half the gap from ``high`` to its neighbour
+    towards zero, the smaller of its two gaps.  Half that gap is a float, so
+    the rounded ``|low| + error`` is below it only if the exact one is."""
+    magnitude = np.abs(high)
+    return (high != 0) & (np.abs(low) + error < (magnitude - np.nextafter(magnitude, 0)) / 2)
+
+
+# Double-word arithmetic on numpy arrays.  Each function names the algorithm
+# of Joldes, Muller and Popescu (2017) it is and that paper's bound on its
+# relative error, for operands and results within [_TINY, _HUGE].  numpy has
+# no fused multiply-add, so the exact product is Dekker's.
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: ``s = RN(a + b)`` and ``e`` with ``s + e = a + b``."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _fast_two_sum(a, b):
+    """Dekker's Fast2Sum, exact when ``|a| >= |b|``."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two halves of at most 26 bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _two_product(a, b, a_split=None, b_split=None):
+    """Dekker's TwoProduct: ``p = RN(a b)`` and ``e`` with ``p + e = a b``;
+    ``a_split`` and ``b_split`` are :func:`_split` of ``a`` and ``b`` when
+    given."""
+    p = a * b
+    a_high, a_low = _split(a) if a_split is None else a_split
+    b_high, b_low = _split(b) if b_split is None else b_split
+    return p, ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
+
+
+def _times(x, y, x_split=None, y_split=None):
+    """``x y``, DWTimesDW1 (Algorithm 10): below ``7 u^2``; the splits are
+    those of the high words, as :func:`_two_product` takes them."""
+    (xh, xl), (yh, yl) = x, y
+    high, low = _two_product(xh, yh, x_split, y_split)
+    return _fast_two_sum(high, low + (xh * yl + xl * yh))
+
+
+def _plus(x, y):
+    """``x + y``, AccurateDWPlusDW (Algorithm 6): below ``3 u^2 / (1 - 4u)``."""
+    (xh, xl), (yh, yl) = x, y
+    sh, sl = _two_sum(xh, yh)
+    th, tl = _two_sum(xl, yl)
+    vh, vl = _fast_two_sum(sh, sl + th)
+    return _fast_two_sum(vh, tl + vl)
+
+
+def _one_minus(m, m_bound):
+    """``1 - m``, DWPlusFP (Algorithm 4): below ``2 u^2 / (1 - 2u)``; and its
+    bound in units of ``u^2``: 2 plus ``m_bound``, that of ``m``, times the
+    condition ``|m| / |1 - m|``, read off the high words as
+    :meth:`_Runs._one_minus` reads it off its rounded values.  Infinite
+    where ``1 - m`` rounds to zero."""
+    sh, sl = _two_sum(1.0, -m[0])
+    f = _fast_two_sum(sh, sl - m[1])
+    return f, 2 + m_bound * (np.abs(m[0]) / np.abs(f[0]))
+
+
+def _times_float(x, y):
+    """``x y`` for a float ``y``, DWTimesFP1 (Algorithm 7): below
+    ``3/2 u^2 + 4 u^3``."""
+    high, low = _two_product(x[0], y)
+    th, tl = _fast_two_sum(high, x[1] * y)
+    return _fast_two_sum(th, tl + low)
+
+
+def _divide(x, y):
+    """``x / y``, DWDivDW1 (Algorithm 17): below ``15 u^2 + 56 u^3``."""
+    th = x[0] / y[0]
+    rh, rl = _times_float(y, th)
+    ph, pl = _two_sum(x[0], -rh)
+    return _fast_two_sum(th, (ph + ((pl - rl) + x[1])) / y[0])
 
 
 #: A run over ``k``: ``values[k]`` and ``bounds[k]``, an upper bound on the

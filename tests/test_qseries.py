@@ -6,16 +6,20 @@ the evaluator returns the float the exact sum rounds to, so any disagreement
 at all is a real bug.
 """
 
+import dataclasses
+import decimal
 import json
+import operator
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_oracles import phi43_exact, qracah_exact, shift_exact
-from helpers import CONFIG_DIR, phi43_lone
+from helpers import CONFIG_DIR, QR24_DEFAULT, phi43_lone
 from xychain import qseries
 from xychain.errors import ConvergenceFailure, DenominatorVanishes, XYChainError
 from xychain.qracah import QRacahParams, _polynomial_grids
@@ -249,6 +253,49 @@ class TestErrorBound:
         assert phi43_lone(*args) == float(phi43_exact(*args))
         assert sums == [(40, False), (80, True)]
 
+    @pytest.mark.parametrize("nums", [
+        (Fraction(4) + Fraction(1, 3 * 10**38), 0.7, 0.9),
+        (0.3, Fraction(4) + Fraction(1, 3 * 10**38), 0.9),
+    ], ids=["head", "column"])
+    def test_ill_conditioned_run_is_refused_by_the_bound(self, sums, nums):
+        # the factor above in a row's head, 1 - a1 q^2, or in a column's
+        # run, 1 - a2 q^2
+        args = (6, nums, (0.4, 0.2, 0.1), Fraction(1, 2), Fraction(1, 2))
+        assert phi43_lone(*args) == float(phi43_exact(*args))
+        assert sums == [(40, False), (80, True)]
+
+    def test_bound_counts_each_rounding(self, sums, monkeypatch):
+        # Degree 1, every parameter zero, q = 1/2: the sum is 1 - 2 z =
+        # 1 + 3 2^-55, which the double-word rung refuses (see
+        # TestDoubleWordRung).  At 40 digits, with u = 5e-40: the head
+        # (1 - q^-1) (1 - a1) is 3u (u plus u times the condition 2) + u + u,
+        # the column (1 - a2) (1 - a3) u + u + u, the quotient z / ((1 - q)
+        # (1 - b1) (1 - b2) (1 - b3)) 2u (u plus u times the condition 1),
+        # u + u per factor b and 2u for z and the division, and the one step
+        # 4u: 22u, times sum |term_k| and 1.0001, each rounded up to 9 digits.
+        errors = []
+        context = qseries._context
+
+        class Recording(decimal.Context):
+            def subtract(self, a, b):
+                errors.append(b)
+                return super().subtract(a, b)
+
+        def recording(digits, rounding=decimal.ROUND_HALF_EVEN):
+            made = context(digits, rounding)
+            if rounding != decimal.ROUND_FLOOR:
+                return made
+            return Recording(prec=made.prec, rounding=rounding, Emin=made.Emin, Emax=made.Emax)
+
+        monkeypatch.setattr(qseries, "_context", recording)
+        z = -3 * 2**-56
+        assert phi43_lone(1, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), z) == 1.0
+        assert sums == [(40, True)]
+        up = decimal.Context(prec=9, rounding=decimal.ROUND_CEILING)
+        total = up.add(1, abs(decimal.Decimal(-2 * z)))
+        u = decimal.Decimal("5e-40")
+        assert errors == [up.multiply(up.multiply(total, 22 * u), decimal.Decimal("1.0001"))]
+
     def test_near_tie_is_refused_then_settled(self, sums, monkeypatch):
         # The sum is 1 + 2^-53 + 1e-50, just above the midpoint of 1 and
         # 1 + 2^-52.  The 40-digit sum rounds to below the midpoint, and its
@@ -325,6 +372,220 @@ class TestErrorBound:
         params = QRacahParams(**{name: config[name] for name in ("a", "b", "c", "N", "q")})
         _polynomial_grids(config["family"], params)
         assert len(sums) <= 1.05 * 2 * (params.N + 1) ** 2
+
+
+class TestDoubleWordRung:
+    """The first rung sums every entry in double-word arithmetic and proves
+    most of them; an entry it refuses goes up the decimal ladder as before."""
+
+    @pytest.mark.parametrize("N", [4, 9, 12])
+    def test_the_rung_proves_most_entries(self, sums, N):
+        # every entry the rung refuses makes one 40-digit sum first
+        _polynomial_grids("qr24", dataclasses.replace(QR24_DEFAULT, N=N))
+        assert Counter(digits for digits, _ in sums)[40] <= 0.1 * 2 * (N + 1) ** 2
+
+    Q = Fraction(1, 10**6)
+
+    @pytest.mark.parametrize("degrees", [range(40, 48), range(21)],
+                             ids=["power-beyond-range", "prefix-beyond-range"])
+    def test_out_of_range_grid_goes_whole_to_the_decimal_rungs(self, sums, degrees):
+        # q^-46 = 1e276 is beyond 2^900 = 8.5e270, and so is the prefix
+        # product of the heads of degree 20, about q^-210; columns of
+        # x <= 1 end every series by step 1, so every value is finite
+        rows = [(i, 0.3 - 0.01 * i) for i in degrees]
+        columns = [(self.Q ** -x, a3, 0.25, -0.2, 0.1) for x in (0, 1) for a3 in (0.5, -0.7, 2.0)]
+        grid = phi43_terminating_exact(rows, columns, self.Q, self.Q)
+        assert Counter(digits for digits, _ in sums)[40] == len(rows) * len(columns)
+        for (i, a1), values in zip(rows, grid):
+            for (a2, a3, *dens), value in zip(columns, values):
+                args = (i, (a1, a2, a3), dens, self.Q, self.Q)
+                assert value.hex() == phi43_lone(*args).hex()
+                assert value.hex() == float(phi43_exact(*args)).hex()
+
+    @pytest.mark.parametrize("degrees, kinds, copies, largest", [
+        # 260 x 260 entries: a chunk of even two steps would pass 2^16 terms,
+        # so the rung's arrays stay rows x columns
+        (4, 5, (65, 52), 1),
+        # 64 x 128 entries of degree up to 7: a chunk of 8 steps is 2^16
+        # terms, which it keeps; its first pairwise sum adds 4 of them
+        (8, 4, (8, 32), 4),
+    ], ids=["one-step", "eight-steps"])
+    def test_large_grid_chunks_stay_within_their_terms(self, sums, monkeypatch, degrees, kinds,
+                                                        copies, largest):
+        rows = [(i, 0.3 - 0.05 * i) for i in range(degrees)] * copies[0]
+        columns = [(0.5 - 0.1 * j, 0.25, 0.125, -0.2, 0.1) for j in range(kinds)] * copies[1]
+        sizes = []
+        plus = qseries._plus
+        monkeypatch.setattr(qseries, "_plus", lambda x, y: sizes.append(x[0].size) or plus(x, y))
+        grid = phi43_terminating_exact(rows, columns, Fraction(1, 2), Fraction(7, 10))
+        assert sums == [] and max(sizes) == largest * len(rows) * len(columns)
+        for (i, a1), values in zip(rows[:degrees], grid):
+            for (a2, a3, *dens), value in zip(columns[:kinds], values):
+                assert value == phi43_lone(i, (a1, a2, a3), dens, Fraction(1, 2), Fraction(7, 10))
+        assert all(row == grid[r % degrees][:kinds] * copies[1] for r, row in enumerate(grid))
+
+    def test_runs_end_at_the_exact_steps(self, sums):
+        # q^-3 q^3 = 1 exactly, but 1 + 1.2e-32 in double words at q = 7/10:
+        # a run that went on to the factor 1 - q^-3 q^3 would add a term of
+        # about 1e-32 z times the last one, which z = 2^80 makes visible.  The
+        # first row and the first column end at step 3.
+        q, z = Fraction(7, 10), Fraction(2**80)
+        rows = [(5, q**-3), (5, 0.3)]
+        columns = [(q**-3, 0.4, 0.25, -0.2, 0.1), (0.5, 0.4, 0.25, -0.2, 0.1)]
+        grid = phi43_terminating_exact(rows, columns, q, z)
+        assert sums == []
+        for (i, a1), values in zip(rows, grid):
+            for (a2, a3, *dens), value in zip(columns, values):
+                assert value == float(phi43_exact(i, (a1, a2, a3), dens, q, z))
+
+    def test_bound_counts_each_operation(self, monkeypatch):
+        # Degree 1, every parameter zero, q = 1/2, z = 1/4.  The head:
+        # 1 - q^-1 (2 plus 1 times the condition 2), 1 - a1 q^0 (2), their
+        # product and its prefix (7 + 7): 20.  The column: 1 - a2 and 1 - a3
+        # (2 + 2) and their product (7); 1 - q (2 plus the condition 1) and
+        # 1 - b1 (2) and their product (7); 1 - b2 and 1 - b3 (2 + 2) and
+        # their product (7); the denominator's product, z, the quotient, the
+        # column's product and its prefix (7 + 1 + 15 + 7 + 7): 71.  The
+        # term's product (7) and one addition (3): 101 u^2 in all, times
+        # sum |term_k| = 1 + 2 z and the slack of length 1.
+        errors = []
+        proved_words = qseries._proved_words
+        monkeypatch.setattr(qseries, "_proved_words",
+                            lambda *words: errors.append(words[2]) or proved_words(*words))
+        # two equal columns, so that each reads its own column's bound
+        phi43_terminating_exact([(1, 0.0)], [(0.0,) * 5] * 2, Fraction(1, 2), Fraction(1, 4))
+        assert errors[0].tolist() == [[101 * 1.5 * (2**-106 * (1 + 2**-40 + 17 * 2**-50))] * 2]
+
+    # Degree 1 with every parameter zero and q = 1/2: the sum is 1 - 2 z.
+    @pytest.mark.parametrize("z, value, ladder", [
+        # 1 + 3 2^-55: the low word is within half the gap above 1 but not
+        # within half the gap below, 2^-54
+        (-3 * 2**-56, 1.0, [(40, True)]),
+        # 1 + 2^-56 is within both
+        (-(2**-57), 1.0, []),
+        # 2^-100 above the tie 1.5 + 2^-53, nearer than the rung's bound,
+        # about 2^-98.6
+        (-(Fraction(1, 2) + Fraction(1, 2**53) + Fraction(1, 2**100)) / 2, 1.5 + 2**-52,
+         [(40, True)]),
+        # 2^-61 above it, beyond the rung's bound
+        (-(Fraction(1, 2) + Fraction(1, 2**53) + Fraction(1, 2**61)) / 2, 1.5 + 2**-52, []),
+    ], ids=["above-power-of-two", "near-power-of-two", "near-tie", "off-tie"])
+    def test_acceptance_boundary(self, sums, z, value, ladder):
+        args = (1, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), z)
+        assert phi43_lone(*args) == float(phi43_exact(*args)) == value
+        assert sums == ladder
+
+    @pytest.mark.parametrize("a1", [Fraction(1, 2**80), Fraction(-1, 2**80)],
+                             ids=["+2^-80", "-2^-80"])
+    def test_sum_next_to_zero_goes_up_the_ladder(self, sums, a1):
+        # With q = z = 1/2 the sum is 1 + (a1 - 1) = a1: the rung's bound is
+        # about 2^-100, beyond half the gap at 2^-80, and so is the 40-digit one
+        args = (1, (a1, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), Fraction(1, 2))
+        assert phi43_lone(*args).hex() == float(a1).hex()
+        assert sums == [(40, False), (80, True)]
+
+    @pytest.mark.parametrize("high, low, error, proved", [
+        (1.5, 2**-53, 0.0, False),  # half the gap, exactly
+        (1.5, 2**-53 - 2**-106, 0.0, True),
+        (1.5, 0.0, 2**-53, False),
+        (1.5, 2**-54, 2**-54 - 2**-106, True),
+        (1.0, 2**-54, 0.0, False),  # half the gap below a power of two
+        (1.0, -(2**-54) + 2**-107, 0.0, True),
+        (1.0, 2**-54 - 2**-107, 0.0, True),
+        (-1.0, -(2**-54), 0.0, False),
+        (0.0, 0.0, 0.0, False),
+        (-0.0, 0.0, 0.0, False),
+        (5e-324, 0.0, 0.0, False),
+        (float("nan"), 0.0, 0.0, False),
+        (1.5, float("nan"), 0.0, False),
+        (1.5, 0.0, float("inf"), False),
+    ])
+    def test_proved_words(self, high, low, error, proved):
+        assert qseries._proved_words(np.array(high), np.array(low), np.array(error)) == proved
+
+
+def _exact(words):
+    """The exact values of double words ``(hi, lo)``, as Fractions."""
+    return [Fraction(float(h)) + Fraction(float(lo)) for h, lo in zip(*words)]
+
+
+class TestDoubleWordArithmetic:
+    """Each double-word operation of the rung stays within the relative error
+    bound, in units of u^2 = 2^-106, that Joldes, Muller and Popescu (ACM
+    TOMS 44(2), 2017) prove for its algorithm, checked exactly."""
+
+    @staticmethod
+    def _words(rng, n):
+        scale = 2.0 ** rng.integers(-40, 40, n) * rng.choice([-1, 1], n)
+        # a quarter of the high words one ulp below a power of two
+        high = np.where(rng.random(n) < 0.25, np.nextafter(scale, 0), rng.uniform(0.5, 1, n) * scale)
+        return qseries._fast_two_sum(high, high * rng.uniform(-1, 1, n) * 2.0**-53)
+
+    @pytest.mark.parametrize("name, constant, exact", [
+        ("_times", 7, operator.mul),
+        ("_plus", 3, operator.add),
+        ("_divide", 15, operator.truediv),
+    ])
+    def test_operation_within_its_bound(self, rng, name, constant, exact):
+        x, y = self._words(rng, 2000), self._words(rng, 2000)
+        # near-cancelling sums: y close to -x
+        y = qseries._fast_two_sum(*np.where(rng.random(2000) < 0.3, (-x[0], y[1]), y))
+        result = getattr(qseries, name)(x, y)
+        for a, b, c in zip(_exact(x), _exact(y), _exact(result)):
+            value = exact(a, b)
+            assert abs(c - value) <= constant * Fraction(1, 2**106) * abs(value)
+
+    def test_one_minus_within_its_bound(self, rng):
+        m = self._words(rng, 2000)
+        m = qseries._fast_two_sum(np.where(rng.random(2000) < 0.3, 1.0, m[0]), m[1])
+        (f, bound) = qseries._one_minus(m, 0.0)
+        assert np.all(bound == 2)
+        for a, c in zip(_exact(m), _exact(f)):
+            assert abs(c - (1 - a)) <= 2 * Fraction(1, 2**106) * abs(1 - a)
+
+    def test_times_float_within_its_bound(self, rng):
+        x, y = self._words(rng, 2000), self._words(rng, 2000)[0]
+        for a, b, c in zip(_exact(x), y, _exact(qseries._times_float(x, y))):
+            value = a * Fraction(float(b))
+            assert abs(c - value) <= Fraction(3, 2) * Fraction(1, 2**106) * abs(value)
+
+    @pytest.mark.parametrize("ratio", [Fraction(7, 10), Fraction(-1, 3), Fraction(10**40, 3),
+                                       Fraction(2**53 + 1, 2**53), Fraction(0),
+                                       Fraction(2**900), Fraction(-1, 2**900)])
+    def test_conversion_is_one_rounding(self, ratio):
+        high, low = qseries._word(*ratio.as_integer_ratio())
+        assert high == float(ratio) and abs(low) <= abs(high) * 2.0**-53
+        assert abs(Fraction(high) + Fraction(low) - ratio) <= Fraction(1, 2**106) * abs(ratio)
+
+    @pytest.mark.parametrize("ratio", [Fraction(1, 10**280), Fraction(10**280, 3), Fraction(10**400),
+                                       Fraction(2**900 + 2**848), Fraction(-1, 2**900 + 2**848)])
+    def test_conversion_refuses_beyond_its_range(self, ratio):
+        with pytest.raises(OverflowError):
+            qseries._word(*ratio.as_integer_ratio())
+
+    @pytest.mark.parametrize("values, in_range", [
+        ([2.0**900, -(2.0**-900)], True),
+        ([np.nextafter(2.0**900, np.inf)], False),
+        ([np.nextafter(2.0**-900, 0)], False),
+        ([0.0], False),
+        ([float("nan")], False),
+        ([], True),
+    ])
+    def test_range_of_formed_words(self, values, in_range):
+        assert qseries._in_range([np.array(values)]) == in_range
+
+    @pytest.mark.parametrize("rows, columns, in_range", [
+        # by step: |rows[k, r] columns[k, c]| at its largest and its smallest
+        ([[1.0, 2.0**450]], [[0.0, 2.0**450]], True),
+        ([[1.0, 2.0**450]], [[np.nextafter(2.0**450, np.inf)]], False),
+        ([[2.0**-450, 0.0]], [[2.0**-450, 1.0]], True),
+        ([[2.0**-450, 1.0]], [[np.nextafter(2.0**-450, 0), 1.0]], False),
+        # extremes at different steps do not meet
+        ([[2.0**-500], [2.0**500]], [[2.0**500], [2.0**-500]], True),
+        ([[float("nan")]], [[1.0]], False),
+    ])
+    def test_range_of_terms(self, rows, columns, in_range):
+        assert qseries._terms_in_range(np.array(rows), np.array(columns)) == in_range
 
 
 class TestIndexArgumentSymmetry:
