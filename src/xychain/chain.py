@@ -27,12 +27,15 @@ Family ``qr24`` admits large ``full``-valid regions (for instance ``a < 0``,
 ones (see README).
 """
 
+import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import InvalidParameterRegime, NoValidParameters, XYChainError
+from .errors import ConfigError, InvalidParameterRegime, NoValidParameters, XYChainError
 from .qracah import (
     QRacahParams,
     _Points,
@@ -380,7 +383,7 @@ def _certify(screened, tolerances):
 
 def _check_level(family, level):
     if level not in SCAN_LEVELS:
-        raise ValueError(f"unknown scan level {level!r}; expected one of {SCAN_LEVELS}")
+        raise ConfigError(f"'level' must be one of {SCAN_LEVELS}, got {level!r}")
     _check_family(family)
 
 
@@ -399,11 +402,23 @@ def validate_draw(family, params, level="full", tolerances=TOLERANCES):
     Returns ``(valid, reason)``.  ``reason`` is empty when valid; otherwise
     it names the failed screen, carries the message of the stage that raised
     (an :class:`XYChainError` or a float arithmetic error), or reads
-    ``"<check> residual above tolerance"`` for the first failed check.
+    ``"<check> residual above tolerance"`` for the first failed check.  An
+    unknown level raises :class:`~xychain.errors.ConfigError` (a
+    ``ValueError``), an unknown family ``ValueError``.
     """
     _check_level(family, level)
     (screened,) = _screen_block(family, _Points([params]), level)
     return _certify(screened, tolerances)
+
+
+def _is_number(value):
+    """True for a finite real number; ``bool`` does not count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _sampler(rng, spec, label):
@@ -411,17 +426,18 @@ def _sampler(rng, spec, label):
 
     The spec is checked once here, so each draw only consumes ``rng``.
     """
-    values = np.atleast_1d(np.asarray(spec, dtype=float))
-    if values.size == 0:
-        raise ValueError(f"range for {label} is empty")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"range for {label} must be finite, got {spec!r}")
+    entries = spec.tolist() if isinstance(spec, np.ndarray) and spec.ndim == 1 else spec
+    if not isinstance(entries, (list, tuple)) or not entries or not all(map(_is_number, entries)):
+        raise ConfigError(f"ranges['{label}'] must be a non-empty array of finite numbers")
+    values = np.array(entries, dtype=float)
     if values.size == 2:
         lo, hi = float(values[0]), float(values[1])
         if hi < lo:
-            raise ValueError(f"range for {label} has hi < lo: {spec!r}")
+            raise ConfigError(f"ranges['{label}'] = {spec!r} has hi < lo")
         if not np.isfinite(hi - lo):
-            raise ValueError(f"range for {label} has a width hi - lo that is not finite: {spec!r}")
+            raise ConfigError(
+                f"ranges['{label}'] = {spec!r} has a width hi - lo that is not a finite float"
+            )
         return lambda: float(rng.uniform(lo, hi))
     return lambda: float(values[rng.integers(values.size)])
 
@@ -460,20 +476,30 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full", tolerances=
 
     Raises
     ------
+    ConfigError
+        A ``ValueError``, before the first draw: if ``ranges`` is not a
+        mapping of exactly the keys above, a range is not a non-empty list,
+        tuple or 1-d array of finite reals (not ``bool``), a two-entry range
+        has ``hi < lo`` or a width that is not a finite float, ``samples`` is
+        not an integer ``>= 1`` or ``level`` is unknown.  ``scan`` prints it.
     ValueError
-        If ``samples < 1``, a key of ``ranges`` is missing, a range is empty,
-        has a non-finite entry or width ``hi - lo`` or ``hi < lo``, or the
-        family or level is unknown; checked before the first draw.
+        If the family is unknown.
     NoValidParameters
         If no draw passes; the message suggests widening the box.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    missing = {"a", "b", "c", "q"} - set(ranges)
+    labels = ("a", "b", "c", "q")
+    if not isinstance(ranges, Mapping):
+        raise ConfigError(f"'ranges' must be a mapping, got {ranges!r}")
+    missing = sorted(set(labels) - set(ranges))
     if missing:
-        raise ValueError(f"ranges is missing keys: {sorted(missing)}")
+        raise ConfigError(f"'ranges' is missing keys: {missing}")
+    extra = sorted(set(ranges) - set(labels), key=str)
+    if extra:
+        raise ConfigError(f"'ranges' has unknown keys: {extra}")
     rng = np.random.default_rng(seed)
-    samplers = {label: _sampler(rng, ranges[label], label) for label in ("a", "b", "c", "q")}
+    samplers = {label: _sampler(rng, ranges[label], label) for label in labels}
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ConfigError(f"'samples' must be an integer >= 1, got {samples!r}")
     _check_level(family, level)
     hits = []
     for start in range(0, samples, _SCAN_BLOCK):

@@ -28,15 +28,14 @@ import csv
 import functools
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .chain import (
-    SCAN_LEVELS,
     ChainSpec,
+    _is_number,
     analytic_spectrum,
     build_chain,
     build_pq_table,
@@ -75,16 +74,6 @@ def _require(config, key, kinds, kind_name):
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ConfigError(f"config field '{key}' must be {kind_name}, got {value!r}")
     return value
-
-
-def _is_number(value):
-    """True for a finite JSON number; ``bool`` does not count."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 def _require_number(config, key):
@@ -157,34 +146,11 @@ def load_config(path, mode="compute", family_override=None):
     if n_value < 1:
         raise ConfigError(f"config field 'N' must be >= 1, got {n_value}")
     if mode == "scan":
-        ranges = _require(config, "ranges", dict, "an object")
-        missing = sorted({"a", "b", "c", "q"} - set(ranges))
-        if missing:
-            raise ConfigError(f"config field 'ranges' is missing keys: {missing}")
-        extra = sorted(set(ranges) - {"a", "b", "c", "q"})
-        if extra:
-            raise ConfigError(f"config field 'ranges' has unknown keys: {extra}")
-        for key, value in ranges.items():
-            if not isinstance(value, list) or not value or not all(map(_is_number, value)):
-                raise ConfigError(
-                    f"ranges['{key}'] must be a non-empty array of finite numbers"
-                )
-            if len(value) == 2 and value[1] < value[0]:
-                raise ConfigError(f"ranges['{key}'] = {value!r} has hi < lo")
-            if len(value) == 2 and not math.isfinite(float(value[1]) - float(value[0])):
-                raise ConfigError(
-                    f"ranges['{key}'] = {value!r} has a width hi - lo that is not "
-                    f"a finite float"
-                )
-        samples = _require_int(config, "samples")
-        if samples < 1:
-            raise ConfigError(f"config field 'samples' must be >= 1, got {samples}")
-        level = config.get("level", "full")
-        if level not in SCAN_LEVELS:
-            raise ConfigError(
-                f"config field 'level' must be one of {SCAN_LEVELS}, got {level!r}"
-            )
-        config["level"] = level
+        # parameter_scan checks the box, samples and level; the hash of the
+        # config in each CSV header reads the level's default
+        _require(config, "ranges", dict, "an object")
+        _require_int(config, "samples")
+        config.setdefault("level", "full")
     elif family == "explicit":
         _require_number_list(config, "alpha", n_value)
         _require_number_list(config, "beta", n_value + 1)

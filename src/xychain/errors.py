@@ -2,7 +2,10 @@
 
 Every error raised deliberately by xychain derives from :class:`XYChainError`,
 so callers (and the command-line driver) can distinguish domain failures from
-programming bugs.
+programming bugs.  Argument checks that raise a plain ``ValueError`` are the
+exception: ``ChainSpec``, the :mod:`xychain.linalg` shape checks,
+``qracah_eval``, ``phi43_terminating_exact``, ``_check_family`` and the mode
+count of ``eigenvector_crosscheck``.
 """
 
 
@@ -51,5 +54,7 @@ class SizeCapExceeded(XYChainError):
     """A requested problem size is beyond the supported dense-computation cap."""
 
 
-class ConfigError(XYChainError):
-    """A run configuration file is malformed or inconsistent."""
+class ConfigError(XYChainError, ValueError):
+    """A run configuration or a scan box is malformed or inconsistent; as a
+    bad argument of :func:`~xychain.chain.parameter_scan` or
+    :func:`~xychain.chain.validate_draw` it is also a ``ValueError``."""

@@ -167,9 +167,9 @@ class _Grid:
     ``(a2, a3, b1, b2, b3)``, and the shared ``q`` and ``z``, all exact
     ``(numerator, denominator)`` pairs.  Entry ``e`` is row ``e // width``,
     column ``e % width``.  The grid holds the exact powers ``q^k = qn^k /
-    qd^k`` for ``k <= length``, the largest degree, the step at which each
-    parameter's factor vanishes, and the runs at each precision; none of it
-    outlives the call."""
+    qd^k`` for ``k <= length``, the largest degree, the steps of each row's
+    and column's series, each column's first vanishing denominator factor,
+    and the runs at each precision; none of it outlives the call."""
 
     def __init__(self, q, rows, columns, z):
         qn, qd = q
@@ -185,7 +185,6 @@ class _Grid:
         # pairs are in lowest terms with positive denominators, so that is
         # (n, d) == (qd^k, qn^k): the parameter that vanishes at step k.
         vanishes_at = {(d, n): k for k, (n, d) in enumerate(self.powers[:length])}
-        self.vanishes_at = vanishes_at
         self._runs = {}
         # The steps before a numerator factor ends each row's and each
         # column's series; 1 - q^(k-i) and 1 - q^(k+1) never vanish inside.

@@ -5,10 +5,15 @@ fixed products of table entries), the Jacobi eigensolver for spectra, and
 frozen regression values with exact-rational provenance.
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import QR13_BOX, QR13_CHAIN, QR24_BOX, QR24_DEFAULT, pq_table, residuals
+from test_cli_fuzz import RANGES, TYPED_VALUES, WRONG_TYPES
 from xychain import chain
 from xychain.chain import (
     SCAN_LEVELS,
@@ -22,7 +27,7 @@ from xychain.chain import (
     recurrence_check,
     validate_draw,
 )
-from xychain.errors import InvalidParameterRegime, NoValidParameters
+from xychain.errors import ConfigError, InvalidParameterRegime, NoValidParameters
 from xychain.linalg import jacobi_eigh
 from xychain.qracah import QRacahParams, _Points, _raw_tables, contiguity_coefficients
 
@@ -276,7 +281,7 @@ class TestValidateDraw:
         assert (valid, reason) == (False, "relation-minus residual above tolerance")
 
     def test_unknown_level_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="'level' must be one of"):
             validate_draw("qr24", QR24_DEFAULT, level="extreme")
 
 
@@ -421,6 +426,27 @@ class TestScreenBlocks:
         assert [p.as_tuple() for p in kept] == [p.as_tuple() for p in expected]
 
 
+@st.composite
+def corrupted_scans(draw):
+    """Arguments of ``parameter_scan`` corrupted as ``test_cli_fuzz`` corrupts
+    a scan config: mostly a box with up to three ranges deleted or replaced by
+    the fuzz's ranges and wrong types, sometimes a whole ``ranges`` value of
+    its kinds, and ``samples`` and ``level`` mostly of the right type."""
+    box = dict(QR24_BOX)
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from("abcqz"))
+        if draw(st.integers(0, 4)) == 0:
+            box.pop(key, None)
+        else:
+            box[key] = draw(RANGES | WRONG_TYPES)
+    if draw(st.integers(0, 4)) == 0:
+        box = draw(TYPED_VALUES["ranges"] | WRONG_TYPES)
+    samples = TYPED_VALUES["samples"] if draw(st.integers(0, 4)) else WRONG_TYPES | st.floats()
+    level = TYPED_VALUES["level"] if draw(st.integers(0, 4)) else WRONG_TYPES
+    family = draw(st.sampled_from(["qr13", "qr24"]))
+    return family, box, draw(st.integers(1, 4)), draw(samples), draw(level)
+
+
 class TestParameterScan:
     def test_deterministic_for_fixed_seed(self):
         first = parameter_scan("qr24", QR24_BOX, N=4, samples=60, seed=9, level="full")
@@ -466,23 +492,90 @@ class TestParameterScan:
     @pytest.mark.parametrize(
         ("label", "spec", "message"),
         [
-            ("a", [-0.9, float("nan")], "range for a must be finite"),
-            ("c", [float("-inf"), -0.1], "range for c must be finite"),
-            ("q", [0.3, float("inf"), 0.7], "range for q must be finite"),
-            ("b", [0.9, 0.05], "range for b has hi < lo"),
-            ("a", [], "range for a is empty"),
-            ("a", [-1e308, 1e308], "range for a has a width hi - lo that is not finite"),
+            ("a", [-0.9, float("nan")], "ranges['a'] must be a non-empty array of finite numbers"),
+            ("c", [float("-inf"), -0.1], "ranges['c'] must be a non-empty array of finite numbers"),
+            ("q", [0.3, float("inf"), 0.7],
+             "ranges['q'] must be a non-empty array of finite numbers"),
+            ("b", [0.9, 0.05], "ranges['b'] = [0.9, 0.05] has hi < lo"),
+            ("a", [], "ranges['a'] must be a non-empty array of finite numbers"),
+            ("a", [-1e308, 1e308],
+             "ranges['a'] = [-1e+308, 1e+308] has a width hi - lo that is not a finite float"),
+        ],
+        ids=[
+            "a-spec0-range for a must be finite",
+            "c-spec1-range for c must be finite",
+            "q-spec2-range for q must be finite",
+            "b-spec3-range for b has hi < lo",
+            "a-spec4-range for a is empty",
+            "a-spec5-range for a has a width hi - lo that is not finite",
         ],
     )
     def test_bad_range_rejected_when_called_directly(self, label, spec, message):
-        # The CLI checks ranges in load_config; a direct call must still
-        # refuse them rather than draw from them.
-        with pytest.raises(ValueError, match=message):
+        # parameter_scan owns the range rules: it refuses a bad range rather
+        # than draw from it, and the CLI reports its message as it is.
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parameter_scan("qr24", {**QR24_BOX, label: spec}, N=4, samples=10)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"a": [[-0.9, -0.05]]},
+            {"a": {"lo": -0.9, "hi": -0.05}},
+            {"q": ["0.3", "0.5"]},
+            {"q": "0.5"},
+            {"q": [True, 0.5]},
+            {"b": 0.5},
+            {"b": np.array(0.5)},
+            {"a": np.array([[-0.9, -0.05]])},
+            {"q": [0.5, 10**400]},
+            {"d": [0.1, 0.2]},
+        ],
+        ids=[
+            "nested-list", "mapping", "string-entries", "string", "bool-entry", "scalar",
+            "0-d-array", "2-d-array", "huge-int-entry", "unknown-key",
+        ],
+    )
+    def test_malformed_box_rejected(self, change):
+        with pytest.raises(ConfigError) as caught:
+            parameter_scan("qr24", {**QR24_BOX, **change}, N=4, samples=10)
+        assert isinstance(caught.value, ValueError)
+
+    def test_box_not_a_mapping_rejected(self):
+        with pytest.raises(ConfigError, match="'ranges' must be a mapping"):
+            parameter_scan("qr24", list(QR24_BOX.items()), N=4, samples=10)
+
+    def test_tuples_arrays_and_numpy_integers_are_accepted(self):
+        expected = parameter_scan("qr24", QR24_BOX, N=4, samples=40, seed=5, level="couplings")
+        for kind in (tuple, np.array):
+            box = {key: kind(value) for key, value in QR24_BOX.items()}
+            draws = parameter_scan("qr24", box, N=4, samples=np.int64(40), seed=5,
+                                   level="couplings")
+            assert [p.as_tuple() for p in draws] == [p.as_tuple() for p in expected]
+
+    def test_range_of_zero_width_draws_its_one_value(self):
+        box = {**QR24_BOX, "a": [-0.3, -0.3]}
+        draws = parameter_scan("qr24", box, N=4, samples=20, seed=1, level="couplings")
+        assert draws and {p.a for p in draws} == {-0.3}
+
     def test_no_samples_rejected(self):
-        with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="'samples' must be an integer >= 1, got 0"):
             parameter_scan("qr24", QR24_BOX, N=4, samples=0)
+
+    @pytest.mark.parametrize("samples", [True, 2.5], ids=["bool", "float"])
+    def test_bad_samples_rejected(self, samples):
+        with pytest.raises(ConfigError, match="'samples' must be an integer >= 1") as caught:
+            parameter_scan("qr24", QR24_BOX, N=4, samples=samples)
+        assert isinstance(caught.value, ValueError)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=corrupted_scans())
+    def test_corrupted_box_returns_draws_or_refuses(self, case):
+        family, ranges, N, samples, level = case
+        try:
+            draws = parameter_scan(family, ranges, N, samples, seed=3, level=level)
+        except (ConfigError, NoValidParameters):
+            return
+        assert draws and all(isinstance(p, QRacahParams) for p in draws)
 
     def test_draws_the_parameter_record_refuses_are_skipped(self):
         # q outside (0, 1) is refused when the draw is made, not screened:

@@ -15,7 +15,7 @@ from helpers import CONFIG_DIR, QR13_BOX, QR24_BOX, bind_everywhere
 from xychain import chain, cli, qracah, qseries
 from xychain.chain import parameter_scan, validate_draw
 from xychain.cli import main
-from xychain.errors import XYChainError
+from xychain.errors import ConfigError, XYChainError
 from xychain.freefermion import assemble, eigendecompose, many_body_spectrum
 from xychain.report import TOLERANCES
 
@@ -577,6 +577,35 @@ class TestConfigErrors:
         path = write_config(tmp_path, dict(SCAN_CONFIG, level="everything"))
         assert main(["scan", "--config", path]) == 2
         assert "'level' must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"ranges": {"a": [-0.9, -0.05], "b": [0.05, 0.9], "c": [-0.95, -0.1]}},
+        {"ranges": dict(SCAN_CONFIG["ranges"], d=[0.1, 0.2])},
+        {"ranges": dict(SCAN_CONFIG["ranges"], a=[[-0.9, -0.05]])},
+        {"ranges": dict(SCAN_CONFIG["ranges"], a={"lo": -0.9, "hi": -0.05})},
+        {"ranges": dict(SCAN_CONFIG["ranges"], q=["0.3", "0.5"])},
+        {"ranges": dict(SCAN_CONFIG["ranges"], b=0.5)},
+        {"ranges": dict(SCAN_CONFIG["ranges"], c=[])},
+        {"ranges": dict(SCAN_CONFIG["ranges"], q=[0.5, 10**400])},
+        {"ranges": dict(SCAN_CONFIG["ranges"], b=[0.05, float("nan")])},
+        {"ranges": dict(SCAN_CONFIG["ranges"], a=[-0.1, -0.9])},
+        {"ranges": dict(SCAN_CONFIG["ranges"], a=[-1e308, 1e308])},
+        {"samples": 0},
+        {"level": "everything"},
+    ], ids=[
+        "missing-key", "unknown-key", "nested-list", "mapping", "string-entries", "scalar",
+        "empty", "huge-int-entry", "nan-entry", "inverted", "width", "no-samples", "level",
+    ])
+    def test_scan_reports_the_library_error(self, tmp_path, capsys, change):
+        # one source for the box rules: scan writes parameter_scan's message
+        config = dict(SCAN_CONFIG, **change)
+        with pytest.raises(ConfigError) as caught:
+            parameter_scan(
+                config["family"], config["ranges"], config["N"], config["samples"],
+                level=config["level"],
+            )
+        assert main(["scan", "--config", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == f"error: {caught.value}\n"
 
     def test_non_string_note(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(QR24_CONFIG, note=7))

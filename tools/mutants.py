@@ -38,7 +38,8 @@ PACKAGE = ROOT / "src" / "xychain"
 TESTS = {
     "qseries": ["tests/test_qseries.py", "tests/test_qracah.py"],
     "qracah": ["tests/test_qracah.py", "tests/test_killers.py", "tests/test_acceptance.py"],
-    "chain": ["tests/test_chain.py", "tests/test_killers.py", "tests/test_acceptance.py"],
+    "chain": ["tests/test_chain.py", "tests/test_killers.py", "tests/test_acceptance.py",
+              "tests/test_cli.py"],
     "freefermion": ["tests/test_freefermion.py", "tests/test_killers.py",
                     "tests/test_acceptance.py"],
     "spinoracle": ["tests/test_spinoracle.py", "tests/test_killers.py"],
