@@ -157,6 +157,7 @@ def _radicand_screen(values, label, errors):
             f"is negative beyond tolerance"
         )
 
+    # max(1, ...): q-Racah tables, unchanged by a coupling scale; moving it moves scan draws
     bound = -RADICAND_TOL * np.maximum(1.0, np.abs(flat).max(axis=1))
     _reject(errors, flat.min(axis=1) < bound, negative)
 
@@ -220,6 +221,7 @@ def _spectrum_rows(rad_closed, rad_product, errors):
     # rows with a non-finite radicand already carry their error
     with np.errstate(invalid="ignore"):
         gap = np.abs(lam_closed - np.sqrt(np.maximum(rad_product, 0.0))).max(axis=1)
+    # max(1, ...) as in the radicand screen: q-Racah units; moving it moves scan draws
     scale = np.maximum(1.0, lam_closed.max(axis=1))
     _reject(errors, gap > 1e-12 * scale, lambda s, k: InvalidParameterRegime(
         f"internal cross-check failed: closed-form spectrum deviates from "
@@ -300,6 +302,7 @@ def recurrence_check(pq, tolerances=TOLERANCES):
     """
     chain, P, Q, lam = pq.chain, pq.P, pq.Q, pq.lam
     alpha, beta, gamma = chain.alpha, chain.beta, chain.gamma
+    # max(1, ...): P, Q and the chain come from q-Racah tables, never a coupling scale
     floor = 1e-12 * max(1.0, float(np.max(np.abs(P))), float(np.max(np.abs(Q))))
     res_p = _three_term_residual(lam[None, :] * Q, beta, alpha - gamma, alpha + gamma, P, floor)
     res_q = _three_term_residual(lam[None, :] * P, beta, alpha + gamma, alpha - gamma, Q, floor)
@@ -340,6 +343,7 @@ def _screen_block(family, points, level):
                 closed_form_lambda_squared(family, points), t.lambda_plus * t.lambda_minus, errors
             )
         if rank >= 3:
+            # max(1, ...) as in the radicand screen: q-Racah units; moving it moves scan draws
             tol = RADICAND_TOL * np.maximum(
                 1.0,
                 np.maximum(np.abs(t.phi_0_plus).max(axis=1), np.abs(t.phi_0_minus).max(axis=1)),
@@ -457,13 +461,9 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full", tolerances=
         Keys ``"a"``, ``"b"``, ``"c"``, ``"q"``; each value is either a
         two-entry ``(lo, hi)`` range (sampled uniformly) or a nonempty list
         of discrete choices of any other length.
-    N : int
-        Truncation degree used for every draw.
-    samples : int
-        Number of draws.
-    seed : int
-        Seed for the deterministic generator; identical inputs give an
-        identical list of draws.
+    N, samples, seed : int
+        Truncation degree of every draw, number of draws and generator seed;
+        identical inputs give an identical list of draws.
     level : str
         Validity level, one of :data:`SCAN_LEVELS`.
     tolerances : mapping
@@ -480,8 +480,9 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full", tolerances=
         A ``ValueError``, before the first draw: if ``ranges`` is not a
         mapping of exactly the keys above, a range is not a non-empty list,
         tuple or 1-d array of finite reals (not ``bool``), a two-entry range
-        has ``hi < lo`` or a width that is not a finite float, ``samples`` is
-        not an integer ``>= 1`` or ``level`` is unknown.  ``scan`` prints it.
+        has ``hi < lo`` or a width that is not a finite float, ``N`` or
+        ``samples`` is not an integer ``>= 1`` or ``seed`` one ``>= 0`` (not
+        ``bool``), or ``level`` is unknown.  ``scan`` prints it.
     ValueError
         If the family is unknown.
     NoValidParameters
@@ -496,10 +497,11 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full", tolerances=
     extra = sorted(set(ranges) - set(labels), key=str)
     if extra:
         raise ConfigError(f"'ranges' has unknown keys: {extra}")
+    for name, value, least in (("N", N, 1), ("samples", samples, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ConfigError(f"'{name}' must be an integer >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     samplers = {label: _sampler(rng, ranges[label], label) for label in labels}
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-        raise ConfigError(f"'samples' must be an integer >= 1, got {samples!r}")
     _check_level(family, level)
     hits = []
     for start in range(0, samples, _SCAN_BLOCK):

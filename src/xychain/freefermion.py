@@ -45,8 +45,8 @@ MANY_BODY_MODE_CAP = 24
 #: arrays at once.
 _RUN_BLOCK = 1 << 16
 
-#: Numeric eigenvalues closer than this factor times the spectral scale form
-#: one degenerate cluster in the eigenvector crosscheck.
+#: Numeric eigenvalues closer than this factor times the largest one form one
+#: degenerate cluster in the eigenvector crosscheck.
 DEGENERACY_TOL = 1e-8
 
 
@@ -118,32 +118,41 @@ def eigendecompose(system):
     return SpectralData(lambda_numeric=lam, Psi=0.5 * (u + w), Phi=0.5 * (u - w), system=system)
 
 
+def _scale(*references):
+    """Largest magnitude in ``references``, floored at 1e-300: the one scale
+    rule of the spectrum residuals, so each is relative in any units."""
+    return max(max(float(np.max(np.abs(r))) for r in references), 1e-300)
+
+
+def _mode_gaps(values, reference):
+    """``values`` matched to ``reference`` by rank, and each gap over
+    :func:`_scale` of ``reference``, in ``reference``'s order."""
+    matched = np.empty(len(reference))
+    matched[np.argsort(reference, kind="stable")] = np.sort(values, kind="stable")
+    return matched, np.abs(matched - reference) / _scale(reference)
+
+
 def _spectrum_gap(values, reference):
-    """Largest gap between ``values`` and ``reference``, both sorted, relative
-    to ``max(1, max(reference))``: the one comparison rule of the spectrum
-    checks."""
-    scale = max(1.0, float(np.max(reference)))
-    return float(np.max(np.abs(np.sort(values) - np.sort(reference)))) / scale
+    """Largest of :func:`_mode_gaps`, the one rule of the spectrum checks."""
+    return float(np.max(_mode_gaps(values, reference)[1]))
 
 
 def singular_value_check(spectral, tolerances=TOLERANCES):
     """Certify the decomposition in ``spectral`` on the doubled matrix ``H``.
 
     The eigenvalues of ``H`` by the independent two-sided Jacobi route must
-    pair up about zero (``spectrum-parity``, relative to the largest, read
-    against ``tolerances["parity"]``), ``T`` must be orthogonal
+    match their own negatives (``spectrum-parity``, read against
+    ``tolerances["parity"]``), ``T`` must be orthogonal
     (``transition-orthogonality``, the largest entry of ``T^T T - I``,
     ``tolerances["orthogonality"]``), and the nonnegative half must match
     the singular values of ``A + B`` (``spectrum-vs-singular-values``,
-    ``tolerances["svd"]``).
+    ``tolerances["svd"]``).  Both spectrum rows are :func:`_spectrum_gap`.
     """
     n = spectral.system.n_sites
     values = jacobi_eigh(spectral.system.H)
-    scale = max(float(np.max(np.abs(values))), 1e-300)
     t = np.block([[spectral.Psi, spectral.Phi], [spectral.Phi, spectral.Psi]])
     report = CheckReport(title="doubled matrix")
-    report.add("spectrum-parity", float(np.max(np.abs(values + values[::-1]))) / scale,
-               tolerances["parity"])
+    report.add("spectrum-parity", _spectrum_gap(-values, values), tolerances["parity"])
     report.add("transition-orthogonality", float(np.max(np.abs(t.T @ t - np.eye(2 * n)))),
                tolerances["orthogonality"])
     report.add("spectrum-vs-singular-values", _spectrum_gap(values[n:], spectral.lambda_numeric),
@@ -231,23 +240,23 @@ def many_body_spectrum(lam):
 def eigenvector_crosscheck(spectral, pq, tolerances=TOLERANCES):
     """Compare numeric eigenvectors against the analytic ``P``/``Q`` tables.
 
-    Matches numeric and analytic eigenvalues by sorted order (with a collision
-    check on the pairing gaps), then certifies that ``psi - phi`` spans the
-    ``P`` columns and ``psi + phi`` the ``Q`` columns of the matched modes.
-    Modes whose numeric eigenvalues lie within :data:`DEGENERACY_TOL` of each
-    other form one group, and each group's row is the sine of the largest
-    principal angle between the analytic span ``Q_b`` and the numeric columns
-    ``Q_a``, ``sigma_max(Q_b - Q_a (Q_a^T Q_b))`` (Bjorck & Golub, Math. Comp.
-    27, 1973).  ``Q_a`` needs no factorization: ``psi - phi`` and ``psi +
-    phi`` are the orthonormal factors of the SVD, which
+    Matches numeric and analytic eigenvalues by rank (``eigenvalue-matching``,
+    :func:`_spectrum_gap`), then certifies that ``psi - phi`` spans the ``P``
+    columns and ``psi + phi`` the ``Q`` columns of the matched modes.  Modes
+    whose numeric eigenvalues lie within :data:`DEGENERACY_TOL` times the
+    largest of each other form one group, and each group's row is the sine
+    of the largest principal angle between the analytic span ``Q_b`` and the
+    numeric columns ``Q_a``, ``sigma_max(Q_b - Q_a (Q_a^T Q_b))`` (Bjorck &
+    Golub, Math. Comp. 27, 1973).  ``Q_a`` needs no factorization: ``psi -
+    phi`` and ``psi + phi`` are the orthonormal factors of the SVD, which
     ``transition-orthogonality`` certifies.  For one mode ``Q_b`` is the unit
     analytic column and the sine is one residual norm; for a cluster ``Q_b``
     is the left factor of the live columns' SVD, cut at ``1e-10`` times the
     largest value.  Analytic columns that vanish identically (zero
     normalization weight) are skipped with a note.  Reads
-    ``tolerances["match"]`` for the pairing gaps and ``tolerances["angle"]``
-    for every group.  Raises ``ValueError`` if ``pq`` and ``spectral`` have
-    different numbers of modes.
+    ``tolerances["match"]`` and ``tolerances["angle"]``.  Raises
+    ``ValueError`` if ``pq`` and ``spectral`` have different numbers of
+    modes.
     """
     if not isinstance(pq, PQTable):
         raise TypeError(f"expected a PQTable, got {type(pq).__name__}")
@@ -260,7 +269,7 @@ def eigenvector_crosscheck(spectral, pq, tolerances=TOLERANCES):
     report.add("eigenvalue-matching", _spectrum_gap(lam_ana, lam_num), tolerances["match"])
 
     order = np.argsort(lam_ana, kind="stable")
-    table_scale = max(float(np.max(np.abs(pq.P))), float(np.max(np.abs(pq.Q))), 1e-300)
+    table_scale = _scale(pq.P, pq.Q)
     sides = []
     for side, numeric, table in (
         ("P", spectral.Psi - spectral.Phi, pq.P),
@@ -274,7 +283,7 @@ def eigenvector_crosscheck(spectral, pq, tolerances=TOLERANCES):
         sides.append((side, numeric, analytic, live, sines))
 
     # group modes whose numeric eigenvalues are within the degeneracy tolerance
-    scale = max(1.0, float(np.max(lam_num)))
+    scale = _scale(lam_num)
     groups = []
     start = 0
     for j in range(1, n + 1):

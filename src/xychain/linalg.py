@@ -411,7 +411,7 @@ def sturm_eigvalsh(matrices):
         # widened by the rounding of the bounds, as in dstebz
         pad = 2.0 * n * np.finfo(float).eps * max(abs(low), abs(high))
         lo[block], hi[block] = low - pad, high + pad
-        # largest e2 / pivmin is 1 / tiny, which is finite
+        # e2 / pivmin is at most 1 / tiny, finite; the block is scaled, so 1 is relative
         pivmin[block] = np.finfo(float).tiny * max(1.0, float(np.max(e2)))
         index[block] = np.arange(n)
         start += n

@@ -13,7 +13,7 @@ free-fermion path's Jacobi solver.
 import numpy as np
 
 from .errors import SizeCapExceeded
-from .freefermion import many_body_spectrum
+from .freefermion import _scale, many_body_spectrum
 from .linalg import sturm_eigvalsh
 from .report import TOLERANCES, CheckReport
 
@@ -112,17 +112,10 @@ def jw_certify(chain, spectral, tolerances=TOLERANCES):
     """
     spin_values = oracle_spectrum(build_spin_hamiltonian(chain))
     fermion_values = many_body_spectrum(spectral.lambda_numeric).energies
-    scale = max(float(np.max(np.abs(spin_values))), 1e-300)
     gaps = np.abs(spin_values - fermion_values)
     worst = int(np.argmax(gaps))
     report = CheckReport(title=f"spin oracle vs free fermions ({chain.n_sites} sites)")
-    report.add(
-        "many-body-multiset",
-        float(gaps[worst]) / scale,
-        tolerances["jw"],
-        note=(
-            f"worst level {worst}: spin {spin_values[worst]:.12g} "
-            f"vs fermion {fermion_values[worst]:.12g}"
-        ),
-    )
+    report.add("many-body-multiset", float(gaps[worst]) / _scale(spin_values), tolerances["jw"],
+               note=f"worst level {worst}: spin {spin_values[worst]:.12g} "
+                    f"vs fermion {fermion_values[worst]:.12g}")
     return report

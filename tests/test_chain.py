@@ -216,6 +216,22 @@ class TestPQTables:
         res = residuals(recurrence_check(replace(pq, chain=bad_chain)))
         assert max(res.values()) > 1e-4
 
+    @pytest.mark.parametrize(("shrink", "passes"), [(1e-14, True), (1.0, False)],
+                             ids=["below-the-floor", "at-full-scale"])
+    def test_floor_absorbs_errors_in_vanishing_columns(self, shrink, passes):
+        # The tables times 2^20 put the floor at 1e-12 of their largest entry,
+        # 1.3e-5.  Mode 1 shrunk by 1e-14 still solves both recurrences, as
+        # they are linear in each column; a 1e-7 relative error in it then
+        # reads 5e-10 against the floor, where at full scale it reads 8e-8.
+        pq = pq_table("qr24", QR24_DEFAULT)
+        P, Q = pq.P * 2.0**20, pq.Q * 2.0**20
+        P[:, 1] *= shrink
+        Q[:, 1] *= shrink
+        P[2, 1] *= 1 + 1e-7
+        from dataclasses import replace
+
+        assert recurrence_check(replace(pq, P=P, Q=Q)).passed is passes
+
 
 class TestXXReduction:
     def test_gamma_zero_spectrum_is_abs_hopping_eigenvalues(self, rng):
@@ -548,8 +564,8 @@ class TestParameterScan:
         expected = parameter_scan("qr24", QR24_BOX, N=4, samples=40, seed=5, level="couplings")
         for kind in (tuple, np.array):
             box = {key: kind(value) for key, value in QR24_BOX.items()}
-            draws = parameter_scan("qr24", box, N=4, samples=np.int64(40), seed=5,
-                                   level="couplings")
+            draws = parameter_scan("qr24", box, N=np.int64(4), samples=np.int64(40),
+                                   seed=np.uint8(5), level="couplings")
             assert [p.as_tuple() for p in draws] == [p.as_tuple() for p in expected]
 
     def test_range_of_zero_width_draws_its_one_value(self):
@@ -566,6 +582,23 @@ class TestParameterScan:
         with pytest.raises(ConfigError, match="'samples' must be an integer >= 1") as caught:
             parameter_scan("qr24", QR24_BOX, N=4, samples=samples)
         assert isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize(("N", "shown"), [
+        (0, "0"), (-1, "-1"), (4.9, "4.9"), (True, "True"), ("4", "'4'"),
+    ], ids=["zero", "negative", "float", "bool", "string"])
+    def test_bad_degree_rejected(self, N, shown):
+        # before, 4.9 scanned at N = 4, True at N = 1, and 0 raised NoValidParameters
+        with pytest.raises(ConfigError, match=f"^'N' must be an integer >= 1, got {shown}$"):
+            parameter_scan("qr24", QR24_BOX, N=N, samples=10)
+
+    @pytest.mark.parametrize(("seed", "shown"), [
+        (-1, "-1"), (2.5, "2.5"), (True, "True"),
+    ], ids=["negative", "float", "bool"])
+    def test_bad_seed_rejected(self, seed, shown):
+        # before, -1 raised numpy's bare ValueError, 2.5 a TypeError, and True
+        # was taken as seed 1
+        with pytest.raises(ConfigError, match=f"^'seed' must be an integer >= 0, got {shown}$"):
+            parameter_scan("qr24", QR24_BOX, N=4, samples=10, seed=seed)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=corrupted_scans())

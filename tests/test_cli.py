@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import CONFIG_DIR, QR13_BOX, QR24_BOX, bind_everywhere
+from test_killers import NEAR_ZERO_MODE
 from xychain import chain, cli, qracah, qseries
 from xychain.chain import parameter_scan, validate_draw
 from xychain.cli import main
@@ -132,6 +133,24 @@ class TestSpectrum:
     def test_impossible_tolerance_fails(self, tmp_path):
         path = write_config(tmp_path, QR24_CONFIG)
         assert main(["spectrum", "--config", path, "--tol", "1e-30"]) == 4
+
+    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-30"]], ids=["default", "tol=1e-30"])
+    @pytest.mark.parametrize("name", ["qr13_chain.json", "qr24_default.json", "near-zero-mode"])
+    def test_largest_gap_is_the_verify_residual(self, tmp_path, capsys, name, tol):
+        # one rule for both commands: the largest rel_gap is verify's
+        # analytic-vs-numeric residual bit for bit, and spectrum exits 4
+        # exactly when verify fails that row; the near-zero-mode point's
+        # Lambda spans 1.4e-9 to 2000, so a per-mode scale would show
+        path = (write_config(tmp_path, NEAR_ZERO_MODE) if name == "near-zero-mode"
+                else str(CONFIG_DIR / name))
+        report = tmp_path / "report.json"
+        main(["verify", "--config", path, "--out", str(report), *tol])
+        row = next(check for check in json.loads(report.read_text())["checks"]
+                   if check["name"] == "analytic-vs-numeric")
+        code = main(["spectrum", "--config", path, *tol])
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert max(float(r["rel_gap"]) for r in rows).hex() == row["residual"].hex()
+        assert code == {"PASS": 0, "FAIL": 4}[row["verdict"]]
 
     def test_round_trip_through_explicit_chain(self, tmp_path, capsys):
         # chain-coeffs output re-entered as an explicit config must reproduce

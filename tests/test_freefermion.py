@@ -423,6 +423,48 @@ class TestCrosschecks:
         assert len(report.checks) == 11
 
     @staticmethod
+    def _unit_modes(lam, P):
+        """Numeric modes along the unit vectors with the values ``lam``, and
+        analytic tables ``P`` and ``Q = I`` for them."""
+        n = len(lam)
+        lam = np.array(lam, dtype=float)
+        spectral = freefermion.SpectralData(lambda_numeric=lam, Psi=np.eye(n),
+                                            Phi=np.zeros((n, n)), system=None)
+        return spectral, PQTable(P=np.array(P, dtype=float), Q=np.eye(n), lam=lam, chain=None)
+
+    def test_modes_the_degeneracy_gap_apart_form_one_cluster(self):
+        # modes 0 and 1 are 1e-8 apart, DEGENERACY_TOL times the largest value
+        spectral, pq = self._unit_modes([0.0, 1e-8, 1.0], np.eye(3))
+        assert [row.name for row in eigenvector_crosscheck(spectral, pq).checks[1:]] == [
+            "P-modes-0..1", "Q-modes-0..1", "P-modes-2", "Q-modes-2"]
+
+    def test_column_at_the_vanishing_cut_is_skipped(self):
+        # the P column of mode 1 peaks at 1e-12 of the tables' largest entry
+        spectral, pq = self._unit_modes([1.0, 2.0, 3.0], np.diag([1.0, 1e-12, 1.0]))
+        report = eigenvector_crosscheck(spectral, pq)
+        assert "P-modes-1" not in residuals(report)
+        assert report.notes == ["P-modes-1: analytic column vanishes; skipped"]
+
+    @pytest.mark.parametrize(("largest", "residual"), [(1.0, 0.0), (0.5, 1.0)])
+    def test_cluster_cut_is_relative_to_its_largest_value(self, largest, residual):
+        # The cluster of modes 0 and 1 spans e0 and e1, and its analytic P
+        # columns are largest * e0 and 1e-10 * e2.  Cut at 1e-10 times the
+        # largest singular value, e2 is dropped at largest = 1 and kept, a
+        # whole unit out of the numeric span, at largest = 0.5.
+        P = np.zeros((3, 3))
+        P[0, 0], P[2, 1], P[2, 2] = largest, 1e-10, 1.0
+        spectral, pq = self._unit_modes([1.0, 1.0, 2.0], P)
+        assert residuals(eigenvector_crosscheck(spectral, pq))["P-modes-0..1"] == residual
+
+    def test_single_mode_row_is_the_sine_of_its_angle(self):
+        # the P column of mode 0 is turned 0.5 rad away from its numeric mode
+        P = np.eye(3)
+        P[:2, 0] = np.cos(0.5), np.sin(0.5)
+        spectral, pq = self._unit_modes([1.0, 2.0, 3.0], P)
+        row = residuals(eigenvector_crosscheck(spectral, pq))["P-modes-0"]
+        assert row == pytest.approx(np.sin(0.5), rel=1e-15)
+
+    @staticmethod
     def _default_point():
         """The chain, the numeric decomposition and the P/Q tables of the
         shipped qr24 point (``configs/qr24_default.json``), whose largest
@@ -435,7 +477,7 @@ class TestCrosschecks:
         return [(row.name, row.residual.hex(), row.passed)
                 for row in eigenvector_crosscheck(spectral, pq).checks]
 
-    @pytest.mark.parametrize("k", [4, 30, 300])
+    @pytest.mark.parametrize("k", [-30, -4, 4, 30, 300])
     def test_power_of_two_scale_keeps_every_row(self, k):
         # 2^k times the chain has 2^k times its spectrum and the same
         # eigenvectors; P and Q are unchanged

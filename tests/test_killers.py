@@ -1,12 +1,13 @@
 """Every check fails on a small corruption of its stage's input.
 
-One row per check name: ``verify`` runs on a config (the shipped qr24 point
-unless the row names another) with one call of a library function, the
-first unless the row says otherwise, returning a corrupted result, and the
-named check must FAIL with a residual at least ``MARGIN`` times its
-tolerance.  The same run without the corruption must PASS it, so the row
-shows the corruption is what kills it.  A meta-test runs ``verify`` on four
-configs and requires a row for every check name they emit.
+One row per check name, and more where a row id adds ``@`` and a variant:
+``verify`` runs on a config (the shipped qr24 point unless the row names
+another) with one call of a library function, the first unless the row says
+otherwise, returning a corrupted result, and the named check must FAIL with a
+residual at least ``MARGIN`` times its tolerance.  The same run without the
+corruption must PASS it, so the row shows the corruption is what kills it.
+A meta-test runs ``verify`` on four configs and requires a row for every
+check name they emit.
 """
 
 import dataclasses
@@ -35,6 +36,12 @@ EXPLICIT_CONFIG = {
 #: A spectral-valid qr24 point whose two smallest modes, 1.4e-9 and 2e-6, lie
 #: within ``DEGENERACY_TOL`` of the largest, 2000, so they form one cluster.
 NEAR_ZERO_MODE = {"family": "qr24", "a": 0.5, "b": -0.5, "c": 0.0, "q": 1e-06, "N": 4}
+#: ``EXPLICIT_CONFIG`` with every coupling times 2^-30, exactly: its largest
+#: Lambda is 2.0e-9, where a gap over ``max(1, max Lambda)`` would be absolute.
+SMALL_COUPLINGS = dict(EXPLICIT_CONFIG, **{
+    name: [value * 2.0**-30 for value in EXPLICIT_CONFIG[name]]
+    for name in ("alpha", "beta", "gamma")
+})
 #: The configs of the meta-test: between them every check ``verify`` emits.
 META_CONFIGS = {
     "qr24": QR24_CONFIG,
@@ -80,6 +87,13 @@ def _scale_largest_singular_value(factors):
     return values * np.r_[np.ones(values.size - 1), 1 + 2e-6], right, left
 
 
+def _raise_largest_singular_value_by_half(factors):
+    # the gap is a third of the largest value in any units; at 2^-30 it is
+    # 1.0e-9, below the tolerance as an absolute number
+    values, right, left = factors
+    return values * np.r_[np.ones(values.size - 1), 1.5], right, left
+
+
 def _scale_doubled_value(values):
     return values * np.r_[1 + 1e-6, np.ones(values.size - 1)]
 
@@ -99,8 +113,8 @@ def _flip_site_field(chain):
 
 
 def _scale_largest_analytic_mode(pq):
-    # the matching gap is relative to max(1, largest mode), and the largest
-    # mode here is above 1, so 1e-3 lands at 1000 times the tolerance
+    # the matching gap is relative to the largest mode, so 1e-3 lands at
+    # 1000 times the tolerance
     lam = pq.lam.copy()
     lam[np.argmax(lam)] *= 1 + 1e-3
     return dataclasses.replace(pq, lam=lam)
@@ -150,8 +164,8 @@ def _scale_lowest_level(spectrum):
 
 
 def _scale_hopping_values(values):
-    # the largest |eigenvalue| of the hopping matrix is above 1, so the gap
-    # is about 1e-5
+    # the gap is relative to the largest |eigenvalue| of the hopping matrix,
+    # so it is about 1e-5
     return values * (1 + 1e-5)
 
 
@@ -180,6 +194,9 @@ KILLERS = {
     "spectrum-parity": Killer("parity", "linalg", "jacobi_eigh", _scale_doubled_value),
     "spectrum-vs-singular-values": Killer("svd", "linalg", "jacobi_svd",
                                           _scale_largest_singular_value),
+    "spectrum-vs-singular-values@2^-30": Killer("svd", "linalg", "jacobi_svd",
+                                                _raise_largest_singular_value_by_half,
+                                                config=SMALL_COUPLINGS),
     "analytic-vs-numeric": Killer("spectrum", "cli", "build_chain", _flip_bond_difference),
     "recurrence-P": Killer("recurrence", "cli", "build_chain", _flip_site_field),
     "recurrence-Q": Killer("recurrence", "cli", "build_chain", _flip_site_field),
@@ -205,8 +222,9 @@ KILLERS = {
 
 
 def _folded(name):
-    """A check name with the mode range of ``P-modes-*``/``Q-modes-*`` folded."""
-    return re.sub(r"^([PQ]-modes)-.*", r"\1-*", name)
+    """The check name of a row id, with the mode range of
+    ``P-modes-*``/``Q-modes-*`` folded."""
+    return re.sub(r"^([PQ]-modes)-.*", r"\1-*", name.split("@")[0])
 
 
 def _verify_checks(tmp_path, config):
@@ -235,7 +253,7 @@ def test_corruption_fails_its_check(tmp_path, monkeypatch, name, corrupt):
         else:
             original = bind_everywhere(monkeypatch, function, corrupted_call,
                                        importlib.import_module(f"xychain.{module}"))
-    check = _verify_checks(tmp_path, config)[name]
+    check = _verify_checks(tmp_path, config)[name.split("@")[0]]
     if corrupt:
         assert check["verdict"] == "FAIL"
         assert check["residual"] >= MARGIN * TOLERANCES[key]
@@ -253,20 +271,7 @@ def test_every_emitted_check_has_a_killer(tmp_path):
     assert set(emitted) == {_folded(name) for name in KILLERS}, emitted
 
 
-#: ROADMAP item 8: the spectrum checks divide their gap by ``max(1, max
-#: Lambda)``, so below 1 they hold an absolute gap, which does not scale.
-_ABSOLUTE_GAP_BELOW_ONE = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 8: spectrum-vs-singular-values and xx-reduction divide by "
-           "max(1, max Lambda)",
-)
-
-
-@pytest.mark.parametrize("k", [
-    pytest.param(-30, marks=_ABSOLUTE_GAP_BELOW_ONE),
-    pytest.param(-4, marks=_ABSOLUTE_GAP_BELOW_ONE),
-    4, 30, 300,
-])
+@pytest.mark.parametrize("k", [-30, -4, 4, 30, 300])
 @pytest.mark.parametrize("config", [EXPLICIT_CONFIG, XX_CONFIG], ids=["explicit", "xx"])
 def test_power_of_two_scale_keeps_every_row(tmp_path, config, k):
     # Multiplying every coupling by 2^k is exact and scales every spectrum,

@@ -60,7 +60,11 @@ Cases:
 * two explicit chains whose many-body rows test the row writer
   (``MANYBODY_CHAINS``: a uniform 14-site XX chain, whose merged tie runs
   cross write-block boundaries, and an all-zero chain, whose energies are
-  ``-0.0``), x ``manybody`` on ``--out`` and on stdout.
+  ``-0.0``), x ``manybody`` on ``--out`` and on stdout;
+* ``2^k`` times the 6-site explicit chain of ``tests/test_killers.py`` and
+  times ``configs/xx_uniform.json``, for each k of ``SCALE_EXPONENTS``, x
+  ``spectrum`` and the three ``verify`` forms: the scaling is exact, so a
+  scale-covariant tree gives each the unscaled residuals and verdicts.
 
 A case that ends in an uncaught exception reports the exit ``traceback`` and
 hashes the exception's type and message as its stderr.
@@ -140,6 +144,11 @@ MANYBODY_CHAINS = {
     "uniform-xx-14": {"N": 13, "alpha": [1.0] * 13, "beta": [0.5] * 14, "gamma": [0.0] * 13},
     "all-zero": {"N": 3, "alpha": [0.0] * 3, "beta": [0.0] * 4, "gamma": [0.0] * 3},
 }
+#: The 6-site explicit chain of ``tests/test_killers.py`` and the powers of
+#: two its couplings and ``configs/xx_uniform.json``'s are scaled by.
+KILLER_CHAIN = {"N": 5, "alpha": [0.9, -1.1, 0.7, 1.3, -0.8],
+                "beta": [0.2, -0.5, 0.4, 0.1, -0.3, 0.6], "gamma": [0.3, 0.5, -0.2, 0.4, 0.1]}
+SCALE_EXPONENTS = (-30, -4, 4, 30)
 REPORT_LINE = re.compile(r"^(\S+): residual=(\S+) tol=(\S+) (PASS|FAIL)")
 
 
@@ -236,6 +245,13 @@ def build_cases(config_dir):
     for name, couplings in MANYBODY_CHAINS.items():
         add(f"manybody/{name}", dict(couplings, family="explicit"),
             ("manybody.csv", "manybody.txt"))
+    xx = json.loads((CONFIG_DIR / "xx_uniform.json").read_text())
+    for name, chain in (("killer-chain", dict(KILLER_CHAIN, family="explicit")),
+                        ("xx_uniform", xx)):
+        for k in SCALE_EXPONENTS:
+            scaled = dict(chain, **{key: [value * 2.0**k for value in chain[key]]
+                                    for key in ("alpha", "beta", "gamma")})
+            add(f"scaled/{name}@2^{k}", scaled, _forms(("spectrum", "verify")))
     return cases
 
 
