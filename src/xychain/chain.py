@@ -42,6 +42,7 @@ from .qracah import (
     _base_factors,
     _check_family,
     _contiguity_block,
+    _grid_pairs,
     _record,
     _reject,
     _shift_block,
@@ -385,6 +386,28 @@ def _certify(screened, tolerances):
     return True, ""
 
 
+def _classify(family, points, level, tolerances):
+    """``(valid, reason)`` of every draw of the block ``points``, in order.
+
+    The survivors of :func:`_screen_block` have their polynomial grids
+    built together (:func:`~xychain.qracah._grid_pairs`, one evaluator
+    block per ``q``), and each record keeps its pair as its ``grids``, so
+    :func:`verify_contiguity` reads it.  A survivor whose grids fail gets
+    their exception as its outcome, which is what reading ``grids`` inside
+    :func:`verify_contiguity` raises first; :func:`_certify` then gives its
+    verdict.
+    """
+    outcomes = _screen_block(family, points, level)
+    survivors = [s for s, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    pairs = _grid_pairs(family, [outcomes[s].params for s in survivors])
+    for s, pair in zip(survivors, pairs):
+        if isinstance(pair, Exception):
+            outcomes[s] = pair
+        else:
+            outcomes[s].__dict__["grids"] = pair  # the cached ContiguityCoefficients.grids
+    return [_certify(outcome, tolerances) for outcome in outcomes]
+
+
 def _check_level(family, level):
     if level not in SCAN_LEVELS:
         raise ConfigError(f"'level' must be one of {SCAN_LEVELS}, got {level!r}")
@@ -411,8 +434,8 @@ def validate_draw(family, params, level="full", tolerances=TOLERANCES):
     ``ValueError``), an unknown family ``ValueError``.
     """
     _check_level(family, level)
-    (screened,) = _screen_block(family, _Points([params]), level)
-    return _certify(screened, tolerances)
+    (verdict,) = _classify(family, _Points([params]), level, tolerances)
+    return verdict
 
 
 def _is_number(value):
@@ -514,8 +537,8 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full", tolerances=
                 continue
         if not block:
             continue
-        for params, screened in zip(block, _screen_block(family, _Points(block), level)):
-            if _certify(screened, tolerances)[0]:
+        for params, (valid, _) in zip(block, _classify(family, _Points(block), level, tolerances)):
+            if valid:
                 hits.append(params)
     if not hits:
         raise NoValidParameters(

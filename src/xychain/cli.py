@@ -341,8 +341,7 @@ def cmd_verify(config, out_path, tol=None):
         }
         payload.update(report.to_dict())
         with _open_out(out_path) as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     elif out_path is not None:
         rows = [(c.name, c.residual, c.tolerance, c.verdict, c.note) for c in report.checks]
         notes = [f"note: {note}" for note in report.notes]

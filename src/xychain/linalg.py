@@ -118,7 +118,8 @@ def _scaled_symmetric_copy(matrix):
     Raises
     ------
     ValueError
-        If the matrix is not square or not symmetric.
+        If the matrix is not square or not symmetric: ``max |a - a^T|``
+        above ``1e-12`` times ``max |a|``.
     OverflowError
         If an entry is an infinity or NaN.
     """
@@ -127,7 +128,9 @@ def _scaled_symmetric_copy(matrix):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     _finite(a, "eigenvalues")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if a.size and float(np.max(np.abs(a - a.T))) > 1e-12 * max(scale, 1.0):
+    # relative to the largest entry, so a matrix and its power-of-two
+    # multiples are judged alike; the zero matrix is symmetric
+    if a.size and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     exponent = int(np.frexp(scale)[1])
     return np.ldexp(a, -exponent, out=a), exponent

@@ -98,8 +98,10 @@ def qracah_eval(i, x, params):
     a, b, c, q = (Fraction(v) for v in (a, b, c, q))
     x = int(x) if float(x).is_integer() else x
     # range() yields a numpy degree as a Python int, which Fraction powers need
-    rows, columns = _series_args(a, b, c, N, q, range(i, i + 1), [x])
-    return phi43_terminating_exact(rows, columns, q, q)[0][0]
+    (grid,) = phi43_terminating_exact([_series_args(a, b, c, N, q, range(i, i + 1), [x])], q, q)
+    if isinstance(grid, Exception):
+        raise grid
+    return float(grid[0, 0])
 
 
 def _series_args(a, b, c, N, q, degrees, xs):
@@ -491,17 +493,31 @@ def closed_form_lambda_squared(family, params):
 
 
 def _polynomial_grids(family, params):
-    """Polynomial values on the base and shifted grids.
+    """Polynomial values on the base and shifted grids of one point.
 
     Returns ``(base, shifted)`` where ``base[i, x] = R_i(x)`` at the base
     parameters and ``shifted[i, x] = R_i(x + x_shift)`` at the shifted
-    parameters, for ``i, x = 0..N``.
+    parameters, for ``i, x = 0..N``: :func:`_grid_pairs` on a block of one,
+    after :func:`shift_params` has checked the shifted regime.  Raises what
+    building the pair raises.
+    """
+    shift_params(family, params)
+    (pair,) = _grid_pairs(family, [params])
+    if isinstance(pair, Exception):
+        raise pair
+    return pair
 
-    The parameter shift and the series arguments are formed in exact
-    rational arithmetic from the (exactly represented) float parameters, and
-    every entry is the float its exact sum rounds to, proved by the
-    error-bounded decimal sum of
-    :func:`~xychain.qseries.phi43_terminating_exact`.  This matters twice
+
+def _grid_pairs(family, points):
+    """The ``(base, shifted)`` polynomial grids of each of ``points``, or
+    the exception building them raises.
+
+    The points share ``N``, and each has a valid shifted regime (the screen
+    of :func:`~xychain.qracah._shift_block` or :func:`shift_params` has
+    checked it).  The parameter shift and the series arguments are formed in
+    exact rational arithmetic from the (exactly represented) float
+    parameters, and every entry is the float its exact sum rounds to, proved
+    by :func:`~xychain.qseries.phi43_terminating_exact`.  This matters twice
     over: the relation residuals computed from these grids compare the base
     and shifted families, which is an identity only when the shifted
     parameters are *exactly* ``(a/q, bq, ...)`` of the base ones, and the
@@ -510,25 +526,39 @@ def _polynomial_grids(family, params):
 
     Each series argument is formed once: the row parameter per degree, the
     two ``x``-dependent parameters per grid point ``x`` and the denominator
-    parameters per grid.  Both grids are one evaluator call: the shift map
-    keeps ``a b``, so the two families share the rows ``(i, a b q^(i+1))``,
-    and the columns are the base grid points followed by the shifted ones,
-    each carrying its family's denominator parameters.  Every value is
-    proved, so every entry is bit for bit the value a lone
-    :func:`qracah_eval` call gives.  When entries fail, the first failing
-    entry in row order raises, base columns before shifted ones.
+    parameters per grid.  A point's two grids are one evaluator grid: the
+    shift map keeps ``a b``, so the two families share the rows ``(i, a b
+    q^(i+1))``, and the columns are the base grid points followed by the
+    shifted ones, each carrying its family's denominator parameters.  The
+    points that share ``q`` are one evaluator block, in the order given.
+    Every value is proved, so every entry is bit for bit the value a lone
+    :func:`qracah_eval` call gives.  When entries of a point fail, the first
+    failing entry in row order gives its exception, base columns before
+    shifted ones; the other points are built as on their own.
     """
-    N = params.N
-    shift_params(family, params)  # validates the shifted regime
-    a, b, c, q = (Fraction(v) for v in (params.a, params.b, params.c, params.q))
+    blocks = {}
+    for s, params in enumerate(points):
+        blocks.setdefault(params.q, []).append(s)
+    pairs = [None] * len(points)
+    for q, block in blocks.items():
+        q = Fraction(q)
+        grids = phi43_terminating_exact((_series_grid(family, points[s], q) for s in block), q, q)
+        for s, grid in zip(block, grids):
+            width = points[s].N + 1
+            pairs[s] = grid if isinstance(grid, Exception) else (grid[:, :width], grid[:, width:])
+    return pairs
+
+
+def _series_grid(family, params, q):
+    """The evaluator grid of one point's grid pair (see :func:`_grid_pairs`)
+    at its exact ``q``."""
+    a, b, c = (Fraction(v) for v in (params.a, params.b, params.c))
     x_shift, sa, sb, sc = _shift_map(family, a, b, c, q)
-    width = N + 1
-    rows, columns = _series_args(a, b, c, N, q, range(width), range(width))
+    width = params.N + 1
+    rows, columns = _series_args(a, b, c, params.N, q, range(width), range(width))
     # a b, and with it every row, is the same in both families
-    _, shifted = _series_args(sa, sb, sc, N, q, (), range(x_shift, x_shift + width))
-    grid = phi43_terminating_exact(rows, columns + shifted, q, q)
-    return (np.array([row[:width] for row in grid]),
-            np.array([row[width:] for row in grid]))
+    _, shifted = _series_args(sa, sb, sc, params.N, q, (), range(x_shift, x_shift + width))
+    return rows, columns + shifted
 
 
 def _three_term_residual(lhs, mid, up, dn, table, floor):

@@ -10,7 +10,7 @@ sum is carried together with a running bound on its error (Higham,
 3.3), and it is accepted when every real within that bound of it rounds to
 one float, which is then proved to be the float the exact sum rounds to.
 The first rung is double-word arithmetic on numpy arrays, about 106 bits,
-for the whole grid at once (:meth:`_Grid.double_word`); the next are stdlib
+for a whole block of grids at once (:meth:`_Block.double_word`); the next are stdlib
 :mod:`decimal` sums at ``p`` significant digits, ``p`` doubling from
 :data:`START_DIGITS` up to :data:`PRECISION_CAP`; the last is the exact
 ``Fraction`` sum.  What needs exact values (where the series ends,
@@ -18,10 +18,13 @@ vanishing denominators, a sum that is exactly zero or exactly halfway
 between two floats) is decided on the exact arguments, and no rung proves a
 zero or a tie.
 
-The evaluator has one form, a grid: rows of a degree ``i`` and its ``a1``,
-columns of ``(a2, a3, b1, b2, b3)``, and one ``q`` and ``z``; a single sum
-is a 1 x 1 grid.  The term ratio of step ``k`` is a product of three runs
-over ``k``: the heads ``(1 - q^(k-i)) (1 - a1 q^k)``, once per row, the
+The evaluator has one form, a block of grids that share ``q``, ``z``, one
+shape and one degree.  A grid has rows of a degree ``i`` and its ``a1`` and
+columns of ``(a2, a3, b1, b2, b3)``; a lone grid is a block of one, and a
+single sum a 1 x 1 grid.  The double-word rung runs once for a block (in
+parts of bounded size), every other decision once per grid, and a grid that
+fails gives its exception alone.  The term ratio of step ``k`` is a product
+of three runs over ``k``: the heads ``(1 - q^(k-i)) (1 - a1 q^k)``, once per row, the
 columns ``(1 - a2 q^k) (1 - a3 q^k)`` (up to where one of them ends its
 series), and the quotients ``z / ((1 - q^(k+1)) (1 - b1 q^k) (1 - b2 q^k)
 (1 - b3 q^k))``, at a decimal rung once for each distinct pair or triple.
@@ -31,7 +34,8 @@ term ``k`` of an entry is the product of its row's and its column's
 ``k``-th prefix product.  Every run entry carries a bound
 on its relative error, and a run keeps the running sums of those bounds, so
 the bound of a whole sum costs a few operations.  Only the entries a rung
-leaves unproved go on to the next.  The runs live for one call.
+leaves unproved go on to the next.  The runs live for one part of a block,
+whose grids share them.
 """
 
 import decimal
@@ -66,15 +70,18 @@ _BOUND_DIGITS = 9
 _INFINITY = decimal.Decimal("Infinity")
 
 
-def phi43_terminating_exact(rows, columns, q, z):
-    """The grid of floats nearest to the exact values of the terminating
+def phi43_terminating_exact(grids, q, z):
+    """The grids of floats nearest to the exact values of the terminating
     4phi3 sums
 
         sum_{k=0}^{i} [ (q^{-i};q)_k (a1;q)_k (a2;q)_k (a3;q)_k /
                         ( (q;q)_k (b1;q)_k (b2;q)_k (b3;q)_k ) ] z^k
 
-    over ``rows`` of ``(i, a1)`` and ``columns`` of ``(a2, a3, b1, b2,
-    b3)``, which share ``q`` and ``z``.  A single sum is a 1 x 1 grid.
+    over a block of ``grids``, each a pair ``(rows, columns)`` of ``rows`` of
+    ``(i, a1)`` and ``columns`` of ``(a2, a3, b1, b2, b3)``, which share
+    ``q`` and ``z``.  The grids of a block have one shape (as many rows and
+    as many columns each) and one degree (the largest ``i``).  A single grid
+    is a block of one, and a single sum a 1 x 1 grid.
 
     The series terminates because of the ``q^{-i}`` numerator parameter,
     which is supplied through ``i`` and never passed explicitly.  The
@@ -90,42 +97,48 @@ def phi43_terminating_exact(rows, columns, q, z):
     quotients (see :class:`_Runs`), each built once per grid and rung.  The
     sum ``S`` of the terms goes up a ladder of rungs, each carrying ``S``
     with a bound ``E >= |S - exact sum|``, until one proves the float the
-    exact sum rounds to.  The first rung sums every entry of the grid at
-    once in double-word arithmetic, about 106 bits, on numpy arrays (see
-    :meth:`_Grid.double_word`), with ``E`` from the per-operation error
-    bounds of Joldes, Muller and Popescu (2017); it proves ``S`` when its
-    low word plus ``E`` is below half the gap from its high word to the
-    nearer neighbouring float, and it refuses the whole grid when a
-    magnitude leaves [2^-900, 2^900].  Each entry it refuses is carried in
-    :mod:`decimal` at ``p`` significant digits, starting at
-    :data:`START_DIGITS`, where ``E`` is the first-order relative error bound
-    of the last term plus that of the summation, times ``sum |term_k|`` and a
-    slack for the higher-order terms, rounded upward.  Every rounding counts
-    ``u = 10^(1-p) / 2``, and the error a factor ``1 - m`` inherits from
-    ``m`` is scaled by its condition ``|m| / |1 - m|``.  ``S`` is accepted
-    when the two ends of ``[S - E, S + E]``, rounded outward, convert to the
-    same float bit for bit (so ``-0.0`` and ``0.0`` differ); rounding to
-    nearest is monotone, so the exact sum rounds to that float too.  A bound
-    that is infinite (a factor rounded to zero) or not below 1e-6 proves
-    nothing.  Otherwise that entry, and only it, goes on at ``2 p`` digits.
-    No interval around an exact zero, or around an exact tie halfway between
-    two floats, converts to one float, so an entry that no sum within
-    :data:`PRECISION_CAP` digits proves is summed exactly: a zero is ``0.0``
-    and a tie rounds to even.  When every argument of an entry is a decimal
-    of at most ``p`` digits (its conversion leaves the context's ``Inexact``
-    flag clear), the exact sum is cheap, and an entry refused at ``p`` digits
-    whose exact value is a zero or a tie is decided at ``p`` rather than at
-    the cap.  Every value is proved, so each grid entry is bit for bit the
-    float of its own 1 x 1 grid.
+    exact sum rounds to.  The first rung sums every entry of every grid of
+    the block at once in double-word arithmetic, about 106 bits, on numpy
+    arrays (see :meth:`_Block.double_word`), with ``E`` from the
+    per-operation error bounds of Joldes, Muller and Popescu (2017); it
+    proves ``S`` when its low word plus ``E`` is below half the gap from its
+    high word to the nearer neighbouring float, and it refuses a whole grid
+    when one of that grid's magnitudes leaves [2^-900, 2^900].  Each entry
+    it refuses is carried in :mod:`decimal` at ``p`` significant digits,
+    starting at :data:`START_DIGITS`, where ``E`` is the first-order relative
+    error bound of the last term plus that of the summation, times ``sum
+    |term_k|`` and a slack for the higher-order terms, rounded upward.  Every
+    rounding counts ``u = 10^(1-p) / 2``, and the error a factor ``1 - m``
+    inherits from ``m`` is scaled by its condition ``|m| / |1 - m|``.  ``S``
+    is accepted when the two ends of ``[S - E, S + E]``, rounded outward,
+    convert to the same float bit for bit (so ``-0.0`` and ``0.0`` differ);
+    rounding to nearest is monotone, so the exact sum rounds to that float
+    too.  A bound that is infinite (a factor rounded to zero) or not below
+    1e-6 proves nothing.  Otherwise that entry, and only it, goes on at
+    ``2 p`` digits.  No interval around an exact zero, or around an exact
+    tie halfway between two floats, converts to one float, so an entry that
+    no sum within :data:`PRECISION_CAP` digits proves is summed exactly: a
+    zero is ``0.0`` and a tie rounds to even.  When every argument of an
+    entry is a decimal of at most ``p`` digits (its conversion leaves the
+    context's ``Inexact`` flag clear), the exact sum is cheap, and an entry
+    refused at ``p`` digits whose exact value is a zero or a tie is decided
+    at ``p`` rather than at the cap.  Every value is proved, so each grid
+    entry is bit for bit the float of its own 1 x 1 grid, and each grid of a
+    block is bit for bit its own block of one.
+
+    ``grids`` is read a part at a time, each part as many grids as keep the
+    rung's arrays within :data:`_CHUNK_TERMS` values (see
+    :func:`_part_size`); a grid too large for that is a part of its own.
 
     Parameters
     ----------
-    rows : iterable of (int, float or Fraction)
-        Per row, the termination degree ``i`` (the ``q^{-i}`` numerator
-        parameter, >= 0) and the numerator parameter ``a1``.
-    columns : iterable of 5 floats or Fractions
-        Per column, the numerator parameters ``(a2, a3)`` and the
-        denominator parameters ``(b1, b2, b3)``.
+    grids : iterable of (rows, columns)
+        Read once, in order.  ``rows`` is an iterable of ``(i, a1)``: per
+        row, the termination degree ``i`` (the ``q^{-i}`` numerator
+        parameter, >= 0) and the numerator parameter ``a1``.  ``columns`` is
+        an iterable of 5 floats or Fractions per column: the numerator
+        parameters ``(a2, a3)`` and the denominator parameters ``(b1, b2,
+        b3)``.
     q : float or Fraction
         Base, required strictly inside (0, 1).
     z : float or Fraction
@@ -133,50 +146,87 @@ def phi43_terminating_exact(rows, columns, q, z):
 
     Returns
     -------
-    list holding a list of floats per row
+    list with one item per grid: its values as a ``rows x columns`` float
+    array, or the exception that the grid's first failing entry, in row
+    order, raises on its own, one of:
 
-    Raises
-    ------
     DenominatorVanishes
-        If a denominator factor ``(1 - b_j q^k)`` is exactly zero at a term
+        A denominator factor ``(1 - b_j q^k)`` is exactly zero at a term
         that is still being accumulated.  If a *numerator* factor vanishes
         first at the same ``k``, the series has already terminated and the
         denominator zero is never touched.
     ConvergenceFailure
-        If no sum within :data:`PRECISION_CAP` digits is proved and the exact
+        No sum within :data:`PRECISION_CAP` digits is proved and the exact
         sum is neither zero nor a tie.
     OverflowError
-        If the proved sum is too large for a float.
+        The proved sum is too large for a float.
 
-    A grid raises what the first entry that fails, in row order, raises on
-    its own.
+    A grid that fails fails alone: its block-mates are summed as on their
+    own.
+
+    Raises
+    ------
+    ValueError
+        If a degree is negative, ``q`` is not inside (0, 1), or the grids
+        differ in shape or degree.
     """
-    # every parameter as the (numerator, denominator) of its exact value
-    rows = [(i, a1.as_integer_ratio()) for i, a1 in rows]
-    for i, _ in rows:
-        if i < 0:
-            raise ValueError(f"termination degree must be >= 0, got {i}")
-    columns = [tuple(v.as_integer_ratio() for v in column) for column in columns]
-    values = _Grid(q.as_integer_ratio(), rows, columns, z.as_integer_ratio()).sums()
-    width = len(columns)
-    return [values[r * width:(r + 1) * width] for r in range(len(rows))]
+    q, z = q.as_integer_ratio(), z.as_integer_ratio()
+    if not 0 < q[0] < q[1]:
+        raise ValueError(f"q must lie strictly inside (0, 1), got {q[0] / q[1]}")
+    results, part, shape = [], [], None
+    for rows, columns in grids:
+        # every parameter as the (numerator, denominator) of its exact value
+        rows = [(i, a1.as_integer_ratio()) for i, a1 in rows]
+        for i, _ in rows:
+            if i < 0:
+                raise ValueError(f"termination degree must be >= 0, got {i}")
+        columns = [tuple(v.as_integer_ratio() for v in column) for column in columns]
+        grid_shape = (len(rows), len(columns), max((i for i, _ in rows), default=0))
+        if shape is None:
+            shape, size = grid_shape, _part_size(*grid_shape)
+        elif grid_shape != shape:
+            raise ValueError(f"a block's grids share (rows, columns, degree): {grid_shape} "
+                             f"is not {shape}")
+        part.append((rows, columns))
+        if len(part) == size:
+            results += _Block(q, part, z).sums()
+            part = []
+    if part:
+        results += _Block(q, part, z).sums()
+    return results
 
 
-class _Grid:
-    """The sums of one grid: ``rows`` of ``(i, a1)``, columns of
-    ``(a2, a3, b1, b2, b3)``, and the shared ``q`` and ``z``, all exact
-    ``(numerator, denominator)`` pairs.  Entry ``e`` is row ``e // width``,
-    column ``e % width``.  The grid holds the exact powers ``q^k = qn^k /
-    qd^k`` for ``k <= length``, the largest degree, the steps of each row's
-    and column's series, each column's first vanishing denominator factor,
-    and the runs at each precision; none of it outlives the call."""
+def _part_size(rows, columns, length):
+    """How many grids of ``rows`` x ``columns`` entries and degree
+    ``length`` one :class:`_Block` sums, at least one: as many as keep its
+    terms over all its steps, padded to whole chunks, and its ``(length + 1)
+    x entities`` arrays within :data:`_CHUNK_TERMS` values.  A part of more
+    than one grid therefore keeps each grid's chunk (see
+    :meth:`_Block.double_word`), and so each grid's order of summation on
+    its own."""
+    chunk = _chunk(length)
+    steps = -(-(length + 1) // chunk) * chunk
+    return max(1, _CHUNK_TERMS // max(steps * rows * columns, (length + 1) * (rows + columns), 1))
 
-    def __init__(self, q, rows, columns, z):
+
+def _chunk(length):
+    """The steps of a whole chunk of terms of degree ``length``: a power of
+    two, :data:`_CHUNK` or fewer, and no more than the series needs."""
+    return min(_CHUNK, 1 << length.bit_length())
+
+
+class _Block:
+    """The sums of a block of grids, each ``(rows, columns)`` of exact
+    ``(numerator, denominator)`` pairs, that share ``q``, ``z``, one shape
+    and one degree ``length``.  The block holds the exact powers ``q^k =
+    qn^k / qd^k`` for ``k <= length``, each grid's exact decisions
+    (:class:`_Grid`) and the runs at each precision, which the grids share;
+    none of it outlives the call."""
+
+    def __init__(self, q, grids, z):
         qn, qd = q
-        if not 0 < qn < qd:
-            raise ValueError(f"q must lie strictly inside (0, 1), got {qn / qd}")
-        self.q, self.rows, self.columns, self.z = q, rows, columns, z
-        length = max((i for i, _ in rows), default=0)
+        self.q, self.z = q, z
+        length = max((i for i, _ in grids[0][0]), default=0)
         self.powers = [(1, 1)]
         for _ in range(length):
             n, d = self.powers[-1]
@@ -185,20 +235,8 @@ class _Grid:
         # pairs are in lowest terms with positive denominators, so that is
         # (n, d) == (qd^k, qn^k): the parameter that vanishes at step k.
         vanishes_at = {(d, n): k for k, (n, d) in enumerate(self.powers[:length])}
+        self.grids = [_Grid(rows, columns, vanishes_at, length) for rows, columns in grids]
         self._runs = {}
-        # The steps before a numerator factor ends each row's and each
-        # column's series; 1 - q^(k-i) and 1 - q^(k+1) never vanish inside.
-        self.row_steps = [min(i, vanishes_at.get(a1, i)) for i, a1 in rows]
-        self.column_steps = [min(vanishes_at.get(a2, length), vanishes_at.get(a3, length))
-                             for a2, a3, *_ in columns]
-        self.steps = [min(s, t) for s in self.row_steps for t in self.column_steps]
-        self.width = len(columns)
-        # Per column, the first denominator factor that vanishes exactly, as
-        # (step, parameter), or None: it fails every entry of that column
-        # whose series reaches it.
-        self.zeros = [min(((vanishes_at[p], p) for p in column[2:] if p in vanishes_at),
-                          default=None)
-                      for column in columns]
 
     def runs(self, digits):
         """The :class:`_Runs` at ``digits`` digits, or in ``Fraction``
@@ -209,94 +247,30 @@ class _Grid:
         return runs
 
     def sums(self):
-        """Every entry's float, in row order, or the exception of the first
-        entry that fails: each entry goes up the ladder, the double-word rung
-        and then the digits, only while refused."""
-        steps, width, z = self.steps, self.width, self.z
-        values = [None] * len(steps)
-        failures = {}  # entry -> its exception; no entry after the first is summed
-        zeros = self.zeros
-        if any(zeros):
-            reaches = next((e for e, s in enumerate(steps)
-                            if zeros[e % width] and s > zeros[e % width][0]), None)
-            if reaches is not None:
-                k, (n, d) = zeros[reaches % width]
-                failures[reaches] = DenominatorVanishes(k, n / d)
-
-        def settle(entries):
-            """Decide each of ``entries`` whose exact sum is a zero or a tie."""
-            if not entries:
-                return
-            row_runs, column_runs = self.prefixes(self.runs(None), entries)
-            for e in entries:
-                exact = sum(map(operator.mul, row_runs[e // width].values,
-                                column_runs[e % width][0].values))
-                try:
-                    if exact == 0 or _is_tie(exact):
-                        values[e] = float(exact)
-                except ArithmeticError as exc:
-                    failures[e] = exc
-
-        pending = range(min(failures, default=len(steps)))
-        rung = self.double_word() if pending else None
-        if rung is not None:
-            refused = []
-            for e, word, proved in zip(pending, *rung):
-                if proved:
-                    values[e] = word
-                else:
-                    refused.append(e)
-            pending = refused
-        digits = START_DIGITS
-        while pending and digits <= PRECISION_CAP:
-            runs = self.runs(digits)
-            refused = []
-            with decimal.localcontext(runs.context):
-                row_runs, column_runs = self.prefixes(runs, pending)
-                for e in pending:
-                    value = _proved_sum(runs, row_runs[e // width], *column_runs[e % width],
-                                        steps[e])
-                    if value is None:
-                        refused.append(e)
-                    elif math.isinf(value):
-                        failures[e] = OverflowError("series sum too large for a float")
-                    else:
-                        values[e] = value
-            if refused and _exact_decimals(digits, self.q, z):
-                # Arguments that are exact decimals at these digits have a
-                # cheap exact sum; a zero or a tie, which no wider sum proves
-                # either, is decided by it here rather than at the cap.
-                settle([e for e in refused
-                        if _exact_decimals(digits, self.rows[e // width][1],
-                                           *self.columns[e % width])])
-            first = min(failures, default=len(steps))
-            pending = [e for e in refused if values[e] is None and e < first]
-            digits *= 2
-        settle(pending)
-        for e in pending:
-            if values[e] is None and e not in failures:
-                failures[e] = ConvergenceFailure(
-                    f"4phi3 sum of degree {self.rows[e // width][0]} has no checked float "
-                    f"within the precision cap of {PRECISION_CAP} significant digits"
-                )
-        if failures:
-            raise failures[min(failures)]
-        return values
+        """Per grid, its array of floats or its exception (see
+        :meth:`_Grid.sums`), after the double-word rung of the whole
+        block."""
+        grids = self.grids
+        rungs = self.double_word() if grids[0].steps else [None] * len(grids)
+        return [grid.sums(self, rung) for grid, rung in zip(grids, rungs)]
 
     def double_word(self):
-        """The first rung: every entry's sum in double-word arithmetic, as the
-        lists ``(words, proved)`` in row order, where ``words[e]`` is the float
-        the exact sum rounds to for each ``proved[e]``; or ``None`` when a
-        magnitude leaves [2^-900, 2^900] (:data:`_TINY`, :data:`_HUGE`).
+        """The first rung: every entry's sum in double-word arithmetic, per
+        grid as the lists ``(words, proved)`` in row order, where
+        ``words[e]`` is the float the exact sum rounds to for each
+        ``proved[e]``; or ``None`` for a grid one of whose magnitudes leaves
+        [2^-900, 2^900] (:data:`_TINY`, :data:`_HUGE`).
 
         A double word ``(hi, lo)`` is the unevaluated sum of two floats,
-        about 106 bits.  The rung forms the runs of :meth:`prefixes` for the
-        whole grid at once, on ``length x (rows + columns)`` arrays: the
-        factors by one batch of operations, their prefix products by a scan
-        of ``log2(length)`` rounds (Hillis and Steele), and the terms of
-        :data:`_CHUNK` steps at a time (fewer where that passes
-        :data:`_CHUNK_TERMS` terms) as ``rows x columns`` arrays, summed
-        pairwise.  Every parameter, ``q^k`` and ``q^-k`` is converted once,
+        about 106 bits.  The rung forms the runs of :meth:`_Grid.prefixes`
+        for the whole block at once, on ``length x entities`` arrays whose
+        entities are the rows of every grid, grid after grid, and then their
+        columns: the factors by one batch of operations, their prefix
+        products by a scan of ``log2(length)`` rounds (Hillis and Steele),
+        and the terms of :data:`_CHUNK` steps at a time (fewer where a
+        grid's terms would pass :data:`_CHUNK_TERMS`) as ``chunk x grids x
+        rows x columns`` arrays, each grid's rows against its own columns,
+        summed pairwise.  Every parameter, ``q^k`` and ``q^-k`` is converted once,
         by correctly rounded integer divisions.
 
         Each operation's relative error bound is the constant that Joldes,
@@ -321,15 +295,18 @@ class _Grid:
         Dekker's product is exact, and the constants hold, for factors and
         products within [2^-900, 2^900]; an underflowing low word there adds
         under ``2^-175`` of the magnitude, which the slack covers.  The rung
-        checks the magnitudes that could leave the range unnoticed: the
-        conversions, the quotients ``z / denominator``, the prefix scan's
-        products and, by their extremes at each step, the prefix products
-        and the terms.  A product of at most four factors ``1 - m`` falls
-        below ``2^-800`` only through a factor below ``2^-200``, whose
-        condition exceeds ``2^199``, so every entry that reads it is refused
-        by its bound.  A factor beyond ``2^996``, infinite or not, overflows
-        the scan's Veltkamp split into a NaN, which reaches the prefix
-        products.
+        checks, grid by grid, the magnitudes that could leave the range
+        unnoticed: the conversions, the quotients ``z / denominator``, the
+        prefix scan's products and, by their extremes at each step, the
+        prefix products and the terms.  A product of at most four factors
+        ``1 - m`` falls below ``2^-800`` only through a factor below
+        ``2^-200``, whose condition exceeds ``2^199``, so every entry that
+        reads it is refused by its bound.  A factor beyond ``2^996``,
+        infinite or not, overflows the scan's Veltkamp split into a NaN,
+        which reaches the prefix products.  Every operation but the terms'
+        acts on one entity at a time, and the terms pair a grid's rows with
+        its own columns only, so what one grid holds, a NaN included, never
+        reaches another: each grid is proved or refused as on its own.
 
         The exact decisions are :class:`_Grid`'s: each row's and column's
         steps, and the denominator zeros, at which a column's run stops
@@ -337,25 +314,43 @@ class _Grid:
         run reads ``q^k = 0``, so every factor formed there is 1 or the
         quotient ``z``, and its factors are then set to zero.
         """
-        length, rows, columns = len(self.powers) - 1, len(self.rows), self.width
+        grids = self.grids
+        count, height, width = len(grids), len(grids[0].rows), grids[0].width
+        length = len(self.powers) - 1
+        rows, columns = count * height, count * width  # entities
+        grid_rows = [row for grid in grids for row in grid.rows]
+        grid_columns = [column for grid in grids for column in grid.columns]
         # q^k and q^-k for k <= length, a2 and b2 by column, a1 by row, a3, b1
         # and b3 by column, and z
         ratios = (self.powers + [(d, n) for n, d in self.powers]
-                  + [column[j] for j in (0, 3) for column in self.columns]
-                  + [a1 for _, a1 in self.rows]
-                  + [column[j] for j in (1, 2, 4) for column in self.columns] + [self.z])
+                  + [column[j] for j in (0, 3) for column in grid_columns]
+                  + [a1 for _, a1 in grid_rows]
+                  + [column[j] for j in (1, 2, 4) for column in grid_columns] + [self.z])
         unique = {}
         index = [unique.setdefault(p, len(unique)) for p in ratios]
-        try:
-            words = np.array([_word(*p) for p in unique]).T[:, index]
-        except OverflowError:
-            return None
+        words, outside = [], []
+        for p in unique:
+            try:
+                words.append(_word(*p))
+            except OverflowError:
+                outside.append(len(words))
+                words.append((0.0, 0.0))  # a stand-in: the grids that read it are refused
+        # the grid of each ratio, -1 for those every grid reads
+        by_column, by_row = (np.repeat(np.arange(count), n) for n in (width, height))
+        owner = np.concatenate(([-1] * (2 * length + 2), by_column, by_column, by_row,
+                                by_column, by_column, by_column, [-1]))
+        refused = owner[np.isin(index, outside)]
+        if (refused == -1).any():
+            return [None] * count
+        in_range = ~np.isin(np.arange(count), refused)
+        words = np.array(words).T[:, index]
         powers, inverse = words[:, :length + 1], words[:, length + 1:2 * length + 2]
         parameters, z = words[:, 2 * length + 2:-1], words[:, -1]
         k = np.arange(length)[:, None]
-        live_rows = k < np.array(self.row_steps)
+        live_rows = k < np.array([s for grid in grids for s in grid.row_steps])
         live_columns = k < np.array([s if zero is None else min(s, zero[0])
-                                     for s, zero in zip(self.column_steps, self.zeros)])
+                                     for grid in grids
+                                     for s, zero in zip(grid.column_steps, grid.zeros)])
         with np.errstate(all="ignore"):
             # The m of every factor 1 - m by k: the parameters times q^k (bound
             # 9: two conversions and a product), and q^(k-i) and q^(k+1)
@@ -366,7 +361,7 @@ class _Grid:
             live = np.hstack((live_columns,) * 2 + (live_rows,) + (live_columns,) * 3)
             m = np.array(_times(parameters, np.where(live, powers[:, :length, None], 0.0)))
             pieces = (np.where(live_rows, inverse[:, np.clip(
-                          np.array([i for i, _ in self.rows]) - k, 0, length)], 0.0),
+                          np.array([i for i, _ in grid_rows]) - k, 0, length)], 0.0),
                       m[:, :, :columns], np.where(live_columns, powers[:, 1:, None], 0.0),
                       m[:, :, columns:2 * columns], m[:, :, 2 * columns:])
             factors, bounds = _one_minus(
@@ -378,7 +373,8 @@ class _Grid:
             bounds = bounds[:, :half] + bounds[:, half:] + 7
             den = slice(rows + columns, rows + 2 * columns), slice(rows + 2 * columns, half)
             quotient = _divide(z, _times(*((pairs[0][:, j], pairs[1][:, j]) for j in den)))
-            formed = [quotient[0]] if z[0] else []  # high words that must lie in range
+            if z[0]:
+                in_range &= _in_range(quotient[0], count)
             column = _times((pairs[0][:, rows:rows + columns], pairs[1][:, rows:rows + columns]),
                             quotient)
             # the products, 7 each; z, 1; the division, 15
@@ -391,10 +387,10 @@ class _Grid:
             # length + 1 to a whole number of chunks.
             live = np.hstack((live_rows, live_columns))
             bounds = np.cumsum(np.vstack((np.zeros(rows + columns), bounds + 7)), axis=0)
-            # a chunk is a power of two of steps, no more than the series
-            # needs, and halved while its terms pass _CHUNK_TERMS
-            chunk = min(_CHUNK, 1 << length.bit_length())
-            while chunk > 1 and chunk * rows * columns > _CHUNK_TERMS:
+            # a whole chunk, halved while a grid's terms pass _CHUNK_TERMS;
+            # a part of more than one grid never needs that (_part_size)
+            chunk = _chunk(length)
+            while chunk > 1 and chunk * height * width > _CHUNK_TERMS:
                 chunk //= 2
             high = np.zeros((-(-(length + 1) // chunk) * chunk, rows + columns))
             low = np.zeros_like(high)
@@ -410,37 +406,143 @@ class _Grid:
                 # a run every later one is zero too, so x is zero where y is;
                 # elsewhere a zero is a factor rounded to zero, whose entries
                 # are refused anyway.
-                formed.append(np.where(x[0] == 0, 1.0, product[0]))
+                formed = np.where(x[0] == 0, 1.0, product[0])
+                in_range &= _in_range(formed[:, :rows], count) & _in_range(formed[:, rows:], count)
                 high[shift + 1:length + 1], low[shift + 1:length + 1] = product
                 shift *= 2
             magnitudes = np.abs(high)
-            if not (_in_range(formed)
-                    and _terms_in_range(magnitudes[:, :rows], magnitudes[:, rows:])):
-                return None
-            # The grid: term k of entry (r, c) is row r's k-th prefix product
-            # times column c's.  The terms of each chunk of steps are summed
-            # pairwise, and the chunks' sums in order.
-            split = _split(high)
+            by_row = magnitudes[:, :rows].reshape(-1, count, height)
+            by_column = magnitudes[:, rows:].reshape(-1, count, width)
+            in_range &= _terms_in_range(by_row, by_column)
+            if not in_range.any():
+                return [None] * count
+            # The grids: term k of entry (r, c) of a grid is its row r's k-th
+            # prefix product times its column c's.  The terms of each chunk
+            # of steps are summed pairwise, and the chunks' sums in order.
+            words = (high, low, *_split(high))
+            row_words = [a[:, :rows].reshape(-1, count, height, 1) for a in words]
+            column_words = [a[:, rows:].reshape(-1, count, 1, width) for a in words]
             sums = []
             for j in range(0, len(high), chunk):
-                by_row, by_column = np.s_[j:j + chunk, :rows, None], np.s_[j:j + chunk, None, rows:]
-                terms = _times((high[by_row], low[by_row]), (high[by_column], low[by_column]),
-                               (split[0][by_row], split[1][by_row]),
-                               (split[0][by_column], split[1][by_column]))
+                r, c = ([a[j:j + chunk] for a in run] for run in (row_words, column_words))
+                terms = _times(r[:2], c[:2], r[2:], c[2:])
                 while len(terms[0]) > 1:
                     n = len(terms[0]) // 2
                     terms = _plus((terms[0][:n], terms[1][:n]), (terms[0][n:], terms[1][n:]))
                 sums.append((terms[0][0], terms[1][0]))
             total = functools.reduce(_plus, sums)
-            steps = np.array(self.steps).reshape(rows, columns)
-            bound = (bounds[steps, np.arange(rows)[:, None]]
-                     + bounds[steps, rows + np.arange(columns)] + 7 + 3 * steps)
-            error = bound * (magnitudes[:, :rows].T @ magnitudes[:, rows:]) * (
+            steps = np.array([grid.steps for grid in grids]).reshape(count, height, width)
+            bound = (bounds[steps, np.arange(rows).reshape(count, height, 1)]
+                     + bounds[steps, rows + np.arange(columns).reshape(count, 1, width)]
+                     + 7 + 3 * steps)
+            error = bound * (by_row.transpose(1, 2, 0) @ by_column.transpose(1, 0, 2)) * (
                 _WORD_UNIT * (_WORD_SLACK + (length + 16) * 2.0 ** -50))
             proved = _proved_words(*total, error)
-        return total[0].ravel().tolist(), proved.ravel().tolist()
+        return [(total[0][g].ravel().tolist(), proved[g].ravel().tolist()) if in_range[g] else None
+                for g in range(count)]
 
-    def prefixes(self, runs, entries):
+
+class _Grid:
+    """One grid of a :class:`_Block`: ``rows`` of ``(i, a1)`` and columns of
+    ``(a2, a3, b1, b2, b3)``, all exact ``(numerator, denominator)`` pairs.
+    Entry ``e`` is row ``e // width``, column ``e % width``.  The grid holds
+    the steps of each row's and column's series and each column's first
+    vanishing denominator factor, decided on the exact arguments."""
+
+    def __init__(self, rows, columns, vanishes_at, length):
+        self.rows, self.columns = rows, columns
+        # The steps before a numerator factor ends each row's and each
+        # column's series; 1 - q^(k-i) and 1 - q^(k+1) never vanish inside.
+        self.row_steps = [min(i, vanishes_at.get(a1, i)) for i, a1 in rows]
+        self.column_steps = [min(vanishes_at.get(a2, length), vanishes_at.get(a3, length))
+                             for a2, a3, *_ in columns]
+        self.steps = [min(s, t) for s in self.row_steps for t in self.column_steps]
+        self.width = len(columns)
+        # Per column, the first denominator factor that vanishes exactly, as
+        # (step, parameter), or None: it fails every entry of that column
+        # whose series reaches it.
+        self.zeros = [min(((vanishes_at[p], p) for p in column[2:] if p in vanishes_at),
+                          default=None)
+                      for column in columns]
+
+    def sums(self, block, rung):
+        """Every entry's float, as a ``rows x columns`` array, or the
+        exception of the first entry that fails, in row order: each entry
+        goes up the ladder, ``rung`` and then the digits of ``block``'s runs,
+        only while refused.  ``rung`` is the grid's ``(words, proved)`` from
+        :meth:`_Block.double_word`, or ``None`` where that rung refused the
+        whole grid."""
+        steps, width = self.steps, self.width
+        values = [None] * len(steps)
+        failures = {}  # entry -> its exception; no entry after the first is summed
+        zeros = self.zeros
+        if any(zeros):
+            reaches = next((e for e, s in enumerate(steps)
+                            if zeros[e % width] and s > zeros[e % width][0]), None)
+            if reaches is not None:
+                k, (n, d) = zeros[reaches % width]
+                failures[reaches] = DenominatorVanishes(k, n / d)
+
+        def settle(entries):
+            """Decide each of ``entries`` whose exact sum is a zero or a tie."""
+            if not entries:
+                return
+            row_runs, column_runs = self.prefixes(block.runs(None), entries, block.z)
+            for e in entries:
+                exact = sum(map(operator.mul, row_runs[e // width].values,
+                                column_runs[e % width][0].values))
+                try:
+                    if exact == 0 or _is_tie(exact):
+                        values[e] = float(exact)
+                except ArithmeticError as exc:
+                    failures[e] = exc
+
+        pending = range(min(failures, default=len(steps)))
+        if pending and rung is not None:
+            refused = []
+            for e, word, proved in zip(pending, *rung):
+                if proved:
+                    values[e] = word
+                else:
+                    refused.append(e)
+            pending = refused
+        digits = START_DIGITS
+        while pending and digits <= PRECISION_CAP:
+            runs = block.runs(digits)
+            refused = []
+            with decimal.localcontext(runs.context):
+                row_runs, column_runs = self.prefixes(runs, pending, block.z)
+                for e in pending:
+                    value = _proved_sum(runs, row_runs[e // width], *column_runs[e % width],
+                                        steps[e])
+                    if value is None:
+                        refused.append(e)
+                    elif math.isinf(value):
+                        failures[e] = OverflowError("series sum too large for a float")
+                    else:
+                        values[e] = value
+            if refused and _exact_decimals(digits, block.q, block.z):
+                # Arguments that are exact decimals at these digits have a
+                # cheap exact sum; a zero or a tie, which no wider sum proves
+                # either, is decided by it here rather than at the cap.
+                settle([e for e in refused
+                        if _exact_decimals(digits, self.rows[e // width][1],
+                                           *self.columns[e % width])])
+            first = min(failures, default=len(steps))
+            pending = [e for e in refused if values[e] is None and e < first]
+            digits *= 2
+        settle(pending)
+        for e in pending:
+            if values[e] is None and e not in failures:
+                failures[e] = ConvergenceFailure(
+                    f"4phi3 sum of degree {self.rows[e // width][0]} has no checked float "
+                    f"within the precision cap of {PRECISION_CAP} significant digits"
+                )
+        if failures:
+            return failures[min(failures)]
+        return np.array(values, dtype=float).reshape(len(self.rows), width)
+
+    def prefixes(self, runs, entries, z):
         """``(rows, columns)`` at the number type of ``runs`` (in its decimal
         context): by index, the prefix runs of the rows and, with the
         quotient run of their denominators, of the columns that ``entries``
@@ -462,7 +564,7 @@ class _Grid:
             if c not in columns:
                 parameters = self.columns[c]
                 column = runs.column(*parameters[:2], self.column_steps[c])
-                quotient = runs.quotient(parameters[2:], self.z)
+                quotient = runs.quotient(parameters[2:], z)
                 factors = map(operator.mul, column.values, quotient.values)
                 columns[c] = (_Run(list(accumulate(factors, operator.mul, initial=one)),
                                    column.bounds), quotient)
@@ -552,20 +654,21 @@ def _word(n, d):
     return hi, (n * hd - hn * d) / (d * hd)
 
 
-def _in_range(arrays):
-    """Whether every magnitude in ``arrays`` lies in [:data:`_TINY`,
-    :data:`_HUGE`]; a NaN does not."""
-    a = np.abs(np.concatenate([np.empty(0)] + [array.ravel() for array in arrays]))
-    return bool(a.min(initial=_TINY) >= _TINY and a.max(initial=0.0) <= _HUGE)
+def _in_range(a, count):
+    """Per grid, whether every magnitude in ``a`` lies in [:data:`_TINY`,
+    :data:`_HUGE`]; a NaN does not.  The last axis of ``a`` holds the
+    entities of ``count`` grids, grid after grid."""
+    a = np.abs(a).reshape(math.prod(a.shape[:-1]), count, a.shape[-1] // count)
+    return ((a >= _TINY) & (a <= _HUGE)).all(axis=(0, 2))
 
 
 def _terms_in_range(rows, columns):
-    """Whether every nonzero ``rows[k, r] columns[k, c]`` of nonnegative
-    ``rows`` and ``columns`` lies in [:data:`_TINY`, :data:`_HUGE`], by the
-    extremes at each ``k``."""
-    smallest = [np.where(a == 0, np.inf, a).min(axis=1, initial=np.inf) for a in (rows, columns)]
-    return (np.max(rows.max(axis=1) * columns.max(axis=1), initial=0.0) <= _HUGE
-            and np.min(smallest[0] * smallest[1], initial=np.inf) >= _TINY)
+    """Per grid ``g``, whether every nonzero ``rows[k, g, r] columns[k, g,
+    c]`` of nonnegative ``rows`` and ``columns`` lies in [:data:`_TINY`,
+    :data:`_HUGE`], by the extremes at each ``k``."""
+    smallest = [np.where(a == 0, np.inf, a).min(axis=2) for a in (rows, columns)]
+    return (((rows.max(axis=2) * columns.max(axis=2)).max(axis=0) <= _HUGE)
+            & ((smallest[0] * smallest[1]).min(axis=0) >= _TINY))
 
 
 def _proved_words(high, low, error):

@@ -49,12 +49,21 @@ QR13_BOX = {
 }
 
 
+def phi43_grid(rows, columns, q, z):
+    """One grid of the evaluator, as a block of one: its rows as lists of
+    floats, or the exception it gives raised."""
+    (grid,) = phi43_terminating_exact([(rows, columns)], q, z)
+    if isinstance(grid, Exception):
+        raise grid
+    return grid.tolist()
+
+
 def phi43_lone(i, nums, dens, q, z):
     """One terminating 4phi3 sum, in the argument order of
     ``exact_oracles.phi43_exact``, as the 1 x 1 grid
     ``[(i, a1)] x [(a2, a3, b1, b2, b3)]`` of the evaluator."""
     a1, a2, a3 = nums
-    return phi43_terminating_exact([(i, a1)], [(a2, a3, *dens)], q, z)[0][0]
+    return phi43_grid([(i, a1)], [(a2, a3, *dens)], q, z)[0][0]
 
 
 def random_chain(rng, n_sites):

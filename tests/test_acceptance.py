@@ -8,7 +8,6 @@ tolerances used here are the published contract; changing them is an
 interface change, not a test tweak.
 """
 
-import functools
 import json
 import time
 
@@ -35,6 +34,7 @@ from xychain import (
     singular_value_check,
     verify_contiguity,
 )
+from xychain import chain as chain_module
 
 Q_VALUES = (0.3, 0.5, 0.7)
 N_VALUES = tuple(range(2, 11))
@@ -62,15 +62,26 @@ def contiguity_survey():
     Returns ``{family: [(params, report), ...], "seconds": float}`` where each
     report re-measures both relations and the consistency ratio on a fresh
     contiguity record.  The scan has already built each valid draw's grids
-    to accept it, so grids are memoized by ``(family, params)`` while the
-    survey runs and the reports read them instead of building them again.
+    to accept it, so they are kept by ``(family, params)`` while the survey
+    runs and the reports read them instead of building them again.
     """
     t0 = time.perf_counter()
     survey = {}
+    built = {}
+    grid_pairs, polynomial_grids = chain_module._grid_pairs, qracah._polynomial_grids
+
+    def keeping(family, points):
+        pairs = grid_pairs(family, points)
+        built.update(((family, params), pair) for params, pair in zip(points, pairs))
+        return pairs
+
+    def reading(family, params):
+        pair = built.get((family, params))
+        return pair if isinstance(pair, tuple) else polynomial_grids(family, params)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            qracah, "_polynomial_grids", functools.cache(qracah._polynomial_grids)
-        )
+        patch.setattr(chain_module, "_grid_pairs", keeping)
+        patch.setattr(qracah, "_polynomial_grids", reading)
         for family, box in FAMILY_BOXES:
             rows = []
             for N in CONTIGUITY_N_VALUES:

@@ -5,7 +5,10 @@ fixed products of table entries), the Jacobi eigensolver for spectra, and
 frozen regression values with exact-rational provenance.
 """
 
+import dataclasses
 import re
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import QR13_BOX, QR13_CHAIN, QR24_BOX, QR24_DEFAULT, pq_table, residuals
 from test_cli_fuzz import RANGES, TYPED_VALUES, WRONG_TYPES
-from xychain import chain
+from xychain import chain, qseries
 from xychain.chain import (
     SCAN_LEVELS,
     ChainSpec,
@@ -29,7 +32,14 @@ from xychain.chain import (
 )
 from xychain.errors import ConfigError, InvalidParameterRegime, NoValidParameters
 from xychain.linalg import jacobi_eigh
-from xychain.qracah import QRacahParams, _Points, _raw_tables, contiguity_coefficients
+from xychain.qracah import (
+    QRacahParams,
+    _Points,
+    _raw_tables,
+    contiguity_coefficients,
+    verify_contiguity,
+)
+from xychain.report import TOLERANCES
 
 # Frozen couplings and spectrum at the qr24 reference point.
 FROZEN_ALPHA = [0.31065916369567, 0.33974793882028204, 0.2950548157339187, 0.20744776232261103]
@@ -369,14 +379,62 @@ class TestScreenReasons:
         draws = [draw for draw, _ in SCREEN_DRAWS if draw[0] == family]
         ranges = {key: [draw[k] for draw in draws] + [getattr(QR24_DEFAULT, key)]
                   for k, key in ((1, "a"), (2, "b"), (3, "c"), (5, "q"))}
-        expected = _replayed_valid_draws(family, ranges, 4, 60, 3, level)
-        with np.errstate(all="ignore"):
-            if not expected:
-                with pytest.raises(NoValidParameters):
-                    parameter_scan(family, ranges, N=4, samples=60, seed=3, level=level)
-                return
-            kept = parameter_scan(family, ranges, N=4, samples=60, seed=3, level=level)
-        assert [p.as_tuple() for p in kept] == [p.as_tuple() for p in expected]
+        _assert_scan_keeps_the_valid_draws(family, ranges, 4, 60, 3, level)
+
+    @pytest.mark.parametrize("family", ["qr13", "qr24"])
+    @pytest.mark.parametrize("level", ["contiguity", "spectral"])
+    @pytest.mark.parametrize("q", [[0.3, 0.5, 0.7], [0.3, 0.7]], ids=["q-choices", "q-range"])
+    def test_scan_keeps_the_draws_validate_draw_accepts_at_shared_and_drawn_q(
+            self, monkeypatch, family, level, q):
+        # A choice list of q gives the survivors of a block a few q each, so
+        # their grids are certified together; a q range gives each its own.
+        shared = []
+        grid_pairs = chain._grid_pairs
+
+        def counting(family, points):
+            shared.append(max(Counter(p.q for p in points).values(), default=0))
+            return grid_pairs(family, points)
+
+        monkeypatch.setattr(chain, "_grid_pairs", counting)
+        box = {**(QR24_BOX if family == "qr24" else QR13_BOX), "q": q}
+        _assert_scan_keeps_the_valid_draws(family, box, 4, 300, 11, level)
+        assert max(shared) > 10 if len(q) == 3 else max(shared) == 1
+
+    def test_survivor_whose_grids_fail_is_refused_alone(self, monkeypatch):
+        # The middle draw's grid pair fails: it gets the failure's message,
+        # as when verify_contiguity raises it, and its block-mates keep
+        # their verdicts.
+        points = [QR24_DEFAULT, dataclasses.replace(QR24_DEFAULT, a=-0.4),
+                  dataclasses.replace(QR24_DEFAULT, a=-0.5)]
+        a, b, q = (Fraction(v) for v in (points[1].a, points[1].b, points[1].q))
+        failing = (a * b * q).as_integer_ratio()  # the a1 of degree 0
+        grid_sums = qseries._Grid.sums
+
+        def sums(grid, block, rung):
+            if grid.rows[0][1] == failing:
+                return OverflowError("series sum too large for a float")
+            return grid_sums(grid, block, rung)
+
+        monkeypatch.setattr(qseries._Grid, "sums", sums)
+        verdicts = chain._classify("qr24", _Points(points), "full", TOLERANCES)
+        assert verdicts == [(True, ""), (False, "series sum too large for a float"), (True, "")]
+        assert [validate_draw("qr24", p) for p in points] == verdicts
+        with pytest.raises(OverflowError, match="too large"):
+            verify_contiguity(contiguity_coefficients("qr24", points[1]))
+
+
+def _assert_scan_keeps_the_valid_draws(family, ranges, N, samples, seed, level):
+    """The scan of ``ranges`` keeps exactly the draws ``validate_draw``
+    accepts one at a time, in draw order; returns them."""
+    expected = _replayed_valid_draws(family, ranges, N, samples, seed, level)
+    with np.errstate(all="ignore"):
+        if not expected:
+            with pytest.raises(NoValidParameters):
+                parameter_scan(family, ranges, N=N, samples=samples, seed=seed, level=level)
+            return []
+        kept = parameter_scan(family, ranges, N=N, samples=samples, seed=seed, level=level)
+    assert [p.as_tuple() for p in kept] == [p.as_tuple() for p in expected]
+    return kept
 
 
 def _replayed_valid_draws(family, ranges, N, samples, seed, level):

@@ -918,9 +918,10 @@ class TestGridWork:
         calls = []
         exact = qracah.phi43_terminating_exact
 
-        def counting(*args):
-            calls.append(args)
-            return exact(*args)
+        def counting(grids, *args):
+            grids = list(grids)
+            calls.append((grids, *args))
+            return exact(grids, *args)
 
         monkeypatch.setattr(qracah, "phi43_terminating_exact", counting)
         return calls
@@ -936,9 +937,8 @@ class TestGridWork:
         n = json.loads(config.read_text())["N"]
         assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 0
         # one evaluator call for both grids, over every (degree, point) entry
-        assert [len(rows) * len(columns) for rows, columns, *_ in series_calls] == [
-            2 * (n + 1) ** 2
-        ]
+        assert [[len(rows) * len(columns) for rows, columns in grids]
+                for grids, *_ in series_calls] == [[2 * (n + 1) ** 2]]
 
     def test_verify_computes_the_closed_form_spectrum_once(self, tmp_path, monkeypatch):
         calls = []

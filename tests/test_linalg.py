@@ -259,6 +259,29 @@ class TestValidation:
         with pytest.raises(ConvergenceFailure):
             jacobi_eigh(matrix)
 
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_symmetry_is_judged_relative_to_the_largest_entry(self, k):
+        # An asymmetry of 1e-13 of the largest entry is accepted at every
+        # scale 2^k, and one of 1e-11 refused; the SVD takes either.
+        scale = 2.0**k
+        near, far = (np.array([[1.0, 0.5], [0.5 + gap, -1.0]]) for gap in (1e-13, 1e-11))
+        for solve in (jacobi_eigh, lambda matrix: sturm_eigvalsh([matrix])[0]):
+            np.testing.assert_array_equal(solve(scale * near), scale * solve(near))
+            with pytest.raises(ValueError, match="not symmetric"):
+                solve(scale * far)
+            assert solve(np.zeros((3, 3))).tolist() == [0.0] * 3
+        for matrix in (near, far):
+            np.testing.assert_array_equal(jacobi_svd(scale * matrix)[0],
+                                          scale * jacobi_svd(matrix)[0])
+
+    def test_tiny_asymmetric_matrix_rejected(self):
+        # the same matrix times 1e13 has always been refused
+        for matrix in ([[0.0, 1e-13], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]):
+            with pytest.raises(ValueError, match="not symmetric"):
+                jacobi_eigh(matrix)
+            with pytest.raises(ValueError, match="not symmetric"):
+                sturm_eigvalsh([matrix])
+
 
 class TestFloatRange:
     """Entries near the top of the float range are fine; values beyond it

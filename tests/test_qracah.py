@@ -17,12 +17,13 @@ from exact_oracles import (
     phi43_exact, qracah_exact, qracah_grid_by_recurrence, relation_residuals_exact, shift_exact,
 )
 from helpers import QR13_CHAIN, QR24_DEFAULT, phi43_lone
-from xychain import qseries
+from xychain import qracah, qseries
 from xychain.errors import InvalidParameterRegime, InvalidShiftedParams
 from xychain.qracah import (
     FAMILIES,
     QRacahParams,
     _Points,
+    _grid_pairs,
     _polynomial_grids,
     _raw_tables,
     _shift_map,
@@ -219,6 +220,30 @@ class TestGridEvaluator:
             assert value.hex() == float(qracah_exact(i, x, *params.as_tuple())).hex()
         for (i, x), value in np.ndenumerate(grids[1]):
             assert value.hex() == float(qracah_exact(i, x + x_shift, *shifted_args)).hex()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_block_of_points_equals_their_lone_builds(self, monkeypatch, family):
+        # Interleaved points of three q values, the exact-zero point among
+        # them: one evaluator call per q, and each pair bit for bit its own.
+        point = QR24_DEFAULT if family == "qr24" else QR13_CHAIN
+        points = [dataclasses.replace(point, N=5, a=point.a * (1 + k / 10), q=q)
+                  for k, q in enumerate((0.3, 0.7, 0.3, 0.5, 0.7, 0.3))]
+        points.insert(4, QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5))
+        calls = []
+        evaluator = qracah.phi43_terminating_exact
+
+        def counting(grids, q, z):
+            grids = list(grids)
+            calls.append((len(grids), q))
+            return evaluator(grids, q, z)
+
+        monkeypatch.setattr(qracah, "phi43_terminating_exact", counting)
+        pairs = _grid_pairs(family, points)
+        assert calls == [(3, Fraction(0.3)), (2, Fraction(0.7)), (2, Fraction(0.5))]
+        monkeypatch.setattr(qracah, "phi43_terminating_exact", evaluator)
+        for params, pair in zip(points, pairs):
+            for grid, lone in zip(pair, _polynomial_grids(family, params)):
+                assert grid.tobytes() == lone.tobytes()
 
     def test_no_state_outlives_a_build(self):
         first, other = QR24_DEFAULT, QRacahParams(a=-0.4, b=0.3, c=-0.5, N=9, q=0.5)

@@ -10,6 +10,7 @@ import dataclasses
 import decimal
 import json
 import operator
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_oracles import phi43_exact, qracah_exact, shift_exact
-from helpers import CONFIG_DIR, QR24_DEFAULT, phi43_lone
+from helpers import CONFIG_DIR, QR24_DEFAULT, phi43_grid, phi43_lone
 from xychain import qseries
 from xychain.errors import ConvergenceFailure, DenominatorVanishes, XYChainError
 from xychain.qracah import QRacahParams, _polynomial_grids
@@ -84,7 +85,7 @@ class TestStructure:
         with pytest.raises(ValueError):
             phi43_lone(-1, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), 0.5, 0.5)
         for q in (0.0, 1.0, 1.5, -0.5):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=re.escape(f"got {q}")):
                 phi43_lone(2, (0.1, 0.2, 0.3), (0.1, 0.2, 0.3), q, 0.5)
 
 
@@ -139,7 +140,7 @@ def _first_lone_failure(rows, columns, q, z):
     for row in rows:
         for column in columns:
             try:
-                phi43_terminating_exact([row], [column], q, z)
+                phi43_grid([row], [column], q, z)
             except (ArithmeticError, XYChainError) as exc:
                 return exc
     return None
@@ -173,7 +174,7 @@ class TestGrid:
     def test_entries_equal_their_own_calls(self):
         rows = [(i, 0.3 - 0.07 * i) for i in range(10)]
         columns = self._columns(self.POINTS, self.CLEAN_DENS)
-        grid = phi43_terminating_exact(rows, columns, self.Q, self.Z)
+        grid = phi43_grid(rows, columns, self.Q, self.Z)
         self._assert_lone_entries(rows, columns, grid)
 
     def test_exact_denominator_zero_raises_the_first_entrys_error(self):
@@ -181,7 +182,7 @@ class TestGrid:
         columns = self._columns(self.POINTS, self.ZERO_DENS)
         lone = _first_lone_failure(rows, columns, self.Q, self.Z)
         with pytest.raises(DenominatorVanishes) as excinfo:
-            phi43_terminating_exact(rows, columns, self.Q, self.Z)
+            phi43_grid(rows, columns, self.Q, self.Z)
         assert (excinfo.value.k, excinfo.value.param) == (lone.k, lone.param) == (4, 16.0)
 
     def test_columns_carry_their_own_denominators(self):
@@ -190,14 +191,14 @@ class TestGrid:
         rows = [(i, 0.3 - 0.07 * i) for i in range(10)]
         clean = self._columns(self.POINTS, self.CLEAN_DENS)
         columns = clean + self._columns(self.POINTS[:5], self.ZERO_DENS)
-        grid = phi43_terminating_exact(rows, columns, self.Q, self.Z)
+        grid = phi43_grid(rows, columns, self.Q, self.Z)
         self._assert_lone_entries(rows, columns, grid)
         # With the whole second group, the first entry past step 4 is row 5,
         # column x = 5 of that group, after every earlier entry of both.
         columns = clean + self._columns(self.POINTS, self.ZERO_DENS)
         lone = _first_lone_failure(rows, columns, self.Q, self.Z)
         with pytest.raises(DenominatorVanishes) as excinfo:
-            phi43_terminating_exact(rows, columns, self.Q, self.Z)
+            phi43_grid(rows, columns, self.Q, self.Z)
         assert (excinfo.value.k, excinfo.value.param) == (lone.k, lone.param) == (4, 16.0)
         lone_failures = [
             (i, g) for i, row in enumerate(rows) for g, column in enumerate(columns)
@@ -215,13 +216,114 @@ class TestGrid:
         columns = self._columns(self.POINTS, self.ZERO_DENS)
         lone = _first_lone_failure(rows, columns, self.Q, z)
         with pytest.raises(error) as excinfo:
-            phi43_terminating_exact(rows, columns, self.Q, z)
+            phi43_grid(rows, columns, self.Q, z)
         assert type(lone) is error and str(excinfo.value) == str(lone)
 
     def test_empty_grid(self):
         columns = self._columns(self.POINTS, (0.1, 0.2, 0.3))
-        assert phi43_terminating_exact([], columns, self.Q, self.Z) == []
-        assert phi43_terminating_exact([(2, 0.1), (3, 0.2)], [], self.Q, self.Z) == [[], []]
+        assert phi43_grid([], columns, self.Q, self.Z) == []
+        assert phi43_grid([(2, 0.1), (3, 0.2)], [], self.Q, self.Z) == [[], []]
+
+
+class TestBlock:
+    """A block of grids that share q, z, shape and degree is summed as one
+    double-word rung call; each grid returns what its own block of one
+    returns, values or exception, and only a grid out of the rung's range
+    goes whole to the decimal ladder."""
+
+    Q, Z = Fraction(1, 2), Fraction(7, 10)
+    DEGREES = range(6)
+    # q^-x ends column x's series at step x
+    POINTS = [(Fraction(2) ** x, 0.5) for x in range(6)]
+    # 1 - (4 + 1/(3 10^38)) q^2 = -8.3e-40: the rung refuses every entry
+    # that reads it, past step 2, and so does the 40-digit sum; 80 digits
+    # prove them
+    ILL = Fraction(4) + Fraction(1, 3 * 10**38)
+
+    def _grids(self):
+        rows = [(i, 0.3 - 0.07 * i) for i in self.DEGREES]
+        return {
+            "plain": (rows, [(*point, 0.25, -0.2, 0.1) for point in self.POINTS]),
+            "plain-unterminated": ([(i, -0.2 + 0.05 * i) for i in self.DEGREES],
+                                   [(0.5 - 0.1 * j, 0.25, 0.125, -0.2, 0.1) for j in range(6)]),
+            # 1 - 16 q^4 = 0: row 5, column x = 5 reaches it first
+            "denominator-zero": ([(i, 0.3) for i in self.DEGREES],
+                                 [(*point, 16.0, 0.2, 0.1) for point in self.POINTS]),
+            # a1 = -1e280 is beyond 2^900; columns of x <= 1 end every series
+            # by step 1, so every value is finite
+            "huge-a1": ([(i, -1e280) for i in self.DEGREES],
+                        [(Fraction(2) ** x, a3, 0.25, -0.2, 0.1)
+                         for x in (0, 1) for a3 in (0.5, -0.7, 2.0)]),
+            "ill-conditioned": (rows, [(self.ILL, 0.5 - 0.1 * j, 0.4, 0.2, 0.1)
+                                       for j in range(6)]),
+        }
+
+    @staticmethod
+    def _same(got, lone):
+        if isinstance(lone, Exception):
+            return type(got) is type(lone) and str(got) == str(lone)
+        return not isinstance(got, Exception) and got.tobytes() == lone.tobytes()
+
+    def test_each_grid_is_its_own_block_of_one(self, sums, monkeypatch):
+        grids = self._grids()
+        rungs = []
+        grid_sums = qseries._Grid.sums
+        monkeypatch.setattr(qseries._Grid, "sums", lambda grid, block, rung: (
+            rungs.append(rung) or grid_sums(grid, block, rung)))
+        lone = {name: phi43_terminating_exact([grid], self.Q, self.Z)[0]
+                for name, grid in grids.items()}
+        lone_sums, lone_rungs = Counter(sums), rungs[:]
+        sums.clear()
+        rungs.clear()
+        block = phi43_terminating_exact(grids.values(), self.Q, self.Z)
+        assert len(block) == len(grids)
+        for (name, expected), got in zip(lone.items(), block):
+            assert self._same(got, expected), name
+        assert isinstance(lone["denominator-zero"], DenominatorVanishes)
+        assert (lone["denominator-zero"].k, lone["denominator-zero"].param) == (4, 16.0)
+        # the same decimal sums, and the rung refused only the huge grid whole
+        assert Counter(sums) == lone_sums and (40, False) in sums and (80, True) in sums
+        assert [rung is None for rung in rungs] == [name == "huge-a1" for name in grids]
+        assert rungs == lone_rungs
+        assert Counter(digits for digits, _ in sums)[40] > 36
+
+    def test_parts_of_a_block_give_the_same_values(self, monkeypatch):
+        # the whole block in one part, then parts of two grids
+        grids = list(self._grids().values()) * 3
+        sizes = []
+        block_sums = qseries._Block.sums
+        monkeypatch.setattr(qseries._Block, "sums",
+                            lambda block: sizes.append(len(block.grids)) or block_sums(block))
+        whole = phi43_terminating_exact(grids, self.Q, self.Z)
+        monkeypatch.setattr(qseries, "_part_size", lambda *shape: 2)
+        parts = phi43_terminating_exact(iter(grids), self.Q, self.Z)
+        assert all(map(self._same, parts, whole)) and len(whole) == 15
+        assert sizes == [15] + [2] * 7 + [1]
+
+    def test_part_keeps_each_grids_chunk(self):
+        # the terms over all the padded steps of a part stay within
+        # _CHUNK_TERMS, so the rung never halves a part's chunk
+        for rows, columns, length in [(5, 10, 4), (8, 16, 7), (9, 18, 8), (17, 34, 16),
+                                      (21, 42, 20), (1, 1, 0), (260, 260, 4)]:
+            size = qseries._part_size(rows, columns, length)
+            chunk = qseries._chunk(length)
+            steps = -(-(length + 1) // chunk) * chunk
+            assert size == 1 or size * steps * rows * columns <= qseries._CHUNK_TERMS
+            assert size == 1 or size * (length + 1) * (rows + columns) <= qseries._CHUNK_TERMS
+            assert (size + 1) * max(steps * rows * columns,
+                                    (length + 1) * (rows + columns)) > qseries._CHUNK_TERMS
+
+    @pytest.mark.parametrize("other", [
+        ([(i, 0.3) for i in range(5)], [(0.5, 0.25, 0.125, -0.2, 0.1)] * 6),
+        ([(i, 0.3) for i in range(6)], [(0.5, 0.25, 0.125, -0.2, 0.1)] * 5),
+        ([(i + 1, 0.3) for i in range(6)], [(0.5, 0.25, 0.125, -0.2, 0.1)] * 6),
+    ], ids=["rows", "columns", "degree"])
+    def test_grids_of_another_shape_are_refused(self, other):
+        with pytest.raises(ValueError, match="share"):
+            phi43_terminating_exact([self._grids()["plain"], other], self.Q, self.Z)
+
+    def test_empty_block(self):
+        assert phi43_terminating_exact([], self.Q, self.Z) == []
 
 
 @pytest.fixture
@@ -394,7 +496,7 @@ class TestDoubleWordRung:
         # x <= 1 end every series by step 1, so every value is finite
         rows = [(i, 0.3 - 0.01 * i) for i in degrees]
         columns = [(self.Q ** -x, a3, 0.25, -0.2, 0.1) for x in (0, 1) for a3 in (0.5, -0.7, 2.0)]
-        grid = phi43_terminating_exact(rows, columns, self.Q, self.Q)
+        grid = phi43_grid(rows, columns, self.Q, self.Q)
         assert Counter(digits for digits, _ in sums)[40] == len(rows) * len(columns)
         for (i, a1), values in zip(rows, grid):
             for (a2, a3, *dens), value in zip(columns, values):
@@ -417,7 +519,7 @@ class TestDoubleWordRung:
         sizes = []
         plus = qseries._plus
         monkeypatch.setattr(qseries, "_plus", lambda x, y: sizes.append(x[0].size) or plus(x, y))
-        grid = phi43_terminating_exact(rows, columns, Fraction(1, 2), Fraction(7, 10))
+        grid = phi43_grid(rows, columns, Fraction(1, 2), Fraction(7, 10))
         assert sums == [] and max(sizes) == largest * len(rows) * len(columns)
         for (i, a1), values in zip(rows[:degrees], grid):
             for (a2, a3, *dens), value in zip(columns[:kinds], values):
@@ -432,7 +534,7 @@ class TestDoubleWordRung:
         q, z = Fraction(7, 10), Fraction(2**80)
         rows = [(5, q**-3), (5, 0.3)]
         columns = [(q**-3, 0.4, 0.25, -0.2, 0.1), (0.5, 0.4, 0.25, -0.2, 0.1)]
-        grid = phi43_terminating_exact(rows, columns, q, z)
+        grid = phi43_grid(rows, columns, q, z)
         assert sums == []
         for (i, a1), values in zip(rows, grid):
             for (a2, a3, *dens), value in zip(columns, values):
@@ -453,8 +555,8 @@ class TestDoubleWordRung:
         monkeypatch.setattr(qseries, "_proved_words",
                             lambda *words: errors.append(words[2]) or proved_words(*words))
         # two equal columns, so that each reads its own column's bound
-        phi43_terminating_exact([(1, 0.0)], [(0.0,) * 5] * 2, Fraction(1, 2), Fraction(1, 4))
-        assert errors[0].tolist() == [[101 * 1.5 * (2**-106 * (1 + 2**-40 + 17 * 2**-50))] * 2]
+        phi43_grid([(1, 0.0)], [(0.0,) * 5] * 2, Fraction(1, 2), Fraction(1, 4))
+        assert errors[0].tolist() == [[[101 * 1.5 * (2**-106 * (1 + 2**-40 + 17 * 2**-50))] * 2]]
 
     # Degree 1 with every parameter zero and q = 1/2: the sum is 1 - 2 z.
     @pytest.mark.parametrize("z, value, ladder", [
@@ -572,7 +674,7 @@ class TestDoubleWordArithmetic:
         ([], True),
     ])
     def test_range_of_formed_words(self, values, in_range):
-        assert qseries._in_range([np.array(values)]) == in_range
+        assert qseries._in_range(np.array(values), 1).tolist() == [in_range]
 
     @pytest.mark.parametrize("rows, columns, in_range", [
         # by step: |rows[k, r] columns[k, c]| at its largest and its smallest
@@ -585,7 +687,8 @@ class TestDoubleWordArithmetic:
         ([[float("nan")]], [[1.0]], False),
     ])
     def test_range_of_terms(self, rows, columns, in_range):
-        assert qseries._terms_in_range(np.array(rows), np.array(columns)) == in_range
+        terms = qseries._terms_in_range(np.array(rows)[:, None], np.array(columns)[:, None])
+        assert terms.tolist() == [in_range]
 
 
 class TestIndexArgumentSymmetry:

@@ -52,7 +52,10 @@ Cases:
   set to 1e-300, x the three ``verify`` forms, so every check shows which
   name sets its tolerance;
 * ``configs/qr24_scan.json`` once with ``relation`` and once with
-  ``constraint`` at 1e-300;
+  ``constraint`` at 1e-300, once with ``q`` drawn from the range ``[0.3,
+  0.7]`` (every survivor its own ``q``), and once at the one ``q = 0.7``,
+  ``N = 7`` and 600 samples (more than one screen block, whose survivors
+  share ``q`` and are certified in parts);
 * five explicit chains of finite couplings near the top of the float range
   (``FLOAT_RANGE_CHAINS``: ``z2``, ``z3``, ``e1``, ``e4``, ``xy-overflow``),
   x ``spectrum``, ``chain-coeffs``, ``manybody`` and the three ``verify``
@@ -239,6 +242,10 @@ def build_cases(config_dir):
     for key in ("relation", "constraint"):
         add(f"configs/qr24_scan.json@{key}={TIGHT}", dict(scan, tolerances={key: TIGHT}),
             ("scan.csv",))
+    add("configs/qr24_scan.json@q-range", dict(scan, ranges=dict(scan["ranges"], q=[0.3, 0.7])),
+        ("scan.csv",))
+    add("configs/qr24_scan.json@one-q", dict(scan, ranges=dict(scan["ranges"], q=[0.7]), N=7,
+                                             samples=600), ("scan.csv",))
     for name, couplings in FLOAT_RANGE_CHAINS.items():
         add(f"float-range/{name}", dict(couplings, family="explicit"),
             _forms(("spectrum", "chain-coeffs", "manybody", "verify")))
