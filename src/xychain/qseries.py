@@ -24,18 +24,18 @@ columns of ``(a2, a3, b1, b2, b3)``; a lone grid is a block of one, and a
 single sum a 1 x 1 grid.  The double-word rung runs once for a block (in
 parts of bounded size), every other decision once per grid, and a grid that
 fails gives its exception alone.  The term ratio of step ``k`` is a product
-of three runs over ``k``: the heads ``(1 - q^(k-i)) (1 - a1 q^k)``, once per row, the
-columns ``(1 - a2 q^k) (1 - a3 q^k)`` (up to where one of them ends its
-series), and the quotients ``z / ((1 - q^(k+1)) (1 - b1 q^k) (1 - b2 q^k)
-(1 - b3 q^k))``, at a decimal rung once for each distinct pair or triple.
-Per rung the call forms each row's prefix products of its head and each
-column's prefix products of its column run times its quotient run once, and
-term ``k`` of an entry is the product of its row's and its column's
-``k``-th prefix product.  Every run entry carries a bound
-on its relative error, and a run keeps the running sums of those bounds, so
-the bound of a whole sum costs a few operations.  Only the entries a rung
-leaves unproved go on to the next.  The runs live for one part of a block,
-whose grids share them.
+of three runs over ``k``: the heads ``(1 - q^(k-i)) (1 - a1 q^k)``, once per
+row, the pairs ``(1 - a2 q^k) (1 - a3 q^k)`` and the quotients ``z / ((1 -
+q^(k+1)) (1 - b1 q^k) (1 - b2 q^k) (1 - b3 q^k))``, once per distinct pair
+and triple of a grid.  Every rung forms them in one array layout
+(:meth:`_Block.factors`), with the prefix products of each row's heads and
+of each column's pairs times quotients; term ``k`` of an entry is the
+product of its row's and its column's ``k``-th prefix product, and the
+prefix sums of the factors' error bounds give the bound of a whole sum.  A
+rung differs from another only in its arithmetic (double words, or
+``Decimal`` or ``Fraction`` in ``object`` arrays, see
+:meth:`_Grid.objects`), its constants and its proof test, and only the
+entries it leaves unproved go on to the next.
 """
 
 import decimal
@@ -44,7 +44,6 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, islice
 
 import numpy as np
 
@@ -67,7 +66,6 @@ _BOUND_LIMIT = decimal.Decimal("1e-6")
 _SLACK = decimal.Decimal("1.0001")
 #: Significant digits of the error bounds, which are always rounded upward.
 _BOUND_DIGITS = 9
-_INFINITY = decimal.Decimal("Infinity")
 
 
 def phi43_terminating_exact(grids, q, z):
@@ -94,7 +92,7 @@ def phi43_terminating_exact(grids, q, z):
 
     Term ``k`` of entry ``(r, c)`` is ``M_r[k] C_c[k]``: the prefix products
     of its row's head factors and of its column's factors times their
-    quotients (see :class:`_Runs`), each built once per grid and rung.  The
+    quotients (see :meth:`_Block.factors`), built once per rung.  The
     sum ``S`` of the terms goes up a ladder of rungs, each carrying ``S``
     with a bound ``E >= |S - exact sum|``, until one proves the float the
     exact sum rounds to.  The first rung sums every entry of every grid of
@@ -105,7 +103,8 @@ def phi43_terminating_exact(grids, q, z):
     high word to the nearer neighbouring float, and it refuses a whole grid
     when one of that grid's magnitudes leaves [2^-900, 2^900].  Each entry
     it refuses is carried in :mod:`decimal` at ``p`` significant digits,
-    starting at :data:`START_DIGITS`, where ``E`` is the first-order relative
+    starting at :data:`START_DIGITS` (see :meth:`_Grid.objects`), where
+    ``E`` is the first-order relative
     error bound of the last term plus that of the summation, times ``sum
     |term_k|`` and a slack for the higher-order terms, rounded upward.  Every
     rounding counts ``u = 10^(1-p) / 2``, and the error a factor ``1 - m``
@@ -219,9 +218,8 @@ class _Block:
     """The sums of a block of grids, each ``(rows, columns)`` of exact
     ``(numerator, denominator)`` pairs, that share ``q``, ``z``, one shape
     and one degree ``length``.  The block holds the exact powers ``q^k =
-    qn^k / qd^k`` for ``k <= length``, each grid's exact decisions
-    (:class:`_Grid`) and the runs at each precision, which the grids share;
-    none of it outlives the call."""
+    qn^k / qd^k`` for ``k <= length`` and each grid's exact decisions
+    (:class:`_Grid`); none of it outlives the call."""
 
     def __init__(self, q, grids, z):
         qn, qd = q
@@ -236,15 +234,6 @@ class _Block:
         # (n, d) == (qd^k, qn^k): the parameter that vanishes at step k.
         vanishes_at = {(d, n): k for k, (n, d) in enumerate(self.powers[:length])}
         self.grids = [_Grid(rows, columns, vanishes_at, length) for rows, columns in grids]
-        self._runs = {}
-
-    def runs(self, digits):
-        """The :class:`_Runs` at ``digits`` digits, or in ``Fraction``
-        arithmetic for ``digits=None``."""
-        runs = self._runs.get(digits)
-        if runs is None:
-            runs = self._runs[digits] = _Runs(digits, self.powers)
-        return runs
 
     def sums(self):
         """Per grid, its array of floats or its exception (see
@@ -254,6 +243,82 @@ class _Block:
         rungs = self.double_word() if grids[0].steps else [None] * len(grids)
         return [grid.sums(self, rung) for grid, rung in zip(grids, rungs)]
 
+    def ratios(self, rows, pairs, triples):
+        """The exact ratios that :meth:`factors` reads, in its order: ``q^k``
+        and ``q^-k`` for ``k <= length``, ``a2`` by pair, ``b2`` by triple,
+        ``a1`` by row, ``a3`` by pair, and ``b1`` and ``b3`` by triple, and
+        ``z``."""
+        return (self.powers + [(d, n) for n, d in self.powers] + [a2 for a2, _ in pairs]
+                + [b2 for _, b2, _ in triples] + [a1 for _, a1 in rows] + [a3 for _, a3 in pairs]
+                + [b1 for b1, _, _ in triples] + [b3 for *_, b3 in triples] + [self.z])
+
+    def factors(self, arithmetic, words, degrees, steps, runs, length):
+        """The one layout of every rung: ``(factors, bounds, quotient)`` for
+        ``k < length``, for rows of ``degrees``, pairs ``(a2, a3)``, triples
+        ``(b1, b2, b3)`` and columns of ``runs``, each column's pair and
+        triple; ``steps`` holds a row's and a pair's steps, a triple's last
+        column's stop and a column's stop.  ``words`` holds the numbers of
+        :meth:`ratios`, its first axis their words (two for a double word,
+        one in an ``object`` array), and ``arithmetic`` is the rung's
+        :data:`_Arithmetic`.
+
+        ``factors[:, k]`` is step ``k``'s factor, the rows' heads and then the
+        columns' pair factors times their quotients, zero past a row's steps
+        or a column's stop; ``quotient`` is each column's.  The ``m`` of each
+        ``1 - m`` is a parameter times ``q^k``, ``q^(k-i)`` or ``q^(k+1)``, so
+        arranged that the products of two halves are the heads, the pair
+        factors and the denominator's halves ``(1 - q^(k+1)) (1 - b1 q^k)``
+        and ``(1 - b2 q^k) (1 - b3 q^k)``.  Past its steps a run reads ``q^k =
+        0``, so every factor formed there is 1 or ``z``.
+
+        ``bounds[k]`` (``None`` when nothing rounds) bounds the relative error
+        of the prefix product of the first ``k`` factors, in the units of the
+        rung's constants for a conversion, a ``1 - m``, a product and a
+        quotient.  ``m`` carries two conversions and a product (a power one
+        conversion); ``1 - m`` its constant plus that times the condition
+        ``|m| / |1 - m|``, read off the first words and infinite where ``1 -
+        m`` rounds to zero; a column factor its halves, the denominator's
+        product, ``z``, the division and its product with the quotient; and
+        a prefix of ``k`` factors their bounds and a product for each, one
+        more than its ``k - 1`` products.  They are formed in the context
+        :data:`_UP`, which rounds ``Decimal`` bounds upward.
+        """
+        times, divide, one_minus, units = arithmetic
+        size = len(self.powers)
+        powers, inverse = words[:, :size], words[:, size:2 * size]
+        parameters, z = words[:, 2 * size:-1], words[:, -1]
+        k = np.arange(length)[:, None]
+        live_rows, live_pairs, live_triples, live_columns = (k < np.array(s) for s in steps)
+        rows, pairs, triples = len(degrees), live_pairs.shape[1], live_triples.shape[1]
+        live = np.hstack((live_pairs, live_triples, live_rows, live_pairs) + (live_triples,) * 2)
+        m = times(parameters[:, None], np.where(live, powers[:, :length, None], 0))
+        m = np.concatenate((np.where(live_rows, inverse[:, np.maximum(degrees - k, 0)], 0),
+                            m[..., :pairs], np.where(live_triples, powers[:, 1:length + 1, None], 0),
+                            m[..., pairs:]), axis=-1)
+        f = one_minus(m)
+        half = rows + pairs + 2 * triples
+        products = times(f[..., :half], f[..., half:])
+        den = slice(rows + pairs, half - triples), slice(half - triples, half)
+        # each column's pair and denominator's first half in products
+        pair, triple = np.array(runs, dtype=int).reshape(-1, 2).T + [[rows], [rows + pairs]]
+        quotient = divide(z[:, None, None], times(products[..., den[0]], products[..., den[1]]))
+        quotient = quotient[..., triple - den[0].start]
+        factors = np.concatenate((products[..., :rows], times(products[..., pair], quotient)),
+                                 axis=-1)
+        factors = np.where(np.hstack((live_rows, live_columns)), factors, 0)
+        if units is None:
+            return factors, None, quotient
+        convert, subtract, product, division = units
+        with decimal.localcontext(_UP):
+            bounds = subtract + np.repeat(
+                [convert, 2 * convert + product, convert] + [2 * convert + product] * 2,
+                [rows, pairs, triples, triples, half]) * (abs(m[0]) / abs(f[0]))
+            bounds = bounds[:, :half] + bounds[:, half:] + product
+            bounds = np.hstack((bounds[:, :rows], bounds[:, pair] + bounds[:, triple]
+                                + bounds[:, triple + triples] + (2 * product + convert + division)))
+            bounds = np.cumsum(np.vstack((np.zeros(bounds.shape[1], int), bounds + product)), axis=0)
+        return factors, bounds, quotient
+
     def double_word(self):
         """The first rung: every entry's sum in double-word arithmetic, per
         grid as the lists ``(words, proved)`` in row order, where
@@ -262,35 +327,31 @@ class _Block:
         [2^-900, 2^900] (:data:`_TINY`, :data:`_HUGE`).
 
         A double word ``(hi, lo)`` is the unevaluated sum of two floats,
-        about 106 bits.  The rung forms the runs of :meth:`_Grid.prefixes`
-        for the whole block at once, on ``length x entities`` arrays whose
-        entities are the rows of every grid, grid after grid, and then their
-        columns: the factors by one batch of operations, their prefix
-        products by a scan of ``log2(length)`` rounds (Hillis and Steele),
-        and the terms of :data:`_CHUNK` steps at a time (fewer where a
-        grid's terms would pass :data:`_CHUNK_TERMS`) as ``chunk x grids x
-        rows x columns`` arrays, each grid's rows against its own columns,
-        summed pairwise.  Every parameter, ``q^k`` and ``q^-k`` is converted once,
-        by correctly rounded integer divisions.
+        about 106 bits.  The rung forms the factors of :meth:`factors` for
+        the whole block at once, for the rows, pairs, triples and columns of
+        every grid, grid after grid; their prefix products by a
+        scan of ``log2(length)`` rounds (Hillis and Steele); and the terms of
+        :data:`_CHUNK` steps at a time (fewer where a grid's terms would pass
+        :data:`_CHUNK_TERMS`) as ``chunk x grids x rows x columns`` arrays,
+        each grid's rows against its own columns, summed pairwise.  Every
+        parameter, ``q^k`` and ``q^-k`` is converted once, by correctly
+        rounded integer divisions.
 
         Each operation's relative error bound is the constant that Joldes,
         Muller and Popescu, "Tight and rigorous error bounds for basic
         building blocks of double-word arithmetic", ACM TOMS 44(2) (2017),
-        prove for its algorithm, counted in units of ``u^2 = 2^-106``; the
-        error ``m`` carries into ``1 - m`` is scaled by its condition, as in
-        :meth:`_Runs._one_minus`.  A product of ``n`` factors carries their
-        bounds plus 7 for each of its ``n - 1`` products in any order, and a
-        sum of ``s + 1`` terms at most ``s`` additions of two nonzero
-        operands, 3 each; adding a zero is exact.  So an entry's error is at
-        most its prefix runs' bounds at its steps ``s``, plus 7 for the
-        terms' products and ``3 s``, times ``u^2 sum_k |term_k|``: first
-        order in ``u^2``, as the decimal rungs' bounds are in theirs.  The
-        higher-order terms, the ``u^3`` terms of the constants and the float
-        roundings of the bound (at most ``2 length + 40`` along any entry's)
-        are covered by :data:`_WORD_SLACK` and a factor ``1 + (length + 16)
-        2^-50``.  :func:`_proved_words` then proves an entry or refuses it.
-        A factor ``1 - m`` that rounds to zero has an infinite bound, so no
-        entry that reads it is proved.
+        prove for its algorithm, counted in units of ``u^2 = 2^-106``
+        (:data:`_WORDS`).  A sum of ``s + 1`` terms takes at most ``s``
+        additions of two nonzero operands, 3 each; adding a zero is exact.
+        So an entry's error is at most its prefix runs' bounds at its steps
+        ``s``, plus 7 for the terms' products and ``3 s``, times ``u^2
+        sum_k |term_k|``: first order in ``u^2``, as the decimal rungs'
+        bounds are in theirs.  The higher-order terms, the ``u^3`` terms of
+        the constants and the float roundings of the bound (at most ``2
+        length + 40`` along any entry's) are covered by :data:`_WORD_SLACK`
+        and a factor ``1 + (length + 16) 2^-50``.  :func:`_proved_words` then
+        proves an entry or refuses it.  A factor ``1 - m`` that rounds to
+        zero has an infinite bound, so no entry that reads it is proved.
 
         Dekker's product is exact, and the constants hold, for factors and
         products within [2^-900, 2^900]; an underflowing low word there adds
@@ -310,22 +371,15 @@ class _Block:
 
         The exact decisions are :class:`_Grid`'s: each row's and column's
         steps, and the denominator zeros, at which a column's run stops
-        (entries that reach one fail and are never read).  Past its steps a
-        run reads ``q^k = 0``, so every factor formed there is 1 or the
-        quotient ``z``, and its factors are then set to zero.
+        (entries that reach one fail and are never read).
         """
         grids = self.grids
         count, height, width = len(grids), len(grids[0].rows), grids[0].width
         length = len(self.powers) - 1
         rows, columns = count * height, count * width  # entities
         grid_rows = [row for grid in grids for row in grid.rows]
-        grid_columns = [column for grid in grids for column in grid.columns]
-        # q^k and q^-k for k <= length, a2 and b2 by column, a1 by row, a3, b1
-        # and b3 by column, and z
-        ratios = (self.powers + [(d, n) for n, d in self.powers]
-                  + [column[j] for j in (0, 3) for column in grid_columns]
-                  + [a1 for _, a1 in grid_rows]
-                  + [column[j] for j in (1, 2, 4) for column in grid_columns] + [self.z])
+        ratios = self.ratios(grid_rows, *([run for grid in grids for run in getattr(grid, name)]
+                                          for name in ("pairs", "triples")))
         unique = {}
         index = [unique.setdefault(p, len(unique)) for p in ratios]
         words, outside = [], []
@@ -336,67 +390,38 @@ class _Block:
                 outside.append(len(words))
                 words.append((0.0, 0.0))  # a stand-in: the grids that read it are refused
         # the grid of each ratio, -1 for those every grid reads
-        by_column, by_row = (np.repeat(np.arange(count), n) for n in (width, height))
-        owner = np.concatenate(([-1] * (2 * length + 2), by_column, by_column, by_row,
-                                by_column, by_column, by_column, [-1]))
+        by_pair, by_triple = ([g for g, grid in enumerate(grids) for _ in getattr(grid, name)]
+                              for name in ("pairs", "triples"))
+        owner = np.concatenate(([-1] * (2 * length + 2), by_pair, by_triple,
+                                np.repeat(np.arange(count), height), by_pair, by_triple,
+                                by_triple, [-1]))
         refused = owner[np.isin(index, outside)]
         if (refused == -1).any():
             return [None] * count
         in_range = ~np.isin(np.arange(count), refused)
-        words = np.array(words).T[:, index]
-        powers, inverse = words[:, :length + 1], words[:, length + 1:2 * length + 2]
-        parameters, z = words[:, 2 * length + 2:-1], words[:, -1]
-        k = np.arange(length)[:, None]
-        live_rows = k < np.array([s for grid in grids for s in grid.row_steps])
-        live_columns = k < np.array([s if zero is None else min(s, zero[0])
-                                     for grid in grids
-                                     for s, zero in zip(grid.column_steps, grid.zeros)])
         with np.errstate(all="ignore"):
-            # The m of every factor 1 - m by k: the parameters times q^k (bound
-            # 9: two conversions and a product), and q^(k-i) and q^(k+1)
-            # (bound 1), arranged so that the products of the two halves are
-            # the heads (1 - q^(k-i)) (1 - a1 q^k), the column factors
-            # (1 - a2 q^k) (1 - a3 q^k) and the denominator's halves
-            # (1 - q^(k+1)) (1 - b1 q^k) and (1 - b2 q^k) (1 - b3 q^k).
-            live = np.hstack((live_columns,) * 2 + (live_rows,) + (live_columns,) * 3)
-            m = np.array(_times(parameters, np.where(live, powers[:, :length, None], 0.0)))
-            pieces = (np.where(live_rows, inverse[:, np.clip(
-                          np.array([i for i, _ in grid_rows]) - k, 0, length)], 0.0),
-                      m[:, :, :columns], np.where(live_columns, powers[:, 1:, None], 0.0),
-                      m[:, :, columns:2 * columns], m[:, :, 2 * columns:])
-            factors, bounds = _one_minus(
-                np.concatenate(pieces, axis=-1),
-                np.repeat([1, 9, 1, 9, 9], [rows, columns, columns, columns, rows + 3 * columns]))
-            half = rows + 3 * columns
-            pairs = _times((factors[0][:, :half], factors[1][:, :half]),
-                           (factors[0][:, half:], factors[1][:, half:]))
-            bounds = bounds[:, :half] + bounds[:, half:] + 7
-            den = slice(rows + columns, rows + 2 * columns), slice(rows + 2 * columns, half)
-            quotient = _divide(z, _times(*((pairs[0][:, j], pairs[1][:, j]) for j in den)))
-            if z[0]:
+            # each grid's pairs and triples after those of the grids before it
+            offsets = np.cumsum([(0, 0)] + [(len(grid.pairs), len(grid.triples)) for grid in grids],
+                                axis=0)
+            factors, bounds, quotient = self.factors(
+                _WORDS, np.array(words).T[:, index], np.array([i for i, _ in grid_rows]),
+                [[s for grid in grids for s in getattr(grid, name)]
+                 for name in ("row_steps", "pair_steps", "triple_stops", "column_stops")],
+                [run + offset for grid, offset in zip(grids, offsets) for run in grid.runs], length)
+            if self.z[0]:
                 in_range &= _in_range(quotient[0], count)
-            column = _times((pairs[0][:, rows:rows + columns], pairs[1][:, rows:rows + columns]),
-                            quotient)
-            # the products, 7 each; z, 1; the division, 15
-            bounds = np.hstack((bounds[:, :rows], bounds[:, rows:rows + columns]
-                                + bounds[:, den[0]] + bounds[:, den[1]] + 30))
-            # Prefix products of the live factors by k, rows then columns, by
-            # a scan of log2(length) rounds (Hillis and Steele) after the
-            # leading 1: a prefix of k factors is a product of them in some
-            # order, and its bound counts 7 for each factor.  Zero from
-            # length + 1 to a whole number of chunks.
-            live = np.hstack((live_rows, live_columns))
-            bounds = np.cumsum(np.vstack((np.zeros(rows + columns), bounds + 7)), axis=0)
             # a whole chunk, halved while a grid's terms pass _CHUNK_TERMS;
             # a part of more than one grid never needs that (_part_size)
             chunk = _chunk(length)
             while chunk > 1 and chunk * height * width > _CHUNK_TERMS:
                 chunk //= 2
+            # Prefix products of the live factors by k, rows then columns, by
+            # a scan of log2(length) rounds (Hillis and Steele) after the
+            # leading 1.  Zero from length + 1 to a whole number of chunks.
             high = np.zeros((-(-(length + 1) // chunk) * chunk, rows + columns))
             low = np.zeros_like(high)
             high[0] = 1.0
-            high[1:length + 1] = np.where(live, np.hstack((pairs[0][:, :rows], column[0])), 0.0)
-            low[1:length + 1] = np.where(live, np.hstack((pairs[1][:, :rows], column[1])), 0.0)
+            high[1:length + 1], low[1:length + 1] = factors
             shift = 1
             while shift < length:
                 x = high[shift + 1:length + 1], low[shift + 1:length + 1]
@@ -453,25 +478,38 @@ class _Grid:
         self.rows, self.columns = rows, columns
         # The steps before a numerator factor ends each row's and each
         # column's series; 1 - q^(k-i) and 1 - q^(k+1) never vanish inside.
+        # The runs are formed once per distinct (a2, a3) pair and (b1, b2, b3)
+        # triple: per column, the index of its pair and of its triple.
+        pairs, triples = {}, {}
+        self.runs = [(pairs.setdefault(column[:2], len(pairs)),
+                      triples.setdefault(column[2:], len(triples))) for column in columns]
+        self.pairs, self.triples = list(pairs), list(triples)
         self.row_steps = [min(i, vanishes_at.get(a1, i)) for i, a1 in rows]
-        self.column_steps = [min(vanishes_at.get(a2, length), vanishes_at.get(a3, length))
-                             for a2, a3, *_ in columns]
-        self.steps = [min(s, t) for s in self.row_steps for t in self.column_steps]
+        self.pair_steps = [min(vanishes_at.get(a2, length), vanishes_at.get(a3, length))
+                           for a2, a3 in self.pairs]
+        self.steps = [min(s, self.pair_steps[p]) for s in self.row_steps for p, _ in self.runs]
         self.width = len(columns)
         # Per column, the first denominator factor that vanishes exactly, as
         # (step, parameter), or None: it fails every entry of that column
-        # whose series reaches it.
+        # whose series reaches it, and the column's run stops there; a
+        # triple's run stops with its last column's.
         self.zeros = [min(((vanishes_at[p], p) for p in column[2:] if p in vanishes_at),
                           default=None)
                       for column in columns]
+        self.column_stops = [self.pair_steps[p] if zero is None else min(self.pair_steps[p], zero[0])
+                             for (p, _), zero in zip(self.runs, self.zeros)]
+        self.triple_stops = [max(stop for (_, u), stop in zip(self.runs, self.column_stops) if u == t)
+                             for t in range(len(triples))]
 
     def sums(self, block, rung):
         """Every entry's float, as a ``rows x columns`` array, or the
         exception of the first entry that fails, in row order: each entry
-        goes up the ladder, ``rung`` and then the digits of ``block``'s runs,
-        only while refused.  ``rung`` is the grid's ``(words, proved)`` from
-        :meth:`_Block.double_word`, or ``None`` where that rung refused the
-        whole grid."""
+        goes up the ladder, ``rung`` and then the object rungs of
+        :meth:`objects`, only while refused.  ``rung`` is the grid's
+        ``(words, proved)`` from :meth:`_Block.double_word`, or ``None``
+        where that rung refused the whole grid.  An entry's exact sum is
+        formed at most once: an entry whose exact sum is neither a zero nor
+        a tie goes on up without it and fails at the cap."""
         steps, width = self.steps, self.width
         values = [None] * len(steps)
         failures = {}  # entry -> its exception; no entry after the first is summed
@@ -482,15 +520,15 @@ class _Grid:
             if reaches is not None:
                 k, (n, d) = zeros[reaches % width]
                 failures[reaches] = DenominatorVanishes(k, n / d)
+        settled = set()  # entries whose exact sum is neither a zero nor a tie
 
         def settle(entries):
             """Decide each of ``entries`` whose exact sum is a zero or a tie."""
+            entries = [e for e in entries if e not in settled]
             if not entries:
                 return
-            row_runs, column_runs = self.prefixes(block.runs(None), entries, block.z)
-            for e in entries:
-                exact = sum(map(operator.mul, row_runs[e // width].values,
-                                column_runs[e % width][0].values))
+            settled.update(entries)
+            for e, exact in zip(entries, self.objects(block, None, entries)):
                 try:
                     if exact == 0 or _is_tie(exact):
                         values[e] = float(exact)
@@ -508,19 +546,14 @@ class _Grid:
             pending = refused
         digits = START_DIGITS
         while pending and digits <= PRECISION_CAP:
-            runs = block.runs(digits)
             refused = []
-            with decimal.localcontext(runs.context):
-                row_runs, column_runs = self.prefixes(runs, pending, block.z)
-                for e in pending:
-                    value = _proved_sum(runs, row_runs[e // width], *column_runs[e % width],
-                                        steps[e])
-                    if value is None:
-                        refused.append(e)
-                    elif math.isinf(value):
-                        failures[e] = OverflowError("series sum too large for a float")
-                    else:
-                        values[e] = value
+            for e, value in zip(pending, self.objects(block, digits, pending)):
+                if value is None:
+                    refused.append(e)
+                elif math.isinf(value):
+                    failures[e] = OverflowError("series sum too large for a float")
+                else:
+                    values[e] = value
             if refused and _exact_decimals(digits, block.q, block.z):
                 # Arguments that are exact decimals at these digits have a
                 # cheap exact sum; a zero or a tie, which no wider sum proves
@@ -542,62 +575,83 @@ class _Grid:
             return failures[min(failures)]
         return np.array(values, dtype=float).reshape(len(self.rows), width)
 
-    def prefixes(self, runs, entries, z):
-        """``(rows, columns)`` at the number type of ``runs`` (in its decimal
-        context): by index, the prefix runs of the rows and, with the
-        quotient run of their denominators, of the columns that ``entries``
-        read.
+    def objects(self, block, digits, entries):
+        """The object rungs: per entry of ``entries``, in their order, the
+        float its sum at ``digits`` significant digits proves, or ``None``;
+        or, for ``digits=None``, its exact sum as a ``Fraction``.
 
-        ``values[k]`` of a prefix run is the product of the first ``k``
-        factors, ``1`` first, up to where the series ends: the head for a
-        row, and the column run times its quotient run for a column.  Its
-        ``bounds`` are those of the head or of the column run.
+        The rung forms :meth:`_Block.factors` on ``object`` arrays of
+        ``Decimal`` in its context or of ``Fraction``, for the rows, pairs,
+        triples and columns that ``entries`` read and the steps up to their
+        last, and the prefix products by one product a step.  It forms the
+        terms of ``entries`` only, those of one number of steps together, at
+        most :data:`_CHUNK_TERMS` at a time, and sums each entry's in order.
+
+        Each decimal operation is one correct rounding, so every constant is
+        1, in units of ``u = 10^(1-p) / 2``; the bounds are ``Decimal``s, so
+        a condition beyond the float range still counts.  Term ``k`` is the
+        product of two prefix products counted ``k`` products each for their
+        ``k - 1``, whose spares cover it, and a sum of ``s + 1`` terms adds at
+        most ``s`` roundings to each.  So an entry of ``s`` steps is within
+        ``E = (B_row[s] + B_col[s] + s) u sum_k |term_k|`` to first order,
+        which :data:`_SLACK` covers when that bound is below
+        :data:`_BOUND_LIMIT`; ``E`` and ``sum |term_k|`` are rounded upward.
+        A denominator that rounds to zero gives the quotient 0 with an
+        infinite bound.
         """
-        one = runs.powers[0]
-        rows, columns = {}, {}
-        for e in entries:
-            r, c = divmod(e, self.width)
-            if r not in rows:
-                head = runs.head(*self.rows[r])
-                rows[r] = _Run(list(accumulate(islice(head.values, self.row_steps[r]),
-                                               operator.mul, initial=one)), head.bounds)
-            if c not in columns:
-                parameters = self.columns[c]
-                column = runs.column(*parameters[:2], self.column_steps[c])
-                quotient = runs.quotient(parameters[2:], z)
-                factors = map(operator.mul, column.values, quotient.values)
-                columns[c] = (_Run(list(accumulate(factors, operator.mul, initial=one)),
-                                   column.bounds), quotient)
-        return rows, columns
-
-
-def _proved_sum(runs, row, column, quotient, steps):
-    """The float the exact sum ``sum_k row.values[k] column.values[k]`` of
-    ``steps + 1`` terms rounds to, as its sum at the digits of ``runs``
-    proves it, or ``None`` if it does not.  Called in the decimal context of
-    ``runs``, which it leaves current."""
-    # the shorter prefix run ends at the entry's last term
-    terms = list(map(operator.mul, row.values, column.values))
-    total = sum(terms)
-    context = decimal.getcontext()
-    decimal.setcontext(runs.up)  # the bound, rounded upward
-    try:
-        # Term k carries the run bounds of steps < k and 3k - 1 roundings
-        # (k - 1 in its row's prefix product, 2k - 1 in its column's, one in
-        # their product), at most three a step; the running sum adds at most
-        # one rounding a step to every term.
-        bound = (row.bounds[steps] + column.bounds[steps] + quotient.bounds[steps]
-                 + steps * runs.four_units)
-        if not bound < _BOUND_LIMIT:
-            return None
-        error = sum(map(decimal.Decimal.copy_abs, terms)) * bound * _SLACK
-    finally:
-        decimal.setcontext(context)
-    low = float(runs.floor.subtract(total, error))
-    high = float(runs.ceiling.add(total, error))
-    if low == high and math.copysign(1.0, low) == math.copysign(1.0, high):
-        return low
-    return None
+        width, steps = self.width, self.steps
+        rows = sorted({e // width for e in entries})
+        columns = sorted({e % width for e in entries})
+        if digits is None:
+            arithmetic, context, convert = _FRACTIONS, decimal.getcontext(), Fraction
+        else:
+            arithmetic, context = _DECIMALS, _context(digits)
+            convert, unit = context.divide, decimal.Decimal(5).scaleb(-digits)
+            floor, ceiling = _context(digits, decimal.ROUND_FLOOR), _context(
+                digits, decimal.ROUND_CEILING)
+        # the pairs and triples of those columns, renumbered
+        pairs, triples = ({j: n for n, j in enumerate(sorted({self.runs[c][i] for c in columns}))}
+                          for i in (0, 1))
+        ratios = block.ratios([self.rows[r] for r in rows], [self.pairs[j] for j in pairs],
+                              [self.triples[j] for j in triples])
+        numbers = {p: convert(*p) for p in dict.fromkeys(ratios)}
+        length = max(steps[e] for e in entries)
+        results = {}
+        with decimal.localcontext(context):
+            factors, bounds, _ = block.factors(
+                arithmetic, np.array([[numbers[p] for p in ratios]], dtype=object),
+                np.array([self.rows[r][0] for r in rows]),
+                ([self.row_steps[r] for r in rows], [self.pair_steps[j] for j in pairs],
+                 [self.triple_stops[j] for j in triples], [self.column_stops[c] for c in columns]),
+                [(pairs[self.runs[c][0]], triples[self.runs[c][1]]) for c in columns], length)
+            prefixes = np.multiply.accumulate(
+                np.concatenate((np.ones((1, 1, factors.shape[-1]), dtype=object), factors),
+                               axis=1), axis=1)[0]
+            row_of = {r: j for j, r in enumerate(rows)}
+            column_of = {c: len(rows) + j for j, c in enumerate(columns)}
+            by_steps = {}
+            for e in entries:
+                by_steps.setdefault(steps[e], []).append(e)
+            parts = [(s, group[j:j + _CHUNK_TERMS // (s + 1)]) for s, group in by_steps.items()
+                     for j in range(0, len(group), _CHUNK_TERMS // (s + 1))]
+            for s, part in parts:
+                r = [row_of[e // width] for e in part]
+                c = [column_of[e % width] for e in part]
+                terms = prefixes[:s + 1, r] * prefixes[:s + 1, c]
+                totals = terms.sum(axis=0)
+                if digits is None:
+                    results.update(zip(part, totals))
+                    continue
+                with decimal.localcontext(_UP):
+                    bound = (bounds[s, r] + bounds[s, c] + s) * unit
+                    errors = np.abs(terms).sum(axis=0) * bound * _SLACK
+                for e, total, b, error in zip(part, totals, bound, errors):
+                    low = float(floor.subtract(total, error))
+                    high = float(ceiling.add(total, error))
+                    results[e] = (low if b < _BOUND_LIMIT and low == high
+                                  and math.copysign(1.0, low) == math.copysign(1.0, high)
+                                  else None)
+        return [results[e] for e in entries]
 
 
 def _exact_decimals(digits, *ratios):
@@ -625,6 +679,12 @@ def _context(digits, rounding=decimal.ROUND_HALF_EVEN):
     overflow and division by zero still raise."""
     return decimal.Context(prec=digits, rounding=rounding,
                            Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+
+
+#: The context of the decimal rungs' bounds: upward rounding to
+#: :data:`_BOUND_DIGITS` digits, where ``|m| / 0`` is infinite.
+_UP = _context(_BOUND_DIGITS, decimal.ROUND_CEILING)
+_UP.traps[decimal.DivisionByZero] = False
 
 
 #: The unit of the double-word rung's bounds: ``u^2``, where ``u = 2^-53`` is
@@ -733,15 +793,10 @@ def _plus(x, y):
     return _fast_two_sum(vh, tl + vl)
 
 
-def _one_minus(m, m_bound):
-    """``1 - m``, DWPlusFP (Algorithm 4): below ``2 u^2 / (1 - 2u)``; and its
-    bound in units of ``u^2``: 2 plus ``m_bound``, that of ``m``, times the
-    condition ``|m| / |1 - m|``, read off the high words as
-    :meth:`_Runs._one_minus` reads it off its rounded values.  Infinite
-    where ``1 - m`` rounds to zero."""
+def _one_minus(m):
+    """``1 - m``, DWPlusFP (Algorithm 4): below ``2 u^2 / (1 - 2u)``."""
     sh, sl = _two_sum(1.0, -m[0])
-    f = _fast_two_sum(sh, sl - m[1])
-    return f, 2 + m_bound * (np.abs(m[0]) / np.abs(f[0]))
+    return _fast_two_sum(sh, sl - m[1])
 
 
 def _times_float(x, y):
@@ -760,125 +815,19 @@ def _divide(x, y):
     return _fast_two_sum(th, (ph + ((pl - rl) + x[1])) / y[0])
 
 
-#: A run over ``k``: ``values[k]`` and ``bounds[k]``, an upper bound on the
-#: sum of the relative error bounds of ``values[:k]``.  A prefix run of
-#: :meth:`_Grid.prefixes` holds products of a run's first ``k`` values and
-#: keeps that run's bounds.
-_Run = namedtuple("_Run", "values bounds")
-
-
-class _Runs:
-    """Runs over ``k < length`` in one number type, each built on first use.
-
-    ``context`` is the decimal context of the sums and of every run; for
-    ``digits=None`` the runs are ``Fraction``s, and their bounds are 0
-    because nothing rounds.  Parameters are ``(numerator, denominator)``
-    pairs, and each parameter, ``q^k`` and ``q^-k`` is one correctly rounded
-    ``context.divide`` of exact integers (or a ``Fraction``): one rounding
-    each.  ``up`` rounds the bounds upward; ``floor`` and ``ceiling`` round
-    the ends of a sum's interval outward.
-    """
-
-    def __init__(self, digits, powers):
-        if digits is None:
-            self.context, self._number, unit = None, Fraction, 0
-        else:
-            self.context = _context(digits)
-            self.floor = _context(digits, decimal.ROUND_FLOOR)
-            self.ceiling = _context(digits, decimal.ROUND_CEILING)
-            self._number = self.context.divide
-            unit = decimal.Decimal(5).scaleb(-digits)
-        self.up = _context(_BOUND_DIGITS, decimal.ROUND_CEILING)
-        self.unit = unit
-        self.four_units = 4 * unit
-        self._three_units = 3 * unit
-        self.powers = [self._number(n, d) for n, d in powers]
-        self._inverse_powers = [self._number(d, n) for n, d in powers]
-        self._values = {}
-        self._shared = {}
-
-    def value(self, p):
-        """The parameter ``p`` in this number type."""
-        value = self._values.get(p)
-        if value is None:
-            value = self._values[p] = self._number(*p)
-        return value
-
-    def _share(self, key, entries):
-        """The run ``key``, built from ``entries()``, its ``(value, bound)``
-        pairs, when first asked for."""
-        run = self._shared.get(key)
-        if run is None:
-            values, bounds, total = [], [0], 0
-            with decimal.localcontext(self.context):
-                for value, bound in entries():
-                    values.append(value)
-                    total = self.up.add(total, bound)
-                    bounds.append(total)
-            run = self._shared[key] = _Run(values, bounds)
-        return run
-
-    def _one_minus(self, m, m_error):
-        """``1 - m`` and its bound, for ``m`` within relative ``m_error``:
-        one rounding, plus ``m_error`` times the condition ``|m| / |1 - m|``
-        (read off the rounded values; the higher-order terms this leaves out
-        are in :data:`_SLACK`).  Infinite when ``1 - m`` rounds to zero."""
-        f = 1 - m
-        if not self.unit:
-            return f, 0
-        if not f:
-            return f, _INFINITY
-        condition = self.up.divide(m.copy_abs(), f.copy_abs())
-        return f, self.up.fma(m_error, condition, self.unit)
-
-    def _product(self, first, second):
-        """The bound of a product of two bounded factors: their bounds and
-        one rounding."""
-        return self.up.add(self.up.add(first, second), self.unit)
-
-    def head(self, i, a1):
-        """``(1 - q^(k-i)) (1 - a1 q^k)`` for ``k < i``."""
-
-        def entries():
-            a = self.value(a1)
-            for k in range(i):
-                f, f_bound = self._one_minus(self._inverse_powers[i - k], self.unit)
-                g, g_bound = self._one_minus(a * self.powers[k], self._three_units)
-                yield f * g, self._product(f_bound, g_bound)
-
-        return self._share(("head", i, a1), entries)
-
-    def column(self, a2, a3, stop):
-        """``(1 - a2 q^k) (1 - a3 q^k)`` for ``k < stop``, the step where every
-        series of this column ends (:attr:`_Grid.column_steps`)."""
-
-        def entries():
-            b, c = self.value(a2), self.value(a3)
-            for qk in self.powers[:stop]:
-                f, f_bound = self._one_minus(b * qk, self._three_units)
-                g, g_bound = self._one_minus(c * qk, self._three_units)
-                yield f * g, self._product(f_bound, g_bound)
-
-        return self._share(("column", a2, a3), entries)
-
-    def quotient(self, dens, z):
-        """``z / ((1 - q^(k+1)) (1 - b1 q^k) (1 - b2 q^k) (1 - b3 q^k))``.
-
-        An entry whose denominator is zero is 0 with an infinite bound: no
-        sum reaches an exact zero (see :class:`_Grid`), and a sum that
-        reaches one that only rounds to zero is not proved."""
-
-        def entries():
-            b1, b2, b3 = map(self.value, dens)
-            w = self.value(z)
-            for qk, qk_next in zip(self.powers, self.powers[1:]):
-                den, bound = self._one_minus(qk_next, self.unit)
-                for b in (b1, b2, b3):
-                    f, f_bound = self._one_minus(b * qk, self._three_units)
-                    den, bound = den * f, self._product(bound, f_bound)
-                if den:  # z and the division: two roundings
-                    yield w / den, self.up.add(bound, 2 * self.unit)
-                else:
-                    yield den, _INFINITY
-
-        return self._share(("quotient", dens, z), entries)
+#: A rung's arithmetic for :meth:`_Block.factors`: ``times``, ``divide`` and
+#: ``one_minus`` on arrays whose first axis holds the words of each number,
+#: and ``units``, the bound constants of a conversion, a ``1 - m``, a product
+#: and a quotient, or ``None`` where nothing rounds.
+_Arithmetic = namedtuple("_Arithmetic", "times divide one_minus units")
+#: Double words, with the constants of Joldes, Muller and Popescu (2017) in
+#: units of ``u^2``.
+_WORDS = _Arithmetic(lambda x, y: np.array(_times(x, y)), lambda x, y: np.array(_divide(x, y)),
+                     lambda m: np.array(_one_minus(m)), (1, 2, 7, 15))
+#: ``Decimal``s in the current context, each operation one rounding; a
+#: quotient whose denominator rounds to zero is 0, and ``1 - m`` is a
+#: ``Decimal`` even where ``m`` is the int 0 of a dead step.
+_DECIMALS = _Arithmetic(operator.mul, lambda x, y: np.where(y == 0, 0, x / np.where(y == 0, 1, y)),
+                        lambda m: decimal.Decimal(1) - m, (1, 1, 1, 1))
+#: ``Fraction``s, exact.
+_FRACTIONS = _Arithmetic(operator.mul, operator.truediv, lambda m: 1 - m, None)

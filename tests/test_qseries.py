@@ -101,6 +101,12 @@ class TestDenominatorVanishes:
         assert excinfo.value.k == 2
         assert excinfo.value.param == 4.0
 
+    def test_fractional_parameter_is_reported_exactly(self):
+        # With q = 2/3 the factor 1 - (9/4) q^k is exactly zero at k = 2
+        with pytest.raises(DenominatorVanishes) as excinfo:
+            phi43_lone(6, (0.3, 0.7, 0.9), (Fraction(9, 4), 0.2, 0.1), Fraction(2, 3), 0.5)
+        assert (excinfo.value.k, excinfo.value.param) == (2, 2.25)
+
     def test_q_power_denominator_also_detected(self):
         # The (q; q)_k factor itself cannot vanish for 0 < q < 1, but a
         # denominator parameter exactly equal to 1 vanishes at k = 0.
@@ -331,14 +337,15 @@ def sums(monkeypatch):
     """The digits of every decimal sum of a grid entry, and whether its bound
     proved it."""
     record = []
-    proved_sum = qseries._proved_sum
+    objects = qseries._Grid.objects
 
-    def recording(runs, *series):
-        value = proved_sum(runs, *series)
-        record.append((runs.context.prec, value is not None))
-        return value
+    def recording(grid, block, digits, entries):
+        values = objects(grid, block, digits, entries)
+        if digits is not None:
+            record.extend((digits, value is not None) for value in values)
+        return values
 
-    monkeypatch.setattr(qseries, "_proved_sum", recording)
+    monkeypatch.setattr(qseries._Grid, "objects", recording)
     return record
 
 
@@ -370,11 +377,13 @@ class TestErrorBound:
         # Degree 1, every parameter zero, q = 1/2: the sum is 1 - 2 z =
         # 1 + 3 2^-55, which the double-word rung refuses (see
         # TestDoubleWordRung).  At 40 digits, with u = 5e-40: the head
-        # (1 - q^-1) (1 - a1) is 3u (u plus u times the condition 2) + u + u,
-        # the column (1 - a2) (1 - a3) u + u + u, the quotient z / ((1 - q)
-        # (1 - b1) (1 - b2) (1 - b3)) 2u (u plus u times the condition 1),
-        # u + u per factor b and 2u for z and the division, and the one step
-        # 4u: 22u, times sum |term_k| and 1.0001, each rounded up to 9 digits.
+        # (1 - q^-1) (1 - a1) is 3u (u plus u times the condition 2) + u + u;
+        # the column factor is (1 - a2) (1 - a3), u + u + u, times the
+        # quotient z / ((1 - q) (1 - b1) (1 - b2) (1 - b3)): (1 - q) (1 - b1)
+        # 2u (u plus u times the condition 1) + u + u, (1 - b2) (1 - b3)
+        # u + u + u, and u each for their product, z, the division and the
+        # column's product; each prefix adds u and the one addition u: 22u,
+        # times sum |term_k| and 1.0001, each rounded up to 9 digits.
         errors = []
         context = qseries._context
 
@@ -406,9 +415,22 @@ class TestErrorBound:
         args = (1, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), -above_tie / 2)
         assert phi43_lone(*args) == float(phi43_exact(*args)) == 1 + 2**-52
         assert sums == [(40, False), (80, True)]
+        # a sum at the cap itself still proves
+        monkeypatch.setattr(qseries, "PRECISION_CAP", 80)
+        assert phi43_lone(*args) == 1 + 2**-52
         monkeypatch.setattr(qseries, "PRECISION_CAP", 40)
         with pytest.raises(ConvergenceFailure, match="precision cap of 40 significant"):
             phi43_lone(*args)
+
+    def test_exact_sum_too_large_for_a_float_fails_then_and_there(self, sums):
+        # a1 = 4 + 10^-39 is a 40-digit decimal, and 1 - a1 q^2 = -2.5e-40
+        # makes the 40-digit bound refuse the sum; the exact sum, about
+        # -1e600 with z = 10^200, then fails the entry, which goes no higher
+        args = (3, (Fraction(4) + Fraction(1, 10**39), 0.0, 0.0), (0.0, 0.0, 0.0),
+                Fraction(1, 2), Fraction(10**200))
+        with pytest.raises(OverflowError):
+            phi43_lone(*args)
+        assert sums == [(40, False)]
 
     @pytest.mark.parametrize("a1", [
         Fraction(1, 2**1076), Fraction(-1, 2**1076), Fraction(3, 2**1076),
@@ -468,6 +490,32 @@ class TestErrorBound:
         made = Counter(digits for digits, _ in sums)
         assert set(made) <= set(most)
         assert all(made[digits] <= most[digits] for digits in made), made
+
+    def test_whole_grid_pair_goes_up_the_object_rungs_at_n60(self, monkeypatch):
+        # From N = 59 the shipped point's prefix products pass 2^900, so the
+        # double-word rung refuses its whole grid pair: every entry is
+        # proved by a decimal rung, some only at 160 digits or more.
+        proved_at = {}
+        objects = qseries._Grid.objects
+
+        def recording(grid, block, digits, entries):
+            values = objects(grid, block, digits, entries)
+            proved_at.update((e, digits) for e, v in zip(entries, values) if v is not None)
+            return values
+
+        monkeypatch.setattr(qseries._Grid, "objects", recording)
+        params = dataclasses.replace(QR24_DEFAULT, N=60)
+        base, shifted = _polynomial_grids("qr24", params)
+        assert len(proved_at) == 2 * 61**2 and max(proved_at.values()) == 320
+        x_shift, shifted_args = shift_exact("qr24", *params.as_tuple())
+        for grid, column, args, i, x, digits in [
+            (base, 0, params.as_tuple(), 30, 20, 40), (shifted, 61, shifted_args, 30, 20, 40),
+            (base, 0, params.as_tuple(), 25, 60, 80), (base, 0, params.as_tuple(), 30, 59, 160),
+            (shifted, 61, shifted_args, 30, 59, 160),
+        ]:
+            assert proved_at[i * 122 + column + x] == digits
+            shift = x_shift if grid is shifted else 0
+            assert grid[i, x].hex() == float(qracah_exact(i, x + shift, *args)).hex()
 
     def test_default_grid_pair_makes_one_sum_per_entry(self, sums):
         config = json.loads((CONFIG_DIR / "qr24_default.json").read_text())
@@ -640,8 +688,8 @@ class TestDoubleWordArithmetic:
     def test_one_minus_within_its_bound(self, rng):
         m = self._words(rng, 2000)
         m = qseries._fast_two_sum(np.where(rng.random(2000) < 0.3, 1.0, m[0]), m[1])
-        (f, bound) = qseries._one_minus(m, 0.0)
-        assert np.all(bound == 2)
+        f = qseries._one_minus(m)
+        assert qseries._WORDS.units[1] == 2
         for a, c in zip(_exact(m), _exact(f)):
             assert abs(c - (1 - a)) <= 2 * Fraction(1, 2**106) * abs(1 - a)
 

@@ -16,9 +16,15 @@ mutant is *killed* when a test fails or the run exceeds ``TIMEOUT_S``, and
 *survives* when every test passes.  ``--list`` prints the sites without
 running anything.
 
-Each mutant prints one line: the site, the swap, and the first failing test
-or ``SURVIVED``.  The script exits 1 when a mutant survives.  It runs on
-demand, one mutant at a time; it is not part of the tier-1 suite.
+A site is named ``MODULE FUNCTION: EXPRESSION OLD -> NEW``, with ``#n``
+after the ``n``-th site of one name in a function, so that the name holds
+while lines move.  Each mutant prints one line: its position, its site name,
+and the first failing test or ``SURVIVED``.  ``equivalent_mutants.txt``
+beside this script lists the mutants accepted as equivalent (the mutated
+program computes what the original does), each as ``SITE | reason``; a
+listed survivor prints as known, and the script exits 1 only when an
+unlisted mutant survives.  It runs on demand, one mutant at a time; it is
+not part of the tier-1 suite.
 """
 
 import argparse
@@ -58,6 +64,7 @@ SYMBOLS = {
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
 }
 TIMEOUT_S = 900
+EQUIVALENT = Path(__file__).with_name("equivalent_mutants.txt")
 
 
 def _functions(tree, names):
@@ -102,6 +109,25 @@ def _position(node, index):
     return f"{left.end_lineno}:{left.end_col_offset}"
 
 
+def _names(module, sites):
+    """The name of each site, ``MODULE FUNCTION: EXPRESSION OLD -> NEW``,
+    with ``#n`` after the ``n``-th of one name."""
+    names, seen = [], {}
+    for name, node, index in sites:
+        op = type(_operator(node, index))
+        label = f"{module} {name}: {ast.unparse(node)} {SYMBOLS[op]} -> {SYMBOLS[SWAPS[op]]}"
+        seen[label] = seen.get(label, 0) + 1
+        names.append(label if seen[label] == 1 else f"{label} #{seen[label]}")
+    return names
+
+
+def equivalent():
+    """The accepted equivalent mutants, as site name -> reason."""
+    lines = EQUIVALENT.read_text().splitlines()
+    return dict(tuple(part.strip() for part in line.rsplit(" | ", 1))
+                for line in lines if line.strip() and not line.startswith("#"))
+
+
 def _mutant(source, names, number):
     """The module source with the operator of site ``number`` swapped."""
     tree = ast.parse(source)
@@ -128,10 +154,10 @@ def main(argv=None):
     path = PACKAGE / f"{args.module}.py"
     source = path.read_text()
     sites = _sites(ast.parse(source), args.functions)
-    survivors = 0
-    for number, (name, node, index) in enumerate(sites):
-        op = type(_operator(node, index))
-        label = f"{path.name}:{_position(node, index)} {name} {SYMBOLS[op]} -> {SYMBOLS[SWAPS[op]]}"
+    known = equivalent()
+    survivors = accepted = 0
+    for number, ((_, node, index), site) in enumerate(zip(sites, _names(args.module, sites))):
+        label = f"{path.name}:{_position(node, index)} {site}"
         if args.list:
             print(label)
             continue
@@ -148,11 +174,15 @@ def main(argv=None):
                     f"killed by {_first_failure(run.stdout)}")
             except subprocess.TimeoutExpired:
                 verdict = f"killed by the {TIMEOUT_S} s timeout"
-        survivors += verdict == "SURVIVED"
+        if verdict == "SURVIVED" and site in known:
+            verdict = f"SURVIVED, known equivalent: {known[site]}"
+            accepted += 1
+        survivors += verdict.startswith("SURVIVED")
         print(f"{label}: {verdict}", flush=True)
     if not args.list:
-        print(f"{len(sites)} mutants, {len(sites) - survivors} killed, {survivors} survived")
-    return 1 if survivors else 0
+        print(f"{len(sites)} mutants, {len(sites) - survivors} killed, {survivors} survived "
+              f"({accepted} of them known equivalent)")
+    return 1 if survivors > accepted else 0
 
 
 if __name__ == "__main__":
