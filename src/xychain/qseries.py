@@ -281,7 +281,9 @@ class _Block:
         product, ``z``, the division and its product with the quotient; and
         a prefix of ``k`` factors their bounds and a product for each, one
         more than its ``k - 1`` products.  They are formed in the context
-        :data:`_UP`, which rounds ``Decimal`` bounds upward.
+        :data:`_UP`, which rounds ``Decimal`` bounds upward; the condition is
+        ``|m / (1 - m)|``, so that only the quotient of the exact ``m`` and
+        ``1 - m`` is rounded, away from zero.
         """
         times, divide, one_minus, units = arithmetic
         size = len(self.powers)
@@ -312,7 +314,7 @@ class _Block:
         with decimal.localcontext(_UP):
             bounds = subtract + np.repeat(
                 [convert, 2 * convert + product, convert] + [2 * convert + product] * 2,
-                [rows, pairs, triples, triples, half]) * (abs(m[0]) / abs(f[0]))
+                [rows, pairs, triples, triples, half]) * abs(m[0] / f[0])
             bounds = bounds[:, :half] + bounds[:, half:] + product
             bounds = np.hstack((bounds[:, :rows], bounds[:, pair] + bounds[:, triple]
                                 + bounds[:, triple + triples] + (2 * product + convert + division)))
@@ -409,6 +411,7 @@ class _Block:
                  for name in ("row_steps", "pair_steps", "triple_stops", "column_stops")],
                 [run + offset for grid, offset in zip(grids, offsets) for run in grid.runs], length)
             if self.z[0]:
+                # a quotient per column, as many to a grid, not per triple
                 in_range &= _in_range(quotient[0], count)
             # a whole chunk, halved while a grid's terms pass _CHUNK_TERMS;
             # a part of more than one grid never needs that (_part_size)
@@ -681,9 +684,11 @@ def _context(digits, rounding=decimal.ROUND_HALF_EVEN):
                            Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
 
-#: The context of the decimal rungs' bounds: upward rounding to
-#: :data:`_BOUND_DIGITS` digits, where ``|m| / 0`` is infinite.
-_UP = _context(_BOUND_DIGITS, decimal.ROUND_CEILING)
+#: The context of the decimal rungs' bounds: rounding away from zero to
+#: :data:`_BOUND_DIGITS` digits, upward for the bounds, which are not
+#: negative, and for the magnitude of a quotient of either sign; ``m / 0``
+#: is infinite.
+_UP = _context(_BOUND_DIGITS, decimal.ROUND_UP)
 _UP.traps[decimal.DivisionByZero] = False
 
 

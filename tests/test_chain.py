@@ -400,6 +400,27 @@ class TestScreenReasons:
         _assert_scan_keeps_the_valid_draws(family, box, 4, 300, 11, level)
         assert max(shared) > 10 if len(q) == 3 else max(shared) == 1
 
+    def test_scan_certifies_draws_of_one_and_two_triples_together(self, monkeypatch):
+        # A qr13 draw with a = 0 and b = 0 has the same denominator triple
+        # (0, 0, q^-N) in its base and shifted columns, so its grid has one
+        # distinct triple where its block-mates have two.
+        triples = []
+        grid = qseries._Grid.__init__
+
+        def counting(self, rows, columns, *args):
+            triples.append(len({column[2:] for column in columns}))
+            grid(self, rows, columns, *args)
+
+        monkeypatch.setattr(qseries._Grid, "__init__", counting)
+        box = {"a": [0.0, 0.0, -0.3, 0.2], "b": [0.0, 0.0, 0.4, -0.5], "c": [0.3, -0.6, 0.5],
+               "q": [0.5]}
+        expected = _replayed_valid_draws("qr13", box, 4, 60, 3, "contiguity")
+        triples.clear()
+        kept = parameter_scan("qr13", box, N=4, samples=60, seed=3, level="contiguity")
+        assert [p.as_tuple() for p in kept] == [p.as_tuple() for p in expected]
+        assert len(triples) == 60 and set(triples) == {1, 2}
+        assert any(p.a == p.b == 0 for p in kept)
+
     def test_survivor_whose_grids_fail_is_refused_alone(self, monkeypatch):
         # The middle draw's grid pair fails: it gets the failure's message,
         # as when verify_contiguity raises it, and its block-mates keep

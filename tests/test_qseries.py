@@ -293,6 +293,32 @@ class TestBlock:
         assert rungs == lone_rungs
         assert Counter(digits for digits, _ in sums)[40] > 36
 
+    @pytest.mark.parametrize("order", ["1 2 6", "2 1", "6 2 1 1"])
+    def test_grids_of_different_numbers_of_triples(self, monkeypatch, order):
+        # Each grid forms its runs once per distinct (b1, b2, b3) triple, so
+        # block-mates read 1, 2 or 6 triples.  The triple (1e100, 1e100,
+        # 1e100) puts its columns' quotients below 2^-900: the rung refuses
+        # that grid whole, and only it.
+        rows = [(i, 0.3 - 0.07 * i) for i in self.DEGREES]
+        far = (1e100,) * 3
+        grids = {
+            "1": (rows, [(*point, 0.25, -0.2, 0.1) for point in self.POINTS]),
+            "2": (rows, [(*point, *(far if x % 2 else (0.25, -0.2, 0.1)))
+                         for x, point in enumerate(self.POINTS)]),
+            "6": (rows, [(*point, 0.25 + x / 64, -0.2, 0.1) for x, point in enumerate(self.POINTS)]),
+        }
+        grids = [grids[name] for name in order.split()]
+        assert [len({column[2:] for column in columns}) for _, columns in grids] == [
+            int(name) for name in order.split()]
+        refused = []
+        grid_sums = qseries._Grid.sums
+        monkeypatch.setattr(qseries._Grid, "sums", lambda grid, block, rung: (
+            refused.append(rung is None) or grid_sums(grid, block, rung)))
+        block = phi43_terminating_exact(grids, self.Q, self.Z)
+        assert refused == [name == "2" for name in order.split()]
+        for grid, got in zip(grids, block):
+            assert self._same(got, phi43_terminating_exact([grid], self.Q, self.Z)[0])
+
     def test_parts_of_a_block_give_the_same_values(self, monkeypatch):
         # the whole block in one part, then parts of two grids
         grids = list(self._grids().values()) * 3
@@ -406,6 +432,27 @@ class TestErrorBound:
         total = up.add(1, abs(decimal.Decimal(-2 * z)))
         u = decimal.Decimal("5e-40")
         assert errors == [up.multiply(up.multiply(total, 22 * u), decimal.Decimal("1.0001"))]
+
+    @pytest.mark.parametrize("x", [(998999999999, 10**12), (1001000000001, 10**12)])
+    def test_condition_is_rounded_upward(self, x):
+        # A degree-1 row of a1 = x: its prefix bound is 6 + 3 |x| / |1 - x|
+        # (see _Block.factors), which every 9-digit rounding keeps above:
+        # 6 + 3 * 998.999999000999... for x = 0.998999999999, where rounding
+        # |1 - x| = 0.001000000001 upward to 9 digits before dividing would
+        # give 3002.99998, and 6 + 3 * 1000.999999001... for x =
+        # 1.001000000001, where rounding the negative x / (1 - x) upward, not
+        # away from zero, would give 3008.99997.
+        zero = (0, 1)
+        row, pair, triple = (1, x), (zero, zero), (zero, zero, zero)
+        block = qseries._Block((1, 2), [([row], [pair + triple])], (1, 3))
+        context = qseries._context(40)
+        ratios = block.ratios([row], [pair], [triple])
+        words = np.array([[context.divide(*p) for p in ratios]], dtype=object)
+        with decimal.localcontext(context):
+            _, bounds, _ = block.factors(qseries._DECIMALS, words, np.array([1]),
+                                         ([1], [1], [1], [1]), [(0, 0)], 1)
+        condition = abs(Fraction(*x) / (1 - Fraction(*x)))
+        assert 6 + 3 * condition <= bounds[1, 0] <= 6 + 3 * condition + Fraction(1, 10**5)
 
     def test_near_tie_is_refused_then_settled(self, sums, monkeypatch):
         # The sum is 1 + 2^-53 + 1e-50, just above the midpoint of 1 and
