@@ -27,7 +27,8 @@ fails gives its exception alone.  The term ratio of step ``k`` is a product
 of three runs over ``k``: the heads ``(1 - q^(k-i)) (1 - a1 q^k)``, once per
 row, the pairs ``(1 - a2 q^k) (1 - a3 q^k)`` and the quotients ``z / ((1 -
 q^(k+1)) (1 - b1 q^k) (1 - b2 q^k) (1 - b3 q^k))``, once per distinct pair
-and triple of a grid.  Every rung forms them in one array layout
+and triple of all the columns it forms, shared by a block's grids.  Every
+rung forms them in one array layout
 (:meth:`_Block.factors`), with the prefix products of each row's heads and
 of each column's pairs times quotients; term ``k`` of an entry is the
 product of its row's and its column's ``k``-th prefix product, and the
@@ -219,7 +220,8 @@ class _Block:
     ``(numerator, denominator)`` pairs, that share ``q``, ``z``, one shape
     and one degree ``length``.  The block holds the exact powers ``q^k =
     qn^k / qd^k`` for ``k <= length`` and each grid's exact decisions
-    (:class:`_Grid`); none of it outlives the call."""
+    (:class:`_Grid`); none of it outlives the call.  :meth:`factors`, the
+    one layout of every rung, finds the pairs and triples it forms."""
 
     def __init__(self, q, grids, z):
         qn, qd = q
@@ -243,24 +245,16 @@ class _Block:
         rungs = self.double_word() if grids[0].steps else [None] * len(grids)
         return [grid.sums(self, rung) for grid, rung in zip(grids, rungs)]
 
-    def ratios(self, rows, pairs, triples):
-        """The exact ratios that :meth:`factors` reads, in its order: ``q^k``
-        and ``q^-k`` for ``k <= length``, ``a2`` by pair, ``b2`` by triple,
-        ``a1`` by row, ``a3`` by pair, and ``b1`` and ``b3`` by triple, and
-        ``z``."""
-        return (self.powers + [(d, n) for n, d in self.powers] + [a2 for a2, _ in pairs]
-                + [b2 for _, b2, _ in triples] + [a1 for _, a1 in rows] + [a3 for _, a3 in pairs]
-                + [b1 for b1, _, _ in triples] + [b3 for *_, b3 in triples] + [self.z])
-
-    def factors(self, arithmetic, words, degrees, steps, runs, length):
+    def factors(self, arithmetic, rows, columns, steps, length):
         """The one layout of every rung: ``(factors, bounds, quotient)`` for
-        ``k < length``, for rows of ``degrees``, pairs ``(a2, a3)``, triples
-        ``(b1, b2, b3)`` and columns of ``runs``, each column's pair and
-        triple; ``steps`` holds a row's and a pair's steps, a triple's last
-        column's stop and a column's stop.  ``words`` holds the numbers of
-        :meth:`ratios`, its first axis their words (two for a double word,
-        one in an ``object`` array), and ``arithmetic`` is the rung's
-        :data:`_Arithmetic`.
+        ``k < length``, for exact ``rows`` of ``(i, a1)`` and ``columns`` of
+        ``(a2, a3, b1, b2, b3)``; ``steps`` holds each row's steps, each
+        column's pair steps and each column's stop.  Runs are formed once per
+        distinct pair ``(a2, a3)`` and triple ``(b1, b2, b3)``, a triple's up
+        to its columns' last stop, from each distinct ratio converted once by
+        the ``number`` of ``arithmetic``, the rung's :data:`_Arithmetic`, into
+        words (two for a double word, one in an ``object`` array), the first
+        axis of every array.
 
         ``factors[:, k]`` is step ``k``'s factor, the rows' heads and then the
         columns' pair factors times their quotients, zero past a row's steps
@@ -285,13 +279,29 @@ class _Block:
         ``|m / (1 - m)|``, so that only the quotient of the exact ``m`` and
         ``1 - m`` is rounded, away from zero.
         """
-        times, divide, one_minus, units = arithmetic
+        times, divide, one_minus, number, units = arithmetic
+        row_steps, pair_steps, stops = steps
+        pairs, triples = {}, {}  # each distinct pair and triple: its index
+        runs = np.array([(pairs.setdefault(c[:2], len(pairs)), triples.setdefault(c[2:], len(triples)))
+                         for c in columns], dtype=int).reshape(-1, 2).T
+        run_steps = np.zeros(len(pairs), int), np.zeros(len(triples), int)
+        run_steps[0][runs[0]] = pair_steps
+        np.maximum.at(run_steps[1], runs[1], stops)
+        # q^k, q^-k, a2, b2, a1, a3, b1 and b3 by pair, triple or row, and z
+        ratios = (self.powers + [(d, n) for n, d in self.powers] + [a2 for a2, _ in pairs]
+                  + [b2 for _, b2, _ in triples] + [a1 for _, a1 in rows] + [a3 for _, a3 in pairs]
+                  + [b1 for b1, _, _ in triples] + [b3 for *_, b3 in triples] + [self.z])
+        unique = {}
+        index = [unique.setdefault(p, len(unique)) for p in ratios]
+        words = np.array([number(*p) for p in unique]).T.reshape(-1, len(unique))[:, index]
         size = len(self.powers)
         powers, inverse = words[:, :size], words[:, size:2 * size]
         parameters, z = words[:, 2 * size:-1], words[:, -1]
+        degrees = np.array([i for i, _ in rows])
         k = np.arange(length)[:, None]
-        live_rows, live_pairs, live_triples, live_columns = (k < np.array(s) for s in steps)
-        rows, pairs, triples = len(degrees), live_pairs.shape[1], live_triples.shape[1]
+        live_rows, live_pairs, live_triples, live_columns = (
+            k < np.array(s) for s in (row_steps, *run_steps, stops))
+        rows, pairs, triples = len(rows), len(pairs), len(triples)
         live = np.hstack((live_pairs, live_triples, live_rows, live_pairs) + (live_triples,) * 2)
         m = times(parameters[:, None], np.where(live, powers[:, :length, None], 0))
         m = np.concatenate((np.where(live_rows, inverse[:, np.maximum(degrees - k, 0)], 0),
@@ -302,7 +312,7 @@ class _Block:
         products = times(f[..., :half], f[..., half:])
         den = slice(rows + pairs, half - triples), slice(half - triples, half)
         # each column's pair and denominator's first half in products
-        pair, triple = np.array(runs, dtype=int).reshape(-1, 2).T + [[rows], [rows + pairs]]
+        pair, triple = runs + [[rows], [rows + pairs]]
         quotient = divide(z[:, None, None], times(products[..., den[0]], products[..., den[1]]))
         quotient = quotient[..., triple - den[0].start]
         factors = np.concatenate((products[..., :rows], times(products[..., pair], quotient)),
@@ -330,14 +340,14 @@ class _Block:
 
         A double word ``(hi, lo)`` is the unevaluated sum of two floats,
         about 106 bits.  The rung forms the factors of :meth:`factors` for
-        the whole block at once, for the rows, pairs, triples and columns of
-        every grid, grid after grid; their prefix products by a
+        the whole block at once, for the rows and columns of every grid, grid
+        after grid; their prefix products by a
         scan of ``log2(length)`` rounds (Hillis and Steele); and the terms of
         :data:`_CHUNK` steps at a time (fewer where a grid's terms would pass
         :data:`_CHUNK_TERMS`) as ``chunk x grids x rows x columns`` arrays,
         each grid's rows against its own columns, summed pairwise.  Every
-        parameter, ``q^k`` and ``q^-k`` is converted once, by correctly
-        rounded integer divisions.
+        distinct ratio is converted once, by correctly rounded integer
+        divisions (:func:`_word`).
 
         Each operation's relative error bound is the constant that Joldes,
         Muller and Popescu, "Tight and rigorous error bounds for basic
@@ -357,19 +367,23 @@ class _Block:
 
         Dekker's product is exact, and the constants hold, for factors and
         products within [2^-900, 2^900]; an underflowing low word there adds
-        under ``2^-175`` of the magnitude, which the slack covers.  The rung
-        checks, grid by grid, the magnitudes that could leave the range
-        unnoticed: the conversions, the quotients ``z / denominator``, the
-        prefix scan's products and, by their extremes at each step, the
-        prefix products and the terms.  A product of at most four factors
-        ``1 - m`` falls below ``2^-800`` only through a factor below
-        ``2^-200``, whose condition exceeds ``2^199``, so every entry that
-        reads it is refused by its bound.  A factor beyond ``2^996``,
-        infinite or not, overflows the scan's Veltkamp split into a NaN,
-        which reaches the prefix products.  Every operation but the terms'
-        acts on one entity at a time, and the terms pair a grid's rows with
-        its own columns only, so what one grid holds, a NaN included, never
-        reaches another: each grid is proved or refused as on its own.
+        under ``2^-175`` of the magnitude, which the slack covers.  A ratio
+        outside the range converts to NaN words, which every live factor
+        that reads them carries to the prefix products or the quotients; a
+        factor read at no live step is masked to 0.  The rung checks, grid
+        by grid, the magnitudes that could leave the range unnoticed, NaNs
+        included: the quotients ``z / denominator``, the prefix scan's
+        products and, by their extremes at each step, the prefix products
+        and the terms.  A product of at most four factors ``1 - m`` falls
+        below ``2^-800`` only through a factor below ``2^-200``, whose
+        condition exceeds ``2^199``, so every entry that reads it is refused
+        by its bound.  A factor beyond ``2^996``, infinite or not, overflows
+        the scan's Veltkamp split into a NaN, which reaches the prefix
+        products.  A shared pair's or triple's run holds what each grid
+        forms on its own, every check reads a row's or a column's values,
+        and the terms pair a grid's rows with its own columns only, so what
+        one grid reads never reaches another: each grid is proved or refused
+        as on its own.
 
         The exact decisions are :class:`_Grid`'s: each row's and column's
         steps, and the denominator zeros, at which a column's run stops
@@ -379,40 +393,14 @@ class _Block:
         count, height, width = len(grids), len(grids[0].rows), grids[0].width
         length = len(self.powers) - 1
         rows, columns = count * height, count * width  # entities
-        grid_rows = [row for grid in grids for row in grid.rows]
-        ratios = self.ratios(grid_rows, *([run for grid in grids for run in getattr(grid, name)]
-                                          for name in ("pairs", "triples")))
-        unique = {}
-        index = [unique.setdefault(p, len(unique)) for p in ratios]
-        words, outside = [], []
-        for p in unique:
-            try:
-                words.append(_word(*p))
-            except OverflowError:
-                outside.append(len(words))
-                words.append((0.0, 0.0))  # a stand-in: the grids that read it are refused
-        # the grid of each ratio, -1 for those every grid reads
-        by_pair, by_triple = ([g for g, grid in enumerate(grids) for _ in getattr(grid, name)]
-                              for name in ("pairs", "triples"))
-        owner = np.concatenate(([-1] * (2 * length + 2), by_pair, by_triple,
-                                np.repeat(np.arange(count), height), by_pair, by_triple,
-                                by_triple, [-1]))
-        refused = owner[np.isin(index, outside)]
-        if (refused == -1).any():
-            return [None] * count
-        in_range = ~np.isin(np.arange(count), refused)
         with np.errstate(all="ignore"):
-            # each grid's pairs and triples after those of the grids before it
-            offsets = np.cumsum([(0, 0)] + [(len(grid.pairs), len(grid.triples)) for grid in grids],
-                                axis=0)
             factors, bounds, quotient = self.factors(
-                _WORDS, np.array(words).T[:, index], np.array([i for i, _ in grid_rows]),
+                _WORDS, *([x for grid in grids for x in getattr(grid, name)]
+                          for name in ("rows", "columns")),
                 [[s for grid in grids for s in getattr(grid, name)]
-                 for name in ("row_steps", "pair_steps", "triple_stops", "column_stops")],
-                [run + offset for grid, offset in zip(grids, offsets) for run in grid.runs], length)
-            if self.z[0]:
-                # a quotient per column, as many to a grid, not per triple
-                in_range &= _in_range(quotient[0], count)
+                 for name in ("row_steps", "pair_steps", "column_stops")], length)
+            # a quotient per column, as many to a grid, not per triple
+            in_range = _in_range(quotient[0], count) if self.z[0] else np.full(count, True)
             # a whole chunk, halved while a grid's terms pass _CHUNK_TERMS;
             # a part of more than one grid never needs that (_part_size)
             chunk = _chunk(length)
@@ -474,35 +462,27 @@ class _Grid:
     """One grid of a :class:`_Block`: ``rows`` of ``(i, a1)`` and columns of
     ``(a2, a3, b1, b2, b3)``, all exact ``(numerator, denominator)`` pairs.
     Entry ``e`` is row ``e // width``, column ``e % width``.  The grid holds
-    the steps of each row's and column's series and each column's first
-    vanishing denominator factor, decided on the exact arguments."""
+    the steps of each row's, each column's pair's and each entry's series,
+    and each column's first vanishing denominator factor and stop, decided
+    on the exact arguments; :meth:`_Block.factors` finds the pairs."""
 
     def __init__(self, rows, columns, vanishes_at, length):
         self.rows, self.columns = rows, columns
         # The steps before a numerator factor ends each row's and each
         # column's series; 1 - q^(k-i) and 1 - q^(k+1) never vanish inside.
-        # The runs are formed once per distinct (a2, a3) pair and (b1, b2, b3)
-        # triple: per column, the index of its pair and of its triple.
-        pairs, triples = {}, {}
-        self.runs = [(pairs.setdefault(column[:2], len(pairs)),
-                      triples.setdefault(column[2:], len(triples))) for column in columns]
-        self.pairs, self.triples = list(pairs), list(triples)
         self.row_steps = [min(i, vanishes_at.get(a1, i)) for i, a1 in rows]
         self.pair_steps = [min(vanishes_at.get(a2, length), vanishes_at.get(a3, length))
-                           for a2, a3 in self.pairs]
-        self.steps = [min(s, self.pair_steps[p]) for s in self.row_steps for p, _ in self.runs]
+                           for a2, a3, *_ in columns]
+        self.steps = [min(s, p) for s in self.row_steps for p in self.pair_steps]
         self.width = len(columns)
         # Per column, the first denominator factor that vanishes exactly, as
         # (step, parameter), or None: it fails every entry of that column
-        # whose series reaches it, and the column's run stops there; a
-        # triple's run stops with its last column's.
+        # whose series reaches it, and the column's run stops there.
         self.zeros = [min(((vanishes_at[p], p) for p in column[2:] if p in vanishes_at),
                           default=None)
                       for column in columns]
-        self.column_stops = [self.pair_steps[p] if zero is None else min(self.pair_steps[p], zero[0])
-                             for (p, _), zero in zip(self.runs, self.zeros)]
-        self.triple_stops = [max(stop for (_, u), stop in zip(self.runs, self.column_stops) if u == t)
-                             for t in range(len(triples))]
+        self.column_stops = [p if zero is None else min(p, zero[0])
+                             for p, zero in zip(self.pair_steps, self.zeros)]
 
     def sums(self, block, rung):
         """Every entry's float, as a ``rows x columns`` array, or the
@@ -557,13 +537,13 @@ class _Grid:
                     failures[e] = OverflowError("series sum too large for a float")
                 else:
                     values[e] = value
-            if refused and _exact_decimals(digits, block.q, block.z):
+            exact = functools.cache(functools.partial(_exact_decimals, digits))
+            if refused and exact(block.q) and exact(block.z):
                 # Arguments that are exact decimals at these digits have a
                 # cheap exact sum; a zero or a tie, which no wider sum proves
                 # either, is decided by it here rather than at the cap.
                 settle([e for e in refused
-                        if _exact_decimals(digits, self.rows[e // width][1],
-                                           *self.columns[e % width])])
+                        if all(map(exact, (self.rows[e // width][1], *self.columns[e % width])))])
             first = min(failures, default=len(steps))
             pending = [e for e in refused if values[e] is None and e < first]
             digits *= 2
@@ -606,27 +586,19 @@ class _Grid:
         rows = sorted({e // width for e in entries})
         columns = sorted({e % width for e in entries})
         if digits is None:
-            arithmetic, context, convert = _FRACTIONS, decimal.getcontext(), Fraction
+            arithmetic, context = _FRACTIONS, decimal.getcontext()
         else:
             arithmetic, context = _DECIMALS, _context(digits)
-            convert, unit = context.divide, decimal.Decimal(5).scaleb(-digits)
+            unit = decimal.Decimal(5).scaleb(-digits)
             floor, ceiling = _context(digits, decimal.ROUND_FLOOR), _context(
                 digits, decimal.ROUND_CEILING)
-        # the pairs and triples of those columns, renumbered
-        pairs, triples = ({j: n for n, j in enumerate(sorted({self.runs[c][i] for c in columns}))}
-                          for i in (0, 1))
-        ratios = block.ratios([self.rows[r] for r in rows], [self.pairs[j] for j in pairs],
-                              [self.triples[j] for j in triples])
-        numbers = {p: convert(*p) for p in dict.fromkeys(ratios)}
         length = max(steps[e] for e in entries)
         results = {}
         with decimal.localcontext(context):
             factors, bounds, _ = block.factors(
-                arithmetic, np.array([[numbers[p] for p in ratios]], dtype=object),
-                np.array([self.rows[r][0] for r in rows]),
-                ([self.row_steps[r] for r in rows], [self.pair_steps[j] for j in pairs],
-                 [self.triple_stops[j] for j in triples], [self.column_stops[c] for c in columns]),
-                [(pairs[self.runs[c][0]], triples[self.runs[c][1]]) for c in columns], length)
+                arithmetic, [self.rows[r] for r in rows], [self.columns[c] for c in columns],
+                ([self.row_steps[r] for r in rows],
+                 *([s[c] for c in columns] for s in (self.pair_steps, self.column_stops))), length)
             prefixes = np.multiply.accumulate(
                 np.concatenate((np.ones((1, 1, factors.shape[-1]), dtype=object), factors),
                                axis=1), axis=1)[0]
@@ -657,13 +629,12 @@ class _Grid:
         return [results[e] for e in entries]
 
 
-def _exact_decimals(digits, *ratios):
-    """Whether every ``numerator / denominator`` of ``ratios`` is a decimal
+def _exact_decimals(digits, ratio):
+    """Whether ``ratio``, a ``(numerator, denominator)`` pair, is a decimal
     of at most ``digits`` significant digits: its division leaves the
     context's ``Inexact`` flag clear."""
     context = _context(digits)
-    for n, d in ratios:
-        context.divide(n, d)
+    context.divide(*ratio)
     return not context.flags[decimal.Inexact]
 
 
@@ -710,11 +681,11 @@ _TINY, _HUGE = 2.0 ** -900, 2.0 ** 900
 def _word(n, d):
     """The double word ``(hi, lo)`` nearest ``n / d``: the float nearest it
     and the float nearest the rest, each a correctly rounded integer
-    division, so one rounding of ``u^2`` in all.  ``OverflowError`` when ``n``
+    division, so one rounding of ``u^2`` in all.  ``(nan, nan)`` when ``n``
     is not zero and ``|n / d|`` leaves [:data:`_TINY`, :data:`_HUGE`]."""
-    hi = n / d
+    hi = n / d if abs(n) < d << 1000 else math.inf  # n / d >= 2^1000 may overflow
     if n and not _TINY <= abs(hi) <= _HUGE:
-        raise OverflowError("parameter outside the double-word range")
+        return math.nan, math.nan
     hn, hd = hi.as_integer_ratio()
     return hi, (n * hd - hn * d) / (d * hd)
 
@@ -822,17 +793,19 @@ def _divide(x, y):
 
 #: A rung's arithmetic for :meth:`_Block.factors`: ``times``, ``divide`` and
 #: ``one_minus`` on arrays whose first axis holds the words of each number,
-#: and ``units``, the bound constants of a conversion, a ``1 - m``, a product
+#: ``number``, which converts a ``(numerator, denominator)`` pair, and
+#: ``units``, the bound constants of a conversion, a ``1 - m``, a product
 #: and a quotient, or ``None`` where nothing rounds.
-_Arithmetic = namedtuple("_Arithmetic", "times divide one_minus units")
+_Arithmetic = namedtuple("_Arithmetic", "times divide one_minus number units")
 #: Double words, with the constants of Joldes, Muller and Popescu (2017) in
 #: units of ``u^2``.
 _WORDS = _Arithmetic(lambda x, y: np.array(_times(x, y)), lambda x, y: np.array(_divide(x, y)),
-                     lambda m: np.array(_one_minus(m)), (1, 2, 7, 15))
+                     lambda m: np.array(_one_minus(m)), _word, (1, 2, 7, 15))
 #: ``Decimal``s in the current context, each operation one rounding; a
 #: quotient whose denominator rounds to zero is 0, and ``1 - m`` is a
 #: ``Decimal`` even where ``m`` is the int 0 of a dead step.
 _DECIMALS = _Arithmetic(operator.mul, lambda x, y: np.where(y == 0, 0, x / np.where(y == 0, 1, y)),
-                        lambda m: decimal.Decimal(1) - m, (1, 1, 1, 1))
+                        lambda m: decimal.Decimal(1) - m,
+                        lambda n, d: decimal.getcontext().divide(n, d), (1, 1, 1, 1))
 #: ``Fraction``s, exact.
-_FRACTIONS = _Arithmetic(operator.mul, operator.truediv, lambda m: 1 - m, None)
+_FRACTIONS = _Arithmetic(operator.mul, operator.truediv, lambda m: 1 - m, Fraction, None)

@@ -295,10 +295,10 @@ class TestBlock:
 
     @pytest.mark.parametrize("order", ["1 2 6", "2 1", "6 2 1 1"])
     def test_grids_of_different_numbers_of_triples(self, monkeypatch, order):
-        # Each grid forms its runs once per distinct (b1, b2, b3) triple, so
-        # block-mates read 1, 2 or 6 triples.  The triple (1e100, 1e100,
-        # 1e100) puts its columns' quotients below 2^-900: the rung refuses
-        # that grid whole, and only it.
+        # Block-mates hold 1, 2 or 6 distinct (b1, b2, b3) triples, whose
+        # runs the block forms once each.  The triple (1e100, 1e100, 1e100)
+        # puts its columns' quotients below 2^-900: the rung refuses that
+        # grid whole, and only it.
         rows = [(i, 0.3 - 0.07 * i) for i in self.DEGREES]
         far = (1e100,) * 3
         grids = {
@@ -318,6 +318,51 @@ class TestBlock:
         assert refused == [name == "2" for name in order.split()]
         for grid, got in zip(grids, block):
             assert self._same(got, phi43_terminating_exact([grid], self.Q, self.Z)[0])
+
+    def _rungs(self, monkeypatch):
+        """Per grid summed, whether the double-word rung refused it whole."""
+        refused = []
+        grid_sums = qseries._Grid.sums
+        monkeypatch.setattr(qseries._Grid, "sums", lambda grid, block, rung: (
+            refused.append(rung is None) or grid_sums(grid, block, rung)))
+        return refused
+
+    def _exact_values(self, grid, got, q, z):
+        rows, columns = grid
+        for (i, a1), values in zip(rows, got):
+            for (a2, a3, *dens), value in zip(columns, values):
+                assert value.hex() == float(phi43_exact(i, (a1, a2, a3), dens, q, z)).hex()
+
+    def test_ratio_read_at_no_live_step_refuses_nothing(self, sums, monkeypatch):
+        # a3 = 1e280 is beyond 2^900, but its column's a2 = 1 ends the series
+        # at step 0, so no live factor reads it: the rung proves that grid,
+        # next to a plain grid and one that reaches a denominator zero
+        grids = self._grids()
+        rows, columns = grids["plain"]
+        dead = (rows, columns[:5] + [(1.0, 1e280, 0.25, -0.2, 0.1)])
+        block = [grids["plain"], dead, grids["denominator-zero"]]
+        refused = self._rungs(monkeypatch)
+        got = phi43_terminating_exact(block, self.Q, self.Z)
+        assert refused == [False] * 3
+        for grid, values in zip(block, got):
+            assert self._same(values, phi43_terminating_exact([grid], self.Q, self.Z)[0])
+        assert got[1][:, 5].tolist() == [1.0] * 6
+        self._exact_values(dead, got[1], self.Q, self.Z)
+        assert isinstance(got[2], DenominatorVanishes) and (got[2].k, got[2].param) == (4, 16.0)
+
+    def test_power_beyond_range_read_by_every_grid_refuses_every_grid(self, sums, monkeypatch):
+        # q^-46 = 1e276 is beyond 2^900 and every grid's heads read it at
+        # step 0; columns of x <= 1 end every series by step 1
+        q = Fraction(1, 10**6)
+        block = [([(i, a1 - 0.01 * i) for i in range(40, 48)],
+                  [(q ** -x, a3, 0.25, -0.2, 0.1) for x in (0, 1) for a3 in (0.5, a1, 2.0)])
+                 for a1 in (0.3, -0.6)]
+        refused = self._rungs(monkeypatch)
+        got = phi43_terminating_exact(block, q, q)
+        assert refused == [True, True]
+        assert Counter(digits for digits, _ in sums)[40] == 2 * 8 * 6
+        for grid, values in zip(block, got):
+            self._exact_values(grid, values, q, q)
 
     def test_parts_of_a_block_give_the_same_values(self, monkeypatch):
         # the whole block in one part, then parts of two grids
@@ -445,12 +490,9 @@ class TestErrorBound:
         zero = (0, 1)
         row, pair, triple = (1, x), (zero, zero), (zero, zero, zero)
         block = qseries._Block((1, 2), [([row], [pair + triple])], (1, 3))
-        context = qseries._context(40)
-        ratios = block.ratios([row], [pair], [triple])
-        words = np.array([[context.divide(*p) for p in ratios]], dtype=object)
-        with decimal.localcontext(context):
-            _, bounds, _ = block.factors(qseries._DECIMALS, words, np.array([1]),
-                                         ([1], [1], [1], [1]), [(0, 0)], 1)
+        with decimal.localcontext(qseries._context(40)):
+            _, bounds, _ = block.factors(qseries._DECIMALS, [row], [pair + triple],
+                                         ([1], [1], [1]), 1)
         condition = abs(Fraction(*x) / (1 - Fraction(*x)))
         assert 6 + 3 * condition <= bounds[1, 0] <= 6 + 3 * condition + Fraction(1, 10**5)
 
@@ -757,8 +799,8 @@ class TestDoubleWordArithmetic:
     @pytest.mark.parametrize("ratio", [Fraction(1, 10**280), Fraction(10**280, 3), Fraction(10**400),
                                        Fraction(2**900 + 2**848), Fraction(-1, 2**900 + 2**848)])
     def test_conversion_refuses_beyond_its_range(self, ratio):
-        with pytest.raises(OverflowError):
-            qseries._word(*ratio.as_integer_ratio())
+        # NaN words, which reach every prefix product of a live factor
+        assert np.isnan(qseries._word(*ratio.as_integer_ratio())).all()
 
     @pytest.mark.parametrize("values, in_range", [
         ([2.0**900, -(2.0**-900)], True),
