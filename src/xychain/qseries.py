@@ -13,10 +13,11 @@ The first rung is double-word arithmetic on numpy arrays, about 106 bits,
 for a whole block of grids at once (:meth:`_Block.double_word`); the next are stdlib
 :mod:`decimal` sums at ``p`` significant digits, ``p`` doubling from
 :data:`START_DIGITS` up to :data:`PRECISION_CAP`; the last is the exact
-``Fraction`` sum.  What needs exact values (where the series ends,
-vanishing denominators, a sum that is exactly zero or exactly halfway
-between two floats) is decided on the exact arguments, and no rung proves a
-zero or a tie.
+``Fraction`` sum, which ``float`` rounds correctly and so proves its float
+itself.  What needs exact values (where the series ends and vanishing
+denominators) is decided on the exact arguments, and a sum that is exactly
+zero or exactly halfway between two floats, which no decimal rung proves,
+ends at its exact sum.
 
 The evaluator has one form, a block of grids that share ``q``, ``z``, one
 shape and one degree.  A grid has rows of a degree ``i`` and its ``a1`` and
@@ -48,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DenominatorVanishes
+from .errors import DenominatorVanishes
 
 __all__ = [
     "phi43_terminating_exact",
@@ -56,8 +57,9 @@ __all__ = [
 
 #: Significant decimal digits of the first decimal sum.
 START_DIGITS = 40
-#: Most significant decimal digits any sum is carried at; a series that has
-#: no proved float by then raises :class:`ConvergenceFailure`.
+#: Most significant decimal digits any sum is carried at; an entry with no
+#: proved float by then takes the float of its exact sum, so no output
+#: depends on it.
 PRECISION_CAP = 2560
 
 #: A sum whose first-order relative error bound is not below this is not
@@ -115,16 +117,17 @@ def phi43_terminating_exact(grids, q, z):
     rounding to nearest is monotone, so the exact sum rounds to that float
     too.  A bound that is infinite (a factor rounded to zero) or not below
     1e-6 proves nothing.  Otherwise that entry, and only it, goes on at
-    ``2 p`` digits.  No interval around an exact zero, or around an exact
-    tie halfway between two floats, converts to one float, so an entry that
-    no sum within :data:`PRECISION_CAP` digits proves is summed exactly: a
-    zero is ``0.0`` and a tie rounds to even.  When every argument of an
-    entry is a decimal of at most ``p`` digits (its conversion leaves the
-    context's ``Inexact`` flag clear), the exact sum is cheap, and an entry
-    refused at ``p`` digits whose exact value is a zero or a tie is decided
-    at ``p`` rather than at the cap.  Every value is proved, so each grid
-    entry is bit for bit the float of its own 1 x 1 grid, and each grid of a
-    block is bit for bit its own block of one.
+    ``2 p`` digits.  An entry that no sum within :data:`PRECISION_CAP`
+    digits proves is summed exactly, and ``float`` of the exact sum is
+    correctly rounded (half to even, keeping the sign of a zero), so it is
+    proved too.  No interval around an exact zero, or around an exact tie
+    halfway between two floats, converts to one float, so such a sum always
+    ends there.  When every argument of an entry is a decimal of at most
+    ``p`` digits (its conversion leaves the context's ``Inexact`` flag
+    clear), an entry refused at ``p`` digits takes the float of its exact
+    sum at once, so a zero or a tie does not climb to the cap.  Every value
+    is proved, so each grid entry is bit for bit the float of its own 1 x 1
+    grid, and each grid of a block is bit for bit its own block of one.
 
     ``grids`` is read a part at a time, each part as many grids as keep the
     rung's arrays within :data:`_CHUNK_TERMS` values (see
@@ -155,9 +158,6 @@ def phi43_terminating_exact(grids, q, z):
         that is still being accumulated.  If a *numerator* factor vanishes
         first at the same ``k``, the series has already terminated and the
         denominator zero is never touched.
-    ConvergenceFailure
-        No sum within :data:`PRECISION_CAP` digits is proved and the exact
-        sum is neither zero nor a tie.
     OverflowError
         The proved sum is too large for a float.
 
@@ -262,8 +262,8 @@ class _Block:
         ``1 - m`` is a parameter times ``q^k``, ``q^(k-i)`` or ``q^(k+1)``, so
         arranged that the products of two halves are the heads, the pair
         factors and the denominator's halves ``(1 - q^(k+1)) (1 - b1 q^k)``
-        and ``(1 - b2 q^k) (1 - b3 q^k)``.  Past its steps a run reads ``q^k =
-        0``, so every factor formed there is 1 or ``z``.
+        and ``(1 - b2 q^k) (1 - b3 q^k)``.  Past its steps a run's ``m`` is
+        masked to 0, so every factor formed there is 1 or ``z``.
 
         ``bounds[k]`` (``None`` when nothing rounds) bounds the relative error
         of the prefix product of the first ``k`` factors, in the units of the
@@ -303,7 +303,7 @@ class _Block:
             k < np.array(s) for s in (row_steps, *run_steps, stops))
         rows, pairs, triples = len(rows), len(pairs), len(triples)
         live = np.hstack((live_pairs, live_triples, live_rows, live_pairs) + (live_triples,) * 2)
-        m = times(parameters[:, None], np.where(live, powers[:, :length, None], 0))
+        m = np.where(live, times(parameters[:, None], powers[:, :length, None]), 0)
         m = np.concatenate((np.where(live_rows, inverse[:, np.maximum(degrees - k, 0)], 0),
                             m[..., :pairs], np.where(live_triples, powers[:, 1:length + 1, None], 0),
                             m[..., pairs:]), axis=-1)
@@ -369,8 +369,8 @@ class _Block:
         products within [2^-900, 2^900]; an underflowing low word there adds
         under ``2^-175`` of the magnitude, which the slack covers.  A ratio
         outside the range converts to NaN words, which every live factor
-        that reads them carries to the prefix products or the quotients; a
-        factor read at no live step is masked to 0.  The rung checks, grid
+        that reads them carries to the prefix products or the quotients; an
+        ``m`` formed at no live step is masked to 0.  The rung checks, grid
         by grid, the magnitudes that could leave the range unnoticed, NaNs
         included: the quotients ``z / denominator``, the prefix scan's
         products and, by their extremes at each step, the prefix products
@@ -487,12 +487,13 @@ class _Grid:
     def sums(self, block, rung):
         """Every entry's float, as a ``rows x columns`` array, or the
         exception of the first entry that fails, in row order: each entry
-        goes up the ladder, ``rung`` and then the object rungs of
-        :meth:`objects`, only while refused.  ``rung`` is the grid's
+        goes up the ladder, ``rung``, the decimal rungs of :meth:`objects`
+        and last its exact sum, only while refused.  ``rung`` is the grid's
         ``(words, proved)`` from :meth:`_Block.double_word`, or ``None``
-        where that rung refused the whole grid.  An entry's exact sum is
-        formed at most once: an entry whose exact sum is neither a zero nor
-        a tie goes on up without it and fails at the cap."""
+        where that rung refused the whole grid.  An entry whose exact sum is
+        formed, once its arguments are exact decimals at the digits that
+        refused it or after the rung at :data:`PRECISION_CAP`, takes the
+        float of that sum and goes no higher."""
         steps, width = self.steps, self.width
         values = [None] * len(steps)
         failures = {}  # entry -> its exception; no entry after the first is summed
@@ -503,20 +504,15 @@ class _Grid:
             if reaches is not None:
                 k, (n, d) = zeros[reaches % width]
                 failures[reaches] = DenominatorVanishes(k, n / d)
-        settled = set()  # entries whose exact sum is neither a zero nor a tie
 
         def settle(entries):
-            """Decide each of ``entries`` whose exact sum is a zero or a tie."""
-            entries = [e for e in entries if e not in settled]
-            if not entries:
-                return
-            settled.update(entries)
-            for e, exact in zip(entries, self.objects(block, None, entries)):
-                try:
-                    if exact == 0 or _is_tie(exact):
+            """Give each of ``entries`` the float its exact sum rounds to."""
+            if entries:
+                for e, exact in zip(entries, self.objects(block, None, entries)):
+                    try:
                         values[e] = float(exact)
-                except ArithmeticError as exc:
-                    failures[e] = exc
+                    except OverflowError as exc:
+                        failures[e] = exc
 
         pending = range(min(failures, default=len(steps)))
         if pending and rung is not None:
@@ -539,21 +535,14 @@ class _Grid:
                     values[e] = value
             exact = functools.cache(functools.partial(_exact_decimals, digits))
             if refused and exact(block.q) and exact(block.z):
-                # Arguments that are exact decimals at these digits have a
-                # cheap exact sum; a zero or a tie, which no wider sum proves
-                # either, is decided by it here rather than at the cap.
+                # Arguments exact at these digits: the exact sum settles the
+                # entry here, so a zero or a tie does not climb to the cap.
                 settle([e for e in refused
                         if all(map(exact, (self.rows[e // width][1], *self.columns[e % width])))])
             first = min(failures, default=len(steps))
             pending = [e for e in refused if values[e] is None and e < first]
             digits *= 2
         settle(pending)
-        for e in pending:
-            if values[e] is None and e not in failures:
-                failures[e] = ConvergenceFailure(
-                    f"4phi3 sum of degree {self.rows[e // width][0]} has no checked float "
-                    f"within the precision cap of {PRECISION_CAP} significant digits"
-                )
         if failures:
             return failures[min(failures)]
         return np.array(values, dtype=float).reshape(len(self.rows), width)
@@ -636,14 +625,6 @@ def _exact_decimals(digits, ratio):
     context = _context(digits)
     context.divide(*ratio)
     return not context.flags[decimal.Inexact]
-
-
-def _is_tie(exact):
-    """Whether ``exact`` lies halfway between two adjacent floats, where no
-    interval around it converts to one float."""
-    nearest = float(exact)
-    other = math.nextafter(nearest, math.inf if exact > nearest else -math.inf)
-    return 2 * exact == Fraction(nearest) + Fraction(other)
 
 
 def _context(digits, rounding=decimal.ROUND_HALF_EVEN):

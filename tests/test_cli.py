@@ -815,39 +815,60 @@ class TestFloatRange:
 
 
 class TestPrecisionCap:
-    """A grid value with no checked float within the precision cap is a regime
-    error: exit 3 for ``verify``, a rejected draw for ``scan``."""
+    """The precision cap only sets where the decimal ladder hands over to the
+    exact sum, whose float is the one every rung proves: a lowered cap
+    changes no output."""
 
     # Several grid values here are proved only at 320 digits or more, so a
-    # cap of 160 digits leaves them unproved (degree 8 first); at q = 0.5
-    # every value is proved within it.
+    # cap of 160 or 40 digits leaves them to the exact sum.
     POINT = {"family": "qr24", "a": 1e-6, "b": 0.3, "c": -0.8, "q": 1e-6, "N": 8}
 
-    @pytest.fixture(autouse=True)
-    def low_cap(self, monkeypatch):
-        monkeypatch.setattr(qseries, "PRECISION_CAP", 160)
+    @staticmethod
+    def _run(monkeypatch, cap, args):
+        """``main(args)`` at the precision cap ``cap`` (the default for
+        ``None``), and the number of exact sums it forms."""
+        exact = []
+        objects = qseries._Grid.objects
 
-    def test_verify_exits_three_with_one_error_line(self, tmp_path, capsys):
+        def recording(grid, block, digits, entries):
+            exact.extend(entries if digits is None else ())
+            return objects(grid, block, digits, entries)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qseries._Grid, "objects", recording)
+            if cap is not None:
+                patch.setattr(qseries, "PRECISION_CAP", cap)
+            return main(args), len(exact)
+
+    @pytest.mark.parametrize("cap", [160, 40])
+    def test_verify_writes_what_the_default_cap_writes(self, tmp_path, capsys, monkeypatch,
+                                                       cap):
         path = write_config(tmp_path, self.POINT)
-        assert main(["verify", "--config", path, "--out", str(tmp_path / "r.csv")]) == 3
-        captured = capsys.readouterr()
-        assert captured.err == (
-            "error: 4phi3 sum of degree 8 has no checked float within the precision "
-            "cap of 160 significant digits\n"
-        )
-        assert not (tmp_path / "r.csv").exists()
+        outputs = []
+        for name, value in (("default", None), ("lowered", cap)):
+            out = tmp_path / f"{name}.csv"
+            code, exact = self._run(monkeypatch, value, ["verify", "--config", path,
+                                                         "--out", str(out)])
+            outputs.append((code, out.read_bytes(), capsys.readouterr().err))
+            assert (exact > 0) == (value is not None)
+        assert outputs[0] == outputs[1]
 
-    def test_scan_rejects_the_draw_and_keeps_the_others(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cap", [160, 40])
+    def test_scan_writes_what_the_default_cap_writes(self, tmp_path, capsys, monkeypatch, cap):
         ranges = {k: [self.POINT[k]] for k in ("a", "b", "c")}
         config = {"family": "qr24", "N": 8, "ranges": dict(ranges, q=[1e-6, 0.5, 0.5]),
                   "samples": 12, "level": "contiguity", "seed": 1}
-        assert main(["scan", "--config", write_config(tmp_path, config)]) == 0
-        comments, rows = parse_csv(capsys.readouterr().out)
-        assert "# valid 8" in comments
-        assert {float(row["q"]) for row in rows} == {0.5}
+        path = write_config(tmp_path, config)
+        outputs = []
+        for value in (None, cap):
+            code, exact = self._run(monkeypatch, value, ["scan", "--config", path])
+            outputs.append((code, capsys.readouterr().out))
+            assert (exact > 0) == (value is not None)
+        assert outputs[0] == outputs[1]
+        assert outputs[1][0] == 0 and "# valid 12" in outputs[1][1]
         params = qracah.QRacahParams(**{k: v for k, v in self.POINT.items() if k != "family"})
-        valid, reason = validate_draw("qr24", params, level="contiguity")
-        assert not valid and "precision cap of 160" in reason
+        monkeypatch.setattr(qseries, "PRECISION_CAP", cap)
+        assert validate_draw("qr24", params, level="contiguity") == (True, "")
 
 
 class TestArgparseSurface:

@@ -198,7 +198,7 @@ GRID_CASES = [
 ] + [
     # values proved only at 160 digits
     pytest.param("qr24", QRacahParams(a=1e-6, b=0.3, c=-0.8, N=8, q=1e-6), id="escalation"),
-    # exact zeros, decided by the Fraction sum at the precision cap
+    # exact zeros, which end at their exact Fraction sums
     pytest.param("qr24", QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5), id="exact-zero"),
 ]
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from exact_oracles import phi43_exact, qracah_exact, shift_exact
 from helpers import CONFIG_DIR, QR24_DEFAULT, phi43_grid, phi43_lone
 from xychain import qseries
-from xychain.errors import ConvergenceFailure, DenominatorVanishes, XYChainError
+from xychain.errors import DenominatorVanishes, XYChainError
 from xychain.qracah import QRacahParams, _polynomial_grids
 from xychain.qseries import phi43_terminating_exact
 
@@ -333,13 +333,13 @@ class TestBlock:
             for (a2, a3, *dens), value in zip(columns, values):
                 assert value.hex() == float(phi43_exact(i, (a1, a2, a3), dens, q, z)).hex()
 
-    def test_ratio_read_at_no_live_step_refuses_nothing(self, sums, monkeypatch):
-        # a3 = 1e280 is beyond 2^900, but its column's a2 = 1 ends the series
-        # at step 0, so no live factor reads it: the rung proves that grid,
-        # next to a plain grid and one that reaches a denominator zero
+    def _dead_column_refuses_nothing(self, monkeypatch, column):
+        """A grid whose last column is ``column``, dead from step 0, is
+        proved by the rung, next to a plain grid and one that reaches a
+        denominator zero."""
         grids = self._grids()
         rows, columns = grids["plain"]
-        dead = (rows, columns[:5] + [(1.0, 1e280, 0.25, -0.2, 0.1)])
+        dead = (rows, columns[:5] + [column])
         block = [grids["plain"], dead, grids["denominator-zero"]]
         refused = self._rungs(monkeypatch)
         got = phi43_terminating_exact(block, self.Q, self.Z)
@@ -349,6 +349,17 @@ class TestBlock:
         assert got[1][:, 5].tolist() == [1.0] * 6
         self._exact_values(dead, got[1], self.Q, self.Z)
         assert isinstance(got[2], DenominatorVanishes) and (got[2].k, got[2].param) == (4, 16.0)
+
+    def test_ratio_read_at_no_live_step_refuses_nothing(self, sums, monkeypatch):
+        # a3 = 1e280 is beyond 2^900, but its column's a2 = 1 ends the series
+        # at step 0, so no live factor reads it
+        self._dead_column_refuses_nothing(monkeypatch, (1.0, 1e280, 0.25, -0.2, 0.1))
+
+    def test_triple_read_at_no_live_step_refuses_nothing(self, sums, monkeypatch):
+        # b1 = 1e280 is beyond 2^900, but its column's a2 = 1 ends the series
+        # at step 0: its triple's run is dead from step 0, so its NaN words
+        # reach no quotient
+        self._dead_column_refuses_nothing(monkeypatch, (1.0, 0.5, 1e280, -0.2, 0.1))
 
     def test_power_beyond_range_read_by_every_grid_refuses_every_grid(self, sums, monkeypatch):
         # q^-46 = 1e276 is beyond 2^900 and every grid's heads read it at
@@ -499,17 +510,29 @@ class TestErrorBound:
     def test_near_tie_is_refused_then_settled(self, sums, monkeypatch):
         # The sum is 1 + 2^-53 + 1e-50, just above the midpoint of 1 and
         # 1 + 2^-52.  The 40-digit sum rounds to below the midpoint, and its
-        # interval straddles it; the 80-digit interval lies above it.
+        # interval straddles it.  z is an exact 40-digit decimal, so the
+        # exact sum is formed then and gives the float.
         above_tie = Fraction(1, 2**53) + Fraction(1, 10**50)
         args = (1, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), -above_tie / 2)
         assert phi43_lone(*args) == float(phi43_exact(*args)) == 1 + 2**-52
+        assert sums == [(40, False)]
+        # With 1e-50 / 3, z is no decimal: the 80-digit interval lies above
+        # the midpoint and proves the sum.
+        above_tie = Fraction(1, 2**53) + Fraction(1, 3 * 10**50)
+        args = (1, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), -above_tie / 2)
+        sums.clear()
+        assert phi43_lone(*args) == float(phi43_exact(*args)) == 1 + 2**-52
         assert sums == [(40, False), (80, True)]
         # a sum at the cap itself still proves
+        sums.clear()
         monkeypatch.setattr(qseries, "PRECISION_CAP", 80)
         assert phi43_lone(*args) == 1 + 2**-52
+        assert sums == [(40, False), (80, True)]
+        # past the cap the exact sum gives the same float
+        sums.clear()
         monkeypatch.setattr(qseries, "PRECISION_CAP", 40)
-        with pytest.raises(ConvergenceFailure, match="precision cap of 40 significant"):
-            phi43_lone(*args)
+        assert phi43_lone(*args) == 1 + 2**-52
+        assert sums == [(40, False)]
 
     def test_exact_sum_too_large_for_a_float_fails_then_and_there(self, sums):
         # a1 = 4 + 10^-39 is a 40-digit decimal, and 1 - a1 q^2 = -2.5e-40
@@ -605,6 +628,34 @@ class TestErrorBound:
             assert proved_at[i * 122 + column + x] == digits
             shift = x_shift if grid is shifted else 0
             assert grid[i, x].hex() == float(qracah_exact(i, x + shift, *args)).hex()
+
+    def test_entry_with_an_exact_sum_goes_no_higher(self, monkeypatch):
+        # At q = 0.5 the shipped point's grid pair first forms a nonzero
+        # exact sum at N = 31: two entries whose arguments are exact
+        # 160-digit decimals, refused at 160 digits.  Their exact sums are
+        # their values; no wider decimal rung sums them again.
+        calls = []
+        objects = qseries._Grid.objects
+
+        def recording(grid, block, digits, entries):
+            values = objects(grid, block, digits, entries)
+            calls.append((digits, list(entries), values))
+            return values
+
+        monkeypatch.setattr(qseries._Grid, "objects", recording)
+        params = dataclasses.replace(QR24_DEFAULT, q=0.5, N=31)
+        base, shifted = _polynomial_grids("qr24", params)
+        (at,) = [j for j, (digits, *_) in enumerate(calls) if digits is None]
+        _, exact, values = calls[at]
+        assert len(exact) == 2 and all(values) and calls[at - 1][0] == 160
+        assert not any(set(exact) & set(entries) for _, entries, _ in calls[at + 1:])
+        x_shift, shifted_args = shift_exact("qr24", *params.as_tuple())
+        for e in exact:
+            i, column = divmod(e, 2 * 32)  # base columns, then shifted ones
+            x = column % 32
+            value = (qracah_exact(i, x, *params.as_tuple()) if column < 32
+                     else qracah_exact(i, x + x_shift, *shifted_args))
+            assert (base, shifted)[column // 32][i, x].hex() == float(value).hex()
 
     def test_default_grid_pair_makes_one_sum_per_entry(self, sums):
         config = json.loads((CONFIG_DIR / "qr24_default.json").read_text())

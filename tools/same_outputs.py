@@ -48,6 +48,9 @@ Cases:
   the three ``verify`` forms, whose grids reach deeper precision ladders
   than the pool's ``N <= 16``; the qr13 shifted grid's columns differ from
   its base grid's;
+* the same two points moved to ``q = 0.5`` at ``N = 40`` (``EXACT_SUM_MOVE``)
+  x the three ``verify`` forms, whose grid pairs each take 60 values from
+  nonzero exact sums;
 * the three shipped chain configs with each ``"tolerances"`` name in turn
   set to 1e-300, x the three ``verify`` forms, so every check shows which
   name sets its tolerance;
@@ -125,6 +128,10 @@ DEEP_N = (20, 30, 40)
 #: The shipped points run at each ``DEEP_N``: qr24, whose shifted grid
 #: points are its base ones, and qr13, whose shifted points move by one.
 DEEP_CONFIGS = ("qr24_default.json", "qr13_chain.json")
+#: Moves the ``DEEP_CONFIGS`` points onto grid pairs whose arguments are
+#: exact decimals within 160 digits: 60 entries of each end at a nonzero
+#: exact sum.
+EXACT_SUM_MOVE = {"q": 0.5, "N": 40}
 CHAIN_CONFIGS = ("qr24_default.json", "qr13_chain.json", "xx_uniform.json")
 #: The names of ``xychain.report.TOLERANCES``, each tightened to ``TIGHT``.
 TOLERANCE_NAMES = ("relation", "constraint", "spectrum", "svd", "recurrence", "angle",
@@ -233,6 +240,7 @@ def build_cases(config_dir):
         config = json.loads((CONFIG_DIR / name).read_text())
         for N in DEEP_N:
             add(f"configs/{name}@N={N}", dict(config, N=N), VERIFY_FORMS)
+        add(f"configs/{name}@exact-sums", dict(config, **EXACT_SUM_MOVE), VERIFY_FORMS)
     for name in CHAIN_CONFIGS:
         config = json.loads((CONFIG_DIR / name).read_text())
         for key in TOLERANCE_NAMES:
