@@ -17,7 +17,7 @@ for a whole block of grids at once (:meth:`_Block.double_word`); the next are st
 itself.  What needs exact values (where the series ends and vanishing
 denominators) is decided on the exact arguments, and a sum that is exactly
 zero or exactly halfway between two floats, which no decimal rung proves,
-ends at its exact sum.
+climbs them all and ends at its exact sum.
 
 The evaluator has one form, a block of grids that share ``q``, ``z``, one
 shape and one degree.  A grid has rows of a degree ``i`` and its ``a1`` and
@@ -121,12 +121,8 @@ def phi43_terminating_exact(grids, q, z):
     digits proves is summed exactly, and ``float`` of the exact sum is
     correctly rounded (half to even, keeping the sign of a zero), so it is
     proved too.  No interval around an exact zero, or around an exact tie
-    halfway between two floats, converts to one float, so such a sum always
-    ends there.  When every argument of an entry is a decimal of at most
-    ``p`` digits (its conversion leaves the context's ``Inexact`` flag
-    clear), an entry refused at ``p`` digits takes the float of its exact
-    sum at once, so a zero or a tie does not climb to the cap.  Every value
-    is proved, so each grid entry is bit for bit the float of its own 1 x 1
+    halfway between two floats, converts to one float, so such a sum climbs
+    every decimal rung and always ends there.  Every value is proved, so each grid entry is bit for bit the float of its own 1 x 1
     grid, and each grid of a block is bit for bit its own block of one.
 
     ``grids`` is read a part at a time, each part as many grids as keep the
@@ -225,7 +221,7 @@ class _Block:
 
     def __init__(self, q, grids, z):
         qn, qd = q
-        self.q, self.z = q, z
+        self.z = z
         length = max((i for i, _ in grids[0][0]), default=0)
         self.powers = [(1, 1)]
         for _ in range(length):
@@ -488,12 +484,10 @@ class _Grid:
         """Every entry's float, as a ``rows x columns`` array, or the
         exception of the first entry that fails, in row order: each entry
         goes up the ladder, ``rung``, the decimal rungs of :meth:`objects`
-        and last its exact sum, only while refused.  ``rung`` is the grid's
-        ``(words, proved)`` from :meth:`_Block.double_word`, or ``None``
-        where that rung refused the whole grid.  An entry whose exact sum is
-        formed, once its arguments are exact decimals at the digits that
-        refused it or after the rung at :data:`PRECISION_CAP`, takes the
-        float of that sum and goes no higher."""
+        from :data:`START_DIGITS` to :data:`PRECISION_CAP` digits and last
+        its exact sum, only while refused.  ``rung`` is the grid's ``(words,
+        proved)`` from :meth:`_Block.double_word`, or ``None`` where that
+        rung refused the whole grid."""
         steps, width = self.steps, self.width
         values = [None] * len(steps)
         failures = {}  # entry -> its exception; no entry after the first is summed
@@ -505,15 +499,6 @@ class _Grid:
                 k, (n, d) = zeros[reaches % width]
                 failures[reaches] = DenominatorVanishes(k, n / d)
 
-        def settle(entries):
-            """Give each of ``entries`` the float its exact sum rounds to."""
-            if entries:
-                for e, exact in zip(entries, self.objects(block, None, entries)):
-                    try:
-                        values[e] = float(exact)
-                    except OverflowError as exc:
-                        failures[e] = exc
-
         pending = range(min(failures, default=len(steps)))
         if pending and rung is not None:
             refused = []
@@ -524,25 +509,24 @@ class _Grid:
                     refused.append(e)
             pending = refused
         digits = START_DIGITS
-        while pending and digits <= PRECISION_CAP:
+        while pending:
+            exact = digits > PRECISION_CAP  # the last rung, which proves every entry
             refused = []
-            for e, value in zip(pending, self.objects(block, digits, pending)):
+            for e, value in zip(pending, self.objects(block, None if exact else digits, pending)):
+                try:
+                    value = float(value) if exact else value
+                except OverflowError as exc:
+                    failures[e] = exc
+                    continue
                 if value is None:
                     refused.append(e)
                 elif math.isinf(value):
                     failures[e] = OverflowError("series sum too large for a float")
                 else:
                     values[e] = value
-            exact = functools.cache(functools.partial(_exact_decimals, digits))
-            if refused and exact(block.q) and exact(block.z):
-                # Arguments exact at these digits: the exact sum settles the
-                # entry here, so a zero or a tie does not climb to the cap.
-                settle([e for e in refused
-                        if all(map(exact, (self.rows[e // width][1], *self.columns[e % width])))])
             first = min(failures, default=len(steps))
-            pending = [e for e in refused if values[e] is None and e < first]
+            pending = [e for e in refused if e < first]
             digits *= 2
-        settle(pending)
         if failures:
             return failures[min(failures)]
         return np.array(values, dtype=float).reshape(len(self.rows), width)
@@ -616,15 +600,6 @@ class _Grid:
                                   and math.copysign(1.0, low) == math.copysign(1.0, high)
                                   else None)
         return [results[e] for e in entries]
-
-
-def _exact_decimals(digits, ratio):
-    """Whether ``ratio``, a ``(numerator, denominator)`` pair, is a decimal
-    of at most ``digits`` significant digits: its division leaves the
-    context's ``Inexact`` flag clear."""
-    context = _context(digits)
-    context.divide(*ratio)
-    return not context.flags[decimal.Inexact]
 
 
 def _context(digits, rounding=decimal.ROUND_HALF_EVEN):

@@ -415,20 +415,42 @@ class TestBlock:
 
 
 @pytest.fixture
-def sums(monkeypatch):
-    """The digits of every decimal sum of a grid entry, and whether its bound
-    proved it."""
+def calls(monkeypatch):
+    """Every call of the object rungs: its digits (``None`` for the exact
+    sums), its entries and their values."""
     record = []
     objects = qseries._Grid.objects
 
     def recording(grid, block, digits, entries):
         values = objects(grid, block, digits, entries)
-        if digits is not None:
-            record.extend((digits, value is not None) for value in values)
+        record.append((digits, list(entries), values))
         return values
 
     monkeypatch.setattr(qseries._Grid, "objects", recording)
     return record
+
+
+@pytest.fixture
+def sums(monkeypatch):
+    """The digits of every decimal sum of a grid entry, and whether its bound
+    proved it; an exact sum, which proves its entry, as ``(None, True)``."""
+    record = []
+    objects = qseries._Grid.objects
+
+    def recording(grid, block, digits, entries):
+        values = objects(grid, block, digits, entries)
+        record.extend((digits, value is not None) for value in values)
+        return values
+
+    monkeypatch.setattr(qseries._Grid, "objects", recording)
+    return record
+
+
+#: The digits of every decimal rung, from START_DIGITS to PRECISION_CAP.
+DECIMAL_RUNGS = [40, 80, 160, 320, 640, 1280, 2560]
+#: The ladder of an entry that no decimal rung proves: every decimal rung
+#: refuses it, and its exact sum decides it.
+CLIMB = [(digits, False) for digits in DECIMAL_RUNGS] + [(None, True)]
 
 
 class TestErrorBound:
@@ -510,17 +532,11 @@ class TestErrorBound:
     def test_near_tie_is_refused_then_settled(self, sums, monkeypatch):
         # The sum is 1 + 2^-53 + 1e-50, just above the midpoint of 1 and
         # 1 + 2^-52.  The 40-digit sum rounds to below the midpoint, and its
-        # interval straddles it.  z is an exact 40-digit decimal, so the
-        # exact sum is formed then and gives the float.
+        # interval straddles it; the 80-digit interval lies above it and
+        # proves the sum.  z is an exact 40-digit decimal, which changes
+        # nothing: no entry leaves the decimal rungs before the cap.
         above_tie = Fraction(1, 2**53) + Fraction(1, 10**50)
         args = (1, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), -above_tie / 2)
-        assert phi43_lone(*args) == float(phi43_exact(*args)) == 1 + 2**-52
-        assert sums == [(40, False)]
-        # With 1e-50 / 3, z is no decimal: the 80-digit interval lies above
-        # the midpoint and proves the sum.
-        above_tie = Fraction(1, 2**53) + Fraction(1, 3 * 10**50)
-        args = (1, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), -above_tie / 2)
-        sums.clear()
         assert phi43_lone(*args) == float(phi43_exact(*args)) == 1 + 2**-52
         assert sums == [(40, False), (80, True)]
         # a sum at the cap itself still proves
@@ -532,17 +548,23 @@ class TestErrorBound:
         sums.clear()
         monkeypatch.setattr(qseries, "PRECISION_CAP", 40)
         assert phi43_lone(*args) == 1 + 2**-52
-        assert sums == [(40, False)]
+        assert sums == [(40, False), (None, True)]
 
-    def test_exact_sum_too_large_for_a_float_fails_then_and_there(self, sums):
-        # a1 = 4 + 10^-39 is a 40-digit decimal, and 1 - a1 q^2 = -2.5e-40
-        # makes the 40-digit bound refuse the sum; the exact sum, about
-        # -1e600 with z = 10^200, then fails the entry, which goes no higher
+    def test_exact_sum_too_large_for_a_float_fails_then_and_there(self, sums, monkeypatch):
+        # 1 - a1 q^2 = -2.5e-40 makes the 40-digit bound refuse the sum, about
+        # -1e600 with z = 10^200; the 80-digit sum proves it too large for a
+        # float, which fails the entry, and it goes no higher
         args = (3, (Fraction(4) + Fraction(1, 10**39), 0.0, 0.0), (0.0, 0.0, 0.0),
                 Fraction(1, 2), Fraction(10**200))
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="series sum"):
             phi43_lone(*args)
-        assert sums == [(40, False)]
+        assert sums == [(40, False), (80, True)]
+        # with the cap at 40 digits the exact sum fails it, then and there
+        sums.clear()
+        monkeypatch.setattr(qseries, "PRECISION_CAP", 40)
+        with pytest.raises(OverflowError, match="too large for a float"):
+            phi43_lone(*args)
+        assert sums == [(40, False), (None, True)]
 
     @pytest.mark.parametrize("a1", [
         Fraction(1, 2**1076), Fraction(-1, 2**1076), Fraction(3, 2**1076),
@@ -552,8 +574,8 @@ class TestErrorBound:
         # With q = z = 1/2 the sum is 1 + (a1 - 1) = a1, which rounds to a
         # signed zero or to the smallest subnormal; the bound proves it only
         # once 1 - a1 is carried to ~325 digits.  An exact zero is never
-        # proved; its arguments are exact 40-digit decimals, so the exact sum
-        # decides it after the first decimal sum.
+        # proved; the exact sum decides it after the decimal rung at the
+        # cap.
         args = (1, (a1, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), Fraction(1, 2))
         assert phi43_lone(*args).hex() == float(phi43_exact(*args)).hex()
 
@@ -563,23 +585,23 @@ class TestErrorBound:
     ], ids=["down-to-even", "up-to-even"])
     def test_exact_tie_is_decided_once_its_arguments_are_exact(self, sums, a1, value):
         # The sum is a1, halfway between two floats: every interval around
-        # it straddles the tie, so the exact sum decides, rounding to even.
-        # a1 has 54 significant digits, so it is exact from 80 digits on,
-        # and the exact sum decides after the refused 80-digit sum.
+        # it straddles the tie, so every decimal rung refuses it, up to the
+        # cap, and the exact sum of the exact arguments decides, rounding to
+        # even.
         args = (1, (a1, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), Fraction(1, 2))
         assert phi43_lone(*args) == float(phi43_exact(*args)) == value
-        assert sums == [(40, False), (80, False)]
+        assert sums == CLIMB
 
     @pytest.mark.parametrize("family", ["qr24", "qr13"])
     def test_exact_zeros_leave_the_ladder_at_once(self, sums, family):
-        # Every argument of this point is an exact 40-digit decimal.  Its
-        # grids hold exact zeros (1 + term = 0, through the non-terminating
-        # quotient -32/837), which no decimal sum proves; the exact sum
-        # decides each after one refused 40-digit sum.
+        # This point's grids hold exact zeros (1 + term = 0, through the
+        # non-terminating quotient -32/837), two in qr24 and one in qr13,
+        # which no decimal sum proves: each climbs every decimal rung, and
+        # its exact sum decides it at once after the cap.
         params = QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5)
         base, shifted = _polynomial_grids(family, params)
-        assert len(sums) <= 1.05 * 2 * (params.N + 1) ** 2
-        assert (40, False) in sums and {digits for digits, _ in sums} == {40}
+        zeros = {"qr24": 2, "qr13": 1}[family]
+        assert sums == [step for step in CLIMB for _ in range(zeros)]
         x_shift, shifted_args = shift_exact(family, *params.as_tuple())
         for i in range(params.N + 1):
             for x in range(params.N + 1):
@@ -592,7 +614,9 @@ class TestErrorBound:
     LADDERS = {
         "escalation": (QRacahParams(a=1e-6, b=0.3, c=-0.8, N=8, q=1e-6),
                        {40: 162, 80: 18, 160: 11, 320: 2}),
-        "exact-zero": (QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5), {40: 72}),
+        # two exact zeros, which climb to their exact sums
+        "exact-zero": (QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5),
+                       {**dict.fromkeys(DECIMAL_RUNGS, 2), 40: 72, None: 2}),
     }
 
     @pytest.mark.parametrize("name", sorted(LADDERS))
@@ -603,21 +627,13 @@ class TestErrorBound:
         assert set(made) <= set(most)
         assert all(made[digits] <= most[digits] for digits in made), made
 
-    def test_whole_grid_pair_goes_up_the_object_rungs_at_n60(self, monkeypatch):
+    def test_whole_grid_pair_goes_up_the_object_rungs_at_n60(self, calls):
         # From N = 59 the shipped point's prefix products pass 2^900, so the
         # double-word rung refuses its whole grid pair: every entry is
         # proved by a decimal rung, some only at 160 digits or more.
-        proved_at = {}
-        objects = qseries._Grid.objects
-
-        def recording(grid, block, digits, entries):
-            values = objects(grid, block, digits, entries)
-            proved_at.update((e, digits) for e, v in zip(entries, values) if v is not None)
-            return values
-
-        monkeypatch.setattr(qseries._Grid, "objects", recording)
         params = dataclasses.replace(QR24_DEFAULT, N=60)
         base, shifted = _polynomial_grids("qr24", params)
+        proved_at = _proved_at(calls)
         assert len(proved_at) == 2 * 61**2 and max(proved_at.values()) == 320
         x_shift, shifted_args = shift_exact("qr24", *params.as_tuple())
         for grid, column, args, i, x, digits in [
@@ -629,28 +645,38 @@ class TestErrorBound:
             shift = x_shift if grid is shifted else 0
             assert grid[i, x].hex() == float(qracah_exact(i, x + shift, *args)).hex()
 
-    def test_entry_with_an_exact_sum_goes_no_higher(self, monkeypatch):
-        # At q = 0.5 the shipped point's grid pair first forms a nonzero
-        # exact sum at N = 31: two entries whose arguments are exact
-        # 160-digit decimals, refused at 160 digits.  Their exact sums are
-        # their values; no wider decimal rung sums them again.
-        calls = []
-        objects = qseries._Grid.objects
+    def test_entry_with_an_exact_sum_goes_no_higher(self, calls):
+        # Every entry goes up the ladder only while refused, and its exact
+        # sum, after every decimal rung has refused it, is its last rung:
+        # the exact zeros of this point (entries 15 and 20 of its grid pair)
+        # are refused from 40 to 2560 digits, and no other entry forms an
+        # exact sum.
+        params = QRacahParams(a=0.25, b=0.5, c=-1.0, N=5, q=0.5)
+        base, shifted = _polynomial_grids("qr24", params)
+        ladders = {}
+        for digits, entries, values in calls:
+            for e, value in zip(entries, values):
+                ladders.setdefault(e, []).append((digits, value is not None))
+        for ladder in ladders.values():
+            assert [proved for _, proved in ladder] == [False] * (len(ladder) - 1) + [True]
+        assert {e: ladder for e, ladder in ladders.items() if ladder[-1][0] is None} == {
+            15: CLIMB, 20: CLIMB}
+        for e in (15, 20):
+            i, column = divmod(e, 2 * 6)  # base columns, then shifted ones
+            assert (base, shifted)[column // 6][i, column % 6] == 0.0
 
-        def recording(grid, block, digits, entries):
-            values = objects(grid, block, digits, entries)
-            calls.append((digits, list(entries), values))
-            return values
-
-        monkeypatch.setattr(qseries._Grid, "objects", recording)
+    def test_former_exact_sums_are_proved_at_320_digits(self, calls):
+        # At q = 0.5 the shipped point's grid pair at N = 31 forms no exact
+        # sum: its entries 2015 and 2047, whose arguments are exact 160-digit
+        # decimals, are refused at 160 digits and proved at 320, bit for bit
+        # the floats of their exact values.
         params = dataclasses.replace(QR24_DEFAULT, q=0.5, N=31)
         base, shifted = _polynomial_grids("qr24", params)
-        (at,) = [j for j, (digits, *_) in enumerate(calls) if digits is None]
-        _, exact, values = calls[at]
-        assert len(exact) == 2 and all(values) and calls[at - 1][0] == 160
-        assert not any(set(exact) & set(entries) for _, entries, _ in calls[at + 1:])
+        assert all(digits is not None for digits, *_ in calls)
+        proved_at = _proved_at(calls)
+        assert {e: d for e, d in proved_at.items() if d == 320} == {2015: 320, 2047: 320}
         x_shift, shifted_args = shift_exact("qr24", *params.as_tuple())
-        for e in exact:
+        for e in (2015, 2047):
             i, column = divmod(e, 2 * 32)  # base columns, then shifted ones
             x = column % 32
             value = (qracah_exact(i, x, *params.as_tuple()) if column < 32
@@ -792,6 +818,13 @@ class TestDoubleWordRung:
     ])
     def test_proved_words(self, high, low, error, proved):
         assert qseries._proved_words(np.array(high), np.array(low), np.array(error)) == proved
+
+
+def _proved_at(calls):
+    """Per entry of the grids of the recorded ``calls``, the digits of the
+    rung that proved it."""
+    return {e: digits for digits, entries, values in calls
+            for e, value in zip(entries, values) if value is not None}
 
 
 def _exact(words):

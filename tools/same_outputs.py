@@ -50,7 +50,7 @@ Cases:
   its base grid's;
 * the same two points moved to ``q = 0.5`` at ``N = 40`` (``EXACT_SUM_MOVE``)
   x the three ``verify`` forms, whose grid pairs each take 60 values from
-  nonzero exact sums;
+  the 320-digit rung;
 * the three shipped chain configs with each ``"tolerances"`` name in turn
   set to 1e-300, x the three ``verify`` forms, so every check shows which
   name sets its tolerance;
@@ -129,8 +129,8 @@ DEEP_N = (20, 30, 40)
 #: points are its base ones, and qr13, whose shifted points move by one.
 DEEP_CONFIGS = ("qr24_default.json", "qr13_chain.json")
 #: Moves the ``DEEP_CONFIGS`` points onto grid pairs whose arguments are
-#: exact decimals within 160 digits: 60 entries of each end at a nonzero
-#: exact sum.
+#: exact decimals within 160 digits: 60 entries of each are proved only by
+#: the 320-digit rung.
 EXACT_SUM_MOVE = {"q": 0.5, "N": 40}
 CHAIN_CONFIGS = ("qr24_default.json", "qr13_chain.json", "xx_uniform.json")
 #: The names of ``xychain.report.TOLERANCES``, each tightened to ``TIGHT``.
