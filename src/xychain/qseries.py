@@ -122,8 +122,9 @@ def phi43_terminating_exact(grids, q, z):
     correctly rounded (half to even, keeping the sign of a zero), so it is
     proved too.  No interval around an exact zero, or around an exact tie
     halfway between two floats, converts to one float, so such a sum climbs
-    every decimal rung and always ends there.  Every value is proved, so each grid entry is bit for bit the float of its own 1 x 1
-    grid, and each grid of a block is bit for bit its own block of one.
+    every decimal rung and always ends there.  Every value is proved, so
+    each grid entry is bit for bit the float of its own 1 x 1 grid, and
+    each grid of a block is bit for bit its own block of one.
 
     ``grids`` is read a part at a time, each part as many grids as keep the
     rung's arrays within :data:`_CHUNK_TERMS` values (see

@@ -533,8 +533,8 @@ class TestErrorBound:
         # The sum is 1 + 2^-53 + 1e-50, just above the midpoint of 1 and
         # 1 + 2^-52.  The 40-digit sum rounds to below the midpoint, and its
         # interval straddles it; the 80-digit interval lies above it and
-        # proves the sum.  z is an exact 40-digit decimal, which changes
-        # nothing: no entry leaves the decimal rungs before the cap.
+        # proves the sum, although z is an exact 40-digit decimal: no entry
+        # leaves the decimal rungs before the cap.
         above_tie = Fraction(1, 2**53) + Fraction(1, 10**50)
         args = (1, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Fraction(1, 2), -above_tie / 2)
         assert phi43_lone(*args) == float(phi43_exact(*args)) == 1 + 2**-52
