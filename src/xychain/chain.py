@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParameterRegime, NoValidParameters, XYChainError
 from .qracah import (
-    QRacahParams,
     _Points,
+    _Reasons,
     _base_factors,
     _check_family,
     _contiguity_block,
@@ -139,13 +139,13 @@ class PQTable:
     chain: ChainSpec
 
 
-def _radicand_screen(values, label, errors):
+def _radicand_screen(values, label, reasons):
     """Row-wise radicand screen (see :func:`~xychain.qracah._reject`): a row
     of ``values`` (any shape after the first axis) fails on a non-finite
     entry or on an entry below zero by more than ``RADICAND_TOL`` times the
     larger of 1 and the row's largest magnitude."""
     flat = values.reshape(len(values), -1)
-    _reject(errors, ~np.isfinite(flat), lambda s, k: InvalidParameterRegime(
+    _reject(reasons, ~np.isfinite(flat), lambda s, k: InvalidParameterRegime(
         f"radicand {label} has non-finite entries"
     ))
     if not flat.shape[1]:
@@ -160,17 +160,16 @@ def _radicand_screen(values, label, errors):
 
     # max(1, ...): q-Racah tables, unchanged by a coupling scale; moving it moves scan draws
     bound = -RADICAND_TOL * np.maximum(1.0, np.abs(flat).max(axis=1))
-    _reject(errors, flat.min(axis=1) < bound, negative)
+    _reject(reasons, flat.min(axis=1) < bound, negative)
 
 
 def _radicand_check(values, label):
     """Clamp tiny negatives to zero; raise the :func:`_radicand_screen` error
     of ``values``."""
     values = np.asarray(values, dtype=float)
-    errors = [None]
-    _radicand_screen(values[None], label, errors)
-    if errors[0] is not None:
-        raise errors[0]
+    reasons = _Reasons(1)
+    _radicand_screen(values[None], label, reasons)
+    reasons.raise_error()
     return np.maximum(values, 0.0)
 
 
@@ -212,19 +211,20 @@ def build_chain(coeffs):
     return ChainSpec(alpha=0.5 * (ssum + diff), beta=beta, gamma=0.5 * (ssum - diff))
 
 
-def _spectrum_rows(rad_closed, rad_product, errors):
+def _spectrum_rows(rad_closed, rad_product, reasons):
     """Row-wise :func:`analytic_spectrum` from the ``(S, N+1)`` closed-form
-    and eigenvalue-product radicands: the closed-form ``Lambda`` rows, and
-    each row's error (see :func:`~xychain.qracah._reject`)."""
-    _radicand_screen(rad_closed, "Lambda^2", errors)
-    _radicand_screen(rad_product, "lambda_plus*lambda_minus", errors)
+    and eigenvalue-product radicands: returns the closed-form ``Lambda``
+    rows and records each row's error in ``reasons`` (see
+    :func:`~xychain.qracah._reject`)."""
+    _radicand_screen(rad_closed, "Lambda^2", reasons)
+    _radicand_screen(rad_product, "lambda_plus*lambda_minus", reasons)
     lam_closed = np.sqrt(np.maximum(rad_closed, 0.0))
     # rows with a non-finite radicand already carry their error
     with np.errstate(invalid="ignore"):
         gap = np.abs(lam_closed - np.sqrt(np.maximum(rad_product, 0.0))).max(axis=1)
     # max(1, ...) as in the radicand screen: q-Racah units; moving it moves scan draws
     scale = np.maximum(1.0, lam_closed.max(axis=1))
-    _reject(errors, gap > 1e-12 * scale, lambda s, k: InvalidParameterRegime(
+    _reject(reasons, gap > 1e-12 * scale, lambda s, k: InvalidParameterRegime(
         f"internal cross-check failed: closed-form spectrum deviates from "
         f"the eigenvalue-product route by {gap[s]:.3e}"
     ))
@@ -240,10 +240,9 @@ def analytic_spectrum(coeffs):
     cross-asserted to ``1e-12`` before returning the direct form.
     """
     rad_closed = closed_form_lambda_squared(coeffs.family, coeffs.params)
-    errors = [None]
-    lam = _spectrum_rows(rad_closed[None], (coeffs.lambda_plus * coeffs.lambda_minus)[None], errors)
-    if errors[0] is not None:
-        raise errors[0]
+    reasons = _Reasons(1)
+    lam = _spectrum_rows(rad_closed[None], (coeffs.lambda_plus * coeffs.lambda_minus)[None], reasons)
+    reasons.raise_error()
     return lam[0]
 
 
@@ -320,28 +319,31 @@ def _screen_block(family, points, level):
     base and shifted factors), the table checks of
     :func:`~xychain.qracah.contiguity_coefficients`, at ``couplings`` and
     above the radicands of :func:`build_chain` and :func:`analytic_spectrum`
-    and its cross-check, and the global-sign screen (``full``).  Returns, per
-    point, the error of its first failed screen or its contiguity record.
+    and its cross-check, and the global-sign screen (``full``).  Returns
+    ``(reasons, tables)``: the block's :class:`~xychain.qracah._Reasons`,
+    which give each refused point the error of its first failed screen, and
+    the coefficient tables as ``(S, N+1)`` arrays, from which
+    :func:`~xychain.qracah._record` forms a survivor's contiguity record.
     Every row is computed on its own, so a point's outcome does not depend on
     its neighbours.
     """
     rank = SCAN_LEVELS.index(level)
     # non-finite values become the reasons; numpy's warnings would repeat them
     with np.errstate(all="ignore"):
-        _, _, shifted_factors, errors = _shift_block(family, points)
+        _, _, shifted_factors, reasons = _shift_block(family, points)
         base_factors = _base_factors(family, points)
         labels = base_factors[0] + shifted_factors[0]
         values = np.hstack([base_factors[1], shifted_factors[1]])
-        _reject(errors, np.abs(values) < DENOMINATOR_FLOOR, lambda s, k: InvalidParameterRegime(
+        _reject(reasons, np.abs(values) < DENOMINATOR_FLOOR, lambda s, k: InvalidParameterRegime(
             f"denominator factor ({labels[k]}) within {DENOMINATOR_FLOOR:g} of zero"
         ))
-        tables = _contiguity_block(family, points, base_factors, errors)
+        tables = _contiguity_block(family, points, base_factors, reasons)
         t = SimpleNamespace(**tables)
         if rank >= 1:
             for label, radicand in _coupling_radicands(t).items():
-                _radicand_screen(radicand, label, errors)
+                _radicand_screen(radicand, label, reasons)
             _spectrum_rows(
-                closed_form_lambda_squared(family, points), t.lambda_plus * t.lambda_minus, errors
+                closed_form_lambda_squared(family, points), t.lambda_plus * t.lambda_minus, reasons
             )
         if rank >= 3:
             # max(1, ...) as in the radicand screen: q-Racah units; moving it moves scan draws
@@ -349,35 +351,29 @@ def _screen_block(family, points, level):
                 1.0,
                 np.maximum(np.abs(t.phi_0_plus).max(axis=1), np.abs(t.phi_0_minus).max(axis=1)),
             )
-            interior = np.hstack([
+            # the interior coefficients and the eigenvalues
+            entries = np.hstack([
                 t.phi_plus1_plus[:, :-1],
                 t.phi_minus1_plus[:, 1:],
                 t.phi_0_plus,
                 t.phi_plus1_minus[:, :-1],
                 t.phi_minus1_minus[:, 1:],
                 t.phi_0_minus,
+                t.lambda_plus,
+                t.lambda_minus,
             ])
-            lams = np.hstack([t.lambda_plus, t.lambda_minus])
-            signed = [
-                ((sign * interior).min(axis=1) >= -tol) & ((sign * lams).min(axis=1) >= -tol)
-                for sign in (1.0, -1.0)
-            ]
-            _reject(errors, ~(signed[0] | signed[1]), lambda s, k: InvalidParameterRegime(
+            one_sign = (entries.min(axis=1) >= -tol) | (entries.max(axis=1) <= tol)
+            _reject(reasons, ~one_sign, lambda s, k: InvalidParameterRegime(
                 "no global sign (coefficient tables or eigenvalues of mixed sign)"
             ))
-    return [
-        error if error is not None else _record(family, params, tables, s)
-        for s, (params, error) in enumerate(zip(points.points, errors))
-    ]
+    return reasons, tables
 
 
-def _certify(screened, tolerances):
-    """``(valid, reason)`` of one draw from its :func:`_screen_block` outcome:
-    the screen's error, or the verdict of :func:`verify_contiguity`."""
-    if isinstance(screened, Exception):
-        return False, str(screened)
+def _certify(record, tolerances):
+    """``(valid, reason)`` of a draw that passed :func:`_screen_block`, from
+    its contiguity record: the verdict of :func:`verify_contiguity`."""
     try:
-        report = verify_contiguity(screened, tolerances)
+        report = verify_contiguity(record, tolerances)
     except (XYChainError, ArithmeticError) as exc:
         return False, str(exc)
     for check in report.checks:
@@ -387,25 +383,30 @@ def _certify(screened, tolerances):
 
 
 def _classify(family, points, level, tolerances):
-    """``(valid, reason)`` of every draw of the block ``points``, in order.
+    """Screen the block ``points`` and certify its survivors.
 
-    The survivors of :func:`_screen_block` have their polynomial grids
-    built together (:func:`~xychain.qracah._grid_pairs`, one evaluator
-    block per ``q``), and each record keeps its pair as its ``grids``, so
-    :func:`verify_contiguity` reads it.  A survivor whose grids fail gets
-    their exception as its outcome, which is what reading ``grids`` inside
-    :func:`verify_contiguity` raises first; :func:`_certify` then gives its
-    verdict.
+    Returns ``(reasons, verdicts)``: the :func:`_screen_block` reasons of
+    the refused draws, and ``verdicts[s] = (valid, reason)`` for each
+    survivor ``s``, in order.  Only the survivors get a parameter record
+    and a contiguity record.  Their polynomial grids are built together
+    (:func:`~xychain.qracah._grid_pairs`, one evaluator block per ``q``),
+    and each record keeps its pair as its ``grids``, so
+    :func:`verify_contiguity` reads it.  A survivor whose grids fail is
+    refused with their exception's message, which is what reading ``grids``
+    inside :func:`verify_contiguity` raises first.
     """
-    outcomes = _screen_block(family, points, level)
-    survivors = [s for s, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
-    pairs = _grid_pairs(family, [outcomes[s].params for s in survivors])
-    for s, pair in zip(survivors, pairs):
+    reasons, tables = _screen_block(family, points, level)
+    survivors = np.flatnonzero(reasons.passed()).tolist()
+    params = [points.params(s) for s in survivors]
+    verdicts = {}
+    for s, draw, pair in zip(survivors, params, _grid_pairs(family, params)):
         if isinstance(pair, Exception):
-            outcomes[s] = pair
-        else:
-            outcomes[s].__dict__["grids"] = pair  # the cached ContiguityCoefficients.grids
-    return [_certify(outcome, tolerances) for outcome in outcomes]
+            verdicts[s] = False, str(pair)
+            continue
+        record = _record(family, draw, tables, s)
+        record.__dict__["grids"] = pair  # the cached ContiguityCoefficients.grids
+        verdicts[s] = _certify(record, tolerances)
+    return reasons, verdicts
 
 
 def _check_level(family, level):
@@ -434,8 +435,10 @@ def validate_draw(family, params, level="full", tolerances=TOLERANCES):
     ``ValueError``), an unknown family ``ValueError``.
     """
     _check_level(family, level)
-    (verdict,) = _classify(family, _Points([params]), level, tolerances)
-    return verdict
+    reasons, verdicts = _classify(family, _Points.of([params]), level, tolerances)
+    if 0 in verdicts:
+        return verdicts[0]
+    return False, str(reasons.error(0))
 
 
 def _is_number(value):
@@ -465,7 +468,9 @@ def _sampler(rng, spec, label):
             raise ConfigError(
                 f"ranges['{label}'] = {spec!r} has a width hi - lo that is not a finite float"
             )
-        return lambda: float(rng.uniform(lo, hi))
+        width = hi - lo
+        # numpy's uniform(lo, hi) is this same lo + width * random(), bit for bit
+        return lambda: lo + width * rng.random()
     return lambda: float(values[rng.integers(values.size)])
 
 
@@ -524,22 +529,21 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full", tolerances=
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise ConfigError(f"'{name}' must be an integer >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
-    samplers = {label: _sampler(rng, ranges[label], label) for label in labels}
+    samplers = [_sampler(rng, ranges[label], label) for label in labels]
     _check_level(family, level)
     hits = []
     for start in range(0, samples, _SCAN_BLOCK):
-        block = []
-        for _ in range(min(_SCAN_BLOCK, samples - start)):
-            draw = {label: sample() for label, sample in samplers.items()}
-            try:
-                block.append(QRacahParams(draw["a"], draw["b"], draw["c"], int(N), draw["q"]))
-            except InvalidParameterRegime:
-                continue
-        if not block:
+        draws = np.array([
+            [sample() for sample in samplers] for _ in range(min(_SCAN_BLOCK, samples - start))
+        ])
+        # the draws QRacahParams accepts: finite, with q strictly inside (0, 1)
+        q = draws[:, 3]
+        draws = draws[np.isfinite(draws).all(axis=1) & (0.0 < q) & (q < 1.0)]
+        if not len(draws):
             continue
-        for params, (valid, _) in zip(block, _classify(family, _Points(block), level, tolerances)):
-            if valid:
-                hits.append(params)
+        points = _Points(int(N), draws)
+        _, verdicts = _classify(family, points, level, tolerances)
+        hits += [points.params(s) for s, (valid, _) in verdicts.items() if valid]
     if not hits:
         raise NoValidParameters(
             f"no {level}-valid draws for family {family} in {samples} samples; "

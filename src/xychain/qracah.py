@@ -121,48 +121,109 @@ def _series_args(a, b, c, N, q, degrees, xs):
 
 
 class _Points:
-    """Parameter points of one degree ``N``, as ``(S, 1)`` float columns.
+    """Parameter points of one degree ``N``: ``columns`` holds ``a, b, c, q``
+    as an ``(S, 4)`` float array, and ``a``, ``b``, ``c``, ``q`` are its
+    ``(S, 1)`` columns.
 
     The screens and the coefficient tables run on every point of a block in
-    one numpy pass; a block of one is a single point.  ``q_pow[:, m]`` is
-    ``q**m`` for ``m = 0..2N+2``, a Python float power of each point's own
-    ``q`` as the per-point code had it, never numpy's ``power``, which
-    differs from it in the last bit for about 5 % of ``q``.  A shifted block
-    shares the powers of its base block (``q`` does not shift).
+    one numpy pass; a block of one is a single point.  A scan builds its
+    block from the drawn columns and forms a :class:`QRacahParams` only for
+    a point it keeps (:meth:`params`).  ``q_pow[:, m]`` is ``q**m`` for
+    ``m = 0..2N+2``, a Python float power formed once per distinct ``q``,
+    never numpy's ``power``, which differs from it in the last bit for about
+    5 % of ``q``.  A shifted block shares the powers of its base block
+    (``q`` does not shift).
     """
 
-    def __init__(self, points, q_pow=None):
-        self.points = list(points)
-        self.N = self.points[0].N
-        self.a, self.b, self.c, self.q = (
-            np.array([getattr(p, name) for p in self.points], dtype=float)[:, None]
-            for name in ("a", "b", "c", "q")
-        )
+    def __init__(self, N, columns, q_pow=None):
+        self.N = N
+        self.columns = np.asarray(columns, dtype=float).reshape(-1, 4)
+        self.a, self.b, self.c, self.q = (self.columns[:, k : k + 1] for k in range(4))
         if q_pow is None:
-            q_pow = np.array([[p.q**m for m in range(2 * self.N + 3)] for p in self.points])
+            powers = {}
+            for value in self.columns[:, 3].tolist():
+                if value not in powers:
+                    powers[value] = [value**m for m in range(2 * N + 3)]
+            q_pow = np.array([powers[value] for value in self.columns[:, 3].tolist()])
         self.q_pow = q_pow
 
+    @classmethod
+    def of(cls, points):
+        """The block of the :class:`QRacahParams` ``points``, which share ``N``."""
+        points = list(points)
+        return cls(points[0].N, [(p.a, p.b, p.c, p.q) for p in points])
+
     def __len__(self):
-        return len(self.points)
+        return len(self.columns)
 
     def as_tuple(self):
         return (self.a, self.b, self.c, self.N, self.q)
 
+    def params(self, s):
+        """Point ``s`` as a :class:`QRacahParams`."""
+        a, b, c, q = self.columns[s].tolist()
+        return QRacahParams(a, b, c, self.N, q)
 
-def _reject(errors, hits, make):
-    """Give each point of a block that has no error yet and a ``True`` in its
-    row of ``hits`` the error ``make(s, k)``, ``k`` its first such column.
 
-    ``errors`` holds one entry per point, ``None`` or the error of the first
-    screen the point failed, and is updated in place, so a later screen
-    never replaces an earlier one.
+class _Reasons:
+    """Why each point of a block was refused, kept as arrays.
+
+    ``screen[s]`` is ``0`` while point ``s`` has passed every screen,
+    otherwise the index into ``screens`` of the first screen it failed.
+    ``screens[i]`` is that screen's ``(make, hits)``, with ``screens[0]`` a
+    placeholder.  The error is formed only where a reason is read
+    (:meth:`error`), as ``make(s, k)`` with ``k`` the first ``True`` column
+    of row ``s`` of ``hits``, so a scan that only keeps its survivors forms
+    none.
     """
-    hits = hits.reshape(len(errors), -1)
+
+    def __init__(self, size):
+        self.screen = np.zeros(size, dtype=int)
+        self.screens = [None]
+
+    def __len__(self):
+        return len(self.screen)
+
+    def passed(self):
+        """Boolean mask of the points no screen has refused."""
+        return self.screen == 0
+
+    def error(self, s):
+        """The error of the first screen point ``s`` failed, or ``None``."""
+        screen = self.screen[s]
+        if not screen:
+            return None
+        make, hits = self.screens[screen]
+        return make(s, int(hits[s].argmax()))
+
+    def raise_error(self):
+        """Raise the error of a block of one point, if it has one."""
+        error = self.error(0)
+        if error is not None:
+            raise error
+
+
+def _reject(reasons, hits, make):
+    """Refuse each point of a block that no screen has refused yet and that
+    has a ``True`` in its row of ``hits``, with the error ``make(s, k)``,
+    ``k`` its first such column.
+
+    ``reasons`` is the block's :class:`_Reasons`, updated in place, so a
+    later screen never replaces an earlier one.  Only the screen's index per
+    row and its ``(make, hits)`` are stored; ``make`` runs when a reason is
+    read.
+    """
+    hits = hits.reshape(len(reasons), -1)
     if not hits.any():
         return
-    for s in np.flatnonzero(hits.any(axis=1)).tolist():
-        if errors[s] is None:
-            errors[s] = make(s, int(hits[s].argmax()))
+    reasons.screen[hits.any(axis=1) & reasons.passed()] = len(reasons.screens)
+    reasons.screens.append((make, hits))
+
+
+def _division_by_zero(s, k):
+    """The error a Python float division by zero raises, as a screen's
+    ``make`` (see :func:`_reject`)."""
+    return ZeroDivisionError("float division by zero")
 
 
 @np.errstate(all="ignore")  # as the Python float arithmetic it replaces
@@ -208,49 +269,54 @@ def _check_family(family):
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def _shift_map(family, a, b, c, q):
-    """Family shift map ``(a, b, c) -> (x_shift, a', b', c')``.
+def _shift_map(family, a, b, c, q, q2):
+    """Family shift map ``(a, b, c) -> (x_shift, a', b', c')``; ``q2`` is
+    ``q**2``.
 
     Generic over the number type, so the float and the exact-rational routes
-    apply the same formula.
+    apply the same formula.  The float route passes each point's Python
+    float ``q**2``, as the per-point map had it.
     """
     if family == "qr13":
-        return 1, a / q, b * q, c / q**2
+        return 1, a / q, b * q, c / q2
     return 0, a / q, b * q, c
 
 
+@np.errstate(all="ignore")  # the failures are the points' reasons
 def _shift_block(family, points):
     """Row-wise :func:`shift_params` over the block ``points``.
 
-    Returns ``(x_shift, shifted, factors, errors)``: the grid shift, the
-    shifted points as a block, their :func:`_denominator_factors` and, per
-    point, the error :func:`shift_params` raises for it, or ``None``.  The
-    map itself runs per point in Python floats, as ``shift_params`` always
-    did; a point whose map fails keeps its base point as a placeholder row.
+    Returns ``(x_shift, shifted, factors, reasons)``: the grid shift, the
+    shifted points as a block, their :func:`_denominator_factors` and the
+    block's :class:`_Reasons`, which holds the error :func:`shift_params`
+    raises for each point.  The map runs on the columns, with the errors
+    the Python float map gave: ``ZeroDivisionError`` where ``q**2``
+    underflows to zero, then :class:`InvalidShiftedParams` for the first
+    shifted parameter that is not finite.
     """
-    x_shift = None
-    shifted = []
-    errors = []
-    for params in points.points:
-        a, b, c, N, q = params.as_tuple()
-        error = None
-        try:
-            x_shift, *mapped = _shift_map(family, a, b, c, q)
-            shifted.append(QRacahParams(*mapped, N, q))
-        except InvalidParameterRegime as exc:
-            error = InvalidShiftedParams(f"shifted parameters invalid: {exc}")
-            error.__cause__ = exc
-        except ArithmeticError as exc:
-            error = exc
-        if error is not None:
-            shifted.append(params)
-        errors.append(error)
-    shifted = _Points(shifted, points.q_pow)
+    a, b, c, N, q = points.as_tuple()
+    q2 = points.q_pow[:, 2:3]
+    x_shift, *mapped = _shift_map(family, a, b, c, q, q2)
+    reasons = _Reasons(len(points))
+    if family == "qr13":
+        _reject(reasons, q2 == 0.0, _division_by_zero)
+    shifted = _Points(N, np.concatenate([*mapped, q], axis=1), points.q_pow)
+
+    def not_finite(s, k):
+        name = "abc"[k]
+        cause = InvalidParameterRegime(
+            f"parameter {name} must be finite, got {shifted.columns[s, k].item()!r}"
+        )
+        error = InvalidShiftedParams(f"shifted parameters invalid: {cause}")
+        error.__cause__ = cause
+        return error
+
+    _reject(reasons, ~np.isfinite(shifted.columns[:, :3]), not_finite)
     labels, values = factors = _denominator_factors(shifted)
-    _reject(errors, values == 0.0, lambda s, k: InvalidShiftedParams(
+    _reject(reasons, values == 0.0, lambda s, k: InvalidShiftedParams(
         f"shifted parameters make denominator factor ({labels[k]}) vanish"
     ))
-    return x_shift, shifted, factors, errors
+    return x_shift, shifted, factors, reasons
 
 
 def shift_params(family, params):
@@ -267,10 +333,9 @@ def shift_params(family, params):
         make a series denominator vanish exactly.
     """
     _check_family(family)
-    x_shift, shifted, _, (error,) = _shift_block(family, _Points([params]))
-    if error is not None:
-        raise error
-    return x_shift, shifted.points[0]
+    x_shift, shifted, _, reasons = _shift_block(family, _Points.of([params]))
+    reasons.raise_error()
+    return x_shift, shifted.params(0)
 
 
 @dataclass
@@ -335,25 +400,16 @@ class ContiguityCoefficients:
         return float(np.max(np.abs(num / den - 1.0)))
 
 
-def _sum_rule_heads(params):
-    """``lambda_plus(0)`` and ``lambda_minus(0)`` of one qr24 point, the heads
-    of the middle tables' sum rules, in Python float arithmetic: a zero
-    divisor raises ``ZeroDivisionError``, where numpy would give ``inf``."""
-    a, b, c, N, q = params.as_tuple()
-    lam0_p = (1 - a) * (c - a * q**N) / (a * (1 - a))
-    lam0_m = (1 - b * c * q) * (1 - b * q ** (N + 1)) / (b * q * (1 - b * c * q))
-    return lam0_p, lam0_m
-
-
-def _raw_tables(family, points, errors):
+def _raw_tables(family, points, reasons):
     """Evaluate the printed coefficient tables of the block ``points``.
 
     Vectorized over the points (rows) and over ``i`` and ``x`` (columns):
-    each table is an ``(S, N+1)`` array.  Terms in the parameters alone stay
-    per-point Python floats (``q^N`` from ``points.q_pow`` and the qr24
-    :func:`_sum_rule_heads`), so every entry is the float the per-point
-    evaluation gives; a point whose heads fail gets that error in ``errors``
-    (see :func:`_reject`).
+    each table is an ``(S, N+1)`` array.  The powers ``q^N`` and ``q^(N+1)``
+    of the qr24 sum-rule heads ``lambda_plus(0)``, ``lambda_minus(0)`` come
+    from ``points.q_pow``, so every entry is the float the per-point Python
+    evaluation gives.  Where a head's divisor is zero that evaluation raised
+    ``ZeroDivisionError``; ``reasons`` (a :class:`_Reasons`) records it for
+    the point.
     """
     a, b, c, N, q = points.as_tuple()
     i = np.arange(N + 1, dtype=float)
@@ -404,15 +460,11 @@ def _raw_tables(family, points, errors):
             / (q * (1 - a) * (1 - b * c) * (1 - ab * q ** (2 * i)) * (1 - ab * q ** (2 * i + 1)))
         )
     else:
-        q_N = points.q_pow[:, N : N + 1]
-        heads = np.full((len(points), 2), np.nan)
-        for s, params in enumerate(points.points):
-            try:
-                heads[s] = _sum_rule_heads(params)
-            except ArithmeticError as exc:
-                if errors[s] is None:
-                    errors[s] = exc
-        lam0_p, lam0_m = heads[:, :1], heads[:, 1:]
+        q_N, q_N1 = points.q_pow[:, N : N + 1], points.q_pow[:, N + 1 : N + 2]
+        head_p, head_m = a * (1 - a), b * q * (1 - b * c * q)
+        _reject(reasons, (head_p == 0.0) | (head_m == 0.0), _division_by_zero)
+        lam0_p = (1 - a) * (c - a * q_N) / head_p
+        lam0_m = (1 - b * c * q) * (1 - b * q_N1) / head_m
         lam_p = (1 - a * q**x) * (c - a * q ** (N - x)) / (a * (1 - a))
         lam_m = (1 - b * c * q ** (x + 1)) * (1 - b * q ** (N - x + 1)) / (b * q * (1 - b * c * q))
         up_p = (
@@ -553,7 +605,7 @@ def _series_grid(family, params, q):
     """The evaluator grid of one point's grid pair (see :func:`_grid_pairs`)
     at its exact ``q``."""
     a, b, c = (Fraction(v) for v in (params.a, params.b, params.c))
-    x_shift, sa, sb, sc = _shift_map(family, a, b, c, q)
+    x_shift, sa, sb, sc = _shift_map(family, a, b, c, q, q**2)
     width = params.N + 1
     rows, columns = _series_args(a, b, c, params.N, q, range(width), range(width))
     # a b, and with it every row, is the same in both families
@@ -616,21 +668,21 @@ def _boundary_mask(family, N):
 
 
 @np.errstate(all="ignore")  # a non-finite entry is reported as the point's error
-def _contiguity_block(family, points, factors, errors):
+def _contiguity_block(family, points, factors, reasons):
     """Row-wise :func:`contiguity_coefficients` over the block ``points``.
 
-    ``factors`` are the block's :func:`_base_factors`.  Gives each point the
-    error ``contiguity_coefficients`` raises for it (see :func:`_reject`)
-    and returns the tables as ``(S, N+1)`` arrays.
+    ``factors`` are the block's :func:`_base_factors`.  Records in
+    ``reasons`` (a :class:`_Reasons`) the error ``contiguity_coefficients``
+    raises for each point and returns the tables as ``(S, N+1)`` arrays.
     """
     labels, values = factors
-    _reject(errors, values == 0.0, lambda s, k: InvalidParameterRegime(
+    _reject(reasons, values == 0.0, lambda s, k: InvalidParameterRegime(
         f"denominator factor ({labels[k]}) vanishes"
     ))
-    tables = _raw_tables(family, points, errors)
+    tables = _raw_tables(family, points, reasons)
     names = list(tables)
     finite = np.isfinite(np.stack(list(tables.values()), axis=1)).all(axis=2)
-    _reject(errors, ~finite, lambda s, k: InvalidParameterRegime(
+    _reject(reasons, ~finite, lambda s, k: InvalidParameterRegime(
         f"coefficient table {names[k]} has non-finite entries"
     ))
     return tables
@@ -655,11 +707,10 @@ def contiguity_coefficients(family, params):
         finite.
     """
     _check_family(family)
-    points = _Points([params])
-    errors = [None]
-    tables = _contiguity_block(family, points, _base_factors(family, points), errors)
-    if errors[0] is not None:
-        raise errors[0]
+    points = _Points.of([params])
+    reasons = _Reasons(1)
+    tables = _contiguity_block(family, points, _base_factors(family, points), reasons)
+    reasons.raise_error()
     return _record(family, params, tables, 0)
 
 

@@ -6,6 +6,7 @@ frozen regression values with exact-rational provenance.
 """
 
 import dataclasses
+import json
 import re
 from collections import Counter
 from fractions import Fraction
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import QR13_BOX, QR13_CHAIN, QR24_BOX, QR24_DEFAULT, pq_table, residuals
+from helpers import (
+    CONFIG_DIR, QR13_BOX, QR13_CHAIN, QR24_BOX, QR24_DEFAULT, pq_table, residuals,
+)
 from test_cli_fuzz import RANGES, TYPED_VALUES, WRONG_TYPES
 from xychain import chain, qseries
 from xychain.chain import (
@@ -30,11 +33,14 @@ from xychain.chain import (
     recurrence_check,
     validate_draw,
 )
-from xychain.errors import ConfigError, InvalidParameterRegime, NoValidParameters
+from xychain.errors import (
+    ConfigError, InvalidParameterRegime, InvalidShiftedParams, NoValidParameters,
+)
 from xychain.linalg import jacobi_eigh
 from xychain.qracah import (
     QRacahParams,
     _Points,
+    _Reasons,
     _raw_tables,
     contiguity_coefficients,
     verify_contiguity,
@@ -140,6 +146,15 @@ class TestBuildChain:
         for family in ("qr13", "qr24"):
             with pytest.raises(InvalidParameterRegime, match="radicand"):
                 build_chain(contiguity_coefficients(family, params))
+
+    def test_radicand_tolerance_is_relative_to_the_row(self):
+        # The bound is -RADICAND_TOL times the larger of 1 and the row's
+        # largest magnitude; an entry exactly at the bound is clamped.
+        np.testing.assert_array_equal(chain._radicand_check([-1e-12, 0.5], "r"), [0.0, 0.5])
+        np.testing.assert_array_equal(chain._radicand_check([-1e-7, 1e6], "r"), [0.0, 1e6])
+        with pytest.raises(InvalidParameterRegime,
+                           match=re.escape("radicand r[0] = -2.000000e-06 is negative")):
+            chain._radicand_check([-2e-6, 1e6], "r")
 
     def test_exact_denominator_zero_rejected(self):
         # 1 - a b q^0 = 0 exactly for a = 2, b = 1/2.
@@ -371,6 +386,43 @@ class TestScreenReasons:
             "eigenvalue-product route by 1.656e-09",
         )
 
+    def test_refused_draws_form_no_error_until_a_reason_is_read(self, monkeypatch):
+        # A scan that refuses every draw forms no error and no parameter
+        # record; validate_draw forms the one error its reason reads.
+        made = []
+        for error in (InvalidParameterRegime, InvalidShiftedParams):
+            monkeypatch.setattr(error, "__init__", _counting(made, error.__init__, error.__name__))
+        monkeypatch.setattr(QRacahParams, "__post_init__",
+                            _counting(made, QRacahParams.__post_init__, "QRacahParams"))
+        box = {"a": [-3.0, 3.0], "b": [-3.0, 3.0], "c": [-3.0, 3.0], "q": [0.7]}
+        with pytest.raises(NoValidParameters):
+            parameter_scan("qr13", box, N=4, samples=_SCAN_BLOCK + 44, seed=5, level="couplings")
+        assert made == []
+        screens = [  # one draw per screen, and the errors reading its reason forms
+            (0, ["InvalidParameterRegime"]),  # denominator floor
+            (3, ["InvalidParameterRegime", "InvalidShiftedParams"]),  # shift overflow, and cause
+            (5, []),  # shift underflow: a ZeroDivisionError
+            (7, ["InvalidParameterRegime"]),  # non-finite table
+            (8, ["InvalidParameterRegime"]),  # radicand
+            (12, ["InvalidParameterRegime"]),  # global sign
+        ]
+        for index, formed in screens:
+            draw, reason = SCREEN_DRAWS[index]
+            family, params = _screen_params(draw)
+            made.clear()
+            with np.errstate(all="ignore"):
+                assert validate_draw(family, params, level="full") == (False, reason)
+            assert made == formed, reason
+        closed_form = chain.closed_form_lambda_squared
+        monkeypatch.setattr(chain, "closed_form_lambda_squared",
+                            lambda *args: closed_form(*args) * (1 + 1e-9))
+        made.clear()
+        assert validate_draw("qr24", QR24_DEFAULT, level="couplings") == (
+            False, "internal cross-check failed: closed-form spectrum deviates from the "
+            "eigenvalue-product route by 1.656e-09",
+        )
+        assert made == ["InvalidParameterRegime"]
+
     @pytest.mark.parametrize("family", ["qr13", "qr24"])
     @pytest.mark.parametrize("level", ["contiguity", "full"])
     def test_scan_keeps_the_draws_validate_draw_accepts(self, family, level):
@@ -437,9 +489,11 @@ class TestScreenReasons:
             return grid_sums(grid, block, rung)
 
         monkeypatch.setattr(qseries._Grid, "sums", sums)
-        verdicts = chain._classify("qr24", _Points(points), "full", TOLERANCES)
-        assert verdicts == [(True, ""), (False, "series sum too large for a float"), (True, "")]
-        assert [validate_draw("qr24", p) for p in points] == verdicts
+        _, verdicts = chain._classify("qr24", _Points.of(points), "full", TOLERANCES)
+        assert verdicts == {
+            0: (True, ""), 1: (False, "series sum too large for a float"), 2: (True, ""),
+        }
+        assert [validate_draw("qr24", p) for p in points] == list(verdicts.values())
         with pytest.raises(OverflowError, match="too large"):
             verify_contiguity(contiguity_coefficients("qr24", points[1]))
 
@@ -456,6 +510,14 @@ def _assert_scan_keeps_the_valid_draws(family, ranges, N, samples, seed, level):
         kept = parameter_scan(family, ranges, N=N, samples=samples, seed=seed, level=level)
     assert [p.as_tuple() for p in kept] == [p.as_tuple() for p in expected]
     return kept
+
+
+def _counting(made, function, name):
+    """``function`` that first appends ``name`` to ``made``."""
+    def counted(self, *args, **kwargs):
+        made.append(name)
+        function(self, *args, **kwargs)
+    return counted
 
 
 def _replayed_valid_draws(family, ranges, N, samples, seed, level):
@@ -488,29 +550,54 @@ class TestScreenBlocks:
     ]
 
     @staticmethod
-    def _outcome(screened):
-        if isinstance(screened, Exception):
-            return str(screened)
-        return b"".join(getattr(screened, f).tobytes() for f in TABLE_FIELDS)
+    def _outcomes(points, level):
+        """Per point, the message of its first failed screen or the bytes of
+        its tables."""
+        reasons, tables = _screen_block("qr24", _Points.of(points), level)
+        return [
+            str(reasons.error(s)) if reasons.error(s) is not None
+            else b"".join(tables[f][s].tobytes() for f in TABLE_FIELDS)
+            for s in range(len(points))
+        ]
 
     @pytest.mark.parametrize("level", SCAN_LEVELS)
     def test_outcome_does_not_depend_on_neighbours(self, level):
-        together = _screen_block("qr24", _Points(self.NEIGHBOURS), level)
-        for params, screened in zip(self.NEIGHBOURS, together):
-            (alone,) = _screen_block("qr24", _Points([params]), level)
-            assert self._outcome(screened) == self._outcome(alone)
-        outcomes = [self._outcome(screened) for screened in together]
+        outcomes = self._outcomes(self.NEIGHBOURS, level)
+        for params, outcome in zip(self.NEIGHBOURS, outcomes):
+            assert outcome == self._outcomes([params], level)[0]
         assert outcomes[0] == "coefficient table lambda_plus has non-finite entries"
         assert outcomes[2] == "float division by zero"
         assert all(isinstance(outcome, bytes) for outcome in outcomes[1::3])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_table_bytes_do_not_depend_on_neighbours(self):
-        together = _raw_tables("qr24", _Points(self.NEIGHBOURS), [None] * len(self.NEIGHBOURS))
+        together = _raw_tables("qr24", _Points.of(self.NEIGHBOURS), _Reasons(len(self.NEIGHBOURS)))
         for s, params in enumerate(self.NEIGHBOURS):
-            alone = _raw_tables("qr24", _Points([params]), [None])
+            alone = _raw_tables("qr24", _Points.of([params]), _Reasons(1))
             for name, table in together.items():
                 assert table[s].tobytes() == alone[name][0].tobytes(), (params, name)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize(("name", "column"), [("phi_plus1_plus", 0), ("lambda_plus", 1)])
+    def test_global_sign_tolerance_is_relative_to_phi_0(self, monkeypatch, sign, name, column):
+        # Tables of one sign but for one entry, exactly -tol or just past it,
+        # with tol = RADICAND_TOL max(1, |phi_0|) = 4e-12; the negated tables
+        # pass or fail alike.  The entry's radicand partner is 1e-3, so the
+        # radicand screens pass.
+        point = dataclasses.replace(QR24_DEFAULT, N=1)
+        for entry, passed in ((-4e-12, True), (-4.000001e-12, False)):
+            tables = {field: np.ones((1, 2)) for field in TABLE_FIELDS}
+            tables["phi_0_plus"][:] = 4.0
+            tables["phi_minus1_minus"][0, 1] = tables["lambda_minus"][0, 1] = 1e-3
+            tables[name][0, column] = entry
+            tables = {field: sign * table for field, table in tables.items()}
+            monkeypatch.setattr(chain, "_contiguity_block", lambda *args: tables)
+            monkeypatch.setattr(chain, "closed_form_lambda_squared",
+                                lambda *args: tables["lambda_plus"] * tables["lambda_minus"])
+            reasons, _ = _screen_block("qr24", _Points.of([point]), "full")
+            assert reasons.passed()[0] == passed, entry
+            if not passed:
+                assert str(reasons.error(0)).startswith("no global sign")
 
     @pytest.mark.parametrize(("family", "box"), [("qr24", QR24_BOX), ("qr13", QR13_BOX)])
     def test_scan_across_a_block_boundary(self, family, box):
@@ -571,6 +658,28 @@ class TestParameterScan:
             assert QR24_BOX["c"][0] <= p.c <= QR24_BOX["c"][1]
             assert p.q in set(QR24_BOX["q"])
             assert p.N == 4
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345, 2**40 + 3])
+    def test_range_sampler_gives_the_bits_of_uniform(self, seed):
+        ranges = {
+            "negative": [-0.9, -0.05],
+            "subnormal width": [0.0, 2e-322],
+            "width near 1e308": [-6e307, 5e307],
+        }
+        for label, (lo, hi) in ranges.items():
+            draw = _sampler(np.random.default_rng(seed), [lo, hi], label)
+            reference = np.random.default_rng(seed)
+            for _ in range(2000):
+                assert draw() == float(reference.uniform(lo, hi)), label
+        # the shipped scan box: three ranges and a choice list share one generator
+        box = json.loads((CONFIG_DIR / "qr24_scan.json").read_text())["ranges"]
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        samplers = [_sampler(rng, box[key], key) for key in "abcq"]
+        choices = np.array(box["q"], dtype=float)
+        for _ in range(2000):
+            expected = [float(reference.uniform(*box[key])) for key in "abc"]
+            expected.append(float(choices[reference.integers(choices.size)]))
+            assert [sample() for sample in samplers] == expected
 
     def test_first_family_has_couplings_draws(self):
         draws = parameter_scan("qr13", QR13_BOX, N=4, samples=200, seed=4, level="couplings")

@@ -8,6 +8,7 @@ three-term relations with the package's coefficient tables.
 import contextvars
 import dataclasses
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from xychain.qracah import (
     FAMILIES,
     QRacahParams,
     _Points,
+    _Reasons,
     _grid_pairs,
     _polynomial_grids,
     _raw_tables,
@@ -308,6 +310,27 @@ class TestShiftMap:
         with pytest.raises(InvalidShiftedParams):
             shift_params("qr13", params)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_shift_is_the_python_float_map(self, family):
+        for params in (POLY_POINT, QR24_DEFAULT, QR13_CHAIN):
+            a, b, c, N, q = params.as_tuple()
+            mapped = (a / q, b * q, c / q**2 if family == "qr13" else c, N, q)
+            assert shift_params(family, params)[1].as_tuple() == mapped
+
+    @pytest.mark.parametrize(("family", "a", "c", "q", "error", "message"), [
+        ("qr13", -0.3, -0.8, 1e-320, ZeroDivisionError, "float division by zero"),
+        ("qr24", -0.3, -0.8, 1e-320, InvalidShiftedParams,
+         "shifted parameters invalid: parameter a must be finite, got -inf"),
+        ("qr13", -0.3, 1e300, 1e-5, InvalidShiftedParams,
+         "shifted parameters invalid: parameter c must be finite, got inf"),
+    ])
+    def test_float_failures_of_the_map(self, family, a, c, q, error, message):
+        # q^2 underflows to zero, or a/q or c/q^2 overflows
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+            shift_params(family, QRacahParams(a, 0.3, c, 4, q))
+        if error is InvalidShiftedParams:
+            assert isinstance(raised.value.__cause__, InvalidParameterRegime)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             shift_params("qr99", POLY_POINT)
@@ -317,7 +340,7 @@ class TestShiftMap:
         # the two grids of a build share their rows (i, a b q^(i+1))
         for params in (POLY_POINT, QR24_DEFAULT, QR13_CHAIN):
             a, b, c, _, q = (Fraction(v) for v in params.as_tuple())
-            _, sa, sb, _ = _shift_map(family, a, b, c, q)
+            _, sa, sb, _ = _shift_map(family, a, b, c, q, q**2)
             assert type(sa * sb) is Fraction and sa * sb == a * b
 
 
@@ -438,8 +461,8 @@ class TestContiguityTables:
         for family, a, b, c, N, q, digest in TABLE_DIGESTS:
             groups.setdefault((family, N), []).append((QRacahParams(a, b, c, N, q), digest))
         for (family, N), draws in groups.items():
-            points = _Points([params for params, _ in draws])
-            tables = _raw_tables(family, points, [None] * len(draws))
+            points = _Points.of([params for params, _ in draws])
+            tables = _raw_tables(family, points, _Reasons(len(draws)))
             for s, (params, digest) in enumerate(draws):
                 assert _table_digest(tables, s) == digest, (family, params)
                 single = contiguity_coefficients(family, params)
