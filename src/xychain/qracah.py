@@ -404,115 +404,68 @@ def _raw_tables(family, points, reasons):
     """Evaluate the printed coefficient tables of the block ``points``.
 
     Vectorized over the points (rows) and over ``i`` and ``x`` (columns):
-    each table is an ``(S, N+1)`` array.  The powers ``q^N`` and ``q^(N+1)``
-    of the qr24 sum-rule heads ``lambda_plus(0)``, ``lambda_minus(0)`` come
-    from ``points.q_pow``, so every entry is the float the per-point Python
-    evaluation gives.  Where a head's divisor is zero that evaluation raised
-    ``ZeroDivisionError``; ``reasons`` (a :class:`_Reasons`) records it for
-    the point.
+    each table is an ``(S, N+1)`` array, and ``i`` also serves as ``x``,
+    since both run over ``0..N``.  Each power ``q^e`` and each repeated
+    factor (``m_X`` is ``1 - X``, ``den_k`` is ``1 - a b q^(2i+k)``) is
+    formed once and shared by the tables and eigenvalues that print it.
+    Every table keeps its printed order of operations, so every entry is the
+    float the per-point Python evaluation gives.  The powers ``q^N`` and
+    ``q^(N+1)`` of the qr24 sum-rule heads ``lambda_plus(0)``,
+    ``lambda_minus(0)`` come from ``points.q_pow``.  Where a head's divisor
+    is zero that evaluation raised ``ZeroDivisionError``; ``reasons`` (a
+    :class:`_Reasons`) records it for the point.
     """
     a, b, c, N, q = points.as_tuple()
     i = np.arange(N + 1, dtype=float)
-    x = np.arange(N + 1, dtype=float)
-    ab = a * b
+    ab, bc, m_a = a * b, b * c, 1 - a
+    q_i, q_i1, q_Ni, q_Ni1 = q**i, q ** (i + 1), q ** (N - i), q ** (N + i + 1)
+    den_0, den_1, den_2 = (1 - ab * q ** (2 * i + k) for k in range(3))
+    m_abq_i1, m_abq_Ni1, m_bcq_i1 = 1 - ab * q_i1, 1 - ab * q_Ni1, 1 - bc * q_i1
+    m_q_i, m_aq_i, m_aq_i1 = 1 - q_i, 1 - a * q_i, 1 - a * q_i1
+    m_bq_i, m_bq_i1 = 1 - b * q_i, 1 - b * q_i1
     if family == "qr13":
-        lam_p = (1 - q ** (-x - 1)) * (1 - c * q ** (x - N - 1)) / ((1 - b * c) * (1 - a))
-        lam_m = (1 - c * q**x) * (1 - q ** (N - x))
-        up_p = (
-            -(q**i)
-            * (1 - q ** (i - N))
-            * (1 - ab * q ** (i + 1))
-            / ((1 - ab * q ** (2 * i + 1)) * (1 - ab * q ** (2 * i + 2)))
-        )
-        dn_p = (
-            -(q ** (i - N - 1))
-            * (1 - q**i)
-            * (1 - ab * q ** (N + i + 1))
-            / ((1 - ab * q ** (2 * i)) * (1 - ab * q ** (2 * i + 1)))
-        )
+        q_iN1 = q ** (i - N - 1)
+        m_q_Ni, m_q_neg, m_bcq_i = 1 - q_Ni, 1 - q ** (-i), 1 - bc * q_i
+        m_bc, aq_i1_c = 1 - bc, a * q_i1 - c
+        m_a_bc, q_m_a_bc = m_a * m_bc, q * m_a * m_bc
+        lam_p = (1 - q ** (-i - 1)) * (1 - c * q_iN1) / m_a_bc
+        lam_m = (1 - c * q_i) * m_q_Ni
+        up_p = -q_i * (1 - q ** (i - N)) * m_abq_i1 / (den_1 * den_2)
+        dn_p = -q_iN1 * m_q_i * m_abq_Ni1 / (den_0 * den_1)
         mid_p = -up_p - dn_p
-        up_m = (
-            (1 - q ** (N - i))
-            * (1 - a * q**i)
-            * (1 - a * q ** (i + 1))
-            * (1 - ab * q ** (i + 1))
-            * (1 - b * c * q**i)
-            * (1 - b * c * q ** (i + 1))
-            / ((1 - a) * (1 - b * c) * (1 - ab * q ** (2 * i + 1)) * (1 - ab * q ** (2 * i + 2)))
+        up_m = m_q_Ni * m_aq_i * m_aq_i1 * m_abq_i1 * m_bcq_i * m_bcq_i1 / (m_a_bc * den_1 * den_2)
+        mid_m = (m_aq_i * m_bq_i1 * m_bcq_i * aq_i1_c / (q_m_a_bc * den_1)) * (
+            q * m_q_Ni * m_abq_i1 / den_2 + m_q_neg * m_abq_Ni1 / den_0
         )
-        mid_m = (
-            (1 - a * q**i)
-            * (1 - b * q ** (i + 1))
-            * (1 - b * c * q**i)
-            * (a * q ** (i + 1) - c)
-            / (q * (1 - a) * (1 - b * c) * (1 - ab * q ** (2 * i + 1)))
-        ) * (
-            q * (1 - q ** (N - i)) * (1 - ab * q ** (i + 1)) / (1 - ab * q ** (2 * i + 2))
-            + (1 - q ** (-i)) * (1 - ab * q ** (N + i + 1)) / (1 - ab * q ** (2 * i))
-        )
-        dn_m = (
-            (1 - q ** (-i))
-            * (a * q**i - c)
-            * (a * q ** (i + 1) - c)
-            * (1 - b * q**i)
-            * (1 - b * q ** (i + 1))
-            * (1 - ab * q ** (N + i + 1))
-            / (q * (1 - a) * (1 - b * c) * (1 - ab * q ** (2 * i)) * (1 - ab * q ** (2 * i + 1)))
+        dn_m = m_q_neg * (a * q_i - c) * aq_i1_c * m_bq_i * m_bq_i1 * m_abq_Ni1 / (
+            q_m_a_bc * den_0 * den_1
         )
     else:
         q_N, q_N1 = points.q_pow[:, N : N + 1], points.q_pow[:, N + 1 : N + 2]
-        head_p, head_m = a * (1 - a), b * q * (1 - b * c * q)
+        bq, m_bcq = b * q, 1 - bc * q
+        head_p, head_m = a * m_a, bq * m_bcq
         _reject(reasons, (head_p == 0.0) | (head_m == 0.0), _division_by_zero)
-        lam0_p = (1 - a) * (c - a * q_N) / head_p
-        lam0_m = (1 - b * c * q) * (1 - b * q_N1) / head_m
-        lam_p = (1 - a * q**x) * (c - a * q ** (N - x)) / (a * (1 - a))
-        lam_m = (1 - b * c * q ** (x + 1)) * (1 - b * q ** (N - x + 1)) / (b * q * (1 - b * c * q))
-        up_p = (
-            -(q_N - q**i)
-            * (1 - ab * q ** (i + 1))
-            * (1 - b * c * q ** (i + 1))
-            * (1 - b * c * q ** (i + 2))
-            / ((1 - b * c * q) * (1 - ab * q ** (2 * i + 1)) * (1 - ab * q ** (2 * i + 2)))
+        lam0_p = m_a * (c - a * q_N) / head_p
+        lam0_m = m_bcq * (1 - b * q_N1) / head_m
+        lam_p = m_aq_i * (c - a * q_Ni) / head_p
+        lam_m = m_bcq_i1 * (1 - b * q ** (N - i + 1)) / head_m
+        up_p = -(q_N - q_i) * m_abq_i1 * m_bcq_i1 * (1 - bc * q ** (i + 2)) / (
+            m_bcq * den_1 * den_2
         )
-        dn_p = (
-            -b
-            * q
-            * (1 - q**i)
-            * (c - a * q ** (i - 1))
-            * (c - a * q**i)
-            * (1 - ab * q ** (N + i + 1))
-            / (a * (1 - b * c * q) * (1 - ab * q ** (2 * i)) * (1 - ab * q ** (2 * i + 1)))
+        dn_p = -b * q * m_q_i * (c - a * q ** (i - 1)) * (c - a * q_i) * m_abq_Ni1 / (
+            a * m_bcq * den_0 * den_1
         )
         mid_p = lam0_p - up_p - dn_p
-        up_m = (
-            (1 - a * q**i)
-            * (1 - a * q ** (i + 1))
-            * (1 - ab * q ** (i + 1))
-            * (q**i - q_N)
-            / ((1 - a) * (1 - ab * q ** (2 * i + 1)) * (1 - ab * q ** (2 * i + 2)))
-        )
-        dn_m = (
-            -a
-            * (1 - q**i)
-            * (1 - b * q**i)
-            * (1 - b * q ** (i + 1))
-            * (1 - ab * q ** (N + i + 1))
-            / (b * q * (1 - a) * (1 - ab * q ** (2 * i)) * (1 - ab * q ** (2 * i + 1)))
-        )
+        up_m = m_aq_i * m_aq_i1 * m_abq_i1 * (q_i - q_N) / (m_a * den_1 * den_2)
+        dn_m = -a * m_q_i * m_bq_i * m_bq_i1 * m_abq_Ni1 / (bq * m_a * den_0 * den_1)
         # Sum rule of the "minus" relation at x = 0 (every R_i(0) = 1).  The
         # other printed form, lambda_plus(0) minus the "plus"-relation
         # neighbours, fails the relation; a discrimination test keeps it so.
         mid_m = lam0_m - up_m - dn_m
-    return {
-        "lambda_plus": lam_p,
-        "lambda_minus": lam_m,
-        "phi_plus1_plus": up_p,
-        "phi_0_plus": mid_p,
-        "phi_minus1_plus": dn_p,
-        "phi_plus1_minus": up_m,
-        "phi_0_minus": mid_m,
-        "phi_minus1_minus": dn_m,
-    }
+    return dict(
+        lambda_plus=lam_p, lambda_minus=lam_m, phi_plus1_plus=up_p, phi_0_plus=mid_p,
+        phi_minus1_plus=dn_p, phi_plus1_minus=up_m, phi_0_minus=mid_m, phi_minus1_minus=dn_m,
+    )
 
 
 def closed_form_lambda_squared(family, params):
@@ -522,7 +475,10 @@ def closed_form_lambda_squared(family, params):
     agree with ``lambda_plus(j) * lambda_minus(j)`` identically (cross-checked
     in :func:`xychain.chain.analytic_spectrum`).  ``params`` is one
     :class:`QRacahParams`, or a block of points whose parameters are
-    ``(S, 1)`` columns, for which the result has one row per point.
+    ``(S, 1)`` columns, for which the result has one row per point.  It
+    forms its own powers and factors on purpose: it is the second route of
+    the cross-check in :func:`~xychain.chain.analytic_spectrum` and
+    ``chain._spectrum_rows``, so it must share none with :func:`_raw_tables`.
     """
     _check_family(family)
     a, b, c, N, q = params.as_tuple()

@@ -372,9 +372,12 @@ class TestParams:
         assert QR24_DEFAULT.as_tuple() == (-0.3, 0.3, -0.8, 4, 0.7)
 
 
-#: sha256 of the eight coefficient tables (bytes, in table order) at 20
-#: seeded draws, a, b, c uniform in [-3, 3] and q in [0.01, 0.99], recorded
-#: from the per-point tables before they were batched.  The seed puts q where
+#: sha256 of the eight coefficient tables (bytes, in table order) at 28
+#: seeded draws, a, b, c uniform in [-3, 3] and q in [0.01, 0.99].  The first
+#: 20 (N = 4, 7, 12) were recorded from the per-point tables before they were
+#: batched, the last 8 (two per family at N = 9 and 16, the benchmark's sizes,
+#: from ``default_rng(36)``) from the tables that printed every power in full,
+#: before each power and factor was formed once.  The seeds put q where
 #: numpy's power differs from Python's in the last bit at the qr24 scalar
 #: powers q^N or q^{N+1}, so computing those with numpy fails here.
 TABLE_DIGESTS = [
@@ -418,6 +421,22 @@ TABLE_DIGESTS = [
      0.19046364728027196, "d44b5a7f6e47132600391652647c84b2a851b303cc14b7f6317aa2a44a95f6b7"),
     ("qr24", -0.9558940773888382, -1.979647088113357, -0.13330052787844338, 7,
      0.9580213230594554, "cdc836b16c56a7f08d01f51e3b2b301f47bbb2b27c588a53e1f466f0b5bbc46b"),
+    ("qr13", -1.916201452654983, -0.6105794355859899, 2.362994421419268, 9,
+     0.4053182873643735, "012ccc9b0183228c7abc14303a2ceeb1427eff57e222b32a7eb23101f33bd87b"),
+    ("qr13", 1.0980277381678292, 0.066485491281568, 0.21255931849383014, 9,
+     0.8678473676838848, "8f9e6d8a3773aa7ceb2fa4e4e4d5c96e75f68e286e9ad91032f3f499dfab1da0"),
+    ("qr24", 2.5196269375679163, 0.7984258765952292, -2.8720365889661936, 9,
+     0.4613889307068453, "3b7bdea4bccbe64324757b9c2a1264d24173d0ac87c1b78df595c444cc437a05"),
+    ("qr24", 0.36175079542888655, -1.3546364396837038, -0.6064000370898261, 9,
+     0.4265813670824241, "db9bedbe32710139b88ea803515e7120f8abaf4c0f02565396b4dd42314225a3"),
+    ("qr13", -2.008240967694709, -2.488168057944741, -0.14696368479461697, 16,
+     0.7877867436278849, "c0511ed8dffa0c2252dbed4b3ca77fb6b6d2f248831ca10a42249e82c863aa40"),
+    ("qr13", -1.3015572536748816, 0.6868538268235325, -2.773832702017426, 16,
+     0.8733337277254065, "b56161e7e1743fc1bb53b88d3b432a4969c4a75d37b94e2573bee964bb60b905"),
+    ("qr24", 1.8891905843233765, 2.308786932015562, -0.019269692572705388, 16,
+     0.3326753101457978, "1becde457eeeb72fb20334d5f834326b3caf96ff75153d30947b7258e148ed36"),
+    ("qr24", 2.365482150833312, -1.8673038316047983, -0.4759109850796288, 16,
+     0.9515121143019137, "d90c65226150fab080b2d47424ce21598080dec2cbfefad2e66470fecca97599"),
 ]
 
 

@@ -43,7 +43,8 @@ PACKAGE = ROOT / "src" / "xychain"
 #: The tests run against each mutant of a module.
 TESTS = {
     "qseries": ["tests/test_qseries.py", "tests/test_qracah.py"],
-    "qracah": ["tests/test_qracah.py", "tests/test_killers.py", "tests/test_acceptance.py"],
+    "qracah": ["tests/test_qracah.py", "tests/test_chain.py", "tests/test_killers.py",
+               "tests/test_acceptance.py"],
     "chain": ["tests/test_chain.py", "tests/test_killers.py", "tests/test_acceptance.py",
               "tests/test_cli.py"],
     "freefermion": ["tests/test_freefermion.py", "tests/test_killers.py",
