@@ -148,8 +148,6 @@ def _radicand_screen(values, label, reasons):
     _reject(reasons, ~np.isfinite(flat), lambda s, k: InvalidParameterRegime(
         f"radicand {label} has non-finite entries"
     ))
-    if not flat.shape[1]:
-        return
 
     def negative(s, k):
         at = np.unravel_index(np.argmin(flat[s]), values.shape[1:])
@@ -246,6 +244,25 @@ def analytic_spectrum(coeffs):
     return lam[0]
 
 
+def _scaled_cumprod(ratios):
+    """Running products of ``ratios`` as ``mantissa * 4.0**exponent`` arrays.
+
+    The mantissa is rescaled by an exact power of four only where it leaves
+    [2^-400, 2^400], so a product that is normal unscaled keeps its bits, and
+    the mantissa of one past the float range stays normal while each ratio
+    lies within 2^-600 to 2^600 in magnitude.
+    """
+    mantissa, exponent = np.empty(len(ratios)), np.zeros(len(ratios), dtype=int)
+    m, e = 1.0, 0
+    for k, ratio in enumerate(ratios.tolist()):
+        m *= ratio
+        if not 2.0**-400 <= abs(m) <= 2.0**400:
+            shift = math.frexp(m)[1] // 2
+            m, e = math.ldexp(m, -2 * shift), e + shift
+        mantissa[k], exponent[k] = m, e
+    return mantissa, exponent
+
+
 def build_pq_table(coeffs, chain, lam):
     """Build the normalized ``P``/``Q`` eigenvector tables.
 
@@ -255,7 +272,9 @@ def build_pq_table(coeffs, chain, lam):
     the degree-``i`` polynomial on the base grid (``P``) and on the shifted
     grid (``Q``) by square-root prefactors accumulated from the
     coefficient tables; column ``x`` carries ``sqrt(lambda_plus(x))`` or
-    ``sqrt(lambda_minus(x))`` respectively.
+    ``sqrt(lambda_minus(x))`` respectively.  The radicands are formed from
+    :func:`_scaled_cumprod` mantissas, and a row's ``2**exponent`` is applied
+    after the product with the grid, so no prefactor underflows.
 
     Raises
     ------
@@ -263,27 +282,20 @@ def build_pq_table(coeffs, chain, lam):
         If a prefactor radicand is negative beyond tolerance (the parameter
         point is not ``full``-valid).
     """
-    N = coeffs.params.N
-
-    # cumulative row prefactors: ratios of neighbouring-degree coefficients
-    ratio_p = np.ones(N + 1)
-    ratio_q = np.ones(N + 1)
-    ratio_p[1:] = (coeffs.phi_0_plus[:-1] * coeffs.phi_plus1_minus[:-1]) / (
-        coeffs.phi_0_minus[:-1] * coeffs.phi_minus1_plus[1:]
-    )
-    ratio_q[1:] = (coeffs.phi_0_minus[:-1] * coeffs.phi_plus1_plus[:-1]) / (
-        coeffs.phi_0_plus[:-1] * coeffs.phi_minus1_minus[1:]
-    )
-    cum_p = coeffs.phi_0_minus[0] * np.cumprod(ratio_p)
-    cum_q = coeffs.phi_0_plus[0] * np.cumprod(ratio_q)
-
-    rad_p = coeffs.lambda_plus[None, :] * cum_p[:, None]
-    rad_q = coeffs.lambda_minus[None, :] * cum_q[:, None]
-    weight_p = np.sqrt(_radicand_check(rad_p, "P normalization"))
-    weight_q = np.sqrt(_radicand_check(rad_q, "Q normalization"))
-
-    base, shifted = coeffs.grids
-    return PQTable(P=weight_p * base, Q=weight_q * shifted, lam=lam, chain=chain)
+    c = coeffs
+    roots = []
+    for label, own, other, up, down, eigenvalues in (
+        ("P", c.phi_0_minus, c.phi_0_plus, c.phi_plus1_minus, c.phi_minus1_plus, c.lambda_plus),
+        ("Q", c.phi_0_plus, c.phi_0_minus, c.phi_plus1_plus, c.phi_minus1_minus, c.lambda_minus),
+    ):
+        # ratios of neighbouring-degree coefficients
+        ratios = np.r_[1.0, other[:-1] * up[:-1] / (own[:-1] * down[1:])]
+        mantissa, exponent = _scaled_cumprod(ratios)
+        radicand = eigenvalues[None, :] * (own[0] * mantissa)[:, None]
+        weight = np.sqrt(_radicand_check(radicand, f"{label} normalization"))
+        roots.append((weight, exponent[:, None]))
+    P, Q = (np.ldexp(weight * grid, exponent) for (weight, exponent), grid in zip(roots, c.grids))
+    return PQTable(P=P, Q=Q, lam=lam, chain=chain)
 
 
 def recurrence_check(pq, tolerances=TOLERANCES):
@@ -313,16 +325,11 @@ def recurrence_check(pq, tolerances=TOLERANCES):
 
 
 def _screen_block(family, points, level):
-    """The cheap screens of :func:`validate_draw`, row-wise over a block.
-
-    Runs, in this order, the shift map, the denominator-floor screen (family,
-    base and shifted factors), the table checks of
-    :func:`~xychain.qracah.contiguity_coefficients`, at ``couplings`` and
-    above the radicands of :func:`build_chain` and :func:`analytic_spectrum`
-    and its cross-check, and the global-sign screen (``full``).  Returns
-    ``(reasons, tables)``: the block's :class:`~xychain.qracah._Reasons`,
-    which give each refused point the error of its first failed screen, and
-    the coefficient tables as ``(S, N+1)`` arrays, from which
+    """The cheap screens of :func:`validate_draw`, in its order, row-wise
+    over a block.  The denominator floor covers the family, base and shifted
+    factors, and the spectrum screens end with :func:`analytic_spectrum`'s
+    cross-check.  Returns the block's :class:`~xychain.qracah._Reasons` and
+    its coefficient tables as ``(S, N+1)`` arrays, from which
     :func:`~xychain.qracah._record` forms a survivor's contiguity record.
     Every row is computed on its own, so a point's outcome does not depend on
     its neighbours.
@@ -347,20 +354,13 @@ def _screen_block(family, points, level):
             )
         if rank >= 3:
             # max(1, ...) as in the radicand screen: q-Racah units; moving it moves scan draws
-            tol = RADICAND_TOL * np.maximum(
-                1.0,
-                np.maximum(np.abs(t.phi_0_plus).max(axis=1), np.abs(t.phi_0_minus).max(axis=1)),
-            )
+            tol = RADICAND_TOL * np.maximum(1.0, np.maximum(
+                np.abs(t.phi_0_plus).max(axis=1), np.abs(t.phi_0_minus).max(axis=1)))
             # the interior coefficients and the eigenvalues
             entries = np.hstack([
-                t.phi_plus1_plus[:, :-1],
-                t.phi_minus1_plus[:, 1:],
-                t.phi_0_plus,
-                t.phi_plus1_minus[:, :-1],
-                t.phi_minus1_minus[:, 1:],
-                t.phi_0_minus,
-                t.lambda_plus,
-                t.lambda_minus,
+                t.phi_plus1_plus[:, :-1], t.phi_minus1_plus[:, 1:], t.phi_0_plus,
+                t.phi_plus1_minus[:, :-1], t.phi_minus1_minus[:, 1:], t.phi_0_minus,
+                t.lambda_plus, t.lambda_minus,
             ])
             one_sign = (entries.min(axis=1) >= -tol) | (entries.max(axis=1) <= tol)
             _reject(reasons, ~one_sign, lambda s, k: InvalidParameterRegime(
@@ -370,43 +370,44 @@ def _screen_block(family, points, level):
 
 
 def _certify(record, tolerances):
-    """``(valid, reason)`` of a draw that passed :func:`_screen_block`, from
-    its contiguity record: the verdict of :func:`verify_contiguity`."""
+    """The error that refuses a draw which passed :func:`_screen_block`, or
+    ``None``, from its contiguity record: the exception
+    :func:`verify_contiguity` raised, else an error naming its first failed
+    check."""
     try:
         report = verify_contiguity(record, tolerances)
     except (XYChainError, ArithmeticError) as exc:
-        return False, str(exc)
-    for check in report.checks:
-        if not check.passed:
-            return False, f"{check.name} residual above tolerance"
-    return True, ""
+        return exc
+    failed = [check.name for check in report.checks if not check.passed]
+    return InvalidParameterRegime(f"{failed[0]} residual above tolerance") if failed else None
 
 
 def _classify(family, points, level, tolerances):
-    """Screen the block ``points`` and certify its survivors.
+    """Screen the block ``points`` and certify its survivors; return the
+    block's :class:`~xychain.qracah._Reasons`.
 
-    Returns ``(reasons, verdicts)``: the :func:`_screen_block` reasons of
-    the refused draws, and ``verdicts[s] = (valid, reason)`` for each
-    survivor ``s``, in order.  Only the survivors get a parameter record
-    and a contiguity record.  Their polynomial grids are built together
-    (:func:`~xychain.qracah._grid_pairs`, one evaluator block per ``q``),
-    and each record keeps its pair as its ``grids``, so
-    :func:`verify_contiguity` reads it.  A survivor whose grids fail is
-    refused with their exception's message, which is what reading ``grids``
-    inside :func:`verify_contiguity` raises first.
+    Two screens follow those of :func:`_screen_block`: a survivor whose grid
+    pair fails is refused with the failure, which is what reading ``grids``
+    in :func:`verify_contiguity` raises first, and then one that
+    :func:`_certify` refuses.  Each survivor gets a parameter record and a
+    contiguity record whose ``grids`` is its pair; the pairs are built
+    together (:func:`~xychain.qracah._grid_pairs`, one block per ``q``).
     """
     reasons, tables = _screen_block(family, points, level)
     survivors = np.flatnonzero(reasons.passed()).tolist()
     params = [points.params(s) for s in survivors]
-    verdicts = {}
+    errors, failed = {}, np.zeros(len(points), dtype=bool)
     for s, draw, pair in zip(survivors, params, _grid_pairs(family, params)):
         if isinstance(pair, Exception):
-            verdicts[s] = False, str(pair)
+            errors[s], failed[s] = pair, True
             continue
         record = _record(family, draw, tables, s)
         record.__dict__["grids"] = pair  # the cached ContiguityCoefficients.grids
-        verdicts[s] = _certify(record, tolerances)
-    return reasons, verdicts
+        errors[s] = _certify(record, tolerances)
+    refused = np.array([errors.get(s) is not None for s in range(len(points))])
+    for hits in (failed, refused):  # a row refused already keeps its first screen
+        _reject(reasons, hits, lambda s, k: errors[s])
+    return reasons
 
 
 def _check_level(family, level):
@@ -420,11 +421,11 @@ def validate_draw(family, params, level="full", tolerances=TOLERANCES):
 
     A draw is valid when the stages its level needs succeed and
     :func:`verify_contiguity` passes, the same certification ``verify``
-    reports.  Stages run cheapest-first: the cheap screens of
-    :func:`_screen_block` (shift map, denominator floor, coefficient tables,
-    from ``couplings`` on the radicands of :func:`build_chain` and
-    :func:`analytic_spectrum`, at ``full`` also the global sign), here on a
-    block of one draw, and last the certification, which reads
+    reports.  Stages run cheapest-first, here on a block of one draw: the
+    cheap screens (shift map, denominator floor, coefficient tables, from
+    ``couplings`` on the radicands of :func:`build_chain` and
+    :func:`analytic_spectrum`, at ``full`` also the global sign), then the
+    polynomial grids and last the certification, which reads
     ``tolerances["relation"]`` and ``tolerances["constraint"]``.
 
     Returns ``(valid, reason)``.  ``reason`` is empty when valid; otherwise
@@ -435,10 +436,8 @@ def validate_draw(family, params, level="full", tolerances=TOLERANCES):
     ``ValueError``), an unknown family ``ValueError``.
     """
     _check_level(family, level)
-    reasons, verdicts = _classify(family, _Points.of([params]), level, tolerances)
-    if 0 in verdicts:
-        return verdicts[0]
-    return False, str(reasons.error(0))
+    error = _classify(family, _Points.of([params]), level, tolerances).error(0)
+    return (True, "") if error is None else (False, str(error))
 
 
 def _is_number(value):
@@ -542,8 +541,8 @@ def parameter_scan(family, ranges, N, samples, seed=0, level="full", tolerances=
         if not len(draws):
             continue
         points = _Points(int(N), draws)
-        _, verdicts = _classify(family, points, level, tolerances)
-        hits += [points.params(s) for s, (valid, _) in verdicts.items() if valid]
+        reasons = _classify(family, points, level, tolerances)
+        hits += [points.params(s) for s in np.flatnonzero(reasons.passed()).tolist()]
     if not hits:
         raise NoValidParameters(
             f"no {level}-valid draws for family {family} in {samples} samples; "

@@ -57,8 +57,6 @@ BISECTION_STEPS = 53
 
 def offdiag_max(matrix):
     """Largest absolute off-diagonal entry."""
-    if matrix.shape[0] < 2:
-        return 0.0
     off = matrix.copy()
     np.fill_diagonal(off, 0.0)
     return float(np.max(np.abs(off)))

@@ -230,6 +230,26 @@ class TestPQTables:
             # residuals can reach ~1e-9; the certification tolerance is 1e-8.
             assert max(res.values()) < 1e-8
 
+    def test_running_products_rescale_only_outside_the_range(self):
+        # Mantissas on the bounds 2^400 and 2^-400 keep exponent 0; one past
+        # them moves into [1/2, 2), and the last product, 0.75 * 2^-1300, is
+        # below the float range yet exact.
+        ratios = [2.0**400, 2.0**-800, 0.75, 2.0**-300, 2.0**-600]
+        mantissa, exponent = chain._scaled_cumprod(np.array(ratios))
+        assert exponent.tolist() == [0, 0, -200, -200, -650]
+        assert mantissa.tolist() == [2.0**400, 2.0**-400, 0.75, 0.75 * 2.0**-300, 0.75]
+        products = np.cumprod([Fraction(r) for r in ratios]).tolist()
+        assert [Fraction(m) * Fraction(4) ** int(e) for m, e in zip(mantissa, exponent)] == products
+
+    def test_recurrence_residuals_tiny_where_the_prefactor_products_underflow(self):
+        # At N = 65 the unscaled running product of the P row prefactors is
+        # subnormal (9.6e-315) on its last row; carried with its power of
+        # four, the rows keep their precision.
+        pq = pq_table("qr24", dataclasses.replace(QR24_DEFAULT, N=65))
+        res = residuals(recurrence_check(pq))
+        assert res["recurrence-P"] <= 1e-12
+        assert res["recurrence-Q"] <= 1e-12
+
     def test_corrupted_chain_breaks_recurrence(self):
         # Discrimination: the residual is not vacuously small.
         pq = pq_table("qr24", QR24_DEFAULT)
@@ -489,13 +509,43 @@ class TestScreenReasons:
             return grid_sums(grid, block, rung)
 
         monkeypatch.setattr(qseries._Grid, "sums", sums)
-        _, verdicts = chain._classify("qr24", _Points.of(points), "full", TOLERANCES)
+        reasons = chain._classify("qr24", _Points.of(points), "full", TOLERANCES)
+        errors = [reasons.error(s) for s in range(len(reasons))]
+        verdicts = {s: (error is None, "" if error is None else str(error))
+                    for s, error in enumerate(errors)}
         assert verdicts == {
             0: (True, ""), 1: (False, "series sum too large for a float"), 2: (True, ""),
         }
         assert [validate_draw("qr24", p) for p in points] == list(verdicts.values())
         with pytest.raises(OverflowError, match="too large"):
             verify_contiguity(contiguity_coefficients("qr24", points[1]))
+
+    def test_grid_failure_and_certification_refusal_are_two_screens(self, monkeypatch):
+        # Draw 1's grid pair fails and draw 2 fails a relation: each is
+        # refused by its own screen, after the cheap ones, and neither
+        # screen forms its error until the draw's reason is read.
+        points = [QR24_DEFAULT, dataclasses.replace(QR24_DEFAULT, a=-0.4),
+                  dataclasses.replace(QR24_DEFAULT, a=-0.5)]
+        grid_pairs, contiguity, reject = chain._grid_pairs, chain.verify_contiguity, chain._reject
+        monkeypatch.setattr(chain, "_grid_pairs", lambda family, params: [
+            OverflowError("series sum too large for a float") if p == points[1] else pair
+            for p, pair in zip(params, grid_pairs(family, params))
+        ])
+        monkeypatch.setattr(chain, "verify_contiguity", lambda record, tolerances: contiguity(
+            record, dict(tolerances, relation=1e-300) if record.params == points[2] else tolerances
+        ))
+        read = []
+        monkeypatch.setattr(chain, "_reject", lambda reasons, hits, make: reject(
+            reasons, hits, lambda s, k: read.append(s) or make(s, k)
+        ))
+        reasons = chain._classify("qr24", _Points.of(points), "full", TOLERANCES)
+        last = len(reasons.screens) - 1
+        assert reasons.screen.tolist() == [0, last - 1, last]
+        assert read == []
+        assert reasons.error(0) is None and read == []
+        assert isinstance(reasons.error(1), OverflowError) and read == [1]
+        assert str(reasons.error(2)) == "relation-plus residual above tolerance"
+        assert read == [1, 2]
 
 
 def _assert_scan_keeps_the_valid_draws(family, ranges, N, samples, seed, level):

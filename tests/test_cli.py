@@ -318,8 +318,6 @@ class TestVerify:
         path = write_config(tmp_path, NEAR_ZERO_MODE)
         assert main(["verify", "--config", path]) == 0
 
-    @pytest.mark.xfail(strict=True, reason="recurrence-P and recurrence-Q read 1.0: the "
-                       "cumulative product of the P/Q row prefactors underflows")
     def test_shipped_point_passes_every_row_at_N_66(self, tmp_path):
         config = json.loads((CONFIG_DIR / "qr24_default.json").read_text())
         path = write_config(tmp_path, dict(config, N=66))

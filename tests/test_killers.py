@@ -112,6 +112,15 @@ def _flip_site_field(chain):
     return dataclasses.replace(chain, beta=beta)
 
 
+def _raise_one_prefactor_exponent(products):
+    # one more power of four in the running product of row 2 doubles that
+    # row of P
+    mantissa, exponent = products
+    exponent = exponent.copy()
+    exponent[2] += 1
+    return mantissa, exponent
+
+
 def _scale_largest_analytic_mode(pq):
     # the matching gap is relative to the largest mode, so 1e-3 lands at
     # 1000 times the tolerance
@@ -200,6 +209,9 @@ KILLERS = {
     "analytic-vs-numeric": Killer("spectrum", "cli", "build_chain", _flip_bond_difference),
     "recurrence-P": Killer("recurrence", "cli", "build_chain", _flip_site_field),
     "recurrence-Q": Killer("recurrence", "cli", "build_chain", _flip_site_field),
+    # the first call forms P's row prefactors
+    "recurrence-P@prefactor": Killer("recurrence", "chain", "_scaled_cumprod",
+                                     _raise_one_prefactor_exponent),
     "eigenvalue-matching": Killer("match", "cli", "build_pq_table",
                                   _scale_largest_analytic_mode),
     # no draw of the shipped or tests/helpers.py scan boxes has a degenerate

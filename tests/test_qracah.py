@@ -19,7 +19,7 @@ from exact_oracles import (
 )
 from helpers import QR13_CHAIN, QR24_DEFAULT, phi43_lone
 from xychain import qracah, qseries
-from xychain.errors import InvalidParameterRegime, InvalidShiftedParams
+from xychain.errors import DenominatorVanishes, InvalidParameterRegime, InvalidShiftedParams
 from xychain.qracah import (
     FAMILIES,
     QRacahParams,
@@ -81,6 +81,13 @@ class TestPolynomialValues:
     def test_degree_zero_is_one_on_grid(self):
         for x in range(POLY_POINT.N + 1):
             assert qracah_eval(0, x, POLY_POINT) == 1.0
+
+    def test_failure_of_its_grid_is_raised(self):
+        # a = 2, q = 0.5: the denominator parameter a q is 1, so (1 - a q q^0)
+        # vanishes at the first term
+        with pytest.raises(DenominatorVanishes) as info:
+            qracah_eval(1, 1, QRacahParams(2.0, 0.3, -0.8, 4, 0.5))
+        assert (info.value.k, info.value.param) == (0, 1.0)
 
     def test_value_one_at_grid_origin(self):
         # The q^-x numerator parameter equals 1 at x = 0, so only the k = 0

@@ -51,6 +51,9 @@ Cases:
 * the same two points moved to ``q = 0.5`` at ``N = 40`` (``EXACT_SUM_MOVE``)
   x the three ``verify`` forms, whose grid pairs each take 60 values from
   the 320-digit rung;
+* the shipped qr24 point at ``N = 65``, ``66`` and ``70`` (``PREFACTOR_N``)
+  x the three ``verify`` forms, where the running products of the P/Q row
+  prefactors leave the float range unless they carry their power of four;
 * the three shipped chain configs with each ``"tolerances"`` name in turn
   set to 1e-300, x the three ``verify`` forms, so every check shows which
   name sets its tolerance;
@@ -132,6 +135,9 @@ DEEP_CONFIGS = ("qr24_default.json", "qr13_chain.json")
 #: exact decimals within 160 digits: 60 entries of each are proved only by
 #: the 320-digit rung.
 EXACT_SUM_MOVE = {"q": 0.5, "N": 40}
+#: Degrees at which the shipped qr24 point's P/Q row prefactor products go
+#: below the normal floats: subnormal at 65, zero from 66.
+PREFACTOR_N = (65, 66, 70)
 CHAIN_CONFIGS = ("qr24_default.json", "qr13_chain.json", "xx_uniform.json")
 #: The names of ``xychain.report.TOLERANCES``, each tightened to ``TIGHT``.
 TOLERANCE_NAMES = ("relation", "constraint", "spectrum", "svd", "recurrence", "angle",
@@ -241,6 +247,9 @@ def build_cases(config_dir):
         for N in DEEP_N:
             add(f"configs/{name}@N={N}", dict(config, N=N), VERIFY_FORMS)
         add(f"configs/{name}@exact-sums", dict(config, **EXACT_SUM_MOVE), VERIFY_FORMS)
+    config = json.loads((CONFIG_DIR / "qr24_default.json").read_text())
+    for N in PREFACTOR_N:
+        add(f"configs/qr24_default.json@N={N}", dict(config, N=N), VERIFY_FORMS)
     for name in CHAIN_CONFIGS:
         config = json.loads((CONFIG_DIR / name).read_text())
         for key in TOLERANCE_NAMES:
